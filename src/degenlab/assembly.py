@@ -14,6 +14,15 @@ with the tensor factor at the face midpoint.  This keeps the scheme exact for
 the model odd solution in one dimension and uniformly well behaved across the
 degenerate/singular range of exponents.
 
+The operator is built with array operations over the lattice ``grid.index``,
+by one code path for n = 1 and n = 2.  Weight models are evaluated a grid
+column at a time and return arrays (the contract is on :class:`WeightModel`),
+so all the y-faces of a column cost one ``resistance_y`` call.  x-faces come
+from slicing the lattice along each axis, the matrix from concatenated COO
+triplets, and the faces are kept as arrays (:class:`Faces`) for right-hand
+sides.  The only per-cell Python work left is calling the user's samplers
+(mu, b_tilde, t_field, drift and the data).
+
 Boundary handling:
 * characteristic plane (y = 0): odd parity imposes u = 0 through the exact
   half-cell resistance; even parity imposes zero weighted flux (no term).
@@ -89,6 +98,18 @@ class OperatorSpec:
         if self.t_field is None:
             return np.zeros(n)
         return np.atleast_1d(np.asarray(self.t_field(x, y), dtype=float))
+
+    def mu_at(self, pts: np.ndarray, n: int) -> np.ndarray:
+        """mu at each row (x..., y) of pts."""
+        if self.mu is None:
+            return np.ones(len(pts))
+        return np.array([self.mu_val(*_split(p, n)) for p in pts])
+
+    def b_tilde_diag_at(self, pts: np.ndarray, axis: int, n: int) -> np.ndarray:
+        """The (axis, axis) entry of B_tilde at each row (x..., y) of pts."""
+        if self.b_tilde is None:
+            return np.ones(len(pts))
+        return np.array([self.b_tilde_diag(*_split(p, n), axis, n) for p in pts])
 
     def a_matrix(self, x, y, n: int) -> np.ndarray:
         mu = self.mu_val(x, y)
@@ -179,11 +200,21 @@ def _circle_directions(count: int, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class WeightModel:
-    """Weight sampler with optional exact y-line resistances.
+    """Weight sampler evaluated one grid column at a time.
 
-    ``values(xcol, ys)`` evaluates w along one grid column; ``resistance_y``
-    returns int_{y0}^{y1} ds/(w(s) mu(x, s)) or None to request the generic
-    harmonic-mean fallback.
+    Every method receives the column's position ``xcol`` (a scalar for n = 1,
+    a tuple for n = 2) and its full array of cell-center ordinates ``ys``, and
+    returns an array:
+
+    * ``values(xcol, ys)``: w at the cell centers;
+    * ``x_conductivities(xcol, ys)``: the per-cell conductivity of x-faces;
+    * ``cell_integral_y(xcol, ys, y0, y1)``: int_{y0}^{y1} w(x, s) ds for each
+      pair of endpoint arrays, or None for the midpoint fallback w h;
+    * ``resistance_y(xcol, ys, y0, y1)``: int_{y0}^{y1} ds/(w(s) mu(x, s)) for
+      each segment, or None for the generic harmonic-mean fallback.
+
+    Assembly makes one call of each per column, so all the y-faces of a
+    column cost one ``resistance_y`` call.
     """
 
     weight_id = "generic"
@@ -191,10 +222,12 @@ class WeightModel:
     def values(self, xcol, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def resistance_y(self, xcol, y0: float, y1: float) -> Optional[float]:
+    def resistance_y(self, xcol, ys: np.ndarray, y0: np.ndarray,
+                     y1: np.ndarray) -> Optional[np.ndarray]:
         return None
 
-    def cell_integral_y(self, xcol, y0: float, y1: float) -> Optional[float]:
+    def cell_integral_y(self, xcol, ys: np.ndarray, y0: np.ndarray,
+                        y1: np.ndarray) -> Optional[np.ndarray]:
         """int_{y0}^{y1} w(x, s) ds, or None for the midpoint fallback.
 
         Matters near the plane, where the weight's curvature makes the
@@ -219,15 +252,6 @@ class ConstantWeight(WeightModel):
         return np.full_like(np.asarray(ys, dtype=float), self.value)
 
 
-class CallableWeight(WeightModel):
-    def __init__(self, fn: Callable, weight_id: str = "callable"):
-        self.fn = fn
-        self.weight_id = weight_id
-
-    def values(self, xcol, ys):
-        return np.array([self.fn(xcol, y) for y in np.asarray(ys, dtype=float)])
-
-
 class RhoWeight(WeightModel):
     """w = rho(y); exact resistances through the characteristic antiderivative.
 
@@ -245,20 +269,21 @@ class RhoWeight(WeightModel):
     def values(self, xcol, ys):
         return rho(self.family, np.asarray(ys, dtype=float))
 
-    def resistance_y(self, xcol, y0, y1):
+    def resistance_y(self, xcol, ys, y0, y1):
         if self.sol.mu_inverse is None:
-            return float(chi(self.family, y1) - chi(self.family, y0))
-        return self.sol.segment_integral(xcol, y0, y1)
+            return chi(self.family, y1) - chi(self.family, y0)
+        return np.array([self.sol.segment_integral(xcol, s0, s1)
+                         for s0, s1 in zip(y0, y1)], dtype=float)
 
-    def cell_integral_y(self, xcol, y0, y1):
+    def cell_integral_y(self, xcol, ys, y0, y1):
         a, eps = self.family.a, self.family.eps
         if eps == 0.0:
             if a <= -1.0:
                 return None            # non-integrable alone; midpoint pairs with vanishing f
             return (y1 ** (1.0 + a) - y0 ** (1.0 + a)) / (1.0 + a)
         ym = 0.5 * (y0 + y1)
-        vals = rho(self.family, np.array([y0, ym, y1]))
-        return float((y1 - y0) / 6.0 * (vals[0] + 4.0 * vals[1] + vals[2]))
+        return (y1 - y0) / 6.0 * (rho(self.family, y0) + 4.0 * rho(self.family, ym)
+                                  + rho(self.family, y1))
 
 
 class AuxiliaryWeight(WeightModel):
@@ -280,7 +305,8 @@ class AuxiliaryWeight(WeightModel):
     def _xkey(xcol):
         return float(xcol) if np.isscalar(xcol) else tuple(np.atleast_1d(xcol))
 
-    def _column(self, xcol, ys: np.ndarray) -> dict:
+    def _column(self, xcol, ys) -> dict:
+        ys = np.asarray(ys, dtype=float)
         key = self._xkey(xcol)
         got = self._ladder.get(key)
         if got is not None and len(got["y"]) >= 2 * len(ys):
@@ -297,17 +323,23 @@ class AuxiliaryWeight(WeightModel):
         self._ladder[key] = col
         return col
 
-    def _v_at(self, col, y: float) -> float:
+    @staticmethod
+    def _v_at(col, y: np.ndarray) -> np.ndarray:
+        """v at ordinates y > 0: ladder values where y sits on a ladder point,
+        linear interpolation between points, through the origin below the
+        first point and constant above the last."""
         ly, lv = col["y"], col["v"]
-        i = int(np.searchsorted(ly, y))
-        if i < len(ly) and abs(ly[i] - y) < 1e-12:
-            return float(lv[i])
-        if i >= len(ly):
-            return float(lv[-1])
-        if i == 0:
-            return float(lv[0]) * y / ly[0]
-        t = (y - ly[i - 1]) / (ly[i] - ly[i - 1])
-        return float((1 - t) * lv[i - 1] + t * lv[i])
+        i = np.searchsorted(ly, y)
+        top = i >= len(ly)
+        ic = np.minimum(i, len(ly) - 1)
+        on = ~top & (np.abs(ly[ic] - y) < 1e-12)
+        out = np.where(top, lv[-1], lv[0] * y / ly[0])
+        mid = ~on & ~top & (i > 0)
+        k = i[mid]
+        t = (y[mid] - ly[k - 1]) / (ly[k] - ly[k - 1])
+        out[mid] = (1 - t) * lv[k - 1] + t * lv[k]
+        out[on] = lv[ic[on]]
+        return out
 
     def values(self, xcol, ys):
         ys = np.asarray(ys, dtype=float)
@@ -315,7 +347,7 @@ class AuxiliaryWeight(WeightModel):
         v = col["v"][::2][: len(ys)]
         return rho(self.sol.family, ys) * v * v
 
-    def resistance_y(self, xcol, y0, y1):
+    def resistance_y(self, xcol, ys, y0, y1):
         """Face-midpoint rule R = (y1-y0) / (rho v^2 mu)(face).
 
         The even quotient problem's smooth branch behaves like c + beta y^2
@@ -323,40 +355,38 @@ class AuxiliaryWeight(WeightModel):
         a harmonic or line-resistance rule (exact for the odd problem's
         singular branch) has an O(1) relative flux error at the first face."""
         fam = self.sol.family
-        if y0 <= 0.0:
-            return math.inf
-        ym = 0.5 * (y0 + y1)
+        out = np.full(len(y0), math.inf)
+        pos = y0 > 0.0
+        ym = 0.5 * (y0[pos] + y1[pos])
         if self.sol.mu_inverse is None:
             v = (1.0 - fam.a) * chi(fam, ym)
-            k = float(rho(fam, ym)) * v * v
+            k = rho(fam, ym) * v * v
         else:
-            col = self._ladder.get(self._xkey(xcol))
-            if col is None:
-                raise RuntimeError(
-                    "AuxiliaryWeight.resistance_y before values() for this column")
-            v = self._v_at(col, ym)
-            k = float(rho(fam, ym)) * v * v / self.sol.mu_inverse(xcol, ym)
-        return (y1 - y0) / k
+            v = self._v_at(self._column(xcol, ys), ym)
+            mi = np.array([self.sol.mu_inverse(xcol, y) for y in ym], dtype=float)
+            k = rho(fam, ym) * v * v / mi
+        out[pos] = (y1[pos] - y0[pos]) / k
+        return out
 
     def x_conductivities(self, xcol, ys):
         ys = np.asarray(ys, dtype=float)
         h = ys[1] - ys[0] if len(ys) > 1 else 2 * ys[0]
-        self._column(xcol, ys)
-        return np.array([self.cell_integral_y(xcol, j * h, (j + 1) * h)
-                         for j in range(len(ys))]) / h
+        j = np.arange(len(ys))
+        return self.cell_integral_y(xcol, ys, j * h, (j + 1) * h) / h
 
-    def cell_integral_y(self, xcol, y0, y1):
+    def cell_integral_y(self, xcol, ys, y0, y1):
         fam = self.sol.family
         if self.sol.mu_inverse is None and fam.eps == 0.0:
             p = 3.0 - fam.a          # rho * ((1-a) chi)^2 = y^(2-a) exactly
             return (y1 ** p - y0 ** p) / p
-        col = self._ladder.get(self._xkey(xcol))
+        col = self._column(xcol, ys)
 
         def w_at(y):
-            if y <= 0.0:
-                return 0.0           # super-degenerate: rho v^2 -> 0 at the plane
-            v = float((1.0 - fam.a) * chi(fam, y)) if col is None else self._v_at(col, y)
-            return float(rho(fam, y)) * v * v
+            out = np.zeros(len(y))   # super-degenerate: rho v^2 -> 0 at the plane
+            pos = y > 0.0
+            v = self._v_at(col, y[pos])
+            out[pos] = rho(fam, y[pos]) * v * v
+            return out
 
         ym = 0.5 * (y0 + y1)
         return (y1 - y0) / 6.0 * (w_at(y0) + 4.0 * w_at(ym) + w_at(y1))
@@ -431,13 +461,119 @@ def _split(p: np.ndarray, n: int):
     return tuple(p[:n]), p[n]
 
 
-def _xcol(p, n: int):
-    return p[0] if n == 1 else tuple(p[:n])
+# ---------------------------------------------------------------------------
+# Lattice arrays
+# ---------------------------------------------------------------------------
+
+def _columns(g: HalfGrid):
+    """Yield (c, xcol) for every row c of ``g.index.reshape(-1, g.ny)`` (a
+    grid column) holding a live cell; xcol is a scalar for n = 1 and a tuple
+    for n = 2."""
+    xs = -1.0 + (np.arange(g.nx) + 0.5) * g.h
+    live = np.any(g.index >= 0, axis=-1)
+    for idx in zip(*np.nonzero(live)):
+        c = int(np.ravel_multi_index(idx, live.shape))
+        yield c, xs[idx[0]] if g.n == 1 else tuple(xs[list(idx)])
+
+
+def _column_values(g: HalfGrid, fn: Callable) -> np.ndarray:
+    """fn(xcol, ys) on every grid column with a live cell, in dof order."""
+    ys = (np.arange(g.ny) + 0.5) * g.h
+    cols = g.index.reshape(-1, g.ny)
+    out = np.zeros(cols.shape)
+    for c, x in _columns(g):
+        out[c] = fn(x, ys)
+    return out[cols >= 0]
+
+
+def _shifted(index: np.ndarray, axis: int, offset: int, count: int) -> np.ndarray:
+    """Entries offset .. offset+count-1 along ``axis`` of index padded with -1
+    at both ends of that axis."""
+    pad = [(0, 0)] * index.ndim
+    pad[axis] = (1, 1)
+    return np.take(np.pad(index, pad, constant_values=-1),
+                   np.arange(offset, offset + count), axis=axis)
+
+
+def _axis_faces(g: HalfGrid, axis: int):
+    """Dofs on both sides (-1 outside) and midpoints (x..., y) of the faces
+    normal to a lattice axis (axis n is y), as flat arrays ordered by the
+    other lattice coordinates first and the face position last."""
+    m = g.index.shape[axis]
+    lo = np.moveaxis(_shifted(g.index, axis, 0, m + 1), axis, -1).ravel()
+    hi = np.moveaxis(_shifted(g.index, axis, 1, m + 1), axis, -1).ravel()
+    h = g.h
+    coords = [-1.0 + (np.arange(g.nx) + 0.5) * h] * g.n + [(np.arange(g.ny) + 0.5) * h]
+    coords[axis] = (-1.0 if axis < g.n else 0.0) + np.arange(m + 1) * h
+    mid = np.stack([np.moveaxis(c, axis, -1).ravel()
+                    for c in np.meshgrid(*coords, indexing="ij")], axis=-1)
+    return lo, hi, mid
+
+
+def _face_weight(wc: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Harmonic mean of the cell values on interior faces, the live cell's
+    value on boundary faces."""
+    out = np.where(lo >= 0, wc[lo], wc[hi])
+    inner = (lo >= 0) & (hi >= 0)
+    wl, wh = wc[lo[inner]], wc[hi[inner]]
+    out[inner] = 2.0 * wl * wh / (wl + wh)
+    return out
+
+
+def _centered_pairs(g: HalfGrid, axis: int, ghost_coeff: Optional[float] = None):
+    """Per-cell centered difference along a lattice axis, times 2h, as two
+    (dof, coeff) slots: arrays D, C of shape (ncells, 2) and a mask ok.
+
+    (hi - lo)/2 where both neighbours exist, one-sided differences where one
+    is missing; with ``ghost_coeff`` the bottom cells use the parity ghost
+    below the plane instead, weighing themselves by ghost_coeff.  ok is False
+    where both neighbours are missing."""
+    live = g.index >= 0
+    m = g.index.shape[axis]
+    lo = _shifted(g.index, axis, 0, m)[live]
+    hi = _shifted(g.index, axis, 2, m)[live]
+    dof = np.arange(g.ncells)
+    has_lo, has_hi = lo >= 0, hi >= 0
+    c1 = np.where(has_lo & has_hi, 0.5, 1.0)
+    c2 = -c1
+    if ghost_coeff is not None:
+        bottom = np.zeros(g.ncells, dtype=bool)
+        bottom[g.index[..., 0][live[..., 0]]] = True
+        ghost = bottom & has_hi
+        c1[ghost], c2[ghost] = 0.5, ghost_coeff
+    D = np.stack([np.where(has_hi, hi, dof), np.where(has_lo, lo, dof)], axis=1)
+    return D, np.stack([c1, c2], axis=1), has_lo | has_hi
 
 
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Faces:
+    """Every face next to a live cell, as parallel arrays.
+
+    Order: the y-faces column by column from the plane up, then the x-faces
+    of each axis.  ``lo``/``hi`` are the dofs below/above (left/right) of the
+    face, -1 outside the grid; ``weight`` is the face weight of the flux
+    w F.n; ``mid`` the midpoint (x..., y); ``dirichlet`` marks the outer
+    faces where the trace enters, with transmissibility ``tau``."""
+
+    axis: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    weight: np.ndarray
+    mid: np.ndarray
+    tau: np.ndarray
+    dirichlet: np.ndarray
+
+    def add_flux(self, out: np.ndarray, flux: np.ndarray) -> None:
+        """out[lo] += flux, out[hi] -= flux, face after face (outside dofs skipped)."""
+        idx = np.column_stack([self.lo, self.hi]).ravel()
+        val = np.column_stack([flux, -flux]).ravel()
+        keep = idx >= 0
+        np.add.at(out, idx[keep], val[keep])
+
 
 @dataclass
 class AssembledOperator:
@@ -447,32 +583,26 @@ class AssembledOperator:
     weight: WeightModel
     spec: OperatorSpec
     has_drift: bool
-    dirichlet_faces: list = field(repr=False)   # (dof, tau, midpoint)
-    face_weights: list = field(repr=False)      # (axis, lo_dof, hi_dof, w_face, midpoint)
+    faces: Faces = field(repr=False)
     assembly_weight_id: str = ""
     flagged_supersingular: bool = False
 
     def rhs(self, f: Optional[Callable] = None, F: Optional[Callable] = None,
             trace: Optional[Callable] = None) -> np.ndarray:
         g = self.grid
-        voln = g.h ** (g.n + 1)
+        fc = self.faces
         out = np.zeros(g.ncells)
         if f is not None:
-            fc = np.array([f(*_split(p, g.n)) for p in g.centers])
-            wint = _cell_weight_integrals(self.weight, g)
-            out += g.h ** g.n * wint * fc
+            fv = np.array([f(*_split(p, g.n)) for p in g.centers])
+            out += g.h ** g.n * _cell_weight_integrals(self.weight, g) * fv
         if F is not None:
-            area = g.h ** g.n
-            for axis, lo, hi, wf, mid in self.face_weights:
-                Fv = np.atleast_1d(np.asarray(F(*_split(mid, g.n)), dtype=float))
-                Fn = float(Fv[axis])
-                if lo >= 0:
-                    out[lo] += area * wf * Fn
-                if hi >= 0:
-                    out[hi] -= area * wf * Fn
+            Fn = np.array([np.atleast_1d(np.asarray(F(*_split(m, g.n)), dtype=float))[ax]
+                           for m, ax in zip(fc.mid, fc.axis)])
+            fc.add_flux(out, g.h ** g.n * fc.weight * Fn)
         if trace is not None:
-            for dof, tau, mid in self.dirichlet_faces:
-                out[dof] += tau * trace(*_split(mid, g.n))
+            d = fc.dirichlet
+            tv = np.array([trace(*_split(m, g.n)) for m in fc.mid[d]], dtype=float)
+            np.add.at(out, np.maximum(fc.lo, fc.hi)[d], fc.tau[d] * tv)
         return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -484,38 +614,15 @@ class AssembledOperator:
         return float(np.linalg.norm(r)) / (denom if denom > 0 else 1.0)
 
 
-def _cell_weights(weight: WeightModel, g: HalfGrid) -> np.ndarray:
-    out = np.empty(g.ncells)
-    lat = g.index
-    ys = (np.arange(g.ny) + 0.5) * g.h
-    it = np.ndindex(*((g.nx,) * g.n))
-    for idx in it:
-        dofs = lat[idx]
-        sel = dofs >= 0
-        if not np.any(sel):
-            continue
-        x = _xcol(g.centers[dofs[sel][0]], g.n)
-        out[dofs[sel]] = weight.values(x, ys)[sel]
-    return out
-
-
 def _cell_weight_integrals(weight: WeightModel, g: HalfGrid) -> np.ndarray:
     """Per-cell int_cell w dy (exact/Simpson when available, else midpoint w h)."""
-    out = np.empty(g.ncells)
-    lat = g.index
-    h = g.h
-    ys = (np.arange(g.ny) + 0.5) * h
-    for idx in np.ndindex(*((g.nx,) * g.n)):
-        dofs = lat[idx]
-        sel = np.nonzero(dofs >= 0)[0]
-        if sel.size == 0:
-            continue
-        x = _xcol(g.centers[dofs[sel[0]]], g.n)
-        wcol = weight.values(x, ys)
-        for j in sel:
-            ci = weight.cell_integral_y(x, j * h, (j + 1) * h)
-            out[dofs[j]] = ci if ci is not None else wcol[j] * h
-    return out
+    j = np.arange(g.ny)
+
+    def column(x, ys):
+        ci = weight.cell_integral_y(x, ys, j * g.h, (j + 1) * g.h)
+        return weight.values(x, ys) * g.h if ci is None else ci
+
+    return _column_values(g, column)
 
 
 def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] = None,
@@ -534,255 +641,131 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
     g = grid
     n, h = g.n, g.h
     area = h ** n
-    lat = g.index
+    dirichlet = outer == "dirichlet"
     ys = (np.arange(g.ny) + 0.5) * h
-    rows: list = []
-    cols: list = []
-    vals: list = []
-    dirichlet_faces: list = []
-    face_weights: list = []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
+    cols = g.index.reshape(-1, g.ny)
     supersingular = bool(getattr(weight, "supersingular", False)) and parity == "odd"
 
-    # column-wise pass: y-direction faces + cache of cell weights
-    wcell = np.empty(g.ncells)
-    wxcell = np.empty(g.ncells)
-    for idx in np.ndindex(*((g.nx,) * n)):
-        dofs = lat[idx]
-        live = np.nonzero(dofs >= 0)[0]
-        if live.size == 0:
-            continue
-        x = _xcol(g.centers[dofs[live[0]]], n)
-        wcol = weight.values(x, ys)
-        if not np.all(np.isfinite(wcol[live])) or np.any(wcol[live] <= 0):
+    # y-faces: face k of column c lies at y = k h, between cells k-1 and k
+    lo, hi, mid = _axis_faces(g, n)
+    lo, hi = lo.reshape(-1, g.ny + 1), hi.reshape(-1, g.ny + 1)
+    mid = mid.reshape(lo.shape + (n + 1,))
+    inner = (lo >= 0) & (hi >= 0)
+    plane = np.zeros(lo.shape, dtype=bool)
+    plane[:, 0] = hi[:, 0] >= 0
+    edge = ((lo >= 0) != (hi >= 0)) & ~plane
+    need = inner | edge & dirichlet | plane & (parity == "odd")
+    y0 = np.where(lo >= 0, np.r_[np.nan, ys], mid[..., n])   # resistance segments:
+    y1 = np.where(hi >= 0, np.r_[ys, np.nan], mid[..., n])   # center to center or face
+
+    W, WX = np.ones(cols.shape), np.ones(cols.shape)
+    R = np.full(lo.shape, np.nan)
+    fallback = np.zeros(lo.shape, dtype=bool)
+    for c, x in _columns(g):
+        live = cols[c] >= 0
+        W[c] = weight.values(x, ys)
+        if not np.all(np.isfinite(W[c, live])) or np.any(W[c, live] <= 0):
             raise ValueError(
                 f"weight {weight.weight_id!r} non-finite or non-positive at a cell "
                 f"in column x={x}")
-        wcell[dofs[live]] = wcol[live]
-        wxcol = weight.x_conductivities(x, ys)
-        wxcell[dofs[live]] = wxcol[live]
-        for j in live:
-            dof = dofs[j]
-            yc = ys[j]
-            # face below
-            if j == 0 or dofs[j - 1] < 0:
-                y_face = j * h
-                if j == 0 and parity == "odd":
-                    R = weight.resistance_y(x, 0.0, h / 2.0)
-                    if R is None:
-                        R = (h / 2.0) / (wcol[0] * spec.mu_val(x, h / 4.0))
-                    if math.isfinite(R) and R > 0:
-                        tau = area / R
-                        add(dof, dof, tau)
-                    face_weights.append((n, -1, dof, wcol[0], _mk_point(idx, y_face, h, n)))
-                elif j == 0 and parity == "even":
-                    face_weights.append((n, -1, dof, wcol[0], _mk_point(idx, y_face, h, n)))
-                else:  # staircase face below
-                    mid = _mk_point(idx, y_face, h, n)
-                    if outer == "dirichlet":
-                        R = weight.resistance_y(x, y_face, yc)
-                        if R is None:
-                            R = (h / 2.0) / (wcol[j] * spec.mu_val(x, y_face))
-                        tau = area / R
-                        add(dof, dof, tau)
-                        dirichlet_faces.append((dof, tau, mid))
-                    face_weights.append((n, -1, dof, wcol[j], mid))
-            # face above
-            if j == g.ny - 1 or dofs[j + 1] < 0:
-                y_face = (j + 1) * h
-                mid = _mk_point(idx, y_face, h, n)
-                if outer == "dirichlet":
-                    R = weight.resistance_y(x, yc, y_face)
-                    if R is None:
-                        R = (h / 2.0) / (wcol[j] * spec.mu_val(x, y_face))
-                    tau = area / R
-                    add(dof, dof, tau)
-                    dirichlet_faces.append((dof, tau, mid))
-                face_weights.append((n, dof, -1, wcol[j], mid))
-            else:
-                up = dofs[j + 1]
-                y_face = (j + 1) * h
-                R = weight.resistance_y(x, yc, ys[j + 1])
-                wh = 2.0 * wcol[j] * wcol[j + 1] / (wcol[j] + wcol[j + 1])
-                if R is None:
-                    R = h / (wh * spec.mu_val(x, y_face))
-                tau = area / R
-                add(dof, dof, tau)
-                add(up, up, tau)
-                add(dof, up, -tau)
-                add(up, dof, -tau)
-                face_weights.append((n, dof, up, wh, _mk_point(idx, y_face, h, n)))
+        WX[c] = weight.x_conductivities(x, ys)
+        Rc = weight.resistance_y(x, ys, y0[c, need[c]], y1[c, need[c]])
+        if Rc is None:
+            fallback[c] = need[c]
+        else:
+            R[c, need[c]] = Rc
+    live = cols >= 0
+    wcell, wxcell = W[live], WX[live]
 
-    # x-direction faces, axis by axis
+    wf = _face_weight(wcell, lo, hi)
+    if fallback.any():
+        pts = mid[fallback]
+        pts[:, n] = np.where(plane[fallback], h / 4.0, pts[:, n])
+        R[fallback] = (np.where(inner, h, h / 2.0)[fallback]
+                       / (wf[fallback] * spec.mu_at(pts, n)))
+    use = need & (~plane | (np.isfinite(R) & (R > 0)))
+    tau = np.zeros(lo.shape)
+    tau[use] = area / R[use]
+    keep = (lo >= 0) | (hi >= 0)
+    parts = [(np.full(np.count_nonzero(keep), n), lo[keep], hi[keep], wf[keep],
+              mid[keep], tau[keep], (edge & dirichlet)[keep])]
+
+    # x-faces, axis by axis
     for axis in range(n):
-        for idx in np.ndindex(*_axis_iter_shape(g, axis)):
-            for f in range(g.nx + 1):
-                lo_idx = _insert(idx, axis, f - 1)
-                hi_idx = _insert(idx, axis, f)
-                lo = int(lat[lo_idx]) if f - 1 >= 0 else -2
-                hi = int(lat[hi_idx]) if f <= g.nx - 1 else -2
-                if lo < 0 and hi < 0:
-                    continue
-                mid = _face_mid_x(g, idx, axis, f)
-                x_mid = _xcol(mid, n)
-                y_mid = mid[n]
-                afac = spec.mu_val(x_mid, y_mid) * spec.b_tilde_diag(x_mid, y_mid, axis, n)
-                if lo >= 0 and hi >= 0:
-                    wl, wh_ = wxcell[lo], wxcell[hi]
-                    wf = 2.0 * wl * wh_ / (wl + wh_)
-                    tau = area * wf * afac / h
-                    add(lo, lo, tau)
-                    add(hi, hi, tau)
-                    add(lo, hi, -tau)
-                    add(hi, lo, -tau)
-                    face_weights.append((axis, lo, hi, wf, mid))
-                else:
-                    dof = lo if lo >= 0 else hi
-                    wf = wxcell[dof]
-                    if outer == "dirichlet":
-                        tau = area * wf * afac / (h / 2.0)
-                        add(dof, dof, tau)
-                        dirichlet_faces.append((dof, tau, mid))
-                    if lo >= 0:
-                        face_weights.append((axis, dof, -1, wf, mid))
-                    else:
-                        face_weights.append((axis, -1, dof, wf, mid))
+        lo, hi, mid = _axis_faces(g, axis)
+        keep = (lo >= 0) | (hi >= 0)
+        lo, hi, mid = lo[keep], hi[keep], mid[keep]
+        inner = (lo >= 0) & (hi >= 0)
+        wf = _face_weight(wxcell, lo, hi)
+        afac = spec.mu_at(mid, n) * spec.b_tilde_diag_at(mid, axis, n)
+        tau = np.where(inner | dirichlet, area * wf * afac / np.where(inner, h, h / 2.0), 0.0)
+        parts.append((np.full(len(lo), axis), lo, hi, wf, mid, tau, ~inner & dirichlet))
+    faces = Faces(*(np.concatenate(a) for a in zip(*parts)))
 
-    # symmetric cross terms from T (vanish when t_field is None)
-    if spec.t_field is not None:
-        _add_cross_terms(g, spec, wcell, parity, add)
+    # diagonal summed per axis, lower face before upper face
+    diag = np.zeros(g.ncells)
+    for axis in (n, *range(n)):
+        on = faces.axis == axis
+        for side in (faces.hi[on], faces.lo[on]):
+            diag[side[side >= 0]] += faces.tau[on][side >= 0]
+    inner = (faces.lo >= 0) & (faces.hi >= 0)
+    lo, hi, tau = faces.lo[inner], faces.hi[inner], faces.tau[inner]
+    dofs = np.arange(g.ncells)
+    triplets = [(dofs, dofs, diag), (lo, hi, -tau), (hi, lo, -tau)]
 
     has_drift = drift is not None
+    if spec.t_field is not None or has_drift:
+        stencils = [_centered_pairs(g, axis) for axis in range(n)]
+        stencils.append(_centered_pairs(g, n, 0.5 if parity == "odd" else -0.5))
+    if spec.t_field is not None:
+        triplets.append(_cross_terms(g, spec, wcell, stencils))
     if has_drift:
-        _add_drift(g, spec, wcell, parity, drift, add)
+        triplets.append(_drift_terms(g, wcell, drift, stencils))
 
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(g.ncells, g.ncells)).tocsr()
+    rows, cols_, vals = (np.concatenate(a) for a in zip(*triplets))
+    M = sp.coo_matrix((vals, (rows, cols_)), shape=(g.ncells, g.ncells)).tocsr()
     return AssembledOperator(
         matrix=M, grid=g, parity=parity, weight=weight, spec=spec,
-        has_drift=has_drift, dirichlet_faces=dirichlet_faces,
-        face_weights=face_weights, assembly_weight_id=weight.weight_id,
+        has_drift=has_drift, faces=faces, assembly_weight_id=weight.weight_id,
         flagged_supersingular=supersingular)
 
 
-def _mk_point(idx, y, h, n):
-    out = np.empty(n + 1)
-    for d in range(n):
-        out[d] = -1.0 + (idx[d] + 0.5) * h
-    out[n] = y
-    return out
+def _cross_terms(g, spec, wcell, stencils):
+    """Symmetric cell-centered discretization of the T coupling blocks.
+
+    Per cell and x-axis, (Dx u)(Dy v) + (Dy u)(Dx v) with centered stencils
+    (parity ghost in y); COO triplets in cell order."""
+    n, h = g.n, g.h
+    t = np.array([spec.t_val(*_split(p, n), n) for p in g.centers]).reshape(g.ncells, n)
+    coef = h ** (n + 1) * wcell[:, None] * spec.mu_at(g.centers, n)[:, None] * t / (h * h)
+    DY, CY, oky = stencils[n]
+    active = np.any(t != 0, axis=1) & oky
+    rows, cols, vals, ok = [], [], [], []
+    for axis in range(n):
+        DX, CX, okx = stencils[axis]
+        v = coef[:, axis, None, None] * CX[:, :, None] * CY[:, None, :]   # cell, x, y slot
+        dx, dy = np.broadcast_arrays(DX[:, :, None], DY[:, None, :])
+        rows.append(np.stack([dy, dx], axis=-1))
+        cols.append(np.stack([dx, dy], axis=-1))
+        vals.append(np.stack([v, v], axis=-1))
+        ok.append(np.broadcast_to((active & okx)[:, None, None, None], v.shape + (2,)))
+    sel = np.stack(ok, axis=1)
+    return tuple(np.stack(a, axis=1)[sel] for a in (rows, cols, vals))
 
 
-def _axis_iter_shape(g: HalfGrid, axis: int):
-    dims = [g.nx] * g.n + [g.ny]
-    del dims[axis]
-    return tuple(dims)
-
-
-def _insert(idx, axis, v):
-    out = list(idx)
-    out.insert(axis, v)
-    return tuple(out)
-
-
-def _face_mid_x(g: HalfGrid, idx, axis, f):
-    full = _insert(idx, axis, 0)
-    out = np.empty(g.n + 1)
-    for d in range(g.n):
-        out[d] = -1.0 + (full[d] + 0.5) * g.h
-    out[axis] = -1.0 + f * g.h
-    out[g.n] = (full[g.n] + 0.5) * g.h
-    return out
-
-
-def _neighbors_along(g, lat, idx_full, axis):
-    lo = list(idx_full)
-    hi = list(idx_full)
-    lo[axis] -= 1
-    hi[axis] += 1
-    nmax = g.nx if axis < g.n else g.ny
-    dlo = lat[tuple(lo)] if lo[axis] >= 0 else -1
-    dhi = lat[tuple(hi)] if hi[axis] < nmax else -1
-    return int(dlo), int(dhi)
-
-
-def _add_cross_terms(g, spec, wcell, parity, add):
-    """Symmetric cell-centered discretization of the T coupling blocks."""
-    lat = g.index
-    h = g.h
-    voln = h ** (g.n + 1)
-    for idx_full in np.ndindex(*g.lattice_shape()):
-        dof = int(lat[idx_full])
-        if dof < 0:
-            continue
-        p = g.centers[dof]
-        x = _xcol(p, g.n)
-        y = p[g.n]
-        tvec = spec.t_val(x, y, g.n)
-        muv = spec.mu_val(x, y)
-        if not np.any(tvec):
-            continue
-        dy_lo, dy_hi = _neighbors_along(g, lat, idx_full, g.n)
-        for axis in range(g.n):
-            dx_lo, dx_hi = _neighbors_along(g, lat, idx_full, axis)
-            coef = voln * wcell[dof] * muv * tvec[axis] / (h * h)
-            # centered stencils where both neighbors exist; parity ghost in y
-            x_pair = _centered_pair(dx_lo, dx_hi, dof)
-            y_pair = _centered_pair(dy_lo, dy_hi, dof, parity=parity, at_bottom=(idx_full[-1] == 0))
-            if x_pair is None or y_pair is None:
-                continue
-            for (di, ci) in x_pair:
-                for (dj, cj) in y_pair:
-                    # (Dx u)(Dy v) + (Dy u)(Dx v): assemble both products
-                    add(dj, di, coef * ci * cj)
-                    add(di, dj, coef * ci * cj)
-
-
-def _centered_pair(d_lo, d_hi, dof, parity=None, at_bottom=False):
-    """Return [(dof, coeff)...] realizing a centered difference / (2h) * 2h = +-1/2."""
-    if d_lo >= 0 and d_hi >= 0:
-        return [(d_hi, 0.5), (d_lo, -0.5)]
-    if d_lo < 0 and d_hi >= 0:
-        if at_bottom and parity == "odd":
-            return [(d_hi, 0.5), (dof, 0.5)]
-        if at_bottom and parity == "even":
-            return [(d_hi, 0.5), (dof, -0.5)]
-        return [(d_hi, 1.0), (dof, -1.0)]
-    if d_lo >= 0 and d_hi < 0:
-        return [(dof, 1.0), (d_lo, -1.0)]
-    return None
-
-
-def _add_drift(g, spec, wcell, parity, drift, add):
-    lat = g.index
-    h = g.h
-    voln = h ** (g.n + 1)
-    for idx_full in np.ndindex(*g.lattice_shape()):
-        dof = int(lat[idx_full])
-        if dof < 0:
-            continue
-        p = g.centers[dof]
-        x = _xcol(p, g.n)
-        y = p[g.n]
-        b = np.atleast_1d(np.asarray(drift(x, y), dtype=float))
-        if not np.any(b):
-            continue
-        scale = -voln * wcell[dof] / h
-        for axis in range(g.n + 1):
-            if b[axis] == 0.0:
-                continue
-            d_lo, d_hi = _neighbors_along(g, lat, idx_full, axis)
-            pair = _centered_pair(d_lo, d_hi, dof,
-                                  parity=parity if axis == g.n else None,
-                                  at_bottom=(axis == g.n and idx_full[-1] == 0))
-            if pair is None:
-                continue
-            for (dj, cj) in pair:
-                add(dof, dj, scale * b[axis] * cj)
+def _drift_terms(g, wcell, drift, stencils):
+    """Centered-difference drift contribution, COO triplets in cell order."""
+    n, h = g.n, g.h
+    b = np.array([np.atleast_1d(np.asarray(drift(*_split(p, n)), dtype=float))
+                  for p in g.centers]).reshape(g.ncells, n + 1)
+    scale = -h ** (n + 1) * wcell / h
+    D = np.stack([s[0] for s in stencils], axis=1)          # cell, axis, stencil slot
+    vals = np.stack([(scale * b[:, axis])[:, None] * stencils[axis][1]
+                     for axis in range(n + 1)], axis=1)
+    ok = np.stack([s[2] for s in stencils], axis=1) & (b != 0.0)
+    sel = np.broadcast_to(ok[:, :, None], D.shape)
+    rows = np.broadcast_to(np.arange(g.ncells)[:, None, None], D.shape)
+    return rows[sel], D[sel], vals[sel]
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +779,9 @@ class SolveReport:
     iterations: int
     assembly_weight_id: str
     method: str
-    converged: bool
+    converged: bool               # info == 0 and relative_residual <= tolerance
     tolerance: float
+    info: int                     # 0, or the cg/bicgstab failure flag
     iteration_cap: int = ITERATION_CAP
 
 
@@ -812,6 +796,7 @@ def solve_linear(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-10,
     def cb(_):
         it_count[0] += 1
 
+    info = 0
     if nn <= DIRECT_SOLVE_MAX:
         u = spla.spsolve(A.tocsc(), rhs)
         method = "direct-sparse-lu"
@@ -831,7 +816,7 @@ def solve_linear(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-10,
     fld = DiscreteField(op.grid, u, op.parity if parity is None else parity)
     return SolveReport(field=fld, relative_residual=res, iterations=it_count[0],
                        assembly_weight_id=op.assembly_weight_id, method=method,
-                       converged=res <= tol, tolerance=tol)
+                       converged=info == 0 and res <= tol, tolerance=tol, info=info)
 
 
 def manufactured_problem(u_exact: Callable, op: AssembledOperator, mode: str = "discrete",
@@ -868,12 +853,13 @@ def _check_parity(u_exact, parity, n, tol=1e-9):
 
 def convergence_study(factory: Callable, h_list: Sequence[float],
                       region: Optional[Callable] = None,
-                      tol: float = 1e-10) -> list:
+                      tol: float = 1e-10) -> Tuple[list, SolveReport]:
     """Solve factory(h) -> (operator, rhs, exact_field) over decreasing h.
 
-    Returns rows (h, max_error, order_estimate); order is the local log2 slope
-    between successive levels, math.nan for the first, and the string flag
-    'exact' replaces the order when errors sit at rounding level."""
+    Returns (rows, finest): rows (h, max_error, order_estimate), where order
+    is the local log2 slope between successive levels, math.nan for the
+    first, and the string flag 'exact' replaces the order when errors sit at
+    rounding level; finest is the solve report of the last (finest) level."""
     if len(h_list) < 3 or np.any(np.diff(h_list) >= 0):
         raise ValueError("h_list must be strictly decreasing with >= 3 entries")
     rows = []
@@ -895,4 +881,4 @@ def convergence_study(factory: Callable, h_list: Sequence[float],
             order = math.log(prev[1] / max(e, 1e-300)) / math.log(prev[0] / h)
         rows.append((h, e, order))
         prev = (h, e)
-    return rows
+    return rows, rep

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import (OperatorSpec, RhoWeight, assemble, convergence_study,
-                       manufactured_problem, solve_linear)
+                       manufactured_problem)
 from .certify import (verify_gamma_rectangle, verify_phi_bound,
                       verify_v_inequality, v_minimum)
 from .geometry import EmbeddedCurve, build_half_grid, fermi_mu
@@ -223,7 +223,7 @@ def cmd_solve(cfg: dict) -> int:
         rhs, exact = manufactured_problem(u_exact, op, mode="discrete")
         return op, rhs, exact
 
-    rows = convergence_study(factory, h_list)
+    rows, rep = convergence_study(factory, h_list)
     ok = all(err <= 1e-8 for _, err, _ in rows)   # discrete mode recovers exactly
     header = [f"config-hash: {_config_hash(cfg)}",
               f"manufactured odd problem, a={fmt(a)}, discrete consistency mode",
@@ -231,11 +231,7 @@ def cmd_solve(cfg: dict) -> int:
     _write(_outdir() / "solve_orders.csv", header,
            [(h, e, o if isinstance(o, str) else fmt(o)) for h, e, o in rows],
            ["h", "max_error", "order"])
-    grid = build_half_grid(1, "half_rectangle", h_list[-1])
-    fam = WeightFamily(a, 0.0)
-    op = assemble(grid, RhoWeight(fam), OperatorSpec(), parity="odd")
-    rhs, exact = manufactured_problem(u_exact, op, mode="discrete")
-    rep = solve_linear(op, rhs)
+    grid = rep.field.grid
     frows = [(p[0], p[1], v) for p, v in zip(grid.centers, rep.field.values)]
     _write(_outdir() / "solve_field.csv",
            [f"config-hash: {_config_hash(cfg)}", f"grid: {grid.describe()}",

@@ -28,6 +28,9 @@ from .assembly import (
     DiscreteField,
     OperatorSpec,
     RhoWeight,
+    _cell_weight_integrals,
+    _column_values,
+    _split,
     assemble,
     solve_linear,
 )
@@ -50,19 +53,7 @@ class DivisionGuardError(ZeroDivisionError):
 
 
 def _v_on_grid(sol: CharacteristicSolution, grid: HalfGrid) -> np.ndarray:
-    ys = (np.arange(grid.ny) + 0.5) * grid.h
-    out = np.empty(grid.ncells)
-    lat = grid.index
-    for idx in np.ndindex(*((grid.nx,) * grid.n)):
-        dofs = lat[idx]
-        live = dofs >= 0
-        if not np.any(live):
-            continue
-        first = dofs[live][0]
-        x = grid.centers[first][0] if grid.n == 1 else tuple(grid.centers[first][:grid.n])
-        vcol = v_char_profile(sol, x, ys)
-        out[dofs[live]] = vcol[live]
-    return out
+    return _column_values(grid, lambda x, ys: v_char_profile(sol, x, ys))
 
 
 def ratio_field(u: DiscreteField, sol: CharacteristicSolution) -> DiscreteField:
@@ -236,29 +227,21 @@ def aux_residual(problem: OddProblem, grid: HalfGrid, tol: float = 1e-10,
     rhs_vec = aux.rhs(f=bundle.f_bar, F=bundle.F_bar,
                       trace=lambda x, y: _w_trace(problem, x, y))
     if bundle.has_drift_terms:
-        from .assembly import _cell_weights
-        wc = _cell_weights(aux.weight, g)
-        zo = np.array([bundle.zero_order(_x(p, g.n), p[g.n]) for p in g.centers])
+        wc = _column_values(g, aux.weight.values)
+        zo = np.array([bundle.zero_order(*_split(p, g.n)) for p in g.centers])
         rhs_vec += voln * wc * zo * w.values
         # div_x(rho v^2 (b+Tbar) w) contribution, flux form on x-faces
-        for axis, lo, hi, wf, mid in aux.face_weights:
-            if axis >= g.n:
-                continue
-            x, y = _x(mid, g.n), mid[g.n]
-            coeff = bundle.b_tildeA(x, y) + bundle.T_bar(x, y)
-            if coeff == 0.0:
-                continue
-            wmid = 0.5 * ((w.values[lo] if lo >= 0 else 0.0) +
-                          (w.values[hi] if hi >= 0 else 0.0))
-            if lo < 0 or hi < 0:
-                wmid *= 2.0
-            flux = g.h ** g.n * wf * coeff * wmid
-            if lo >= 0:
-                rhs_vec[lo] += flux
-            if hi >= 0:
-                rhs_vec[hi] -= flux
+        fc = aux.faces
+        coeff = np.zeros(len(fc.axis))
+        xf = fc.axis < g.n
+        coeff[xf] = [bundle.b_tildeA(*_split(m, g.n)) + bundle.T_bar(*_split(m, g.n))
+                     for m in fc.mid[xf]]
+        wl = np.where(fc.lo >= 0, w.values[fc.lo], 0.0)
+        wh = np.where(fc.hi >= 0, w.values[fc.hi], 0.0)
+        wmid = 0.5 * (wl + wh)
+        wmid = np.where((fc.lo < 0) | (fc.hi < 0), wmid * 2.0, wmid)
+        fc.add_flux(rhs_vec, g.h ** g.n * fc.weight * coeff * wmid)
     resid = aux.matrix @ w.values - rhs_vec
-    from .assembly import _cell_weight_integrals
     meas = _cell_weight_integrals(aux.weight, g) * g.h ** g.n   # int_cell omega dz
     dens = resid / meas
     inner = _interior_mask(g, margin)
@@ -283,6 +266,3 @@ def _w_trace(problem: OddProblem, x, y):
         return 0.0
     return g(x, y) / v_char(problem.sol, x, y)
 
-
-def _x(p, n):
-    return p[0] if n == 1 else tuple(p[:n])

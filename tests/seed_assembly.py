@@ -1,0 +1,516 @@
+"""The per-face loop assembly that the array assembly replaced, as a test oracle.
+
+Scalar weight models (one call per face) and the per-face, per-cell Python
+loops of ``assemble`` and ``AssembledOperator.rhs``, unchanged apart from
+names.  ``test_assembly_oracle.py`` compares the array assembly of
+``degenlab.assembly`` against them on matrices and right-hand sides.
+"""
+
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+import numpy as np
+import scipy.sparse as sp
+
+from degenlab.assembly import OperatorSpec
+from degenlab.geometry import HalfGrid
+from degenlab.weights import CharacteristicSolution, WeightFamily, chi, rho
+
+
+class _SeedWeightModel:
+    weight_id = "generic"
+
+    def resistance_y(self, xcol, y0, y1):
+        return None
+
+    def cell_integral_y(self, xcol, y0, y1):
+        return None
+
+    def x_conductivities(self, xcol, ys):
+        return self.values(xcol, ys)
+
+
+class SeedConstantWeight(_SeedWeightModel):
+    def __init__(self, value: float = 1.0):
+        self.value = float(value)
+        self.weight_id = f"const[{value:g}]"
+
+    def values(self, xcol, ys):
+        return np.full_like(np.asarray(ys, dtype=float), self.value)
+
+
+class SeedRhoWeight(_SeedWeightModel):
+    """w = rho(y); exact resistances through the characteristic antiderivative.
+
+    With mu present, int ds/(w mu) = int rho^(-a) mu^(-1) ds is the
+    characteristic-solution increment divided by (1-a)."""
+
+    def __init__(self, family: WeightFamily, mu_inverse: Optional[Callable] = None,
+                 quadrature_tol: float = 1e-10):
+        self.family = family
+        self.sol = CharacteristicSolution(family, mu_inverse,
+                                          quadrature_tol=quadrature_tol)
+        self.supersingular = family.a <= -1.0 and family.eps == 0.0
+        self.weight_id = f"rho[a={family.a:g},eps={family.eps:g}]"
+
+    def values(self, xcol, ys):
+        return rho(self.family, np.asarray(ys, dtype=float))
+
+    def resistance_y(self, xcol, y0, y1):
+        if self.sol.mu_inverse is None:
+            return float(chi(self.family, y1) - chi(self.family, y0))
+        return self.sol.segment_integral(xcol, y0, y1)
+
+    def cell_integral_y(self, xcol, y0, y1):
+        a, eps = self.family.a, self.family.eps
+        if eps == 0.0:
+            if a <= -1.0:
+                return None            # non-integrable alone; midpoint pairs with vanishing f
+            return (y1 ** (1.0 + a) - y0 ** (1.0 + a)) / (1.0 + a)
+        ym = 0.5 * (y0 + y1)
+        vals = rho(self.family, np.array([y0, ym, y1]))
+        return float((y1 - y0) / 6.0 * (vals[0] + 4.0 * vals[1] + vals[2]))
+
+
+class SeedAuxiliaryWeight(_SeedWeightModel):
+    """w = rho (v)^2 with v the characteristic odd solution (quotient weight).
+
+    Values and resistances come from a per-column ladder of v at half-spacing
+    resolution, cumulative quadrature when mu varies and closed form when
+    mu == 1; the resistance of the first half cell [0, h/2] is infinite
+    (super-degenerate weight), which encodes the natural zero-flux closure.
+    """
+
+    def __init__(self, sol: CharacteristicSolution):
+        self.sol = sol
+        fam = sol.family
+        self.weight_id = f"rho_v2[a={fam.a:g},eps={fam.eps:g}]"
+        self._ladder: dict = {}   # x-key -> {'y': half-spacing grid, 'v': values}
+
+    @staticmethod
+    def _xkey(xcol):
+        return float(xcol) if np.isscalar(xcol) else tuple(np.atleast_1d(xcol))
+
+    def _column(self, xcol, ys: np.ndarray) -> dict:
+        key = self._xkey(xcol)
+        got = self._ladder.get(key)
+        if got is not None and len(got["y"]) >= 2 * len(ys):
+            return got
+        h = ys[1] - ys[0] if len(ys) > 1 else 2 * ys[0]
+        ladder_y = np.arange(1, 2 * len(ys) + 1) * (h / 2.0)
+        fam = self.sol.family
+        if self.sol.mu_inverse is None:
+            v = (1.0 - fam.a) * chi(fam, ladder_y)
+        else:
+            from degenlab.weights import v_char_profile
+            v = v_char_profile(self.sol, xcol, ladder_y)
+        col = {"y": ladder_y, "v": v, "h": h}
+        self._ladder[key] = col
+        return col
+
+    def _v_at(self, col, y: float) -> float:
+        ly, lv = col["y"], col["v"]
+        i = int(np.searchsorted(ly, y))
+        if i < len(ly) and abs(ly[i] - y) < 1e-12:
+            return float(lv[i])
+        if i >= len(ly):
+            return float(lv[-1])
+        if i == 0:
+            return float(lv[0]) * y / ly[0]
+        t = (y - ly[i - 1]) / (ly[i] - ly[i - 1])
+        return float((1 - t) * lv[i - 1] + t * lv[i])
+
+    def values(self, xcol, ys):
+        ys = np.asarray(ys, dtype=float)
+        col = self._column(xcol, ys)
+        v = col["v"][::2][: len(ys)]
+        return rho(self.sol.family, ys) * v * v
+
+    def resistance_y(self, xcol, y0, y1):
+        """Face-midpoint rule R = (y1-y0) / (rho v^2 mu)(face).
+
+        The even quotient problem's smooth branch behaves like c + beta y^2
+        at the plane; the face-midpoint flux is exact for that branch, while
+        a harmonic or line-resistance rule (exact for the odd problem's
+        singular branch) has an O(1) relative flux error at the first face."""
+        fam = self.sol.family
+        if y0 <= 0.0:
+            return math.inf
+        ym = 0.5 * (y0 + y1)
+        if self.sol.mu_inverse is None:
+            v = (1.0 - fam.a) * chi(fam, ym)
+            k = float(rho(fam, ym)) * v * v
+        else:
+            col = self._ladder.get(self._xkey(xcol))
+            if col is None:
+                raise RuntimeError(
+                    "AuxiliaryWeight.resistance_y before values() for this column")
+            v = self._v_at(col, ym)
+            k = float(rho(fam, ym)) * v * v / self.sol.mu_inverse(xcol, ym)
+        return (y1 - y0) / k
+
+    def x_conductivities(self, xcol, ys):
+        ys = np.asarray(ys, dtype=float)
+        h = ys[1] - ys[0] if len(ys) > 1 else 2 * ys[0]
+        self._column(xcol, ys)
+        return np.array([self.cell_integral_y(xcol, j * h, (j + 1) * h)
+                         for j in range(len(ys))]) / h
+
+    def cell_integral_y(self, xcol, y0, y1):
+        fam = self.sol.family
+        if self.sol.mu_inverse is None and fam.eps == 0.0:
+            p = 3.0 - fam.a          # rho * ((1-a) chi)^2 = y^(2-a) exactly
+            return (y1 ** p - y0 ** p) / p
+        col = self._ladder.get(self._xkey(xcol))
+
+        def w_at(y):
+            if y <= 0.0:
+                return 0.0           # super-degenerate: rho v^2 -> 0 at the plane
+            v = float((1.0 - fam.a) * chi(fam, y)) if col is None else self._v_at(col, y)
+            return float(rho(fam, y)) * v * v
+
+        ym = 0.5 * (y0 + y1)
+        return (y1 - y0) / 6.0 * (w_at(y0) + 4.0 * w_at(ym) + w_at(y1))
+
+
+@dataclass
+class SeedOperator:
+    matrix: sp.csr_matrix
+    grid: HalfGrid
+    parity: str
+    weight: _SeedWeightModel
+    spec: OperatorSpec
+    has_drift: bool
+    dirichlet_faces: list = field(repr=False)   # (dof, tau, midpoint)
+    face_weights: list = field(repr=False)      # (axis, lo_dof, hi_dof, w_face, midpoint)
+    assembly_weight_id: str = ""
+    flagged_supersingular: bool = False
+
+    def rhs(self, f: Optional[Callable] = None, F: Optional[Callable] = None,
+            trace: Optional[Callable] = None) -> np.ndarray:
+        g = self.grid
+        voln = g.h ** (g.n + 1)
+        out = np.zeros(g.ncells)
+        if f is not None:
+            fc = np.array([f(*_split(p, g.n)) for p in g.centers])
+            wint = _cell_weight_integrals(self.weight, g)
+            out += g.h ** g.n * wint * fc
+        if F is not None:
+            area = g.h ** g.n
+            for axis, lo, hi, wf, mid in self.face_weights:
+                Fv = np.atleast_1d(np.asarray(F(*_split(mid, g.n)), dtype=float))
+                Fn = float(Fv[axis])
+                if lo >= 0:
+                    out[lo] += area * wf * Fn
+                if hi >= 0:
+                    out[hi] -= area * wf * Fn
+        if trace is not None:
+            for dof, tau, mid in self.dirichlet_faces:
+                out[dof] += tau * trace(*_split(mid, g.n))
+        return out
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return self.matrix @ u
+
+    def residual(self, u: np.ndarray, rhs: np.ndarray) -> float:
+        r = self.matrix @ u - rhs
+        denom = float(np.linalg.norm(rhs))
+        return float(np.linalg.norm(r)) / (denom if denom > 0 else 1.0)
+
+
+def _split(p: np.ndarray, n: int):
+    if n == 1:
+        return p[0], p[1]
+    return tuple(p[:n]), p[n]
+
+
+def _xcol(p, n: int):
+    return p[0] if n == 1 else tuple(p[:n])
+
+
+def _cell_weight_integrals(weight: _SeedWeightModel, g: HalfGrid) -> np.ndarray:
+    """Per-cell int_cell w dy (exact/Simpson when available, else midpoint w h)."""
+    out = np.empty(g.ncells)
+    lat = g.index
+    h = g.h
+    ys = (np.arange(g.ny) + 0.5) * h
+    for idx in np.ndindex(*((g.nx,) * g.n)):
+        dofs = lat[idx]
+        sel = np.nonzero(dofs >= 0)[0]
+        if sel.size == 0:
+            continue
+        x = _xcol(g.centers[dofs[sel[0]]], g.n)
+        wcol = weight.values(x, ys)
+        for j in sel:
+            ci = weight.cell_integral_y(x, j * h, (j + 1) * h)
+            out[dofs[j]] = ci if ci is not None else wcol[j] * h
+    return out
+
+
+def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSpec] = None,
+             parity: str = "odd", drift: Optional[Callable] = None,
+             outer: str = "dirichlet") -> "SeedOperator":
+    """Assemble the flux-form operator; see the module docstring for the scheme.
+
+    outer='neumann' closes the outer boundary with zero weighted flux instead
+    of Dirichlet half-cells (with even parity this leaves constants in the
+    kernel)."""
+    if parity not in ("odd", "even"):
+        raise ValueError("assembly parity must be 'odd' or 'even'")
+    if outer not in ("dirichlet", "neumann"):
+        raise ValueError("outer must be 'dirichlet' or 'neumann'")
+    spec = spec or OperatorSpec()
+    g = grid
+    n, h = g.n, g.h
+    area = h ** n
+    lat = g.index
+    ys = (np.arange(g.ny) + 0.5) * h
+    rows: list = []
+    cols: list = []
+    vals: list = []
+    dirichlet_faces: list = []
+    face_weights: list = []
+
+    def add(i, j, v):
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+
+    supersingular = bool(getattr(weight, "supersingular", False)) and parity == "odd"
+
+    # column-wise pass: y-direction faces + cache of cell weights
+    wcell = np.empty(g.ncells)
+    wxcell = np.empty(g.ncells)
+    for idx in np.ndindex(*((g.nx,) * n)):
+        dofs = lat[idx]
+        live = np.nonzero(dofs >= 0)[0]
+        if live.size == 0:
+            continue
+        x = _xcol(g.centers[dofs[live[0]]], n)
+        wcol = weight.values(x, ys)
+        if not np.all(np.isfinite(wcol[live])) or np.any(wcol[live] <= 0):
+            raise ValueError(
+                f"weight {weight.weight_id!r} non-finite or non-positive at a cell "
+                f"in column x={x}")
+        wcell[dofs[live]] = wcol[live]
+        wxcol = weight.x_conductivities(x, ys)
+        wxcell[dofs[live]] = wxcol[live]
+        for j in live:
+            dof = dofs[j]
+            yc = ys[j]
+            # face below
+            if j == 0 or dofs[j - 1] < 0:
+                y_face = j * h
+                if j == 0 and parity == "odd":
+                    R = weight.resistance_y(x, 0.0, h / 2.0)
+                    if R is None:
+                        R = (h / 2.0) / (wcol[0] * spec.mu_val(x, h / 4.0))
+                    if math.isfinite(R) and R > 0:
+                        tau = area / R
+                        add(dof, dof, tau)
+                    face_weights.append((n, -1, dof, wcol[0], _mk_point(idx, y_face, h, n)))
+                elif j == 0 and parity == "even":
+                    face_weights.append((n, -1, dof, wcol[0], _mk_point(idx, y_face, h, n)))
+                else:  # staircase face below
+                    mid = _mk_point(idx, y_face, h, n)
+                    if outer == "dirichlet":
+                        R = weight.resistance_y(x, y_face, yc)
+                        if R is None:
+                            R = (h / 2.0) / (wcol[j] * spec.mu_val(x, y_face))
+                        tau = area / R
+                        add(dof, dof, tau)
+                        dirichlet_faces.append((dof, tau, mid))
+                    face_weights.append((n, -1, dof, wcol[j], mid))
+            # face above
+            if j == g.ny - 1 or dofs[j + 1] < 0:
+                y_face = (j + 1) * h
+                mid = _mk_point(idx, y_face, h, n)
+                if outer == "dirichlet":
+                    R = weight.resistance_y(x, yc, y_face)
+                    if R is None:
+                        R = (h / 2.0) / (wcol[j] * spec.mu_val(x, y_face))
+                    tau = area / R
+                    add(dof, dof, tau)
+                    dirichlet_faces.append((dof, tau, mid))
+                face_weights.append((n, dof, -1, wcol[j], mid))
+            else:
+                up = dofs[j + 1]
+                y_face = (j + 1) * h
+                R = weight.resistance_y(x, yc, ys[j + 1])
+                wh = 2.0 * wcol[j] * wcol[j + 1] / (wcol[j] + wcol[j + 1])
+                if R is None:
+                    R = h / (wh * spec.mu_val(x, y_face))
+                tau = area / R
+                add(dof, dof, tau)
+                add(up, up, tau)
+                add(dof, up, -tau)
+                add(up, dof, -tau)
+                face_weights.append((n, dof, up, wh, _mk_point(idx, y_face, h, n)))
+
+    # x-direction faces, axis by axis
+    for axis in range(n):
+        for idx in np.ndindex(*_axis_iter_shape(g, axis)):
+            for f in range(g.nx + 1):
+                lo_idx = _insert(idx, axis, f - 1)
+                hi_idx = _insert(idx, axis, f)
+                lo = int(lat[lo_idx]) if f - 1 >= 0 else -2
+                hi = int(lat[hi_idx]) if f <= g.nx - 1 else -2
+                if lo < 0 and hi < 0:
+                    continue
+                mid = _face_mid_x(g, idx, axis, f)
+                x_mid = _xcol(mid, n)
+                y_mid = mid[n]
+                afac = spec.mu_val(x_mid, y_mid) * spec.b_tilde_diag(x_mid, y_mid, axis, n)
+                if lo >= 0 and hi >= 0:
+                    wl, wh_ = wxcell[lo], wxcell[hi]
+                    wf = 2.0 * wl * wh_ / (wl + wh_)
+                    tau = area * wf * afac / h
+                    add(lo, lo, tau)
+                    add(hi, hi, tau)
+                    add(lo, hi, -tau)
+                    add(hi, lo, -tau)
+                    face_weights.append((axis, lo, hi, wf, mid))
+                else:
+                    dof = lo if lo >= 0 else hi
+                    wf = wxcell[dof]
+                    if outer == "dirichlet":
+                        tau = area * wf * afac / (h / 2.0)
+                        add(dof, dof, tau)
+                        dirichlet_faces.append((dof, tau, mid))
+                    if lo >= 0:
+                        face_weights.append((axis, dof, -1, wf, mid))
+                    else:
+                        face_weights.append((axis, -1, dof, wf, mid))
+
+    # symmetric cross terms from T (vanish when t_field is None)
+    if spec.t_field is not None:
+        _add_cross_terms(g, spec, wcell, parity, add)
+
+    has_drift = drift is not None
+    if has_drift:
+        _add_drift(g, spec, wcell, parity, drift, add)
+
+    M = sp.coo_matrix((vals, (rows, cols)), shape=(g.ncells, g.ncells)).tocsr()
+    return SeedOperator(
+        matrix=M, grid=g, parity=parity, weight=weight, spec=spec,
+        has_drift=has_drift, dirichlet_faces=dirichlet_faces,
+        face_weights=face_weights, assembly_weight_id=weight.weight_id,
+        flagged_supersingular=supersingular)
+
+
+def _mk_point(idx, y, h, n):
+    out = np.empty(n + 1)
+    for d in range(n):
+        out[d] = -1.0 + (idx[d] + 0.5) * h
+    out[n] = y
+    return out
+
+
+def _axis_iter_shape(g: HalfGrid, axis: int):
+    dims = [g.nx] * g.n + [g.ny]
+    del dims[axis]
+    return tuple(dims)
+
+
+def _insert(idx, axis, v):
+    out = list(idx)
+    out.insert(axis, v)
+    return tuple(out)
+
+
+def _face_mid_x(g: HalfGrid, idx, axis, f):
+    full = _insert(idx, axis, 0)
+    out = np.empty(g.n + 1)
+    for d in range(g.n):
+        out[d] = -1.0 + (full[d] + 0.5) * g.h
+    out[axis] = -1.0 + f * g.h
+    out[g.n] = (full[g.n] + 0.5) * g.h
+    return out
+
+
+def _neighbors_along(g, lat, idx_full, axis):
+    lo = list(idx_full)
+    hi = list(idx_full)
+    lo[axis] -= 1
+    hi[axis] += 1
+    nmax = g.nx if axis < g.n else g.ny
+    dlo = lat[tuple(lo)] if lo[axis] >= 0 else -1
+    dhi = lat[tuple(hi)] if hi[axis] < nmax else -1
+    return int(dlo), int(dhi)
+
+
+def _add_cross_terms(g, spec, wcell, parity, add):
+    """Symmetric cell-centered discretization of the T coupling blocks."""
+    lat = g.index
+    h = g.h
+    voln = h ** (g.n + 1)
+    for idx_full in np.ndindex(*g.lattice_shape()):
+        dof = int(lat[idx_full])
+        if dof < 0:
+            continue
+        p = g.centers[dof]
+        x = _xcol(p, g.n)
+        y = p[g.n]
+        tvec = spec.t_val(x, y, g.n)
+        muv = spec.mu_val(x, y)
+        if not np.any(tvec):
+            continue
+        dy_lo, dy_hi = _neighbors_along(g, lat, idx_full, g.n)
+        for axis in range(g.n):
+            dx_lo, dx_hi = _neighbors_along(g, lat, idx_full, axis)
+            coef = voln * wcell[dof] * muv * tvec[axis] / (h * h)
+            # centered stencils where both neighbors exist; parity ghost in y
+            x_pair = _centered_pair(dx_lo, dx_hi, dof)
+            y_pair = _centered_pair(dy_lo, dy_hi, dof, parity=parity, at_bottom=(idx_full[-1] == 0))
+            if x_pair is None or y_pair is None:
+                continue
+            for (di, ci) in x_pair:
+                for (dj, cj) in y_pair:
+                    # (Dx u)(Dy v) + (Dy u)(Dx v): assemble both products
+                    add(dj, di, coef * ci * cj)
+                    add(di, dj, coef * ci * cj)
+
+
+def _centered_pair(d_lo, d_hi, dof, parity=None, at_bottom=False):
+    """Return [(dof, coeff)...] realizing a centered difference / (2h) * 2h = +-1/2."""
+    if d_lo >= 0 and d_hi >= 0:
+        return [(d_hi, 0.5), (d_lo, -0.5)]
+    if d_lo < 0 and d_hi >= 0:
+        if at_bottom and parity == "odd":
+            return [(d_hi, 0.5), (dof, 0.5)]
+        if at_bottom and parity == "even":
+            return [(d_hi, 0.5), (dof, -0.5)]
+        return [(d_hi, 1.0), (dof, -1.0)]
+    if d_lo >= 0 and d_hi < 0:
+        return [(dof, 1.0), (d_lo, -1.0)]
+    return None
+
+
+def _add_drift(g, spec, wcell, parity, drift, add):
+    lat = g.index
+    h = g.h
+    voln = h ** (g.n + 1)
+    for idx_full in np.ndindex(*g.lattice_shape()):
+        dof = int(lat[idx_full])
+        if dof < 0:
+            continue
+        p = g.centers[dof]
+        x = _xcol(p, g.n)
+        y = p[g.n]
+        b = np.atleast_1d(np.asarray(drift(x, y), dtype=float))
+        if not np.any(b):
+            continue
+        scale = -voln * wcell[dof] / h
+        for axis in range(g.n + 1):
+            if b[axis] == 0.0:
+                continue
+            d_lo, d_hi = _neighbors_along(g, lat, idx_full, axis)
+            pair = _centered_pair(d_lo, d_hi, dof,
+                                  parity=parity if axis == g.n else None,
+                                  at_bottom=(axis == g.n and idx_full[-1] == 0))
+            if pair is None:
+                continue
+            for (dj, cj) in pair:
+                add(dof, dj, scale * b[axis] * cj)
+

@@ -1,5 +1,6 @@
 """Flux-form assembly, solves, manufactured solutions, convergence orders."""
 
+import itertools
 import math
 
 import numpy as np
@@ -37,8 +38,10 @@ def test_poisson_1d_analytic_oracle():
 
 
 def test_characteristic_solution_is_discretely_exact():
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
-    for a in (0.5, -0.5, -1.5, -2.5):
+    grids = (dl.build_half_grid(1, "half_rectangle", 1 / 16),
+             dl.build_half_grid(2, "half_rectangle", 1 / 8),
+             dl.build_half_grid(1, "half_disk", 1 / 8))
+    for g, a in itertools.product(grids, (0.5, -0.5, -1.5, -2.5)):
         fam = dl.WeightFamily(a, 0.0)
         op = dl.assemble(g, dl.RhoWeight(fam), parity="odd")
 
@@ -48,7 +51,7 @@ def test_characteristic_solution_is_discretely_exact():
         rhs = op.rhs(trace=ue)
         rep = dl.solve_linear(op, rhs)
         err = np.max(np.abs(rep.field.values - exact_field(g, ue).values))
-        assert err < 1e-11, (a, err)
+        assert err < 1e-11, (g.describe(), a, err)
 
 
 def test_characteristic_exact_across_refinements():
@@ -108,6 +111,34 @@ def test_drift_solve_runs_bicgstab_consistency():
     assert np.max(np.abs(rep.field.values - exact.values)) < 1e-9
 
 
+def test_iterative_solves_report_info(monkeypatch):
+    # below DIRECT_SOLVE_MAX cells both Krylov paths run; info 0 means converged
+    monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 10)
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
+    for drift, method in ((None, "cg-jacobi"), (lambda x, y: (0.2, 0.1 * y), "bicgstab-jacobi")):
+        op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd", drift=drift)
+        rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
+        rep = dl.solve_linear(op, rhs)
+        assert rep.method == method
+        assert rep.info == 0 and rep.converged and rep.iterations > 0
+        assert np.max(np.abs(rep.field.values - exact.values)) < 1e-9
+    monkeypatch.setattr(dl.assembly, "ITERATION_CAP", 2)
+    rep = dl.solve_linear(op, rhs)
+    assert rep.info == 2 and not rep.converged
+
+
+def test_auxiliary_resistance_before_values():
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1),
+                                    mu_inverse=lambda x, s: 1.0 / (1.0 + 0.1 * x * x))
+    ys = (np.arange(8) + 0.5) / 8
+    y0, y1 = np.r_[0.0, ys], np.r_[ys, 1.0]
+    fresh = dl.AuxiliaryWeight(sol).resistance_y(0.3, ys, y0, y1)
+    w = dl.AuxiliaryWeight(sol)
+    w.values(0.3, ys)
+    assert np.array_equal(fresh, w.resistance_y(0.3, ys, y0, y1))
+    assert fresh[0] == math.inf and np.all(np.isfinite(fresh[1:]))
+
+
 def test_parity_mismatch_rejected():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd")
@@ -159,7 +190,7 @@ def test_convergence_study_second_order():
         rhs, exact = dl.manufactured_problem(ue, op, mode="analytic", f=f)
         return op, rhs, exact
 
-    rows = dl.convergence_study(factory, [1 / 8, 1 / 16, 1 / 32])
+    rows, _ = dl.convergence_study(factory, [1 / 8, 1 / 16, 1 / 32])
     last_order = rows[-1][2]
     assert last_order == pytest.approx(2.0, abs=0.3)
 
@@ -184,7 +215,7 @@ def test_convergence_study_weighted_interior_order():
         rhs, exact = dl.manufactured_problem(ue, op, mode="analytic", f=f)
         return op, rhs, exact
 
-    rows = dl.convergence_study(factory, [1 / 16, 1 / 32, 1 / 64],
+    rows, _ = dl.convergence_study(factory, [1 / 16, 1 / 32, 1 / 64],
                                 region=lambda x, y: y >= 0.1)
     errs = [r[1] for r in rows]
     assert errs[0] > errs[1] > errs[2]
@@ -198,7 +229,7 @@ def test_convergence_study_exact_flag():
         rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
         return op, rhs, exact
 
-    rows = dl.convergence_study(factory, [1 / 8, 1 / 16, 1 / 32])
+    rows, _ = dl.convergence_study(factory, [1 / 8, 1 / 16, 1 / 32])
     assert rows[-1][2] == "exact"
 
 

@@ -1,0 +1,97 @@
+"""Array assembly against the loop assembly it replaced (``seed_assembly``).
+
+Every combination of weight model, parity, outer boundary, drift, coupling
+field and grid must give the same matrix and the same right-hand side (f, F
+and Dirichlet trace together) to 1e-13 relative.  Summation order differs
+between the two, and numpy's vector power may differ from the scalar one in
+the last bit, so the comparison is not exact.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import degenlab as dl
+import seed_assembly as seed
+
+RTOL = 1e-13
+
+
+def _x(x):
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _mu_inverse(x, y):
+    return 1.0 / (1.0 + 0.1 * float(np.sum(_x(x) ** 2)))
+
+
+def _weights(name):
+    """(array model, loop model) with identical parameters."""
+    if name == "const":
+        return dl.ConstantWeight(1.3), seed.SeedConstantWeight(1.3)
+    if name == "rho-eps0":
+        fam = dl.WeightFamily(0.5, 0.0)
+        return dl.RhoWeight(fam), seed.SeedRhoWeight(fam)
+    if name == "rho-eps0.1":
+        fam = dl.WeightFamily(-0.5, 0.1)
+        return dl.RhoWeight(fam), seed.SeedRhoWeight(fam)
+    if name == "rho-quadratic-mu":
+        fam = dl.WeightFamily(0.5, 0.0)
+        return dl.RhoWeight(fam, _mu_inverse), seed.SeedRhoWeight(fam, _mu_inverse)
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), _mu_inverse)
+    return dl.AuxiliaryWeight(sol), seed.SeedAuxiliaryWeight(sol)
+
+
+def _spec(n, t_field):
+    def b_tilde(x, y):
+        return 1.0 + 0.1 * y * y if n == 1 else np.diag([1.0 + 0.1 * y * y, 1.2])
+
+    def t(x, y):
+        return 0.3 * y if n == 1 else (0.3 * y, -0.2 * y * _x(x)[0])
+
+    return dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.2 * float(np.sum(_x(x) ** 2)),
+                           b_tilde=b_tilde, t_field=t if t_field else None)
+
+
+def _drift(n):
+    if n == 1:
+        return lambda x, y: (0.2, 0.1 * y)
+    return lambda x, y: (0.2, 0.0, 0.1 * y)       # a zero component is skipped
+
+
+def _f(x, y):
+    return np.cos(_x(x)[0]) * (1.0 + y)
+
+
+def _F(x, y):
+    return np.r_[0.3 * y * np.ones(len(_x(x))), 0.2 + y * y]
+
+
+def _trace(x, y):
+    return 1.0 + _x(x)[0] + y * y
+
+
+GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n1-disk": (1, "half_disk", 1 / 8),
+         "n2-rect": (2, "half_rectangle", 1 / 4)}
+WEIGHTS = ("const", "rho-eps0", "rho-eps0.1", "rho-quadratic-mu", "aux")
+CASES = list(itertools.product(GRIDS, WEIGHTS, ("odd", "even"), ("dirichlet", "neumann"),
+                               ("drift", "no-drift"), ("t", "no-t")))
+
+
+@pytest.mark.parametrize("grid,weight,parity,outer,drift,t_field", CASES,
+                         ids=["-".join(c) for c in CASES])
+def test_array_assembly_matches_loop_oracle(grid, weight, parity, outer, drift, t_field):
+    n, shape, h = GRIDS[grid]
+    g = dl.build_half_grid(n, shape, h)
+    new_w, old_w = _weights(weight)
+    spec = _spec(n, t_field == "t")
+    b = _drift(n) if drift == "drift" else None
+    new = dl.assemble(g, new_w, spec, parity=parity, drift=b, outer=outer)
+    old = seed.assemble(g, old_w, spec, parity=parity, drift=b, outer=outer)
+    scale = abs(old.matrix).max()
+    assert abs(new.matrix - old.matrix).max() <= RTOL * scale
+    r_new = new.rhs(f=_f, F=_F, trace=_trace)
+    r_old = old.rhs(f=_f, F=_F, trace=_trace)
+    assert np.max(np.abs(r_new - r_old)) <= RTOL * np.max(np.abs(r_old))
+    assert new.flagged_supersingular == old.flagged_supersingular
