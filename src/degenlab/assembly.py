@@ -51,6 +51,7 @@ from .weights import (
     WeightFamily,
     chi,
     rho,
+    v_char_profile,
 )
 
 DIRECT_SOLVE_MAX = 5_000
@@ -289,46 +290,31 @@ class RhoWeight(WeightModel):
 class AuxiliaryWeight(WeightModel):
     """w = rho (v)^2 with v the characteristic odd solution (quotient weight).
 
-    Values and resistances come from a per-column ladder of v at half-spacing
-    resolution, cumulative quadrature when mu varies and closed form when
-    mu == 1; the resistance of the first half cell [0, h/2] is infinite
-    (super-degenerate weight), which encodes the natural zero-flux closure.
+    Values and resistances come from a column ladder of v at half-spacing
+    resolution (``v_char_profile``: segment integrals memoized on the
+    solution when mu varies, closed form when mu == 1); the resistance of the
+    first half cell [0, h/2] is infinite (super-degenerate weight), which
+    encodes the natural zero-flux closure.
     """
 
     def __init__(self, sol: CharacteristicSolution):
         self.sol = sol
         fam = sol.family
         self.weight_id = f"rho_v2[a={fam.a:g},eps={fam.eps:g}]"
-        self._ladder: dict = {}   # x-key -> {'y': half-spacing grid, 'v': values}
 
-    @staticmethod
-    def _xkey(xcol):
-        return float(xcol) if np.isscalar(xcol) else tuple(np.atleast_1d(xcol))
-
-    def _column(self, xcol, ys) -> dict:
+    def _column(self, xcol, ys) -> Tuple[np.ndarray, np.ndarray]:
+        """The half-spacing ladder of ordinates and v on it."""
         ys = np.asarray(ys, dtype=float)
-        key = self._xkey(xcol)
-        got = self._ladder.get(key)
-        if got is not None and len(got["y"]) >= 2 * len(ys):
-            return got
         h = ys[1] - ys[0] if len(ys) > 1 else 2 * ys[0]
         ladder_y = np.arange(1, 2 * len(ys) + 1) * (h / 2.0)
-        fam = self.sol.family
-        if self.sol.mu_inverse is None:
-            v = (1.0 - fam.a) * chi(fam, ladder_y)
-        else:
-            from .weights import v_char_profile
-            v = v_char_profile(self.sol, xcol, ladder_y)
-        col = {"y": ladder_y, "v": v, "h": h}
-        self._ladder[key] = col
-        return col
+        return ladder_y, v_char_profile(self.sol, xcol, ladder_y)
 
     @staticmethod
     def _v_at(col, y: np.ndarray) -> np.ndarray:
         """v at ordinates y > 0: ladder values where y sits on a ladder point,
         linear interpolation between points, through the origin below the
         first point and constant above the last."""
-        ly, lv = col["y"], col["v"]
+        ly, lv = col
         i = np.searchsorted(ly, y)
         top = i >= len(ly)
         ic = np.minimum(i, len(ly) - 1)
@@ -343,8 +329,7 @@ class AuxiliaryWeight(WeightModel):
 
     def values(self, xcol, ys):
         ys = np.asarray(ys, dtype=float)
-        col = self._column(xcol, ys)
-        v = col["v"][::2][: len(ys)]
+        v = self._column(xcol, ys)[1][::2]
         return rho(self.sol.family, ys) * v * v
 
     def resistance_y(self, xcol, ys, y0, y1):

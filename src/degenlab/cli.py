@@ -121,8 +121,8 @@ def cmd_eigen(cfg: dict) -> int:
     ok &= hres.lam >= 0.25                   # conformity bound at every h
     if h <= 1.0 / 64 + 1e-12:
         ok &= hres.lam <= 0.40               # bracketed value at the reference h
-    for r, lam in eigen_stability_sweep(sweep_a, r_list, h, form="rho"):
-        rows.append((f"lambda_r[a={sweep_a:g}]", sweep_a, r, h, lam, 0.0))
+    for r, lam, res in eigen_stability_sweep(sweep_a, r_list, h, form="rho"):
+        rows.append((f"lambda_r[a={sweep_a:g}]", sweep_a, r, h, lam, res))
     header = [f"config-hash: {_config_hash(cfg)}",
               f"grid: half-disk polar mesh, h={fmt(h)}",
               "tolerances: trace 0.05, auxiliary 0.1, hardy [0.25,0.40]"]
@@ -136,15 +136,11 @@ def _family_from_cfg(cfg: dict) -> ProblemFamily:
     mu_kind = cfg.get("mu", "const")
     if mu_kind == "const":
         mu_inv = None
-        mu_inv_dx = None
     elif mu_kind.startswith("quadratic"):
         c = float(mu_kind.split(":")[1]) if ":" in mu_kind else 0.1
 
         def mu_inv(x, y, c=c):
             return 1.0 / (1.0 + c * x * x)
-
-        def mu_inv_dx(x, y, c=c):
-            return -2.0 * c * x / (1.0 + c * x * x) ** 2
     else:
         raise ConfigError(f"unknown mu kind {mu_kind!r}")
     b = 1.0 - a
@@ -155,8 +151,7 @@ def _family_from_cfg(cfg: dict) -> ProblemFamily:
     def trace_factor(x, y):
         return math.cos(math.pi * x / 2.0) * (1.0 + 0.5 * y * y)
 
-    return ProblemFamily(a=a, f=f, trace_factor=trace_factor,
-                         mu_inverse=mu_inv, mu_inverse_dx=mu_inv_dx,
+    return ProblemFamily(a=a, f=f, trace_factor=trace_factor, mu_inverse=mu_inv,
                          name=f"a={a:g},mu={mu_kind}")
 
 
@@ -272,9 +267,6 @@ def cmd_fermi_demo(cfg: dict) -> int:
     def mu_inv(x, y):
         return 1.0 / (speed * (1.0 - y * kap))
 
-    def mu_inv_dx(x, y):
-        return 0.0
-
     b = 1.0 - a
 
     def f(x, y):
@@ -283,8 +275,7 @@ def cmd_fermi_demo(cfg: dict) -> int:
     def trace_factor(x, y):
         return math.cos(math.pi * x / 2.0) * (1.0 + 0.5 * y * y)
 
-    family = ProblemFamily(a=a, f=f, trace_factor=trace_factor,
-                           mu_inverse=mu_inv, mu_inverse_dx=mu_inv_dx,
+    family = ProblemFamily(a=a, f=f, trace_factor=trace_factor, mu_inverse=mu_inv,
                            name=f"fermi-circle[R={radius:g},a={a:g}]")
     rep_c0 = epsilon_sweep(family, eps_list, alpha, mode="ratio_c0", grid_h=h)
     rep_c1r = epsilon_sweep(family, eps_list, alpha, mode="ratio_c1", grid_h=h,

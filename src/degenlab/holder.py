@@ -27,8 +27,9 @@ from scipy.spatial import cKDTree
 
 from .assembly import DiscreteField, OperatorSpec, RhoWeight, assemble, solve_linear
 from .geometry import HalfGrid, build_half_grid
-from .ratio import auxiliary_effective_dimension, effective_dimension, ratio_field
-from .weights import CharacteristicSolution, WeightFamily, omega as omega_weight
+from .ratio import (_v_on_grid, auxiliary_effective_dimension, effective_dimension,
+                    ratio_field)
+from .weights import CharacteristicSolution, WeightFamily, omega as omega_weight, v_char
 
 NEAR_PAIR_RADIUS = 0.25
 DEFAULT_TAU = 3.0
@@ -249,14 +250,13 @@ class ProblemFamily:
     F: Optional[Callable] = None
     trace_factor: Optional[Callable] = None
     mu_inverse: Optional[Callable] = None
-    mu_inverse_dx: Optional[Callable] = None
     name: str = "family"
     p1: float = 6.0
     beta: float = 2.0
 
     def solution(self, eps: float) -> CharacteristicSolution:
         fam = WeightFamily(self.a, eps)
-        return CharacteristicSolution(fam, self.mu_inverse, self.mu_inverse_dx)
+        return CharacteristicSolution(fam, self.mu_inverse)
 
     def spec(self) -> OperatorSpec:
         if self.mu_inverse is None:
@@ -317,8 +317,8 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
     for eps in eps_list:
         if restricted == "sqrt_eps" and math.sqrt(eps) > region.y_max - 4 * grid_h:
             continue        # restricted region {y >= sqrt(eps)} is (near) empty
-        sol = family.solution(eps)
-        weight = RhoWeight(sol.family, family.mu_inverse)
+        weight = RhoWeight(WeightFamily(family.a, eps), family.mu_inverse)
+        sol = weight.sol        # one solution (and segment memo) per eps
         op = assemble(grid, weight, family.spec(), parity="odd")
         trace = _family_trace(family, sol)
         rhs = op.rhs(f=family.f, F=family.F, trace=trace)
@@ -360,8 +360,6 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
 
 
 def _family_trace(family: ProblemFamily, sol: CharacteristicSolution) -> Callable:
-    from .weights import v_char
-
     def trace(x, y):
         v = v_char(sol, x, y)
         g = 1.0 if family.trace_factor is None else family.trace_factor(x, y)
@@ -390,15 +388,10 @@ def _data_norms(family: ProblemFamily, sol: CharacteristicSolution,
     voln = grid.h ** (grid.n + 1)
     if family.f is not None:
         fv = np.array([family.f(p[0], p[1]) for p in grid.centers])
-        vv = _v_values(sol, grid)
+        vv = _v_on_grid(sol, grid)
         out["fbar_Lp1_omega"] = float(
             (np.sum(om * np.abs(fv / vv) ** family.p1) * voln) ** (1.0 / family.p1))
     return out
-
-
-def _v_values(sol: CharacteristicSolution, grid: HalfGrid) -> np.ndarray:
-    from .ratio import _v_on_grid
-    return _v_on_grid(sol, grid)
 
 
 def moser_bound_check(u: DiscreteField, a: float, eps: float,

@@ -211,15 +211,16 @@ def verify_ratio_equation(problem: OddProblem, grid: HalfGrid, tol: float = 1e-1
 def aux_residual(problem: OddProblem, grid: HalfGrid, tol: float = 1e-10,
                  margin: float = 0.125) -> float:
     """Weighted rms residual density of the quotient equation on one grid."""
+    sol = problem.sol
     if problem.u_exact is not None:
         u = DiscreteField.sample(grid, problem.u_exact, "odd")
     else:
-        wgt = RhoWeight(problem.sol.family, problem.sol.mu_inverse)
+        wgt = RhoWeight(sol.family, sol.mu_inverse, sol.quadrature_tol)
+        sol = wgt.sol       # the quotient reuses the resistances' segment integrals
         op = assemble(grid, wgt, problem.spec, parity="odd")
-        rhs = op.rhs(f=problem.f, F=problem.F,
-                     trace=problem.trace if problem.trace is not None else None)
+        rhs = op.rhs(f=problem.f, F=problem.F, trace=problem.trace)
         u = solve_linear(op, rhs, tol=tol).field
-    w = ratio_field(u, problem.sol)
+    w = ratio_field(u, sol)
     bundle = auxiliary_rhs(problem.spec, problem.sol, problem.f, problem.F)
     aux = assemble_auxiliary(grid, problem)
     g = grid

@@ -332,6 +332,22 @@ def _rho_fn(b: float, eps: float) -> Callable:
     return w
 
 
+def _conjugated_forms(kind: str, a: float, eps: float, mesh: HalfDiskMesh,
+                      quad_order: int) -> sp.csr_matrix:
+    """K0 + P + Wb: the flat Dirichlet form, the domain potential and the arc
+    potential of the weight ``kind`` ('rho' or 'omega_inverse', see
+    :func:`degenlab.potentials.potentials`) conjugated away by v = w^(1/2) u."""
+    def V(y):
+        return potentials(kind, a, eps, y)[0]
+
+    def Warc(y):
+        return potentials(kind, a, eps, y)[1]
+
+    K0, P, _ = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
+                              potential=V, quad_order=quad_order)
+    return K0 + P + assemble_arc_mass(mesh, Warc)
+
+
 def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto",
                 quad_order: int = 4) -> EigenResult:
     """Sharp constant of int rho^b |grad u|^2 >= lam int_arc rho^b u^2, u|_plane = 0.
@@ -361,17 +377,7 @@ def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto",
         else:
             M = assemble_arc_mass(mesh, wfn)
     elif route == "transformed":
-        def V(y):
-            return potentials("rho", b, eps, y)[0]
-
-        def Warc(y):
-            return potentials("rho", b, eps, np.asarray([y]))[1][0] \
-                if np.isscalar(y) else potentials("rho", b, eps, y)[1]
-
-        K0, P, _ = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
-                                  potential=V, quad_order=quad_order)
-        Wb = assemble_arc_mass(mesh, Warc)
-        K = K0 + P + Wb
+        K = _conjugated_forms("rho", b, eps, mesh, quad_order)
         M = assemble_arc_mass(mesh, None)
     else:
         raise ValueError(f"unknown route {route!r}")
@@ -436,17 +442,7 @@ def boundary_hardy_quotient(weight: WeightSpec, grid_h: float,
         if not isinstance(weight, WeightFamily):
             raise TypeError("omega_inverse kind requires a WeightFamily")
         fam = weight
-
-        def V(y):
-            return potentials("omega_inverse", fam.a, fam.eps, y)[0]
-
-        def Warc(y):
-            return potentials("omega_inverse", fam.a, fam.eps, y)[1]
-
-        K0, P, _ = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
-                                  potential=V, quad_order=quad_order)
-        Wb = assemble_arc_mass(mesh, Warc)
-        K = K0 + P + Wb
+        K = _conjugated_forms("omega_inverse", fam.a, fam.eps, mesh, quad_order)
         M = assemble_arc_mass(mesh, lambda y: 1.0 / y)
         wid = f"omega_inv[a={fam.a:g},eps={fam.eps:g}]"
         route = "transformed"
@@ -456,18 +452,7 @@ def boundary_hardy_quotient(weight: WeightSpec, grid_h: float,
         a_val = a if a is not None else 0.0
         e_val = eps if eps is not None else 0.0
         if a is not None and a <= -1.0 and eps == 0.0:
-            fam = weight
-
-            def V(y):
-                return potentials("rho", fam.a, fam.eps, y)[0]
-
-            def Warc(y):
-                return potentials("rho", fam.a, fam.eps, y)[1]
-
-            K0, P, _ = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
-                                      potential=V, quad_order=quad_order)
-            Wb = assemble_arc_mass(mesh, Warc)
-            K = K0 + P + Wb
+            K = _conjugated_forms("rho", a, eps, mesh, quad_order)
             M = assemble_arc_mass(mesh, lambda y: 1.0 / y)
             route = "transformed"
         else:
@@ -486,8 +471,9 @@ def boundary_hardy_quotient(weight: WeightSpec, grid_h: float,
 
 def eigen_stability_sweep(a: float, r_list: Sequence[float], grid_h: float,
                           form: str = "rho", quad_order: int = 4) -> list:
-    """Table of (r, lam_r) for the dilated weights; lam_r -> 1-a ('rho' form,
-    a in (-1,1)) resp. 3-a ('omega_inverse' form, any a < 1) as r grows."""
+    """Table of (r, lam_r, residual) for the dilated weights; lam_r -> 1-a
+    ('rho' form, a in (-1,1)) resp. 3-a ('omega_inverse' form, any a < 1) as
+    r grows.  The residual is the eigen solve's (see :func:`min_rayleigh`)."""
     rows = []
     for r in r_list:
         eps = 1.0 / r
@@ -499,7 +485,7 @@ def eigen_stability_sweep(a: float, r_list: Sequence[float], grid_h: float,
             res = boundary_hardy_like_omega_trace(a, eps, grid_h, quad_order)
         else:
             raise ValueError(f"unknown form {form!r}")
-        rows.append((r, res.lam))
+        rows.append((r, res.lam, res.residual))
     return rows
 
 
@@ -509,17 +495,7 @@ def boundary_hardy_like_omega_trace(a: float, eps: float, grid_h: float,
     min int (omega)^(-1) |grad u|^2 / int_arc (omega)^(-1) u^2 -> 3 - a."""
     mesh = HalfDiskMesh.from_h(grid_h)
     free = mesh.free_nodes()
-
-    def V(y):
-        return potentials("omega_inverse", a, eps, y)[0]
-
-    def Warc(y):
-        return potentials("omega_inverse", a, eps, y)[1]
-
-    K0, P, _ = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
-                              potential=V, quad_order=quad_order)
-    Wb = assemble_arc_mass(mesh, Warc)
-    K = K0 + P + Wb
+    K = _conjugated_forms("omega_inverse", a, eps, mesh, quad_order)
     M = assemble_arc_mass(mesh, None)
     lam, vec, res, it = min_rayleigh(K, M, free)
     return EigenResult(quotient_id=f"omega_inv_trace[a={a:g}]", a=a, eps_or_r=eps,

@@ -27,13 +27,15 @@ functional of rho:
 All evaluations are closed-form where a closed form exists (a in {0, -2},
 eps = 0, plus a Gauss-hypergeometric expression for the general
 antiderivative); adaptive Gauss-Kronrod quadrature is used only for
-integrands involving a genuine sampler mu.  Every function here is pure, so
-concurrent use is safe as long as user samplers are reentrant.
+integrands involving a genuine sampler mu.  The functions here are pure; the
+one piece of state is the segment-integral memo of
+:class:`CharacteristicSolution` (see there), so concurrent use is safe as long
+as user samplers are reentrant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -232,12 +234,24 @@ class CharacteristicSolution:
     sign); when absent a central difference of the sampler is used inside
     the integrand.  mu must be even in s so that v is odd; evaluation
     enforces oddness by integrating over |y| and restoring the sign.
+
+    Every value of v and every y-resistance of the rho weight with mu present
+    is a sum of :meth:`segment_integral` values, which are memoized per
+    solution object keyed by ``(x, y0, y1)``: the face resistances, the
+    cell-centre columns and the Dirichlet traces of one eps step share one
+    ``quad`` call per segment.  x must therefore be hashable (a float, or a
+    tuple for n = 2, as the assembly passes it).  The memo assumes
+    ``mu_inverse`` is a deterministic function of (x, s); calls with an
+    ``integrand_factor`` and the closed form for mu == 1 bypass it.  Two
+    threads that miss on the same key both compute it and store the same
+    float, so concurrent use only repeats work.
     """
 
     family: WeightFamily
     mu_inverse: Optional[MuSampler] = None
     mu_inverse_dx: Optional[MuSampler] = None
     quadrature_tol: float = 1e-10
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family.a >= 1.0:
@@ -252,11 +266,20 @@ class CharacteristicSolution:
     def segment_integral(self, x, y0: float, y1: float,
                          integrand_factor: Optional[MuSampler] = None) -> float:
         """int_{y0}^{y1} rho^(-a)(s) g(x, s) ds with g = mu^(-1) (default) or a
-        supplied factor; 0 <= y0 <= y1 assumed."""
-        a, eps = self.family.a, self.family.eps
-        g = integrand_factor if integrand_factor is not None else self.mu_inverse
-        if g is None:
+        supplied factor; 0 <= y0 <= y1 assumed.  Default-integrand values are
+        memoized (see the class docstring)."""
+        if integrand_factor is not None:
+            return self._integrate(integrand_factor, x, y0, y1)
+        if self.mu_inverse is None:
             return chi(self.family, y1) - chi(self.family, y0)
+        key = (x, y0, y1)
+        val = self._memo.get(key)
+        if val is None:
+            val = self._memo[key] = self._integrate(self.mu_inverse, x, y0, y1)
+        return val
+
+    def _integrate(self, g: MuSampler, x, y0: float, y1: float) -> float:
+        a, eps = self.family.a, self.family.eps
         tol = self.quadrature_tol
         if eps == 0.0 and a > 0.0 and y0 == 0.0:
             # substitute u = s^(1-a)/(1-a) to remove the endpoint singularity

@@ -171,13 +171,10 @@ def test_criterion_6_ratio_equation_residual_decay():
 
 def _family(a, mu_kind):
     if mu_kind == "const":
-        mu_inv = mu_inv_dx = None
+        mu_inv = None
     else:
         def mu_inv(x, y):
             return 1.0 / (1.0 + 0.1 * x * x)
-
-        def mu_inv_dx(x, y):
-            return -0.2 * x / (1.0 + 0.1 * x * x) ** 2
 
     def f(x, y):
         return abs(y) ** (1.0 - a) * math.cos(math.pi * x)
@@ -186,7 +183,7 @@ def _family(a, mu_kind):
         return math.cos(math.pi * x / 2.0) * (1.0 + 0.5 * y * y)
 
     return dl.ProblemFamily(a=a, f=f, trace_factor=tf, mu_inverse=mu_inv,
-                            mu_inverse_dx=mu_inv_dx, name=f"a={a},mu={mu_kind}")
+                            name=f"a={a},mu={mu_kind}")
 
 
 @pytest.mark.parametrize("a,mu_kind", [(0.5, "const"), (0.5, "quadratic"),
@@ -266,7 +263,6 @@ def test_criterion_10_fermi_demo():
         f=lambda x, y: abs(y) ** 0.5 * math.cos(math.pi * x),
         trace_factor=lambda x, y: math.cos(math.pi * x / 2.0) * (1 + 0.5 * y * y),
         mu_inverse=lambda x, y: 1.0 / (speed * (1.0 - y * kap)),
-        mu_inverse_dx=lambda x, y: 0.0,
         name="fermi-circle")
     eps_list = [1.0, 0.1, 0.01, 0.0]
     rep_c0 = dl.epsilon_sweep(fam, eps_list, 0.4, mode="ratio_c0", grid_h=1 / 32)

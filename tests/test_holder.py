@@ -200,3 +200,29 @@ def test_moser_spread_across_eps():
         ratios.append(dl.moser_bound_check(wq, 0.5, eps, f=f))
     med = sorted(ratios)[1]
     assert all(r <= 3.0 * med for r in ratios)
+
+
+def test_sweep_integrates_each_segment_once(monkeypatch):
+    """Per eps, one quad call per resistance segment (ny + 1 per column), per
+    top trace point and per side trace point: the quotient and the data norms
+    reuse the resistances' segment integrals."""
+    import degenlab.weights as weights
+
+    calls = []
+    quad = weights.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "quad", counting_quad)
+    fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * math.cos(math.pi * x),
+                           trace_factor=lambda x, y: math.cos(math.pi * x / 2.0),
+                           mu_inverse=lambda x, y: 1.0 / (1.0 + 0.1 * x * x),
+                           name="count")
+    h = 1 / 16
+    g = dl.build_half_grid(1, "half_rectangle", h)
+    eps_list = [1.0, 0.1, 0.0]
+    dl.epsilon_sweep(fam, eps_list, 0.4, grid_h=h)
+    per_eps = g.nx * (g.ny + 1) + g.nx + 2 * g.ny
+    assert len(calls) == len(eps_list) * per_eps

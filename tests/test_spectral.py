@@ -102,14 +102,14 @@ def test_boundary_hardy_omega_inverse_positive():
 
 def test_eigen_sweep_constant_weight_cancels():
     rows = dl.eigen_stability_sweep(0.0, [1.0, 4.0, 16.0], H_COARSE, form="rho")
-    lams = [l for _, l in rows]
+    lams = [l for _, l, _ in rows]
     assert max(lams) - min(lams) < 1e-9
     assert lams[0] == pytest.approx(dl.trace_eigen(0.0, 0.0, H_COARSE).lam, abs=1e-9)
 
 
 def test_eigen_sweep_rho_converges():
     rows = dl.eigen_stability_sweep(0.5, [1.0, 4.0, 16.0, 64.0], 1 / 64, form="rho")
-    lams = [l for _, l in rows]
+    lams = [l for _, l, _ in rows]
     assert abs(lams[-1] - 0.5) < abs(lams[0] - 0.5)
     assert abs(lams[-1] - 0.5) <= 0.05
 
@@ -117,7 +117,7 @@ def test_eigen_sweep_rho_converges():
 def test_eigen_sweep_omega_form_approaches_3_minus_a():
     rows = dl.eigen_stability_sweep(-1.0, [1.0, 4.0, 16.0, 64.0], H_MID,
                                     form="omega_inverse")
-    lams = [l for _, l in rows]
+    lams = [l for _, l, _ in rows]
     assert abs(lams[-1] - 4.0) < abs(lams[0] - 4.0)
     assert lams[-1] == pytest.approx(4.0, abs=0.1)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import degenlab as dl
-from degenlab.weights import _antiderivative_unit
+from degenlab.weights import _antiderivative_unit, v_char_profile
 
 
 # -- independent oracle: adaptive Simpson ------------------------------------
@@ -231,3 +231,28 @@ def test_gamma_ratio_holder_uniformity_across_eps():
         semis[eps] = dl.holder_seminorm(fld, alpha, dl.Region(1.0, 1.0))
     for eps, s in semis.items():
         assert s <= 3.0 * semis[1.0] + 1e-12, (eps, semis)
+
+
+def test_segment_memo_is_isolated():
+    """The segment memo serves only the default integrand of its own solution."""
+    fam = dl.WeightFamily(0.5, 0.1)
+
+    def mu_inv(x, s):
+        return 1.0 / (1.0 + x * x * s)
+
+    ys = np.linspace(0.05, 1.0, 20)
+    sol = dl.CharacteristicSolution(fam, mu_inverse=mu_inv)
+    v = v_char_profile(sol, 0.7, ys)
+    # an integrand factor bypasses the memo the profile just filled
+    want = dl.v_char_grad_x(dl.CharacteristicSolution(fam, mu_inverse=mu_inv), 0.7, 0.5)
+    assert dl.v_char_grad_x(sol, 0.7, 0.5) == want
+    # a second solution with another mu keeps its own memo
+    other = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 0.5 * mu_inv(x, s))
+    assert np.allclose(v_char_profile(other, 0.7, ys), 0.5 * v, rtol=1e-9)
+    # memo hits repeat the first evaluation exactly
+    w = dl.RhoWeight(fam, mu_inv)
+    y0, y1 = np.r_[0.0, ys[:-1]], ys
+    r1 = w.resistance_y(0.7, ys, y0, y1)
+    assert np.array_equal(w.resistance_y(0.7, ys, y0, y1), r1)
+    assert np.array_equal(v_char_profile(w.sol, 0.7, ys),
+                          (1.0 - fam.a) * np.cumsum(r1))
