@@ -22,7 +22,6 @@ from .weights import (
     xi,
 )
 from .potentials import (
-    OverflowSignal,
     gamma_small,
     gamma_v_bound,
     phi_big,

@@ -68,26 +68,12 @@ class CertificationReport:
         return (self.domain,)
 
 
-def _as_vector_fn(f: Callable) -> Callable:
-    """Wrap f so it maps ndarrays elementwise even if written for scalars."""
-
-    def fv(*arrays):
-        try:
-            out = f(*arrays)
-            out = np.asarray(out, dtype=float)
-            if out.shape == np.broadcast(*[np.asarray(a) for a in arrays]).shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.vectorize(f, otypes=[float])(*arrays)
-
-    return fv
-
-
 def certify_infimum(f: Callable, domain, threshold: float, budget: int = 200_000,
                     target_id: str = "infimum", initial: int = 129) -> CertificationReport:
     """Certify inf f > threshold on an interval (lo, hi) or rectangle ((..),(..)).
 
+    ``f`` takes one ndarray per axis (all of the grid's shape) and must return
+    an array of that shape; a target that does not broadcast raises.
     The report *fails decided* as soon as a sample value drops to or below the
     threshold (a witness), *passes decided* once the certified lower bound
     clears it, and is 'undecided' if the budget runs out in between.
@@ -124,7 +110,6 @@ def _axis_cell_slope(vals: np.ndarray, d: int, h: float) -> np.ndarray:
 
 
 def _certify_nd(f, domain, threshold, budget, target_id, initial):
-    fv = _as_vector_fn(f)
     ndim = len(domain)
     counts = [initial] * ndim
     used = 0
@@ -138,11 +123,11 @@ def _certify_nd(f, domain, threshold, budget, target_id, initial):
         if used + n_eval > budget and used > 0:
             break
         axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(domain, counts)]
-        if ndim == 1:
-            vals = fv(axes[0])
-        else:
-            grids = np.meshgrid(*axes, indexing="ij")
-            vals = fv(*grids)
+        grids = np.meshgrid(*axes, indexing="ij")
+        vals = np.asarray(f(*grids), dtype=float)
+        if vals.shape != grids[0].shape:
+            raise ValueError(f"{target_id}: target returned shape {vals.shape} on a "
+                             f"grid of shape {grids[0].shape}; it must broadcast")
         used += n_eval
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{target_id}: non-finite sample in domain")
@@ -255,9 +240,7 @@ def verify_v_inequality(budget: int = 100_000) -> CertificationReport:
     lo, hi = V_INEQUALITY_INTERVAL
 
     def margin(t):
-        t = np.asarray(t, dtype=float)
-        v = np.vectorize(v_limit)(t)
-        return v - (1.0 - 2.0 / (t * t))
+        return v_limit(t) - (1.0 - 2.0 / (t * t))
 
     rep = certify_infimum(margin, (lo, hi), 0.0, budget=budget,
                           target_id="v_above_one_minus_two_over_t2")
@@ -270,7 +253,7 @@ def v_minimum(budget: int = 60_000) -> Tuple[float, float]:
     v blows up at 0+ and tends to 1 at infinity, changing monotonicity once,
     so the scan interval [0.5, 12] brackets the minimum."""
     ts = np.linspace(0.5, 12.0, 4097)
-    vals = np.array([v_limit(t) for t in ts])
+    vals = v_limit(ts)
     k = int(np.argmin(vals))
     lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
     gr = (math.sqrt(5.0) - 1.0) / 2.0
@@ -303,23 +286,10 @@ def verify_gamma_rectangle(budget: int = 400_000, form: str = "v_bound") -> Cert
     near a ~ -18, t ~ 2.4) while the exact form passes; both are reported so
     the discrepancy is visible in the artifacts.
     """
-    (alo, ahi), (tlo, thi) = GAMMA_RECTANGLE
     if form == "v_bound":
-        def g(A, T):
-            A = np.asarray(A, dtype=float)
-            T = np.asarray(T, dtype=float)
-            tline = T[0] if T.ndim == 2 else T
-            vvals = np.array([v_limit(t) for t in np.atleast_1d(tline)])
-            if T.ndim == 2:
-                V = np.broadcast_to(vvals, T.shape)
-            else:
-                V = vvals if vvals.ndim else float(vvals)
-            return gamma_v_bound(A, T, v_values=V)
-        tid = "gamma_rectangle_v_bound"
+        g, tid = gamma_v_bound, "gamma_rectangle_v_bound"
     elif form == "exact":
-        def g(A, T):
-            return gamma_small(np.asarray(A, dtype=float), np.asarray(T, dtype=float))
-        tid = "gamma_rectangle_exact"
+        g, tid = gamma_small, "gamma_rectangle_exact"
     else:
         raise ValueError(f"unknown form {form!r}")
     return certify_infimum(g, GAMMA_RECTANGLE, 0.0, budget=budget,

@@ -2,8 +2,12 @@
 
 Subcommands: eigen, sweep, certify, solve, fermi-demo, report.  Each writes
 CSV (or line-record) artifacts into the directory named by the DEGENLAB_OUT
-environment variable (default: current directory) and exits 0 when all its
-checks pass, 1 when any fails, 2 on usage or configuration errors.
+environment variable (default: current directory).  Exit codes:
+
+    0  every check passed
+    1  a check failed
+    2  usage or configuration error
+    3  crash: an uncaught exception, whose traceback goes to stderr
 
 Configuration is a flat key=value text file ('#' comments allowed); command
 line overrides come as key=value pairs or --key value flags.  Outputs are
@@ -19,6 +23,7 @@ import hashlib
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -370,9 +375,9 @@ def run(argv) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:                      # failed checks exit 1, crashes too
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except Exception:                           # a crash, not a failed check
+        traceback.print_exc()
+        return 3
 
 
 def main() -> None:

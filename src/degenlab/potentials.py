@@ -7,7 +7,7 @@ turns int w |grad u|^2 into a flat-gradient quadratic form
 
 with potentials V, W determined by log-derivatives of w.  This module
 evaluates those potentials in closed form for the three weight kinds used by
-the spectral solvers ('rho', 'omega_inverse', 'omega'), plus the three scalar
+the spectral solvers ('rho', 'omega_inverse', 'omega'), plus the three
 functions that certify coercivity of the omega-inverse form:
 
 * ``phi_big``     -- Phi_a(t) with V_omega_inv(y) = Phi_a(y/eps) / y^2;
@@ -16,9 +16,10 @@ functions that certify coercivity of the omega-inverse form:
                      w_deep; ``gamma_v_bound`` is its pointwise lower bound
                      obtained by replacing w_deep with the limit profile v.
 * ``v_limit``     -- v(t) = exp(t^2/2) / (t int_0^t exp(s^2/2) ds), evaluated
-                     through the scaled integrand exp((s^2-t^2)/2) so it is
-                     overflow-safe up to t = V_LIMIT_T_MAX = 60 (well beyond
-                     the t = 40 working range).
+                     in closed form as 1 / (sqrt2 t D(t/sqrt2)) with D Dawson's
+                     integral (Abramowitz-Stegun 7.1.17), finite for all t > 0.
+
+All certificate functions broadcast over arrays of a and t.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
+# Unused here, but perfbench/layers.py wraps degenlab.potentials.quad by name.
+from scipy.integrate import quad  # noqa: F401
+from scipy.special import dawsn
 
 from .weights import (
     DivergentIntegralError,
@@ -34,8 +37,6 @@ from .weights import (
     _antiderivative_unit,
     chi,
 )
-
-V_LIMIT_T_MAX = 60.0
 
 
 def potentials(kind: str, a: float, eps: float, y):
@@ -115,23 +116,24 @@ def phi_big(a: float, t):
     return out if out.ndim else float(out)
 
 
-def w_deep(a: float, t):
+def w_deep(a, t):
     """w_a(t) = (1 + t^2/(-a))^(1-a/2) / (t int_0^t (1+s^2/(-a))^(-a/2) ds), a < 0.
 
     Dominates v_limit pointwise and converges to it as a -> -infinity.
     """
-    if a >= 0.0:
+    a = np.asarray(a, dtype=float)
+    if np.any(a >= 0.0):
         raise ValueError("w_deep requires a < 0")
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("w_deep requires t > 0")
-    r = math.sqrt(-a)
+    r = np.sqrt(-a)
     integ = r * _antiderivative_unit(a, t / r)
     out = (1.0 + t * t / (-a)) ** (1.0 - a / 2.0) / (t * integ)
     return out if out.ndim else float(out)
 
 
-def gamma_small(a: float, t):
+def gamma_small(a, t):
     """The deep-exponent certificate gamma_a(t) built on w_deep (a < 0):
 
        2 a^2 (w_a(t) - 1/2)^2 + a(2-a)/4 + a^2/(2 t^2) + (0.999/4)(-a+t^2)^2/t^4.
@@ -140,56 +142,45 @@ def gamma_small(a: float, t):
     reserved margin (0.001/4)(-a+t^2)^2/t^4 * t^4/(1+t^2)^2 after rescaling
     t -> t/sqrt(-a).
     """
-    t = np.asarray(t, dtype=float)
-    w = w_deep(a, t)
-    out = _gamma_terms(a, t, w)
-    return out if out.ndim else float(out)
+    return _gamma_terms(a, t, w_deep(a, t))
 
 
-def gamma_v_bound(a: float, t, v_values=None):
+def gamma_v_bound(a, t):
     """Lower bound for gamma_small obtained by replacing w_deep with v_limit.
 
     Valid because w_a >= v > 1/2; note the bound is strictly weaker than
     gamma_small and is *not* positive on all of the moderate-a range (see the
-    certification module).  ``v_values`` allows reusing precomputed v(t).
+    certification module).
     """
+    return _gamma_terms(a, t, v_limit(t))
+
+
+def _gamma_terms(a, t, w):
+    a = np.asarray(a, dtype=float)
     t = np.asarray(t, dtype=float)
-    if v_values is None:
-        v_values = np.vectorize(v_limit)(t)
-    out = _gamma_terms(a, t, np.asarray(v_values, dtype=float))
+    t2 = t * t
+    out = (2.0 * a * a * (w - 0.5) ** 2
+           + a * (2.0 - a) / 4.0
+           + a * a / (2.0 * t2)
+           + (0.999 / 4.0) * (-a + t2) ** 2 / (t2 * t2))
     return out if out.ndim else float(out)
 
 
-def _gamma_terms(a: float, t, w):
-    t2 = t * t
-    return (2.0 * a * a * (w - 0.5) ** 2
-            + a * (2.0 - a) / 4.0
-            + a * a / (2.0 * t2)
-            + (0.999 / 4.0) * (-a + t2) ** 2 / (t2 * t2))
+def v_limit(t):
+    """v(t) = exp(t^2/2) / (t int_0^t exp(s^2/2) ds) = 1 / (sqrt2 t D(t/sqrt2)).
 
-
-class OverflowSignal(OverflowError):
-    """Raised when v_limit is requested beyond its documented safe range."""
-
-
-def v_limit(t: float) -> float:
-    """v(t) = exp(t^2/2) / (t int_0^t exp(s^2/2) ds) = 1 / (t int_0^t exp((s^2-t^2)/2) ds).
-
-    The scaled integrand exp((s^2-t^2)/2) <= 1 keeps the evaluation finite for
-    t <= V_LIMIT_T_MAX = 60; beyond that an :class:`OverflowSignal` is raised.
-    Relative quadrature error <= 1e-9.
+    D(x) = exp(-x^2) int_0^x exp(s^2) ds is Dawson's integral, so the closed
+    form needs no exponential of t^2 and stays finite for every t > 0 whose
+    product t D(t/sqrt2) does not underflow; v = 1 - 1/t^2 - 2/t^4 + O(t^-6).
     """
-    if t <= 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
         raise ValueError("v_limit requires t > 0")
-    if t > V_LIMIT_T_MAX:
-        raise OverflowSignal(
-            f"v_limit is certified only for t <= {V_LIMIT_T_MAX}, got {t}")
-    val, err = quad(lambda s: math.exp((s * s - t * t) / 2.0), 0.0, t,
-                    epsabs=0.0, epsrel=1e-12, limit=400)
-    return 1.0 / (t * val)
+    out = 1.0 / (math.sqrt(2.0) * t * dawsn(t / math.sqrt(2.0)))
+    return out if out.ndim else float(out)
 
 
-def v_limit_deriv(t: float) -> float:
+def v_limit_deriv(t):
     """v'(t), through the exact first-order identity v' = ((t^2-1)/t) v - t v^2."""
     v = v_limit(t)
     return (t * t - 1.0) / t * v - t * v * v

@@ -121,19 +121,21 @@ def auxiliary_rhs(spec: OperatorSpec, sol: CharacteristicSolution,
         Fv = np.atleast_1d(np.asarray(F(x, y), dtype=float))
         return Fv / vv(x, y)
 
-    def b_tildeA(x, y):
-        gx = v_char_grad_x(sol, x, y)
-        if gx == 0.0:
-            return 0.0
-        bt = 1.0 if spec.b_tilde is None else float(spec.b_tilde(x, y))
-        mu = spec.mu_val(x, y)
-        return mu * bt * gx / vv(x, y)
-
     def b_identity(x, y):
         gx = v_char_grad_x(sol, x, y)
         if gx == 0.0:
             return 0.0
         return gx / vv(x, y)
+
+    def _b_tildeA(x, y, b_id):
+        # mu b_tilde (grad_x v / v), from an already evaluated b_identity
+        if b_id == 0.0:
+            return 0.0
+        bt = 1.0 if spec.b_tilde is None else float(spec.b_tilde(x, y))
+        return spec.mu_val(x, y) * bt * b_id
+
+    def b_tildeA(x, y):
+        return _b_tildeA(x, y, b_identity(x, y))
 
     def T_bar(x, y):
         t = spec.t_val(x, y, n)
@@ -149,8 +151,9 @@ def auxiliary_rhs(spec: OperatorSpec, sol: CharacteristicSolution,
         return -(b_tildeA(x, y) + T_bar(x, y))
 
     def zero_order(x, y):
-        s = b_tildeA(x, y) + T_bar(x, y)
-        return -s * b_identity(x, y) if s else 0.0
+        b_id = b_identity(x, y)
+        s = _b_tildeA(x, y, b_id) + T_bar(x, y)
+        return -s * b_id if s else 0.0
 
     return AuxiliaryRhsBundle(
         f_bar=f_bar if (f is not None or F is not None) else None,

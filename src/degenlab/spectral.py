@@ -156,7 +156,7 @@ def assemble_forms(mesh: HalfDiskMesh,
                    sigma_jacobi_exponent: Optional[float] = None):
     """Assemble (K, P, Md): weighted stiffness, potential mass, domain mass.
 
-    All weight callables take the ordinate y (vectorized).  When
+    All weight callables take an array of ordinates y.  When
     ``sigma_jacobi_exponent`` = b is given, the elements in the two theta-rows
     touching the plane integrate with Gauss-Jacobi rules in theta matched to
     the edge behavior dist(theta)^b of the weights (weights are divided by

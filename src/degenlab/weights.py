@@ -61,39 +61,38 @@ _HYP_T_MAX = 1.0e3
 _TAIL_TERMS = 12
 
 
-def _antiderivative_unit(a: float, t):
-    """I_a(t) = int_0^t (1+s^2)^(-a/2) ds for t >= 0, a < 1 or general a.
+def _antiderivative_unit(a, t):
+    """I_a(t) = int_0^t (1+s^2)^(-a/2) ds for t >= 0, broadcast over a and t.
 
     Uses the closed hypergeometric form t * 2F1(1/2, a/2; 3/2; -t^2), which is
     machine accurate for t <= 1e3, and a binomial tail expansion of
     (1+s^2)^(-a/2) = s^(-a) (1+s^(-2))^(-a/2) beyond.
     """
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
+    a, t = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t, dtype=float))
+    out = np.empty(t.shape)
     near = t <= _HYP_T_MAX
     tn = t[near]
-    out[near] = tn * hyp2f1(0.5, a / 2.0, 1.5, -(tn * tn))
+    out[near] = tn * hyp2f1(0.5, a[near] / 2.0, 1.5, -(tn * tn))
     if np.any(~near):
-        tf = t[~near]
-        base = _HYP_T_MAX * hyp2f1(0.5, a / 2.0, 1.5, -(_HYP_T_MAX ** 2))
-        out[~near] = base + _antiderivative_tail(a, _HYP_T_MAX, tf)
+        af = a[~near]
+        base = _HYP_T_MAX * hyp2f1(0.5, af / 2.0, 1.5, -(_HYP_T_MAX ** 2))
+        out[~near] = base + _antiderivative_tail(af, _HYP_T_MAX, t[~near])
     return out if out.ndim else float(out)
 
 
-def _antiderivative_tail(a: float, t0: float, t1):
-    """int_{t0}^{t1} (1+s^2)^(-a/2) ds via the binomial series in s^(-2)."""
-    t1 = np.asarray(t1, dtype=float)
-    total = np.zeros_like(t1)
+def _antiderivative_tail(a, t0: float, t1):
+    """int_{t0}^{t1} (1+s^2)^(-a/2) ds via the binomial series in s^(-2),
+    broadcast over a and t1."""
+    a, t1 = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t1, dtype=float))
+    total = np.zeros(t1.shape)
     coeff = 1.0
     for k in range(_TAIL_TERMS):
         if k > 0:
-            coeff *= (-a / 2.0 - k + 1) / k
+            coeff = coeff * ((-a / 2.0 - k + 1) / k)
         p = 1.0 - a - 2 * k
-        if abs(p) < 1e-14:
-            term = np.log(t1 / t0)
-        else:
-            term = (t1 ** p - t0 ** p) / p
-        total += coeff * term
+        log = np.abs(p) < 1e-14
+        p = np.where(log, 1.0, p)
+        total += coeff * np.where(log, np.log(t1 / t0), (t1 ** p - t0 ** p) / p)
     return total
 
 

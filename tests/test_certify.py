@@ -82,6 +82,23 @@ def test_rectangle_certification():
     assert 0.0 < r.certified_infimum_lower_bound <= 0.1
 
 
+def test_certify_refuses_non_broadcasting_targets():
+    calls = []
+
+    def scalar_only(t):
+        calls.append(1)
+        return math.sin(t)
+
+    with pytest.raises((TypeError, ValueError)):
+        dl.certify_infimum(scalar_only, (0.0, 1.0), -2.0)
+    assert len(calls) == 1                  # no per-point retry
+    with pytest.raises(ValueError, match="constant_target"):
+        dl.certify_infimum(lambda t: 1.0, (0.0, 1.0), 0.0, target_id="constant_target")
+    with pytest.raises(ValueError, match="row_target"):
+        dl.certify_infimum(lambda a, t: t[0], ((0.0, 1.0), (0.0, 1.0)), 0.0,
+                           target_id="row_target")
+
+
 def test_verify_phi_bound_targets():
     reps = dl.verify_phi_bound([0.9, 0.5, 0.0, -1.0, -3.0, -10.0])
     for rep in reps:

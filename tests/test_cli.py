@@ -99,3 +99,15 @@ def test_byte_determinism_across_runs(tmp_path):
     for name in names:
         assert filecmp.cmp(d1 / name, d2 / name, shallow=False), name
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_crash_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
+    import degenlab.cli as cli
+
+    def boom(cfg):
+        raise RuntimeError("forced crash")
+
+    monkeypatch.setitem(cli.COMMANDS, "solve", boom)
+    assert _run(tmp_path, "solve") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: forced crash" in err

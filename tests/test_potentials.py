@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 import degenlab as dl
-from degenlab.potentials import V_LIMIT_T_MAX, w_deep
+from degenlab.potentials import w_deep
+from degenlab.weights import _antiderivative_unit
 
 
 def test_rho_potentials_closed_form():
@@ -102,10 +103,41 @@ def test_v_limit_landmarks():
     assert vmin > 0.5
 
 
-def test_v_limit_overflow_guard():
-    assert dl.v_limit(55.0) > 0.99          # far beyond the naive overflow point
-    with pytest.raises(dl.OverflowSignal):
-        dl.v_limit(V_LIMIT_T_MAX + 1.0)
+def test_v_limit_closed_form():
+    # finite far beyond the naive overflow point of exp(t^2/2), and on the
+    # asymptote v = 1 - 1/t^2 - 2/t^4 + O(t^-6)
+    for t, rel in ((60.0, 1e-9), (1e3, 1e-12), (1e6, 1e-12)):
+        v = dl.v_limit(t)
+        assert math.isfinite(v)
+        assert v == pytest.approx(1.0 - 1.0 / t ** 2 - 2.0 / t ** 4, rel=rel)
+    with pytest.raises(ValueError):
+        dl.v_limit(0.0)
+    ts = np.geomspace(0.01, 60.0, 37).reshape(37, 1) * np.ones((1, 2))
+    want = np.array([[dl.v_limit(float(t)) for t in row] for row in ts])
+    assert np.array_equal(dl.v_limit(ts), want)
+    # int_0^t exp(s^2/2) ds = sqrt(pi/2) erfi(t/sqrt2), at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for t in (0.01, 1.0, 5.1, 60.0):
+            tm = mpmath.mpf(t)
+            integral = mpmath.sqrt(mpmath.pi / 2) * mpmath.erfi(tm / mpmath.sqrt(2))
+            exact = float(mpmath.exp(tm * tm / 2) / (tm * integral))
+            assert dl.v_limit(t) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("fn", [w_deep, dl.gamma_small, dl.gamma_v_bound,
+                                _antiderivative_unit])
+def test_certificate_functions_broadcast(fn):
+    # a = -3 fires the tail's p = 0 log term at k = 2; t / sqrt(-a) > 1e3
+    # reaches the tail series
+    A, T = np.broadcast_arrays(np.array([-0.2, -1.0, -3.0, -17.9, -43.0])[:, None],
+                               np.array([0.05, 1.0, 2.42, 5.1, 40.0, 3e3, 1e5])[None, :])
+    assert np.any(T / np.sqrt(-A) > 1e3)
+    got = fn(A, T)
+    assert got.shape == A.shape
+    want = np.array([[fn(float(a), float(t)) for a, t in zip(ra, rt)]
+                     for ra, rt in zip(A, T)])
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_w_deep_dominates_v():

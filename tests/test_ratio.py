@@ -109,6 +109,29 @@ def test_auxiliary_rhs_grad_x_matches_fd():
     assert got == pytest.approx(fd, abs=1e-8)
 
 
+def test_aux_residual_evaluates_grad_x_once_per_point(monkeypatch):
+    """grad_x v / v is evaluated once per drift point, zero-order point and
+    x-face: zero_order derives b_tildeA from its own b_identity."""
+    import degenlab.ratio as ratio
+
+    fam = dl.WeightFamily(0.5, 0.1)
+    sol = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 1.0 / (1.0 + 0.1 * x * x))
+    prob = dl.OddProblem(sol=sol, spec=dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.1 * x * x),
+                         trace=lambda x, y: dl.v_char(sol, x, y) * wave(x, abs(y)))
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
+    n_xfaces = int(np.sum(ratio.assemble_auxiliary(g, prob).faces.axis < g.n))
+    calls = []
+    grad_x = ratio.v_char_grad_x
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return grad_x(*args, **kwargs)
+
+    monkeypatch.setattr(ratio, "v_char_grad_x", counting)
+    aux_residual(prob, g)
+    assert len(calls) == 2 * g.ncells + n_xfaces
+
+
 def test_auxiliary_rhs_rejects_bad_t():
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1))
     spec = dl.OperatorSpec(t_field=lambda x, y: 1.0 + y)
