@@ -3,7 +3,9 @@
 
 Usage: python scripts/full_pipeline.py [outdir]
 Override any default by editing the argument lists below; artifacts are byte
-deterministic, so re-runs are diffable experiment records.
+deterministic, so re-runs are diffable experiment records.  The sweep runs
+twice: with mu = 1 into outdir, and with mu=quadratic:0.1 (the variable-mu
+path of the characteristic integrals) into outdir/sweep-quadratic.
 """
 
 import os
@@ -20,8 +22,12 @@ def main() -> int:
     codes = {}
     codes["eigen"] = run(["eigen", "a=-0.5 0 0.5", "h=0.015625",
                           "aux_a=0.5 -1", "r_list=1 4 16 64"])
-    codes["sweep"] = run(["sweep", "a=0.5", "h=0.015625",
-                          "eps_list=1 0.3 0.1 0.03 0.01 0", "alpha=0.4"])
+    sweep = ["sweep", "a=0.5", "h=0.015625", "eps_list=1 0.3 0.1 0.03 0.01 0", "alpha=0.4"]
+    codes["sweep"] = run(sweep)
+    (out / "sweep-quadratic").mkdir(exist_ok=True)
+    os.environ["DEGENLAB_OUT"] = str(out / "sweep-quadratic")
+    codes["sweep-quadratic"] = run(sweep + ["mu=quadratic:0.1"])
+    os.environ["DEGENLAB_OUT"] = str(out)
     codes["certify"] = run(["certify"])
     codes["solve"] = run(["solve", "a=0.5"])
     codes["fermi-demo"] = run(["fermi-demo", "radius=2", "a=0.5", "h=0.03125"])

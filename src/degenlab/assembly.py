@@ -49,6 +49,7 @@ from .weights import (
     CharacteristicSolution,
     SingularWeightError,
     WeightFamily,
+    _sample,
     chi,
     rho,
     v_char_profile,
@@ -271,10 +272,7 @@ class RhoWeight(WeightModel):
         return rho(self.family, np.asarray(ys, dtype=float))
 
     def resistance_y(self, xcol, ys, y0, y1):
-        if self.sol.mu_inverse is None:
-            return chi(self.family, y1) - chi(self.family, y0)
-        return np.array([self.sol.segment_integral(xcol, s0, s1)
-                         for s0, s1 in zip(y0, y1)], dtype=float)
+        return self.sol.segment_integrals(xcol, y0, y1)
 
     def cell_integral_y(self, xcol, ys, y0, y1):
         a, eps = self.family.a, self.family.eps
@@ -348,7 +346,7 @@ class AuxiliaryWeight(WeightModel):
             k = rho(fam, ym) * v * v
         else:
             v = self._v_at(self._column(xcol, ys), ym)
-            mi = np.array([self.sol.mu_inverse(xcol, y) for y in ym], dtype=float)
+            mi = _sample(self.sol.mu_inverse, xcol, ym)
             k = rho(fam, ym) * v * v / mi
         out[pos] = (y1[pos] - y0[pos]) / k
         return out

@@ -13,7 +13,9 @@ two-sided check on the seminorm table over an eps-sweep:
 
 Pair sampling for the seminorms is deterministic: all center pairs within
 distance 0.25 (strided down to the pair budget when necessary) plus a
-stratified sample of far pairs.
+stratified sample of far pairs.  The sample depends only on the selected
+cells, so an eps-sweep draws it, with |z_i - z_j|^alpha, once per region (a
+dict local to the sweep call) and each eps step costs one gather and one max.
 """
 
 from __future__ import annotations
@@ -100,30 +102,45 @@ def _pairs(points: np.ndarray, budget: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def holder_seminorm(field: DiscreteField, alpha: float, region: Region,
-                    pair_budget: int = 200_000) -> float:
-    """max over sampled center pairs of |u(z1) - u(z2)| / |z1 - z2|^alpha."""
+                    pair_budget: int = 200_000, *, pairs: Optional[dict] = None) -> float:
+    """max over sampled center pairs of |u(z1) - u(z2)| / |z1 - z2|^alpha.
+
+    ``pairs`` (a dict, empty at first) keeps the pair samples across calls on
+    one grid, so each later call on the same cells is one gather and one max."""
     mask = region.mask(field.grid)
     if not np.any(mask):
         raise EmptyRegionError("region selects no cells")
-    pts = field.grid.centers[mask]
-    vals = field.values[mask]
-    return _holder_of_values(pts, vals, alpha, pair_budget)
+    sample = _pair_sample(pairs, "c0", field.grid.centers, mask, alpha, pair_budget)
+    return _holder_of_values(sample, field.values[mask])
 
 
-def _holder_of_values(pts: np.ndarray, vals: np.ndarray, alpha: float,
-                      pair_budget: int) -> float:
-    i, j = _pairs(pts, pair_budget)
-    d = np.linalg.norm(pts[i] - pts[j], axis=1)
+def _pair_sample(cache: Optional[dict], kind: str, points: np.ndarray, sel: np.ndarray,
+                 alpha: float, budget: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, |z_i - z_j|^alpha) over the pair sample of points[sel], drawn
+    once per selection of cells in ``cache`` (a fresh one when None)."""
+    cache = {} if cache is None else cache
+    key = (kind, alpha, budget, sel.tobytes())
+    if key not in cache:
+        pts = points[sel]
+        i, j = _pairs(pts, budget)
+        cache[key] = (i, j, np.linalg.norm(pts[i] - pts[j], axis=1) ** alpha)
+    return cache[key]
+
+
+def _holder_of_values(sample, vals: np.ndarray) -> float:
+    i, j, d_alpha = sample
     num = np.abs(vals[i] - vals[j])
-    return float(np.max(num / d ** alpha)) if len(d) else 0.0
+    return float(np.max(num / d_alpha)) if len(d_alpha) else 0.0
 
 
 def c1alpha_seminorm(field: DiscreteField, alpha: float, region: Region,
-                     pair_budget: int = 200_000) -> Tuple[float, float]:
+                     pair_budget: int = 200_000, *,
+                     pairs: Optional[dict] = None) -> Tuple[float, float]:
     """(sup |grad u|, max over components of the gradient's alpha-seminorm).
 
     Centered differences at cells with both neighbors; the vertical derivative
-    on the bottom layer uses the parity ghost below the plane."""
+    on the bottom layer uses the parity ghost below the plane.  Both
+    components share one pair sample; ``pairs`` as in :func:`holder_seminorm`."""
     g = field.grid
     if g.n != 1:
         raise NotImplementedError("c1alpha_seminorm implemented for n=1 grids")
@@ -144,10 +161,10 @@ def c1alpha_seminorm(field: DiscreteField, alpha: float, region: Region,
         raise EmptyRegionError("region too thin for gradient stencils")
     xs = np.broadcast_to((-1.0 + (np.arange(nx) + 0.5) * h)[:, None], (nx, ny))
     ys = np.broadcast_to(((np.arange(ny) + 0.5) * h)[None, :], (nx, ny))
-    pts = np.stack([xs[ok], ys[ok]], axis=1)
+    points = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    sample = _pair_sample(pairs, "c1", points, ok.ravel(), alpha, pair_budget // 2)
     sup_grad = float(np.max(np.hypot(gx[ok], gy[ok])))
-    semi = max(_holder_of_values(pts, gx[ok], alpha, pair_budget // 2),
-               _holder_of_values(pts, gy[ok], alpha, pair_budget // 2))
+    semi = max(_holder_of_values(sample, gx[ok]), _holder_of_values(sample, gy[ok]))
     return sup_grad, semi
 
 
@@ -243,7 +260,9 @@ class ProblemFamily:
     The outer Dirichlet trace is v_eps(x, y) * trace_factor(x, y), so the
     quotient w has eps-uniform boundary values by construction; forcing f and
     field F are eps-independent samplers (their quotient norms are recorded
-    per eps).  mu_inverse == None means the identity tensor."""
+    per eps).  mu_inverse == None means the identity tensor; a sampler
+    ``mu_inverse(x, s)`` must broadcast over an ndarray of ordinates s (a
+    scalar return is broadcast), see :class:`CharacteristicSolution`."""
 
     a: float
     f: Optional[Callable] = None
@@ -313,6 +332,7 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
         raise ValueError("eps_list must contain at least two entries")
     region = region or Region()
     grid = build_half_grid(1, "half_rectangle", grid_h)
+    pairs: dict = {}        # pair samples of this sweep, one per selection of cells
     per_eps = []
     for eps in eps_list:
         if restricted == "sqrt_eps" and math.sqrt(eps) > region.y_max - 4 * grid_h:
@@ -331,15 +351,11 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
         if restricted == "sqrt_eps":
             reg = Region(region.x_halfwidth, region.y_max,
                          y_min=max(region.y_min, math.sqrt(eps)))
-        if mode == "odd_direct_c0":
-            fld = rep.field
-            semi = holder_seminorm(fld, alpha, reg, pair_budget)
+        fld = rep.field if mode == "odd_direct_c0" else ratio_field(rep.field, sol)
+        if mode == "ratio_c1":
+            sup_g, semi = c1alpha_seminorm(fld, alpha, reg, pair_budget, pairs=pairs)
         else:
-            fld = ratio_field(rep.field, sol)
-            if mode == "ratio_c0":
-                semi = holder_seminorm(fld, alpha, reg, pair_budget)
-            else:
-                sup_g, semi = c1alpha_seminorm(fld, alpha, reg, pair_budget)
+            semi = holder_seminorm(fld, alpha, reg, pair_budget, pairs=pairs)
         sup = float(np.max(np.abs(fld.values[reg.mask(grid)])))
         norms = _data_norms(family, sol, grid)
         if mode == "ratio_c1":

@@ -121,21 +121,22 @@ def auxiliary_rhs(spec: OperatorSpec, sol: CharacteristicSolution,
         Fv = np.atleast_1d(np.asarray(F(x, y), dtype=float))
         return Fv / vv(x, y)
 
-    def b_identity(x, y):
-        gx = v_char_grad_x(sol, x, y)
-        if gx == 0.0:
-            return 0.0
-        return gx / vv(x, y)
+    b_ids: dict = {}        # grad_x v / v per point, shared by drift and zero_order
 
-    def _b_tildeA(x, y, b_id):
-        # mu b_tilde (grad_x v / v), from an already evaluated b_identity
+    def b_identity(x, y):
+        b_id = b_ids.get((x, y))
+        if b_id is None:
+            gx = v_char_grad_x(sol, x, y)
+            b_id = b_ids[(x, y)] = 0.0 if gx == 0.0 else gx / vv(x, y)
+        return b_id
+
+    def b_tildeA(x, y):
+        # mu b_tilde (grad_x v / v)
+        b_id = b_identity(x, y)
         if b_id == 0.0:
             return 0.0
         bt = 1.0 if spec.b_tilde is None else float(spec.b_tilde(x, y))
         return spec.mu_val(x, y) * bt * b_id
-
-    def b_tildeA(x, y):
-        return _b_tildeA(x, y, b_identity(x, y))
 
     def T_bar(x, y):
         t = spec.t_val(x, y, n)
@@ -151,9 +152,8 @@ def auxiliary_rhs(spec: OperatorSpec, sol: CharacteristicSolution,
         return -(b_tildeA(x, y) + T_bar(x, y))
 
     def zero_order(x, y):
-        b_id = b_identity(x, y)
-        s = _b_tildeA(x, y, b_id) + T_bar(x, y)
-        return -s * b_id if s else 0.0
+        s = b_tildeA(x, y) + T_bar(x, y)
+        return -s * b_identity(x, y) if s else 0.0
 
     return AuxiliaryRhsBundle(
         f_bar=f_bar if (f is not None or F is not None) else None,
@@ -182,7 +182,12 @@ class OddProblem:
 
 def assemble_auxiliary(grid: HalfGrid, problem: OddProblem) -> AssembledOperator:
     """Assemble the even quotient operator with weight rho v^2 (drift folded in)."""
-    bundle = auxiliary_rhs(problem.spec, problem.sol, problem.f, problem.F)
+    return _assemble_auxiliary(
+        grid, problem, auxiliary_rhs(problem.spec, problem.sol, problem.f, problem.F))
+
+
+def _assemble_auxiliary(grid: HalfGrid, problem: OddProblem,
+                        bundle: AuxiliaryRhsBundle) -> AssembledOperator:
     w = AuxiliaryWeight(problem.sol)
     drift = None
     if bundle.has_drift_terms:
@@ -225,7 +230,7 @@ def aux_residual(problem: OddProblem, grid: HalfGrid, tol: float = 1e-10,
         u = solve_linear(op, rhs, tol=tol).field
     w = ratio_field(u, sol)
     bundle = auxiliary_rhs(problem.spec, problem.sol, problem.f, problem.F)
-    aux = assemble_auxiliary(grid, problem)
+    aux = _assemble_auxiliary(grid, problem, bundle)    # drift and zero order share b_ids
     g = grid
     voln = g.h ** (g.n + 1)
     rhs_vec = aux.rhs(f=bundle.f_bar, F=bundle.F_bar,

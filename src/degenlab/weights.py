@@ -26,11 +26,13 @@ functional of rho:
 
 All evaluations are closed-form where a closed form exists (a in {0, -2},
 eps = 0, plus a Gauss-hypergeometric expression for the general
-antiderivative); adaptive Gauss-Kronrod quadrature is used only for
-integrands involving a genuine sampler mu.  The functions here are pure; the
-one piece of state is the segment-integral memo of
-:class:`CharacteristicSolution` (see there), so concurrent use is safe as long
-as user samplers are reentrant.
+antiderivative).  Only integrands involving a genuine sampler mu are
+integrated numerically: a grid column at a time by one vectorised pass of
+QUADPACK's 21-point Gauss-Kronrod rule under QUADPACK's own acceptance test,
+with adaptive ``quad`` for the segments that test rejects and for single
+segments.  The functions here are pure; the one piece of state is the
+segment-integral memo of :class:`CharacteristicSolution` (see there), so
+concurrent use is safe as long as user samplers are reentrant.
 """
 
 from __future__ import annotations
@@ -217,10 +219,101 @@ def xi(a: float, t):
 
 
 # ---------------------------------------------------------------------------
+# The 21-point Gauss-Kronrod rule of QUADPACK (dqk21), one segment per row
+# ---------------------------------------------------------------------------
+
+# Kronrod abscissae on [-1, 1] (positive half, the centre last), the Kronrod
+# weights in the same order, and the weights of the embedded 10-point Gauss
+# rule, whose abscissae are _XGK[1::2] (Piessens et al., QUADPACK, 1983).
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_EPMACH = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
+
+# dqk21 adds the centre, then the Gauss abscissae (odd positions of _XGK),
+# then the Kronrod-only ones
+_PAIR_ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
+
+
+def _seqsum(terms: np.ndarray) -> np.ndarray:
+    """Column sums of ``terms``, added strictly top to bottom (unlike
+    ``np.sum``, whose pairwise summation reorders the additions)."""
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _gk21_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 21 abscissae of each segment [lo_k, hi_k], shape (nseg, 21): the
+    centre, then centre - h x_j for j = 0..9, then centre + h x_j."""
+    centr = 0.5 * (lo + hi)[:, None]
+    absc = 0.5 * (hi - lo)[:, None] * _XGK[None, :10]
+    return np.concatenate([centr, centr - absc, centr + absc], axis=1)
+
+
+def _gk21(fvals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """QUADPACK's dqk21 on each row: (result, abserr, resabs) per segment.
+
+    ``fvals`` holds the integrand at ``_gk21_nodes(lo, hi)``.  Every sum runs
+    in dqk21's order (``_seqsum``), so a row equals the first pass of
+    ``quad`` on that segment up to the rounding of the integrand values."""
+    f = fvals.T
+    fc = f[0]
+    o = _PAIR_ORDER
+    pair = (f[1:11] + f[11:])[o]
+    resg = _seqsum(_WG[:, None] * pair[:5])
+    resk = _seqsum(np.vstack([_WGK[10] * fc, _WGK[o, None] * pair]))
+    resabs = _seqsum(np.vstack([np.abs(_WGK[10] * fc),
+                                _WGK[o, None] * (np.abs(f[1:11]) + np.abs(f[11:]))[o]]))
+    dev = np.abs(f - resk * 0.5)
+    resasc = _seqsum(np.vstack([_WGK[10] * dev[0], _WGK[:10, None] * (dev[1:11] + dev[11:])]))
+    hlgth = 0.5 * (hi - lo)
+    result = resk * hlgth
+    resabs = resabs * np.abs(hlgth)
+    resasc = resasc * np.abs(hlgth)
+    abserr = np.abs((resk - resg) * hlgth)
+    scale = (resasc != 0.0) & (abserr != 0.0)
+    ratio = np.where(scale, 200.0 * abserr / np.where(scale, resasc, 1.0), 1.0)
+    abserr = np.where(scale, resasc * np.minimum(1.0, ratio ** 1.5), abserr)
+    abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                      np.maximum(_EPMACH * 50.0 * resabs, abserr), abserr)
+    return result, abserr, resabs
+
+
+def _qags_accepts(result, abserr, resabs, tol: float) -> np.ndarray:
+    """QUADPACK qags's test after its first dqk21 pass (epsabs = 0)."""
+    return (abserr <= tol * np.abs(result)) & (abserr != resabs) | (abserr == 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Characteristic odd solution with a variable coefficient
 # ---------------------------------------------------------------------------
 
-MuSampler = Callable[[object, float], float]
+MuSampler = Callable[[object, np.ndarray], np.ndarray]
+
+
+def _sample(g: MuSampler, x, s: np.ndarray) -> np.ndarray:
+    """g(x, s) on an array of ordinates; a scalar result is broadcast."""
+    try:
+        return np.broadcast_to(np.asarray(g(x, s), dtype=float), s.shape)
+    except (TypeError, ValueError) as exc:
+        name = getattr(g, "__qualname__", repr(g))
+        raise ValueError(f"mu sampler {name!r} must accept an array of s and return "
+                         f"a scalar or an array of its shape {s.shape}") from exc
 
 
 @dataclass(frozen=True)
@@ -234,16 +327,29 @@ class CharacteristicSolution:
     the integrand.  mu must be even in s so that v is odd; evaluation
     enforces oddness by integrating over |y| and restoring the sign.
 
+    Samplers must broadcast over an ndarray of ordinates ``s`` (x is one
+    column position); a scalar return is broadcast to the shape of ``s``.  A
+    sampler that cannot take an array raises ``ValueError`` naming it.
+
     Every value of v and every y-resistance of the rho weight with mu present
-    is a sum of :meth:`segment_integral` values, which are memoized per
-    solution object keyed by ``(x, y0, y1)``: the face resistances, the
-    cell-centre columns and the Dirichlet traces of one eps step share one
-    ``quad`` call per segment.  x must therefore be hashable (a float, or a
-    tuple for n = 2, as the assembly passes it).  The memo assumes
-    ``mu_inverse`` is a deterministic function of (x, s); calls with an
-    ``integrand_factor`` and the closed form for mu == 1 bypass it.  Two
-    threads that miss on the same key both compute it and store the same
-    float, so concurrent use only repeats work.
+    is a sum of segment integrals.  :meth:`segment_integrals` takes all the
+    segments of a column in one vectorised 21-point Gauss-Kronrod pass
+    (QUADPACK's dqk21, one sampler call on an (nseg, 21) array) and accepts a
+    segment under QUADPACK qags's own test after that pass: abserr <=
+    quadrature_tol |result| and abserr != resabs, or abserr == 0.  Only a
+    rejected segment goes on to the adaptive scalar ``quad``, which single
+    segments (:meth:`segment_integral`: Dirichlet traces, v at a point) use
+    directly.  An accepted value is therefore the one ``quad`` returns, up to
+    the rounding of the integrand, and ``quadrature_tol`` keeps its meaning.
+
+    Default-integrand values are memoized per solution object keyed by
+    ``(x, y0, y1)``: the face resistances, the cell-centre columns and the
+    Dirichlet traces of one eps step integrate each segment once.  x must
+    therefore be hashable (a float, or a tuple for n = 2, as the assembly
+    passes it).  The memo assumes ``mu_inverse`` is a deterministic function
+    of (x, s); calls with an ``integrand_factor`` and the closed form for
+    mu == 1 bypass it.  Two threads that miss on the same key both compute
+    it and store the same float, so concurrent use only repeats work.
     """
 
     family: WeightFamily
@@ -257,31 +363,66 @@ class CharacteristicSolution:
             raise DivergentIntegralError(
                 f"characteristic solution requires a < 1, got a={self.family.a}")
 
-    # -- scalar evaluations --------------------------------------------------
-
     def __call__(self, x, y: float) -> float:
         return v_char(self, x, y)
 
     def segment_integral(self, x, y0: float, y1: float,
                          integrand_factor: Optional[MuSampler] = None) -> float:
-        """int_{y0}^{y1} rho^(-a)(s) g(x, s) ds with g = mu^(-1) (default) or a
-        supplied factor; 0 <= y0 <= y1 assumed.  Default-integrand values are
-        memoized (see the class docstring)."""
+        """int_{y0}^{y1} rho^(-a)(s) g(x, s) ds for one segment by ``quad``,
+        with g = mu^(-1) (default) or a supplied factor; 0 <= y0 <= y1
+        assumed.  Default-integrand values are memoized (see the class
+        docstring)."""
         if integrand_factor is not None:
-            return self._integrate(integrand_factor, x, y0, y1)
+            return self._quad(integrand_factor, x, y0, y1)
         if self.mu_inverse is None:
             return chi(self.family, y1) - chi(self.family, y0)
         key = (x, y0, y1)
         val = self._memo.get(key)
         if val is None:
-            val = self._memo[key] = self._integrate(self.mu_inverse, x, y0, y1)
+            val = self._memo[key] = self._quad(self.mu_inverse, x, y0, y1)
         return val
 
-    def _integrate(self, g: MuSampler, x, y0: float, y1: float) -> float:
+    def segment_integrals(self, x, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+        """int_{y0_k}^{y1_k} rho^(-a)(s) mu^(-1)(x, s) ds for the segments of
+        one column x, in one dqk21 pass; memoized like :meth:`segment_integral`."""
+        y0 = np.asarray(y0, dtype=float)
+        y1 = np.asarray(y1, dtype=float)
+        if self.mu_inverse is None:
+            return chi(self.family, y1) - chi(self.family, y0)
+        memo = self._memo
+        keys = [(x, s0, s1) for s0, s1 in zip(y0.tolist(), y1.tolist())]
+        vals = [memo.get(k) for k in keys]
+        miss = [k for k, v in enumerate(vals) if v is None]
+        if miss:
+            new = self._integrate(x, y0[miss], y1[miss])
+            for k, v in zip(miss, new.tolist()):
+                vals[k] = memo[keys[k]] = v
+        return np.array(vals, dtype=float)
+
+    def _integrate(self, x, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+        """One dqk21 pass over all segments; ``quad`` for the rejected ones."""
+        g = self.mu_inverse
+        a, eps = self.family.a, self.family.eps
+        b = 1.0 - a
+        # eps = 0, a > 0: substitute u = s^(1-a)/(1-a) on segments from 0 to
+        # remove the endpoint singularity; the integrand becomes g(x, s(u))
+        sub = (y0 == 0.0) & (eps == 0.0 and a > 0.0)
+        hi = np.where(sub, y1 ** b / b, y1)
+        s = _gk21_nodes(y0, hi)
+        if sub.any():
+            s[sub] = (b * s[sub]) ** (1.0 / b)
+        wgt = np.where(sub[:, None], 1.0, (eps * eps + s * s) ** (-a / 2.0))
+        result, abserr, resabs = _gk21(wgt * _sample(g, x, s), y0, hi)
+        for k in np.flatnonzero(~_qags_accepts(result, abserr, resabs,
+                                               self.quadrature_tol)):
+            result[k] = self._quad(g, x, float(y0[k]), float(y1[k]))
+        return result
+
+    def _quad(self, g: MuSampler, x, y0: float, y1: float) -> float:
         a, eps = self.family.a, self.family.eps
         tol = self.quadrature_tol
         if eps == 0.0 and a > 0.0 and y0 == 0.0:
-            # substitute u = s^(1-a)/(1-a) to remove the endpoint singularity
+            # the substitution of _integrate
             b = 1.0 - a
             u1 = y1 ** b / b
             val, err = quad(lambda u: g(x, (b * u) ** (1.0 / b)),
@@ -308,23 +449,15 @@ def v_char(sol: CharacteristicSolution, x, y: float) -> float:
 
 
 def v_char_profile(sol: CharacteristicSolution, x, ys: Sequence[float]) -> np.ndarray:
-    """Evaluate v(x, .) on an increasing grid of positive ordinates.
-
-    Uses cumulative segment integrals so a whole grid column costs one pass.
-    """
+    """Evaluate v(x, .) on an increasing grid of positive ordinates: the
+    cumulative sum of the segment integrals of one column."""
     ys = np.asarray(ys, dtype=float)
     if np.any(np.diff(ys) <= 0) or np.any(ys <= 0):
         raise ValueError("ys must be strictly increasing and positive")
     a = sol.family.a
     if sol.mu_inverse is None:
         return (1.0 - a) * chi(sol.family, ys)
-    out = np.empty_like(ys)
-    acc = sol.segment_integral(x, 0.0, ys[0])
-    out[0] = acc
-    for j in range(1, len(ys)):
-        acc += sol.segment_integral(x, ys[j - 1], ys[j])
-        out[j] = acc
-    return (1.0 - a) * out
+    return (1.0 - a) * np.cumsum(sol.segment_integrals(x, np.r_[0.0, ys[:-1]], ys))
 
 
 def v_char_grad_x(sol: CharacteristicSolution, x, y: float, fd_step: float = 1e-6) -> float:

@@ -94,8 +94,12 @@ def test_byte_determinism_across_runs(tmp_path):
         _run(d, "certify", "budget=50000", "phi_a=0.5")
         _run(d, "solve", "h_list=0.125 0.0625 0.03125")
         _run(d, "report")
-    names = sorted(p.name for p in d1.iterdir())
-    assert names == sorted(p.name for p in d2.iterdir())
+        (d / "sweep-quadratic").mkdir()
+        _run(d / "sweep-quadratic", "sweep", "a=0.5", "h=0.0625", "eps_list=1 0.1 0",
+             "mu=quadratic:0.1")
+    names = sorted(str(p.relative_to(d1)) for p in d1.rglob("*") if p.is_file())
+    assert names == sorted(str(p.relative_to(d2)) for p in d2.rglob("*") if p.is_file())
+    assert os.path.join("sweep-quadratic", "sweep.csv") in names
     for name in names:
         assert filecmp.cmp(d1 / name, d2 / name, shallow=False), name
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()

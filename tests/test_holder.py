@@ -203,26 +203,74 @@ def test_moser_spread_across_eps():
 
 
 def test_sweep_integrates_each_segment_once(monkeypatch):
-    """Per eps, one quad call per resistance segment (ny + 1 per column), per
-    top trace point and per side trace point: the quotient and the data norms
-    reuse the resistances' segment integrals."""
+    """Per eps, the resistances sample mu^(-1) once per column, on a
+    (ny + 1, 21) array of dqk21 nodes, and the quotient and the data norms
+    reuse those segment integrals from the memo.  Scalar ``quad`` runs only
+    for the Dirichlet-trace segments [0, y] (one per outer face) and for
+    column segments the dqk21 pass rejects, of which this problem has none."""
     import degenlab.weights as weights
 
-    calls = []
+    quad_calls, segments, column_calls = [], [], []
     quad = weights.quad
+    scalar = weights.CharacteristicSolution._quad
 
     def counting_quad(*args, **kwargs):
-        calls.append(1)
+        quad_calls.append(1)
         return quad(*args, **kwargs)
 
+    def recording_scalar(self, g, x, y0, y1):
+        segments.append((x, y0, y1))
+        return scalar(self, g, x, y0, y1)
+
+    def mu_inv(x, y):
+        if isinstance(y, np.ndarray):
+            column_calls.append(y.shape)
+        return 1.0 / (1.0 + 0.1 * x * x)
+
     monkeypatch.setattr(weights, "quad", counting_quad)
+    monkeypatch.setattr(weights.CharacteristicSolution, "_quad", recording_scalar)
     fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * math.cos(math.pi * x),
                            trace_factor=lambda x, y: math.cos(math.pi * x / 2.0),
-                           mu_inverse=lambda x, y: 1.0 / (1.0 + 0.1 * x * x),
-                           name="count")
+                           mu_inverse=mu_inv, name="count")
     h = 1 / 16
     g = dl.build_half_grid(1, "half_rectangle", h)
     eps_list = [1.0, 0.1, 0.0]
     dl.epsilon_sweep(fam, eps_list, 0.4, grid_h=h)
-    per_eps = g.nx * (g.ny + 1) + g.nx + 2 * g.ny
-    assert len(calls) == len(eps_list) * per_eps
+    assert column_calls == [(g.ny + 1, 21)] * (g.nx * len(eps_list))
+    assert len(quad_calls) == len(segments) == len(eps_list) * (g.nx + 2 * g.ny)
+    # all on the outer boundary: no column segment fell back to quad
+    assert all(y0 == 0.0 and (abs(x) == 1.0 or y1 == 1.0) for x, y0, y1 in segments)
+
+
+@pytest.mark.parametrize("mode,restricted,n_regions", [("ratio_c0", "none", 1),
+                                                        ("ratio_c1", "sqrt_eps", 4)])
+def test_sweep_draws_pairs_once_per_region(monkeypatch, mode, restricted, n_regions):
+    """One pair sample per distinct region per sweep; every seminorm equals
+    the one drawn afresh for its eps."""
+    import degenlab.holder as holder
+
+    pair_calls, seen = [], []
+    pairs = holder._pairs
+    name = "holder_seminorm" if mode == "ratio_c0" else "c1alpha_seminorm"
+    seminorm = getattr(holder, name)
+
+    def counting_pairs(pts, budget):
+        pair_calls.append(len(pts))
+        return pairs(pts, budget)
+
+    def recording(field, alpha, region, budget, **kwargs):
+        out = seminorm(field, alpha, region, budget, **kwargs)
+        seen.append((field, alpha, region, budget, out))
+        return out
+
+    monkeypatch.setattr(holder, "_pairs", counting_pairs)
+    monkeypatch.setattr(holder, name, recording)
+    fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * math.cos(math.pi * x),
+                           trace_factor=lambda x, y: math.cos(math.pi * x / 2.0),
+                           mu_inverse=lambda x, y: 1.0 / (1.0 + 0.1 * x * x), name="pairs")
+    dl.epsilon_sweep(fam, [1.0, 0.03, 0.01, 0.001, 0.0], 0.4, mode=mode, grid_h=1 / 16,
+                     restricted=restricted)
+    assert len({region for _, _, region, _, _ in seen}) == n_regions
+    assert len(pair_calls) == n_regions
+    for field, alpha, region, budget, out in seen:
+        assert seminorm(field, alpha, region, budget) == out

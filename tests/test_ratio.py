@@ -110,8 +110,8 @@ def test_auxiliary_rhs_grad_x_matches_fd():
 
 
 def test_aux_residual_evaluates_grad_x_once_per_point(monkeypatch):
-    """grad_x v / v is evaluated once per drift point, zero-order point and
-    x-face: zero_order derives b_tildeA from its own b_identity."""
+    """grad_x v / v is evaluated once per cell centre and x-face: the drift
+    and the zero-order term share one value per centre."""
     import degenlab.ratio as ratio
 
     fam = dl.WeightFamily(0.5, 0.1)
@@ -129,7 +129,7 @@ def test_aux_residual_evaluates_grad_x_once_per_point(monkeypatch):
 
     monkeypatch.setattr(ratio, "v_char_grad_x", counting)
     aux_residual(prob, g)
-    assert len(calls) == 2 * g.ncells + n_xfaces
+    assert len(calls) == g.ncells + n_xfaces
 
 
 def test_auxiliary_rhs_rejects_bad_t():

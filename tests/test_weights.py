@@ -190,7 +190,7 @@ def test_v_char_reduces_to_chi():
 
 def test_v_char_positive_for_positive_y():
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1),
-                                    mu_inverse=lambda x, s: 1.0 / (1.5 + math.sin(3 * s)))
+                                    mu_inverse=lambda x, s: 1.0 / (1.5 + np.sin(3 * s)))
     ys = np.linspace(0.01, 1.0, 17)
     assert all(dl.v_char(sol, 0.2, y) > 0 for y in ys)
 
@@ -211,7 +211,7 @@ def test_gamma_ratio_values_and_limits():
     # y -> 0+ limit equals mu^{-1}(x, 0) for three sampled fields
     for mu_inv in (lambda x, s: 1.0 / (1.0 + s),
                    lambda x, s: 2.0 / (2.0 + s * s),
-                   lambda x, s: 1.0 / (1.5 + math.sin(s))):
+                   lambda x, s: 1.0 / (1.5 + np.sin(s))):
         want = mu_inv(0.0, 0.0)
         assert dl.gamma_ratio(0.5, 0.1, mu_inv, 0.0, 1e-9) == pytest.approx(want, rel=1e-6)
 
@@ -256,3 +256,103 @@ def test_segment_memo_is_isolated():
     assert np.array_equal(w.resistance_y(0.7, ys, y0, y1), r1)
     assert np.array_equal(v_char_profile(w.sol, 0.7, ys),
                           (1.0 - fam.a) * np.cumsum(r1))
+
+
+# -- the vectorised dqk21 pass against scipy quad -----------------------------
+
+_MU_INVERSES = {
+    "constant": lambda x, s: 0.8,
+    "quadratic": lambda x, s: 1.0 / (1.0 + 0.1 * x * x + 0.5 * s * s),
+    "oscillating": lambda x, s: 1.0 / (1.5 + np.sin(40.0 * s)),
+}
+
+
+@pytest.mark.parametrize("mu", sorted(_MU_INVERSES))
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.01, 1.0])
+@pytest.mark.parametrize("a", [-1.5, -0.5, 0.5, 0.9])
+def test_column_rule_matches_quad(a, eps, mu):
+    """Each segment of a column, the first one at y0 = 0 included, equals the
+    scalar ``quad`` value: the dqk21 pass returns quad's own first pass when
+    it is accepted and defers to quad when it is not."""
+    fam = dl.WeightFamily(a, eps)
+    g = _MU_INVERSES[mu]
+    ys = (np.arange(16) + 0.5) / 16
+    y0, y1 = np.r_[0.0, ys[:-1]], ys
+    col = dl.CharacteristicSolution(fam, g).segment_integrals(0.3, y0, y1)
+    one = dl.CharacteristicSolution(fam, g)
+    want = np.array([one.segment_integral(0.3, s0, s1) for s0, s1 in zip(y0, y1)])
+    assert np.allclose(col, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("a,eps,mu_inverse", [
+    (0.5, 0.1, lambda x, s: 1.0 + 100.0 * np.exp(-((s - 0.3) / 0.01) ** 2)),   # steep mu
+    (0.9, 1e-3, lambda x, s: 1.0 / (1.0 + s * s)),        # rho^(-a) steep near 0
+])
+def test_rejected_segments_take_the_quad_fallback(monkeypatch, a, eps, mu_inverse):
+    """A segment that fails qags's test after the dqk21 pass gets quad's value.
+    (A tiny quadrature_tol cannot force this: quad refuses epsrel below
+    50 machine epsilons, which dqk21's error floor already meets.)"""
+    import degenlab.weights as weights
+
+    calls = []
+    quad = weights.quad
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    fam = dl.WeightFamily(a, eps)
+    y0, y1 = np.array([0.0, 0.5]), np.array([0.5, 1.0])
+    want = [dl.CharacteristicSolution(fam, mu_inverse).segment_integral(0.0, s0, s1)
+            for s0, s1 in zip(y0, y1)]
+    monkeypatch.setattr(weights, "quad", counting)
+    got = dl.CharacteristicSolution(fam, mu_inverse).segment_integrals(0.0, y0, y1)
+    assert len(calls) >= 1
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_gauss_kronrod_constants_and_error_estimate():
+    """The 21-point Kronrod rule integrates x^k exactly for k <= 31 and its
+    embedded 10-point Gauss rule for k <= 19 (and no further); on a segment
+    that quad accepts after one pass, result and error estimate are quad's."""
+    from scipy.integrate import quad
+
+    from degenlab.weights import _WG, _WGK, _XGK, _gk21, _gk21_nodes
+
+    def kronrod(k):
+        return _WGK[10] * 0.0 ** k + np.sum(_WGK[:10] * (_XGK[:10] ** k + (-_XGK[:10]) ** k))
+
+    def gauss(k):
+        x = _XGK[1:10:2]
+        return np.sum(_WG * (x ** k + (-x) ** k))
+
+    for k in range(33):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        if k <= 31:
+            assert kronrod(k) == pytest.approx(exact, abs=5e-16), k
+        if k <= 19:
+            assert gauss(k) == pytest.approx(exact, abs=5e-16), k
+    assert abs(gauss(20) - 2.0 / 21) > 1e-9
+
+    def f(s):
+        return 1.0 / (1.0 + 3.0 * s * s) + s * s * s
+
+    lo, hi = np.array([0.2]), np.array([0.9])
+    val, err, info = quad(f, 0.2, 0.9, epsabs=0.0, epsrel=1e-10, full_output=1)[:3]
+    assert info["neval"] == 21
+    result, abserr, _ = _gk21(f(_gk21_nodes(lo, hi)), lo, hi)
+    assert result[0] == pytest.approx(val, rel=1e-15)
+    assert abserr[0] == pytest.approx(err, rel=1e-13)
+
+
+def test_sampler_must_broadcast():
+    def scalar_only(x, s):
+        return 1.0 / (1.5 + math.sin(s))
+
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse=scalar_only)
+    assert dl.v_char(sol, 0.0, 0.5) > 0        # one segment: scalar quad
+    with pytest.raises(ValueError, match="scalar_only"):
+        v_char_profile(sol, 0.0, [0.25, 0.5])
+    const = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse=lambda x, s: 2.0)
+    assert v_char_profile(const, 0.0, [0.25, 0.5]) == pytest.approx(
+        2.0 * (1 - 0.5) * dl.chi(dl.WeightFamily(0.5, 0.1), np.array([0.25, 0.5])), rel=1e-12)
