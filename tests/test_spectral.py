@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.special import roots_jacobi, roots_legendre
 
 import degenlab as dl
-from degenlab.spectral import (boundary_hardy_like_omega_trace, flat_form_energy,
-                               weighted_dirichlet_energy)
+from degenlab.potentials import potentials
+from degenlab.spectral import (HalfDiskMesh, _conjugated_forms, _rho_fn,
+                               assemble_arc_mass, assemble_forms,
+                               boundary_hardy_like_omega_trace, flat_form_energy,
+                               min_rayleigh, weighted_dirichlet_energy)
 
 H_COARSE = 1 / 16
 H_MID = 1 / 32
@@ -210,3 +215,157 @@ def test_omega_trace_quotient_id():
     r = boundary_hardy_like_omega_trace(0.5, 0.5, H_COARSE)
     assert r.lam > 0
     assert "omega_inv_trace" in r.quotient_id
+
+
+# ---------------------------------------------------------------------------
+# Shifted inverse iteration against a dense solve of the same pencil
+# ---------------------------------------------------------------------------
+
+def _pencil(case, mesh):
+    """(K, M, free dofs, theorem shift) as trace_eigen / hardy_quotient build them."""
+    free = mesh.free_nodes()
+    kind, b = case
+    if kind == "direct":
+        wfn = _rho_fn(b, 0.0)
+        K, _, _ = assemble_forms(mesh, stiffness_weight=wfn, sigma_jacobi_exponent=b)
+        excl = [mesh.node_id(mesh.nr, 1), mesh.node_id(mesh.nr, mesh.ntheta - 1)]
+        M = assemble_arc_mass(mesh, wfn, skip_sigma_adjacent=True, exclude_nodes=excl)
+        return K, M, free, 0.99 * (1.0 - b)
+    if kind == "transformed":
+        K = _conjugated_forms("rho", b, 0.0, mesh, 4)
+        return K, assemble_arc_mass(mesh, None), free, 0.99 * (1.0 - b)
+    K, _, M = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
+                             domain_mass_weight=lambda y: 1.0 / (y * y))
+    return K, M, np.setdiff1d(free, mesh.arc_node_ids()), 0.99 * 0.25
+
+
+def _dense_lambdas(K, M, free):
+    """Pencil eigenvalues ascending; the arc mass is singular, so solve the
+    inverted pencil M x = mu K x and return 1/mu for mu > 0."""
+    Kf = K[free][:, free].toarray()
+    Mf = M[free][:, free].toarray()
+    mu = scipy.linalg.eigh(Mf, Kf, eigvals_only=True)
+    return np.sort(1.0 / mu[mu > 1e-12 * mu.max()])
+
+
+PENCILS = [("direct", 0.5), ("direct", -0.5), ("transformed", -1.5), ("hardy", None)]
+
+
+@pytest.mark.parametrize("case", PENCILS, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_shifted_and_unshifted_iteration_give_smallest_eigenvalue(case):
+    mesh = HalfDiskMesh.from_h(1 / 8)
+    K, M, free, sigma = _pencil(case, mesh)
+    lam1 = _dense_lambdas(K, M, free)[0]
+    assert lam1 > sigma                      # the theorem's bound holds here
+    plain = min_rayleigh(K, M, free)
+    shifted = min_rayleigh(K, M, free, sigma=sigma)
+    assert plain[0] == pytest.approx(lam1, rel=1e-12)
+    assert shifted[0] == pytest.approx(lam1, rel=1e-12)
+    assert shifted[3] < plain[3]             # the shift is in effect
+
+
+def test_shift_above_smallest_eigenvalue_is_refused():
+    mesh = HalfDiskMesh.from_h(1 / 8)
+    K, M, free, _ = _pencil(("direct", 0.5), mesh)
+    lams = _dense_lambdas(K, M, free)
+    sigma = lams[0] + 0.01 * (lams[1] - lams[0])    # nearest eigenvalue is lam_1
+    with pytest.raises(RuntimeError, match="below the shift"):
+        min_rayleigh(K, M, free, sigma=sigma)
+
+
+# ---------------------------------------------------------------------------
+# Array assembly against per-point loop references
+# ---------------------------------------------------------------------------
+
+def _arc_mass_loop(mesh, weight=None, quad_order=6, skip_sigma_adjacent=False,
+                   exclude_nodes=()):
+    tn = mesh.theta_nodes
+    gx, gw = roots_legendre(quad_order)
+    M = np.zeros((mesh.nnodes, mesh.nnodes))
+    for j in range(mesh.ntheta):
+        if skip_sigma_adjacent and j in (0, mesh.ntheta - 1):
+            continue
+        t0, ht = tn[j], tn[j + 1] - tn[j]
+        Me = np.zeros((2, 2))
+        for xq, wq in zip(gx, gw):
+            ta = t0 + (xq + 1.0) / 2.0 * ht
+            wv = 1.0 if weight is None else float(weight(math.sin(ta)))
+            N = np.array([1.0 - (ta - t0) / ht, (ta - t0) / ht])
+            Me += wv * (wq * ht / 2.0) * np.outer(N, N)
+        ends = [mesh.node_id(mesh.nr, j), mesh.node_id(mesh.nr, j + 1)]
+        M[np.ix_(ends, ends)] += Me
+    for nid in exclude_nodes:
+        M[nid, :] = 0.0
+        M[:, nid] = 0.0
+    return M
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"weight": _rho_fn(0.5, 0.1)},
+    {"weight": _rho_fn(-0.5, 0.0), "skip_sigma_adjacent": True, "excluded": True},
+], ids=["unweighted", "rho", "skip-and-exclude"])
+def test_arc_mass_matches_loop_reference(kwargs):
+    mesh = HalfDiskMesh.from_h(1 / 8)
+    kwargs = dict(kwargs)
+    if kwargs.pop("excluded", False):
+        kwargs["exclude_nodes"] = [mesh.node_id(mesh.nr, 1),
+                                   mesh.node_id(mesh.nr, mesh.ntheta - 1)]
+    got = assemble_arc_mass(mesh, **kwargs).toarray()
+    ref = _arc_mass_loop(mesh, **kwargs)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    for nid in kwargs.get("exclude_nodes", ()):
+        assert not got[nid, :].any() and not got[:, nid].any()
+
+
+def _forms_loop(mesh, stiffness_weight, potential, mass_weight, jac=None, quad_order=4):
+    """(K, P, Md) summed element by element and point by point."""
+    gx, gw = roots_legendre(quad_order)
+    hr, ht = mesh.h, math.pi / mesh.ntheta
+    out = [np.zeros((mesh.nnodes, mesh.nnodes)) for _ in range(3)]
+    for j in range(mesh.ntheta):
+        edge = None if jac is None or 0 < j < mesh.ntheta - 1 else j
+        if edge is None:
+            tq = [((x + 1.0) / 2.0, w * ht / 2.0, 1.0) for x, w in zip(gx, gw)]
+        else:
+            jx, jw = roots_jacobi(max(quad_order, 6), 0.0, jac)
+            s = (jx + 1.0) / 2.0
+            tq = [(si if edge == 0 else 1.0 - si, wi * (ht / 2.0) ** (1.0 + jac),
+                   (si * ht) ** jac) for si, wi in zip(s, jw)]
+        for i in range(mesh.nr):
+            nodes = [mesh.node_id(i, j), mesh.node_id(i, j + 1),
+                     mesh.node_id(i + 1, j), mesh.node_id(i + 1, j + 1)]
+            for xr, wr in zip(gx, gw):
+                R = (xr + 1.0) / 2.0
+                ra = i * hr + R * hr
+                for T, twt, dist in tq:
+                    y = ra * math.sin(j * ht + T * ht)
+                    jd = wr * hr / 2.0 * twt * ra / dist
+                    N = np.array([(1 - R) * (1 - T), (1 - R) * T, R * (1 - T), R * T])
+                    dNr = np.array([-(1 - T), -T, 1 - T, T]) / hr
+                    dNt = np.array([-(1 - R), 1 - R, -R, R]) / ht
+                    ix = np.ix_(nodes, nodes)
+                    out[0][ix] += stiffness_weight(y) * jd * (
+                        np.outer(dNr, dNr) + np.outer(dNt, dNt) / ra ** 2)
+                    out[1][ix] += potential(y) * jd * np.outer(N, N)
+                    out[2][ix] += mass_weight(y) * jd * np.outer(N, N)
+    return out
+
+
+@pytest.mark.parametrize("b, eps, jac", [(0.5, 0.1, None), (-0.5, 0.0, -0.5)])
+def test_element_forms_match_loop_reference(b, eps, jac):
+    mesh = HalfDiskMesh.from_h(1 / 4)
+    wfn = _rho_fn(b, eps)
+
+    def V(y):
+        return potentials("rho", b, eps, y)[0]
+
+    def mass(y):
+        return wfn(y) / (y * y)
+
+    got = assemble_forms(mesh, stiffness_weight=wfn, potential=V,
+                         domain_mass_weight=mass, sigma_jacobi_exponent=jac)
+    ref = _forms_loop(mesh, wfn, V, mass, jac)
+    for g, r in zip(got, ref):
+        # summation order differs: a few ulps of the largest entry
+        assert np.max(np.abs(g.toarray() - r)) <= 1e-13 * np.max(np.abs(r))
