@@ -79,6 +79,11 @@ class OperatorSpec:
     (n, n) block (scalar for n = 1); ``t_field(x, y)`` returns the coupling
     vector (scalar for n = 1) and must vanish at y = 0.  All default to the
     identity tensor.  x is a scalar for n = 1 and a length-2 tuple for n = 2.
+
+    ``mu`` must also broadcast over an ndarray of ordinates y at one x (a
+    scalar return is broadcast), because :meth:`mu_at` samples it a column
+    at a time: one call per distinct x, on the array of that column's y.  A
+    ``mu`` that cannot take an array raises ``ValueError`` naming it.
     """
 
     mu: Optional[Callable] = None
@@ -102,10 +107,16 @@ class OperatorSpec:
         return np.atleast_1d(np.asarray(self.t_field(x, y), dtype=float))
 
     def mu_at(self, pts: np.ndarray, n: int) -> np.ndarray:
-        """mu at each row (x..., y) of pts."""
-        if self.mu is None:
+        """mu at each row (x..., y) of pts, one call per distinct x."""
+        if self.mu is None or len(pts) == 0:
             return np.ones(len(pts))
-        return np.array([self.mu_val(*_split(p, n)) for p in pts])
+        order = np.lexsort(pts[:, n - 1::-1].T)         # by x, then by row
+        xs = pts[order, :n]
+        out = np.empty(len(pts))
+        for rows in np.split(order, np.flatnonzero(np.any(xs[1:] != xs[:-1], axis=1)) + 1):
+            x = pts[rows[0], :n]
+            out[rows] = _sample(self.mu, x[0] if n == 1 else tuple(x), pts[rows, n])
+        return out
 
     def b_tilde_diag_at(self, pts: np.ndarray, axis: int, n: int) -> np.ndarray:
         """The (axis, axis) entry of B_tilde at each row (x..., y) of pts."""

@@ -29,9 +29,10 @@ from scipy.spatial import cKDTree
 
 from .assembly import DiscreteField, OperatorSpec, RhoWeight, assemble, solve_linear
 from .geometry import HalfGrid, build_half_grid
-from .ratio import (_v_on_grid, auxiliary_effective_dimension, effective_dimension,
-                    ratio_field)
-from .weights import CharacteristicSolution, WeightFamily, omega as omega_weight, v_char
+from .ratio import (_quotient_field, _v_on_grid, auxiliary_effective_dimension,
+                    effective_dimension)
+from .weights import (CharacteristicSolution, WeightFamily, omega as omega_weight, v_char,
+                      v_char_profile)
 
 NEAR_PAIR_RADIUS = 0.25
 DEFAULT_TAU = 3.0
@@ -333,6 +334,10 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
     region = region or Region()
     grid = build_half_grid(1, "half_rectangle", grid_h)
     pairs: dict = {}        # pair samples of this sweep, one per selection of cells
+    fv = (None if family.f is None      # f does not depend on eps
+          else np.array([family.f(p[0], p[1]) for p in grid.centers]))
+    ys = (np.arange(grid.ny) + 0.5) * grid.h
+    side_x = -1.0 + np.array([0, grid.nx]) * grid.h      # as the face midpoints hold it
     per_eps = []
     for eps in eps_list:
         if restricted == "sqrt_eps" and math.sqrt(eps) > region.y_max - 4 * grid_h:
@@ -340,6 +345,11 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
         weight = RhoWeight(WeightFamily(family.a, eps), family.mu_inverse)
         sol = weight.sol        # one solution (and segment memo) per eps
         op = assemble(grid, weight, family.spec(), parity="odd")
+        # The trace reads v from the column ladders of sol: on the top faces
+        # from each column's resistance ladder, which ends at the top face, on
+        # the side faces x = -1, 1 from one profile pass per side.
+        for x in side_x:
+            v_char_profile(sol, x, ys)
         trace = _family_trace(family, sol)
         rhs = op.rhs(f=family.f, F=family.F, trace=trace)
         rep = solve_linear(op, rhs, tol=solver_tol)
@@ -351,13 +361,14 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
         if restricted == "sqrt_eps":
             reg = Region(region.x_halfwidth, region.y_max,
                          y_min=max(region.y_min, math.sqrt(eps)))
-        fld = rep.field if mode == "odd_direct_c0" else ratio_field(rep.field, sol)
+        v = _v_on_grid(sol, grid)       # the quotient and the data norms share it
+        fld = rep.field if mode == "odd_direct_c0" else _quotient_field(rep.field, v)
         if mode == "ratio_c1":
             sup_g, semi = c1alpha_seminorm(fld, alpha, reg, pair_budget, pairs=pairs)
         else:
             semi = holder_seminorm(fld, alpha, reg, pair_budget, pairs=pairs)
         sup = float(np.max(np.abs(fld.values[reg.mask(grid)])))
-        norms = _data_norms(family, sol, grid)
+        norms = _data_norms(family, sol, grid, v, fv)
         if mode == "ratio_c1":
             norms["sup_grad"] = sup_g
         per_eps.append((eps, semi, sup, norms))
@@ -395,18 +406,16 @@ def _trend_slope(eps_list, semis) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _data_norms(family: ProblemFamily, sol: CharacteristicSolution,
-                grid: HalfGrid) -> dict:
-    """Quotient-space data norms: ||f/v||_{L^p1(omega dz)} and friends."""
+def _data_norms(family: ProblemFamily, sol: CharacteristicSolution, grid: HalfGrid,
+                v: np.ndarray, fv: Optional[np.ndarray]) -> dict:
+    """Quotient-space data norms: ||f/v||_{L^p1(omega dz)} and friends, from
+    v and f (None when the family has none) at the cell centres."""
     out = {}
-    y = grid.centers[:, grid.n]
-    om = omega_weight(sol.family, y)
-    voln = grid.h ** (grid.n + 1)
-    if family.f is not None:
-        fv = np.array([family.f(p[0], p[1]) for p in grid.centers])
-        vv = _v_on_grid(sol, grid)
+    if fv is not None:
+        om = omega_weight(sol.family, grid.centers[:, grid.n])
+        voln = grid.h ** (grid.n + 1)
         out["fbar_Lp1_omega"] = float(
-            (np.sum(om * np.abs(fv / vv) ** family.p1) * voln) ** (1.0 / family.p1))
+            (np.sum(om * np.abs(fv / v) ** family.p1) * voln) ** (1.0 / family.p1))
     return out
 
 

@@ -58,7 +58,11 @@ def _v_on_grid(sol: CharacteristicSolution, grid: HalfGrid) -> np.ndarray:
 
 def ratio_field(u: DiscreteField, sol: CharacteristicSolution) -> DiscreteField:
     """Pointwise quotient u / v at cell centers; parity flips odd -> even."""
-    v = _v_on_grid(sol, u.grid)
+    return _quotient_field(u, _v_on_grid(sol, u.grid))
+
+
+def _quotient_field(u: DiscreteField, v: np.ndarray) -> DiscreteField:
+    """u / v for v at the cell centers, guarded against a vanishing v."""
     if np.any(np.abs(v) < 1e-14):
         raise DivisionGuardError("characteristic solution below 1e-14 at a cell center")
     return DiscreteField(u.grid, u.values / v, "even")

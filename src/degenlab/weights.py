@@ -30,15 +30,16 @@ antiderivative).  Only integrands involving a genuine sampler mu are
 integrated numerically: a grid column at a time by one vectorised pass of
 QUADPACK's 21-point Gauss-Kronrod rule under QUADPACK's own acceptance test,
 with adaptive ``quad`` for the segments that test rejects and for single
-segments.  The functions here are pure; the one piece of state is the
-segment-integral memo of :class:`CharacteristicSolution` (see there), so
-concurrent use is safe as long as user samplers are reentrant.
+segments that no stored column ladder holds.  The functions here are pure;
+the one piece of state is the per-column ladder memo of
+:class:`CharacteristicSolution` (see there), so concurrent use is safe as
+long as user samplers are reentrant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -316,6 +317,43 @@ def _sample(g: MuSampler, x, s: np.ndarray) -> np.ndarray:
                          f"a scalar or an array of its shape {s.shape}") from exc
 
 
+class _Ladder(NamedTuple):
+    """Consecutive segments of one column, integrated in one pass: the edges
+    e_0 < ... < e_m, the segment integrals ``seg[k]`` over [e_k, e_k+1] and
+    their running sums ``cum[k]`` over [e_0, e_k+1]."""
+
+    edges: np.ndarray
+    seg: np.ndarray
+    cum: np.ndarray
+
+    def find(self, edges: np.ndarray) -> int:
+        """Index i with ``self.edges[i:i + len(edges)] == edges``, or -1."""
+        i = int(np.searchsorted(self.edges, edges[0]))
+        m = len(edges)
+        if i + m <= len(self.edges) and np.array_equal(self.edges[i:i + m], edges):
+            return i
+        return -1
+
+    def cumulative(self, y0: float, y1: float) -> Optional[float]:
+        """The integral over [y0, y1] if y0 is the first edge and y1 an edge."""
+        e = self.edges
+        if e[0] != y0:
+            return None
+        j = int(np.searchsorted(e, y1))
+        return float(self.cum[j - 1]) if 0 < j < len(e) and e[j] == y1 else None
+
+
+class _Column:
+    """The memo of one column x: its ladders, and the single segments asked
+    for one at a time (``(y0, y1) -> value``)."""
+
+    __slots__ = ("ladders", "points")
+
+    def __init__(self):
+        self.ladders: list = []
+        self.points: dict = {}
+
+
 @dataclass(frozen=True)
 class CharacteristicSolution:
     """The odd comparison solution v(x, y) = (1-a) int_0^y rho^(-a)(s) mu(x,s)^(-1) ds.
@@ -337,19 +375,27 @@ class CharacteristicSolution:
     (QUADPACK's dqk21, one sampler call on an (nseg, 21) array) and accepts a
     segment under QUADPACK qags's own test after that pass: abserr <=
     quadrature_tol |result| and abserr != resabs, or abserr == 0.  Only a
-    rejected segment goes on to the adaptive scalar ``quad``, which single
-    segments (:meth:`segment_integral`: Dirichlet traces, v at a point) use
-    directly.  An accepted value is therefore the one ``quad`` returns, up to
-    the rounding of the integrand, and ``quadrature_tol`` keeps its meaning.
+    rejected segment goes on to the adaptive scalar ``quad``.  An accepted
+    value is therefore the one ``quad`` returns, up to the rounding of the
+    integrand, and ``quadrature_tol`` keeps its meaning.
 
-    Default-integrand values are memoized per solution object keyed by
-    ``(x, y0, y1)``: the face resistances, the cell-centre columns and the
-    Dirichlet traces of one eps step integrate each segment once.  x must
-    therefore be hashable (a float, or a tuple for n = 2, as the assembly
-    passes it).  The memo assumes ``mu_inverse`` is a deterministic function
-    of (x, s); calls with an ``integrand_factor`` and the closed form for
-    mu == 1 bypass it.  Two threads that miss on the same key both compute
-    it and store the same float, so concurrent use only repeats work.
+    Default-integrand values are memoized per solution object, one entry per
+    column x (x must be hashable: a float, or a tuple for n = 2, as the
+    assembly passes it).  The entry holds ladders: each run of consecutive
+    segments integrated together, as arrays of its edges, segment integrals
+    and their cumulative sum.  A request for consecutive segments that a
+    stored ladder holds is a slice of it, and v at a ladder edge (y0 = 0 at
+    the start of a ladder) is its cumulative sum, so the face resistances,
+    the cell-centre columns and the top-face Dirichlet traces of one eps step
+    share one pass per column.  Any other run is integrated as a ladder of
+    its own, never by adding or differencing another ladder's segments.  A
+    single segment that no ladder starts at y0 and ends at y1 (a point of v
+    off the ladders) goes to ``quad``; single segments are kept in the
+    entry's ``points`` once read or integrated.
+    The memo assumes ``mu_inverse`` is a deterministic function of (x, s);
+    calls with an ``integrand_factor`` and the closed form for mu == 1 bypass
+    it.  Two threads that miss on the same column both compute and store the
+    same values, so concurrent use only repeats work.
     """
 
     family: WeightFamily
@@ -366,38 +412,63 @@ class CharacteristicSolution:
     def __call__(self, x, y: float) -> float:
         return v_char(self, x, y)
 
+    def _column(self, x) -> _Column:
+        col = self._memo.get(x)
+        if col is None:
+            col = self._memo[x] = _Column()
+        return col
+
     def segment_integral(self, x, y0: float, y1: float,
                          integrand_factor: Optional[MuSampler] = None) -> float:
-        """int_{y0}^{y1} rho^(-a)(s) g(x, s) ds for one segment by ``quad``,
-        with g = mu^(-1) (default) or a supplied factor; 0 <= y0 <= y1
-        assumed.  Default-integrand values are memoized (see the class
-        docstring)."""
+        """int_{y0}^{y1} rho^(-a)(s) g(x, s) ds for one segment, with g =
+        mu^(-1) (default) or a supplied factor; 0 <= y0 <= y1 assumed.  A
+        default-integrand segment from the start of a stored ladder to one of
+        its edges is read from the ladder's cumulative sum; any other goes to
+        ``quad`` (see the class docstring)."""
         if integrand_factor is not None:
             return self._quad(integrand_factor, x, y0, y1)
         if self.mu_inverse is None:
             return chi(self.family, y1) - chi(self.family, y0)
-        key = (x, y0, y1)
-        val = self._memo.get(key)
+        col = self._column(x)
+        val = col.points.get((y0, y1))
         if val is None:
-            val = self._memo[key] = self._quad(self.mu_inverse, x, y0, y1)
+            for lad in col.ladders:
+                val = lad.cumulative(y0, y1)
+                if val is not None:
+                    break
+            else:
+                val = self._quad(self.mu_inverse, x, y0, y1)
+            col.points[(y0, y1)] = val
         return val
 
     def segment_integrals(self, x, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-        """int_{y0_k}^{y1_k} rho^(-a)(s) mu^(-1)(x, s) ds for the segments of
-        one column x, in one dqk21 pass; memoized like :meth:`segment_integral`."""
+        """int_{y0_k}^{y1_k} rho^(-a)(s) mu^(-1)(x, s) ds for segments of one
+        column x: each run of consecutive segments is a slice of a stored
+        ladder, or one dqk21 pass stored as a new ladder."""
         y0 = np.asarray(y0, dtype=float)
         y1 = np.asarray(y1, dtype=float)
         if self.mu_inverse is None:
             return chi(self.family, y1) - chi(self.family, y0)
-        memo = self._memo
-        keys = [(x, s0, s1) for s0, s1 in zip(y0.tolist(), y1.tolist())]
-        vals = [memo.get(k) for k in keys]
-        miss = [k for k, v in enumerate(vals) if v is None]
-        if miss:
-            new = self._integrate(x, y0[miss], y1[miss])
-            for k, v in zip(miss, new.tolist()):
-                vals[k] = memo[keys[k]] = v
-        return np.array(vals, dtype=float)
+        out = np.empty(len(y0))
+        bounds = [0, *(np.flatnonzero(y0[1:] != y1[:-1]) + 1).tolist(), len(y0)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                lad, i = self._ladder(x, np.concatenate((y0[lo:lo + 1], y1[lo:hi])))
+                out[lo:hi] = lad.seg[i:i + hi - lo]
+        return out
+
+    def _ladder(self, x, edges: np.ndarray) -> Tuple[_Ladder, int]:
+        """The stored ladder of column x holding ``edges`` consecutively from
+        index i, and i; a new ladder of one dqk21 pass if none does."""
+        col = self._column(x)
+        for lad in col.ladders:
+            i = lad.find(edges)
+            if i >= 0:
+                return lad, i
+        seg = self._integrate(x, edges[:-1], edges[1:])
+        lad = _Ladder(edges, seg, np.cumsum(seg))
+        col.ladders.append(lad)
+        return lad, 0
 
     def _integrate(self, x, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
         """One dqk21 pass over all segments; ``quad`` for the rejected ones."""
@@ -450,14 +521,16 @@ def v_char(sol: CharacteristicSolution, x, y: float) -> float:
 
 def v_char_profile(sol: CharacteristicSolution, x, ys: Sequence[float]) -> np.ndarray:
     """Evaluate v(x, .) on an increasing grid of positive ordinates: the
-    cumulative sum of the segment integrals of one column."""
+    cumulative sum of the column ladder with edges 0, ys (a prefix of a
+    stored ladder, or one dqk21 pass stored as a new one)."""
     ys = np.asarray(ys, dtype=float)
     if np.any(np.diff(ys) <= 0) or np.any(ys <= 0):
         raise ValueError("ys must be strictly increasing and positive")
     a = sol.family.a
     if sol.mu_inverse is None:
         return (1.0 - a) * chi(sol.family, ys)
-    return (1.0 - a) * np.cumsum(sol.segment_integrals(x, np.r_[0.0, ys[:-1]], ys))
+    lad, _ = sol._ladder(x, np.concatenate(([0.0], ys)))   # a ladder holding 0 starts there
+    return (1.0 - a) * lad.cum[:len(ys)]
 
 
 def v_char_grad_x(sol: CharacteristicSolution, x, y: float, fd_step: float = 1e-6) -> float:

@@ -263,3 +263,28 @@ def test_interpolation_parity_ghosts():
     assert abs(vo[0]) < 1e-5                       # odd: ~0 on the plane
     assert vo[1] == pytest.approx(g.h / 4, abs=1e-9)
     assert ve[0] == pytest.approx(1.0 + (g.h / 2) ** 2, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mu_at_samples_once_per_column(n):
+    """OperatorSpec.mu_at makes one call per distinct x, on the array of that
+    column's ordinates, and equals the point-by-point mu_val exactly."""
+    from degenlab.assembly import _axis_faces, _split
+
+    calls = []
+
+    def mu(x, y):
+        calls.append(x)
+        xx = x * x if n == 1 else x[0] * x[0] + 0.5 * x[1] * x[1]
+        return 1.0 + 0.2 * xx + 0.3 * y * y / (1.0 + y)
+
+    g = dl.build_half_grid(n, "half_rectangle", 1 / 8)
+    spec = dl.OperatorSpec(mu=mu)
+    pts = np.vstack([g.centers] + [_axis_faces(g, axis)[2] for axis in range(n + 1)])
+    pts = pts[np.random.default_rng(7).permutation(len(pts))]
+    want = np.array([spec.mu_val(*_split(p, n)) for p in pts])
+    calls.clear()
+    got = spec.mu_at(pts, n)
+    assert np.array_equal(got, want)
+    assert len(calls) == len(np.unique(pts[:, :n], axis=0))
+    assert all(isinstance(x, tuple) == (n == 2) for x in calls)

@@ -203,11 +203,13 @@ def test_moser_spread_across_eps():
 
 
 def test_sweep_integrates_each_segment_once(monkeypatch):
-    """Per eps, the resistances sample mu^(-1) once per column, on a
-    (ny + 1, 21) array of dqk21 nodes, and the quotient and the data norms
-    reuse those segment integrals from the memo.  Scalar ``quad`` runs only
-    for the Dirichlet-trace segments [0, y] (one per outer face) and for
-    column segments the dqk21 pass rejects, of which this problem has none."""
+    """Per eps, the resistances sample mu^(-1) once per column on a
+    (ny + 1, 21) array of dqk21 nodes, mu = 1/mu^(-1) is sampled once per
+    column of x-faces on the (ny,) array of its ordinates, and the side-face
+    traces take one (ny, 21) pass per side x = -1, 1.  The quotient, the data
+    norms and the top-face traces read those column ladders, so scalar
+    ``quad`` never runs: it would only for column segments the dqk21 pass
+    rejects, of which this problem has none."""
     import degenlab.weights as weights
 
     quad_calls, segments, column_calls = [], [], []
@@ -236,10 +238,9 @@ def test_sweep_integrates_each_segment_once(monkeypatch):
     g = dl.build_half_grid(1, "half_rectangle", h)
     eps_list = [1.0, 0.1, 0.0]
     dl.epsilon_sweep(fam, eps_list, 0.4, grid_h=h)
-    assert column_calls == [(g.ny + 1, 21)] * (g.nx * len(eps_list))
-    assert len(quad_calls) == len(segments) == len(eps_list) * (g.nx + 2 * g.ny)
-    # all on the outer boundary: no column segment fell back to quad
-    assert all(y0 == 0.0 and (abs(x) == 1.0 or y1 == 1.0) for x, y0, y1 in segments)
+    per_eps = [(g.ny + 1, 21)] * g.nx + [(g.ny,)] * (g.nx + 1) + [(g.ny, 21)] * 2
+    assert column_calls == per_eps * len(eps_list)
+    assert quad_calls == [] and segments == []
 
 
 @pytest.mark.parametrize("mode,restricted,n_regions", [("ratio_c0", "none", 1),
@@ -274,3 +275,52 @@ def test_sweep_draws_pairs_once_per_region(monkeypatch, mode, restricted, n_regi
     assert len(pair_calls) == n_regions
     for field, alpha, region, budget, out in seen:
         assert seminorm(field, alpha, region, budget) == out
+
+
+def test_sweep_rhs_matches_quad_trace_reference(monkeypatch):
+    """With the fermi-demo mu^(-1) = 1/(2(1 - y/2)), which varies along the
+    column, the right-hand side of every eps step (traces read from the
+    column ladders) equals one built from a per-face quad trace to 1e-12."""
+    from scipy.integrate import quad
+
+    from degenlab.assembly import AssembledOperator
+
+    a = 0.5
+
+    def mu_inv(x, y):
+        return 1.0 / (2.0 * (1.0 - y / 2.0))
+
+    def f(x, y):
+        return y ** (1.0 - a) * math.cos(math.pi * x)
+
+    def trace_factor(x, y):
+        return math.cos(math.pi * x / 2.0) * (1.0 + 0.5 * y * y)
+
+    def reference_trace(eps):
+        def trace(x, y):
+            if eps == 0.0:      # s^(-a) as the algebraic weight of QUADPACK's qaws
+                v = quad(lambda s: mu_inv(x, s), 0.0, y, weight="alg", wvar=(-a, 0.0),
+                         epsabs=0.0, epsrel=1e-13)[0]
+            else:
+                v = quad(lambda s: (eps * eps + s * s) ** (-a / 2.0) * mu_inv(x, s),
+                         0.0, y, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            return (1.0 - a) * v * trace_factor(x, y)
+        return trace
+
+    seen = []
+    rhs = AssembledOperator.rhs
+
+    def recording(self, f=None, F=None, trace=None):
+        out = rhs(self, f=f, F=F, trace=trace)
+        seen.append((self, out))
+        return out
+
+    monkeypatch.setattr(AssembledOperator, "rhs", recording)
+    fam = dl.ProblemFamily(a=a, f=f, trace_factor=trace_factor, mu_inverse=mu_inv,
+                           name="fermi")
+    eps_list = [1.0, 0.1, 0.01, 0.0]
+    dl.epsilon_sweep(fam, eps_list, 0.4, grid_h=1 / 16)
+    assert len(seen) == len(eps_list)
+    for eps, (op, got) in zip(eps_list, seen):
+        want = rhs(op, f=f, trace=reference_trace(eps))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -356,3 +356,72 @@ def test_sampler_must_broadcast():
     const = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse=lambda x, s: 2.0)
     assert v_char_profile(const, 0.0, [0.25, 0.5]) == pytest.approx(
         2.0 * (1 - 0.5) * dl.chi(dl.WeightFamily(0.5, 0.1), np.array([0.25, 0.5])), rel=1e-12)
+
+
+# -- per-column ladders --------------------------------------------------------
+
+_LADDER_MU_INVERSES = {
+    "quadratic": lambda x, s: 1.0 / (1.0 + 0.1 * x * x),
+    "y-dependent": lambda x, s: 1.0 / (2.0 * (1.0 - s / 2.0)),
+}
+
+
+@pytest.mark.parametrize("mu", sorted(_LADDER_MU_INVERSES))
+@pytest.mark.parametrize("eps", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("a", [-0.5, 0.5, 0.9])
+def test_v_char_at_ladder_edges_reads_the_cumulative_sum(monkeypatch, a, eps, mu):
+    """v at every edge of a column's resistance ladder (cell centres and the
+    top face) is read from the ladder without quad, and equals a fresh
+    quad over [0, y]."""
+    import degenlab.weights as weights
+
+    g = _LADDER_MU_INVERSES[mu]
+    fam = dl.WeightFamily(a, eps)
+    ys = (np.arange(16) + 0.5) / 16
+    y0, y1 = np.r_[0.0, ys], np.r_[ys, 1.0]
+    sol = dl.RhoWeight(fam, g).sol
+    sol.segment_integrals(0.3, y0, y1)          # the ladder 0, ys, 1 of a column
+    calls = []
+    quad = weights.quad
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "quad", counting)
+    got = np.array([dl.v_char(sol, 0.3, y) for y in y1])
+    assert calls == []
+    monkeypatch.setattr(weights, "quad", quad)
+    want = np.array([(1.0 - a) * dl.CharacteristicSolution(fam, g).segment_integral(0.3, 0.0, y)
+                     for y in y1])
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    # the profile at the cell centres is the same cumulative sum
+    assert np.array_equal(v_char_profile(sol, 0.3, ys), got[:-1])
+
+
+def test_full_and_half_spacing_ladders_are_integrated_apart():
+    """A half-spacing ladder on a solution that already holds the
+    full-spacing one is integrated on its own: each equals the values of a
+    fresh solution exactly."""
+    fam = dl.WeightFamily(0.5, 0.1)
+    calls = []
+
+    def g(x, s):
+        calls.append(np.shape(s))
+        return _LADDER_MU_INVERSES["y-dependent"](x, s)
+
+    h = 1 / 16
+    full = (np.arange(16) + 0.5) * h
+    half = np.arange(1, 33) * (h / 2.0)
+    sol = dl.CharacteristicSolution(fam, g)
+    v_full = v_char_profile(sol, 0.3, full)
+    v_half = v_char_profile(sol, 0.3, half)
+    assert np.array_equal(v_full, v_char_profile(dl.CharacteristicSolution(fam, g), 0.3, full))
+    assert np.array_equal(v_half, v_char_profile(dl.CharacteristicSolution(fam, g), 0.3, half))
+    assert len(sol._memo[0.3].ladders) == 2
+    # a run of consecutive segments of a stored ladder is its slice
+    calls.clear()
+    seg = sol.segment_integrals(0.3, half[3:9], half[4:10])
+    assert calls == []
+    assert np.array_equal(seg, sol._memo[0.3].ladders[1].seg[4:10])
+    assert len(sol._memo[0.3].ladders) == 2
