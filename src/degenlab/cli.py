@@ -19,6 +19,7 @@ effective configuration, the grid description, and tolerances.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -44,6 +45,12 @@ def fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
+
+
+@functools.cache
+def _row_format(types: tuple) -> str:
+    """One %-format for a row of values of these types, printing each as fmt."""
+    return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -84,7 +91,8 @@ def _write(path: Path, header: list, rows: list, columns: list):
     lines += [f"# {h}" for h in header]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        row = tuple(row)
+        lines.append(_row_format(tuple(map(type, row))) % row)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -232,7 +240,8 @@ def cmd_solve(cfg: dict) -> int:
            [(h, e, o if isinstance(o, str) else fmt(o)) for h, e, o in rows],
            ["h", "max_error", "order"])
     grid = rep.field.grid
-    frows = [(p[0], p[1], v) for p, v in zip(grid.centers, rep.field.values)]
+    frows = zip(grid.centers[:, 0].tolist(), grid.centers[:, 1].tolist(),
+                rep.field.values.tolist())
     _write(_outdir() / "solve_field.csv",
            [f"config-hash: {_config_hash(cfg)}", f"grid: {grid.describe()}",
             f"tolerances: solver relative residual {fmt(rep.tolerance)}"],

@@ -111,11 +111,28 @@ def test_drift_solve_runs_bicgstab_consistency():
     assert np.max(np.abs(rep.field.values - exact.values)) < 1e-9
 
 
+def test_planar_systems_factor_directly():
+    # an n = 1 grid above DIRECT_SOLVE_MAX still takes the sparse LU; the drift
+    # case is nonsymmetric, so it checks the transposed solve of the CSC view
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 64)
+    assert g.ncells > dl.assembly.DIRECT_SOLVE_MAX
+    for drift in (None, lambda x, y: (0.2, 0.1 * y)):
+        op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd", drift=drift)
+        assert op.has_drift == (drift is not None)
+        rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
+        rep = dl.solve_linear(op, rhs)
+        assert rep.method == "direct-sparse-lu"
+        assert rep.iterations == 0 and rep.info == 0 and rep.converged
+        assert np.max(np.abs(rep.field.values - exact.values)) < 1e-12
+
+
 def test_iterative_solves_report_info(monkeypatch):
-    # below DIRECT_SOLVE_MAX cells both Krylov paths run; info 0 means converged
+    # on an n = 2 grid above DIRECT_SOLVE_MAX both Krylov paths run; info 0
+    # means converged
     monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 10)
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
-    for drift, method in ((None, "cg-jacobi"), (lambda x, y: (0.2, 0.1 * y), "bicgstab-jacobi")):
+    g = dl.build_half_grid(2, "half_rectangle", 1 / 8)
+    for drift, method in ((None, "cg-jacobi"),
+                          (lambda x, y: (0.2, -0.1, 0.1 * y), "bicgstab-jacobi")):
         op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd", drift=drift)
         rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
         rep = dl.solve_linear(op, rhs)

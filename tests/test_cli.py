@@ -1,12 +1,14 @@
 """Command-line pipelines: artifacts, exit codes, byte determinism."""
 
 import filecmp
+import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from degenlab.cli import run
+from degenlab.cli import _write, fmt, run
 
 
 def _run(tmp, *argv):
@@ -43,11 +45,38 @@ def test_eigen_artifacts(tmp_path):
 
 
 def test_solve_artifacts(tmp_path):
-    code = _run(tmp_path, "solve", "a=0.5", "h_list=0.125 0.0625 0.03125")
-    assert code == 0
-    orders = (tmp_path / "solve_orders.csv").read_text()
-    assert "exact" in orders           # discrete-consistency mode recovers exactly
-    assert (tmp_path / "solve_field.csv").exists()
+    for h_list in ("0.125 0.0625 0.03125", "1/24 1/48 1/96"):
+        out = tmp_path / h_list.replace("/", "_").replace(" ", "-")
+        code = _run(out, "solve", "a=0.5", f"h_list={h_list}")
+        assert code == 0
+        text = (out / "solve_orders.csv").read_text().splitlines()
+        rows = [line.split(",") for line in text[text.index("h,max_error,order") + 1:]]
+        assert len(rows) == 3
+        # discrete-consistency mode recovers the manufactured field exactly
+        assert [r[2] for r in rows[1:]] == ["exact", "exact"], h_list
+        assert all(float(r[1]) <= 1e-12 for r in rows), h_list
+        assert (out / "solve_field.csv").exists()
+
+
+def _old_row(row):
+    return ",".join(fmt(v) for v in row)
+
+
+def test_write_matches_per_value_fmt(tmp_path):
+    values = [0.1, 1 / 3, np.float64(2 / 3), np.float64(-1e-7), 7, np.int64(-3),
+              True, False, "exact", "a,b", "100%", math.nan, np.float64(math.nan),
+              math.inf, -math.inf, np.float64(-math.inf), -0.0, np.float64(-0.0),
+              0.0, 1e-300, 1.5e300, 5e-324, 123456789012345.0, np.float32(0.1),
+              None, (1, 2.5)]
+    rows = [tuple(values), values[::-1], values[5:] + values[:5], [], [1.0],
+            ("x",), (np.float64(1.5), 2, "y")]
+    # column types change between rows, as in solve_orders.csv
+    rows += [(0.0625, 1e-15, math.nan), (0.03125, 3e-15, "exact"),
+             (0.015625, 5e-12, 2.0)]
+    _write(tmp_path / "t.csv", ["header"], rows, ["c"])
+    lines = (tmp_path / "t.csv").read_text().split("\n")
+    assert lines[3:-1] == [_old_row(r) for r in rows]
+    assert lines[-1] == ""
 
 
 def test_sweep_artifacts_and_verdict(tmp_path):
