@@ -15,13 +15,13 @@ the model odd solution in one dimension and uniformly well behaved across the
 degenerate/singular range of exponents.
 
 The operator is built with array operations over the lattice ``grid.index``,
-by one code path for n = 1 and n = 2.  Weight models are evaluated a grid
-column at a time and return arrays (the contract is on :class:`WeightModel`),
-so all the y-faces of a column cost one ``resistance_y`` call.  x-faces come
-from slicing the lattice along each axis, the matrix from concatenated COO
-triplets, and the faces are kept as arrays (:class:`Faces`) for right-hand
-sides.  The only per-cell Python work left is calling the user's samplers
-(mu, b_tilde, t_field, drift and the data).
+by one code path for n = 1 and n = 2.  Weight models are evaluated on all
+the live grid columns at once (the contract is on :class:`WeightModel`), so
+the y-faces of a grid cost one ``resistance_y`` call; mu is sampled once
+per grid.  x-faces come from slicing the lattice along each axis, the matrix
+from concatenated COO triplets, and the faces are kept as arrays
+(:class:`Faces`) for right-hand sides.  The only per-cell Python work left
+is calling the user's samplers b_tilde, t_field, drift and the data.
 
 Boundary handling:
 * characteristic plane (y = 0): odd parity imposes u = 0 through the exact
@@ -57,9 +57,10 @@ import scipy.sparse.linalg as spla
 from .geometry import HalfGrid
 from .weights import (
     CharacteristicSolution,
-    SingularWeightError,
     WeightFamily,
+    _coords,
     _sample,
+    _x_of,
     chi,
     rho,
     v_char_profile,
@@ -90,10 +91,10 @@ class OperatorSpec:
     vector (scalar for n = 1) and must vanish at y = 0.  All default to the
     identity tensor.  x is a scalar for n = 1 and a length-2 tuple for n = 2.
 
-    ``mu`` must also broadcast over an ndarray of ordinates y at one x (a
-    scalar return is broadcast), because :meth:`mu_at` samples it a column
-    at a time: one call per distinct x, on the array of that column's y.  A
-    ``mu`` that cannot take an array raises ``ValueError`` naming it.
+    ``mu`` must also broadcast over ndarrays of positions x (a tuple of
+    them for n = 2) and ordinates y (a scalar return is broadcast), because
+    :meth:`mu_at` samples it once per call on all its points.  A ``mu`` that
+    cannot take arrays raises ``ValueError`` naming it.
     """
 
     mu: Optional[Callable] = None
@@ -117,16 +118,10 @@ class OperatorSpec:
         return np.atleast_1d(np.asarray(self.t_field(x, y), dtype=float))
 
     def mu_at(self, pts: np.ndarray, n: int) -> np.ndarray:
-        """mu at each row (x..., y) of pts, one call per distinct x."""
+        """mu at each row (x..., y) of pts, in one call."""
         if self.mu is None or len(pts) == 0:
             return np.ones(len(pts))
-        order = np.lexsort(pts[:, n - 1::-1].T)         # by x, then by row
-        xs = pts[order, :n]
-        out = np.empty(len(pts))
-        for rows in np.split(order, np.flatnonzero(np.any(xs[1:] != xs[:-1], axis=1)) + 1):
-            x = pts[rows[0], :n]
-            out[rows] = _sample(self.mu, x[0] if n == 1 else tuple(x), pts[rows, n])
-        return out
+        return _sample(self.mu, _x_of([pts[:, d] for d in range(n)]), pts[:, n])
 
     def b_tilde_diag_at(self, pts: np.ndarray, axis: int, n: int) -> np.ndarray:
         """The (axis, axis) entry of B_tilde at each row (x..., y) of pts."""
@@ -223,33 +218,33 @@ def _circle_directions(count: int, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class WeightModel:
-    """Weight sampler evaluated one grid column at a time.
+    """Weight sampler evaluated on all the live grid columns at once.
 
-    Every method receives the column's position ``xcol`` (a scalar for n = 1,
-    a tuple for n = 2) and its full array of cell-center ordinates ``ys``, and
-    returns an array:
+    Every method receives the columns' positions ``x`` (an array of shape S,
+    a tuple of them for n = 2) and the cell-center ordinates ``ys``, and
+    returns one row per column, or one row for all if w does not depend on x:
 
-    * ``values(xcol, ys)``: w at the cell centers;
-    * ``x_conductivities(xcol, ys)``: the per-cell conductivity of x-faces;
-    * ``cell_integral_y(xcol, ys, y0, y1)``: int_{y0}^{y1} w(x, s) ds for each
-      pair of endpoint arrays, or None for the midpoint fallback w h;
-    * ``resistance_y(xcol, ys, y0, y1)``: int_{y0}^{y1} ds/(w(s) mu(x, s)) for
-      each segment, or None for the generic harmonic-mean fallback.
+    * ``values(x, ys)``: w at the cell centers;
+    * ``x_conductivities(x, ys)``: the per-cell conductivity of x-faces;
+    * ``cell_integral_y(x, ys, y0, y1)``: int_{y0}^{y1} w(x, s) ds for each
+      pair of endpoints, or None for the midpoint fallback w h;
+    * ``resistance_y(x, ys, y0, y1)``: int_{y0}^{y1} ds/(w(s) mu(x, s)) for
+      the segments y0, y1 of shape S + (m,), NaN where a segment is not asked
+      for, or None for the generic harmonic-mean fallback.
 
-    Assembly makes one call of each per column, so all the y-faces of a
-    column cost one ``resistance_y`` call.
+    Assembly makes one call of each per grid.
     """
 
     weight_id = "generic"
 
-    def values(self, xcol, ys: np.ndarray) -> np.ndarray:
+    def values(self, x, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def resistance_y(self, xcol, ys: np.ndarray, y0: np.ndarray,
+    def resistance_y(self, x, ys: np.ndarray, y0: np.ndarray,
                      y1: np.ndarray) -> Optional[np.ndarray]:
         return None
 
-    def cell_integral_y(self, xcol, ys: np.ndarray, y0: np.ndarray,
+    def cell_integral_y(self, x, ys: np.ndarray, y0: np.ndarray,
                         y1: np.ndarray) -> Optional[np.ndarray]:
         """int_{y0}^{y1} w(x, s) ds, or None for the midpoint fallback.
 
@@ -257,13 +252,18 @@ class WeightModel:
         midpoint rule O(1) relatively wrong in the bottom cell."""
         return None
 
-    def x_conductivities(self, xcol, ys: np.ndarray) -> np.ndarray:
+    def x_conductivities(self, x, ys: np.ndarray) -> np.ndarray:
         """Per-cell conductivity used for x-direction fluxes.
 
         Default: the midpoint values, exact on the odd characteristic branch
         (w * v is linear in y); the quotient weight overrides with y-averages,
         exact on the even smooth branch."""
-        return self.values(xcol, ys)
+        return self.values(x, ys)
+
+
+def _per_segment(x, ask: np.ndarray):
+    """The column position of each True entry of ``ask`` (shape S + (m,))."""
+    return _x_of([np.broadcast_to(np.asarray(c)[..., None], ask.shape)[ask] for c in _coords(x)])
 
 
 class ConstantWeight(WeightModel):
@@ -271,7 +271,7 @@ class ConstantWeight(WeightModel):
         self.value = float(value)
         self.weight_id = f"const[{value:g}]"
 
-    def values(self, xcol, ys):
+    def values(self, x, ys):
         return np.full_like(np.asarray(ys, dtype=float), self.value)
 
 
@@ -289,13 +289,16 @@ class RhoWeight(WeightModel):
         self.supersingular = family.a <= -1.0 and family.eps == 0.0
         self.weight_id = f"rho[a={family.a:g},eps={family.eps:g}]"
 
-    def values(self, xcol, ys):
+    def values(self, x, ys):
         return rho(self.family, np.asarray(ys, dtype=float))
 
-    def resistance_y(self, xcol, ys, y0, y1):
-        return self.sol.segment_integrals(xcol, y0, y1)
+    def resistance_y(self, x, ys, y0, y1):
+        ask = ~np.isnan(y0)
+        out = np.full(y0.shape, np.nan)
+        out[ask] = self.sol.segment_integrals(_per_segment(x, ask), y0[ask], y1[ask])
+        return out
 
-    def cell_integral_y(self, xcol, ys, y0, y1):
+    def cell_integral_y(self, x, ys, y0, y1):
         a, eps = self.family.a, self.family.eps
         if eps == 0.0:
             if a <= -1.0:
@@ -309,11 +312,11 @@ class RhoWeight(WeightModel):
 class AuxiliaryWeight(WeightModel):
     """w = rho (v)^2 with v the characteristic odd solution (quotient weight).
 
-    Values and resistances come from a column ladder of v at half-spacing
-    resolution (``v_char_profile``: segment integrals memoized on the
-    solution when mu varies, closed form when mu == 1); the resistance of the
-    first half cell [0, h/2] is infinite (super-degenerate weight), which
-    encodes the natural zero-flux closure.
+    Values and resistances come from a ladder of v at half-spacing
+    resolution in every column (``v_char_profile``: segment integrals
+    memoized on the solution when mu varies, closed form when mu == 1); the
+    resistance of the first half cell [0, h/2] is infinite (super-degenerate
+    weight), which encodes the natural zero-flux closure.
     """
 
     def __init__(self, sol: CharacteristicSolution):
@@ -321,37 +324,37 @@ class AuxiliaryWeight(WeightModel):
         fam = sol.family
         self.weight_id = f"rho_v2[a={fam.a:g},eps={fam.eps:g}]"
 
-    def _column(self, xcol, ys) -> Tuple[np.ndarray, np.ndarray]:
-        """The half-spacing ladder of ordinates and v on it."""
+    def _ladder(self, x, ys) -> Tuple[np.ndarray, np.ndarray]:
+        """The half-spacing ladder of ordinates and v on it in each column."""
         ys = np.asarray(ys, dtype=float)
         h = ys[1] - ys[0] if len(ys) > 1 else 2 * ys[0]
         ladder_y = np.arange(1, 2 * len(ys) + 1) * (h / 2.0)
-        return ladder_y, v_char_profile(self.sol, xcol, ladder_y)
+        return ladder_y, v_char_profile(self.sol, x, ladder_y)
 
     @staticmethod
-    def _v_at(col, y: np.ndarray) -> np.ndarray:
-        """v at ordinates y > 0: ladder values where y sits on a ladder point,
-        linear interpolation between points, through the origin below the
-        first point and constant above the last."""
-        ly, lv = col
+    def _v_at(ly: np.ndarray, lv: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """v at ordinates y > 0, row by row of the ladder values lv: ladder
+        values where y sits on a ladder point, linear interpolation between
+        points, through the origin below the first point and constant above
+        the last."""
+        y = np.broadcast_to(y, lv.shape[:-1] + y.shape[-1:])
         i = np.searchsorted(ly, y)
         top = i >= len(ly)
         ic = np.minimum(i, len(ly) - 1)
         on = ~top & (np.abs(ly[ic] - y) < 1e-12)
-        out = np.where(top, lv[-1], lv[0] * y / ly[0])
-        mid = ~on & ~top & (i > 0)
-        k = i[mid]
-        t = (y[mid] - ly[k - 1]) / (ly[k] - ly[k - 1])
-        out[mid] = (1 - t) * lv[k - 1] + t * lv[k]
-        out[on] = lv[ic[on]]
-        return out
+        k = np.maximum(ic, 1)
+        t = (y - ly[k - 1]) / (ly[k] - ly[k - 1])
+        lv0, lv1, lvc = (np.take_along_axis(lv, j, axis=-1) for j in (k - 1, k, ic))
+        out = np.where(top, lv[..., -1:], lv[..., :1] * y / ly[0])
+        out = np.where(~on & ~top & (i > 0), (1 - t) * lv0 + t * lv1, out)
+        return np.where(on, lvc, out)
 
-    def values(self, xcol, ys):
+    def values(self, x, ys):
         ys = np.asarray(ys, dtype=float)
-        v = self._column(xcol, ys)[1][::2]
+        v = self._ladder(x, ys)[1][..., ::2]
         return rho(self.sol.family, ys) * v * v
 
-    def resistance_y(self, xcol, ys, y0, y1):
+    def resistance_y(self, x, ys, y0, y1):
         """Face-midpoint rule R = (y1-y0) / (rho v^2 mu)(face).
 
         The even quotient problem's smooth branch behaves like c + beta y^2
@@ -359,38 +362,37 @@ class AuxiliaryWeight(WeightModel):
         a harmonic or line-resistance rule (exact for the odd problem's
         singular branch) has an O(1) relative flux error at the first face."""
         fam = self.sol.family
-        out = np.full(len(y0), math.inf)
+        out = np.full(y0.shape, math.inf)
         pos = y0 > 0.0
-        ym = 0.5 * (y0[pos] + y1[pos])
+        ym = 0.5 * (y0 + y1)
         if self.sol.mu_inverse is None:
-            v = (1.0 - fam.a) * chi(fam, ym)
-            k = rho(fam, ym) * v * v
+            v = (1.0 - fam.a) * chi(fam, ym[pos])
+            k = rho(fam, ym[pos]) * v * v
         else:
-            v = self._v_at(self._column(xcol, ys), ym)
-            mi = _sample(self.sol.mu_inverse, xcol, ym)
-            k = rho(fam, ym) * v * v / mi
+            v = self._v_at(*self._ladder(x, ys), ym)[pos]
+            mi = _sample(self.sol.mu_inverse, _per_segment(x, pos), ym[pos])
+            k = rho(fam, ym[pos]) * v * v / mi
         out[pos] = (y1[pos] - y0[pos]) / k
         return out
 
-    def x_conductivities(self, xcol, ys):
+    def x_conductivities(self, x, ys):
         ys = np.asarray(ys, dtype=float)
         h = ys[1] - ys[0] if len(ys) > 1 else 2 * ys[0]
         j = np.arange(len(ys))
-        return self.cell_integral_y(xcol, ys, j * h, (j + 1) * h) / h
+        return self.cell_integral_y(x, ys, j * h, (j + 1) * h) / h
 
-    def cell_integral_y(self, xcol, ys, y0, y1):
+    def cell_integral_y(self, x, ys, y0, y1):
         fam = self.sol.family
         if self.sol.mu_inverse is None and fam.eps == 0.0:
             p = 3.0 - fam.a          # rho * ((1-a) chi)^2 = y^(2-a) exactly
             return (y1 ** p - y0 ** p) / p
-        col = self._column(xcol, ys)
+        ly, lv = self._ladder(x, ys)
 
         def w_at(y):
-            out = np.zeros(len(y))   # super-degenerate: rho v^2 -> 0 at the plane
-            pos = y > 0.0
-            v = self._v_at(col, y[pos])
-            out[pos] = rho(fam, y[pos]) * v * v
-            return out
+            pos = y > 0.0            # super-degenerate: rho v^2 -> 0 at the plane
+            yp = np.where(pos, y, ly[0])
+            v = self._v_at(ly, lv, yp)
+            return np.where(pos, rho(fam, yp) * v * v, 0.0)
 
         ym = 0.5 * (y0 + y1)
         return (y1 - y0) / 6.0 * (w_at(y0) + 4.0 * w_at(ym) + w_at(y1))
@@ -470,24 +472,19 @@ def _split(p: np.ndarray, n: int):
 # ---------------------------------------------------------------------------
 
 def _columns(g: HalfGrid):
-    """Yield (c, xcol) for every row c of ``g.index.reshape(-1, g.ny)`` (a
-    grid column) holding a live cell; xcol is a scalar for n = 1 and a tuple
-    for n = 2."""
+    """The rows of ``g.index.reshape(-1, g.ny)`` (grid columns) holding a
+    live cell, and their positions x (an array, a tuple of them for n = 2)."""
+    rows = np.flatnonzero(np.any(g.index.reshape(-1, g.ny) >= 0, axis=1))
     xs = -1.0 + (np.arange(g.nx) + 0.5) * g.h
-    live = np.any(g.index >= 0, axis=-1)
-    for idx in zip(*np.nonzero(live)):
-        c = int(np.ravel_multi_index(idx, live.shape))
-        yield c, xs[idx[0]] if g.n == 1 else tuple(xs[list(idx)])
+    return rows, _x_of([xs[i] for i in np.unravel_index(rows, (g.nx,) * g.n)])
 
 
 def _column_values(g: HalfGrid, fn: Callable) -> np.ndarray:
-    """fn(xcol, ys) on every grid column with a live cell, in dof order."""
-    ys = (np.arange(g.ny) + 0.5) * g.h
-    cols = g.index.reshape(-1, g.ny)
-    out = np.zeros(cols.shape)
-    for c, x in _columns(g):
-        out[c] = fn(x, ys)
-    return out[cols >= 0]
+    """fn(x, ys) on all the grid columns with a live cell in one call, at
+    the live cells in dof order."""
+    rows, x = _columns(g)
+    live = g.index.reshape(-1, g.ny)[rows] >= 0
+    return np.broadcast_to(fn(x, (np.arange(g.ny) + 0.5) * g.h), live.shape)[live]
 
 
 def _shifted(index: np.ndarray, axis: int, offset: int, count: int) -> np.ndarray:
@@ -647,7 +644,6 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
     area = h ** n
     dirichlet = outer == "dirichlet"
     ys = (np.arange(g.ny) + 0.5) * h
-    cols = g.index.reshape(-1, g.ny)
     supersingular = bool(getattr(weight, "supersingular", False)) and parity == "odd"
 
     # y-faces: face k of column c lies at y = k h, between cells k-1 and k
@@ -662,31 +658,22 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
     y0 = np.where(lo >= 0, np.r_[np.nan, ys], mid[..., n])   # resistance segments:
     y1 = np.where(hi >= 0, np.r_[ys, np.nan], mid[..., n])   # center to center or face
 
-    W, WX = np.ones(cols.shape), np.ones(cols.shape)
+    wcell = _column_values(g, weight.values)
+    bad = np.flatnonzero(~(np.isfinite(wcell) & (wcell > 0)))
+    if len(bad):
+        raise ValueError(f"weight {weight.weight_id!r} non-finite or non-positive at the "
+                         f"cell centre {tuple(g.centers[bad[0]].tolist())}")
+    wxcell = _column_values(g, weight.x_conductivities)
+    rows, x = _columns(g)
     R = np.full(lo.shape, np.nan)
-    fallback = np.zeros(lo.shape, dtype=bool)
-    for c, x in _columns(g):
-        live = cols[c] >= 0
-        W[c] = weight.values(x, ys)
-        if not np.all(np.isfinite(W[c, live])) or np.any(W[c, live] <= 0):
-            raise ValueError(
-                f"weight {weight.weight_id!r} non-finite or non-positive at a cell "
-                f"in column x={x}")
-        WX[c] = weight.x_conductivities(x, ys)
-        Rc = weight.resistance_y(x, ys, y0[c, need[c]], y1[c, need[c]])
-        if Rc is None:
-            fallback[c] = need[c]
-        else:
-            R[c, need[c]] = Rc
-    live = cols >= 0
-    wcell, wxcell = W[live], WX[live]
-
+    Rc = weight.resistance_y(x, ys, *(np.where(need, y, np.nan)[rows] for y in (y0, y1)))
     wf = _face_weight(wcell, lo, hi)
-    if fallback.any():
-        pts = mid[fallback]
-        pts[:, n] = np.where(plane[fallback], h / 4.0, pts[:, n])
-        R[fallback] = (np.where(inner, h, h / 2.0)[fallback]
-                       / (wf[fallback] * spec.mu_at(pts, n)))
+    if Rc is not None:
+        R[rows] = Rc
+    elif need.any():
+        pts = mid[need]
+        pts[:, n] = np.where(plane[need], h / 4.0, pts[:, n])
+        R[need] = np.where(inner, h, h / 2.0)[need] / (wf[need] * spec.mu_at(pts, n))
     use = need & (~plane | (np.isfinite(R) & (R > 0)))
     tau = np.zeros(lo.shape)
     tau[use] = area / R[use]

@@ -236,9 +236,7 @@ def cmd_solve(cfg: dict) -> int:
     header = [f"config-hash: {_config_hash(cfg)}",
               f"manufactured odd problem, a={fmt(a)}, discrete consistency mode",
               "tolerances: recovery at solver tolerance"]
-    _write(_outdir() / "solve_orders.csv", header,
-           [(h, e, o if isinstance(o, str) else fmt(o)) for h, e, o in rows],
-           ["h", "max_error", "order"])
+    _write(_outdir() / "solve_orders.csv", header, rows, ["h", "max_error", "order"])
     grid = rep.field.grid
     frows = zip(grid.centers[:, 0].tolist(), grid.centers[:, 1].tolist(),
                 rep.field.values.tolist())

@@ -262,8 +262,8 @@ class ProblemFamily:
     quotient w has eps-uniform boundary values by construction; forcing f and
     field F are eps-independent samplers (their quotient norms are recorded
     per eps).  mu_inverse == None means the identity tensor; a sampler
-    ``mu_inverse(x, s)`` must broadcast over an ndarray of ordinates s (a
-    scalar return is broadcast), see :class:`CharacteristicSolution`."""
+    ``mu_inverse(x, s)`` must broadcast over ndarrays of positions x and
+    ordinates s, see :class:`CharacteristicSolution`."""
 
     a: float
     f: Optional[Callable] = None
@@ -345,11 +345,9 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
         weight = RhoWeight(WeightFamily(family.a, eps), family.mu_inverse)
         sol = weight.sol        # one solution (and segment memo) per eps
         op = assemble(grid, weight, family.spec(), parity="odd")
-        # The trace reads v from the column ladders of sol: on the top faces
-        # from each column's resistance ladder, which ends at the top face, on
-        # the side faces x = -1, 1 from one profile pass per side.
-        for x in side_x:
-            v_char_profile(sol, x, ys)
+        # The trace reads v from the column ladders of sol: on the top faces from the
+        # resistance ladders, on the side faces x = -1, 1 from one pass over both.
+        v_char_profile(sol, side_x, ys)
         trace = _family_trace(family, sol)
         rhs = op.rhs(f=family.f, F=family.F, trace=trace)
         rep = solve_linear(op, rhs, tol=solver_tol)

@@ -27,11 +27,11 @@ functional of rho:
 All evaluations are closed-form where a closed form exists (a in {0, -2},
 eps = 0, plus a Gauss-hypergeometric expression for the general
 antiderivative).  Only integrands involving a genuine sampler mu are
-integrated numerically: a grid column at a time by one vectorised pass of
-QUADPACK's 21-point Gauss-Kronrod rule under QUADPACK's own acceptance test,
-with adaptive ``quad`` for the segments that test rejects and for single
-segments that no stored column ladder holds.  The functions here are pure;
-the one piece of state is the per-column ladder memo of
+integrated numerically: all the grid columns of a request in one vectorised
+pass of QUADPACK's 21-point Gauss-Kronrod rule under QUADPACK's own
+acceptance test, with adaptive ``quad`` for the segments that test rejects
+and for single segments that no stored column ladder holds.  The functions
+here are pure; the one piece of state is the per-column ladder memo of
 :class:`CharacteristicSolution` (see there), so concurrent use is safe as
 long as user samplers are reentrant.
 """
@@ -307,14 +307,31 @@ def _qags_accepts(result, abserr, resabs, tol: float) -> np.ndarray:
 MuSampler = Callable[[object, np.ndarray], np.ndarray]
 
 
+def _coords(x) -> tuple:
+    """The coordinates of column positions x (a tuple of them for n = 2)."""
+    return x if isinstance(x, tuple) else (x,)
+
+
+def _positions(x, shape: tuple) -> np.ndarray:
+    """Column positions x broadcast to ``shape``, one row (x_1, ..., x_n) each."""
+    return np.stack([np.broadcast_to(np.asarray(c, dtype=float), shape).ravel()
+                     for c in _coords(x)], axis=1)
+
+
+def _x_of(coords):
+    """x as samplers and the memo take it: the coordinate, a tuple for n = 2."""
+    return coords[0] if len(coords) == 1 else tuple(coords)
+
+
 def _sample(g: MuSampler, x, s: np.ndarray) -> np.ndarray:
-    """g(x, s) on an array of ordinates; a scalar result is broadcast."""
+    """g(x, s) on arrays of positions x and ordinates s; a scalar result is
+    broadcast."""
     try:
         return np.broadcast_to(np.asarray(g(x, s), dtype=float), s.shape)
     except (TypeError, ValueError) as exc:
         name = getattr(g, "__qualname__", repr(g))
-        raise ValueError(f"mu sampler {name!r} must accept an array of s and return "
-                         f"a scalar or an array of its shape {s.shape}") from exc
+        raise ValueError(f"mu sampler {name!r} must broadcast over arrays of x and s and "
+                         f"return a scalar or an array of shape {s.shape}") from exc
 
 
 class _Ladder(NamedTuple):
@@ -326,22 +343,6 @@ class _Ladder(NamedTuple):
     seg: np.ndarray
     cum: np.ndarray
 
-    def find(self, edges: np.ndarray) -> int:
-        """Index i with ``self.edges[i:i + len(edges)] == edges``, or -1."""
-        i = int(np.searchsorted(self.edges, edges[0]))
-        m = len(edges)
-        if i + m <= len(self.edges) and np.array_equal(self.edges[i:i + m], edges):
-            return i
-        return -1
-
-    def cumulative(self, y0: float, y1: float) -> Optional[float]:
-        """The integral over [y0, y1] if y0 is the first edge and y1 an edge."""
-        e = self.edges
-        if e[0] != y0:
-            return None
-        j = int(np.searchsorted(e, y1))
-        return float(self.cum[j - 1]) if 0 < j < len(e) and e[j] == y1 else None
-
 
 class _Column:
     """The memo of one column x: its ladders, and the single segments asked
@@ -352,6 +353,22 @@ class _Column:
     def __init__(self):
         self.ladders: list = []
         self.points: dict = {}
+
+    def find(self, edges: np.ndarray) -> Optional[Tuple[_Ladder, int]]:
+        """A stored ladder with ``lad.edges[i:i + len(edges)] == edges``, and i."""
+        for lad in self.ladders:
+            i = int(np.searchsorted(lad.edges, edges[0]))
+            if np.array_equal(lad.edges[i:i + len(edges)], edges):
+                return lad, i
+        return None
+
+    def cumulative(self, y0: float, y1: float) -> Optional[float]:
+        """The integral over [y0, y1] from a stored ladder from y0 with edge y1."""
+        for lad in self.ladders:
+            e, j = lad.edges, int(np.searchsorted(lad.edges, y1))
+            if e[0] == y0 and 0 < j < len(e) and e[j] == y1:
+                return float(lad.cum[j - 1])
+        return None
 
 
 @dataclass(frozen=True)
@@ -365,33 +382,32 @@ class CharacteristicSolution:
     the integrand.  mu must be even in s so that v is odd; evaluation
     enforces oddness by integrating over |y| and restoring the sign.
 
-    Samplers must broadcast over an ndarray of ordinates ``s`` (x is one
-    column position); a scalar return is broadcast to the shape of ``s``.  A
-    sampler that cannot take an array raises ``ValueError`` naming it.
+    Samplers must broadcast over ndarrays of ordinates ``s`` and of column
+    positions ``x`` (a tuple of them for n = 2), since one pass samples all
+    the columns of a request; a scalar return is broadcast.  A sampler that
+    cannot take arrays raises ``ValueError`` naming it.
 
     Every value of v and every y-resistance of the rho weight with mu present
-    is a sum of segment integrals.  :meth:`segment_integrals` takes all the
-    segments of a column in one vectorised 21-point Gauss-Kronrod pass
-    (QUADPACK's dqk21, one sampler call on an (nseg, 21) array) and accepts a
-    segment under QUADPACK qags's own test after that pass: abserr <=
-    quadrature_tol |result| and abserr != resabs, or abserr == 0.  Only a
-    rejected segment goes on to the adaptive scalar ``quad``.  An accepted
-    value is therefore the one ``quad`` returns, up to the rounding of the
+    is a sum of segment integrals.  :meth:`segment_integrals` integrates the
+    segments of any number of columns by one vectorised 21-point
+    Gauss-Kronrod pass (QUADPACK's dqk21, one sampler call on an (nseg, 21)
+    array) and accepts a segment under QUADPACK qags's own test after it:
+    abserr <= quadrature_tol |result| and abserr != resabs, or abserr == 0.
+    Only a rejected segment goes on to the adaptive scalar ``quad``, so an
+    accepted value is the one ``quad`` returns, up to the rounding of the
     integrand, and ``quadrature_tol`` keeps its meaning.
 
     Default-integrand values are memoized per solution object, one entry per
-    column x (x must be hashable: a float, or a tuple for n = 2, as the
-    assembly passes it).  The entry holds ladders: each run of consecutive
-    segments integrated together, as arrays of its edges, segment integrals
-    and their cumulative sum.  A request for consecutive segments that a
-    stored ladder holds is a slice of it, and v at a ladder edge (y0 = 0 at
-    the start of a ladder) is its cumulative sum, so the face resistances,
-    the cell-centre columns and the top-face Dirichlet traces of one eps step
-    share one pass per column.  Any other run is integrated as a ladder of
-    its own, never by adding or differencing another ladder's segments.  A
-    single segment that no ladder starts at y0 and ends at y1 (a point of v
-    off the ladders) goes to ``quad``; single segments are kept in the
-    entry's ``points`` once read or integrated.
+    column x (a float, or a tuple of floats for n = 2), holding ladders: the
+    runs of consecutive segments integrated together, as arrays of edges,
+    segment integrals and their cumulative sums.  A run that a stored ladder
+    holds is a slice of it, and v at a ladder edge (a ladder from y0 = 0) is
+    its cumulative sum, so the face resistances, the cell-centre columns and
+    the top-face Dirichlet traces of one eps step share one pass.  Any other
+    run becomes a ladder of its own, never a sum or difference of another
+    ladder's segments.  A single segment that no ladder starts at y0 and
+    ends at y1 (a point of v off the ladders) goes to ``quad``; single
+    segments are kept in the entry's ``points`` once read or integrated.
     The memo assumes ``mu_inverse`` is a deterministic function of (x, s);
     calls with an ``integrand_factor`` and the closed form for mu == 1 bypass
     it.  Two threads that miss on the same column both compute and store the
@@ -413,10 +429,7 @@ class CharacteristicSolution:
         return v_char(self, x, y)
 
     def _column(self, x) -> _Column:
-        col = self._memo.get(x)
-        if col is None:
-            col = self._memo[x] = _Column()
-        return col
+        return self._memo.setdefault(x, _Column())
 
     def segment_integral(self, x, y0: float, y1: float,
                          integrand_factor: Optional[MuSampler] = None) -> float:
@@ -432,46 +445,48 @@ class CharacteristicSolution:
         col = self._column(x)
         val = col.points.get((y0, y1))
         if val is None:
-            for lad in col.ladders:
-                val = lad.cumulative(y0, y1)
-                if val is not None:
-                    break
-            else:
+            val = col.cumulative(y0, y1)
+            if val is None:
                 val = self._quad(self.mu_inverse, x, y0, y1)
             col.points[(y0, y1)] = val
         return val
 
     def segment_integrals(self, x, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-        """int_{y0_k}^{y1_k} rho^(-a)(s) mu^(-1)(x, s) ds for segments of one
-        column x: each run of consecutive segments is a slice of a stored
-        ladder, or one dqk21 pass stored as a new ladder."""
+        """int_{y0_k}^{y1_k} rho^(-a)(s) mu^(-1)(x_k, s) ds, x broadcast against
+        y0: each run of consecutive segments of one column is a slice of a
+        stored ladder, or a new ladder; new ones share one dqk21 pass."""
         y0 = np.asarray(y0, dtype=float)
         y1 = np.asarray(y1, dtype=float)
         if self.mu_inverse is None:
             return chi(self.family, y1) - chi(self.family, y0)
+        X = _positions(x, y0.shape)
+        new = np.any(X[1:] != X[:-1], axis=1) | (y0[1:] != y1[:-1])
+        lo = np.flatnonzero(np.r_[len(y0) > 0, new])          # run starts; none if empty
+        hi = np.r_[lo[1:], len(y0)]
+        runs = [np.concatenate((y0[i:i + 1], y1[i:j])) for i, j in zip(lo, hi)]
         out = np.empty(len(y0))
-        bounds = [0, *(np.flatnonzero(y0[1:] != y1[:-1]) + 1).tolist(), len(y0)]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                lad, i = self._ladder(x, np.concatenate((y0[lo:lo + 1], y1[lo:hi])))
-                out[lo:hi] = lad.seg[i:i + hi - lo]
+        for i, j, (lad, k) in zip(lo, hi, self._ladders(X[lo], runs)):
+            out[i:j] = lad.seg[k:k + j - i]
         return out
 
-    def _ladder(self, x, edges: np.ndarray) -> Tuple[_Ladder, int]:
-        """The stored ladder of column x holding ``edges`` consecutively from
-        index i, and i; a new ladder of one dqk21 pass if none does."""
-        col = self._column(x)
-        for lad in col.ladders:
-            i = lad.find(edges)
-            if i >= 0:
-                return lad, i
-        seg = self._integrate(x, edges[:-1], edges[1:])
-        lad = _Ladder(edges, seg, np.cumsum(seg))
-        col.ladders.append(lad)
-        return lad, 0
+    def _ladders(self, X: np.ndarray, runs: list) -> list:
+        """(ladder, i) per run of edges in column X[k]: a stored ladder holding
+        them from index i, or a new one and 0, all from one dqk21 pass."""
+        cols = [self._column(_x_of(row)) for row in X.tolist()]
+        out = [col.find(edges) for col, edges in zip(cols, runs)]
+        new = [k for k, hit in enumerate(out) if hit is None]
+        if new:
+            counts = [len(runs[k]) - 1 for k in new]
+            seg = self._integrate(np.repeat(X[new], counts, axis=0),
+                                  np.concatenate([runs[k][:-1] for k in new]),
+                                  np.concatenate([runs[k][1:] for k in new]))
+            for k, part in zip(new, np.split(seg, np.cumsum(counts)[:-1])):
+                out[k] = (_Ladder(runs[k], part, np.cumsum(part)), 0)
+                cols[k].ladders.append(out[k][0])
+        return out
 
-    def _integrate(self, x, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-        """One dqk21 pass over all segments; ``quad`` for the rejected ones."""
+    def _integrate(self, X: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+        """One dqk21 pass, segment k in column X[k]; ``quad`` for rejected ones."""
         g = self.mu_inverse
         a, eps = self.family.a, self.family.eps
         b = 1.0 - a
@@ -483,10 +498,10 @@ class CharacteristicSolution:
         if sub.any():
             s[sub] = (b * s[sub]) ** (1.0 / b)
         wgt = np.where(sub[:, None], 1.0, (eps * eps + s * s) ** (-a / 2.0))
-        result, abserr, resabs = _gk21(wgt * _sample(g, x, s), y0, hi)
+        result, abserr, resabs = _gk21(wgt * _sample(g, _x_of(list(X.T[..., None])), s), y0, hi)
         for k in np.flatnonzero(~_qags_accepts(result, abserr, resabs,
                                                self.quadrature_tol)):
-            result[k] = self._quad(g, x, float(y0[k]), float(y1[k]))
+            result[k] = self._quad(g, _x_of(X[k].tolist()), float(y0[k]), float(y1[k]))
         return result
 
     def _quad(self, g: MuSampler, x, y0: float, y1: float) -> float:
@@ -520,17 +535,19 @@ def v_char(sol: CharacteristicSolution, x, y: float) -> float:
 
 
 def v_char_profile(sol: CharacteristicSolution, x, ys: Sequence[float]) -> np.ndarray:
-    """Evaluate v(x, .) on an increasing grid of positive ordinates: the
-    cumulative sum of the column ladder with edges 0, ys (a prefix of a
-    stored ladder, or one dqk21 pass stored as a new one)."""
+    """v(x, ys), shape S + (len(ys),), in each column of x (shape S) on an
+    increasing grid of positive ordinates: cumulative sums of the ladders
+    with edges 0, ys (prefixes of stored ones, or new ones of one pass)."""
     ys = np.asarray(ys, dtype=float)
     if np.any(np.diff(ys) <= 0) or np.any(ys <= 0):
         raise ValueError("ys must be strictly increasing and positive")
     a = sol.family.a
+    shape = np.shape(_coords(x)[0]) + ys.shape
     if sol.mu_inverse is None:
-        return (1.0 - a) * chi(sol.family, ys)
-    lad, _ = sol._ladder(x, np.concatenate(([0.0], ys)))   # a ladder holding 0 starts there
-    return (1.0 - a) * lad.cum[:len(ys)]
+        return np.broadcast_to((1.0 - a) * chi(sol.family, ys), shape).copy()
+    X = _positions(x, shape[:-1])
+    lads = sol._ladders(X, [np.concatenate(([0.0], ys))] * len(X))  # ladders from 0 start there
+    return (1.0 - a) * np.array([lad.cum[:len(ys)] for lad, _ in lads]).reshape(shape)
 
 
 def v_char_grad_x(sol: CharacteristicSolution, x, y: float, fd_step: float = 1e-6) -> float:

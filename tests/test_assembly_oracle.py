@@ -22,8 +22,14 @@ def _x(x):
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def _norm2(x):
+    """|x|^2 of a column position x (a scalar or array for n = 1, a tuple of
+    them for n = 2), elementwise over arrays of positions."""
+    return sum(np.square(c) for c in x) if isinstance(x, tuple) else np.square(x)
+
+
 def _mu_inverse(x, y):
-    return 1.0 / (1.0 + 0.1 * float(np.sum(_x(x) ** 2)))
+    return 1.0 / (1.0 + 0.1 * _norm2(x))
 
 
 def _weights(name):
@@ -50,7 +56,7 @@ def _spec(n, t_field):
     def t(x, y):
         return 0.3 * y if n == 1 else (0.3 * y, -0.2 * y * _x(x)[0])
 
-    return dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.2 * float(np.sum(_x(x) ** 2)),
+    return dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.2 * _norm2(x),
                            b_tilde=b_tilde, t_field=t if t_field else None)
 
 

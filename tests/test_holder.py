@@ -203,11 +203,12 @@ def test_moser_spread_across_eps():
 
 
 def test_sweep_integrates_each_segment_once(monkeypatch):
-    """Per eps, the resistances sample mu^(-1) once per column on a
-    (ny + 1, 21) array of dqk21 nodes, mu = 1/mu^(-1) is sampled once per
-    column of x-faces on the (ny,) array of its ordinates, and the side-face
-    traces take one (ny, 21) pass per side x = -1, 1.  The quotient, the data
-    norms and the top-face traces read those column ladders, so scalar
+    """Per eps, the resistances sample mu^(-1) once for the whole grid on an
+    (nx (ny + 1), 21) array of dqk21 nodes, with x an (nx (ny + 1), 1) array
+    of column positions; mu = 1/mu^(-1) is sampled once on the
+    ((nx + 1) ny,) array of the x-face midpoints; and the side-face traces
+    take one (2 ny, 21) pass over both sides x = -1, 1.  The quotient, the
+    data norms and the top-face traces read those column ladders, so scalar
     ``quad`` never runs: it would only for column segments the dqk21 pass
     rejects, of which this problem has none."""
     import degenlab.weights as weights
@@ -226,7 +227,7 @@ def test_sweep_integrates_each_segment_once(monkeypatch):
 
     def mu_inv(x, y):
         if isinstance(y, np.ndarray):
-            column_calls.append(y.shape)
+            column_calls.append((np.shape(x), y.shape))
         return 1.0 / (1.0 + 0.1 * x * x)
 
     monkeypatch.setattr(weights, "quad", counting_quad)
@@ -238,7 +239,9 @@ def test_sweep_integrates_each_segment_once(monkeypatch):
     g = dl.build_half_grid(1, "half_rectangle", h)
     eps_list = [1.0, 0.1, 0.0]
     dl.epsilon_sweep(fam, eps_list, 0.4, grid_h=h)
-    per_eps = [(g.ny + 1, 21)] * g.nx + [(g.ny,)] * (g.nx + 1) + [(g.ny, 21)] * 2
+    nres, nside = g.nx * (g.ny + 1), 2 * g.ny
+    per_eps = [((nres, 1), (nres, 21)), (((g.nx + 1) * g.ny,), ((g.nx + 1) * g.ny,)),
+               ((nside, 1), (nside, 21))]
     assert column_calls == per_eps * len(eps_list)
     assert quad_calls == [] and segments == []
 

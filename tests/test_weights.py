@@ -358,6 +358,102 @@ def test_sampler_must_broadcast():
         2.0 * (1 - 0.5) * dl.chi(dl.WeightFamily(0.5, 0.1), np.array([0.25, 0.5])), rel=1e-12)
 
 
+def test_sampler_must_broadcast_over_x():
+    """A sampler that takes a scalar x only fails the whole-grid pass, in the
+    resistances and in mu_at, with a ValueError naming it."""
+    def cos_column(x, s):
+        return 1.0 / (1.5 + math.cos(x)) + 0.0 * s
+
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
+    with pytest.raises(ValueError, match="cos_column"):
+        dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.5, 0.1), cos_column))
+    with pytest.raises(ValueError, match="cos_column"):
+        dl.assemble(g, dl.ConstantWeight(), dl.OperatorSpec(mu=cos_column))
+
+
+def _tilt(x):
+    """A linear function of the column position, odd in x (so that a mix-up
+    of columns x and -x of a symmetric grid shows)."""
+    return x[0] + 0.5 * x[1] if isinstance(x, tuple) else x
+
+
+@pytest.mark.parametrize("grid", [(1, "half_rectangle", 1 / 8), (1, "half_disk", 1 / 8),
+                                  (2, "half_rectangle", 1 / 4)],
+                         ids=["n1-rect", "n1-disk", "n2-rect"])
+@pytest.mark.parametrize("a,eps", [(0.5, 0.0), (-0.5, 0.1), (0.9, 1e-3)])
+def test_whole_grid_pass_matches_quad_per_segment(monkeypatch, grid, a, eps):
+    """The y-resistances of a grid, integrated in one dqk21 pass with one
+    sampler call on arrays of x (a tuple of them for n = 2), equal a scalar
+    ``quad`` of each segment to 1e-13 relative and land between the cells of
+    their own column in the matrix; v on the cell centres of all columns
+    equals the profile of each column alone.  mu^(-1) depends on x; eps = 0
+    with a > 0 takes the substitution on the segments from the plane, and
+    the half disk has columns of different heights.  At a = 0.9, eps = 1e-3
+    some segments fail qags's test and take the scalar ``quad`` fallback."""
+    calls = []
+
+    def mu_inv(x, s):
+        if np.ndim(s):          # not a scalar call of quad
+            calls.append(x)
+        return 1.0 / (1.5 + 0.3 * _tilt(x) + 0.5 * s * s)
+
+    n, shape, h = grid
+    g = dl.build_half_grid(n, shape, h)
+    fam = dl.WeightFamily(a, eps)
+    w = dl.RhoWeight(fam, mu_inv)
+    seen = []
+    resistance_y = dl.RhoWeight.resistance_y
+
+    def recording(self, x, ys, y0, y1):
+        out = resistance_y(self, x, ys, y0, y1)
+        seen.append((x, y0, y1, out))
+        return out
+
+    monkeypatch.setattr(dl.RhoWeight, "resistance_y", recording)
+    op = dl.assemble(g, w, parity="odd")
+    assert len(seen) == 1 and len(calls) == 1
+    x, y0, y1, got = seen[0]
+    assert isinstance(calls[0], tuple) == (n == 2)
+    ask = ~np.isnan(y0)
+    cols = x if n == 2 else (x,)
+    one = dl.CharacteristicSolution(fam, mu_inv)
+    want = [one.segment_integral(k[0] if n == 1 else k, s0, s1) for k, s0, s1 in
+            zip(zip(*(np.broadcast_to(c[:, None], y0.shape)[ask] for c in cols)),
+                y0[ask], y1[ask])]
+    np.testing.assert_allclose(got[ask], want, rtol=1e-13, atol=0.0)
+    ys = (np.arange(g.ny) + 0.5) * h
+    dof = {tuple(c): i for i, c in enumerate(g.centers.tolist())}
+    for r, k in zip(*np.nonzero(ask & np.isin(y0, ys) & np.isin(y1, ys))):   # inner faces
+        xr = tuple(c[r] for c in cols)
+        tau = -op.matrix[dof[xr + (y0[r, k],)], dof[xr + (y1[r, k],)]]
+        assert tau == pytest.approx(h ** n / got[r, k], rel=1e-13)
+    if shape == "half_disk":
+        assert len(set(np.count_nonzero(ask, axis=1))) > 1
+    v = v_char_profile(dl.CharacteristicSolution(fam, mu_inv), x, ys)
+    for k, xk in enumerate(zip(*cols)):
+        alone = v_char_profile(dl.CharacteristicSolution(fam, mu_inv), xk[0] if n == 1 else xk, ys)
+        assert np.array_equal(v[k], alone)
+
+
+def test_runs_break_where_the_column_changes():
+    """Segments of two columns that chain in y are two runs, each integrated
+    in its own column and stored as that column's ladder."""
+    fam = dl.WeightFamily(0.5, 0.1)
+
+    def mu_inv(x, s):
+        return 1.0 / (1.0 + 0.3 * x * x + 0.5 * s * s)
+
+    x = np.array([0.1, 0.1, 0.7, 0.7])
+    y0, y1 = np.array([0.0, 0.25, 0.5, 0.75]), np.array([0.25, 0.5, 0.75, 1.0])
+    sol = dl.CharacteristicSolution(fam, mu_inv)
+    got = sol.segment_integrals(x, y0, y1)
+    one = dl.CharacteristicSolution(fam, mu_inv)
+    want = [one.segment_integral(*args) for args in zip(x, y0, y1)]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert [lad.edges.tolist() for lad in sol._memo[0.1].ladders] == [[0.0, 0.25, 0.5]]
+    assert [lad.edges.tolist() for lad in sol._memo[0.7].ladders] == [[0.5, 0.75, 1.0]]
+
+
 # -- per-column ladders --------------------------------------------------------
 
 _LADDER_MU_INVERSES = {
