@@ -13,13 +13,11 @@ from .weights import (
     SingularWeightError,
     WeightFamily,
     chi,
-    gamma_ratio,
     omega,
     psi,
     rho,
     v_char,
     v_char_grad_x,
-    xi,
 )
 from .potentials import (
     gamma_small,
@@ -41,14 +39,11 @@ from .certify import (
     verify_v_inequality,
 )
 from .geometry import (
-    AmbiguousProjectionError,
     ChartError,
     EmbeddedCurve,
     HalfGrid,
     build_half_grid,
     fermi_mu,
-    mean_curvature_check,
-    signed_distance,
 )
 from .assembly import (
     AssembledOperator,
@@ -66,9 +61,7 @@ from .assembly import (
 from .ratio import (
     AuxiliaryRhsBundle,
     OddProblem,
-    auxiliary_effective_dimension,
     auxiliary_rhs,
-    effective_dimension,
     ratio_field,
     reconstruct,
     verify_ratio_equation,
@@ -77,11 +70,9 @@ from .spectral import (
     EigenResult,
     HalfDiskMesh,
     NodalField,
-    boundary_hardy_quotient,
     eigen_stability_sweep,
     growth_monitor,
     hardy_quotient,
-    isometry_transform,
     trace_eigen,
 )
 from .holder import (
@@ -91,10 +82,8 @@ from .holder import (
     Region,
     StabilityReport,
     SweepAbort,
-    alpha_window,
     c1alpha_seminorm,
     epsilon_sweep,
     exponent_estimate,
     holder_seminorm,
-    moser_bound_check,
 )

@@ -74,10 +74,6 @@ class ParityError(ValueError):
     """Raised when a sampled exact solution does not respect the stated parity."""
 
 
-class EllipticityError(ValueError):
-    """Raised when the assembled tensor fails the uniform ellipticity check."""
-
-
 # ---------------------------------------------------------------------------
 # Operator coefficients
 # ---------------------------------------------------------------------------
@@ -129,51 +125,6 @@ class OperatorSpec:
             return np.ones(len(pts))
         return np.array([self.b_tilde_diag(*_split(p, n), axis, n) for p in pts])
 
-    def a_matrix(self, x, y, n: int) -> np.ndarray:
-        mu = self.mu_val(x, y)
-        if self.b_tilde is None:
-            bt = np.eye(n)
-        else:
-            bt = np.atleast_2d(np.asarray(self.b_tilde(x, y), dtype=float))
-        t = self.t_val(x, y, n)
-        A = np.zeros((n + 1, n + 1))
-        A[:n, :n] = bt
-        A[:n, n] = t
-        A[n, :n] = t
-        A[n, n] = 1.0
-        return mu * A
-
-    def check_ellipticity(self, n: int = 1, npoints: int = 1000, ndirs: int = 10,
-                          tol: float = 1e-12) -> Tuple[float, float]:
-        """Sample lambda1, lambda2 on a deterministic point/direction lattice."""
-        lam1, lam2 = math.inf, 0.0
-        pts = _halton_points(npoints, n + 1)
-        dirs = _circle_directions(ndirs, n + 1)
-        for p in pts:
-            x = p[0] if n == 1 else tuple(p[:n])
-            y = p[n]
-            A = self.a_matrix(x, y, n)
-            for d in dirs:
-                q = float(d @ A @ d)
-                lam1 = min(lam1, q)
-                lam2 = max(lam2, q)
-        if lam1 <= tol:
-            raise EllipticityError(f"tensor not uniformly elliptic: lambda1={lam1:.3g}")
-        return lam1, lam2
-
-    def check_j_symmetry(self, n: int = 1, npoints: int = 200, tol: float = 1e-10) -> float:
-        """Max deviation of A(x, y) - J A(x, -y) J over sample points."""
-        J = np.eye(n + 1)
-        J[n, n] = -1.0
-        worst = 0.0
-        for p in _halton_points(npoints, n + 1):
-            x = p[0] if n == 1 else tuple(p[:n])
-            y = p[n]
-            A1 = self.a_matrix(x, y, n)
-            A2 = J @ self.a_matrix(x, -y, n) @ J
-            worst = max(worst, float(np.max(np.abs(A1 - A2))))
-        return worst
-
     def check_sigma_invariance(self, n: int = 1, npoints: int = 200) -> float:
         """Max |T(x, 0)| over sample points (must vanish: A(x,0) e_y = mu e_y)."""
         worst = 0.0
@@ -197,20 +148,6 @@ def _halton_points(count: int, dim: int) -> np.ndarray:
             f /= p
         out[:, d] = 2.0 * val - 1.0 if d < dim - 1 else val
     return out
-
-
-def _circle_directions(count: int, dim: int) -> np.ndarray:
-    if dim == 2:
-        ang = np.pi * (np.arange(count) + 0.5) / count
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    dirs = []
-    golden = (1 + math.sqrt(5)) / 2
-    for k in range(count):
-        th = 2 * math.pi * k / golden
-        z = -1 + 2 * (k + 0.5) / count
-        r = math.sqrt(max(0.0, 1 - z * z))
-        dirs.append([r * math.cos(th), r * math.sin(th), z])
-    return np.asarray(dirs)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def cmd_eigen(cfg: dict) -> int:
     ok &= hres.lam >= 0.25                   # conformity bound at every h
     if h <= 1.0 / 64 + 1e-12:
         ok &= hres.lam <= 0.40               # bracketed value at the reference h
-    for r, lam, res in eigen_stability_sweep(sweep_a, r_list, h, form="rho"):
+    for r, lam, res in eigen_stability_sweep(sweep_a, r_list, h):
         rows.append((f"lambda_r[a={sweep_a:g}]", sweep_a, r, h, lam, res))
     header = [f"config-hash: {_config_hash(cfg)}",
               f"grid: half-disk polar mesh, h={fmt(h)}",

@@ -9,9 +9,7 @@ nodal mesh in :mod:`degenlab.spectral` instead).
 
 For an embedded plane curve with unit normal pointing into the positive side,
 the parallel-surface volume element is sqrt(det g^y) = |psi'(x)| (1 - y k(x)),
-which doubles as the scalar coefficient mu(x, y) of the transformed operator;
-the mean curvature of the parallel curve satisfies
-H_y = -(d/dy) sqrt(det g^y) / sqrt(det g^y) = k/(1 - y k).
+which doubles as the scalar coefficient mu(x, y) of the transformed operator.
 """
 
 from __future__ import annotations
@@ -25,10 +23,6 @@ import numpy as np
 
 class ChartError(ValueError):
     """Raised when (x, y) leaves the tubular neighborhood (y * kappa >= 1)."""
-
-
-class AmbiguousProjectionError(ValueError):
-    """Raised when a point has two or more equidistant feet on the curve."""
 
 
 @dataclass(frozen=True)
@@ -146,26 +140,20 @@ class EmbeddedCurve:
 
     @staticmethod
     def circle(radius: float, center=(0.0, 0.0), arc: float = 1.0,
-               theta0: float = 0.0, normal_side: str = "inward") -> "EmbeddedCurve":
-        """Arc of a circle, parametrized with constant speed = ``arc`` length.
-
-        normal_side='inward' makes the Fermi ordinate grow toward the center
-        (kappa = +1/R); 'outward' grows away from it (kappa = -1/R)."""
+               theta0: float = 0.0) -> "EmbeddedCurve":
+        """Arc of a circle, counter-clockwise from angle theta0 with constant
+        speed = ``arc`` length; the normal points to the center, so the Fermi
+        ordinate grows toward it (kappa = +1/R)."""
         c = np.asarray(center, dtype=float)
-        if normal_side == "inward":
-            kap, orient = 1.0 / radius, 1.0
-        elif normal_side == "outward":
-            kap, orient = -1.0 / radius, -1.0
-        else:
-            raise ValueError("normal_side must be 'inward' or 'outward'")
+        kap = 1.0 / radius
 
         def psi(t):
-            th = theta0 + orient * arc * t / radius
+            th = theta0 + arc * t / radius
             return c + radius * np.array([math.cos(th), math.sin(th)])
 
         def dpsi(t):
-            th = theta0 + orient * arc * t / radius
-            return orient * arc * np.array([-math.sin(th), math.cos(th)])
+            th = theta0 + arc * t / radius
+            return arc * np.array([-math.sin(th), math.cos(th)])
 
         return EmbeddedCurve(psi=psi, dpsi=dpsi, curvature=lambda t: kap)
 
@@ -178,75 +166,3 @@ def fermi_mu(curve: EmbeddedCurve, x: float, y: float) -> float:
     if y * k >= 1.0:
         raise ChartError(f"Fermi chart invalid: y*kappa = {y * k:.3g} >= 1")
     return curve.speed(x) * (1.0 - y * k)
-
-
-def mean_curvature_check(curve: EmbeddedCurve, x: float, y: float,
-                         fd_step: float = 1e-4) -> Tuple[float, float]:
-    """Mean curvature of the parallel curve two ways: analytic and from mu.
-
-    Returns (H_y, residual) with H_y = kappa/(1 - y kappa) and residual the
-    difference against -(d/dy) mu / mu by central differences."""
-    k = curve.curvature(x)
-    if y * k >= 1.0:
-        raise ChartError(f"Fermi chart invalid: y*kappa = {y * k:.3g} >= 1")
-    H = k / (1.0 - y * k)
-    mu0 = fermi_mu(curve, x, y)
-    mup = fermi_mu(curve, x, y + fd_step)
-    mum = fermi_mu(curve, x, y - fd_step)
-    H_fd = -(mup - mum) / (2.0 * fd_step) / mu0
-    return H, abs(H - H_fd)
-
-
-def signed_distance(curve: EmbeddedCurve, X, n_scan: int = 1024,
-                    ambiguity_rtol: float = 1e-6) -> Tuple[float, float]:
-    """Signed distance of a plane point to the curve, plus the foot parameter.
-
-    Positive on the side the normal points into.  A dense parameter scan
-    brackets the nearest foot and golden-section refinement polishes it;
-    if two separated feet are equidistant (within ambiguity_rtol relative)
-    an :class:`AmbiguousProjectionError` is raised."""
-    X = np.asarray(X, dtype=float)
-    ts = np.linspace(0.0, 1.0, n_scan + 1)
-    d2 = np.array([np.sum((np.asarray(curve.psi(t)) - X) ** 2) for t in ts])
-    k = int(np.argmin(d2))
-
-    # detect a second, separated, equally-near local minimum
-    interior = np.r_[False, (d2[1:-1] <= d2[:-2]) & (d2[1:-1] <= d2[2:]), False]
-    local = np.nonzero(interior)[0]
-    near = [i for i in local if abs(ts[i] - ts[k]) > 10.0 / n_scan]
-    if near:
-        second = min(d2[i] for i in near)
-        best = d2[k]
-        if best > 0 and abs(math.sqrt(second) - math.sqrt(best)) <= ambiguity_rtol * math.sqrt(best):
-            raise AmbiguousProjectionError(
-                f"point {X.tolist()} has equidistant projections on the curve")
-
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, n_scan)]
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - gr * (b - a), a + gr * (b - a)
-
-    def f(t):
-        return float(np.sum((np.asarray(curve.psi(t)) - X) ** 2))
-
-    fc, fd = f(c), f(d)
-    for _ in range(120):
-        if b - a < 1e-14:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-    t_star = (a + b) / 2.0
-    foot = np.asarray(curve.psi(t_star), dtype=float)
-    delta = X - foot
-    dist = float(np.linalg.norm(delta))
-    if dist == 0.0:
-        return 0.0, float(t_star)
-    sign = 1.0 if float(np.dot(delta, curve.normal(t_star))) >= 0 else -1.0
-    return sign * dist, float(t_star)

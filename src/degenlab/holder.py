@@ -29,8 +29,7 @@ from scipy.spatial import cKDTree
 
 from .assembly import DiscreteField, OperatorSpec, RhoWeight, assemble, solve_linear
 from .geometry import HalfGrid, build_half_grid
-from .ratio import (_quotient_field, _v_on_grid, auxiliary_effective_dimension,
-                    effective_dimension)
+from .ratio import _quotient_field, _v_on_grid
 from .weights import (CharacteristicSolution, WeightFamily, omega as omega_weight, v_char,
                       v_char_profile)
 
@@ -210,47 +209,6 @@ def exponent_estimate(field: DiscreteField, center_on_sigma,
 
 
 # ---------------------------------------------------------------------------
-# Admissibility windows
-# ---------------------------------------------------------------------------
-
-def alpha_window(kind: str, n: int, a: float, p1: float,
-                 p2: Optional[float] = None, p3: Optional[float] = None) -> float:
-    """Largest admissible Hölder exponent for the stated estimate, clipped to (0,1).
-
-    kinds (first group uses the quotient dimension db = n+3+(-a)^+, the last
-    the direct dimension d = n+1+a^+):
-      'aux_c0'       min(2 - db/p1, 1 - db/p2, 1 - db/p3)
-      'aux_c1'       min(1 - db/p1, 1 - db/p2)
-      'ratio_c0'     min(2 - db/p1, 1 - db/p2)
-      'ratio_c1'     1 - db/p1
-      'odd_direct_c0' min(1 - a, 2 - d/p1, 1 - d/p2)
-    """
-    db = auxiliary_effective_dimension(n, a)
-    d = effective_dimension(n, a)
-    if kind == "aux_c0":
-        if p2 is None or p3 is None:
-            raise ValueError("aux_c0 needs p1, p2, p3")
-        w = min(2.0 - db / p1, 1.0 - db / p2, 1.0 - db / p3)
-    elif kind == "aux_c1":
-        if p2 is None:
-            raise ValueError("aux_c1 needs p1, p2")
-        w = min(1.0 - db / p1, 1.0 - db / p2)
-    elif kind == "ratio_c0":
-        if p2 is None:
-            raise ValueError("ratio_c0 needs p1, p2")
-        w = min(2.0 - db / p1, 1.0 - db / p2)
-    elif kind == "ratio_c1":
-        w = 1.0 - db / p1
-    elif kind == "odd_direct_c0":
-        if p2 is None:
-            raise ValueError("odd_direct_c0 needs p1, p2")
-        w = min(1.0 - a, 2.0 - d / p1, 1.0 - d / p2)
-    else:
-        raise ValueError(f"unknown window kind {kind!r}")
-    return max(0.0, min(w, 1.0))
-
-
-# ---------------------------------------------------------------------------
 # eps-sweep harness
 # ---------------------------------------------------------------------------
 
@@ -415,29 +373,3 @@ def _data_norms(family: ProblemFamily, sol: CharacteristicSolution, grid: HalfGr
         out["fbar_Lp1_omega"] = float(
             (np.sum(om * np.abs(fv / v) ** family.p1) * voln) ** (1.0 / family.p1))
     return out
-
-
-def moser_bound_check(u: DiscreteField, a: float, eps: float,
-                      f: Optional[Callable] = None, F: Optional[Callable] = None,
-                      inner: Optional[Region] = None, beta: float = 2.0,
-                      p1: float = 6.0, p2: float = 6.0) -> float:
-    """sup-norm on the inner region over the sum of weighted data norms.
-
-    ratio = sup_inner |u| / (||u||_{L^beta(omega)} + ||f||_{L^p1(omega)}
-    + ||F||_{L^p2(omega)}); invariant under joint scaling of (u, f, F)."""
-    inner = inner or Region()
-    g = u.grid
-    y = g.centers[:, g.n]
-    om = omega_weight(WeightFamily(a, eps), y)
-    voln = g.h ** (g.n + 1)
-    denom = float((np.sum(om * np.abs(u.values) ** beta) * voln) ** (1.0 / beta))
-    if f is not None:
-        fv = np.array([f(p[0], p[1]) for p in g.centers])
-        denom += float((np.sum(om * np.abs(fv) ** p1) * voln) ** (1.0 / p1))
-    if F is not None:
-        Fv = np.array([np.linalg.norm(np.atleast_1d(F(p[0], p[1]))) for p in g.centers])
-        denom += float((np.sum(om * Fv ** p2) * voln) ** (1.0 / p2))
-    if denom == 0.0:
-        raise ZeroDivisionError("all data norms vanish")
-    sup = float(np.max(np.abs(u.values[inner.mask(g)])))
-    return sup / denom

@@ -6,9 +6,10 @@ turns int w |grad u|^2 into a flat-gradient quadratic form
     Q(v) = int |grad v|^2 + int V v^2 + int_{arc} W v^2,   v = w^(1/2) u,
 
 with potentials V, W determined by log-derivatives of w.  This module
-evaluates those potentials in closed form for the three weight kinds used by
-the spectral solvers ('rho', 'omega_inverse', 'omega'), plus the three
-functions that certify coercivity of the omega-inverse form:
+evaluates those potentials in closed form for three weight kinds: 'rho',
+whose form is the transformed route of the spectral trace quotient, and
+'omega_inverse' and 'omega'.  It also holds the three functions that certify
+coercivity of the omega-inverse form:
 
 * ``phi_big``     -- Phi_a(t) with V_omega_inv(y) = Phi_a(y/eps) / y^2;
                      limits 2 at t -> 0+ and (2-a)(4-a)/4 at t -> infinity.

@@ -38,16 +38,6 @@ from .geometry import HalfGrid, build_half_grid
 from .weights import CharacteristicSolution, v_char, v_char_grad_x, v_char_profile
 
 
-def effective_dimension(n: int, a: float) -> float:
-    """Measure-growth exponent of rho: d = n + 1 + a^+."""
-    return n + 1 + max(a, 0.0)
-
-
-def auxiliary_effective_dimension(n: int, a: float) -> float:
-    """Measure-growth exponent of the quotient weight: d = n + 3 + (-a)^+."""
-    return n + 3 + max(-a, 0.0)
-
-
 class DivisionGuardError(ZeroDivisionError):
     """Raised if the characteristic denominator is below 1e-14 at a cell."""
 

@@ -8,18 +8,18 @@ only over-estimate continuum infima, and nested refinement can only lower
 them).  The flat diameter lies on the characteristic plane: every quotient
 here constrains its functions to vanish there.
 
-Two assembly routes realize each weighted quotient:
+Two assembly routes realize the weighted trace quotient:
 
 * direct: stiffness with the weight w itself; admissible while w is locally
   integrable (exponent > -1).  With eps = 0 the elements touching the plane
   integrate the singular/degenerate factor by Gauss-Jacobi rules matched to
   the exponent, and the weighted boundary mass drops the two arc nodes
-  adjacent to the plane.
+  adjacent to the plane.  The Hardy quotients take this route only.
 * transformed: substitute v = w^(1/2) u, turning the quotient into a flat
   Dirichlet form plus the closed-form potentials of
   :mod:`degenlab.potentials`; this is the only usable route once the weight
-  leaves the locally integrable range (trace exponents <= -1 and all
-  inverse-quotient weights), and the two routes agree in the integrable
+  leaves the locally integrable range (trace exponents <= -1, among them the
+  auxiliary exponents b = a - 2), and the two routes agree in the integrable
   range, which the tests exercise.
 
 Eigenvalues come from shifted inverse iteration on the generalized pair
@@ -33,8 +33,7 @@ continuum bound a bound of the discrete minimum, up to quadrature error:
   sharp trace constant 1 - b (3 - a for the auxiliary exponent b = a - 2);
 * flat Hardy quotient (w == 1): sigma = 0.99 / 4, from the one-dimensional
   Hardy inequality in y with constant 1/4;
-* everything else (eps > 0, weighted Hardy, boundary Hardy, the inverse
-  auxiliary trace): sigma = 0.
+* everything else (eps > 0, weighted Hardy): sigma = 0.
 
 If the iteration converges below sigma anyway, the bound failed for that
 pencil and the solve raises RuntimeError rather than report an eigenvalue
@@ -52,9 +51,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import roots_jacobi, roots_legendre
 
-from .assembly import DiscreteField, WeightModel, assemble
+from .assembly import DiscreteField
 from .potentials import potentials
-from .weights import WeightFamily, omega as omega_weight, rho as rho_weight
+from .weights import WeightFamily, rho as rho_weight
 
 EIG_TOL = 1e-10
 EIG_RESIDUAL_TOL = 1e-9
@@ -347,16 +346,16 @@ def _rho_fn(b: float, eps: float) -> Callable:
     return w
 
 
-def _conjugated_forms(kind: str, a: float, eps: float, mesh: HalfDiskMesh,
+def _conjugated_forms(a: float, eps: float, mesh: HalfDiskMesh,
                       quad_order: int) -> sp.csr_matrix:
     """K0 + P + Wb: the flat Dirichlet form, the domain potential and the arc
-    potential of the weight ``kind`` ('rho' or 'omega_inverse', see
-    :func:`degenlab.potentials.potentials`) conjugated away by v = w^(1/2) u."""
+    potential of the weight rho conjugated away by v = rho^(1/2) u (see
+    :func:`degenlab.potentials.potentials`)."""
     def V(y):
-        return potentials(kind, a, eps, y)[0]
+        return potentials("rho", a, eps, y)[0]
 
     def Warc(y):
-        return potentials(kind, a, eps, y)[1]
+        return potentials("rho", a, eps, y)[1]
 
     K0, P, _ = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
                               potential=V, quad_order=quad_order)
@@ -392,7 +391,7 @@ def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto",
         else:
             M = assemble_arc_mass(mesh, wfn)
     elif route == "transformed":
-        K = _conjugated_forms("rho", b, eps, mesh, quad_order)
+        K = _conjugated_forms(b, eps, mesh, quad_order)
         M = assemble_arc_mass(mesh, None)
     else:
         raise ValueError(f"unknown route {route!r}")
@@ -444,84 +443,22 @@ def hardy_quotient(weight: WeightSpec, grid_h: float,
                        iterations=it, eigenvector=NodalField(mesh, vec))
 
 
-def boundary_hardy_quotient(weight: WeightSpec, grid_h: float,
-                            quad_order: int = 4,
-                            kind: str = "auto") -> EigenResult:
-    """min int w |grad v|^2 / int_arc (w/y) v^2 over v vanishing on the plane.
-
-    kind='omega_inverse' treats ``weight`` as a WeightFamily and uses the
-    inverse auxiliary weight (always through the transformed route); 'auto'
-    assembles rho-type weights directly when locally integrable and through
-    the conjugated form otherwise."""
-    mesh = HalfDiskMesh.from_h(grid_h)
-    free = mesh.free_nodes()
-    if kind == "omega_inverse":
-        if not isinstance(weight, WeightFamily):
-            raise TypeError("omega_inverse kind requires a WeightFamily")
-        fam = weight
-        K = _conjugated_forms("omega_inverse", fam.a, fam.eps, mesh, quad_order)
-        M = assemble_arc_mass(mesh, lambda y: 1.0 / y)
-        wid = f"omega_inv[a={fam.a:g},eps={fam.eps:g}]"
-        route = "transformed"
-        a_val, e_val = fam.a, fam.eps
-    else:
-        wfn, a, eps = _weight_fn(weight)
-        a_val = a if a is not None else 0.0
-        e_val = eps if eps is not None else 0.0
-        if a is not None and a <= -1.0 and eps == 0.0:
-            K = _conjugated_forms("rho", a, eps, mesh, quad_order)
-            M = assemble_arc_mass(mesh, lambda y: 1.0 / y)
-            route = "transformed"
-        else:
-            jac = a if (a is not None and eps == 0.0 and a != 0.0) else None
-            K, _, _ = assemble_forms(mesh, stiffness_weight=wfn, quad_order=quad_order,
-                                     sigma_jacobi_exponent=jac)
-            M = assemble_arc_mass(mesh, lambda y: wfn(y) / y)
-            route = "direct"
-        wid = "1" if a is None else f"rho[a={a:g},eps={eps:g}]"
-    lam, vec, res, it = min_rayleigh(K, M, free)
-    return EigenResult(quotient_id=f"boundary_hardy[w={wid}]", a=a_val,
-                       eps_or_r=e_val, grid_h=grid_h, lam=lam, residual=res,
-                       route=route, iterations=it,
-                       eigenvector=NodalField(mesh, vec))
-
-
 def eigen_stability_sweep(a: float, r_list: Sequence[float], grid_h: float,
-                          form: str = "rho", quad_order: int = 4) -> list:
-    """Table of (r, lam_r, residual) for the dilated weights; lam_r -> 1-a
-    ('rho' form, a in (-1,1)) resp. 3-a ('omega_inverse' form, any a < 1) as
-    r grows.  The residual is the eigen solve's (see :func:`min_rayleigh`)."""
+                          quad_order: int = 4) -> list:
+    """Table of (r, lam_r, residual) for the dilated weights rho(a, 1/r),
+    a in (-1, 1); lam_r -> 1-a as r grows.  The residual is the eigen
+    solve's (see :func:`min_rayleigh`)."""
+    if not (-1.0 < a < 1.0):
+        raise ValueError("eigen stability sweep requires a in (-1, 1)")
     rows = []
     for r in r_list:
-        eps = 1.0 / r
-        if form == "rho":
-            if not (-1.0 < a < 1.0):
-                raise ValueError("rho-form sweep requires a in (-1, 1)")
-            res = trace_eigen(a, eps, grid_h, route="direct", quad_order=quad_order)
-        elif form == "omega_inverse":
-            res = boundary_hardy_like_omega_trace(a, eps, grid_h, quad_order)
-        else:
-            raise ValueError(f"unknown form {form!r}")
+        res = trace_eigen(a, 1.0 / r, grid_h, route="direct", quad_order=quad_order)
         rows.append((r, res.lam, res.residual))
     return rows
 
 
-def boundary_hardy_like_omega_trace(a: float, eps: float, grid_h: float,
-                                    quad_order: int = 4) -> EigenResult:
-    """Trace quotient of the inverse auxiliary weight:
-    min int (omega)^(-1) |grad u|^2 / int_arc (omega)^(-1) u^2 -> 3 - a."""
-    mesh = HalfDiskMesh.from_h(grid_h)
-    free = mesh.free_nodes()
-    K = _conjugated_forms("omega_inverse", a, eps, mesh, quad_order)
-    M = assemble_arc_mass(mesh, None)
-    lam, vec, res, it = min_rayleigh(K, M, free)
-    return EigenResult(quotient_id=f"omega_inv_trace[a={a:g}]", a=a, eps_or_r=eps,
-                       grid_h=grid_h, lam=lam, residual=res, route="transformed",
-                       iterations=it, eigenvector=NodalField(mesh, vec))
-
-
 # ---------------------------------------------------------------------------
-# Growth monitor and isometries (operate on the cell-centered fields)
+# Growth monitor (operates on the cell-centered fields)
 # ---------------------------------------------------------------------------
 
 def growth_monitor(field: DiscreteField, a: float, r_list: Sequence[float],
@@ -547,44 +484,3 @@ def growth_monitor(field: DiscreteField, a: float, r_list: Sequence[float],
         H = float(np.trapezoid(integrand, phi))
         rows.append((r, H, H / r ** (2.0 * (1.0 - a))))
     return rows
-
-
-def isometry_transform(u: DiscreteField, family: WeightFamily,
-                       direction: str = "to_flat",
-                       variant: str = "rho") -> DiscreteField:
-    """v = w^(1/2) u ('to_flat') or u = w^(-1/2) v ('from_flat'), w = rho or
-    omega; the exact inverse of itself, round trips are identity to rounding."""
-    y = u.grid.centers[:, u.grid.n]
-    w = rho_weight(family, y) if variant == "rho" else omega_weight(family, y)
-    s = np.sqrt(w)
-    if direction == "to_flat":
-        vals = u.values * s
-    elif direction == "from_flat":
-        vals = u.values / s
-    else:
-        raise ValueError("direction must be 'to_flat' or 'from_flat'")
-    return DiscreteField(u.grid, vals, u.parity)
-
-
-def weighted_dirichlet_energy(field: DiscreteField, weight: WeightModel) -> float:
-    """int w |grad u|^2 via the flux-form bilinear energy u^T K u.
-
-    Intended for fields supported away from the boundary, where the
-    half-cell boundary terms of K vanish."""
-    op = assemble(field.grid, weight, parity="even")
-    return float(field.values @ (op.matrix @ field.values))
-
-
-def flat_form_energy(vfield: DiscreteField, a: float, eps: float) -> float:
-    """Q(v) = int |grad v|^2 + int V_rho v^2 for compactly supported v.
-
-    The arc boundary term of the conjugated form is omitted: it vanishes for
-    fields supported in the interior, which is the intended use."""
-    from .assembly import ConstantWeight
-    op = assemble(vfield.grid, ConstantWeight(1.0), parity="even")
-    e = float(vfield.values @ (op.matrix @ vfield.values))
-    g = vfield.grid
-    y = g.centers[:, g.n]
-    V = potentials("rho", a, eps, y)[0]
-    e += float(np.sum(V * vfield.values ** 2)) * g.h ** (g.n + 1)
-    return e

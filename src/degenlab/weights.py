@@ -22,7 +22,6 @@ functional of rho:
 * ``psi``   -- y rho^(-a)(y) / chi(y), scale invariant
                (psi(y; eps) = psi(y/eps; 1)) with limits 1 at 0+ and 1-a at
                infinity; its sup/inf are max/min{1, 1-a}.
-* ``xi``    -- first moment ratio int rho^(-a) s ds / int rho^(-a) ds.
 
 All evaluations are closed-form where a closed form exists (a in {0, -2},
 eps = 0, plus a Gauss-hypergeometric expression for the general
@@ -55,7 +54,12 @@ class DivergentIntegralError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature cannot reach the requested tolerance."""
+    """Raised when adaptive quadrature cannot reach the requested tolerance;
+    ``value`` and ``abserr`` are the result and error estimate it reached."""
+
+    def __init__(self, message: str, value: float, abserr: float):
+        super().__init__(message)
+        self.value, self.abserr = value, abserr
 
 
 # Switch point beyond which the hypergeometric antiderivative is continued by
@@ -101,33 +105,18 @@ def _antiderivative_tail(a, t0: float, t1):
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """The pair (a, eps) defining rho(y) = (eps^2+y^2)^(a/2).
-
-    ``normalized`` applies the factor min{eps^(-a), 1} (a >= 0) resp.
-    max{eps^(-a), 1} (a <= 0); for eps in [0, 1] the factor is identically 1,
-    so the default leaves it off (nothing in this laboratory runs eps > 1).
-    """
+    """The pair (a, eps) defining rho(y) = (eps^2+y^2)^(a/2)."""
 
     a: float
     eps: float = 0.0
-    normalized: bool = False
 
     def __post_init__(self):
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
 
-    @property
-    def normalization(self) -> float:
-        if not self.normalized or self.a == 0.0:
-            return 1.0
-        if self.eps == 0.0:
-            return 1.0
-        s = self.eps ** (-self.a)
-        return min(s, 1.0) if self.a > 0 else max(s, 1.0)
-
 
 def rho(family: WeightFamily, y):
-    """Evaluate rho(y) = (eps^2+y^2)^(a/2), times the normalization if on.
+    """Evaluate rho(y) = (eps^2+y^2)^(a/2).
 
     Raises :class:`SingularWeightError` for the non-removable point
     eps = 0, y = 0, a < 0.  For a > 0 the value at that point is 0.
@@ -140,7 +129,7 @@ def rho(family: WeightFamily, y):
     if a == 0.0:
         out = np.ones_like(y)
     else:
-        out = (eps * eps + y * y) ** (a / 2.0) * family.normalization
+        out = (eps * eps + y * y) ** (a / 2.0)
     return out if out.ndim else float(out)
 
 
@@ -148,8 +137,6 @@ def chi(family: WeightFamily, y):
     """Signed antiderivative chi(y) = int_0^y (eps^2+s^2)^(-a/2) ds.
 
     Odd in y.  Requires a < 1 when eps = 0 (else the integral diverges at 0).
-    The normalization factor of the family is deliberately not applied: chi
-    is the resistance integral of the raw weight.
     """
     a, eps = family.a, family.eps
     if a >= 1.0 and eps == 0.0:
@@ -199,23 +186,6 @@ def psi(a: float, eps: float, y):
     pos = t > 0
     tp = t[pos]
     out[pos] = tp * (1.0 + tp * tp) ** (-a / 2.0) / _antiderivative_unit(a, tp)
-    return out if out.ndim else float(out)
-
-
-def xi(a: float, t):
-    """First-moment ratio xi(t) = int_0^t (1+s^2)^(-a/2) s ds / int_0^t (1+s^2)^(-a/2) ds.
-
-    The numerator has the closed form [(1+t^2)^(1-a/2) - 1]/(2-a); the ratio
-    is bounded by t and vanishes like t/2 as t -> 0.
-    """
-    if a >= 1.0:
-        raise DivergentIntegralError(f"xi requires a < 1, got a={a}")
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    num = ((1.0 + tp * tp) ** (1.0 - a / 2.0) - 1.0) / (2.0 - a)
-    out[pos] = num / _antiderivative_unit(a, tp)
     return out if out.ndim else float(out)
 
 
@@ -376,10 +346,7 @@ class CharacteristicSolution:
     """The odd comparison solution v(x, y) = (1-a) int_0^y rho^(-a)(s) mu(x,s)^(-1) ds.
 
     ``mu_inverse(x, s)`` samples mu^(-1); None means mu == 1, in which case
-    v = (1-a) chi exactly.  ``mu_inverse_dx`` optionally samples the
-    x-derivative of mu^(-1) (used to differentiate v under the integral
-    sign); when absent a central difference of the sampler is used inside
-    the integrand.  mu must be even in s so that v is odd; evaluation
+    v = (1-a) chi exactly.  mu must be even in s so that v is odd; evaluation
     enforces oddness by integrating over |y| and restoring the sign.
 
     Samplers must broadcast over ndarrays of ordinates ``s`` and of column
@@ -409,14 +376,13 @@ class CharacteristicSolution:
     ends at y1 (a point of v off the ladders) goes to ``quad``; single
     segments are kept in the entry's ``points`` once read or integrated.
     The memo assumes ``mu_inverse`` is a deterministic function of (x, s);
-    calls with an ``integrand_factor`` and the closed form for mu == 1 bypass
-    it.  Two threads that miss on the same column both compute and store the
-    same values, so concurrent use only repeats work.
+    :func:`v_char_grad_x` and the closed form for mu == 1 bypass it.  Two
+    threads that miss on the same column both compute and store the same
+    values, so concurrent use only repeats work.
     """
 
     family: WeightFamily
     mu_inverse: Optional[MuSampler] = None
-    mu_inverse_dx: Optional[MuSampler] = None
     quadrature_tol: float = 1e-10
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -431,15 +397,11 @@ class CharacteristicSolution:
     def _column(self, x) -> _Column:
         return self._memo.setdefault(x, _Column())
 
-    def segment_integral(self, x, y0: float, y1: float,
-                         integrand_factor: Optional[MuSampler] = None) -> float:
-        """int_{y0}^{y1} rho^(-a)(s) g(x, s) ds for one segment, with g =
-        mu^(-1) (default) or a supplied factor; 0 <= y0 <= y1 assumed.  A
-        default-integrand segment from the start of a stored ladder to one of
-        its edges is read from the ladder's cumulative sum; any other goes to
-        ``quad`` (see the class docstring)."""
-        if integrand_factor is not None:
-            return self._quad(integrand_factor, x, y0, y1)
+    def segment_integral(self, x, y0: float, y1: float) -> float:
+        """int_{y0}^{y1} rho^(-a)(s) mu^(-1)(x, s) ds for one segment,
+        0 <= y0 <= y1 assumed.  A segment from the start of a stored ladder to
+        one of its edges is read from the ladder's cumulative sum; any other
+        goes to ``quad`` (see the class docstring)."""
         if self.mu_inverse is None:
             return chi(self.family, y1) - chi(self.family, y0)
         col = self._column(x)
@@ -519,7 +481,7 @@ class CharacteristicSolution:
         if err > 10 * tol * max(abs(val), 1e-300) and err > 1e-13:
             raise QuadratureError(
                 f"segment integral [{y0}, {y1}] achieved error {err:.2e} "
-                f"above tolerance {tol:.2e}")
+                f"above tolerance {tol:.2e}", val, err)
         return val
 
 
@@ -550,12 +512,19 @@ def v_char_profile(sol: CharacteristicSolution, x, ys: Sequence[float]) -> np.nd
     return (1.0 - a) * np.array([lad.cum[:len(ys)] for lad, _ in lads]).reshape(shape)
 
 
-def v_char_grad_x(sol: CharacteristicSolution, x, y: float, fd_step: float = 1e-6) -> float:
+# Step of the central difference of mu^(-1) in x in v_char_grad_x
+FD_STEP = 1e-6
+
+
+def v_char_grad_x(sol: CharacteristicSolution, x, y: float) -> float:
     """d/dx of v at (x, y), by differentiation under the integral sign.
 
-    Integrates rho^(-a)(s) d/dx[mu^(-1)](x, s); the derivative sampler is used
-    when provided, otherwise a central difference of mu^(-1) in x (still under
-    the integral, never a difference of v itself).
+    Integrates rho^(-a)(s) times a central difference of mu^(-1) in x with
+    step FD_STEP (under the integral, never a difference of v itself).  The
+    difference quotient carries a rounding error of about
+    eps_mach / FD_STEP * int rho^(-a) |mu^(-1)|, which no quadrature can
+    resolve, so a segment whose error estimate misses the tolerance is still
+    accepted within that floor.
     """
     if sol.mu_inverse is None:
         return 0.0
@@ -563,31 +532,16 @@ def v_char_grad_x(sol: CharacteristicSolution, x, y: float, fd_step: float = 1e-
     if y == 0.0:
         return 0.0
     sgn = 1.0 if y > 0 else -1.0
-    if sol.mu_inverse_dx is not None:
-        dmu = sol.mu_inverse_dx
-    else:
-        mu = sol.mu_inverse
+    mu = sol.mu_inverse
 
-        def dmu(xx, s):
-            return (mu(xx + fd_step, s) - mu(xx - fd_step, s)) / (2.0 * fd_step)
+    def dmu(xx, s):
+        return (mu(xx + FD_STEP, s) - mu(xx - FD_STEP, s)) / (2.0 * FD_STEP)
 
-    return sgn * (1.0 - a) * sol.segment_integral(x, 0.0, abs(y), integrand_factor=dmu)
-
-
-def gamma_ratio(a: float, eps: float, mu_inverse: Optional[MuSampler], x, y: float,
-                quadrature_tol: float = 1e-10) -> float:
-    """The bounded quotient v(x, y) / ((1-a) chi(y)) for y > 0.
-
-    Equals the rho^(-a)-average of mu^(-1) over (0, y); tends to mu^(-1)(x, 0)
-    as y -> 0+ and is identically 1 for mu == 1.
-    """
-    if y <= 0:
-        raise ValueError("gamma_ratio requires y > 0")
-    if mu_inverse is None:
-        return 1.0
-    fam = WeightFamily(a, eps)
-    sol = CharacteristicSolution(fam, mu_inverse, quadrature_tol=quadrature_tol)
-    denom = (1.0 - a) * chi(fam, y)
-    if denom < 1e-280:
-        return float(mu_inverse(x, 0.0))
-    return v_char(sol, x, y) / denom
+    try:
+        val = sol._quad(dmu, x, 0.0, abs(y))
+    except QuadratureError as exc:
+        # mu^(-1) > 0, so int rho^(-a) mu^(-1) is int rho^(-a) |mu^(-1)|
+        if exc.abserr > _EPMACH / FD_STEP * sol._quad(mu, x, 0.0, abs(y)):
+            raise
+        val = exc.value
+    return sgn * (1.0 - a) * val

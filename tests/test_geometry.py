@@ -1,4 +1,4 @@
-"""Half grids, Fermi data, signed distance."""
+"""Half grids, embedded curves, Fermi data."""
 
 import math
 
@@ -85,62 +85,14 @@ def test_chart_violation():
         dl.fermi_mu(circ, 0.5, 0.6)
 
 
-@pytest.mark.parametrize("R", [1.0, 2.0, 5.0])
-def test_mean_curvature_two_ways(R):
-    circ = dl.EmbeddedCurve.circle(R, arc=1.0)
-    H0, r0 = dl.mean_curvature_check(circ, 0.5, 0.0)
-    assert H0 == pytest.approx(1.0 / R)
-    assert r0 <= 1e-6
-    H, res = dl.mean_curvature_check(circ, 0.5, min(0.5, R / 4))
-    y = min(0.5, R / 4)
-    assert H == pytest.approx((1.0 / R) / (1.0 - y / R), rel=1e-9)
-    assert res <= 1e-6
-
-
-def test_mean_curvature_line():
-    line = dl.EmbeddedCurve.line()
-    H, res = dl.mean_curvature_check(line, 0.4, 0.2)
-    assert H == 0.0 and res == 0.0
-
-
-def test_signed_distance_circle_and_line():
-    circ = dl.EmbeddedCurve.circle(1.0, arc=2 * math.pi, theta0=0.0)
-    d, t = dl.signed_distance(circ, (0.0, 0.5))
-    assert d == pytest.approx(0.5, abs=1e-9)        # inward normal side
-    d0, _ = dl.signed_distance(circ, (math.cos(1.0), math.sin(1.0)))
-    assert abs(d0) < 1e-7
-    line = dl.EmbeddedCurve.line((-0.5, 0.0), (1.0, 0.0), length=2.0)
-    d2, t2 = dl.signed_distance(line, (0.3, 0.2))
-    assert d2 == pytest.approx(0.2, abs=1e-9)
-    assert -0.5 + 2.0 * t2 == pytest.approx(0.3, abs=1e-6)
-
-
-def test_signed_distance_gradient_is_unit():
-    circ = dl.EmbeddedCurve.circle(2.0, arc=3.0, theta0=0.2)
-    rng_pts = [(0.05 + 0.9 * (k * 0.37 % 1.0), -0.4 + 0.8 * (k * 0.61 % 1.0))
-               for k in range(1, 101)]
-    step = 1e-5
-    for tt, y in rng_pts:
-        X = circ.point(tt, y)
-        gx = (dl.signed_distance(circ, X + [step, 0.0])[0]
-              - dl.signed_distance(circ, X - [step, 0.0])[0]) / (2 * step)
-        gy = (dl.signed_distance(circ, X + [0.0, step])[0]
-              - dl.signed_distance(circ, X - [0.0, step])[0]) / (2 * step)
-        assert math.hypot(gx, gy) == pytest.approx(1.0, abs=1e-4)
-
-
-def test_ambiguous_projection():
-    circ = dl.EmbeddedCurve.circle(1.0, arc=2 * math.pi)
-    with pytest.raises(dl.AmbiguousProjectionError):
-        dl.signed_distance(circ, (0.0, 0.0))
-
-
-def test_signed_distance_inverts_fermi_chart():
-    # X = Z(t, y) must project back to foot t with signed distance y
-    curve = dl.EmbeddedCurve.circle(2.0, arc=2.0, theta0=0.7)
+def test_fermi_map_of_inward_circle_is_closed_form():
+    # Z(t, y) sits at distance R - y from the centre, on the ray through the
+    # foot psi(t): the normal points to the centre
+    R, c = 2.0, np.array([0.3, -0.2])
+    curve = dl.EmbeddedCurve.circle(R, center=c, arc=2.0, theta0=0.7)
     for t in (0.15, 0.5, 0.85):
+        th = 0.7 + 2.0 * t / R
         for y in (-0.3, 0.0, 0.4):
-            X = curve.point(t, y)
-            d, foot = dl.signed_distance(curve, X)
-            assert d == pytest.approx(y, abs=1e-7)
-            assert foot == pytest.approx(t, abs=1e-6)
+            d = curve.point(t, y) - c
+            assert np.linalg.norm(d) == pytest.approx(R - y, rel=1e-14)
+            assert d / (R - y) == pytest.approx([math.cos(th), math.sin(th)], abs=1e-14)

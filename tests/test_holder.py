@@ -110,21 +110,6 @@ def test_exponent_estimate_values():
     assert dl.exponent_estimate(flat, (0.0, 0.0)).smooth
 
 
-def test_alpha_window_table():
-    # n=1, a=0.5: aux dimension 4; 2 - 4/10 = 1.6 clips to 1
-    assert dl.alpha_window("ratio_c1", 1, 0.5, 10.0) == pytest.approx(1.0 - 4.0 / 10.0)
-    assert dl.alpha_window("ratio_c0", 1, 0.5, 10.0, 40.0) == pytest.approx(0.9)
-    # 2 - 4/10 = 1.6 from p1 alone, clipped into (0, 1)
-    assert dl.alpha_window("ratio_c1", 1, 0.5, 10.0) <= 1.0
-    assert dl.alpha_window("ratio_c0", 1, 0.5, 10.0, 1e9) == pytest.approx(1.0)
-    assert dl.alpha_window("aux_c0", 1, -1.0, 10.0, 10.0, 10.0) == pytest.approx(0.5)
-    assert dl.alpha_window("aux_c1", 1, -1.0, 10.0, 20.0) == pytest.approx(0.5)
-    # odd-direct: the 1 - a cap binds for a in (0, 1)
-    assert dl.alpha_window("odd_direct_c0", 1, 0.5, 100.0, 100.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        dl.alpha_window("ratio_c0", 1, 0.5, 10.0)
-
-
 def test_sweep_a0_exactly_uniform():
     fam = dl.ProblemFamily(a=0.0, f=lambda x, y: y * math.cos(math.pi * x),
                            trace_factor=lambda x, y: math.cos(math.pi * x / 2),
@@ -135,7 +120,7 @@ def test_sweep_a0_exactly_uniform():
     assert rep.passed
 
 
-def test_sweep_alpha_window_violation_detected():
+def test_exponent_fit_flags_alpha_above_one_minus_a():
     """odd-direct mode at alpha above 1 - a: the direct field is only
     y^{1-a}-regular, which the exponent fit reveals."""
     a = 0.5
@@ -144,9 +129,8 @@ def test_sweep_alpha_window_violation_detected():
         g, lambda x, y: math.copysign(abs(y) ** (1 - a), y), "odd")
     est = dl.exponent_estimate(u0, (0.0, 0.0))
     alpha_req = 0.7
-    window = dl.alpha_window("odd_direct_c0", 1, a, 100.0, 100.0)
-    assert alpha_req > window                       # the harness must flag this
-    assert est.alpha_hat == pytest.approx(0.5, abs=0.1)
+    assert est.alpha_hat < alpha_req                # the fit must flag this
+    assert est.alpha_hat == pytest.approx(1 - a, abs=0.1)
 
 
 def test_sweep_restricted_region_skips_large_eps():
@@ -158,48 +142,6 @@ def test_sweep_restricted_region_skips_large_eps():
     assert 1.0 not in eps_used                      # sqrt(1) exceeds the region
     assert 0.0 in eps_used
     assert rep.restricted == "sqrt_eps"
-
-
-def test_moser_ratio_properties():
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
-    ones = dl.DiscreteField(g, np.ones(g.ncells), "even")
-    r = dl.moser_bound_check(ones, 0.5, 0.1)
-    # u == 1, no data: ratio = 1 / ||1||_{L^beta(omega)}
-    y = g.centers[:, 1]
-    om = dl.omega(dl.WeightFamily(0.5, 0.1), y)
-    want = 1.0 / math.sqrt(float(np.sum(om)) * g.h ** 2)
-    assert r == pytest.approx(want, rel=1e-12)
-    # scaling invariance u -> 2u, f -> 2f
-    u = dl.DiscreteField.sample(g, lambda x, y: 1.0 + y * math.cos(x), "none")
-    u2 = dl.DiscreteField(g, 2.0 * u.values, "none")
-    f = lambda x, y: y * y
-    f2 = lambda x, y: 2.0 * y * y
-    r1 = dl.moser_bound_check(u, 0.5, 0.1, f=f)
-    r2 = dl.moser_bound_check(u2, 0.5, 0.1, f=f2)
-    assert r1 == pytest.approx(r2, rel=1e-12)
-    with pytest.raises(ZeroDivisionError):
-        dl.moser_bound_check(dl.DiscreteField(g, np.zeros(g.ncells), "even"), 0.5, 0.1)
-
-
-def test_moser_spread_across_eps():
-    def f(x, y):
-        return abs(y) ** 0.5 * math.cos(math.pi * x)
-
-    fam = dl.ProblemFamily(a=0.5, f=f,
-                           trace_factor=lambda x, y: math.cos(math.pi * x / 2),
-                           name="m")
-    ratios = []
-    for eps in (1.0, 0.1, 0.01):
-        sol = fam.solution(eps)
-        g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
-        w = dl.RhoWeight(sol.family)
-        op = dl.assemble(g, w, parity="odd")
-        from degenlab.holder import _family_trace
-        rep = dl.solve_linear(op, op.rhs(f=f, trace=_family_trace(fam, sol)))
-        wq = dl.ratio_field(rep.field, sol)
-        ratios.append(dl.moser_bound_check(wq, 0.5, eps, f=f))
-    med = sorted(ratios)[1]
-    assert all(r <= 3.0 * med for r in ratios)
 
 
 def test_sweep_integrates_each_segment_once(monkeypatch):

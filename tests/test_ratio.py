@@ -35,12 +35,6 @@ def make_manufactured(a):
     return dl.OddProblem(sol=sol, spec=dl.OperatorSpec(), f=f, u_exact=u_exact)
 
 
-def test_effective_dimensions_table():
-    for a, d, dbar in ((-2.0, 2.0, 6.0), (0.0, 2.0, 4.0), (0.5, 2.5, 4.0)):
-        assert dl.effective_dimension(1, a) == d
-        assert dl.auxiliary_effective_dimension(1, a) == dbar
-
-
 def test_ratio_of_v_is_one():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     fam = dl.WeightFamily(0.4, 0.2)
@@ -171,13 +165,10 @@ def test_variable_mu_residual_stable_in_eps():
     def mu_inv(x, s):
         return 1.0 / (1.0 + 0.1 * x * x)
 
-    def mu_inv_dx(x, s):
-        return -0.2 * x / (1.0 + 0.1 * x * x) ** 2
-
     out = {}
     for eps in (0.1, 0.01):
         fam = dl.WeightFamily(a, eps)
-        sol = dl.CharacteristicSolution(fam, mu_inv, mu_inv_dx)
+        sol = dl.CharacteristicSolution(fam, mu_inv)
         spec = dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.1 * x * x)
 
         def trace(x, y, s=sol):

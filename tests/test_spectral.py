@@ -1,4 +1,4 @@
-"""Trace/Hardy quotients, stability sweeps, growth monitor, isometries."""
+"""Trace/Hardy quotients, stability sweeps, growth monitor."""
 
 import math
 
@@ -10,9 +10,7 @@ from scipy.special import roots_jacobi, roots_legendre
 import degenlab as dl
 from degenlab.potentials import potentials
 from degenlab.spectral import (HalfDiskMesh, _conjugated_forms, _rho_fn,
-                               assemble_arc_mass, assemble_forms,
-                               boundary_hardy_like_omega_trace, flat_form_energy,
-                               min_rayleigh, weighted_dirichlet_energy)
+                               assemble_arc_mass, assemble_forms, min_rayleigh)
 
 H_COARSE = 1 / 16
 H_MID = 1 / 32
@@ -85,51 +83,23 @@ def test_hardy_weighted_stable_across_eps():
     assert max(vals) <= 5.0 * min(vals)
 
 
-def test_boundary_hardy_positive_and_stable():
-    base = dl.boundary_hardy_quotient(None, 1 / 16).lam
-    fine = dl.boundary_hardy_quotient(None, 1 / 32).lam
-    assert base > 0 and fine > 0
-    assert abs(base - fine) <= 0.1 * max(base, fine)
-
-
-def test_boundary_hardy_weighted_uniform_in_eps():
-    vals = [dl.boundary_hardy_quotient(dl.WeightFamily(-1.0, e), H_COARSE).lam
-            for e in (0.0, 0.1, 1.0)]
-    assert all(v > 0.05 for v in vals)
-
-
-def test_boundary_hardy_omega_inverse_positive():
-    r = dl.boundary_hardy_quotient(dl.WeightFamily(0.5, 0.3), H_COARSE,
-                                   kind="omega_inverse")
-    assert r.lam > 0
-    assert r.route == "transformed"
-
-
 def test_eigen_sweep_constant_weight_cancels():
-    rows = dl.eigen_stability_sweep(0.0, [1.0, 4.0, 16.0], H_COARSE, form="rho")
+    rows = dl.eigen_stability_sweep(0.0, [1.0, 4.0, 16.0], H_COARSE)
     lams = [l for _, l, _ in rows]
     assert max(lams) - min(lams) < 1e-9
     assert lams[0] == pytest.approx(dl.trace_eigen(0.0, 0.0, H_COARSE).lam, abs=1e-9)
 
 
 def test_eigen_sweep_rho_converges():
-    rows = dl.eigen_stability_sweep(0.5, [1.0, 4.0, 16.0, 64.0], 1 / 64, form="rho")
+    rows = dl.eigen_stability_sweep(0.5, [1.0, 4.0, 16.0, 64.0], 1 / 64)
     lams = [l for _, l, _ in rows]
     assert abs(lams[-1] - 0.5) < abs(lams[0] - 0.5)
     assert abs(lams[-1] - 0.5) <= 0.05
 
 
-def test_eigen_sweep_omega_form_approaches_3_minus_a():
-    rows = dl.eigen_stability_sweep(-1.0, [1.0, 4.0, 16.0, 64.0], H_MID,
-                                    form="omega_inverse")
-    lams = [l for _, l, _ in rows]
-    assert abs(lams[-1] - 4.0) < abs(lams[0] - 4.0)
-    assert lams[-1] == pytest.approx(4.0, abs=0.1)
-
-
 def test_eigen_sweep_rho_requires_integrable():
     with pytest.raises(ValueError):
-        dl.eigen_stability_sweep(-1.5, [1.0], H_COARSE, form="rho")
+        dl.eigen_stability_sweep(-1.5, [1.0], H_COARSE)
 
 
 def test_growth_monitor_exact_homogeneous():
@@ -184,39 +154,6 @@ def test_perturbation_mode_is_discretely_harmonic():
     assert np.max(np.abs(rep.field.values - ex.values)) < 1e-10
 
 
-def test_isometry_round_trip_and_identity_a0():
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
-    fam0 = dl.WeightFamily(0.0, 0.5)
-    u = dl.DiscreteField.sample(g, lambda x, y: math.sin(x) * y, "odd")
-    v = dl.isometry_transform(u, fam0, "to_flat")
-    assert np.max(np.abs(v.values - u.values)) < 1e-14      # a=0 -> identity
-    fam = dl.WeightFamily(0.5, 1.0)
-    v2 = dl.isometry_transform(u, fam, "to_flat")
-    u2 = dl.isometry_transform(v2, fam, "from_flat")
-    assert np.max(np.abs(u2.values - u.values)) < 1e-12
-
-
-def test_isometry_energy_identity_on_bump():
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 64)
-    fam = dl.WeightFamily(0.5, 1.0)
-
-    def bump(x, y):
-        r2 = (x * x + (y - 0.5) ** 2) / 0.04
-        return math.exp(-r2 / (1 - r2)) if r2 < 1 else 0.0
-
-    u = dl.DiscreteField.sample(g, bump, "even")
-    v = dl.isometry_transform(u, fam, "to_flat")
-    e1 = weighted_dirichlet_energy(u, dl.RhoWeight(fam))
-    e2 = flat_form_energy(v, fam.a, fam.eps)
-    assert abs(e1 - e2) <= 0.02 * abs(e1)
-
-
-def test_omega_trace_quotient_id():
-    r = boundary_hardy_like_omega_trace(0.5, 0.5, H_COARSE)
-    assert r.lam > 0
-    assert "omega_inv_trace" in r.quotient_id
-
-
 # ---------------------------------------------------------------------------
 # Shifted inverse iteration against a dense solve of the same pencil
 # ---------------------------------------------------------------------------
@@ -232,7 +169,7 @@ def _pencil(case, mesh):
         M = assemble_arc_mass(mesh, wfn, skip_sigma_adjacent=True, exclude_nodes=excl)
         return K, M, free, 0.99 * (1.0 - b)
     if kind == "transformed":
-        K = _conjugated_forms("rho", b, 0.0, mesh, 4)
+        K = _conjugated_forms(b, 0.0, mesh, 4)
         return K, assemble_arc_mass(mesh, None), free, 0.99 * (1.0 - b)
     K, _, M = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
                              domain_mass_weight=lambda y: 1.0 / (y * y))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 import degenlab as dl
 from degenlab.weights import _antiderivative_unit, v_char_profile
@@ -48,14 +49,6 @@ def test_rho_singular_point_signal():
         dl.rho(dl.WeightFamily(-0.5, 0.0), 0.0)
     # degenerate (a > 0) point is a plain zero
     assert dl.rho(dl.WeightFamily(0.5, 0.0), 0.0) == 0.0
-
-
-def test_rho_normalization_identity_for_small_eps():
-    for a in (-1.5, 0.7):
-        for eps in (0.0, 0.3, 1.0):
-            f1 = dl.WeightFamily(a, eps, normalized=False)
-            f2 = dl.WeightFamily(a, eps, normalized=True)
-            assert dl.rho(f1, 0.4) == dl.rho(f2, 0.4)
 
 
 def test_chi_trivial_and_closed_forms():
@@ -148,13 +141,6 @@ def test_psi_sup_inf_bounds(a):
     assert vals.min() >= min(1.0, 1.0 - a) - 1e-9
 
 
-def test_xi_values():
-    assert dl.xi(0.0, 0.8) == pytest.approx(0.4, rel=1e-12)       # t/2
-    assert dl.xi(0.3, 1e-8) == pytest.approx(0.0, abs=1e-7)
-    assert dl.xi(-2.0, 1.0) == pytest.approx(9.0 / 16.0, rel=1e-12)
-    assert dl.xi(-1.2, 3.0) <= 3.0
-
-
 def test_omega_values():
     assert dl.omega(dl.WeightFamily(0.0, 0.2), 0.4) == pytest.approx(0.16)
     assert dl.omega(dl.WeightFamily(0.5, 0.0), 0.5) == pytest.approx(0.5 ** 1.5)
@@ -204,33 +190,18 @@ def test_v_char_grad_x_matches_finite_difference():
     assert gx == pytest.approx(fd, abs=1e-8)
 
 
-def test_gamma_ratio_values_and_limits():
-    assert dl.gamma_ratio(0.3, 0.2, None, 0.0, 0.5) == 1.0
-    got = dl.gamma_ratio(0.0, 0.0, lambda x, s: 1.0 / (1.0 + s), 0.0, 1.0)
-    assert got == pytest.approx(math.log(2.0), rel=1e-10)
-    # y -> 0+ limit equals mu^{-1}(x, 0) for three sampled fields
-    for mu_inv in (lambda x, s: 1.0 / (1.0 + s),
-                   lambda x, s: 2.0 / (2.0 + s * s),
-                   lambda x, s: 1.0 / (1.5 + np.sin(s))):
-        want = mu_inv(0.0, 0.0)
-        assert dl.gamma_ratio(0.5, 0.1, mu_inv, 0.0, 1e-9) == pytest.approx(want, rel=1e-6)
-
-
-def test_gamma_ratio_holder_uniformity_across_eps():
-    """Discrete alpha-seminorm of the ratio stays within 3x of its eps=1 value."""
-    alpha = 0.5
-
-    def mu_inv(x, s):
-        return 1.0 / (1.0 + 0.3 * abs(s) ** alpha + 0.1 * x * x)
-
-    grid = dl.build_half_grid(1, "half_rectangle", 1.0 / 16)
-    semis = {}
-    for eps in (1.0, 0.1, 0.01, 0.0):
-        fld = dl.DiscreteField.sample(
-            grid, lambda x, y, e=eps: dl.gamma_ratio(0.5, e, mu_inv, x, abs(y)), "even")
-        semis[eps] = dl.holder_seminorm(fld, alpha, dl.Region(1.0, 1.0))
-    for eps, s in semis.items():
-        assert s <= 3.0 * semis[1.0] + 1e-12, (eps, semis)
+def test_v_char_grad_x_accepts_the_difference_quotient_rounding_floor():
+    """Where the x-derivative is small, the rounding noise of the central
+    difference of mu^(-1), about eps_mach / FD_STEP times int rho^(-a) mu^(-1),
+    is above quad's relative tolerance; the value within that floor is kept
+    and matches the integral of the analytic derivative."""
+    a, x, y = -0.5, -0.03125, 0.71875
+    sol = dl.CharacteristicSolution(
+        dl.WeightFamily(a, 0.0), mu_inverse=lambda x, s: 1.0 / (1.0 + 0.1 * x * x + 0.2 * s * s))
+    want = (1.0 - a) * quad(lambda s: s ** -a * (-0.2 * x) / (1.0 + 0.1 * x * x + 0.2 * s * s) ** 2,
+                            0.0, y, epsabs=0.0, epsrel=1e-12)[0]
+    assert dl.v_char_grad_x(sol, x, y) == pytest.approx(want, rel=1e-7)
+    assert dl.v_char_grad_x(sol, x, -y) == pytest.approx(-want, rel=1e-7)
 
 
 def test_segment_memo_is_isolated():
@@ -243,7 +214,7 @@ def test_segment_memo_is_isolated():
     ys = np.linspace(0.05, 1.0, 20)
     sol = dl.CharacteristicSolution(fam, mu_inverse=mu_inv)
     v = v_char_profile(sol, 0.7, ys)
-    # an integrand factor bypasses the memo the profile just filled
+    # the x-derivative's integrand bypasses the memo the profile just filled
     want = dl.v_char_grad_x(dl.CharacteristicSolution(fam, mu_inverse=mu_inv), 0.7, 0.5)
     assert dl.v_char_grad_x(sol, 0.7, 0.5) == want
     # a second solution with another mu keeps its own memo
