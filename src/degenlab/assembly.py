@@ -135,7 +135,7 @@ class OperatorSpec:
 
 
 def _halton_points(count: int, dim: int) -> np.ndarray:
-    """Deterministic low-discrepancy points, x-coords in (-1,1), last in (0,1)."""
+    """Deterministic low-discrepancy points in (-1,1)^dim (Halton, bases 2, 3, 5)."""
     primes = [2, 3, 5][:dim]
     out = np.empty((count, dim))
     for d, p in enumerate(primes):
@@ -146,7 +146,7 @@ def _halton_points(count: int, dim: int) -> np.ndarray:
             val += f * (i % p)
             i = i // p
             f /= p
-        out[:, d] = 2.0 * val - 1.0 if d < dim - 1 else val
+        out[:, d] = 2.0 * val - 1.0
     return out
 
 

@@ -37,6 +37,7 @@ long as user samplers are reentrant.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -390,6 +391,9 @@ class CharacteristicSolution:
         if self.family.a >= 1.0:
             raise DivergentIntegralError(
                 f"characteristic solution requires a < 1, got a={self.family.a}")
+        if not isinstance(self.quadrature_tol, numbers.Real):
+            raise TypeError(f"quadrature_tol must be a number, "
+                            f"got {type(self.quadrature_tol).__name__}")
 
     def __call__(self, x, y: float) -> float:
         return v_char(self, x, y)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import degenlab as dl
-from degenlab.assembly import ParityError
+from degenlab.assembly import ParityError, _halton_points
 
 
 def exact_field(grid, fn, parity="odd"):
@@ -195,6 +195,26 @@ def test_sigma_invariance_check():
     assert spec.check_sigma_invariance(n=1) < 1e-12
     bad = dl.OperatorSpec(t_field=lambda x, y: 5.0 + y)
     assert bad.check_sigma_invariance(n=1) > 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_halton_points_fill_the_open_cube(dim):
+    pts = _halton_points(256, dim)
+    assert pts.shape == (256, dim)
+    assert np.all(np.abs(pts) < 1.0)
+    # low discrepancy: each half of each axis holds half the points, +- 2
+    for d in range(dim):
+        assert abs(int(np.sum(pts[:, d] < 0.0)) - 128) <= 2
+
+
+def test_sigma_invariance_samples_both_signs_of_x():
+    """T(x, 0) is sampled over x in (-1, 1)^n, so a coupling that is nonzero
+    on one side of x = 0 only is caught on either side."""
+    for side in (-1.0, 1.0):
+        one_sided = dl.OperatorSpec(t_field=lambda x, y, s=side: 5.0 if s * x > 0 else 0.0)
+        assert one_sided.check_sigma_invariance(n=1) == 5.0
+    corner = dl.OperatorSpec(t_field=lambda x, y: [3.0 if x[0] < 0 and x[1] < 0 else 0.0, 0.0])
+    assert corner.check_sigma_invariance(n=2) == 3.0
 
 
 def test_convergence_study_second_order():

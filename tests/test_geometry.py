@@ -85,6 +85,62 @@ def test_chart_violation():
         dl.fermi_mu(circ, 0.5, 0.6)
 
 
+def _mean_curvature_from_mu(curve, x, y, step=1e-4):
+    # -(d/dy) mu / mu by central differences of mu = fermi_mu
+    mup, mum = dl.fermi_mu(curve, x, y + step), dl.fermi_mu(curve, x, y - step)
+    return -(mup - mum) / (2.0 * step) / dl.fermi_mu(curve, x, y)
+
+
+@pytest.mark.parametrize("R", [1.0, 2.0, 5.0])
+def test_mean_curvature_two_ways(R):
+    """The parallel curve at height y has mean curvature
+    H_y = kappa/(1 - y kappa) = -(d/dy) mu / mu, with kappa = 1/R."""
+    circ = dl.EmbeddedCurve.circle(R, arc=1.0)
+    for y in (0.0, min(0.5, R / 4)):
+        H = circ.curvature(0.5) / (1.0 - y * circ.curvature(0.5))
+        assert H == pytest.approx((1.0 / R) / (1.0 - y / R), rel=1e-9)
+        assert abs(_mean_curvature_from_mu(circ, 0.5, y) - H) <= 1e-6
+
+
+def test_mean_curvature_line():
+    line = dl.EmbeddedCurve.line()
+    assert line.curvature(0.4) == 0.0
+    assert _mean_curvature_from_mu(line, 0.4, 0.2) == 0.0
+
+
+def test_fermi_map_of_line_is_closed_form():
+    # Z(t, y) = origin + t length e + y e_perp, e_perp the left normal of e
+    line = dl.EmbeddedCurve.line((-0.5, 0.0), (1.0, 0.0), length=2.0)
+    assert line.point(0.4, 0.2) == pytest.approx([0.3, 0.2], abs=1e-15)
+    e = np.array([3.0, 4.0]) / 5.0
+    slant = dl.EmbeddedCurve.line((1.0, -1.0), (3.0, 4.0), length=0.5)
+    for t in (0.0, 0.3, 1.0):
+        for y in (-0.2, 0.0, 0.7):
+            want = np.array([1.0, -1.0]) + 0.5 * t * e + y * np.array([-e[1], e[0]])
+            assert slant.point(t, y) == pytest.approx(want, abs=1e-15)
+
+
+def test_fermi_chart_is_orthogonal_with_unit_normal():
+    """d/dy Z(t, y) is the unit normal and is orthogonal to d/dt Z, so y is
+    the signed distance to the curve inside the chart (|grad y| = 1)."""
+    step = 1e-6
+    for curve in (dl.EmbeddedCurve.circle(2.0, center=(0.3, -0.2), arc=3.0, theta0=0.2),
+                  dl.EmbeddedCurve.line((1.0, -1.0), (3.0, 4.0), length=0.5)):
+        for t in (0.1, 0.5, 0.9):
+            for y in (-0.4, 0.0, 0.4):
+                zy = (curve.point(t, y + step) - curve.point(t, y - step)) / (2 * step)
+                zt = (curve.point(t + step, y) - curve.point(t - step, y)) / (2 * step)
+                assert np.linalg.norm(zy) == pytest.approx(1.0, abs=1e-8)
+                assert abs(zy @ zt) <= 1e-8 * np.linalg.norm(zt)
+                assert np.linalg.norm(zt) == pytest.approx(dl.fermi_mu(curve, t, y), rel=1e-8)
+
+
+def test_degenerate_parametrization_rejected():
+    still = dl.EmbeddedCurve.line((0.2, 0.1), (1.0, 0.0), length=0.0)
+    with pytest.raises(ValueError, match="degenerate"):
+        still.point(0.5, 0.1)
+
+
 def test_fermi_map_of_inward_circle_is_closed_form():
     # Z(t, y) sits at distance R - y from the centre, on the ray through the
     # foot psi(t): the normal points to the centre

@@ -77,6 +77,14 @@ def test_phi_limits():
         assert dl.phi_big(a, 1e8) == pytest.approx(dl.phi_limit_infinity(a), rel=tol)
 
 
+def test_phi_limit_zero_is_the_small_t_limit():
+    """Phi_a(t) = phi_limit_zero() + O(t^2) as t -> 0+ for every a < 1."""
+    for a in (0.9, 0.5, -1.0, -3.0):
+        d1 = abs(dl.phi_big(a, 1e-3) - dl.phi_limit_zero())
+        d2 = abs(dl.phi_big(a, 1e-4) - dl.phi_limit_zero())
+        assert d1 <= 1e-4 and d2 <= 1e-2 * d1 + 1e-12, (a, d1, d2)
+
+
 def test_phi_a0_is_constant_two():
     ts = np.geomspace(1e-4, 1e4, 100)
     assert np.max(np.abs(dl.phi_big(0.0, ts) - 2.0)) < 1e-12

@@ -133,6 +133,13 @@ def test_auxiliary_rhs_rejects_bad_t():
         dl.auxiliary_rhs(spec, sol)
 
 
+def test_auxiliary_rhs_rejects_t_nonzero_for_negative_x():
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1))
+    spec = dl.OperatorSpec(t_field=lambda x, y: 5.0 if x < 0 else 0.0)
+    with pytest.raises(ValueError, match="T\\(x,0\\) must vanish"):
+        dl.auxiliary_rhs(spec, sol)
+
+
 @pytest.mark.parametrize("a", [0.5, -1.5])
 def test_manufactured_residual_decays(a):
     prob = make_manufactured(a)

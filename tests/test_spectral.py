@@ -154,6 +154,15 @@ def test_perturbation_mode_is_discretely_harmonic():
     assert np.max(np.abs(rep.field.values - ex.values)) < 1e-10
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_conjugated_form_is_flat_at_a0(eps):
+    """For a = 0 the conjugation by rho^(a/2) = 1 is the identity: both
+    potentials vanish and the conjugated form is the flat Dirichlet form."""
+    mesh = HalfDiskMesh.from_h(H_COARSE)
+    K0, _, _ = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y))
+    assert abs(_conjugated_forms(0.0, eps, mesh, 4) - K0).max() == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Shifted inverse iteration against a dense solve of the same pencil
 # ---------------------------------------------------------------------------

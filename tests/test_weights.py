@@ -1,14 +1,15 @@
 """Weight family, characteristic integrals, and ratio functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 import degenlab as dl
-from degenlab.weights import _antiderivative_unit, v_char_profile
+from degenlab.weights import FD_STEP, _antiderivative_unit, v_char_profile
 
 
 # -- independent oracle: adaptive Simpson ------------------------------------
@@ -49,6 +50,12 @@ def test_rho_singular_point_signal():
         dl.rho(dl.WeightFamily(-0.5, 0.0), 0.0)
     # degenerate (a > 0) point is a plain zero
     assert dl.rho(dl.WeightFamily(0.5, 0.0), 0.0) == 0.0
+
+
+def test_weight_family_rejects_negative_eps():
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        dl.WeightFamily(0.5, -1e-3)
+    assert dl.WeightFamily(0.5, 0.0).eps == 0.0
 
 
 def test_chi_trivial_and_closed_forms():
@@ -202,6 +209,92 @@ def test_v_char_grad_x_accepts_the_difference_quotient_rounding_floor():
                             0.0, y, epsabs=0.0, epsrel=1e-12)[0]
     assert dl.v_char_grad_x(sol, x, y) == pytest.approx(want, rel=1e-7)
     assert dl.v_char_grad_x(sol, x, -y) == pytest.approx(-want, rel=1e-7)
+
+
+def test_v_char_grad_x_raises_beyond_the_rounding_floor():
+    """A derivative quad that misses its tolerance by more than the rounding
+    floor of the difference quotient still raises: mu^(-1) = 1 + 1e-8 x
+    sin(1e5 s) oscillates faster than 200 subintervals resolve, while
+    int rho^(-a) mu^(-1) itself converges."""
+    sol = dl.CharacteristicSolution(
+        dl.WeightFamily(-0.5, 0.0), mu_inverse=lambda x, s: 1.0 + 1e-8 * x * np.sin(1e5 * s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        floor = np.finfo(float).eps / FD_STEP * sol._quad(sol.mu_inverse, 0.5, 0.0, 0.7)
+        with pytest.raises(dl.QuadratureError) as exc:
+            dl.v_char_grad_x(sol, 0.5, 0.7)
+    assert exc.value.abserr > floor
+
+
+def test_quadrature_error_carries_value_and_abserr():
+    """A segment quad cannot resolve raises with the value and error
+    estimate it reached; the value is within that estimate of the integral."""
+    a, c = -0.5, 1e-3
+    sol = dl.CharacteristicSolution(
+        dl.WeightFamily(a, 0.0), mu_inverse=lambda x, s: 1.0 + c * x * np.sin(1e5 * s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        with pytest.raises(dl.QuadratureError) as exc:
+            dl.v_char(sol, 0.5, 0.7)
+    # int_0^y s^(1/2) ds, plus 0.5 c int_0^y s^(1/2) sin(1e5 s) ds, |.| < 1e-5
+    exact = 0.7 ** 1.5 / 1.5
+    assert exc.value.abserr > 10 * sol.quadrature_tol * abs(exc.value.value)
+    assert abs(exc.value.value - exact) <= exc.value.abserr + 1e-5 * c
+
+
+def test_v_char_grad_x_of_mu_linear_in_x_is_closed_form():
+    """mu^(-1) = 1 + 0.1 x: the central difference is exact up to rounding
+    and d/dx v = 0.1 (1 - a) chi(y), odd in y."""
+    fam = dl.WeightFamily(0.3, 0.1)
+    sol = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 1.0 + 0.1 * x + 0.0 * s)
+    for x in (-0.7, 0.2):
+        for y in (0.4, -0.9):
+            want = 0.1 * (1.0 - fam.a) * dl.chi(fam, y)
+            assert dl.v_char_grad_x(sol, x, y) == pytest.approx(want, rel=1e-8)
+
+
+def test_characteristic_solution_rejects_a_non_numeric_tolerance():
+    """quadrature_tol is the third field: a sampler passed there (an
+    x-derivative of mu^(-1), say) fails at construction, not in a quadrature."""
+    fam = dl.WeightFamily(0.5, 0.1)
+    with pytest.raises(TypeError, match="quadrature_tol"):
+        dl.CharacteristicSolution(fam, lambda x, s: 1.0, lambda x, s: 0.0)
+    assert dl.CharacteristicSolution(fam, None, np.float32(1e-8)).quadrature_tol == np.float32(1e-8)
+
+
+def _gamma_ratio(a, eps, mu_inverse, x, y):
+    """v(x, y) / ((1-a) chi(y)), the rho^(-a)-average of mu^(-1) over (0, y)."""
+    fam = dl.WeightFamily(a, eps)
+    return dl.v_char(dl.CharacteristicSolution(fam, mu_inverse), x, y) / ((1.0 - a) * dl.chi(fam, y))
+
+
+def test_gamma_ratio_values_and_limits():
+    assert _gamma_ratio(0.3, 0.2, None, 0.0, 0.5) == pytest.approx(1.0, rel=1e-15)
+    got = _gamma_ratio(0.0, 0.0, lambda x, s: 1.0 / (1.0 + s), 0.0, 1.0)
+    assert got == pytest.approx(math.log(2.0), rel=1e-10)
+    # y -> 0+ limit equals mu^{-1}(x, 0) for three sampled fields
+    for mu_inv in (lambda x, s: 1.0 / (1.0 + s),
+                   lambda x, s: 2.0 / (2.0 + s * s),
+                   lambda x, s: 1.0 / (1.5 + np.sin(s))):
+        want = mu_inv(0.0, 0.0)
+        assert _gamma_ratio(0.5, 0.1, mu_inv, 0.0, 1e-9) == pytest.approx(want, rel=1e-6)
+
+
+def test_gamma_ratio_holder_uniformity_across_eps():
+    """Discrete alpha-seminorm of v / ((1-a) chi) stays within 3x of its eps=1 value."""
+    alpha = 0.5
+
+    def mu_inv(x, s):
+        return 1.0 / (1.0 + 0.3 * abs(s) ** alpha + 0.1 * x * x)
+
+    grid = dl.build_half_grid(1, "half_rectangle", 1.0 / 16)
+    semis = {}
+    for eps in (1.0, 0.1, 0.01, 0.0):
+        fld = dl.DiscreteField.sample(
+            grid, lambda x, y, e=eps: _gamma_ratio(0.5, e, mu_inv, x, abs(y)), "even")
+        semis[eps] = dl.holder_seminorm(fld, alpha, dl.Region(1.0, 1.0))
+    for eps, s in semis.items():
+        assert s <= 3.0 * semis[1.0] + 1e-12, (eps, semis)
 
 
 def test_segment_memo_is_isolated():
