@@ -17,11 +17,13 @@ degenerate/singular range of exponents.
 The operator is built with array operations over the lattice ``grid.index``,
 by one code path for n = 1 and n = 2.  Weight models are evaluated on all
 the live grid columns at once (the contract is on :class:`WeightModel`), so
-the y-faces of a grid cost one ``resistance_y`` call; mu is sampled once
-per grid.  x-faces come from slicing the lattice along each axis, the matrix
-from concatenated COO triplets, and the faces are kept as arrays
-(:class:`Faces`) for right-hand sides.  The only per-cell Python work left
-is calling the user's samplers b_tilde, t_field, drift and the data.
+the y-faces of a grid cost one ``resistance_y`` call.  x-faces come from
+slicing the lattice along each axis, the matrix from concatenated COO
+triplets, and the faces are kept as arrays (:class:`Faces`) for right-hand
+sides.  There is no per-cell Python work: every user sampler (mu, b_tilde,
+t_field, drift, the data f, F and the trace, exact solutions and region
+predicates) takes coordinate arrays and is called once on all the points it
+is needed at, through ``weights._sample``.
 
 Boundary handling:
 * characteristic plane (y = 0): odd parity imposes u = 0 through the exact
@@ -82,56 +84,49 @@ class ParityError(ValueError):
 class OperatorSpec:
     """Coefficient tensor A = mu * [[B_tilde, T], [T^t, 1]] with metadata.
 
-    ``mu(x, y)`` is scalar with 1/C <= mu <= C; ``b_tilde(x, y)`` returns the
-    (n, n) block (scalar for n = 1); ``t_field(x, y)`` returns the coupling
-    vector (scalar for n = 1) and must vanish at y = 0.  All default to the
-    identity tensor.  x is a scalar for n = 1 and a length-2 tuple for n = 2.
-
-    ``mu`` must also broadcast over ndarrays of positions x (a tuple of
-    them for n = 2) and ordinates y (a scalar return is broadcast), because
-    :meth:`mu_at` samples it once per call on all its points.  A ``mu`` that
-    cannot take arrays raises ``ValueError`` naming it.
-    """
+    Every sampler, here and in the rest of the package, is called as
+    ``g(x, y)`` with x an array of positions (a tuple of two for n = 2) and
+    y an array of ordinates, and must broadcast; a scalar return is
+    broadcast.  ``mu`` is scalar with 1/C <= mu <= C; ``b_tilde`` returns
+    the (n, n) block and ``t_field`` the n-vector T, which must vanish at
+    y = 0.  Components run along leading axes: an array of shape
+    (n, n) + y.shape or (n,) + y.shape, or a ragged tuple such as
+    ``(0.3 * y, 0.0)``.  All default to the identity tensor.  Assembly uses
+    the diagonal of B_tilde only (x-face fluxes cannot carry the rest), so
+    a nonzero off-diagonal entry raises ``ValueError``, as does a sampler
+    that cannot take arrays, naming it."""
 
     mu: Optional[Callable] = None
     b_tilde: Optional[Callable] = None
     t_field: Optional[Callable] = None
 
-    def mu_val(self, x, y) -> float:
-        return 1.0 if self.mu is None else float(self.mu(x, y))
+    def mu_at(self, x, y: np.ndarray) -> np.ndarray:
+        """mu at the points (x, y), in one call."""
+        return np.ones(np.shape(y)) if self.mu is None else _sample(self.mu, x, y, "mu")
 
-    def b_tilde_diag(self, x, y, axis: int, n: int) -> float:
+    def b_tilde_diag_at(self, x, y: np.ndarray, axis: int) -> np.ndarray:
+        """The (axis, axis) entry of B_tilde at the points (x, y), in one call."""
         if self.b_tilde is None:
-            return 1.0
-        v = self.b_tilde(x, y)
-        if n == 1:
-            return float(v)
-        return float(np.asarray(v)[axis, axis])
+            return np.ones(np.shape(y))
+        n = len(_coords(x))
+        B = _sample(self.b_tilde, x, y, "b_tilde", (n, n))
+        if np.any(B[~np.eye(n, dtype=bool)]):
+            name = getattr(self.b_tilde, "__qualname__", repr(self.b_tilde))
+            raise ValueError(f"b_tilde sampler {name!r} has a nonzero off-diagonal entry; "
+                             f"assembly uses the diagonal of B_tilde only")
+        return B[axis, axis]
 
-    def t_val(self, x, y, n: int) -> np.ndarray:
+    def t_at(self, x, y: np.ndarray) -> np.ndarray:
+        """T at the points (x, y), components first: shape (n,) + y.shape."""
+        n = len(_coords(x))
         if self.t_field is None:
-            return np.zeros(n)
-        return np.atleast_1d(np.asarray(self.t_field(x, y), dtype=float))
-
-    def mu_at(self, pts: np.ndarray, n: int) -> np.ndarray:
-        """mu at each row (x..., y) of pts, in one call."""
-        if self.mu is None or len(pts) == 0:
-            return np.ones(len(pts))
-        return _sample(self.mu, _x_of([pts[:, d] for d in range(n)]), pts[:, n])
-
-    def b_tilde_diag_at(self, pts: np.ndarray, axis: int, n: int) -> np.ndarray:
-        """The (axis, axis) entry of B_tilde at each row (x..., y) of pts."""
-        if self.b_tilde is None:
-            return np.ones(len(pts))
-        return np.array([self.b_tilde_diag(*_split(p, n), axis, n) for p in pts])
+            return np.zeros((n,) + np.shape(y))
+        return _sample(self.t_field, x, y, "t_field", (n,))
 
     def check_sigma_invariance(self, n: int = 1, npoints: int = 200) -> float:
         """Max |T(x, 0)| over sample points (must vanish: A(x,0) e_y = mu e_y)."""
-        worst = 0.0
-        for p in _halton_points(npoints, n):
-            x = p[0] if n == 1 else tuple(p)
-            worst = max(worst, float(np.max(np.abs(self.t_val(x, 0.0, n)))))
-        return worst
+        return float(np.max(np.abs(self.t_at(_x_of(list(_halton_points(npoints, n).T)),
+                                              np.zeros(npoints)))))
 
 
 def _halton_points(count: int, dim: int) -> np.ndarray:
@@ -349,8 +344,8 @@ class DiscreteField:
 
     @classmethod
     def sample(cls, grid: HalfGrid, fn: Callable, parity: str = "none") -> "DiscreteField":
-        vals = np.array([fn(*_split(p, grid.n)) for p in grid.centers])
-        return cls(grid, vals, parity)
+        """fn at the cell centres, in one call on arrays (x, y)."""
+        return cls(grid, _sample(fn, *_xy(grid.centers, grid.n), "field").copy(), parity)
 
     def lattice(self) -> np.ndarray:
         out = np.full(self.grid.lattice_shape(), np.nan)
@@ -360,48 +355,41 @@ class DiscreteField:
     def interpolate(self, points: np.ndarray, trace: Optional[Callable] = None) -> np.ndarray:
         """Bilinear interpolation (n=1 grids) with parity ghosts below y=h/2.
 
-        Points outside the cell-center hull fall back to the trace sampler
-        when given, else to the nearest valid cell value."""
+        Corners outside the grid take the trace at their cell centre, in one
+        call, when a trace is given, else the point takes the nearest cell."""
         if self.grid.n != 1:
             raise NotImplementedError("interpolation implemented for n=1 grids")
         g = self.grid
         lat = self.lattice()
         h = g.h
-        out = np.empty(len(points))
-        for k, (xq, yq) in enumerate(points):
-            fx = (xq + 1.0) / h - 0.5
-            fy = yq / h - 0.5
-            i0 = int(math.floor(fx))
-            j0 = int(math.floor(fy))
-            tx = fx - i0
-            ty = fy - j0
-            vals = np.empty((2, 2))
-            ok = True
-            for di in (0, 1):
-                for dj in (0, 1):
-                    i, j = i0 + di, j0 + dj
-                    if 0 <= i < g.nx and 0 <= j < g.ny and np.isfinite(lat[i, j]):
-                        vals[di, dj] = lat[i, j]
-                    elif j == -1 and 0 <= i < g.nx and np.isfinite(lat[i, 0]) \
-                            and self.parity in ("odd", "even"):
-                        vals[di, dj] = -lat[i, 0] if self.parity == "odd" else lat[i, 0]
-                    elif trace is not None:
-                        vals[di, dj] = trace(-1.0 + (i + 0.5) * h, (j + 0.5) * h)
-                    else:
-                        ok = False
-            if ok:
-                out[k] = ((1 - tx) * (1 - ty) * vals[0, 0] + (1 - tx) * ty * vals[0, 1]
-                          + tx * (1 - ty) * vals[1, 0] + tx * ty * vals[1, 1])
-            else:
-                d2 = ((g.centers[:, 0] - xq) ** 2 + (g.centers[:, 1] - yq) ** 2)
-                out[k] = self.values[int(np.argmin(d2))]
+        # the lattice with the parity ghosts as row j = -1, in a frame of NaN
+        ghost = {"odd": -1.0, "even": 1.0}.get(self.parity, np.nan) * lat[:, :1]
+        frame = np.pad(np.hstack([ghost, lat]), 1, constant_values=np.nan)
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        fx = (points[:, 0] + 1.0) / h - 0.5
+        fy = points[:, 1] / h - 0.5
+        i0, j0 = np.floor(fx).astype(int), np.floor(fy).astype(int)
+        tx, ty = fx - i0, fy - j0
+        i, j = np.broadcast_arrays(i0[:, None, None] + np.array([[0], [1]]),   # point, di, dj
+                                   j0[:, None, None] + np.array([[0, 1]]))
+        vals = frame[np.clip(i, -1, g.nx) + 1, np.clip(j, -2, g.ny) + 2]
+        missing = np.isnan(vals)
+        if trace is not None and missing.any():
+            vals[missing] = _sample(trace, -1.0 + (i[missing] + 0.5) * h,
+                                    (j[missing] + 0.5) * h, "trace")
+            missing[:] = False
+        out = ((1 - tx) * (1 - ty) * vals[:, 0, 0] + (1 - tx) * ty * vals[:, 0, 1]
+               + tx * (1 - ty) * vals[:, 1, 0] + tx * ty * vals[:, 1, 1])
+        far = np.flatnonzero(missing.any(axis=(1, 2)))
+        d2 = ((g.centers[None, :, 0] - points[far, 0, None]) ** 2
+              + (g.centers[None, :, 1] - points[far, 1, None]) ** 2)
+        out[far] = self.values[np.argmin(d2, axis=1)]
         return out
 
 
-def _split(p: np.ndarray, n: int):
-    if n == 1:
-        return p[0], p[1]
-    return tuple(p[:n]), p[n]
+def _xy(pts: np.ndarray, n: int):
+    """The positions x (a tuple for n = 2) and ordinates y of the rows of pts."""
+    return _x_of([pts[:, d] for d in range(n)]), pts[:, n]
 
 
 # ---------------------------------------------------------------------------
@@ -527,24 +515,22 @@ class AssembledOperator:
 
     def rhs(self, f: Optional[Callable] = None, F: Optional[Callable] = None,
             trace: Optional[Callable] = None) -> np.ndarray:
+        """The load of w f + div(w F) and the trace: f at the cell centres, F (n + 1
+        components) at the face midpoints, the trace at the Dirichlet ones."""
         g = self.grid
         fc = self.faces
         out = np.zeros(g.ncells)
         if f is not None:
-            fv = np.array([f(*_split(p, g.n)) for p in g.centers])
+            fv = _sample(f, *_xy(g.centers, g.n), "f")
             out += g.h ** g.n * _cell_weight_integrals(self.weight, g) * fv
         if F is not None:
-            Fn = np.array([np.atleast_1d(np.asarray(F(*_split(m, g.n)), dtype=float))[ax]
-                           for m, ax in zip(fc.mid, fc.axis)])
-            fc.add_flux(out, g.h ** g.n * fc.weight * Fn)
-        if trace is not None:
-            d = fc.dirichlet
-            tv = np.array([trace(*_split(m, g.n)) for m in fc.mid[d]], dtype=float)
+            Fv = _sample(F, *_xy(fc.mid, g.n), "F", (g.n + 1,))
+            fc.add_flux(out, g.h ** g.n * fc.weight * Fv[fc.axis, np.arange(len(fc.axis))])
+        d = fc.dirichlet
+        if trace is not None and d.any():
+            tv = _sample(trace, *_xy(fc.mid[d], g.n), "trace")
             np.add.at(out, np.maximum(fc.lo, fc.hi)[d], fc.tau[d] * tv)
         return out
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
 
     def residual(self, u: np.ndarray, rhs: np.ndarray) -> float:
         r = self.matrix @ u - rhs
@@ -610,7 +596,7 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
     elif need.any():
         pts = mid[need]
         pts[:, n] = np.where(plane[need], h / 4.0, pts[:, n])
-        R[need] = np.where(inner, h, h / 2.0)[need] / (wf[need] * spec.mu_at(pts, n))
+        R[need] = np.where(inner, h, h / 2.0)[need] / (wf[need] * spec.mu_at(*_xy(pts, n)))
     use = need & (~plane | (np.isfinite(R) & (R > 0)))
     tau = np.zeros(lo.shape)
     tau[use] = area / R[use]
@@ -625,7 +611,7 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
         lo, hi, mid = lo[keep], hi[keep], mid[keep]
         inner = (lo >= 0) & (hi >= 0)
         wf = _face_weight(wxcell, lo, hi)
-        afac = spec.mu_at(mid, n) * spec.b_tilde_diag_at(mid, axis, n)
+        afac = spec.mu_at(*_xy(mid, n)) * spec.b_tilde_diag_at(*_xy(mid, n), axis)
         tau = np.where(inner | dirichlet, area * wf * afac / np.where(inner, h, h / 2.0), 0.0)
         parts.append((np.full(len(lo), axis), lo, hi, wf, mid, tau, ~inner & dirichlet))
     faces = Faces(*(np.concatenate(a) for a in zip(*parts)))
@@ -664,8 +650,9 @@ def _cross_terms(g, spec, wcell, stencils):
     Per cell and x-axis, (Dx u)(Dy v) + (Dy u)(Dx v) with centered stencils
     (parity ghost in y); COO triplets in cell order."""
     n, h = g.n, g.h
-    t = np.array([spec.t_val(*_split(p, n), n) for p in g.centers]).reshape(g.ncells, n)
-    coef = h ** (n + 1) * wcell[:, None] * spec.mu_at(g.centers, n)[:, None] * t / (h * h)
+    x, y = _xy(g.centers, n)
+    t = spec.t_at(x, y).T
+    coef = h ** (n + 1) * wcell[:, None] * spec.mu_at(x, y)[:, None] * t / (h * h)
     DY, CY, oky = stencils[n]
     active = np.any(t != 0, axis=1) & oky
     rows, cols, vals, ok = [], [], [], []
@@ -684,8 +671,7 @@ def _cross_terms(g, spec, wcell, stencils):
 def _drift_terms(g, wcell, drift, stencils):
     """Centered-difference drift contribution, COO triplets in cell order."""
     n, h = g.n, g.h
-    b = np.array([np.atleast_1d(np.asarray(drift(*_split(p, n)), dtype=float))
-                  for p in g.centers]).reshape(g.ncells, n + 1)
+    b = _sample(drift, *_xy(g.centers, n), "drift", (n + 1,)).T
     scale = -h ** (n + 1) * wcell / h
     D = np.stack([s[0] for s in stencils], axis=1)          # cell, axis, stencil slot
     vals = np.stack([(scale * b[:, axis])[:, None] * stencils[axis][1]
@@ -763,8 +749,8 @@ def manufactured_problem(u_exact: Callable, op: AssembledOperator, mode: str = "
     tolerance); mode='analytic': rhs from the continuum forcing f (and F) with
     Dirichlet data sampled from u_exact (solver converges at scheme order)."""
     g = op.grid
-    exact = DiscreteField.sample(g, u_exact, op.parity)
     _check_parity(u_exact, op.parity, g.n)
+    exact = DiscreteField.sample(g, u_exact, op.parity)
     if mode == "discrete":
         return op.matrix @ exact.values, exact
     if mode != "analytic":
@@ -774,16 +760,19 @@ def manufactured_problem(u_exact: Callable, op: AssembledOperator, mode: str = "
 
 
 def _check_parity(u_exact, parity, n, tol=1e-9):
+    """u_exact(x, -y) against -u_exact(x, y) (odd) or u_exact(x, y) (even) at
+    three probes, all six points in one call."""
     if parity not in ("odd", "even"):
         return
-    probes = [(0.3, 0.4), (-0.5, 0.7), (0.1, 0.2)]
-    for xx, yy in probes:
-        x = xx if n == 1 else (xx, -xx / 2)
-        up = u_exact(x, yy)
-        um = u_exact(x, -yy)
-        want = -up if parity == "odd" else up
-        if abs(um - want) > tol * max(1.0, abs(up)):
-            raise ParityError(f"u_exact violates parity {parity!r} at {(x, yy)}")
+    xx, yy = np.tile([0.3, -0.5, 0.1], 2), np.array([0.4, 0.7, 0.2])
+    up, um = np.split(_sample(u_exact, xx if n == 1 else (xx, -xx / 2), np.r_[yy, -yy],
+                              "u_exact"), 2)
+    want = -up if parity == "odd" else up
+    bad = np.flatnonzero(np.abs(um - want) > tol * np.maximum(1.0, np.abs(up)))
+    if len(bad):
+        xk, yk = xx[bad[0]].item(), yy[bad[0]].item()
+        raise ParityError(f"u_exact violates parity {parity!r} at "
+                          f"{(xk if n == 1 else (xk, -xk / 2), yk)}")
 
 
 def convergence_study(factory: Callable, h_list: Sequence[float],
@@ -804,8 +793,7 @@ def convergence_study(factory: Callable, h_list: Sequence[float],
         rep = solve_linear(op, rhs, tol=tol)
         err = np.abs(rep.field.values - exact.values)
         if region is not None:
-            sel = np.array([region(*_split(p, op.grid.n)) for p in op.grid.centers])
-            err = err[sel]
+            err = err[_sample(region, *_xy(op.grid.centers, op.grid.n), "region") != 0.0]
         e = float(np.max(err)) if err.size else 0.0
         scale = float(np.max(np.abs(exact.values))) or 1.0
         if prev is None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import math
 import os
 import sys
 import traceback
@@ -35,7 +34,7 @@ from .assembly import (OperatorSpec, RhoWeight, assemble, convergence_study,
 from .certify import (verify_gamma_rectangle, verify_phi_bound,
                       verify_v_inequality, v_minimum)
 from .geometry import EmbeddedCurve, build_half_grid, fermi_mu
-from .holder import ProblemFamily, epsilon_sweep
+from .holder import SWEEP_MODES, ProblemFamily, epsilon_sweep
 from .potentials import v_limit, v_limit_deriv
 from .spectral import eigen_stability_sweep, hardy_quotient, trace_eigen
 from .weights import WeightFamily
@@ -96,16 +95,24 @@ def _write(path: Path, header: list, rows: list, columns: list):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _float(tok: str) -> float:
-    """Float parser accepting plain literals and fractions like 1/64."""
-    if "/" in tok:
-        num, den = tok.split("/", 1)
-        return float(num) / float(den)
-    return float(tok)
+def _number(key: str, tok: str, kind=float):
+    """``kind(tok)``, a float also as a fraction like 1/64; a token that does
+    not parse is a ConfigError naming the key and the token."""
+    try:
+        if kind is float and "/" in tok:
+            num, den = tok.split("/", 1)
+            return float(num) / float(den)
+        return kind(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{key}: {tok!r} is not a {kind.__name__}") from None
 
 
-def _floats(s: str) -> list:
-    return [_float(tok) for tok in s.replace(",", " ").split()]
+def _float(cfg: dict, key: str, default: str) -> float:
+    return _number(key, cfg.get(key, default))
+
+
+def _floats(cfg: dict, key: str, default: str) -> list:
+    return [_number(key, tok) for tok in cfg.get(key, default).replace(",", " ").split()]
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +120,12 @@ def _floats(s: str) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_eigen(cfg: dict) -> int:
-    a_list = _floats(cfg.get("a", "-0.5 0 0.5"))
-    h = _float(cfg.get("h", "1/64"))
-    eps = _float(cfg.get("eps", "0.0"))
-    aux_list = _floats(cfg.get("aux_a", "0.5 -1"))
-    r_list = _floats(cfg.get("r_list", "1 4 16 64"))
-    sweep_a = _float(cfg.get("sweep_a", "0.5"))
+    a_list = _floats(cfg, "a", "-0.5 0 0.5")
+    h = _float(cfg, "h", "1/64")
+    eps = _float(cfg, "eps", "0.0")
+    aux_list = _floats(cfg, "aux_a", "0.5 -1")
+    r_list = _floats(cfg, "r_list", "1 4 16 64")
+    sweep_a = _float(cfg, "sweep_a", "0.5")
     rows = []
     ok = True
     for a in a_list:
@@ -144,36 +151,43 @@ def cmd_eigen(cfg: dict) -> int:
     return 0 if ok else 1
 
 
+def _sweep_family(a: float, mu_inv, name: str) -> ProblemFamily:
+    """The swept odd problem: f = y^(1-a) cos(pi x), trace factor
+    cos(pi x / 2) (1 + y^2 / 2)."""
+    b = 1.0 - a
+
+    def f(x, y):
+        return (y ** b) * np.cos(np.pi * x)
+
+    def trace_factor(x, y):
+        return np.cos(np.pi * x / 2.0) * (1.0 + 0.5 * y * y)
+
+    return ProblemFamily(a=a, f=f, trace_factor=trace_factor, mu_inverse=mu_inv, name=name)
+
+
 def _family_from_cfg(cfg: dict) -> ProblemFamily:
-    a = _float(cfg.get("a", "0.5"))
+    a = _float(cfg, "a", "0.5")
     mu_kind = cfg.get("mu", "const")
     if mu_kind == "const":
         mu_inv = None
     elif mu_kind.startswith("quadratic"):
-        c = float(mu_kind.split(":")[1]) if ":" in mu_kind else 0.1
+        c = _number("mu", mu_kind.split(":")[1]) if ":" in mu_kind else 0.1
 
         def mu_inv(x, y, c=c):
             return 1.0 / (1.0 + c * x * x)
     else:
         raise ConfigError(f"unknown mu kind {mu_kind!r}")
-    b = 1.0 - a
-
-    def f(x, y, b=b):
-        return (y ** b) * math.cos(math.pi * x)
-
-    def trace_factor(x, y):
-        return math.cos(math.pi * x / 2.0) * (1.0 + 0.5 * y * y)
-
-    return ProblemFamily(a=a, f=f, trace_factor=trace_factor, mu_inverse=mu_inv,
-                         name=f"a={a:g},mu={mu_kind}")
+    return _sweep_family(a, mu_inv, f"a={a:g},mu={mu_kind}")
 
 
 def cmd_sweep(cfg: dict) -> int:
     family = _family_from_cfg(cfg)
-    eps_list = _floats(cfg.get("eps_list", "1 0.3 0.1 0.03 0.01 0"))
-    alpha = _float(cfg.get("alpha", "0.4"))
-    h = _float(cfg.get("h", "1/64"))
+    eps_list = _floats(cfg, "eps_list", "1 0.3 0.1 0.03 0.01 0")
+    alpha = _float(cfg, "alpha", "0.4")
+    h = _float(cfg, "h", "1/64")
     mode = cfg.get("mode", "ratio_c0")
+    if mode not in SWEEP_MODES:
+        raise ConfigError(f"mode: unknown sweep mode {mode!r}")
     rep = epsilon_sweep(family, eps_list, alpha, mode=mode, grid_h=h)
     rows = [(e, s, sup) for e, s, sup, _ in rep.per_eps]
     header = [f"config-hash: {_config_hash(cfg)}",
@@ -190,8 +204,8 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_certify(cfg: dict) -> int:
-    budget = int(cfg.get("budget", 200_000))
-    a_samples = _floats(cfg.get("phi_a", "0.9 0.5 0 -1 -3 -10"))
+    budget = _number("budget", cfg.get("budget", "200000"), int)
+    a_samples = _floats(cfg, "phi_a", "0.9 0.5 0 -1 -3 -10")
     lines = [f"# degenlab {__version__}",
              f"# config-hash: {_config_hash(cfg)}",
              "# certificates: target_id domain bound threshold pass status"]
@@ -217,12 +231,12 @@ def cmd_certify(cfg: dict) -> int:
 
 
 def cmd_solve(cfg: dict) -> int:
-    a = _float(cfg.get("a", "0.5"))
-    h_list = _floats(cfg.get("h_list", "0.0625 0.03125 0.015625"))
+    a = _float(cfg, "a", "0.5")
+    h_list = _floats(cfg, "h_list", "0.0625 0.03125 0.015625")
     b = 1.0 - a
 
     def u_exact(x, y):
-        return math.copysign(abs(y) ** b, y) * (1.0 - x * x)
+        return np.copysign(np.abs(y) ** b, y) * (1.0 - x * x)
 
     def factory(h):
         grid = build_half_grid(1, "half_rectangle", h)
@@ -248,11 +262,11 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_fermi_demo(cfg: dict) -> int:
-    a = _float(cfg.get("a", "0.5"))
-    radius = _float(cfg.get("radius", "2.0"))
-    h = _float(cfg.get("h", "1/32"))
-    alpha = _float(cfg.get("alpha", "0.4"))
-    eps_list = _floats(cfg.get("eps_list", "1 0.1 0.01 0"))
+    a = _float(cfg, "a", "0.5")
+    radius = _float(cfg, "radius", "2.0")
+    h = _float(cfg, "h", "1/32")
+    alpha = _float(cfg, "alpha", "0.4")
+    eps_list = _floats(cfg, "eps_list", "1 0.1 0.01 0")
     curve = EmbeddedCurve.circle(radius, arc=2.0, theta0=-0.5)
     # 1) metric factor against the finite-difference Jacobian of the chart map
     step = 1e-5
@@ -279,16 +293,7 @@ def cmd_fermi_demo(cfg: dict) -> int:
     def mu_inv(x, y):
         return 1.0 / (speed * (1.0 - y * kap))
 
-    b = 1.0 - a
-
-    def f(x, y):
-        return (y ** b) * math.cos(math.pi * x)
-
-    def trace_factor(x, y):
-        return math.cos(math.pi * x / 2.0) * (1.0 + 0.5 * y * y)
-
-    family = ProblemFamily(a=a, f=f, trace_factor=trace_factor, mu_inverse=mu_inv,
-                           name=f"fermi-circle[R={radius:g},a={a:g}]")
+    family = _sweep_family(a, mu_inv, f"fermi-circle[R={radius:g},a={a:g}]")
     rep_c0 = epsilon_sweep(family, eps_list, alpha, mode="ratio_c0", grid_h=h)
     rep_c1r = epsilon_sweep(family, eps_list, alpha, mode="ratio_c1", grid_h=h,
                             restricted="sqrt_eps")

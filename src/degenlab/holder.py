@@ -30,13 +30,13 @@ from scipy.spatial import cKDTree
 from .assembly import DiscreteField, OperatorSpec, RhoWeight, assemble, solve_linear
 from .geometry import HalfGrid, build_half_grid
 from .ratio import _quotient_field, _v_on_grid
-from .weights import (CharacteristicSolution, WeightFamily, omega as omega_weight, v_char,
-                      v_char_profile)
+from .weights import (CharacteristicSolution, WeightFamily, _sample, omega as omega_weight,
+                      v_char, v_char_profile)
 
 NEAR_PAIR_RADIUS = 0.25
 DEFAULT_TAU = 3.0
 DEFAULT_SLOPE_TOL = 0.1
-DEFAULT_EPS_LIST = (1.0, 0.3, 0.1, 0.03, 0.01, 0.0)
+SWEEP_MODES = ("ratio_c0", "ratio_c1", "odd_direct_c0")
 
 
 @dataclass(frozen=True)
@@ -219,9 +219,10 @@ class ProblemFamily:
     The outer Dirichlet trace is v_eps(x, y) * trace_factor(x, y), so the
     quotient w has eps-uniform boundary values by construction; forcing f and
     field F are eps-independent samplers (their quotient norms are recorded
-    per eps).  mu_inverse == None means the identity tensor; a sampler
-    ``mu_inverse(x, s)`` must broadcast over ndarrays of positions x and
-    ordinates s, see :class:`CharacteristicSolution`."""
+    per eps).  mu_inverse == None means the identity tensor.  Every sampler
+    (f, F, trace_factor and mu_inverse) takes arrays of positions x and
+    ordinates y and broadcasts over them, F returning its two components
+    along a leading axis; see :class:`OperatorSpec`."""
 
     a: float
     f: Optional[Callable] = None
@@ -230,11 +231,6 @@ class ProblemFamily:
     mu_inverse: Optional[Callable] = None
     name: str = "family"
     p1: float = 6.0
-    beta: float = 2.0
-
-    def solution(self, eps: float) -> CharacteristicSolution:
-        fam = WeightFamily(self.a, eps)
-        return CharacteristicSolution(fam, self.mu_inverse)
 
     def spec(self) -> OperatorSpec:
         if self.mu_inverse is None:
@@ -283,7 +279,7 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
     seminorm of w), 'odd_direct_c0' (alpha-seminorm of u itself; requires
     a in (-1,1)).  restricted='sqrt_eps' lifts the region floor to
     y >= sqrt(eps) (the restricted tables of the curved-geometry estimates)."""
-    if mode not in ("ratio_c0", "ratio_c1", "odd_direct_c0"):
+    if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}")
     if mode == "odd_direct_c0" and not (-1.0 < family.a < 1.0):
         raise ValueError("odd_direct_c0 requires a in (-1, 1)")
@@ -293,7 +289,7 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
     grid = build_half_grid(1, "half_rectangle", grid_h)
     pairs: dict = {}        # pair samples of this sweep, one per selection of cells
     fv = (None if family.f is None      # f does not depend on eps
-          else np.array([family.f(p[0], p[1]) for p in grid.centers]))
+          else _sample(family.f, grid.centers[:, 0], grid.centers[:, 1], "f"))
     ys = (np.arange(grid.ny) + 0.5) * grid.h
     side_x = -1.0 + np.array([0, grid.nx]) * grid.h      # as the face midpoints hold it
     per_eps = []
@@ -343,12 +339,9 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
 
 
 def _family_trace(family: ProblemFamily, sol: CharacteristicSolution) -> Callable:
-    def trace(x, y):
-        v = v_char(sol, x, y)
-        g = 1.0 if family.trace_factor is None else family.trace_factor(x, y)
-        return v * g
-
-    return trace
+    tf = family.trace_factor
+    return lambda x, y: v_char(sol, x, y) * (1.0 if tf is None else
+                                             _sample(tf, x, y, "trace_factor"))
 
 
 def _trend_slope(eps_list, semis) -> float:

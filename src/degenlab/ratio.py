@@ -30,12 +30,11 @@ from .assembly import (
     RhoWeight,
     _cell_weight_integrals,
     _column_values,
-    _split,
     assemble,
     solve_linear,
 )
 from .geometry import HalfGrid, build_half_grid
-from .weights import CharacteristicSolution, v_char, v_char_grad_x, v_char_profile
+from .weights import CharacteristicSolution, _sample, v_char, v_char_grad_x, v_char_profile
 
 
 class DivisionGuardError(ZeroDivisionError):
@@ -68,8 +67,10 @@ def reconstruct(w: DiscreteField, sol: CharacteristicSolution) -> DiscreteField:
 class AuxiliaryRhsBundle:
     """Samplers for every term of the quotient equation's right-hand side.
 
-    All callables take (x, y).  ``f_bar`` already includes the
-    -Fbar.grad(v)/v correction when a field F is present."""
+    All callables take arrays (x, y) of points of the plane (n = 1) and
+    broadcast, as the samplers of :class:`OperatorSpec` do, ``F_bar`` with
+    its two components along a leading axis.  ``f_bar`` already includes
+    the -Fbar.grad(v)/v correction when a field F is present."""
 
     f_bar: Optional[Callable]
     F_bar: Optional[Callable]
@@ -88,56 +89,48 @@ def auxiliary_rhs(spec: OperatorSpec, sol: CharacteristicSolution,
 
     Raises if T(x, 0) != 0 (the coupling must vanish on the plane, otherwise
     Tbar = T/(rho v) is non-integrable)."""
-    n = 1   # plane-variable bundles; the vector case reuses the same formulas
-    worst_t = spec.check_sigma_invariance(n=n)
+    worst_t = spec.check_sigma_invariance(n=1)    # plane-variable bundles
     if worst_t > 1e-10:
         raise ValueError(f"T(x,0) must vanish; sampled max {worst_t:.3g}")
     fam = sol.family
 
-    def vv(x, y):
-        return v_char(sol, x, y)
-
     def f_bar(x, y):
+        v = v_char(sol, x, y)
         out = 0.0
         if f is not None:
-            out += f(x, y) / vv(x, y)
+            out += _sample(f, x, y, "f") / v
         if F is not None:
             # -Fbar . grad v / v, with grad v = (dv/dx, (1-a) rho^(-a) mu^(-1))
-            Fv = np.atleast_1d(np.asarray(F(x, y), dtype=float))
-            v = vv(x, y)
+            Fv = _sample(F, x, y, "F", (2,))
             gx = v_char_grad_x(sol, x, y)
-            mu_inv = 1.0 if sol.mu_inverse is None else sol.mu_inverse(x, y)
+            mu_inv = 1.0 if sol.mu_inverse is None else _sample(sol.mu_inverse, x, y)
             gy = (1.0 - fam.a) * (fam.eps ** 2 + y * y) ** (-fam.a / 2.0) * mu_inv
             out -= (Fv[0] * gx + Fv[1] * gy) / (v * v)
         return out
 
     def F_bar(x, y):
-        Fv = np.atleast_1d(np.asarray(F(x, y), dtype=float))
-        return Fv / vv(x, y)
+        return _sample(F, x, y, "F", (2,)) / v_char(sol, x, y)
 
-    b_ids: dict = {}        # grad_x v / v per point, shared by drift and zero_order
+    last: list = []       # (x, y, grad_x v / v) of the last points, for drift and zero_order
 
     def b_identity(x, y):
-        b_id = b_ids.get((x, y))
-        if b_id is None:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if not (last and np.array_equal(last[0], x) and np.array_equal(last[1], y)):
             gx = v_char_grad_x(sol, x, y)
-            b_id = b_ids[(x, y)] = 0.0 if gx == 0.0 else gx / vv(x, y)
-        return b_id
+            b_id = np.divide(gx, v_char(sol, x, y), out=np.zeros(np.shape(gx)), where=gx != 0.0)
+            last[:] = (x, y, b_id)
+        return last[2]
 
     def b_tildeA(x, y):
         # mu b_tilde (grad_x v / v)
-        b_id = b_identity(x, y)
-        if b_id == 0.0:
-            return 0.0
-        bt = 1.0 if spec.b_tilde is None else float(spec.b_tilde(x, y))
-        return spec.mu_val(x, y) * bt * b_id
+        return spec.mu_at(x, y) * spec.b_tilde_diag_at(x, y, 0) * b_identity(x, y)
 
     def T_bar(x, y):
-        t = spec.t_val(x, y, n)
+        t = spec.t_at(x, y)[0]
         if not np.any(t):
-            return 0.0
+            return np.zeros(np.shape(t))
         r = (fam.eps ** 2 + y * y) ** (fam.a / 2.0)
-        return float(t[0]) / (r * vv(x, y))
+        return t / (r * v_char(sol, x, y))
 
     has_drift = sol.mu_inverse is not None or spec.t_field is not None
 
@@ -146,8 +139,7 @@ def auxiliary_rhs(spec: OperatorSpec, sol: CharacteristicSolution,
         return -(b_tildeA(x, y) + T_bar(x, y))
 
     def zero_order(x, y):
-        s = b_tildeA(x, y) + T_bar(x, y)
-        return -s * b_identity(x, y) if s else 0.0
+        return -(b_tildeA(x, y) + T_bar(x, y)) * b_identity(x, y)
 
     return AuxiliaryRhsBundle(
         f_bar=f_bar if (f is not None or F is not None) else None,
@@ -160,10 +152,11 @@ def auxiliary_rhs(spec: OperatorSpec, sol: CharacteristicSolution,
 class OddProblem:
     """An odd Dirichlet problem: weight family + tensor + data + outer trace.
 
-    ``u_exact`` (a sampler) switches the residual check to manufactured mode:
-    the quotient is formed from the sampled exact solution instead of a
-    discrete solve, so the residual isolates the truncation of the quotient
-    equation itself."""
+    Its samplers take arrays as those of :class:`OperatorSpec` do, F with
+    its components along a leading axis.  ``u_exact`` switches the residual
+    check to manufactured mode: the quotient is formed from the sampled
+    exact solution instead of a discrete solve, so the residual isolates
+    the truncation of the quotient equation itself."""
 
     sol: CharacteristicSolution
     spec: OperatorSpec
@@ -183,10 +176,7 @@ def assemble_auxiliary(grid: HalfGrid, problem: OddProblem) -> AssembledOperator
 def _assemble_auxiliary(grid: HalfGrid, problem: OddProblem,
                         bundle: AuxiliaryRhsBundle) -> AssembledOperator:
     w = AuxiliaryWeight(problem.sol)
-    drift = None
-    if bundle.has_drift_terms:
-        def drift(x, y):
-            return np.array([bundle.drift(x, y), 0.0])
+    drift = (lambda x, y: (bundle.drift(x, y), 0.0)) if bundle.has_drift_terms else None
     return assemble(grid, w, problem.spec, parity="even", drift=drift)
 
 
@@ -224,21 +214,21 @@ def aux_residual(problem: OddProblem, grid: HalfGrid, tol: float = 1e-10,
         u = solve_linear(op, rhs, tol=tol).field
     w = ratio_field(u, sol)
     bundle = auxiliary_rhs(problem.spec, problem.sol, problem.f, problem.F)
-    aux = _assemble_auxiliary(grid, problem, bundle)    # drift and zero order share b_ids
+    aux = _assemble_auxiliary(grid, problem, bundle)    # drift and zero order share b_identity
     g = grid
     voln = g.h ** (g.n + 1)
     rhs_vec = aux.rhs(f=bundle.f_bar, F=bundle.F_bar,
                       trace=lambda x, y: _w_trace(problem, x, y))
     if bundle.has_drift_terms:
         wc = _column_values(g, aux.weight.values)
-        zo = np.array([bundle.zero_order(*_split(p, g.n)) for p in g.centers])
+        zo = bundle.zero_order(g.centers[:, 0], g.centers[:, 1])
         rhs_vec += voln * wc * zo * w.values
         # div_x(rho v^2 (b+Tbar) w) contribution, flux form on x-faces
         fc = aux.faces
         coeff = np.zeros(len(fc.axis))
         xf = fc.axis < g.n
-        coeff[xf] = [bundle.b_tildeA(*_split(m, g.n)) + bundle.T_bar(*_split(m, g.n))
-                     for m in fc.mid[xf]]
+        xm, ym = fc.mid[xf, 0], fc.mid[xf, 1]
+        coeff[xf] = bundle.b_tildeA(xm, ym) + bundle.T_bar(xm, ym)
         wl = np.where(fc.lo >= 0, w.values[fc.lo], 0.0)
         wh = np.where(fc.hi >= 0, w.values[fc.hi], 0.0)
         wmid = 0.5 * (wl + wh)
@@ -267,5 +257,5 @@ def _w_trace(problem: OddProblem, x, y):
     g = problem.trace if problem.trace is not None else problem.u_exact
     if g is None:
         return 0.0
-    return g(x, y) / v_char(problem.sol, x, y)
+    return _sample(g, x, y, "trace") / v_char(problem.sol, x, y)
 

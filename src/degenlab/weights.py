@@ -26,11 +26,11 @@ functional of rho:
 All evaluations are closed-form where a closed form exists (a in {0, -2},
 eps = 0, plus a Gauss-hypergeometric expression for the general
 antiderivative).  Only integrands involving a genuine sampler mu are
-integrated numerically: all the grid columns of a request in one vectorised
-pass of QUADPACK's 21-point Gauss-Kronrod rule under QUADPACK's own
-acceptance test, with adaptive ``quad`` for the segments that test rejects
-and for single segments that no stored column ladder holds.  The functions
-here are pure; the one piece of state is the per-column ladder memo of
+integrated numerically: all the points or grid columns of a request in one
+vectorised pass of QUADPACK's 21-point Gauss-Kronrod rule under QUADPACK's
+own acceptance test, with adaptive ``quad`` for the segments it rejects;
+samplers take coordinate arrays (:func:`_sample`).  The functions here are
+pure; the one piece of state is the per-column ladder memo of
 :class:`CharacteristicSolution` (see there), so concurrent use is safe as
 long as user samplers are reentrant.
 """
@@ -275,9 +275,6 @@ def _qags_accepts(result, abserr, resabs, tol: float) -> np.ndarray:
 # Characteristic odd solution with a variable coefficient
 # ---------------------------------------------------------------------------
 
-MuSampler = Callable[[object, np.ndarray], np.ndarray]
-
-
 def _coords(x) -> tuple:
     """The coordinates of column positions x (a tuple of them for n = 2)."""
     return x if isinstance(x, tuple) else (x,)
@@ -294,15 +291,36 @@ def _x_of(coords):
     return coords[0] if len(coords) == 1 else tuple(coords)
 
 
-def _sample(g: MuSampler, x, s: np.ndarray) -> np.ndarray:
-    """g(x, s) on arrays of positions x and ordinates s; a scalar result is
-    broadcast."""
+class SamplerError(ValueError):
+    """Raised when a user sampler cannot take coordinate arrays."""
+
+
+def _sample(g: Callable, x, y, role: str = "mu_inverse", lead: tuple = ()) -> np.ndarray:
+    """g(x, y) on arrays of positions x (a tuple of them for n = 2) and
+    ordinates y, broadcast to ``lead + y.shape``: a vector or matrix sampler
+    returns its components along the leading axes ``lead``, as one array or
+    a (ragged, nested) tuple.  A sampler that cannot take arrays raises
+    :class:`SamplerError` naming it and its role."""
+    y = np.asarray(y, dtype=float)
+    shape = tuple(lead) + y.shape
     try:
-        return np.broadcast_to(np.asarray(g(x, s), dtype=float), s.shape)
+        return np.broadcast_to(_stacked(g(x, y), y.shape), shape)
+    except SamplerError:
+        raise                   # a sampler called inside g failed; it is named already
     except (TypeError, ValueError) as exc:
-        name = getattr(g, "__qualname__", repr(g))
-        raise ValueError(f"mu sampler {name!r} must broadcast over arrays of x and s and "
-                         f"return a scalar or an array of shape {s.shape}") from exc
+        raise SamplerError(f"{role} sampler {getattr(g, '__qualname__', repr(g))!r} must "
+                           f"broadcast over arrays of x and y and return a scalar or an "
+                           f"array of shape {shape}") from exc
+
+
+def _stacked(val, shape: tuple) -> np.ndarray:
+    """A sampler's value as a float array, a tuple or list of components
+    stacked along a new leading axis after broadcasting each to ``shape``."""
+    if not isinstance(val, (list, tuple)):
+        return np.asarray(val, dtype=float)
+    parts = [_stacked(v, shape) for v in val]
+    common = np.broadcast_shapes(shape, *(p.shape for p in parts))
+    return np.stack([np.broadcast_to(p, common) for p in parts])
 
 
 class _Ladder(NamedTuple):
@@ -373,9 +391,8 @@ class CharacteristicSolution:
     its cumulative sum, so the face resistances, the cell-centre columns and
     the top-face Dirichlet traces of one eps step share one pass.  Any other
     run becomes a ladder of its own, never a sum or difference of another
-    ladder's segments.  A single segment that no ladder starts at y0 and
-    ends at y1 (a point of v off the ladders) goes to ``quad``; single
-    segments are kept in the entry's ``points`` once read or integrated.
+    ladder's segments.  Single segments off the ladders (points of v) share
+    one dqk21 pass per request and are kept in the entry's ``points``.
     The memo assumes ``mu_inverse`` is a deterministic function of (x, s);
     :func:`v_char_grad_x` and the closed form for mu == 1 bypass it.  Two
     threads that miss on the same column both compute and store the same
@@ -383,7 +400,7 @@ class CharacteristicSolution:
     """
 
     family: WeightFamily
-    mu_inverse: Optional[MuSampler] = None
+    mu_inverse: Optional[Callable] = None
     quadrature_tol: float = 1e-10
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -395,27 +412,29 @@ class CharacteristicSolution:
             raise TypeError(f"quadrature_tol must be a number, "
                             f"got {type(self.quadrature_tol).__name__}")
 
-    def __call__(self, x, y: float) -> float:
-        return v_char(self, x, y)
-
     def _column(self, x) -> _Column:
         return self._memo.setdefault(x, _Column())
 
-    def segment_integral(self, x, y0: float, y1: float) -> float:
-        """int_{y0}^{y1} rho^(-a)(s) mu^(-1)(x, s) ds for one segment,
-        0 <= y0 <= y1 assumed.  A segment from the start of a stored ladder to
-        one of its edges is read from the ladder's cumulative sum; any other
-        goes to ``quad`` (see the class docstring)."""
+    def segment_integral(self, x, y0, y1):
+        """int_{y0}^{y1} rho^(-a)(s) mu^(-1)(x, s) ds for single segments, all
+        broadcast, 0 <= y0 <= y1.  A segment kept in its column's points, or
+        from the start of a stored ladder to one of its edges, is read; the
+        others share one dqk21 pass (see the class docstring)."""
+        shape = np.broadcast_shapes(*map(np.shape, _coords(x)), np.shape(y0), np.shape(y1))
+        y0, y1 = (np.broadcast_to(np.asarray(y, dtype=float), shape).ravel() for y in (y0, y1))
         if self.mu_inverse is None:
-            return chi(self.family, y1) - chi(self.family, y0)
-        col = self._column(x)
-        val = col.points.get((y0, y1))
-        if val is None:
-            val = col.cumulative(y0, y1)
-            if val is None:
-                val = self._quad(self.mu_inverse, x, y0, y1)
-            col.points[(y0, y1)] = val
-        return val
+            return (chi(self.family, y1) - chi(self.family, y0)).reshape(shape)[()]
+        X = _positions(x, shape)
+        cols = [self._column(_x_of(row)) for row in X.tolist()]
+        segs = list(zip(y0.tolist(), y1.tolist()))
+        vals = [c.points[s] if s in c.points else c.cumulative(*s) for c, s in zip(cols, segs)]
+        miss = [k for k, val in enumerate(vals) if val is None]
+        if miss:
+            for k, val in zip(miss, self._integrate(X[miss], y0[miss], y1[miss]).tolist()):
+                vals[k] = val
+        for col, seg, val in zip(cols, segs, vals):
+            col.points[seg] = val
+        return np.array(vals).reshape(shape)[()]
 
     def segment_integrals(self, x, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
         """int_{y0_k}^{y1_k} rho^(-a)(s) mu^(-1)(x_k, s) ds, x broadcast against
@@ -454,6 +473,13 @@ class CharacteristicSolution:
     def _integrate(self, X: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
         """One dqk21 pass, segment k in column X[k]; ``quad`` for rejected ones."""
         g = self.mu_inverse
+        result, ok = self._dqk21(g, X, y0, y1)
+        for k in np.flatnonzero(~ok):
+            result[k] = self._quad(g, _x_of(X[k].tolist()), float(y0[k]), float(y1[k]))
+        return result
+
+    def _dqk21(self, g: Callable, X: np.ndarray, y0: np.ndarray, y1: np.ndarray):
+        """int rho^(-a) g(X[k], s) ds on each [y0_k, y1_k] by one dqk21 pass; qags's verdicts."""
         a, eps = self.family.a, self.family.eps
         b = 1.0 - a
         # eps = 0, a > 0: substitute u = s^(1-a)/(1-a) on segments from 0 to
@@ -465,12 +491,9 @@ class CharacteristicSolution:
             s[sub] = (b * s[sub]) ** (1.0 / b)
         wgt = np.where(sub[:, None], 1.0, (eps * eps + s * s) ** (-a / 2.0))
         result, abserr, resabs = _gk21(wgt * _sample(g, _x_of(list(X.T[..., None])), s), y0, hi)
-        for k in np.flatnonzero(~_qags_accepts(result, abserr, resabs,
-                                               self.quadrature_tol)):
-            result[k] = self._quad(g, _x_of(X[k].tolist()), float(y0[k]), float(y1[k]))
-        return result
+        return result, _qags_accepts(result, abserr, resabs, self.quadrature_tol)
 
-    def _quad(self, g: MuSampler, x, y0: float, y1: float) -> float:
+    def _quad(self, g: Callable, x, y0: float, y1: float) -> float:
         a, eps = self.family.a, self.family.eps
         tol = self.quadrature_tol
         if eps == 0.0 and a > 0.0 and y0 == 0.0:
@@ -489,15 +512,13 @@ class CharacteristicSolution:
         return val
 
 
-def v_char(sol: CharacteristicSolution, x, y: float) -> float:
-    """Evaluate the characteristic odd solution at (x, y)."""
-    a = sol.family.a
-    if y == 0.0:
-        return 0.0
-    sgn = 1.0 if y > 0 else -1.0
+def v_char(sol: CharacteristicSolution, x, y):
+    """The characteristic odd solution at the points (x, y), x (a tuple of
+    arrays for n = 2) and y broadcast; a float for scalars."""
+    y = np.asarray(y, dtype=float)
     if sol.mu_inverse is None:
-        return (1.0 - a) * chi(sol.family, y)
-    return sgn * (1.0 - a) * sol.segment_integral(x, 0.0, abs(y))
+        return (1.0 - sol.family.a) * chi(sol.family, y)
+    return (np.sign(y) * (1.0 - sol.family.a) * sol.segment_integral(x, 0.0, np.abs(y)))[()]
 
 
 def v_char_profile(sol: CharacteristicSolution, x, ys: Sequence[float]) -> np.ndarray:
@@ -520,32 +541,34 @@ def v_char_profile(sol: CharacteristicSolution, x, ys: Sequence[float]) -> np.nd
 FD_STEP = 1e-6
 
 
-def v_char_grad_x(sol: CharacteristicSolution, x, y: float) -> float:
-    """d/dx of v at (x, y), by differentiation under the integral sign.
+def v_char_grad_x(sol: CharacteristicSolution, x, y):
+    """d/dx of v at the points (x, y) of a plane (n = 1), broadcast.
 
     Integrates rho^(-a)(s) times a central difference of mu^(-1) in x with
-    step FD_STEP (under the integral, never a difference of v itself).  The
-    difference quotient carries a rounding error of about
-    eps_mach / FD_STEP * int rho^(-a) |mu^(-1)|, which no quadrature can
-    resolve, so a segment whose error estimate misses the tolerance is still
-    accepted within that floor.
-    """
+    step FD_STEP (never a difference of v itself), all points in one dqk21
+    pass and ``quad`` for the ones it rejects.  The difference quotient
+    carries a rounding error of about eps_mach / FD_STEP * int rho^(-a)
+    |mu^(-1)|, which no quadrature can resolve, so a segment whose error
+    estimate misses the tolerance is still accepted within that floor."""
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(np.shape(x), y.shape)
     if sol.mu_inverse is None:
-        return 0.0
-    a = sol.family.a
-    if y == 0.0:
-        return 0.0
-    sgn = 1.0 if y > 0 else -1.0
+        return np.zeros(shape)[()]
     mu = sol.mu_inverse
 
     def dmu(xx, s):
         return (mu(xx + FD_STEP, s) - mu(xx - FD_STEP, s)) / (2.0 * FD_STEP)
 
-    try:
-        val = sol._quad(dmu, x, 0.0, abs(y))
-    except QuadratureError as exc:
-        # mu^(-1) > 0, so int rho^(-a) mu^(-1) is int rho^(-a) |mu^(-1)|
-        if exc.abserr > _EPMACH / FD_STEP * sol._quad(mu, x, 0.0, abs(y)):
-            raise
-        val = exc.value
-    return sgn * (1.0 - a) * val
+    X = _positions(x, shape)
+    ay = np.broadcast_to(np.abs(y), shape).ravel()
+    val, ok = sol._dqk21(dmu, X, np.zeros(len(ay)), ay)
+    for k in np.flatnonzero(~ok):
+        xk, yk = float(X[k, 0]), float(ay[k])
+        try:
+            val[k] = sol._quad(dmu, xk, 0.0, yk)
+        except QuadratureError as exc:
+            # mu^(-1) > 0, so int rho^(-a) mu^(-1) is int rho^(-a) |mu^(-1)|
+            if exc.abserr > _EPMACH / FD_STEP * sol._quad(mu, xk, 0.0, yk):
+                raise
+            val[k] = exc.value
+    return (np.sign(y) * (1.0 - sol.family.a) * val.reshape(shape))[()]

@@ -9,7 +9,6 @@ exact certificate is positive there and is asserted green alongside).
 """
 
 import filecmp
-import math
 import os
 import time
 
@@ -150,12 +149,12 @@ def test_criterion_6_ratio_equation_residual_decay():
         b = 2.0 - a
 
         def u_exact(x, y, a=a):
-            return math.copysign(abs(y) ** (1 - a), y) \
-                * math.cos(math.pi * x / 2) * (1 + 0.5 * y * y)
+            return np.copysign(np.abs(y) ** (1 - a), y) \
+                * np.cos(np.pi * x / 2) * (1 + 0.5 * y * y)
 
         def f(x, y, a=a, b=b):
-            return (math.copysign(abs(y) ** (1 - a), y) * math.cos(math.pi * x / 2)
-                    * (math.pi ** 2 / 4.0 * (1 + 0.5 * y * y) - (b + 1.0)))
+            return (np.copysign(np.abs(y) ** (1 - a), y) * np.cos(np.pi * x / 2)
+                    * (np.pi ** 2 / 4.0 * (1 + 0.5 * y * y) - (b + 1.0)))
 
         prob = dl.OddProblem(sol=sol, spec=dl.OperatorSpec(), f=f, u_exact=u_exact)
         r32 = aux_residual(prob, dl.build_half_grid(1, "half_rectangle", 1 / 32))
@@ -177,10 +176,10 @@ def _family(a, mu_kind):
             return 1.0 / (1.0 + 0.1 * x * x)
 
     def f(x, y):
-        return abs(y) ** (1.0 - a) * math.cos(math.pi * x)
+        return np.abs(y) ** (1.0 - a) * np.cos(np.pi * x)
 
     def tf(x, y):
-        return math.cos(math.pi * x / 2.0) * (1.0 + 0.5 * y * y)
+        return np.cos(np.pi * x / 2.0) * (1.0 + 0.5 * y * y)
 
     return dl.ProblemFamily(a=a, f=f, trace_factor=tf, mu_inverse=mu_inv,
                             name=f"a={a},mu={mu_kind}")
@@ -203,9 +202,9 @@ def test_criterion_7_eps_stability_sweeps(a, mu_kind):
 
 def test_criterion_8_exponent_optimality():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 256)
-    f1 = dl.DiscreteField.sample(g, lambda x, y: math.copysign(abs(y) ** 0.5, y), "odd")
+    f1 = dl.DiscreteField.sample(g, lambda x, y: np.copysign(np.abs(y) ** 0.5, y), "odd")
     est1 = dl.exponent_estimate(f1, (0.0, 0.0))
-    f2 = dl.DiscreteField.sample(g, lambda x, y: math.copysign(abs(y) ** 1.5, y), "odd")
+    f2 = dl.DiscreteField.sample(g, lambda x, y: np.copysign(np.abs(y) ** 1.5, y), "odd")
     est2 = dl.exponent_estimate(f2, (0.0, 0.0))
     ok = abs(est1.alpha_hat - 0.5) <= 0.05 and est2.alpha_hat >= 0.95
     report(8, ok, f"exponent fit: a=0.5 -> {est1.alpha_hat:.3f} (want 0.5 +- 0.05), "
@@ -221,7 +220,7 @@ def test_criterion_9_growth_monotonicity():
     r_list = [0.25, 0.5, 0.75, 1.0]
 
     def exact(x, y):
-        return math.copysign(abs(y) ** (1 - a), y)
+        return np.copysign(np.abs(y) ** (1 - a), y)
 
     fld = dl.DiscreteField.sample(g, exact, "odd")
     rows = dl.growth_monitor(fld, a, r_list, trace=exact)
@@ -229,7 +228,7 @@ def test_criterion_9_growth_monotonicity():
     ok_const = max(norm) / min(norm) <= 1.02
 
     def trace(x, y):
-        return math.copysign(abs(y) ** (1 - a), y) * (1.0 + 0.1 * x)
+        return np.copysign(np.abs(y) ** (1 - a), y) * (1.0 + 0.1 * x)
 
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(a, 0.0)), parity="odd")
     rep = dl.solve_linear(op, op.rhs(trace=trace))
@@ -260,8 +259,8 @@ def test_criterion_10_fermi_demo():
     speed, kap = 2.0, 1.0 / radius
     fam = dl.ProblemFamily(
         a=a,
-        f=lambda x, y: abs(y) ** 0.5 * math.cos(math.pi * x),
-        trace_factor=lambda x, y: math.cos(math.pi * x / 2.0) * (1 + 0.5 * y * y),
+        f=lambda x, y: np.abs(y) ** 0.5 * np.cos(np.pi * x),
+        trace_factor=lambda x, y: np.cos(np.pi * x / 2.0) * (1 + 0.5 * y * y),
         mu_inverse=lambda x, y: 1.0 / (speed * (1.0 - y * kap)),
         name="fermi-circle")
     eps_list = [1.0, 0.1, 0.01, 0.0]

@@ -46,7 +46,7 @@ def test_characteristic_solution_is_discretely_exact():
         op = dl.assemble(g, dl.RhoWeight(fam), parity="odd")
 
         def ue(x, y, a=a):
-            return math.copysign(abs(y) ** (1 - a), y)
+            return np.copysign(np.abs(y) ** (1 - a), y)
 
         rhs = op.rhs(trace=ue)
         rep = dl.solve_linear(op, rhs)
@@ -61,7 +61,7 @@ def test_characteristic_exact_across_refinements():
         op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(a, 0.0)), parity="odd")
 
         def ue(x, y):
-            return math.copysign(abs(y) ** (1 - a), y)
+            return np.copysign(np.abs(y) ** (1 - a), y)
 
         rep = dl.solve_linear(op, op.rhs(trace=ue))
         assert np.max(np.abs(rep.field.values - exact_field(g, ue).values)) < 1e-11
@@ -71,8 +71,8 @@ def test_interior_residual_of_sampled_characteristic():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 32)
     a = 0.5
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(a, 0.0)), parity="odd")
-    u = exact_field(g, lambda x, y: math.copysign(abs(y) ** (1 - a), y))
-    r = op.matrix @ u.values - op.rhs(trace=lambda x, y: math.copysign(abs(y) ** (1 - a), y))
+    u = exact_field(g, lambda x, y: np.copysign(np.abs(y) ** (1 - a), y))
+    r = op.matrix @ u.values - op.rhs(trace=lambda x, y: np.copysign(np.abs(y) ** (1 - a), y))
     assert np.max(np.abs(r)) < 1e-12
 
 
@@ -189,7 +189,7 @@ def test_weight_equivalence_constant_mu():
 
 
 def test_sigma_invariance_check():
-    spec = dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.3 * math.cos(x),
+    spec = dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.3 * np.cos(x),
                            b_tilde=lambda x, y: 1.0 + 0.1 * y * y,
                            t_field=lambda x, y: 0.2 * y)
     assert spec.check_sigma_invariance(n=1) < 1e-12
@@ -211,9 +211,10 @@ def test_sigma_invariance_samples_both_signs_of_x():
     """T(x, 0) is sampled over x in (-1, 1)^n, so a coupling that is nonzero
     on one side of x = 0 only is caught on either side."""
     for side in (-1.0, 1.0):
-        one_sided = dl.OperatorSpec(t_field=lambda x, y, s=side: 5.0 if s * x > 0 else 0.0)
+        one_sided = dl.OperatorSpec(t_field=lambda x, y, s=side: np.where(s * x > 0, 5.0, 0.0))
         assert one_sided.check_sigma_invariance(n=1) == 5.0
-    corner = dl.OperatorSpec(t_field=lambda x, y: [3.0 if x[0] < 0 and x[1] < 0 else 0.0, 0.0])
+    corner = dl.OperatorSpec(
+        t_field=lambda x, y: (np.where((x[0] < 0) & (x[1] < 0), 3.0, 0.0), 0.0))
     assert corner.check_sigma_invariance(n=2) == 3.0
 
 
@@ -223,12 +224,12 @@ def test_convergence_study_second_order():
         op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd")
 
         def ue(x, y):
-            return math.sin(math.pi * x) * y * (1 + y * y) * 0.25
+            return np.sin(np.pi * x) * y * (1 + y * y) * 0.25
 
         def f(x, y):
             # -Delta ue, hand differentiation oracle
-            return (math.pi ** 2 * math.sin(math.pi * x) * y * (1 + y * y) * 0.25
-                    - math.sin(math.pi * x) * 6.0 * y * 0.25)
+            return (np.pi ** 2 * np.sin(np.pi * x) * y * (1 + y * y) * 0.25
+                    - np.sin(np.pi * x) * 6.0 * y * 0.25)
 
         rhs, exact = dl.manufactured_problem(ue, op, mode="analytic", f=f)
         return op, rhs, exact
@@ -245,12 +246,12 @@ def test_convergence_study_weighted_interior_order():
     a = 0.5
 
     def ue(x, y):
-        return math.copysign(abs(y) ** (1 - a), y) * math.cos(math.pi * x / 2) \
+        return np.copysign(np.abs(y) ** (1 - a), y) * np.cos(np.pi * x / 2) \
             * (1 + 0.5 * y * y)
 
     def f(x, y):
-        return (math.copysign(abs(y) ** (1 - a), y) * math.cos(math.pi * x / 2)
-                * (math.pi ** 2 / 4.0 * (1 + 0.5 * y * y) - (3.0 - a)))
+        return (np.copysign(np.abs(y) ** (1 - a), y) * np.cos(np.pi * x / 2)
+                * (np.pi ** 2 / 4.0 * (1 + 0.5 * y * y) - (3.0 - a)))
 
     def factory(h):
         g = dl.build_half_grid(1, "half_rectangle", h)
@@ -311,9 +312,9 @@ def test_interpolation_parity_ghosts():
 @pytest.mark.parametrize("n", [1, 2])
 def test_mu_at_samples_once_per_grid(n):
     """OperatorSpec.mu_at makes one call on all its points, x an array for
-    n = 1 and a tuple of arrays for n = 2, and equals the point-by-point
-    mu_val exactly."""
-    from degenlab.assembly import _axis_faces, _split
+    n = 1 and a tuple of arrays for n = 2, and equals mu called point by
+    point exactly."""
+    from degenlab.assembly import _axis_faces
 
     calls = []
 
@@ -326,11 +327,56 @@ def test_mu_at_samples_once_per_grid(n):
     spec = dl.OperatorSpec(mu=mu)
     pts = np.vstack([g.centers] + [_axis_faces(g, axis)[2] for axis in range(n + 1)])
     pts = pts[np.random.default_rng(7).permutation(len(pts))]
-    want = np.array([spec.mu_val(*_split(p, n)) for p in pts])
+    want = np.array([mu(p[0] if n == 1 else tuple(p[:n]), p[n]) for p in pts])
     calls.clear()
-    got = spec.mu_at(pts, n)
+    x = pts[:, 0] if n == 1 else (pts[:, 0], pts[:, 1])
+    got = spec.mu_at(x, pts[:, n])
     assert np.array_equal(got, want)
     assert len(calls) == 1
     x = calls[0]
     assert isinstance(x, tuple) == (n == 2)
     assert all(np.shape(c) == (len(pts),) for c in (x if n == 2 else (x,)))
+
+
+def test_interpolation_trace_and_nearest_cell_fallbacks():
+    """Bilinear corners outside the grid: with a trace sampler they take the
+    trace at their cell centre (one call for all of them), so a field and a
+    trace of the same linear function interpolate it exactly; without one
+    the point takes the value of the nearest cell."""
+    g = dl.build_half_grid(1, "half_disk", 1 / 8)
+    fld = exact_field(g, lambda x, y: 1.0 + 2.0 * x + 3.0 * y, parity="none")
+    calls = []
+
+    def trace(x, y):
+        calls.append(np.shape(y))
+        return 1.0 + 2.0 * x + 3.0 * y
+
+    pts = np.array([[0.0, 0.5], [0.95, 0.2], [-0.6, 0.75], [0.2, 1.1], [1.3, 0.05]])
+    got = fld.interpolate(pts, trace=trace)
+    np.testing.assert_allclose(got, 1.0 + 2.0 * pts[:, 0] + 3.0 * pts[:, 1], rtol=1e-13)
+    assert len(calls) == 1 and calls[0][0] > 1
+    near = fld.interpolate(pts)
+    assert near[0] == got[0]                        # inside the hull: bilinear
+    for (xq, yq), v in zip(pts[1:], near[1:]):
+        d2 = (g.centers[:, 0] - xq) ** 2 + (g.centers[:, 1] - yq) ** 2
+        assert v == fld.values[np.argmin(d2)]
+
+
+def test_off_diagonal_b_tilde_is_refused():
+    """Assembly uses the diagonal of B_tilde only, so an n = 2 block with a
+    nonzero off-diagonal entry raises, naming the sampler; a diagonal block,
+    given as a ragged tuple, scales the x-face transmissibilities of each
+    axis by its own entry."""
+    g = dl.build_half_grid(2, "half_rectangle", 1 / 4)
+    w = dl.ConstantWeight(1.0)
+
+    def sheared(x, y):
+        return (1.0, 0.1 * y), (0.1 * y, 1.0)
+
+    with pytest.raises(ValueError, match="b_tilde sampler .*sheared.* off-diagonal"):
+        dl.assemble(g, w, dl.OperatorSpec(b_tilde=sheared))
+    base = dl.assemble(g, w).faces
+    faces = dl.assemble(g, w, dl.OperatorSpec(b_tilde=lambda x, y: ((2.0, 0.0), (0.0, 3.0)))).faces
+    for axis, c in ((0, 2.0), (1, 3.0), (2, 1.0)):
+        on = base.axis == axis
+        np.testing.assert_allclose(faces.tau[on], c * base.tau[on], rtol=1e-15)

@@ -4,10 +4,12 @@ Every combination of weight model, parity, outer boundary, drift, coupling
 field and grid must give the same matrix and the same right-hand side (f, F
 and Dirichlet trace together) to 1e-13 relative.  Summation order differs
 between the two, and numpy's vector power may differ from the scalar one in
-the last bit, so the comparison is not exact.
+the last bit, so the comparison is not exact.  The samplers take arrays, as
+the array assembly requires, and serve the oracle's scalar calls as well.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,8 +20,9 @@ import seed_assembly as seed
 RTOL = 1e-13
 
 
-def _x(x):
-    return np.atleast_1d(np.asarray(x, dtype=float))
+def _first(x):
+    """The first coordinate of a column position x (a tuple for n = 2)."""
+    return x[0] if isinstance(x, tuple) else x
 
 
 def _norm2(x):
@@ -49,15 +52,34 @@ def _weights(name):
     return dl.AuxiliaryWeight(sol), seed.SeedAuxiliaryWeight(sol)
 
 
-def _spec(n, t_field):
+@dataclass(frozen=True)
+class _PointSpec(dl.OperatorSpec):
+    """The per-point accessors of OperatorSpec that the loop oracle calls."""
+
+    def mu_val(self, x, y):
+        return 1.0 if self.mu is None else float(self.mu(x, y))
+
+    def b_tilde_diag(self, x, y, axis, n):
+        if self.b_tilde is None:
+            return 1.0
+        v = self.b_tilde(x, y)
+        return float(v) if n == 1 else float(np.asarray(v)[axis][axis])
+
+    def t_val(self, x, y, n):
+        if self.t_field is None:
+            return np.zeros(n)
+        return np.atleast_1d(np.asarray(self.t_field(x, y), dtype=float))
+
+
+def _spec(n, t_field, cls=dl.OperatorSpec):
     def b_tilde(x, y):
-        return 1.0 + 0.1 * y * y if n == 1 else np.diag([1.0 + 0.1 * y * y, 1.2])
+        return 1.0 + 0.1 * y * y if n == 1 else ((1.0 + 0.1 * y * y, 0.0), (0.0, 1.2))
 
     def t(x, y):
-        return 0.3 * y if n == 1 else (0.3 * y, -0.2 * y * _x(x)[0])
+        return 0.3 * y if n == 1 else (0.3 * y, -0.2 * y * _first(x))
 
-    return dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.2 * _norm2(x),
-                           b_tilde=b_tilde, t_field=t if t_field else None)
+    return cls(mu=lambda x, y: 1.0 + 0.2 * _norm2(x),
+               b_tilde=b_tilde, t_field=t if t_field else None)
 
 
 def _drift(n):
@@ -67,15 +89,15 @@ def _drift(n):
 
 
 def _f(x, y):
-    return np.cos(_x(x)[0]) * (1.0 + y)
+    return np.cos(_first(x)) * (1.0 + y)
 
 
 def _F(x, y):
-    return np.r_[0.3 * y * np.ones(len(_x(x))), 0.2 + y * y]
+    return (0.3 * y,) * (2 if isinstance(x, tuple) else 1) + (0.2 + y * y,)
 
 
 def _trace(x, y):
-    return 1.0 + _x(x)[0] + y * y
+    return 1.0 + _first(x) + y * y
 
 
 GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n1-disk": (1, "half_disk", 1 / 8),
@@ -91,10 +113,10 @@ def test_array_assembly_matches_loop_oracle(grid, weight, parity, outer, drift, 
     n, shape, h = GRIDS[grid]
     g = dl.build_half_grid(n, shape, h)
     new_w, old_w = _weights(weight)
-    spec = _spec(n, t_field == "t")
     b = _drift(n) if drift == "drift" else None
-    new = dl.assemble(g, new_w, spec, parity=parity, drift=b, outer=outer)
-    old = seed.assemble(g, old_w, spec, parity=parity, drift=b, outer=outer)
+    new = dl.assemble(g, new_w, _spec(n, t_field == "t"), parity=parity, drift=b, outer=outer)
+    old = seed.assemble(g, old_w, _spec(n, t_field == "t", _PointSpec), parity=parity,
+                        drift=b, outer=outer)
     scale = abs(old.matrix).max()
     assert abs(new.matrix - old.matrix).max() <= RTOL * scale
     r_new = new.rhs(f=_f, F=_F, trace=_trace)

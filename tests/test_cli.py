@@ -25,6 +25,21 @@ def test_usage_error_exit_code(tmp_path):
     assert _run(tmp_path, "eigen", "badoverride") == 2
 
 
+@pytest.mark.parametrize("argv,key,token", [
+    (("sweep", "h=abc"), "h", "abc"),
+    (("sweep", "mu=quadratic:abc"), "mu", "abc"),
+    (("solve", "h_list=1/8,x"), "h_list", "x"),
+    (("sweep", "mode=ratio_c2"), "mode", "ratio_c2"),
+])
+def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
+    """A value that does not parse is a configuration error: exit 2 with a
+    message naming the key and the token, not a crash with a traceback."""
+    assert _run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"{key}: " in err and repr(token) in err and "Traceback" not in err
+
+
 def test_flag_style_overrides_and_fractions(tmp_path):
     code = _run(tmp_path, "eigen", "--a", "0.5", "--h", "1/16",
                 "--aux_a", "0.5", "--r_list", "1 4")

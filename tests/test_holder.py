@@ -37,7 +37,7 @@ def test_sqrt_seminorm_approaches_one_under_refinement():
 
 
 def test_region_monotonicity():
-    f = sample(lambda x, y: math.sin(3 * x) * y)
+    f = sample(lambda x, y: np.sin(3 * x) * y)
     small = dl.holder_seminorm(f, 0.5, dl.Region(0.25, 0.25))
     big = dl.holder_seminorm(f, 0.5, dl.Region(0.75, 0.75))
     assert big >= small
@@ -47,7 +47,7 @@ def test_region_monotonicity():
 @given(c=st.floats(0.01, 100.0))
 def test_value_homogeneity_exact(c):
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
-    base = dl.DiscreteField.sample(g, lambda x, y: math.cos(2 * x) * y * y, "even")
+    base = dl.DiscreteField.sample(g, lambda x, y: np.cos(2 * x) * y * y, "even")
     scaled = dl.DiscreteField(g, c * base.values, "even")
     s1 = dl.holder_seminorm(base, 0.4, dl.Region())
     s2 = dl.holder_seminorm(scaled, 0.4, dl.Region())
@@ -55,7 +55,7 @@ def test_value_homogeneity_exact(c):
 
 
 def test_budget_doubling_stability():
-    f = sample(lambda x, y: abs(y) ** 0.7 * math.cos(x))
+    f = sample(lambda x, y: abs(y) ** 0.7 * np.cos(x))
     s1 = dl.holder_seminorm(f, 0.5, FULL, pair_budget=50_000)
     s2 = dl.holder_seminorm(f, 0.5, FULL, pair_budget=100_000)
     assert abs(s2 - s1) <= 0.05 * max(s1, s2)
@@ -111,8 +111,8 @@ def test_exponent_estimate_values():
 
 
 def test_sweep_a0_exactly_uniform():
-    fam = dl.ProblemFamily(a=0.0, f=lambda x, y: y * math.cos(math.pi * x),
-                           trace_factor=lambda x, y: math.cos(math.pi * x / 2),
+    fam = dl.ProblemFamily(a=0.0, f=lambda x, y: y * np.cos(np.pi * x),
+                           trace_factor=lambda x, y: np.cos(np.pi * x / 2),
                            name="flat")
     rep = dl.epsilon_sweep(fam, [1.0, 0.1, 0.0], 0.4, grid_h=1 / 16)
     assert rep.uniformity_ratio == pytest.approx(1.0, abs=1e-9)
@@ -126,7 +126,7 @@ def test_exponent_fit_flags_alpha_above_one_minus_a():
     a = 0.5
     g = dl.build_half_grid(1, "half_rectangle", 1 / 64)
     u0 = dl.DiscreteField.sample(
-        g, lambda x, y: math.copysign(abs(y) ** (1 - a), y), "odd")
+        g, lambda x, y: np.copysign(np.abs(y) ** (1 - a), y), "odd")
     est = dl.exponent_estimate(u0, (0.0, 0.0))
     alpha_req = 0.7
     assert est.alpha_hat < alpha_req                # the fit must flag this
@@ -174,8 +174,8 @@ def test_sweep_integrates_each_segment_once(monkeypatch):
 
     monkeypatch.setattr(weights, "quad", counting_quad)
     monkeypatch.setattr(weights.CharacteristicSolution, "_quad", recording_scalar)
-    fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * math.cos(math.pi * x),
-                           trace_factor=lambda x, y: math.cos(math.pi * x / 2.0),
+    fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * np.cos(np.pi * x),
+                           trace_factor=lambda x, y: np.cos(np.pi * x / 2.0),
                            mu_inverse=mu_inv, name="count")
     h = 1 / 16
     g = dl.build_half_grid(1, "half_rectangle", h)
@@ -211,8 +211,8 @@ def test_sweep_draws_pairs_once_per_region(monkeypatch, mode, restricted, n_regi
 
     monkeypatch.setattr(holder, "_pairs", counting_pairs)
     monkeypatch.setattr(holder, name, recording)
-    fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * math.cos(math.pi * x),
-                           trace_factor=lambda x, y: math.cos(math.pi * x / 2.0),
+    fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * np.cos(np.pi * x),
+                           trace_factor=lambda x, y: np.cos(np.pi * x / 2.0),
                            mu_inverse=lambda x, y: 1.0 / (1.0 + 0.1 * x * x), name="pairs")
     dl.epsilon_sweep(fam, [1.0, 0.03, 0.01, 0.001, 0.0], 0.4, mode=mode, grid_h=1 / 16,
                      restricted=restricted)
@@ -236,20 +236,21 @@ def test_sweep_rhs_matches_quad_trace_reference(monkeypatch):
         return 1.0 / (2.0 * (1.0 - y / 2.0))
 
     def f(x, y):
-        return y ** (1.0 - a) * math.cos(math.pi * x)
+        return y ** (1.0 - a) * np.cos(np.pi * x)
 
     def trace_factor(x, y):
-        return math.cos(math.pi * x / 2.0) * (1.0 + 0.5 * y * y)
+        return np.cos(np.pi * x / 2.0) * (1.0 + 0.5 * y * y)
 
     def reference_trace(eps):
-        def trace(x, y):
+        def v(x, y):
             if eps == 0.0:      # s^(-a) as the algebraic weight of QUADPACK's qaws
-                v = quad(lambda s: mu_inv(x, s), 0.0, y, weight="alg", wvar=(-a, 0.0),
-                         epsabs=0.0, epsrel=1e-13)[0]
-            else:
-                v = quad(lambda s: (eps * eps + s * s) ** (-a / 2.0) * mu_inv(x, s),
-                         0.0, y, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-            return (1.0 - a) * v * trace_factor(x, y)
+                return quad(lambda s: mu_inv(x, s), 0.0, y, weight="alg", wvar=(-a, 0.0),
+                            epsabs=0.0, epsrel=1e-13)[0]
+            return quad(lambda s: (eps * eps + s * s) ** (-a / 2.0) * mu_inv(x, s),
+                        0.0, y, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        def trace(x, y):        # the reference integrates face by face
+            return (1.0 - a) * np.array([v(*p) for p in zip(x, y)]) * trace_factor(x, y)
         return trace
 
     seen = []

@@ -107,7 +107,7 @@ def test_growth_monitor_exact_homogeneous():
     g = dl.build_half_grid(1, "half_disk", H_MID)
 
     def ue(x, y):
-        return math.copysign(abs(y) ** (1 - a), y)
+        return np.copysign(np.abs(y) ** (1 - a), y)
 
     fld = dl.DiscreteField.sample(g, ue, "odd")
     rows = dl.growth_monitor(fld, a, [0.25, 0.5, 0.75, 1.0], trace=ue)
@@ -130,7 +130,7 @@ def test_growth_monitor_perturbed_nondecreasing():
     g = dl.build_half_grid(1, "half_disk", H_MID)
 
     def trace(x, y):
-        return math.copysign(abs(y) ** (1 - a), y) * (1.0 + 0.1 * x)
+        return np.copysign(np.abs(y) ** (1 - a), y) * (1.0 + 0.1 * x)
 
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(a, 0.0)), parity="odd")
     rep = dl.solve_linear(op, op.rhs(trace=trace))
@@ -147,7 +147,7 @@ def test_perturbation_mode_is_discretely_harmonic():
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(a, 0.0)), parity="odd")
 
     def mode(x, y):
-        return x * math.copysign(abs(y) ** (1 - a), y)
+        return x * np.copysign(np.abs(y) ** (1 - a), y)
 
     rep = dl.solve_linear(op, op.rhs(trace=mode))
     ex = dl.DiscreteField.sample(g, mode, "odd")

@@ -344,7 +344,7 @@ def test_column_rule_matches_quad(a, eps, mu):
     y0, y1 = np.r_[0.0, ys[:-1]], ys
     col = dl.CharacteristicSolution(fam, g).segment_integrals(0.3, y0, y1)
     one = dl.CharacteristicSolution(fam, g)
-    want = np.array([one.segment_integral(0.3, s0, s1) for s0, s1 in zip(y0, y1)])
+    want = np.array([one._quad(g, 0.3, s0, s1) for s0, s1 in zip(y0, y1)])
     assert np.allclose(col, want, rtol=1e-13, atol=0.0)
 
 
@@ -367,7 +367,7 @@ def test_rejected_segments_take_the_quad_fallback(monkeypatch, a, eps, mu_invers
 
     fam = dl.WeightFamily(a, eps)
     y0, y1 = np.array([0.0, 0.5]), np.array([0.5, 1.0])
-    want = [dl.CharacteristicSolution(fam, mu_inverse).segment_integral(0.0, s0, s1)
+    want = [dl.CharacteristicSolution(fam, mu_inverse)._quad(mu_inverse, 0.0, s0, s1)
             for s0, s1 in zip(y0, y1)]
     monkeypatch.setattr(weights, "quad", counting)
     got = dl.CharacteristicSolution(fam, mu_inverse).segment_integrals(0.0, y0, y1)
@@ -414,7 +414,8 @@ def test_sampler_must_broadcast():
         return 1.0 / (1.5 + math.sin(s))
 
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse=scalar_only)
-    assert dl.v_char(sol, 0.0, 0.5) > 0        # one segment: scalar quad
+    with pytest.raises(ValueError, match="mu_inverse sampler .*scalar_only"):
+        dl.v_char(sol, 0.0, 0.5)               # one point: one pass on arrays all the same
     with pytest.raises(ValueError, match="scalar_only"):
         v_char_profile(sol, 0.0, [0.25, 0.5])
     const = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse=lambda x, s: 2.0)
@@ -481,7 +482,7 @@ def test_whole_grid_pass_matches_quad_per_segment(monkeypatch, grid, a, eps):
     ask = ~np.isnan(y0)
     cols = x if n == 2 else (x,)
     one = dl.CharacteristicSolution(fam, mu_inv)
-    want = [one.segment_integral(k[0] if n == 1 else k, s0, s1) for k, s0, s1 in
+    want = [one._quad(mu_inv, k[0] if n == 1 else k, s0, s1) for k, s0, s1 in
             zip(zip(*(np.broadcast_to(c[:, None], y0.shape)[ask] for c in cols)),
                 y0[ask], y1[ask])]
     np.testing.assert_allclose(got[ask], want, rtol=1e-13, atol=0.0)
@@ -512,7 +513,7 @@ def test_runs_break_where_the_column_changes():
     sol = dl.CharacteristicSolution(fam, mu_inv)
     got = sol.segment_integrals(x, y0, y1)
     one = dl.CharacteristicSolution(fam, mu_inv)
-    want = [one.segment_integral(*args) for args in zip(x, y0, y1)]
+    want = [one._quad(mu_inv, *args) for args in zip(x, y0, y1)]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     assert [lad.edges.tolist() for lad in sol._memo[0.1].ladders] == [[0.0, 0.25, 0.5]]
     assert [lad.edges.tolist() for lad in sol._memo[0.7].ladders] == [[0.5, 0.75, 1.0]]
@@ -529,34 +530,54 @@ _LADDER_MU_INVERSES = {
 @pytest.mark.parametrize("mu", sorted(_LADDER_MU_INVERSES))
 @pytest.mark.parametrize("eps", [0.0, 0.01, 1.0])
 @pytest.mark.parametrize("a", [-0.5, 0.5, 0.9])
-def test_v_char_at_ladder_edges_reads_the_cumulative_sum(monkeypatch, a, eps, mu):
+def test_v_char_at_ladder_edges_reads_the_cumulative_sum(a, eps, mu):
     """v at every edge of a column's resistance ladder (cell centres and the
-    top face) is read from the ladder without quad, and equals a fresh
-    quad over [0, y]."""
-    import degenlab.weights as weights
-
+    top face) is read from the ladder without sampling mu^(-1) again, and
+    equals a fresh quad over [0, y]."""
     g = _LADDER_MU_INVERSES[mu]
+    calls = []
+
+    def counting(x, s):
+        calls.append(np.shape(s))
+        return g(x, s)
+
     fam = dl.WeightFamily(a, eps)
     ys = (np.arange(16) + 0.5) / 16
     y0, y1 = np.r_[0.0, ys], np.r_[ys, 1.0]
-    sol = dl.RhoWeight(fam, g).sol
+    sol = dl.RhoWeight(fam, counting).sol
     sol.segment_integrals(0.3, y0, y1)          # the ladder 0, ys, 1 of a column
-    calls = []
-    quad = weights.quad
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(weights, "quad", counting)
-    got = np.array([dl.v_char(sol, 0.3, y) for y in y1])
+    calls.clear()
+    got = dl.v_char(sol, 0.3, y1)
     assert calls == []
-    monkeypatch.setattr(weights, "quad", quad)
-    want = np.array([(1.0 - a) * dl.CharacteristicSolution(fam, g).segment_integral(0.3, 0.0, y)
+    want = np.array([(1.0 - a) * dl.CharacteristicSolution(fam, g)._quad(g, 0.3, 0.0, y)
                      for y in y1])
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     # the profile at the cell centres is the same cumulative sum
     assert np.array_equal(v_char_profile(sol, 0.3, ys), got[:-1])
+
+
+def test_v_char_off_the_ladders_takes_one_pass():
+    """v at points off every stored ladder, in several columns and of both
+    signs, takes one sampler call on arrays for all of them (and scalar
+    quad for the segments that pass rejects), equals a scalar quad of each
+    to 1e-13 relative, and is kept: asking again samples nothing."""
+    fam = dl.WeightFamily(0.5, 0.1)
+    calls = []
+
+    def mu_inv(x, s):
+        calls.append(np.shape(s))
+        return 1.0 / (1.0 + 0.1 * x * x + 0.5 * s * s)
+
+    x = np.array([-0.7, -0.7, 0.2, 0.9, 0.9])
+    y = np.array([0.3, -0.55, 0.8, 0.05, 1.0])
+    sol = dl.CharacteristicSolution(fam, mu_inv)
+    got = dl.v_char(sol, x, y)
+    assert [c for c in calls if c] == [(len(x), 21)]
+    want = [np.sign(yk) * 0.5 * sol._quad(mu_inv, xk, 0.0, abs(yk)) for xk, yk in zip(x, y)]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    calls.clear()
+    assert np.array_equal(dl.v_char(sol, x, y), got) and calls == []
+    assert dl.v_char(sol, x[2], y[2]) == got[2] and calls == []
 
 
 def test_full_and_half_spacing_ladders_are_integrated_apart():
