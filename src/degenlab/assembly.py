@@ -40,7 +40,8 @@ the minimum-degree ordering of A^T + A, whatever its size.  Minimum-degree
 orderings of 2-D grid operators fill O(N log N) (George & Liu, 1981), so the
 factorisation stays cheap; on 3-D grids (n = 2) the fill grows much faster
 (40x at h = 1/16), and those take the LU only up to ``DIRECT_SOLVE_MAX``
-cells and Jacobi-preconditioned CG or BiCGSTAB above it.  The CSR matrix is
+cells and Jacobi-preconditioned CG or BiCGSTAB above it, falling back to the
+LU when the Krylov solve fails.  The CSR matrix is
 factored through its transpose, a CSC view, so no copy is made, and the
 solve uses ``trans="T"``; ``panel_size=1`` shrinks SuperLU's panel work
 arrays, and with them the peak memory of the factorisation.
@@ -693,9 +694,9 @@ class SolveReport:
     iterations: int
     assembly_weight_id: str
     method: str
-    converged: bool               # info == 0 and relative_residual <= tolerance
+    converged: bool               # relative_residual <= tolerance
     tolerance: float
-    info: int                     # 0, or the cg/bicgstab failure flag
+    info: int                     # 0, or the cg/bicgstab failure flag (the LU then solved)
     iteration_cap: int = ITERATION_CAP
 
 
@@ -708,7 +709,9 @@ def solve_linear(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-10,
     with the ``MMD_AT_PLUS_A`` ordering and ``panel_size=1``, solved with
     ``trans="T"``.  Larger n = 2 grids, whose fill grows too fast for a
     direct factorisation, use diagonally preconditioned CG when the matrix is
-    symmetric and BiCGSTAB when a drift makes it nonsymmetric."""
+    symmetric and BiCGSTAB when a drift makes it nonsymmetric; if that
+    breaks down or reaches ``ITERATION_CAP`` (info != 0), the same sparse LU
+    solves the system, and the report keeps the Krylov info."""
     A = op.matrix
     nn = A.shape[0]
     it_count = [0]
@@ -718,8 +721,6 @@ def solve_linear(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-10,
 
     info = 0
     if op.grid.n == 1 or nn <= DIRECT_SOLVE_MAX:
-        lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A", panel_size=1)
-        u = lu.solve(rhs, trans="T")
         method = "direct-sparse-lu"
     elif not op.has_drift:
         d = A.diagonal()
@@ -733,11 +734,15 @@ def solve_linear(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-10,
         u, info = spla.bicgstab(A, rhs, rtol=tol * 1e-2, atol=0.0,
                                 maxiter=ITERATION_CAP, M=M, callback=cb)
         method = "bicgstab-jacobi"
+    if method == "direct-sparse-lu" or info != 0:
+        lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A", panel_size=1)
+        u = lu.solve(rhs, trans="T")
+        method = "direct-sparse-lu"
     res = op.residual(u, rhs)
     fld = DiscreteField(op.grid, u, op.parity if parity is None else parity)
     return SolveReport(field=fld, relative_residual=res, iterations=it_count[0],
                        assembly_weight_id=op.assembly_weight_id, method=method,
-                       converged=info == 0 and res <= tol, tolerance=tol, info=info)
+                       converged=res <= tol, tolerance=tol, info=info)
 
 
 def manufactured_problem(u_exact: Callable, op: AssembledOperator, mode: str = "discrete",

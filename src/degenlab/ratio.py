@@ -94,6 +94,19 @@ def auxiliary_rhs(spec: OperatorSpec, sol: CharacteristicSolution,
         raise ValueError(f"T(x,0) must vanish; sampled max {worst_t:.3g}")
     fam = sol.family
 
+    last: list = []       # (x, y, grad_x v, grad_x v / v) of the last points
+
+    def grad_x(x, y):
+        """(grad_x v, grad_x v / v) at the points, kept for the last points
+        asked: the load, the drift and the zero-order term share them."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if not (last and np.array_equal(last[0], x) and np.array_equal(last[1], y)):
+            gx = v_char_grad_x(sol, x, y)
+            b_id = np.divide(gx, v_char(sol, x, y), out=np.zeros(np.shape(gx)),
+                             where=gx != 0.0)
+            last[:] = (x, y, gx, b_id)
+        return last[2:]
+
     def f_bar(x, y):
         v = v_char(sol, x, y)
         out = 0.0
@@ -102,24 +115,19 @@ def auxiliary_rhs(spec: OperatorSpec, sol: CharacteristicSolution,
         if F is not None:
             # -Fbar . grad v / v, with grad v = (dv/dx, (1-a) rho^(-a) mu^(-1))
             Fv = _sample(F, x, y, "F", (2,))
-            gx = v_char_grad_x(sol, x, y)
+            gx = grad_x(x, y)[0]
             mu_inv = 1.0 if sol.mu_inverse is None else _sample(sol.mu_inverse, x, y)
             gy = (1.0 - fam.a) * (fam.eps ** 2 + y * y) ** (-fam.a / 2.0) * mu_inv
             out -= (Fv[0] * gx + Fv[1] * gy) / (v * v)
         return out
 
     def F_bar(x, y):
-        return _sample(F, x, y, "F", (2,)) / v_char(sol, x, y)
-
-    last: list = []       # (x, y, grad_x v / v) of the last points, for drift and zero_order
+        # v = 0 on the plane faces, where the weight rho v^2 of the flux is 0 too
+        Fv, v = _sample(F, x, y, "F", (2,)), v_char(sol, x, y)
+        return np.divide(Fv, v, out=np.zeros(np.shape(Fv)), where=v != 0.0)
 
     def b_identity(x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if not (last and np.array_equal(last[0], x) and np.array_equal(last[1], y)):
-            gx = v_char_grad_x(sol, x, y)
-            b_id = np.divide(gx, v_char(sol, x, y), out=np.zeros(np.shape(gx)), where=gx != 0.0)
-            last[:] = (x, y, b_id)
-        return last[2]
+        return grad_x(x, y)[1]
 
     def b_tildeA(x, y):
         # mu b_tilde (grad_x v / v)

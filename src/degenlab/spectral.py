@@ -22,22 +22,25 @@ Two assembly routes realize the weighted trace quotient:
   auxiliary exponents b = a - 2), and the two routes agree in the integrable
   range, which the tests exercise.
 
-Eigenvalues come from shifted inverse iteration on the generalized pair
-(stiffness, mass), deterministic all-ones start, tolerance 1e-10 (see
-:func:`min_rayleigh`).  Inverse iteration converges to the eigenvalue nearest
-its shift sigma, so sigma is set a little below a proved lower bound of the
-smallest eigenvalue, and only where one is proved; conformity makes every
-continuum bound a bound of the discrete minimum, up to quadrature error:
+At eps = 0 every trace pencil (both routes) and the flat Hardy pencil
+separates on the tensor mesh: the weight |y|^b = r^b sin^b(theta), the
+transformed potential b (b - 2) / (4 y^2) and the Hardy mass 1 / y^2 are
+products of a radial and an angular factor, and so are the quadrature rules.
+The pencil is then K = A (x) B + C (x) D against M = e e^T (x) M_arc (trace)
+or C (x) G (Hardy), with tridiagonal one-dimensional factors built by the
+rules of :func:`assemble_forms` and :func:`assemble_arc_mass`.
+:func:`_separable_eigen` diagonalises the radial pencil (A, C), factors the
+angular blocks mu_m B + D with one tridiagonal LDL^T, and finds the smallest
+eigenvalue by Lanczos on the discrete Neumann-to-Dirichlet map of the arc
+(for Hardy, on the lowest angular block); the eigenvector is rebuilt on the
+mesh and its residual ||K v - lam M v|| / ||K v|| is checked against
+``EIG_RESIDUAL_TOL``.  No two-dimensional matrix is assembled or factored.
 
-* trace quotient at eps = 0, both routes: sigma = 0.99 (1 - b), from the
-  sharp trace constant 1 - b (3 - a for the auxiliary exponent b = a - 2);
-* flat Hardy quotient (w == 1): sigma = 0.99 / 4, from the one-dimensional
-  Hardy inequality in y with constant 1/4;
-* everything else (eps > 0, weighted Hardy): sigma = 0.
-
-If the iteration converges below sigma anyway, the bound failed for that
-pencil and the solve raises RuntimeError rather than report an eigenvalue
-that need not be the smallest.
+The other pencils (eps > 0, weighted Hardy) take inverse iteration on one
+sparse LU of K, from the deterministic all-ones start, with tolerance 1e-10
+(see :func:`min_rayleigh`).  Up to h = 1/64 every dense call of the
+separable path stays below the sizes at which OpenBLAS starts a second
+thread (see :func:`_contract`).
 """
 
 from __future__ import annotations
@@ -47,8 +50,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from scipy.special import roots_jacobi, roots_legendre
 
 from .assembly import DiscreteField
@@ -169,9 +174,60 @@ def _products(A: np.ndarray) -> np.ndarray:
 
 def _contract(coef: np.ndarray, products: np.ndarray) -> np.ndarray:
     """Sum over quadrature points of (nel, nq) coefficients times (nq, 16)
-    products.  einsum's own loop, not a matmul: a threaded BLAS gemm at
-    these shapes doubles the CPU time and slows the wall time too."""
+    products.  einsum's own loop, not a matmul.
+
+    The rule for every dense call in this module, measured on a 2-core
+    machine with OpenBLAS 0.3.31 and ``OPENBLAS_NUM_THREADS=2``: a call that
+    OpenBLAS threads leaves its second thread spinning for about 130 ms after
+    it returns, which doubles the CPU time of a short solve.  Generalized
+    ``scipy.linalg.eigh`` threads from n = 32 and ``numpy.linalg.eigh`` from
+    n = 31; standard ``scipy.linalg.eigh`` from n = 64 with the evr driver
+    and n = 128 with evd; ``solve_triangular`` with a matrix right-hand side
+    from n = 16; ``matmul`` from about 127^3; a ddot, ``numpy.linalg.norm``
+    of an array among them, of 16,000 entries (not of 4,000).  einsum,
+    numpy's own sums and the tridiagonal LAPACK routines used here
+    (``dpttrf``, ``dpttrs``, ``eigh_tridiagonal``) ran on one thread at
+    every size measured."""
     return np.einsum("eq,qk->ek", coef, products)
+
+
+def _radial_rule(mesh: HalfDiskMesh, quad_order: int):
+    """Gauss-Legendre rule of every radial element: local points R in [0, 1],
+    weights scaled to the element, and the spacing."""
+    rn = mesh.r_nodes
+    hr = rn[1] - rn[0]
+    gx, gw = _quad_nodes_1d(quad_order)
+    return (gx + 1.0) / 2.0, gw * hr / 2.0, hr
+
+
+def _theta_rows(mesh: HalfDiskMesh, quad_order: int, jac: Optional[float]):
+    """The angular rule per group of element rows, as tuples (rows, local
+    points T in [0, 1], weights, dist^jac at the points or None).
+
+    Gauss-Legendre everywhere when ``jac`` is None.  Otherwise the two rows
+    touching the plane take the Gauss-Jacobi rule of order max(quad_order, 6)
+    for the weight dist(theta)^jac, dist being the angular distance to the
+    plane; integrands are divided by dist^jac there, the rule restores it."""
+    tn = mesh.theta_nodes
+    ht = tn[1] - tn[0]
+    gx, gw = _quad_nodes_1d(quad_order)
+    if jac is None:
+        groups = [(np.arange(mesh.ntheta), None)]
+    else:
+        groups = [(np.arange(1, mesh.ntheta - 1), None),
+                  (np.array([0]), "low"), (np.array([mesh.ntheta - 1]), "high")]
+    out = []
+    for rows, edge in groups:
+        if len(rows) == 0:
+            continue
+        if edge is None:
+            out.append((rows, (gx + 1.0) / 2.0, gw * ht / 2.0, None))
+            continue
+        tqx, tqw = _quad_nodes_1d(max(quad_order, 6), "jacobi", jac)
+        s = (tqx + 1.0) / 2.0
+        out.append((rows, s if edge == "low" else 1.0 - s,
+                    tqw * (ht / 2.0) ** (1.0 + jac), (s * ht) ** jac))
+    return out
 
 
 def assemble_forms(mesh: HalfDiskMesh,
@@ -196,37 +252,15 @@ def assemble_forms(mesh: HalfDiskMesh,
     P = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
     Md = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
 
-    jac = sigma_jacobi_exponent
-    if jac is not None:
-        row_groups = [(np.arange(1, mesh.ntheta - 1), None),
-                      (np.array([0]), "low"), (np.array([mesh.ntheta - 1]), "high")]
-    else:
-        row_groups = [(np.arange(mesh.ntheta), None)]
-
     rn, tn = mesh.r_nodes, mesh.theta_nodes
-    hr = rn[1] - rn[0]
+    Rloc, rwt, hr = _radial_rule(mesh, quad_order)
     ht = tn[1] - tn[0]
-    gx, gw = _quad_nodes_1d(quad_order)
-    Rloc = (gx + 1.0) / 2.0
-    rwt = gw * hr / 2.0
 
-    for jrange, edge in row_groups:
-        if len(jrange) == 0:
-            continue
+    for jrange, Tloc, twt, dist in _theta_rows(mesh, quad_order, sigma_jacobi_exponent):
         nodes = _element_rows(mesh, jrange)
         r0 = np.repeat(rn[:-1], len(jrange))
         t0 = np.tile(tn[jrange], mesh.nr)
-        if edge is None:
-            Tloc = (gx + 1.0) / 2.0
-            twt = gw * ht / 2.0
-            dist_pow = None
-        else:
-            tqx, tqw = _quad_nodes_1d(max(quad_order, 6), "jacobi", jac)
-            s = (tqx + 1.0) / 2.0
-            twt = tqw * (ht / 2.0) ** (1.0 + jac)
-            Tloc = s if edge == "low" else 1.0 - s
-            # dist^b of the Jacobi rule, divided out of the weights
-            dist_pow = np.tile(s * ht, len(Rloc)) ** jac
+        dist_pow = None if dist is None else np.tile(dist, len(Rloc))
         # quadrature pairs (radial-major), one column per pair
         R = np.repeat(Rloc, len(Tloc))
         T = np.tile(Tloc, len(Rloc))
@@ -258,14 +292,10 @@ def assemble_forms(mesh: HalfDiskMesh,
     return K.tocsr(), P.tocsr(), Md.tocsr()
 
 
-def assemble_arc_mass(mesh: HalfDiskMesh, weight: Optional[Callable] = None,
-                      quad_order: int = 6,
-                      skip_sigma_adjacent: bool = False,
-                      exclude_nodes: Sequence[int] = ()) -> sp.csr_matrix:
-    """Boundary mass on the arc r = 1: int weight(y) u^2 dtheta.
-
-    ``weight`` must broadcast: it is called once, on the (segments, quad_order)
-    array of y = sin(theta).  Rows and columns of ``exclude_nodes`` are zero."""
+def _arc_elements(mesh: HalfDiskMesh, weight: Optional[Callable], quad_order: int,
+                  skip_sigma_adjacent: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Arc segments j (from theta_j to theta_j+1) and their 2 x 2 element
+    masses int weight(sin theta) N_a N_b dtheta, Gauss-Legendre per segment."""
     tn = mesh.theta_nodes
     gx, gw = roots_legendre(quad_order)
     j = np.arange(mesh.ntheta)
@@ -278,7 +308,18 @@ def assemble_arc_mass(mesh: HalfDiskMesh, weight: Optional[Callable] = None,
     c = wq if weight is None else np.asarray(weight(np.sin(ta)), dtype=float) * wq
     s = (ta - t0) / ht
     N = np.stack([1.0 - s, s], axis=2)
-    Me = (c[:, :, None, None] * (N[:, :, :, None] * N[:, :, None, :])).sum(axis=1)
+    return j, (c[:, :, None, None] * (N[:, :, :, None] * N[:, :, None, :])).sum(axis=1)
+
+
+def assemble_arc_mass(mesh: HalfDiskMesh, weight: Optional[Callable] = None,
+                      quad_order: int = 6,
+                      skip_sigma_adjacent: bool = False,
+                      exclude_nodes: Sequence[int] = ()) -> sp.csr_matrix:
+    """Boundary mass on the arc r = 1: int weight(y) u^2 dtheta.
+
+    ``weight`` must broadcast: it is called once, on the (segments, quad_order)
+    array of y = sin(theta).  Rows and columns of ``exclude_nodes`` are zero."""
+    j, Me = _arc_elements(mesh, weight, quad_order, skip_sigma_adjacent)
     ends = np.stack([mesh.node_id(mesh.nr, j), mesh.node_id(mesh.nr, j + 1)], axis=1)
     rows = np.repeat(ends, 2, axis=1).ravel()
     cols = np.tile(ends, 2).ravel()
@@ -289,27 +330,257 @@ def assemble_arc_mass(mesh: HalfDiskMesh, weight: Optional[Callable] = None,
 
 
 # ---------------------------------------------------------------------------
+# One-dimensional factors of the separable eps = 0 pencils
+# ---------------------------------------------------------------------------
+# A symmetric tridiagonal matrix is the pair (diagonal, off-diagonal).
+
+def _tridiagonal(n: int, parts) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum of 1-D element matrices: ``parts`` holds pairs (elements e, 2 x 2
+    matrices), element e joining nodes e and e + 1 of n."""
+    d, o = np.zeros(n), np.zeros(n - 1)
+    for e, Me in parts:
+        d[e] += Me[:, 0, 0]
+        d[e + 1] += Me[:, 1, 1]
+        o[e] += Me[:, 0, 1]
+    return d, o
+
+
+def _element_matrices(coef: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """2 x 2 matrices sum_q coef[e, q] N[q, a] N[q, b] of every element e."""
+    return np.einsum("eq,qa,qb->eab", coef, N, N)
+
+
+def _linear(T: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Values and derivatives of the two linear shape functions at local points T."""
+    return np.stack([1.0 - T, T], axis=1), np.broadcast_to([-1.0 / h, 1.0 / h], (len(T), 2))
+
+
+def _radial_factors(mesh: HalfDiskMesh, quad_order: int, weight: Callable):
+    """A = int w r phi' phi' dr and C = int w r^-1 phi phi dr, w = weight(r),
+    on every radial node, by the radial rule of :func:`assemble_forms`."""
+    Rloc, rwt, hr = _radial_rule(mesh, quad_order)
+    ra = mesh.r_nodes[:-1, None] + Rloc * hr
+    coef = weight(ra) * rwt * ra
+    N, dN = _linear(Rloc, hr)
+    e = np.arange(mesh.nr)
+    return (_tridiagonal(mesh.nr + 1, [(e, _element_matrices(coef, dN))]),
+            _tridiagonal(mesh.nr + 1, [(e, _element_matrices(coef / ra ** 2, N))]))
+
+
+def _angular_factors(mesh: HalfDiskMesh, quad_order: int, weight: Callable,
+                     jac: Optional[float] = None):
+    """B = int w psi psi dtheta and D = int w psi' psi' dtheta, w =
+    weight(sin theta), on every angular node, by the angular rule of
+    :func:`assemble_forms` with ``sigma_jacobi_exponent`` = jac."""
+    tn = mesh.theta_nodes
+    ht = tn[1] - tn[0]
+    mass, stiff = [], []
+    for rows, T, twt, dist in _theta_rows(mesh, quad_order, jac):
+        c = np.asarray(weight(np.sin(tn[rows][:, None] + T * ht)), dtype=float)
+        if dist is not None:
+            c = c / dist
+        c = c * twt
+        N, dN = _linear(T, ht)
+        mass.append((rows, _element_matrices(c, N)))
+        stiff.append((rows, _element_matrices(c, dN)))
+    return _tridiagonal(mesh.ntheta + 1, mass), _tridiagonal(mesh.ntheta + 1, stiff)
+
+
+def _arc_factor(mesh: HalfDiskMesh, weight: Optional[Callable] = None,
+                skip_sigma_adjacent: bool = False):
+    """The arc mass of :func:`assemble_arc_mass` as a tridiagonal over the
+    arc nodes; with ``skip_sigma_adjacent`` the two arc nodes next to the
+    plane are zero-mass rows, as the direct route excludes them."""
+    d, o = _tridiagonal(mesh.ntheta + 1, [_arc_elements(mesh, weight, 6, skip_sigma_adjacent)])
+    if skip_sigma_adjacent:
+        for j in (1, mesh.ntheta - 1):
+            d[j] = 0.0
+            o[j - 1] = o[j] = 0.0
+    return d, o
+
+
+def _ones(s):
+    return np.ones_like(s)
+
+
+def _inverse_square(s):
+    return 1.0 / (s * s)
+
+
+def _trace_factors(mesh: HalfDiskMesh, b: float, route: str, quad_order: int):
+    """1-D factors (radial (A, C), angular (B, D), arc mass, arc potential)
+    of the eps = 0 trace pencil K = A (x) B + C (x) D + W M, M = arc mass.
+
+    direct: the weight |y|^b = r^b sin^b(theta) splits, with the Gauss-Jacobi
+    edge rows for b != 0.  transformed: the flat form, the domain potential
+    b (b - 2) / (4 y^2) = c r^-2 sin^-2(theta) joins D as c G, and the arc
+    potential is the constant W = -b/2."""
+    if route == "direct":
+        w = _rho_fn(b, 0.0)
+        jac = b if b != 0.0 else None
+        return (_radial_factors(mesh, quad_order, w),
+                _angular_factors(mesh, quad_order, w, jac),
+                _arc_factor(mesh, w, skip_sigma_adjacent=jac is not None), 0.0)
+    B, D = _angular_factors(mesh, quad_order, _ones)
+    G, _ = _angular_factors(mesh, quad_order, _inverse_square)
+    c = b * (b - 2.0) / 4.0
+    return (_radial_factors(mesh, quad_order, _ones), (B, (D[0] + c * G[0], D[1] + c * G[1])),
+            _arc_factor(mesh), -b / 2.0)
+
+
+def _hardy_factors(mesh: HalfDiskMesh, quad_order: int):
+    """1-D factors (radial (A, C), angular (B, D), G) of the flat Hardy
+    pencil: K = A (x) B + C (x) D and M = C (x) G, G = int sin^-2 psi psi."""
+    return (_radial_factors(mesh, quad_order, _ones), _angular_factors(mesh, quad_order, _ones),
+            _angular_factors(mesh, quad_order, _inverse_square)[0])
+
+
+# ---------------------------------------------------------------------------
+# Separable minimum-eigenvalue solve
+# ---------------------------------------------------------------------------
+
+LANCZOS_TOL = 1e-13
+
+
+def _tri_apply(t, X: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal t times X along X's first axis."""
+    shape = (-1,) + (1,) * (X.ndim - 1)
+    d, e = t[0].reshape(shape), t[1].reshape(shape)
+    Y = d * X
+    Y[:-1] += e * X[1:]
+    Y[1:] += e * X[:-1]
+    return Y
+
+
+def _kron_apply(R, S, V: np.ndarray) -> np.ndarray:
+    """(R (x) S) v for v = V.ravel(), V of shape (radial, angular)."""
+    return _tri_apply(R, _tri_apply(S, V.T).T)
+
+
+def _radial_modes(A, C) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the radial pencil A x = mu C x, ascending, with X^T C X = I.
+
+    C = L diag(d) L^T by dpttrf, F = diag(d)^(1/2) L^T; the inverse of the
+    bidiagonal F is formed row by row, and F^-T A F^-1 is one standard eigh
+    of radial size."""
+    d, e, info = lapack.dpttrf(C[0], C[1])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"radial mass not positive definite (dpttrf info={info})")
+    n = len(d)
+    U = np.eye(n)                       # L^-T, unit upper triangular
+    for i in range(n - 2, -1, -1):
+        U[i, i + 1:] = -e[i] * U[i + 1, i + 1:]
+    Finv = U / np.sqrt(d)
+    S = np.einsum("ki,kj->ij", Finv, _tri_apply(A, Finv))
+    mu, Y = scipy.linalg.eigh(S, driver="evd")
+    return mu, Finv @ Y
+
+
+def _lanczos_max(op: Callable, mass, n: int, tol: float = LANCZOS_TOL):
+    """Eigenvector of the largest eigenvalue of ``op``, self-adjoint in the
+    (semi-)inner product of the tridiagonal ``mass``, mass-normalised.
+
+    Lanczos with full reorthogonalisation (Parlett, *The Symmetric Eigenvalue
+    Problem*, 1998) from the all-ones start; ``op`` takes M g, the product
+    at hand.  It stops when the Ritz residual |beta_k s_k| falls to ``tol``
+    times the Ritz value.  Returns (Ritz vector, steps)."""
+    q = np.ones(n)
+    mq = _tri_apply(mass, q)
+    nrm = math.sqrt(float(q @ mq))
+    Q, MQ = [q / nrm], [mq / nrm]
+    alpha, beta = [], []
+    for k in range(1, n + 1):
+        w = op(MQ[-1])
+        alpha.append(float(w @ MQ[-1]))
+        Qa, MQa = np.array(Q), np.array(MQ)
+        for _ in range(2):                  # classical Gram-Schmidt, twice
+            w = w - (MQa @ w) @ Qa
+        mw = _tri_apply(mass, w)
+        b = math.sqrt(max(float(w @ mw), 0.0))
+        theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i",
+                                                 select_range=(k - 1, k - 1))
+        if b * abs(s[-1, 0]) <= tol * theta[0] or k == n:
+            break
+        beta.append(b)
+        Q.append(w / b)
+        MQ.append(mw / b)
+    return s[:, 0] @ np.array(Q), k
+
+
+def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0.0,
+                     trace: bool = True) -> Tuple[float, np.ndarray, float, int]:
+    """Smallest eigenpair of the pencil K = A (x) B + C (x) D + shift M
+    against M = E (x) mass on the free dofs, every factor tridiagonal on all
+    nodes of its direction.  trace: E = e e^T, e the arc row, the radial dofs
+    run to the arc and ``mass`` is the arc mass; otherwise (Hardy) E = C and
+    the arc is fixed.
+
+    The radial modes X (A X = C X diag(mu), X^T C X = I) turn K into the
+    blocks T_m = mu_m B + D, factored at once by one dpttrf of their stacked
+    tridiagonals.  For a trace pencil M is e e^T (x) mass, and the arc trace
+    g of an eigenvector solves g = lam sum_m z_m^2 T_m^-1 mass g, z = X[-1]
+    (the discrete Neumann-to-Dirichlet map); for Hardy the smallest block
+    T_0 alone holds the minimum, g = lam T_0^-1 G g.  The largest eigenvalue
+    1/lam of that map comes from :func:`_lanczos_max`; the eigenvector is
+    rebuilt on the mesh, and lam and the residual ||K v - lam M v|| / ||K v||
+    are those of the full pencil, in Kronecker form.  Returns (lam,
+    M-normalized eigenvector on all nodes, residual, Lanczos steps), as
+    :func:`min_rayleigh` does."""
+    rs = slice(1, None) if trace else slice(1, -1)
+    A, C = ((t[0][rs], t[1][rs]) for t in radial)
+    B, D, Ma = ((t[0][1:-1], t[1][1:-1]) for t in (*angular, mass))
+    mu, X = _radial_modes(A, C)
+    z = X[-1]
+    if not trace:
+        mu, X, z = mu[:1], X[:, :1], np.ones(1)
+    k, n = len(mu), len(B[0])
+    e = np.zeros((k, n))
+    e[:, :-1] = mu[:, None] * B[1] + D[1]
+    df, ef, info = lapack.dpttrf((mu[:, None] * B[0] + D[0]).ravel(), e.ravel()[:-1])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"angular block not positive definite (dpttrf info={info})")
+
+    def blocks(u):
+        """z_m T_m^-1 u for every mode m, one dpttrs on the stacked blocks."""
+        y, _ = lapack.dpttrs(df, ef, np.tile(u, k))
+        return z[:, None] * y.reshape(k, n)
+
+    g, steps = _lanczos_max(lambda mg: z @ blocks(mg), Ma, n)
+    V = np.einsum("im,mj->ij", X, blocks(_tri_apply(Ma, g)))
+    if trace:
+        MV = np.zeros_like(V)
+        MV[-1] = _tri_apply(Ma, V[-1])
+    else:
+        MV = _kron_apply(C, Ma, V)
+    KV = _kron_apply(A, B, V) + _kron_apply(C, D, V) + shift * MV
+    vmv = float(np.sum(V * MV))
+    lam = float(np.sum(V * KV)) / vmv
+    R = KV - lam * MV
+    res = math.sqrt(float(np.sum(R * R)) / float(np.sum(KV * KV)))   # not a ddot
+    if res > EIG_RESIDUAL_TOL:
+        raise RuntimeError(f"separable eigen solve residual {res:.3g} above "
+                           f"{EIG_RESIDUAL_TOL:g} after {steps} Lanczos steps")
+    full = np.zeros((mesh.nr + 1, mesh.ntheta + 1))
+    full[rs, 1:-1] = V / math.sqrt(vmv)
+    return lam, full.ravel(), res, steps
+
+
+# ---------------------------------------------------------------------------
 # Generalized minimum-eigenvalue solve
 # ---------------------------------------------------------------------------
 
 def min_rayleigh(K: sp.csr_matrix, M: sp.csr_matrix, free: np.ndarray,
-                 tol: float = EIG_TOL,
-                 sigma: float = 0.0) -> Tuple[float, np.ndarray, float, int]:
+                 tol: float = EIG_TOL) -> Tuple[float, np.ndarray, float, int]:
     """Smallest generalized eigenvalue of (K, M) on the free dofs.
 
-    Inverse iteration with the shift ``sigma``: one sparse LU of
-    K - sigma M (minimum-degree ordering of A^T + A, the pencil being
-    symmetric), the deterministic all-ones start, and the Rayleigh quotient,
-    residual ||K v - lam M v|| / ||K v|| and stopping test of the unshifted
-    pencil.  The iteration converges to the eigenvalue nearest ``sigma``, so
-    a shift is only admissible below a proved lower bound of the smallest
-    one; if the converged lam lies below ``sigma`` that bound failed and
-    RuntimeError is raised instead of returning a possibly wrong eigenpair.
-    Returns (lam, M-normalized eigenvector on all nodes, residual,
-    iterations)."""
+    Inverse iteration: one sparse LU of K (minimum-degree ordering of
+    A^T + A, the pencil being symmetric), the deterministic all-ones start,
+    and the Rayleigh quotient, residual ||K v - lam M v|| / ||K v|| and
+    stopping test of the pencil.  Returns (lam, M-normalized eigenvector on
+    all nodes, residual, iterations)."""
     Kf = K[free][:, free].tocsc()
     Mf = M[free][:, free].tocsr()
-    lu = spla.splu((Kf - sigma * Mf).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = spla.splu(Kf, permc_spec="MMD_AT_PLUS_A")
     v = np.ones(len(free))
     mv = Mf @ v
     lam_prev = math.inf
@@ -327,10 +598,6 @@ def min_rayleigh(K: sp.csr_matrix, M: sp.csr_matrix, free: np.ndarray,
         if abs(lam - lam_prev) <= tol * abs(lam) and res <= EIG_RESIDUAL_TOL:
             break
         lam_prev = lam
-    if lam < sigma:
-        raise RuntimeError(f"inverse iteration converged to lam={lam!r} below the "
-                           f"shift sigma={sigma!r}: the lower bound behind the "
-                           "shift does not hold for this pencil")
     full = np.zeros(K.shape[0])
     full[free] = v / math.sqrt(abs(float(v @ mv)))
     return lam, full, res, it
@@ -370,34 +637,28 @@ def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto",
     route='direct' assembles the weighted quotient literally (requires
     b > -1); route='transformed' conjugates by rho^(b/2) and uses the
     closed-form potentials, valid for every b < 1; 'auto' picks direct in the
-    locally integrable range and transformed outside."""
+    locally integrable range and transformed outside.  At eps = 0 both
+    routes separate in (r, theta) and take :func:`_separable_eigen`."""
     if b >= 1.0:
         raise ValueError("trace exponent must satisfy b < 1")
     if route == "auto":
         route = "direct" if b > -1.0 else "transformed"
-    mesh = HalfDiskMesh.from_h(grid_h)
-    free = mesh.free_nodes()
-    if route == "direct":
-        if b <= -1.0:
-            raise ValueError("direct route requires locally integrable weight (b > -1)")
-        wfn = _rho_fn(b, eps)
-        jac = b if (eps == 0.0 and b != 0.0) else None
-        K, _, _ = assemble_forms(mesh, stiffness_weight=wfn, quad_order=quad_order,
-                                 sigma_jacobi_exponent=jac)
-        if eps == 0.0 and b != 0.0:
-            excl = [mesh.node_id(mesh.nr, 1), mesh.node_id(mesh.nr, mesh.ntheta - 1)]
-            M = assemble_arc_mass(mesh, wfn, skip_sigma_adjacent=True,
-                                  exclude_nodes=excl)
-        else:
-            M = assemble_arc_mass(mesh, wfn)
-    elif route == "transformed":
-        K = _conjugated_forms(b, eps, mesh, quad_order)
-        M = assemble_arc_mass(mesh, None)
-    else:
+    if route not in ("direct", "transformed"):
         raise ValueError(f"unknown route {route!r}")
-    # at eps = 0 the continuum constant 1 - b bounds lam_h from below
-    sigma = 0.99 * (1.0 - b) if eps == 0.0 else 0.0
-    lam, vec, res, it = min_rayleigh(K, M, free, sigma=sigma)
+    if route == "direct" and b <= -1.0:
+        raise ValueError("direct route requires locally integrable weight (b > -1)")
+    mesh = HalfDiskMesh.from_h(grid_h)
+    if eps == 0.0:
+        lam, vec, res, it = _separable_eigen(mesh, *_trace_factors(mesh, b, route, quad_order))
+    else:
+        if route == "direct":
+            wfn = _rho_fn(b, eps)
+            K = assemble_forms(mesh, stiffness_weight=wfn, quad_order=quad_order)[0]
+            M = assemble_arc_mass(mesh, wfn)
+        else:
+            K = _conjugated_forms(b, eps, mesh, quad_order)
+            M = assemble_arc_mass(mesh, None)
+        lam, vec, res, it = min_rayleigh(K, M, mesh.free_nodes())
     return EigenResult(quotient_id=f"trace[b={b:g}]", a=b, eps_or_r=eps,
                        grid_h=grid_h, lam=lam, residual=res, route=route,
                        iterations=it, eigenvector=NodalField(mesh, vec))
@@ -422,19 +683,21 @@ def hardy_quotient(weight: WeightSpec, grid_h: float,
     and on the arc; for w == 1 the continuum constant is 1/4 (not attained)."""
     wfn, a, eps = _weight_fn(weight)
     mesh = HalfDiskMesh.from_h(grid_h)
-    free = np.setdiff1d(mesh.free_nodes(), mesh.arc_node_ids())
-    jac = a if (a is not None and eps == 0.0 and a != 0.0) else None
-    if a is not None and a <= -1.0 and eps == 0.0:
-        raise ValueError("hardy direct route requires a > -1 at eps=0")
+    if weight is None:
+        lam, vec, res, it = _separable_eigen(mesh, *_hardy_factors(mesh, quad_order),
+                                             trace=False)
+    else:
+        if a is not None and a <= -1.0 and eps == 0.0:
+            raise ValueError("hardy direct route requires a > -1 at eps=0")
+        jac = a if (a is not None and eps == 0.0 and a != 0.0) else None
 
-    def mass(y):
-        return wfn(y) / (y * y)
+        def mass(y):
+            return wfn(y) / (y * y)
 
-    K, _, M = assemble_forms(mesh, stiffness_weight=wfn, domain_mass_weight=mass,
-                             quad_order=quad_order, sigma_jacobi_exponent=jac)
-    # flat Hardy inequality in y: lam_h >= 1/4 for w == 1
-    sigma = 0.99 * 0.25 if weight is None else 0.0
-    lam, vec, res, it = min_rayleigh(K, M, free, sigma=sigma)
+        K, _, M = assemble_forms(mesh, stiffness_weight=wfn, domain_mass_weight=mass,
+                                 quad_order=quad_order, sigma_jacobi_exponent=jac)
+        free = np.setdiff1d(mesh.free_nodes(), mesh.arc_node_ids())
+        lam, vec, res, it = min_rayleigh(K, M, free)
     wid = "1" if a is None else f"rho[a={a:g},eps={eps:g}]"
     return EigenResult(quotient_id=f"hardy[w={wid}]",
                        a=a if a is not None else 0.0,

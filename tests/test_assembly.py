@@ -139,9 +139,21 @@ def test_iterative_solves_report_info(monkeypatch):
         assert rep.method == method
         assert rep.info == 0 and rep.converged and rep.iterations > 0
         assert np.max(np.abs(rep.field.values - exact.values)) < 1e-9
-    monkeypatch.setattr(dl.assembly, "ITERATION_CAP", 2)
+
+
+@pytest.mark.parametrize("drift", [None, lambda x, y: (0.2, -0.1, 0.1 * y)],
+                         ids=["cg", "bicgstab"])
+def test_failed_krylov_solve_falls_back_to_lu(monkeypatch, drift):
+    # one iteration cannot converge: the Krylov info is kept, the LU solves
+    monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 0)
+    monkeypatch.setattr(dl.assembly, "ITERATION_CAP", 1)
+    g = dl.build_half_grid(2, "half_rectangle", 1 / 4)
+    op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd", drift=drift)
+    rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
     rep = dl.solve_linear(op, rhs)
-    assert rep.info == 2 and not rep.converged
+    assert rep.method == "direct-sparse-lu"
+    assert rep.info == 1 and rep.iterations == 1 and rep.converged
+    assert np.max(np.abs(rep.field.values - exact.values)) < 1e-12
 
 
 def test_auxiliary_resistance_before_values():

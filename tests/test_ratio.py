@@ -1,5 +1,7 @@
 """Quotient transform, auxiliary right-hand side, and derivation residuals."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,46 @@ def test_aux_residual_evaluates_grad_x_once_per_point(monkeypatch):
     monkeypatch.setattr(ratio, "v_char_grad_x", counting)
     aux_residual(prob, g)
     assert sum(calls) == g.ncells + n_xfaces
+
+
+def _field_problem():
+    """A quadratic-mu problem with a field F that vanishes on the plane."""
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1),
+                                    mu_inverse=lambda x, s: 1.0 / (1.0 + 0.1 * x * x))
+    return dl.OddProblem(sol=sol, spec=dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.1 * x * x),
+                         F=lambda x, y: (0.1 * y, 0.2 * y),
+                         trace=lambda x, y: dl.v_char(sol, x, y) * wave(x, abs(y)))
+
+
+def test_aux_residual_with_field_is_finite():
+    """F / v is 0 / 0 on the plane faces, whose flux weight rho v^2 is 0:
+    the quotient field is set to 0 there, not nan."""
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = aux_residual(_field_problem(), g)
+    assert np.isfinite(res)
+
+
+def test_aux_residual_with_field_shares_grad_x(monkeypatch):
+    """With a field F the load's -Fbar.grad(v)/v reads grad_x v at the cell
+    centres from the values the drift already integrated: one call at the
+    centres, one at the x-faces."""
+    import degenlab.ratio as ratio
+
+    prob = _field_problem()
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
+    n_xfaces = int(np.sum(ratio.assemble_auxiliary(g, prob).faces.axis < g.n))
+    calls = []
+    grad_x = ratio.v_char_grad_x
+
+    def counting(sol, x, y):
+        calls.append(np.size(y))
+        return grad_x(sol, x, y)
+
+    monkeypatch.setattr(ratio, "v_char_grad_x", counting)
+    aux_residual(prob, g)
+    assert calls == [g.ncells, n_xfaces] == [512, 528]
 
 
 def test_auxiliary_rhs_rejects_bad_t():

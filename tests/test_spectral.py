@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
 import degenlab as dl
 from degenlab.potentials import potentials
-from degenlab.spectral import (HalfDiskMesh, _conjugated_forms, _rho_fn,
-                               assemble_arc_mass, assemble_forms, min_rayleigh)
+from degenlab.spectral import (HalfDiskMesh, _conjugated_forms, _hardy_factors, _rho_fn,
+                               _trace_factors, assemble_arc_mass, assemble_forms)
 
 H_COARSE = 1 / 16
 H_MID = 1 / 32
@@ -164,25 +165,28 @@ def test_conjugated_form_is_flat_at_a0(eps):
 
 
 # ---------------------------------------------------------------------------
-# Shifted inverse iteration against a dense solve of the same pencil
+# Separable eps = 0 solve against the assembled pencils and a dense solve
 # ---------------------------------------------------------------------------
 
 def _pencil(case, mesh):
-    """(K, M, free dofs, theorem shift) as trace_eigen / hardy_quotient build them."""
+    """(K, M, free dofs) as the two-dimensional assembly builds them."""
     free = mesh.free_nodes()
     kind, b = case
     if kind == "direct":
         wfn = _rho_fn(b, 0.0)
+        if b == 0.0:
+            K, _, _ = assemble_forms(mesh, stiffness_weight=wfn)
+            return K, assemble_arc_mass(mesh, wfn), free
         K, _, _ = assemble_forms(mesh, stiffness_weight=wfn, sigma_jacobi_exponent=b)
         excl = [mesh.node_id(mesh.nr, 1), mesh.node_id(mesh.nr, mesh.ntheta - 1)]
         M = assemble_arc_mass(mesh, wfn, skip_sigma_adjacent=True, exclude_nodes=excl)
-        return K, M, free, 0.99 * (1.0 - b)
+        return K, M, free
     if kind == "transformed":
         K = _conjugated_forms(b, 0.0, mesh, 4)
-        return K, assemble_arc_mass(mesh, None), free, 0.99 * (1.0 - b)
+        return K, assemble_arc_mass(mesh, None), free
     K, _, M = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
                              domain_mass_weight=lambda y: 1.0 / (y * y))
-    return K, M, np.setdiff1d(free, mesh.arc_node_ids()), 0.99 * 0.25
+    return K, M, np.setdiff1d(free, mesh.arc_node_ids())
 
 
 def _dense_lambdas(K, M, free):
@@ -194,29 +198,54 @@ def _dense_lambdas(K, M, free):
     return np.sort(1.0 / mu[mu > 1e-12 * mu.max()])
 
 
+def _separable_lambda(case, h):
+    kind, b = case
+    if kind == "hardy":
+        return dl.hardy_quotient(None, h).lam
+    return dl.trace_eigen(b, 0.0, h, route=kind).lam
+
+
 PENCILS = [("direct", 0.5), ("direct", -0.5), ("transformed", -1.5), ("hardy", None)]
 
 
+@pytest.mark.parametrize("h", [1 / 8, 1 / 16], ids=["h8", "h16"])
 @pytest.mark.parametrize("case", PENCILS, ids=lambda c: f"{c[0]}-{c[1]}")
-def test_shifted_and_unshifted_iteration_give_smallest_eigenvalue(case):
-    mesh = HalfDiskMesh.from_h(1 / 8)
-    K, M, free, sigma = _pencil(case, mesh)
-    lam1 = _dense_lambdas(K, M, free)[0]
-    assert lam1 > sigma                      # the theorem's bound holds here
-    plain = min_rayleigh(K, M, free)
-    shifted = min_rayleigh(K, M, free, sigma=sigma)
-    assert plain[0] == pytest.approx(lam1, rel=1e-12)
-    assert shifted[0] == pytest.approx(lam1, rel=1e-12)
-    assert shifted[3] < plain[3]             # the shift is in effect
+def test_separable_solve_gives_smallest_eigenvalue(case, h):
+    mesh = HalfDiskMesh.from_h(h)
+    lam1 = _dense_lambdas(*_pencil(case, mesh))[0]
+    assert _separable_lambda(case, h) == pytest.approx(lam1, rel=1e-12)
 
 
-def test_shift_above_smallest_eigenvalue_is_refused():
+def _tri(t):
+    return sp.diags([t[1], t[0], t[1]], [-1, 0, 1])
+
+
+def _arc_row(mesh):
+    e = np.zeros(mesh.nr + 1)
+    e[-1] = 1.0
+    return sp.diags(e)
+
+
+@pytest.mark.parametrize("case", [("direct", -0.5), ("direct", 0.0), ("direct", 0.5),
+                                  ("transformed", -1.5), ("transformed", 0.5),
+                                  ("hardy", None)], ids=lambda c: f"{c[0]}-{c[1]}")
+def test_kronecker_factors_match_assembly(case):
+    """K = A (x) B + C (x) D (+ W M on the arc) and M = e e^T (x) arc mass,
+    or C (x) G for Hardy, from the 1-D factors equal the 2-D assembly."""
     mesh = HalfDiskMesh.from_h(1 / 8)
-    K, M, free, _ = _pencil(("direct", 0.5), mesh)
-    lams = _dense_lambdas(K, M, free)
-    sigma = lams[0] + 0.01 * (lams[1] - lams[0])    # nearest eigenvalue is lam_1
-    with pytest.raises(RuntimeError, match="below the shift"):
-        min_rayleigh(K, M, free, sigma=sigma)
+    K, M, free = _pencil(case, mesh)
+    kind, b = case
+    if kind == "hardy":
+        (A, C), (B, D), G = _hardy_factors(mesh, 4)
+        Ms, shift = sp.kron(_tri(C), _tri(G)), 0.0
+    else:
+        (A, C), (B, D), arc, shift = _trace_factors(mesh, b, kind, 4)
+        Ms = sp.kron(_arc_row(mesh), _tri(arc))
+    Ks = sp.kron(_tri(A), _tri(B)) + sp.kron(_tri(C), _tri(D)) + shift * Ms
+    for got, ref in ((Ks, K), (Ms, M)):
+        ref = ref[free][:, free].toarray()
+        got = got.tocsr()[free][:, free].toarray()
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
