@@ -198,11 +198,11 @@ def _dense_lambdas(K, M, free):
     return np.sort(1.0 / mu[mu > 1e-12 * mu.max()])
 
 
-def _separable_lambda(case, h):
+def _separable_result(case, h):
     kind, b = case
     if kind == "hardy":
-        return dl.hardy_quotient(None, h).lam
-    return dl.trace_eigen(b, 0.0, h, route=kind).lam
+        return dl.hardy_quotient(None, h)
+    return dl.trace_eigen(b, 0.0, h, route=kind)
 
 
 PENCILS = [("direct", 0.5), ("direct", -0.5), ("transformed", -1.5), ("hardy", None)]
@@ -211,9 +211,19 @@ PENCILS = [("direct", 0.5), ("direct", -0.5), ("transformed", -1.5), ("hardy", N
 @pytest.mark.parametrize("h", [1 / 8, 1 / 16], ids=["h8", "h16"])
 @pytest.mark.parametrize("case", PENCILS, ids=lambda c: f"{c[0]}-{c[1]}")
 def test_separable_solve_gives_smallest_eigenvalue(case, h):
+    """The smallest eigenvalue of the assembled pencil; the rebuilt
+    eigenvector is M-normalized, zero off the free dofs, and its residual in
+    the assembled pencil is the one reported."""
     mesh = HalfDiskMesh.from_h(h)
-    lam1 = _dense_lambdas(*_pencil(case, mesh))[0]
-    assert _separable_lambda(case, h) == pytest.approx(lam1, rel=1e-12)
+    K, M, free = _pencil(case, mesh)
+    res = _separable_result(case, h)
+    assert res.lam == pytest.approx(_dense_lambdas(K, M, free)[0], rel=1e-12)
+    v = res.eigenvector.values
+    kv, mv = K[free][:, free] @ v[free], M[free][:, free] @ v[free]
+    assert np.linalg.norm(kv - res.lam * mv) / np.linalg.norm(kv) == pytest.approx(
+        res.residual, abs=1e-12)
+    assert v[free] @ mv == pytest.approx(1.0, rel=1e-12)
+    assert not np.delete(v, free).any()
 
 
 def _tri(t):
