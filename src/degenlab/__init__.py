@@ -86,4 +86,6 @@ from .holder import (
     epsilon_sweep,
     exponent_estimate,
     holder_seminorm,
+    measure_sweep,
+    solve_family,
 )

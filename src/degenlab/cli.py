@@ -34,7 +34,7 @@ from .assembly import (OperatorSpec, RhoWeight, assemble, convergence_study,
 from .certify import (verify_gamma_rectangle, verify_phi_bound,
                       verify_v_inequality, v_minimum)
 from .geometry import EmbeddedCurve, build_half_grid, fermi_mu
-from .holder import SWEEP_MODES, ProblemFamily, epsilon_sweep
+from .holder import SWEEP_MODES, ProblemFamily, epsilon_sweep, measure_sweep, solve_family
 from .potentials import v_limit, v_limit_deriv
 from .spectral import eigen_stability_sweep, hardy_quotient, trace_eigen
 from .weights import WeightFamily
@@ -294,10 +294,10 @@ def cmd_fermi_demo(cfg: dict) -> int:
         return 1.0 / (speed * (1.0 - y * kap))
 
     family = _sweep_family(a, mu_inv, f"fermi-circle[R={radius:g},a={a:g}]")
-    rep_c0 = epsilon_sweep(family, eps_list, alpha, mode="ratio_c0", grid_h=h)
-    rep_c1r = epsilon_sweep(family, eps_list, alpha, mode="ratio_c1", grid_h=h,
-                            restricted="sqrt_eps")
-    rep_c1u = epsilon_sweep(family, eps_list, alpha, mode="ratio_c1", grid_h=h)
+    solutions = solve_family(family, eps_list, grid_h=h)     # the three tables share them
+    rep_c0 = measure_sweep(family, solutions, alpha, mode="ratio_c0")
+    rep_c1r = measure_sweep(family, solutions, alpha, mode="ratio_c1", restricted="sqrt_eps")
+    rep_c1u = measure_sweep(family, solutions, alpha, mode="ratio_c1")
     for name, rep in (("fermi_c0.csv", rep_c0),
                       ("fermi_c1_restricted.csv", rep_c1r),
                       ("fermi_c1_unrestricted.csv", rep_c1u)):

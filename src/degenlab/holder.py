@@ -11,21 +11,25 @@ two-sided check on the seminorm table over an eps-sweep:
   log(1/eps) over the positive entries, must stay <= slope_tol (0.1); a
   genuine blow-up as eps -> 0 shows up as a positive slope.
 
-Pair sampling for the seminorms is deterministic: all center pairs within
-distance 0.25 (strided down to the pair budget when necessary) plus a
-stratified sample of far pairs.  The sample depends only on the selected
-cells, so an eps-sweep draws it, with |z_i - z_j|^alpha, once per region (a
-dict local to the sweep call) and each eps step costs one gather and one max.
+The seminorms are exact: each is the max over all pairs of cells of the
+region, which is a box of the cell lattice.  The pairs are grouped by their
+horizontal lattice offset k; one offset is one broadcast of every pair of
+ordinates against one table of (h |(k, j1 - j2)|)^(-alpha), so a box of
+nx columns costs nx array steps.
+
+An eps-sweep solves once per eps (:func:`solve_family`) and measures those
+fields (:func:`measure_sweep`), so several tables of one family, as in
+``fermi-demo``, share the solves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .assembly import DiscreteField, OperatorSpec, RhoWeight, assemble, solve_linear
 from .geometry import HalfGrid, build_half_grid
@@ -33,7 +37,6 @@ from .ratio import _quotient_field, _v_on_grid
 from .weights import (CharacteristicSolution, WeightFamily, _sample, omega as omega_weight,
                       v_char, v_char_profile)
 
-NEAR_PAIR_RADIUS = 0.25
 DEFAULT_TAU = 3.0
 DEFAULT_SLOPE_TOL = 0.1
 SWEEP_MODES = ("ratio_c0", "ratio_c1", "odd_direct_c0")
@@ -69,84 +72,72 @@ class SweepAbort(RuntimeError):
         self.partial = partial
 
 
-def _pairs(points: np.ndarray, budget: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic pair sample: all near pairs (strided to ~4/5 budget) plus
-    a stratified all-vs-all sample of far pairs (~1/5 budget)."""
-    npts = len(points)
-    if npts < 2:
+def _lattice_box(sel: np.ndarray) -> Tuple[slice, ...]:
+    """The slices of the box of the cell lattice that the True cells of sel fill."""
+    idx = np.nonzero(sel)
+    if len(idx[0]) < 2:
         raise EmptyRegionError("region contains fewer than two cells")
-    tree = cKDTree(points)
-    near = tree.query_pairs(NEAR_PAIR_RADIUS, output_type="ndarray")
-    near = near[np.lexsort((near[:, 1], near[:, 0]))]
-    near_budget = max(1, (4 * budget) // 5)
-    if len(near) > near_budget:
-        stride = int(math.ceil(len(near) / near_budget))
-        near = near[::stride]
-    far_budget = max(1, budget - len(near))
-    k = max(2, int(math.sqrt(2.0 * far_budget)))
-    stride = max(1, int(math.ceil(npts / k)))
-    sub = np.arange(0, npts, stride)
-    ii, jj = np.meshgrid(sub, sub, indexing="ij")
-    sel = ii < jj
-    far = np.stack([ii[sel], jj[sel]], axis=1)
-    if len(far):
-        d = np.linalg.norm(points[far[:, 0]] - points[far[:, 1]], axis=1)
-        far = far[d > NEAR_PAIR_RADIUS]
-    if len(near) and len(far):
-        allp = np.vstack([near, far])
-    elif len(near):
-        allp = near
-    else:
-        allp = far
-    return allp[:, 0], allp[:, 1]
+    box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx)
+    if not np.all(sel[box]):
+        raise ValueError("region is not a box of the cell lattice")
+    return box
 
 
-def holder_seminorm(field: DiscreteField, alpha: float, region: Region,
-                    pair_budget: int = 200_000, *, pairs: Optional[dict] = None) -> float:
-    """max over sampled center pairs of |u(z1) - u(z2)| / |z1 - z2|^alpha.
+def _box_seminorm(lat: np.ndarray, h: float, alpha: float) -> float:
+    """max over all pairs of cells of the lattice box lat (horizontal axes
+    first, y last) of |u(z1) - u(z2)| / |z1 - z2|^alpha.
 
-    ``pairs`` (a dict, empty at first) keeps the pair samples across calls on
-    one grid, so each later call on the same cells is one gather and one max."""
-    mask = region.mask(field.grid)
-    if not np.any(mask):
+    One step per horizontal offset k, over a half space of offsets (a pair and
+    its reverse are one pair): every pair of ordinates is broadcast, and
+    (h |(k, j1 - j2)|)^(-alpha) is one (ny, ny) table, 0 where z1 = z2."""
+    *horiz, ny = lat.shape
+    dj2 = np.subtract.outer(np.arange(ny), np.arange(ny)) ** 2
+    zero = (0,) * len(horiz)
+    best = 0.0
+    for k in itertools.product(*(range(1 - n, n) for n in horiz)):
+        if k < zero:
+            continue
+        hi = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip(k, horiz))
+        lo = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(k, horiz))
+        dist = h * np.sqrt(sum(d * d for d in k) + dj2)
+        weight = np.divide(1.0, dist ** alpha, out=np.zeros_like(dist), where=dist > 0)
+        diff = lat[hi][..., :, None] - lat[lo][..., None, :]
+        np.abs(diff, out=diff)
+        diff *= weight
+        best = max(best, float(np.max(diff)))
+    return best
+
+
+def _region_cells(grid: HalfGrid, region: Region) -> np.ndarray:
+    """The region's cells as a boolean array over the cell lattice."""
+    return (grid.index >= 0) & region.mask(grid)[grid.index]
+
+
+def holder_seminorm(field: DiscreteField, alpha: float, region: Region) -> float:
+    """max over all pairs of cell centres in the region of
+    |u(z1) - u(z2)| / |z1 - z2|^alpha.
+
+    The region must select a box of the cell lattice, as every Region does
+    on a half-rectangle grid; a ValueError says when it does not."""
+    sel = _region_cells(field.grid, region)
+    if not np.any(sel):
         raise EmptyRegionError("region selects no cells")
-    sample = _pair_sample(pairs, "c0", field.grid.centers, mask, alpha, pair_budget)
-    return _holder_of_values(sample, field.values[mask])
+    return _box_seminorm(field.lattice()[_lattice_box(sel)], field.grid.h, alpha)
 
 
-def _pair_sample(cache: Optional[dict], kind: str, points: np.ndarray, sel: np.ndarray,
-                 alpha: float, budget: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, |z_i - z_j|^alpha) over the pair sample of points[sel], drawn
-    once per selection of cells in ``cache`` (a fresh one when None)."""
-    cache = {} if cache is None else cache
-    key = (kind, alpha, budget, sel.tobytes())
-    if key not in cache:
-        pts = points[sel]
-        i, j = _pairs(pts, budget)
-        cache[key] = (i, j, np.linalg.norm(pts[i] - pts[j], axis=1) ** alpha)
-    return cache[key]
-
-
-def _holder_of_values(sample, vals: np.ndarray) -> float:
-    i, j, d_alpha = sample
-    num = np.abs(vals[i] - vals[j])
-    return float(np.max(num / d_alpha)) if len(d_alpha) else 0.0
-
-
-def c1alpha_seminorm(field: DiscreteField, alpha: float, region: Region,
-                     pair_budget: int = 200_000, *,
-                     pairs: Optional[dict] = None) -> Tuple[float, float]:
+def c1alpha_seminorm(field: DiscreteField, alpha: float,
+                     region: Region) -> Tuple[float, float]:
     """(sup |grad u|, max over components of the gradient's alpha-seminorm).
 
     Centered differences at cells with both neighbors; the vertical derivative
     on the bottom layer uses the parity ghost below the plane.  Both
-    components share one pair sample; ``pairs`` as in :func:`holder_seminorm`."""
+    components are measured over all pairs of the box of cells in the region
+    that have a gradient, as in :func:`holder_seminorm`."""
     g = field.grid
     if g.n != 1:
         raise NotImplementedError("c1alpha_seminorm implemented for n=1 grids")
     lat = field.lattice()
     h = g.h
-    nx, ny = lat.shape
     gx = np.full_like(lat, np.nan)
     gy = np.full_like(lat, np.nan)
     gx[1:-1, :] = (lat[2:, :] - lat[:-2, :]) / (2 * h)
@@ -155,16 +146,12 @@ def c1alpha_seminorm(field: DiscreteField, alpha: float, region: Region,
         gy[:, 0] = (lat[:, 1] + lat[:, 0]) / (2 * h)
     elif field.parity == "even":
         gy[:, 0] = (lat[:, 1] - lat[:, 0]) / (2 * h)
-    mask = region.mask(g).reshape(nx, ny)
-    ok = mask & np.isfinite(gx) & np.isfinite(gy)
+    ok = _region_cells(g, region) & np.isfinite(gx) & np.isfinite(gy)
     if not np.any(ok):
         raise EmptyRegionError("region too thin for gradient stencils")
-    xs = np.broadcast_to((-1.0 + (np.arange(nx) + 0.5) * h)[:, None], (nx, ny))
-    ys = np.broadcast_to(((np.arange(ny) + 0.5) * h)[None, :], (nx, ny))
-    points = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    sample = _pair_sample(pairs, "c1", points, ok.ravel(), alpha, pair_budget // 2)
-    sup_grad = float(np.max(np.hypot(gx[ok], gy[ok])))
-    semi = max(_holder_of_values(sample, gx[ok]), _holder_of_values(sample, gy[ok]))
+    box = _lattice_box(ok)
+    sup_grad = float(np.max(np.hypot(gx[box], gy[box])))
+    semi = max(_box_seminorm(gx[box], h, alpha), _box_seminorm(gy[box], h, alpha))
     return sup_grad, semi
 
 
@@ -266,36 +253,30 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float,
-                  mode: str = "ratio_c0", grid_h: float = 1.0 / 64,
-                  region: Optional[Region] = None, tau: float = DEFAULT_TAU,
-                  slope_tol: float = DEFAULT_SLOPE_TOL,
-                  pair_budget: int = 200_000,
-                  restricted: str = "none",
-                  solver_tol: float = 1e-10) -> StabilityReport:
-    """Solve the odd family per eps, quotient/measure per mode, assemble the report.
+@dataclass(frozen=True)
+class EpsSolution:
+    """One eps step of a sweep: the odd solution u, v_eps at the cell centres
+    (the quotient is u / v) and the quotient-space data norms."""
 
-    modes: 'ratio_c0' (alpha-seminorm of w = u/v), 'ratio_c1' (gradient
-    seminorm of w), 'odd_direct_c0' (alpha-seminorm of u itself; requires
-    a in (-1,1)).  restricted='sqrt_eps' lifts the region floor to
-    y >= sqrt(eps) (the restricted tables of the curved-geometry estimates)."""
-    if mode not in SWEEP_MODES:
-        raise ValueError(f"unknown sweep mode {mode!r}")
-    if mode == "odd_direct_c0" and not (-1.0 < family.a < 1.0):
-        raise ValueError("odd_direct_c0 requires a in (-1, 1)")
-    if len(eps_list) < 2:
-        raise ValueError("eps_list must contain at least two entries")
-    region = region or Region()
+    eps: float
+    u: DiscreteField
+    v: np.ndarray
+    norms: dict
+
+
+def solve_family(family: ProblemFamily, eps_list: Sequence[float],
+                 grid_h: float = 1.0 / 64, solver_tol: float = 1e-10) -> List[EpsSolution]:
+    """Solve the odd family once per eps on the half rectangle of spacing grid_h.
+
+    A solve that does not converge raises SweepAbort carrying the solutions
+    before it."""
     grid = build_half_grid(1, "half_rectangle", grid_h)
-    pairs: dict = {}        # pair samples of this sweep, one per selection of cells
     fv = (None if family.f is None      # f does not depend on eps
           else _sample(family.f, grid.centers[:, 0], grid.centers[:, 1], "f"))
     ys = (np.arange(grid.ny) + 0.5) * grid.h
     side_x = -1.0 + np.array([0, grid.nx]) * grid.h      # as the face midpoints hold it
-    per_eps = []
+    out = []
     for eps in eps_list:
-        if restricted == "sqrt_eps" and math.sqrt(eps) > region.y_max - 4 * grid_h:
-            continue        # restricted region {y >= sqrt(eps)} is (near) empty
         weight = RhoWeight(WeightFamily(family.a, eps), family.mu_inverse)
         sol = weight.sol        # one solution (and segment memo) per eps
         op = assemble(grid, weight, family.spec(), parity="odd")
@@ -308,34 +289,85 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
         if not rep.converged:
             raise SweepAbort(
                 f"solver failed at eps={eps}: residual {rep.relative_residual:.2e}",
-                partial=per_eps)
-        reg = region
-        if restricted == "sqrt_eps":
-            reg = Region(region.x_halfwidth, region.y_max,
-                         y_min=max(region.y_min, math.sqrt(eps)))
+                partial=out)
         v = _v_on_grid(sol, grid)       # the quotient and the data norms share it
-        fld = rep.field if mode == "odd_direct_c0" else _quotient_field(rep.field, v)
+        out.append(EpsSolution(eps, rep.field, v, _data_norms(family, sol, grid, v, fv)))
+    return out
+
+
+def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha: float,
+                  mode: str = "ratio_c0", region: Optional[Region] = None,
+                  tau: float = DEFAULT_TAU, slope_tol: float = DEFAULT_SLOPE_TOL,
+                  restricted: str = "none") -> StabilityReport:
+    """Measure each solution per mode on its region and assemble the report.
+
+    modes: 'ratio_c0' (alpha-seminorm of w = u/v), 'ratio_c1' (gradient
+    seminorm of w), 'odd_direct_c0' (alpha-seminorm of u itself; requires
+    a in (-1,1)).  restricted='sqrt_eps' lifts the region floor to
+    y >= sqrt(eps) (the restricted tables of the curved-geometry estimates)
+    and skips the eps where that leaves (nearly) no cells."""
+    _check_mode(family, mode)
+    region = region or Region()
+    per_eps = []
+    for s in solutions:
+        grid = s.u.grid
+        reg = _eps_region(region, restricted, s.eps, grid.h)
+        if reg is None:
+            continue
+        fld = s.u if mode == "odd_direct_c0" else _quotient_field(s.u, s.v)
+        norms = dict(s.norms)
         if mode == "ratio_c1":
-            sup_g, semi = c1alpha_seminorm(fld, alpha, reg, pair_budget, pairs=pairs)
+            norms["sup_grad"], semi = c1alpha_seminorm(fld, alpha, reg)
         else:
-            semi = holder_seminorm(fld, alpha, reg, pair_budget, pairs=pairs)
+            semi = holder_seminorm(fld, alpha, reg)
         sup = float(np.max(np.abs(fld.values[reg.mask(grid)])))
-        norms = _data_norms(family, sol, grid, v, fv)
-        if mode == "ratio_c1":
-            norms["sup_grad"] = sup_g
-        per_eps.append((eps, semi, sup, norms))
+        per_eps.append((s.eps, semi, sup, norms))
     if len(per_eps) < 2:
         raise ValueError("fewer than two admissible eps entries in the sweep")
     semis = np.array([p[1] for p in per_eps])
     lo = float(np.min(semis))
     ratio = float(np.max(semis) / lo) if lo > 0 else (1.0 if np.max(semis) == 0 else math.inf)
-    slope = _trend_slope(eps_list, semis)
+    slope = _trend_slope([p[0] for p in per_eps], semis)
     passed = ratio <= tau and slope <= slope_tol
     return StabilityReport(alpha=alpha, region=region, per_eps=per_eps,
                            uniformity_ratio=ratio, trend_slope=slope,
                            passed=bool(passed), mode=mode, tau=tau,
                            slope_tol=slope_tol, family=family.name,
-                           grid_h=grid_h, restricted=restricted)
+                           grid_h=solutions[0].u.grid.h, restricted=restricted)
+
+
+def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float,
+                  mode: str = "ratio_c0", grid_h: float = 1.0 / 64,
+                  region: Optional[Region] = None, tau: float = DEFAULT_TAU,
+                  slope_tol: float = DEFAULT_SLOPE_TOL,
+                  restricted: str = "none",
+                  solver_tol: float = 1e-10) -> StabilityReport:
+    """:func:`solve_family` at the eps the region admits, then
+    :func:`measure_sweep` (modes and restricted as there)."""
+    _check_mode(family, mode)
+    if len(eps_list) < 2:
+        raise ValueError("eps_list must contain at least two entries")
+    region = region or Region()
+    eps_list = [e for e in eps_list if _eps_region(region, restricted, e, grid_h) is not None]
+    return measure_sweep(family, solve_family(family, eps_list, grid_h, solver_tol), alpha,
+                         mode, region, tau, slope_tol, restricted)
+
+
+def _check_mode(family: ProblemFamily, mode: str) -> None:
+    if mode not in SWEEP_MODES:
+        raise ValueError(f"unknown sweep mode {mode!r}")
+    if mode == "odd_direct_c0" and not (-1.0 < family.a < 1.0):
+        raise ValueError("odd_direct_c0 requires a in (-1, 1)")
+
+
+def _eps_region(region: Region, restricted: str, eps: float, h: float) -> Optional[Region]:
+    """The region measured at eps; None when restricted='sqrt_eps' leaves it
+    (nearly) empty."""
+    if restricted != "sqrt_eps":
+        return region
+    if math.sqrt(eps) > region.y_max - 4 * h:
+        return None
+    return Region(region.x_halfwidth, region.y_max, y_min=max(region.y_min, math.sqrt(eps)))
 
 
 def _family_trace(family: ProblemFamily, sol: CharacteristicSolution) -> Callable:

@@ -102,6 +102,35 @@ def test_sweep_artifacts_and_verdict(tmp_path):
     assert (tmp_path / "sweep_plot.dat").exists()
 
 
+def test_fermi_demo_solves_once_per_eps(tmp_path, monkeypatch):
+    """The three fermi tables share one solve per eps (4, not 4 + 3 + 4), and
+    each row equals the one a separate sweep of that table gives."""
+    import degenlab.holder as holder
+    from degenlab.cli import _sweep_family
+
+    calls = []
+    solve_linear = holder.solve_linear
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_linear(*args, **kwargs)
+
+    monkeypatch.setattr(holder, "solve_linear", counting)
+    eps_list = [1.0, 0.1, 0.01, 0.0]
+    assert _run(tmp_path, "fermi-demo", "h=1/16", "eps_list=1 0.1 0.01 0") == 0
+    assert len(calls) == len(eps_list)
+    # the demo's family: circle of radius 2 at speed 2, mu = 2 (1 - y / 2)
+    fam = _sweep_family(0.5, lambda x, y: 1.0 / (2.0 * (1.0 - y * 0.5)), "fermi")
+    for name, mode, restricted in (("fermi_c0.csv", "ratio_c0", "none"),
+                                   ("fermi_c1_restricted.csv", "ratio_c1", "sqrt_eps"),
+                                   ("fermi_c1_unrestricted.csv", "ratio_c1", "none")):
+        rep = holder.epsilon_sweep(fam, eps_list, 0.4, mode=mode, grid_h=1 / 16,
+                                   restricted=restricted)
+        rows = (tmp_path / name).read_text().splitlines()
+        rows = rows[rows.index("eps,seminorm,sup_norm") + 1:]
+        assert rows == [",".join(map(fmt, (e, s, sup))) for e, s, sup, _ in rep.per_eps]
+
+
 def test_certify_reports_all_targets(tmp_path):
     code = _run(tmp_path, "certify", "budget=50000", "phi_a=0.5 -1")
     text = (tmp_path / "certify.txt").read_text()

@@ -54,11 +54,77 @@ def test_value_homogeneity_exact(c):
     assert s2 == pytest.approx(c * s1, rel=1e-12)
 
 
-def test_budget_doubling_stability():
-    f = sample(lambda x, y: abs(y) ** 0.7 * np.cos(x))
-    s1 = dl.holder_seminorm(f, 0.5, FULL, pair_budget=50_000)
-    s2 = dl.holder_seminorm(f, 0.5, FULL, pair_budget=100_000)
-    assert abs(s2 - s1) <= 0.05 * max(s1, s2)
+def brute_force(values, points, alpha):
+    """max over all pairs i < j of |values_i - values_j| / |points_i - points_j|^alpha."""
+    num = np.abs(np.subtract.outer(values, values))
+    dist = np.sqrt(sum(np.subtract.outer(c, c) ** 2 for c in points.T))
+    i, j = np.triu_indices(len(values), 1)
+    return float(np.max(num[i, j] / dist[i, j] ** alpha))
+
+
+def gradient_cells(field, region):
+    """(gx, gy, centres) at the region's cells whose centred stencil is
+    complete, neighbor by neighbor; below the plane the parity ghost."""
+    g = field.grid
+    h = g.h
+    ghost = {"odd": -1.0, "even": 1.0}.get(field.parity)
+
+    def u(i, j):
+        if j == -1 and ghost is not None:
+            return ghost * u(i, 0)
+        if 0 <= i < g.nx and 0 <= j < g.ny:
+            return field.values[g.index[i, j]]
+        return None
+
+    out = []
+    for c in np.nonzero(region.mask(g))[0]:
+        x, y = g.centers[c]
+        i, j = round((x + 1.0) / h - 0.5), round(y / h - 0.5)
+        nb = [u(i + 1, j), u(i - 1, j), u(i, j + 1), u(i, j - 1)]
+        if None not in nb:
+            out.append(((nb[0] - nb[1]) / (2 * h), (nb[2] - nb[3]) / (2 * h), x, y))
+    gx, gy, x, y = map(np.array, zip(*out))
+    return gx, gy, np.stack([x, y], axis=1)
+
+
+RESTRICTED = dl.Region(0.5, 0.5, y_min=math.sqrt(0.01))   # the sqrt_eps box at eps = 0.01
+
+
+@pytest.mark.parametrize("region", [dl.Region(), FULL, RESTRICTED])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_holder_seminorm_equals_all_pairs(region, seed):
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
+    f = dl.DiscreteField(g, np.random.default_rng(seed).standard_normal(g.ncells), "none")
+    sel = region.mask(g)
+    want = brute_force(f.values[sel], g.centers[sel], 0.4)
+    assert dl.holder_seminorm(f, 0.4, region) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("region", [dl.Region(), FULL, RESTRICTED])
+@pytest.mark.parametrize("parity", ["odd", "none"])
+def test_c1alpha_seminorm_equals_all_pairs(region, parity):
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
+    f = dl.DiscreteField(g, np.random.default_rng(7).standard_normal(g.ncells), parity)
+    gx, gy, pts = gradient_cells(f, region)
+    sup, semi = dl.c1alpha_seminorm(f, 0.4, region)
+    want = max(brute_force(gx, pts, 0.4), brute_force(gy, pts, 0.4))
+    assert semi == pytest.approx(want, rel=1e-13)
+    assert sup == pytest.approx(float(np.max(np.hypot(gx, gy))), rel=1e-13)
+
+
+def test_holder_seminorm_equals_all_pairs_n2():
+    g = dl.build_half_grid(2, "half_rectangle", 1 / 8)
+    f = dl.DiscreteField(g, np.random.default_rng(3).standard_normal(g.ncells), "none")
+    sel = dl.Region().mask(g)
+    want = brute_force(f.values[sel], g.centers[sel], 0.4)
+    assert dl.holder_seminorm(f, 0.4, dl.Region()) == pytest.approx(want, rel=1e-13)
+
+
+def test_holder_seminorm_rejects_a_region_that_is_no_box():
+    g = dl.build_half_grid(1, "half_disk", 1 / 16)
+    f = dl.DiscreteField.sample(g, lambda x, y: y, "odd")
+    with pytest.raises(ValueError, match="not a box"):
+        dl.holder_seminorm(f, 0.5, FULL)
 
 
 def test_empty_region_error():
@@ -142,6 +208,12 @@ def test_sweep_restricted_region_skips_large_eps():
     assert 1.0 not in eps_used                      # sqrt(1) exceeds the region
     assert 0.0 in eps_used
     assert rep.restricted == "sqrt_eps"
+    assert rep.trend_slope == 0.0       # fitted over the eps measured: one is positive
+    # measured from solves of every eps, eps = 1 included, the table is the same
+    solutions = dl.solve_family(fam, [1.0, 0.04, 0.0], grid_h=1 / 16)
+    rep_all = dl.measure_sweep(fam, solutions, 0.4, mode="ratio_c1", restricted="sqrt_eps")
+    assert rep_all.per_eps == rep.per_eps
+    assert rep_all.trend_slope == 0.0 and rep_all.passed == rep.passed
 
 
 def test_sweep_integrates_each_segment_once(monkeypatch):
@@ -188,38 +260,37 @@ def test_sweep_integrates_each_segment_once(monkeypatch):
     assert quad_calls == [] and segments == []
 
 
-@pytest.mark.parametrize("mode,restricted,n_regions", [("ratio_c0", "none", 1),
-                                                        ("ratio_c1", "sqrt_eps", 4)])
-def test_sweep_draws_pairs_once_per_region(monkeypatch, mode, restricted, n_regions):
-    """One pair sample per distinct region per sweep; every seminorm equals
-    the one drawn afresh for its eps."""
+@pytest.mark.parametrize("mode,restricted", [("ratio_c0", "none"), ("ratio_c1", "sqrt_eps")])
+def test_sweep_seminorms_equal_all_pairs(monkeypatch, mode, restricted):
+    """Every seminorm a sweep reports is the max over all pairs of cells."""
     import degenlab.holder as holder
 
-    pair_calls, seen = [], []
-    pairs = holder._pairs
+    seen = []
     name = "holder_seminorm" if mode == "ratio_c0" else "c1alpha_seminorm"
     seminorm = getattr(holder, name)
 
-    def counting_pairs(pts, budget):
-        pair_calls.append(len(pts))
-        return pairs(pts, budget)
-
-    def recording(field, alpha, region, budget, **kwargs):
-        out = seminorm(field, alpha, region, budget, **kwargs)
-        seen.append((field, alpha, region, budget, out))
+    def recording(field, alpha, region):
+        out = seminorm(field, alpha, region)
+        seen.append((field, alpha, region, out))
         return out
 
-    monkeypatch.setattr(holder, "_pairs", counting_pairs)
     monkeypatch.setattr(holder, name, recording)
     fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * np.cos(np.pi * x),
                            trace_factor=lambda x, y: np.cos(np.pi * x / 2.0),
-                           mu_inverse=lambda x, y: 1.0 / (1.0 + 0.1 * x * x), name="pairs")
-    dl.epsilon_sweep(fam, [1.0, 0.03, 0.01, 0.001, 0.0], 0.4, mode=mode, grid_h=1 / 16,
-                     restricted=restricted)
-    assert len({region for _, _, region, _, _ in seen}) == n_regions
-    assert len(pair_calls) == n_regions
-    for field, alpha, region, budget, out in seen:
-        assert seminorm(field, alpha, region, budget) == out
+                           mu_inverse=lambda x, y: 1.0 / (1.0 + 0.1 * x * x), name="exact")
+    rep = dl.epsilon_sweep(fam, [1.0, 0.03, 0.01, 0.001, 0.0], 0.4, mode=mode,
+                           grid_h=1 / 16, restricted=restricted)
+    assert len(seen) == len(rep.per_eps)
+    for (field, alpha, region, out), (_, semi, _, _) in zip(seen, rep.per_eps):
+        if mode == "ratio_c0":
+            sel = region.mask(field.grid)
+            want = brute_force(field.values[sel], field.grid.centers[sel], alpha)
+            got = out
+        else:
+            gx, gy, pts = gradient_cells(field, region)
+            want = max(brute_force(gx, pts, alpha), brute_force(gy, pts, alpha))
+            got = out[1]
+        assert got == semi == pytest.approx(want, rel=1e-13)
 
 
 def test_sweep_rhs_matches_quad_trace_reference(monkeypatch):
