@@ -115,6 +115,13 @@ def _floats(cfg: dict, key: str, default: str) -> list:
     return [_number(key, tok) for tok in cfg.get(key, default).replace(",", " ").split()]
 
 
+def _eps_list(cfg: dict, default: str) -> list:
+    eps_list = _floats(cfg, "eps_list", default)
+    if len(eps_list) < 2:
+        raise ConfigError(f"eps_list: {cfg['eps_list']!r} has fewer than two entries")
+    return eps_list
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -170,19 +177,19 @@ def _family_from_cfg(cfg: dict) -> ProblemFamily:
     mu_kind = cfg.get("mu", "const")
     if mu_kind == "const":
         mu_inv = None
-    elif mu_kind.startswith("quadratic"):
-        c = _number("mu", mu_kind.split(":")[1]) if ":" in mu_kind else 0.1
+    elif mu_kind == "quadratic" or mu_kind.startswith("quadratic:"):
+        c = _number("mu", mu_kind.split(":", 1)[1]) if ":" in mu_kind else 0.1
 
         def mu_inv(x, y, c=c):
             return 1.0 / (1.0 + c * x * x)
     else:
-        raise ConfigError(f"unknown mu kind {mu_kind!r}")
+        raise ConfigError(f"mu: unknown mu kind {mu_kind!r}")
     return _sweep_family(a, mu_inv, f"a={a:g},mu={mu_kind}")
 
 
 def cmd_sweep(cfg: dict) -> int:
     family = _family_from_cfg(cfg)
-    eps_list = _floats(cfg, "eps_list", "1 0.3 0.1 0.03 0.01 0")
+    eps_list = _eps_list(cfg, "1 0.3 0.1 0.03 0.01 0")
     alpha = _float(cfg, "alpha", "0.4")
     h = _float(cfg, "h", "1/64")
     mode = cfg.get("mode", "ratio_c0")
@@ -233,6 +240,9 @@ def cmd_certify(cfg: dict) -> int:
 def cmd_solve(cfg: dict) -> int:
     a = _float(cfg, "a", "0.5")
     h_list = _floats(cfg, "h_list", "0.0625 0.03125 0.015625")
+    if len(h_list) < 3 or any(h1 >= h0 for h0, h1 in zip(h_list, h_list[1:])):
+        raise ConfigError(f"h_list: {cfg['h_list']!r} is not strictly decreasing "
+                          "with >= 3 entries")
     b = 1.0 - a
 
     def u_exact(x, y):
@@ -266,7 +276,7 @@ def cmd_fermi_demo(cfg: dict) -> int:
     radius = _float(cfg, "radius", "2.0")
     h = _float(cfg, "h", "1/32")
     alpha = _float(cfg, "alpha", "0.4")
-    eps_list = _floats(cfg, "eps_list", "1 0.1 0.01 0")
+    eps_list = _eps_list(cfg, "1 0.1 0.01 0")
     curve = EmbeddedCurve.circle(radius, arc=2.0, theta0=-0.5)
     # 1) metric factor against the finite-difference Jacobian of the chart map
     step = 1e-5
@@ -362,18 +372,21 @@ def run(argv) -> int:
     argv = list(argv)
     while i < len(argv):
         tok = argv[i]
-        if tok.startswith("--") and tok != "--config" and "=" not in tok \
-                and i + 1 < len(argv):
-            flag_overrides.append(f"{tok[2:]}={argv[i + 1]}")
-            i += 2
-        elif tok.startswith("--") and tok != "--config" and "=" in tok:
+        if not tok.startswith("--") or tok.split("=", 1)[0] == "--config":
+            kept.append(tok)            # argparse reads --config PATH and --config=PATH
+            i += 1
+        elif "=" in tok:
             flag_overrides.append(tok[2:])
             i += 1
+        elif i + 1 < len(argv):
+            flag_overrides.append(f"{tok[2:]}={argv[i + 1]}")
+            i += 2
         else:
             kept.append(tok)
             i += 1
     try:
-        ns = parser.parse_args(kept)
+        # intermixed, so key=value overrides may also follow --config PATH
+        ns = parser.parse_intermixed_args(kept)
     except SystemExit as e:
         return 2 if e.code not in (0,) else 0
     try:

@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-# Unused here, but perfbench/layers.py wraps degenlab.potentials.quad by name.
-from scipy.integrate import quad  # noqa: F401
 from scipy.special import dawsn
 
 from .weights import (
@@ -37,6 +35,7 @@ from .weights import (
     WeightFamily,
     _antiderivative_unit,
     chi,
+    quad,  # noqa: F401  (unused here; perfbench/layers.py wraps potentials.quad by name)
 )
 
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import hyp2f1
 
 
@@ -61,6 +60,15 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, value: float, abserr: float):
         super().__init__(message)
         self.value, self.abserr = value, abserr
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    It is only the fallback for segments the dqk21 pass rejects, so no
+    process pays for importing ``scipy.integrate`` until one needs it."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 # Switch point beyond which the hypergeometric antiderivative is continued by

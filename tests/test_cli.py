@@ -1,13 +1,18 @@
 """Command-line pipelines: artifacts, exit codes, byte determinism."""
 
 import filecmp
+import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import degenlab
 from degenlab.cli import _write, fmt, run
 
 
@@ -28,12 +33,18 @@ def test_usage_error_exit_code(tmp_path):
 @pytest.mark.parametrize("argv,key,token", [
     (("sweep", "h=abc"), "h", "abc"),
     (("sweep", "mu=quadratic:abc"), "mu", "abc"),
+    (("sweep", "mu=quadraticX"), "mu", "quadraticX"),
     (("solve", "h_list=1/8,x"), "h_list", "x"),
+    (("solve", "h_list=1/8"), "h_list", "1/8"),
+    (("solve", "h_list=1/8 1/16 1/16"), "h_list", "1/8 1/16 1/16"),
+    (("sweep", "eps_list=0.1"), "eps_list", "0.1"),
+    (("fermi-demo", "eps_list=0.1"), "eps_list", "0.1"),
     (("sweep", "mode=ratio_c2"), "mode", "ratio_c2"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
-    """A value that does not parse is a configuration error: exit 2 with a
-    message naming the key and the token, not a crash with a traceback."""
+    """A value that does not parse, or that the command cannot run on, is a
+    configuration error: exit 2 with a message naming the key and the token,
+    not a crash with a traceback."""
     assert _run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
@@ -155,6 +166,20 @@ def test_config_file_and_override(tmp_path):
     assert code == 0
     sweep1 = (tmp_path / "sweep.csv").read_text()
     assert "a=0" in sweep1
+    # an override after --config, the order the README documents, wins over the file
+    assert _run(tmp_path, "sweep", "--config", str(cfg), "a=0.25") == 0
+    sweep2 = (tmp_path / "sweep.csv").read_text()
+    assert "family: a=0.25," in sweep2 and "h=0.0625" in sweep2
+
+
+@pytest.mark.parametrize("config", [("--config={}",), ("--config", "{}")])
+def test_config_equals_form(tmp_path, config):
+    """--config=PATH reads the file as --config PATH does."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("a=0.25\n")
+    assert _run(tmp_path, "solve", *(c.format(cfg) for c in config),
+                "h_list=1/4 1/8 1/16") == 0
+    assert "a=0.25," in (tmp_path / "solve_orders.csv").read_text()
 
 
 def test_byte_determinism_across_runs(tmp_path):
@@ -188,3 +213,31 @@ def test_crash_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
     assert _run(tmp_path, "solve") == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: forced crash" in err
+
+
+def test_startup_leaves_scipy_integrate_unloaded(tmp_path):
+    """``scipy.integrate``, and the ``scipy.optimize`` it loads, are imported
+    only when ``weights.quad`` is first called: neither importing the CLI nor
+    small certify, solve and eigen runs load them."""
+    script = textwrap.dedent(f"""
+        import json, os, sys
+        import degenlab, degenlab.cli
+        lazy = ("scipy.integrate", "scipy.optimize")
+        loaded = [[m for m in lazy if m in sys.modules]]
+        os.environ["DEGENLAB_OUT"] = {str(tmp_path)!r}
+        codes = []
+        for argv in (["certify", "budget=20000", "phi_a=0.5"],
+                     ["solve", "h_list=1/8 1/16 1/32"],
+                     ["eigen", "a=0.5", "h=1/16", "aux_a=0.5", "r_list=1 4"]):
+            codes.append(degenlab.cli.run(argv))
+            loaded.append([m for m in lazy if m in sys.modules])
+        print(json.dumps([codes, loaded]))
+    """)
+    src = str(Path(degenlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    codes, loaded = json.loads(out.stdout)
+    assert codes[0] in (0, 1) and codes[1:] == [0, 0]     # certify's reds are by design
+    assert loaded == [[]] * 4

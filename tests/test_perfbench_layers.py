@@ -16,15 +16,34 @@ def _wrapped():
             weights.v_char)
 
 
-def test_tracer_installs_and_uninstalls():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers.Tracer()
+
+
+def test_tracer_installs_and_uninstalls():
     originals = _wrapped()
-    tracer = layers.Tracer()
+    tracer = _tracer()
     tracer.install()
     try:
         assert all(w is not o for w, o in zip(_wrapped(), originals))
     finally:
         tracer.uninstall()
     assert _wrapped() == originals
+
+
+def test_tracer_counts_each_quad_call_once():
+    """``weights.quad`` is a public degenlab function, so the module scan sees
+    it as well as the ``EXTERNAL`` entries: each call must count once, under
+    the name of the module it was called through."""
+    weights, potentials = (sys.modules[f"degenlab.{m}"] for m in ("weights", "potentials"))
+    tracer = _tracer()
+    tracer.install()
+    try:
+        for mod in (weights, potentials):
+            mod.quad(lambda s: s * s, 0.0, 1.0)
+    finally:
+        tracer.uninstall()
+    assert dict(tracer.counts) == {"weights.quad": 1, "potentials.quad": 1}

@@ -375,6 +375,25 @@ def test_rejected_segments_take_the_quad_fallback(monkeypatch, a, eps, mu_invers
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+def test_quad_forwards_to_scipy_quad():
+    """``weights.quad`` imports scipy's on its first call and returns exactly
+    what scipy's returns, the full-output record included (its arrays are
+    defined up to ``last``, the number of subintervals used)."""
+    from degenlab.weights import quad as lazy_quad
+
+    def f(s):
+        return (1e-4 + s * s) ** -0.25
+
+    kw = dict(epsabs=0, epsrel=1e-10, limit=200, full_output=1)
+    got, want = lazy_quad(f, 0.0, 1.0, **kw), quad(f, 0.0, 1.0, **kw)
+    assert len(got) == len(want) and got[:2] == want[:2]
+    assert got[2].keys() == want[2].keys()
+    used = want[2]["last"]
+    for key, value in want[2].items():
+        assert np.array_equal(np.atleast_1d(got[2][key])[:used],
+                              np.atleast_1d(value)[:used]), key
+
+
 def test_gauss_kronrod_constants_and_error_estimate():
     """The 21-point Kronrod rule integrates x^k exactly for k <= 31 and its
     embedded 10-point Gauss rule for k <= 19 (and no further); on a segment
