@@ -35,6 +35,7 @@ from .potentials import (
 )
 
 SAFETY = 2.0
+MIN_BUDGET = 1000       # fewest samples certify_infimum accepts
 
 GAMMA_RECTANGLE = ((-43.3272, -2.96767), (1.0, 5.1))
 V_INEQUALITY_INTERVAL = (math.sqrt(2.0), math.sqrt(6.0))
@@ -78,8 +79,8 @@ def certify_infimum(f: Callable, domain, threshold: float, budget: int = 200_000
     threshold (a witness), *passes decided* once the certified lower bound
     clears it, and is 'undecided' if the budget runs out in between.
     """
-    if budget < 1000:
-        raise ValueError(f"budget must be >= 1000, got {budget}")
+    if budget < MIN_BUDGET:
+        raise ValueError(f"budget must be >= {MIN_BUDGET}, got {budget}")
     if isinstance(domain[0], (tuple, list)):
         return _certify_nd(f, tuple(tuple(d) for d in domain), threshold,
                            budget, target_id, initial)

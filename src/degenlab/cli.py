@@ -31,10 +31,11 @@ import numpy as np
 from . import __version__
 from .assembly import (OperatorSpec, RhoWeight, assemble, convergence_study,
                        manufactured_problem)
-from .certify import (verify_gamma_rectangle, verify_phi_bound,
+from .certify import (MIN_BUDGET, verify_gamma_rectangle, verify_phi_bound,
                       verify_v_inequality, v_minimum)
 from .geometry import EmbeddedCurve, build_half_grid, fermi_mu
-from .holder import SWEEP_MODES, ProblemFamily, epsilon_sweep, measure_sweep, solve_family
+from .holder import (SWEEP_MODES, ProblemFamily, admissible_eps, epsilon_sweep,
+                     measure_sweep, solve_family)
 from .potentials import v_limit, v_limit_deriv
 from .spectral import eigen_stability_sweep, hardy_quotient, trace_eigen
 from .weights import WeightFamily
@@ -95,24 +96,30 @@ def _write(path: Path, header: list, rows: list, columns: list):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _number(key: str, tok: str, kind=float):
-    """``kind(tok)``, a float also as a fraction like 1/64; a token that does
-    not parse is a ConfigError naming the key and the token."""
+def _number(key: str, tok: str, kind=float, valid=None):
+    """``kind(tok)``, a float also as a fraction like 1/64.  A token that does
+    not parse, or whose value fails ``valid`` = (predicate, what the command
+    needs), is a ConfigError naming the key and the token."""
     try:
         if kind is float and "/" in tok:
             num, den = tok.split("/", 1)
-            return float(num) / float(den)
-        return kind(tok)
+            x = float(num) / float(den)
+        else:
+            x = kind(tok)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{key}: {tok!r} is not a {kind.__name__}") from None
+    if valid is not None and not valid[0](x):
+        raise ConfigError(f"{key}: {tok!r} is not {valid[1]}")
+    return x
 
 
-def _float(cfg: dict, key: str, default: str) -> float:
-    return _number(key, cfg.get(key, default))
+def _float(cfg: dict, key: str, default: str, valid=None) -> float:
+    return _number(key, cfg.get(key, default), valid=valid)
 
 
-def _floats(cfg: dict, key: str, default: str) -> list:
-    return [_number(key, tok) for tok in cfg.get(key, default).replace(",", " ").split()]
+def _floats(cfg: dict, key: str, default: str, valid=None) -> list:
+    return [_number(key, tok, valid=valid)
+            for tok in cfg.get(key, default).replace(",", " ").split()]
 
 
 def _eps_list(cfg: dict, default: str) -> list:
@@ -131,8 +138,8 @@ def cmd_eigen(cfg: dict) -> int:
     h = _float(cfg, "h", "1/64")
     eps = _float(cfg, "eps", "0.0")
     aux_list = _floats(cfg, "aux_a", "0.5 -1")
-    r_list = _floats(cfg, "r_list", "1 4 16 64")
-    sweep_a = _float(cfg, "sweep_a", "0.5")
+    r_list = _floats(cfg, "r_list", "1 4 16 64", (lambda r: r > 0.0, "positive"))
+    sweep_a = _float(cfg, "sweep_a", "0.5", (lambda a: -1.0 < a < 1.0, "in (-1, 1)"))
     rows = []
     ok = True
     for a in a_list:
@@ -183,7 +190,7 @@ def _family_from_cfg(cfg: dict) -> ProblemFamily:
         def mu_inv(x, y, c=c):
             return 1.0 / (1.0 + c * x * x)
     else:
-        raise ConfigError(f"mu: unknown mu kind {mu_kind!r}")
+        raise ConfigError(f"mu: {mu_kind!r} is not const, quadratic or quadratic:<c>")
     return _sweep_family(a, mu_inv, f"a={a:g},mu={mu_kind}")
 
 
@@ -194,7 +201,7 @@ def cmd_sweep(cfg: dict) -> int:
     h = _float(cfg, "h", "1/64")
     mode = cfg.get("mode", "ratio_c0")
     if mode not in SWEEP_MODES:
-        raise ConfigError(f"mode: unknown sweep mode {mode!r}")
+        raise ConfigError(f"mode: {mode!r} is not one of {', '.join(SWEEP_MODES)}")
     rep = epsilon_sweep(family, eps_list, alpha, mode=mode, grid_h=h)
     rows = [(e, s, sup) for e, s, sup, _ in rep.per_eps]
     header = [f"config-hash: {_config_hash(cfg)}",
@@ -211,8 +218,10 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_certify(cfg: dict) -> int:
-    budget = _number("budget", cfg.get("budget", "200000"), int)
-    a_samples = _floats(cfg, "phi_a", "0.9 0.5 0 -1 -3 -10")
+    # the v inequality takes half the budget
+    budget = _number("budget", cfg.get("budget", "200000"), int,
+                     (lambda b: b // 2 >= MIN_BUDGET, f"at least {2 * MIN_BUDGET}"))
+    a_samples = _floats(cfg, "phi_a", "0.9 0.5 0 -1 -3 -10", (lambda a: a < 1.0, "below 1"))
     lines = [f"# degenlab {__version__}",
              f"# config-hash: {_config_hash(cfg)}",
              "# certificates: target_id domain bound threshold pass status"]
@@ -277,6 +286,9 @@ def cmd_fermi_demo(cfg: dict) -> int:
     h = _float(cfg, "h", "1/32")
     alpha = _float(cfg, "alpha", "0.4")
     eps_list = _eps_list(cfg, "1 0.1 0.01 0")
+    if len(admissible_eps(eps_list, h, restricted="sqrt_eps")) < 2:
+        raise ConfigError(f"eps_list: {cfg.get('eps_list', '1 0.1 0.01 0')!r} leaves fewer "
+                          f"than two eps for the sqrt_eps table at h={fmt(h)}")
     curve = EmbeddedCurve.circle(radius, arc=2.0, theta0=-0.5)
     # 1) metric factor against the finite-difference Jacobian of the chart map
     step = 1e-5

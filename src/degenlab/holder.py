@@ -347,10 +347,17 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
     _check_mode(family, mode)
     if len(eps_list) < 2:
         raise ValueError("eps_list must contain at least two entries")
-    region = region or Region()
-    eps_list = [e for e in eps_list if _eps_region(region, restricted, e, grid_h) is not None]
+    eps_list = admissible_eps(eps_list, grid_h, restricted, region)
     return measure_sweep(family, solve_family(family, eps_list, grid_h, solver_tol), alpha,
                          mode, region, tau, slope_tol, restricted)
+
+
+def admissible_eps(eps_list: Sequence[float], grid_h: float, restricted: str = "none",
+                   region: Optional[Region] = None) -> list:
+    """The entries of eps_list that :func:`measure_sweep` measures on a grid
+    of spacing grid_h (every entry unless restricted='sqrt_eps')."""
+    region = region or Region()
+    return [e for e in eps_list if _eps_region(region, restricted, e, grid_h) is not None]
 
 
 def _check_mode(family: ProblemFamily, mode: str) -> None:

@@ -30,17 +30,23 @@ The pencil is then K = A (x) B + C (x) D against M = e e^T (x) M_arc (trace)
 or C (x) G (Hardy), with tridiagonal one-dimensional factors built by the
 rules of :func:`assemble_forms` and :func:`assemble_arc_mass`.
 :func:`_separable_eigen` diagonalises the radial pencil (A, C), factors the
-angular blocks mu_m B + D with one tridiagonal LDL^T, and finds the smallest
-eigenvalue by Lanczos on the discrete Neumann-to-Dirichlet map of the arc
-(for Hardy, on the lowest angular block); the eigenvector is rebuilt on the
-mesh and its residual ||K v - lam M v|| / ||K v|| is checked against
-``EIG_RESIDUAL_TOL``.  No two-dimensional matrix is assembled or factored.
+angular blocks mu_m B + D with one tridiagonal LDL^T, and applies Lanczos to
+the discrete Neumann-to-Dirichlet map of the arc (for Hardy, to the lowest
+angular block).  No two-dimensional matrix is assembled or factored.
 
-The other pencils (eps > 0, weighted Hardy) take inverse iteration on one
-sparse LU of K, from the deterministic all-ones start, with tolerance 1e-10
-(see :func:`min_rayleigh`).  Up to h = 1/64 every dense call of the
+The other pencils (eps > 0, weighted Hardy) are assembled, and
+:func:`min_rayleigh` applies Lanczos to K^-1 M, with one sparse LU of K.
+Both paths share :func:`_lanczos_max`, in the mass (semi-)inner product from
+the all-ones start, and one finishing step: the Ritz vector is mapped once
+more through the solve, so it lies in the pencil's range, and lam and the
+residual ||K v - lam M v|| / ||K v|| are those of the full pencil; a residual
+above ``EIG_RESIDUAL_TOL`` raises.  Up to h = 1/64 every dense call of the
 separable path stays below the sizes at which OpenBLAS starts a second
 thread (see :func:`_contract`).
+
+Every element integrates with the Gauss-Legendre rule of ``ELEMENT_ORDER``
+points per direction; the arc segments and the Gauss-Jacobi edge rows take
+``EDGE_ORDER`` points.
 """
 
 from __future__ import annotations
@@ -60,9 +66,10 @@ from .assembly import DiscreteField
 from .potentials import potentials
 from .weights import WeightFamily, rho as rho_weight
 
-EIG_TOL = 1e-10
 EIG_RESIDUAL_TOL = 1e-9
-MAX_INVERSE_ITER = 1000
+LANCZOS_TOL = 1e-13
+ELEMENT_ORDER = 4       # Gauss-Legendre points per direction of an element
+EDGE_ORDER = 6          # points per arc segment and per Gauss-Jacobi edge row
 
 
 @dataclass(frozen=True)
@@ -159,14 +166,6 @@ def _accumulate(mesh, nodes, Ke) -> sp.coo_matrix:
     return sp.coo_matrix((Ke.ravel(), (r, c)), shape=(mesh.nnodes, mesh.nnodes))
 
 
-def _quad_nodes_1d(order, kind="legendre", jac_exponent=0.0):
-    if kind == "legendre":
-        x, w = roots_legendre(order)
-    else:
-        x, w = roots_jacobi(order, 0.0, jac_exponent)
-    return x, w
-
-
 def _products(A: np.ndarray) -> np.ndarray:
     """(nq, 4) shape-function values -> (nq, 16) products A_a A_b."""
     return (A[:, :, None] * A[:, None, :]).reshape(len(A), 16)
@@ -191,26 +190,26 @@ def _contract(coef: np.ndarray, products: np.ndarray) -> np.ndarray:
     return np.einsum("eq,qk->ek", coef, products)
 
 
-def _radial_rule(mesh: HalfDiskMesh, quad_order: int):
+def _radial_rule(mesh: HalfDiskMesh):
     """Gauss-Legendre rule of every radial element: local points R in [0, 1],
     weights scaled to the element, and the spacing."""
     rn = mesh.r_nodes
     hr = rn[1] - rn[0]
-    gx, gw = _quad_nodes_1d(quad_order)
+    gx, gw = roots_legendre(ELEMENT_ORDER)
     return (gx + 1.0) / 2.0, gw * hr / 2.0, hr
 
 
-def _theta_rows(mesh: HalfDiskMesh, quad_order: int, jac: Optional[float]):
+def _theta_rows(mesh: HalfDiskMesh, jac: Optional[float]):
     """The angular rule per group of element rows, as tuples (rows, local
     points T in [0, 1], weights, dist^jac at the points or None).
 
     Gauss-Legendre everywhere when ``jac`` is None.  Otherwise the two rows
-    touching the plane take the Gauss-Jacobi rule of order max(quad_order, 6)
+    touching the plane take the Gauss-Jacobi rule of ``EDGE_ORDER`` points
     for the weight dist(theta)^jac, dist being the angular distance to the
     plane; integrands are divided by dist^jac there, the rule restores it."""
     tn = mesh.theta_nodes
     ht = tn[1] - tn[0]
-    gx, gw = _quad_nodes_1d(quad_order)
+    gx, gw = roots_legendre(ELEMENT_ORDER)
     if jac is None:
         groups = [(np.arange(mesh.ntheta), None)]
     else:
@@ -223,7 +222,7 @@ def _theta_rows(mesh: HalfDiskMesh, quad_order: int, jac: Optional[float]):
         if edge is None:
             out.append((rows, (gx + 1.0) / 2.0, gw * ht / 2.0, None))
             continue
-        tqx, tqw = _quad_nodes_1d(max(quad_order, 6), "jacobi", jac)
+        tqx, tqw = roots_jacobi(EDGE_ORDER, 0.0, jac)
         s = (tqx + 1.0) / 2.0
         out.append((rows, s if edge == "low" else 1.0 - s,
                     tqw * (ht / 2.0) ** (1.0 + jac), (s * ht) ** jac))
@@ -234,7 +233,6 @@ def assemble_forms(mesh: HalfDiskMesh,
                    stiffness_weight: Optional[Callable] = None,
                    potential: Optional[Callable] = None,
                    domain_mass_weight: Optional[Callable] = None,
-                   quad_order: int = 4,
                    sigma_jacobi_exponent: Optional[float] = None):
     """Assemble (K, P, Md): weighted stiffness, potential mass, domain mass.
 
@@ -253,10 +251,10 @@ def assemble_forms(mesh: HalfDiskMesh,
     Md = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
 
     rn, tn = mesh.r_nodes, mesh.theta_nodes
-    Rloc, rwt, hr = _radial_rule(mesh, quad_order)
+    Rloc, rwt, hr = _radial_rule(mesh)
     ht = tn[1] - tn[0]
 
-    for jrange, Tloc, twt, dist in _theta_rows(mesh, quad_order, sigma_jacobi_exponent):
+    for jrange, Tloc, twt, dist in _theta_rows(mesh, sigma_jacobi_exponent):
         nodes = _element_rows(mesh, jrange)
         r0 = np.repeat(rn[:-1], len(jrange))
         t0 = np.tile(tn[jrange], mesh.nr)
@@ -292,12 +290,12 @@ def assemble_forms(mesh: HalfDiskMesh,
     return K.tocsr(), P.tocsr(), Md.tocsr()
 
 
-def _arc_elements(mesh: HalfDiskMesh, weight: Optional[Callable], quad_order: int,
+def _arc_elements(mesh: HalfDiskMesh, weight: Optional[Callable],
                   skip_sigma_adjacent: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Arc segments j (from theta_j to theta_j+1) and their 2 x 2 element
     masses int weight(sin theta) N_a N_b dtheta, Gauss-Legendre per segment."""
     tn = mesh.theta_nodes
-    gx, gw = roots_legendre(quad_order)
+    gx, gw = roots_legendre(EDGE_ORDER)
     j = np.arange(mesh.ntheta)
     if skip_sigma_adjacent:
         j = j[1:-1]
@@ -312,14 +310,13 @@ def _arc_elements(mesh: HalfDiskMesh, weight: Optional[Callable], quad_order: in
 
 
 def assemble_arc_mass(mesh: HalfDiskMesh, weight: Optional[Callable] = None,
-                      quad_order: int = 6,
                       skip_sigma_adjacent: bool = False,
                       exclude_nodes: Sequence[int] = ()) -> sp.csr_matrix:
     """Boundary mass on the arc r = 1: int weight(y) u^2 dtheta.
 
-    ``weight`` must broadcast: it is called once, on the (segments, quad_order)
+    ``weight`` must broadcast: it is called once, on the (segments, EDGE_ORDER)
     array of y = sin(theta).  Rows and columns of ``exclude_nodes`` are zero."""
-    j, Me = _arc_elements(mesh, weight, quad_order, skip_sigma_adjacent)
+    j, Me = _arc_elements(mesh, weight, skip_sigma_adjacent)
     ends = np.stack([mesh.node_id(mesh.nr, j), mesh.node_id(mesh.nr, j + 1)], axis=1)
     rows = np.repeat(ends, 2, axis=1).ravel()
     cols = np.tile(ends, 2).ravel()
@@ -355,10 +352,10 @@ def _linear(T: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
     return np.stack([1.0 - T, T], axis=1), np.broadcast_to([-1.0 / h, 1.0 / h], (len(T), 2))
 
 
-def _radial_factors(mesh: HalfDiskMesh, quad_order: int, weight: Callable):
+def _radial_factors(mesh: HalfDiskMesh, weight: Callable):
     """A = int w r phi' phi' dr and C = int w r^-1 phi phi dr, w = weight(r),
     on every radial node, by the radial rule of :func:`assemble_forms`."""
-    Rloc, rwt, hr = _radial_rule(mesh, quad_order)
+    Rloc, rwt, hr = _radial_rule(mesh)
     ra = mesh.r_nodes[:-1, None] + Rloc * hr
     coef = weight(ra) * rwt * ra
     N, dN = _linear(Rloc, hr)
@@ -367,15 +364,14 @@ def _radial_factors(mesh: HalfDiskMesh, quad_order: int, weight: Callable):
             _tridiagonal(mesh.nr + 1, [(e, _element_matrices(coef / ra ** 2, N))]))
 
 
-def _angular_factors(mesh: HalfDiskMesh, quad_order: int, weight: Callable,
-                     jac: Optional[float] = None):
+def _angular_factors(mesh: HalfDiskMesh, weight: Callable, jac: Optional[float] = None):
     """B = int w psi psi dtheta and D = int w psi' psi' dtheta, w =
     weight(sin theta), on every angular node, by the angular rule of
     :func:`assemble_forms` with ``sigma_jacobi_exponent`` = jac."""
     tn = mesh.theta_nodes
     ht = tn[1] - tn[0]
     mass, stiff = [], []
-    for rows, T, twt, dist in _theta_rows(mesh, quad_order, jac):
+    for rows, T, twt, dist in _theta_rows(mesh, jac):
         c = np.asarray(weight(np.sin(tn[rows][:, None] + T * ht)), dtype=float)
         if dist is not None:
             c = c / dist
@@ -391,7 +387,7 @@ def _arc_factor(mesh: HalfDiskMesh, weight: Optional[Callable] = None,
     """The arc mass of :func:`assemble_arc_mass` as a tridiagonal over the
     arc nodes; with ``skip_sigma_adjacent`` the two arc nodes next to the
     plane are zero-mass rows, as the direct route excludes them."""
-    d, o = _tridiagonal(mesh.ntheta + 1, [_arc_elements(mesh, weight, 6, skip_sigma_adjacent)])
+    d, o = _tridiagonal(mesh.ntheta + 1, [_arc_elements(mesh, weight, skip_sigma_adjacent)])
     if skip_sigma_adjacent:
         for j in (1, mesh.ntheta - 1):
             d[j] = 0.0
@@ -407,7 +403,7 @@ def _inverse_square(s):
     return 1.0 / (s * s)
 
 
-def _trace_factors(mesh: HalfDiskMesh, b: float, route: str, quad_order: int):
+def _trace_factors(mesh: HalfDiskMesh, b: float, route: str):
     """1-D factors (radial (A, C), angular (B, D), arc mass, arc potential)
     of the eps = 0 trace pencil K = A (x) B + C (x) D + W M, M = arc mass.
 
@@ -418,29 +414,25 @@ def _trace_factors(mesh: HalfDiskMesh, b: float, route: str, quad_order: int):
     if route == "direct":
         w = _rho_fn(b, 0.0)
         jac = b if b != 0.0 else None
-        return (_radial_factors(mesh, quad_order, w),
-                _angular_factors(mesh, quad_order, w, jac),
+        return (_radial_factors(mesh, w), _angular_factors(mesh, w, jac),
                 _arc_factor(mesh, w, skip_sigma_adjacent=jac is not None), 0.0)
-    B, D = _angular_factors(mesh, quad_order, _ones)
-    G, _ = _angular_factors(mesh, quad_order, _inverse_square)
+    B, D = _angular_factors(mesh, _ones)
+    G, _ = _angular_factors(mesh, _inverse_square)
     c = b * (b - 2.0) / 4.0
-    return (_radial_factors(mesh, quad_order, _ones), (B, (D[0] + c * G[0], D[1] + c * G[1])),
+    return (_radial_factors(mesh, _ones), (B, (D[0] + c * G[0], D[1] + c * G[1])),
             _arc_factor(mesh), -b / 2.0)
 
 
-def _hardy_factors(mesh: HalfDiskMesh, quad_order: int):
+def _hardy_factors(mesh: HalfDiskMesh):
     """1-D factors (radial (A, C), angular (B, D), G) of the flat Hardy
     pencil: K = A (x) B + C (x) D and M = C (x) G, G = int sin^-2 psi psi."""
-    return (_radial_factors(mesh, quad_order, _ones), _angular_factors(mesh, quad_order, _ones),
-            _angular_factors(mesh, quad_order, _inverse_square)[0])
+    return (_radial_factors(mesh, _ones), _angular_factors(mesh, _ones),
+            _angular_factors(mesh, _inverse_square)[0])
 
 
 # ---------------------------------------------------------------------------
-# Separable minimum-eigenvalue solve
+# Minimum-eigenvalue solves
 # ---------------------------------------------------------------------------
-
-LANCZOS_TOL = 1e-13
-
 
 def _tri_apply(t, X: np.ndarray) -> np.ndarray:
     """The symmetric tridiagonal t times X along X's first axis."""
@@ -476,35 +468,61 @@ def _radial_modes(A, C) -> Tuple[np.ndarray, np.ndarray]:
     return mu, Finv @ Y
 
 
-def _lanczos_max(op: Callable, mass, n: int, tol: float = LANCZOS_TOL):
+def _lanczos_max(op: Callable, mass: Callable, n: int):
     """Eigenvector of the largest eigenvalue of ``op``, self-adjoint in the
-    (semi-)inner product of the tridiagonal ``mass``, mass-normalised.
+    (semi-)inner product of the symmetric positive semi-definite matrix that
+    ``mass`` applies, mass-normalised.
 
     Lanczos with full reorthogonalisation (Parlett, *The Symmetric Eigenvalue
     Problem*, 1998) from the all-ones start; ``op`` takes M g, the product
-    at hand.  It stops when the Ritz residual |beta_k s_k| falls to ``tol``
-    times the Ritz value.  Returns (Ritz vector, steps)."""
+    at hand, so that an operator K^-1 M is one solve.  It stops when the Ritz
+    residual |beta_k s_k| falls to ``LANCZOS_TOL`` times the Ritz value, or
+    when the Krylov space is invariant.  Returns (Ritz vector, steps)."""
     q = np.ones(n)
-    mq = _tri_apply(mass, q)
+    mq = mass(q)
     nrm = math.sqrt(float(q @ mq))
-    Q, MQ = [q / nrm], [mq / nrm]
+    if nrm == 0.0:
+        raise RuntimeError("the mass annihilates the all-ones start")
+    # rows: the Lanczos vectors q_i and M q_i; the buffers double when full
+    Q, MQ = np.empty((min(n, 16), n)), np.empty((min(n, 16), n))
+    Q[0], MQ[0] = q / nrm, mq / nrm
     alpha, beta = [], []
     for k in range(1, n + 1):
-        w = op(MQ[-1])
-        alpha.append(float(w @ MQ[-1]))
-        Qa, MQa = np.array(Q), np.array(MQ)
+        w = op(MQ[k - 1])
+        alpha.append(float(w @ MQ[k - 1]))
         for _ in range(2):                  # classical Gram-Schmidt, twice
-            w = w - (MQa @ w) @ Qa
-        mw = _tri_apply(mass, w)
+            w = w - (MQ[:k] @ w) @ Q[:k]
+        mw = mass(w)
         b = math.sqrt(max(float(w @ mw), 0.0))
         theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i",
                                                  select_range=(k - 1, k - 1))
-        if b * abs(s[-1, 0]) <= tol * theta[0] or k == n:
+        if b * abs(s[-1, 0]) <= LANCZOS_TOL * theta[0] or k == n:
             break
         beta.append(b)
-        Q.append(w / b)
-        MQ.append(mw / b)
-    return s[:, 0] @ np.array(Q), k
+        if k == len(Q):
+            Q, MQ = (np.concatenate([X, np.empty_like(X)]) for X in (Q, MQ))
+        Q[k], MQ[k] = w / b, mw / b
+    return s[:, 0] @ Q[:k], k
+
+
+def _finish(v: np.ndarray, kv: np.ndarray, mv: np.ndarray, steps: int, nnodes: int,
+            dofs: np.ndarray) -> Tuple[float, np.ndarray, float, int]:
+    """(lam, eigenvector, residual, steps) from v and the pencil's K v and M v.
+
+    lam is the Rayleigh quotient and the residual ||K v - lam M v|| / ||K v||,
+    both from numpy sums, not ddots (see :func:`_contract`); a residual above
+    ``EIG_RESIDUAL_TOL`` (or nan) raises RuntimeError.  The eigenvector is
+    v / ||v||_M at the node numbers ``dofs`` (of v's shape), zero elsewhere."""
+    vmv = float(np.sum(v * mv))
+    lam = float(np.sum(v * kv)) / vmv
+    r = kv - lam * mv
+    res = math.sqrt(float(np.sum(r * r)) / float(np.sum(kv * kv)))
+    if not res <= EIG_RESIDUAL_TOL:
+        raise RuntimeError(f"eigen solve residual {res:.3g} above "
+                           f"{EIG_RESIDUAL_TOL:g} after {steps} Lanczos steps")
+    full = np.zeros(nnodes)
+    full[dofs] = v / math.sqrt(vmv)
+    return lam, full, res, steps
 
 
 def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0.0,
@@ -523,9 +541,9 @@ def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0
     T_0 alone holds the minimum, g = lam T_0^-1 G g.  The largest eigenvalue
     1/lam of that map comes from :func:`_lanczos_max`; the eigenvector is
     rebuilt on the mesh, and lam and the residual ||K v - lam M v|| / ||K v||
-    are those of the full pencil, in Kronecker form.  Returns (lam,
-    M-normalized eigenvector on all nodes, residual, Lanczos steps), as
-    :func:`min_rayleigh` does."""
+    are those of the full pencil, in Kronecker form (:func:`_finish`).
+    Returns (lam, M-normalized eigenvector on all nodes, residual, Lanczos
+    steps), as :func:`min_rayleigh` does."""
     rs = slice(1, None) if trace else slice(1, -1)
     A, C = ((t[0][rs], t[1][rs]) for t in radial)
     B, D, Ma = ((t[0][1:-1], t[1][1:-1]) for t in (*angular, mass))
@@ -545,7 +563,7 @@ def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0
         y, _ = lapack.dpttrs(df, ef, np.tile(u, k))
         return z[:, None] * y.reshape(k, n)
 
-    g, steps = _lanczos_max(lambda mg: z @ blocks(mg), Ma, n)
+    g, steps = _lanczos_max(lambda mg: z @ blocks(mg), lambda u: _tri_apply(Ma, u), n)
     V = np.einsum("im,mj->ij", X, blocks(_tri_apply(Ma, g)))
     if trace:
         MV = np.zeros_like(V)
@@ -553,54 +571,26 @@ def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0
     else:
         MV = _kron_apply(C, Ma, V)
     KV = _kron_apply(A, B, V) + _kron_apply(C, D, V) + shift * MV
-    vmv = float(np.sum(V * MV))
-    lam = float(np.sum(V * KV)) / vmv
-    R = KV - lam * MV
-    res = math.sqrt(float(np.sum(R * R)) / float(np.sum(KV * KV)))   # not a ddot
-    if res > EIG_RESIDUAL_TOL:
-        raise RuntimeError(f"separable eigen solve residual {res:.3g} above "
-                           f"{EIG_RESIDUAL_TOL:g} after {steps} Lanczos steps")
-    full = np.zeros((mesh.nr + 1, mesh.ntheta + 1))
-    full[rs, 1:-1] = V / math.sqrt(vmv)
-    return lam, full.ravel(), res, steps
+    dofs = np.arange(mesh.nnodes).reshape(mesh.nr + 1, mesh.ntheta + 1)[rs, 1:-1]
+    return _finish(V, KV, MV, steps, mesh.nnodes, dofs)
 
 
-# ---------------------------------------------------------------------------
-# Generalized minimum-eigenvalue solve
-# ---------------------------------------------------------------------------
-
-def min_rayleigh(K: sp.csr_matrix, M: sp.csr_matrix, free: np.ndarray,
-                 tol: float = EIG_TOL) -> Tuple[float, np.ndarray, float, int]:
+def min_rayleigh(K: sp.csr_matrix, M: sp.csr_matrix,
+                 free: np.ndarray) -> Tuple[float, np.ndarray, float, int]:
     """Smallest generalized eigenvalue of (K, M) on the free dofs.
 
-    Inverse iteration: one sparse LU of K (minimum-degree ordering of
-    A^T + A, the pencil being symmetric), the deterministic all-ones start,
-    and the Rayleigh quotient, residual ||K v - lam M v|| / ||K v|| and
-    stopping test of the pencil.  Returns (lam, M-normalized eigenvector on
-    all nodes, residual, iterations)."""
+    :func:`_lanczos_max` on K^-1 M in the M (semi-)inner product, with one
+    sparse LU of K (minimum-degree ordering of A^T + A, the pencil being
+    symmetric); the Ritz vector is mapped once more through K^-1 M, so it
+    lies in the pencil's range even where M is singular (the arc mass).
+    Returns (lam, M-normalized eigenvector on all nodes, residual
+    ||K v - lam M v|| / ||K v||, Lanczos steps)."""
     Kf = K[free][:, free].tocsc()
     Mf = M[free][:, free].tocsr()
     lu = spla.splu(Kf, permc_spec="MMD_AT_PLUS_A")
-    v = np.ones(len(free))
-    mv = Mf @ v
-    lam_prev = math.inf
-    lam = math.inf
-    it = 0
-    for it in range(1, MAX_INVERSE_ITER + 1):
-        nrm = math.sqrt(abs(float(v @ mv)))
-        if nrm == 0.0:
-            raise RuntimeError("mass matrix annihilates the iterate (all-zero trace)")
-        v = lu.solve(mv / nrm)
-        kv = Kf @ v
-        mv = Mf @ v
-        lam = float(v @ kv) / float(v @ mv)
-        res = float(np.linalg.norm(kv - lam * mv) / np.linalg.norm(kv))
-        if abs(lam - lam_prev) <= tol * abs(lam) and res <= EIG_RESIDUAL_TOL:
-            break
-        lam_prev = lam
-    full = np.zeros(K.shape[0])
-    full[free] = v / math.sqrt(abs(float(v @ mv)))
-    return lam, full, res, it
+    g, steps = _lanczos_max(lu.solve, lambda u: Mf @ u, len(free))
+    v = lu.solve(Mf @ g)
+    return _finish(v, Kf @ v, Mf @ v, steps, K.shape[0], free)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +603,7 @@ def _rho_fn(b: float, eps: float) -> Callable:
     return w
 
 
-def _conjugated_forms(a: float, eps: float, mesh: HalfDiskMesh,
-                      quad_order: int) -> sp.csr_matrix:
+def _conjugated_forms(a: float, eps: float, mesh: HalfDiskMesh) -> sp.csr_matrix:
     """K0 + P + Wb: the flat Dirichlet form, the domain potential and the arc
     potential of the weight rho conjugated away by v = rho^(1/2) u (see
     :func:`degenlab.potentials.potentials`)."""
@@ -625,12 +614,11 @@ def _conjugated_forms(a: float, eps: float, mesh: HalfDiskMesh,
         return potentials("rho", a, eps, y)[1]
 
     K0, P, _ = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
-                              potential=V, quad_order=quad_order)
+                              potential=V)
     return K0 + P + assemble_arc_mass(mesh, Warc)
 
 
-def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto",
-                quad_order: int = 4) -> EigenResult:
+def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto") -> EigenResult:
     """Sharp constant of int rho^b |grad u|^2 >= lam int_arc rho^b u^2, u|_plane = 0.
 
     The minimum tends to 1 - b under refinement (eigenfunction y^(1-b)).
@@ -649,14 +637,14 @@ def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto",
         raise ValueError("direct route requires locally integrable weight (b > -1)")
     mesh = HalfDiskMesh.from_h(grid_h)
     if eps == 0.0:
-        lam, vec, res, it = _separable_eigen(mesh, *_trace_factors(mesh, b, route, quad_order))
+        lam, vec, res, it = _separable_eigen(mesh, *_trace_factors(mesh, b, route))
     else:
         if route == "direct":
             wfn = _rho_fn(b, eps)
-            K = assemble_forms(mesh, stiffness_weight=wfn, quad_order=quad_order)[0]
+            K = assemble_forms(mesh, stiffness_weight=wfn)[0]
             M = assemble_arc_mass(mesh, wfn)
         else:
-            K = _conjugated_forms(b, eps, mesh, quad_order)
+            K = _conjugated_forms(b, eps, mesh)
             M = assemble_arc_mass(mesh, None)
         lam, vec, res, it = min_rayleigh(K, M, mesh.free_nodes())
     return EigenResult(quotient_id=f"trace[b={b:g}]", a=b, eps_or_r=eps,
@@ -677,15 +665,13 @@ def _weight_fn(weight: WeightSpec) -> Tuple[Callable, Optional[float], Optional[
     return weight, None, None
 
 
-def hardy_quotient(weight: WeightSpec, grid_h: float,
-                   quad_order: int = 4) -> EigenResult:
+def hardy_quotient(weight: WeightSpec, grid_h: float) -> EigenResult:
     """min int w |grad u|^2 / int (w/y^2) u^2 over u vanishing on the plane
     and on the arc; for w == 1 the continuum constant is 1/4 (not attained)."""
     wfn, a, eps = _weight_fn(weight)
     mesh = HalfDiskMesh.from_h(grid_h)
     if weight is None:
-        lam, vec, res, it = _separable_eigen(mesh, *_hardy_factors(mesh, quad_order),
-                                             trace=False)
+        lam, vec, res, it = _separable_eigen(mesh, *_hardy_factors(mesh), trace=False)
     else:
         if a is not None and a <= -1.0 and eps == 0.0:
             raise ValueError("hardy direct route requires a > -1 at eps=0")
@@ -695,7 +681,7 @@ def hardy_quotient(weight: WeightSpec, grid_h: float,
             return wfn(y) / (y * y)
 
         K, _, M = assemble_forms(mesh, stiffness_weight=wfn, domain_mass_weight=mass,
-                                 quad_order=quad_order, sigma_jacobi_exponent=jac)
+                                 sigma_jacobi_exponent=jac)
         free = np.setdiff1d(mesh.free_nodes(), mesh.arc_node_ids())
         lam, vec, res, it = min_rayleigh(K, M, free)
     wid = "1" if a is None else f"rho[a={a:g},eps={eps:g}]"
@@ -706,16 +692,17 @@ def hardy_quotient(weight: WeightSpec, grid_h: float,
                        iterations=it, eigenvector=NodalField(mesh, vec))
 
 
-def eigen_stability_sweep(a: float, r_list: Sequence[float], grid_h: float,
-                          quad_order: int = 4) -> list:
+def eigen_stability_sweep(a: float, r_list: Sequence[float], grid_h: float) -> list:
     """Table of (r, lam_r, residual) for the dilated weights rho(a, 1/r),
-    a in (-1, 1); lam_r -> 1-a as r grows.  The residual is the eigen
+    a in (-1, 1), r > 0; lam_r -> 1-a as r grows.  The residual is the eigen
     solve's (see :func:`min_rayleigh`)."""
     if not (-1.0 < a < 1.0):
         raise ValueError("eigen stability sweep requires a in (-1, 1)")
+    if not all(r > 0.0 for r in r_list):
+        raise ValueError(f"eigen stability sweep requires every r > 0, got {list(r_list)}")
     rows = []
     for r in r_list:
-        res = trace_eigen(a, 1.0 / r, grid_h, route="direct", quad_order=quad_order)
+        res = trace_eigen(a, 1.0 / r, grid_h, route="direct")
         rows.append((r, res.lam, res.residual))
     return rows
 

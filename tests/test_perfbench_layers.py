@@ -11,9 +11,13 @@ LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 def _wrapped():
-    weights, potentials = (sys.modules[f"degenlab.{m}"] for m in ("weights", "potentials"))
+    """Functions the tracer wraps by name, one of each kind (method, external
+    name, public function, public function with a result hook): a rename
+    fails here instead of zeroing its metrics."""
+    weights, potentials, spectral = (sys.modules[f"degenlab.{m}"]
+                                     for m in ("weights", "potentials", "spectral"))
     return (weights.CharacteristicSolution.segment_integral, potentials.quad,
-            weights.v_char)
+            weights.v_char, spectral.min_rayleigh)
 
 
 def _tracer():
@@ -47,3 +51,16 @@ def test_tracer_counts_each_quad_call_once():
     finally:
         tracer.uninstall()
     assert dict(tracer.counts) == {"weights.quad": 1, "potentials.quad": 1}
+
+
+def test_tracer_reads_min_rayleigh_steps():
+    """The tracer takes ``spectral.min_rayleigh.iterations`` from the fourth
+    entry of the returned (lam, vector, residual, steps)."""
+    spectral = sys.modules["degenlab.spectral"]
+    tracer = _tracer()
+    tracer.install()
+    try:
+        res = spectral.trace_eigen(0.5, 0.1, 1 / 8)
+    finally:
+        tracer.uninstall()
+    assert tracer.values["spectral.min_rayleigh.iterations"] == res.iterations > 0

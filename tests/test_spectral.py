@@ -9,9 +9,11 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
 import degenlab as dl
+import degenlab.spectral as spectral
 from degenlab.potentials import potentials
 from degenlab.spectral import (HalfDiskMesh, _conjugated_forms, _hardy_factors, _rho_fn,
                                _trace_factors, assemble_arc_mass, assemble_forms)
+from degenlab.weights import rho
 
 H_COARSE = 1 / 16
 H_MID = 1 / 32
@@ -161,20 +163,21 @@ def test_conjugated_form_is_flat_at_a0(eps):
     potentials vanish and the conjugated form is the flat Dirichlet form."""
     mesh = HalfDiskMesh.from_h(H_COARSE)
     K0, _, _ = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y))
-    assert abs(_conjugated_forms(0.0, eps, mesh, 4) - K0).max() == 0.0
+    assert abs(_conjugated_forms(0.0, eps, mesh) - K0).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
-# Separable eps = 0 solve against the assembled pencils and a dense solve
+# Eigen solves against the assembled pencils and a dense solve
 # ---------------------------------------------------------------------------
 
 def _pencil(case, mesh):
-    """(K, M, free dofs) as the two-dimensional assembly builds them."""
+    """(K, M, free dofs) as the two-dimensional assembly builds them.  A case
+    is (kind, b, eps); for Hardy b is the weight exponent, None when flat."""
     free = mesh.free_nodes()
-    kind, b = case
+    kind, b, eps = case
     if kind == "direct":
-        wfn = _rho_fn(b, 0.0)
-        if b == 0.0:
+        wfn = _rho_fn(b, eps)
+        if eps > 0.0 or b == 0.0:
             K, _, _ = assemble_forms(mesh, stiffness_weight=wfn)
             return K, assemble_arc_mass(mesh, wfn), free
         K, _, _ = assemble_forms(mesh, stiffness_weight=wfn, sigma_jacobi_exponent=b)
@@ -182,10 +185,18 @@ def _pencil(case, mesh):
         M = assemble_arc_mass(mesh, wfn, skip_sigma_adjacent=True, exclude_nodes=excl)
         return K, M, free
     if kind == "transformed":
-        K = _conjugated_forms(b, 0.0, mesh, 4)
+        K = _conjugated_forms(b, eps, mesh)
         return K, assemble_arc_mass(mesh, None), free
-    K, _, M = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
-                             domain_mass_weight=lambda y: 1.0 / (y * y))
+    if b is None:
+        def wfn(y):
+            return np.ones_like(y)
+    else:
+        def wfn(y):
+            return rho(dl.WeightFamily(b, eps), y)
+    jac = b if b is not None and b != 0.0 and eps == 0.0 else None
+    K, _, M = assemble_forms(mesh, stiffness_weight=wfn,
+                             domain_mass_weight=lambda y: wfn(y) / (y * y),
+                             sigma_jacobi_exponent=jac)
     return K, M, np.setdiff1d(free, mesh.arc_node_ids())
 
 
@@ -198,25 +209,34 @@ def _dense_lambdas(K, M, free):
     return np.sort(1.0 / mu[mu > 1e-12 * mu.max()])
 
 
-def _separable_result(case, h):
-    kind, b = case
+def _eigen_result(case, h):
+    kind, b, eps = case
     if kind == "hardy":
-        return dl.hardy_quotient(None, h)
-    return dl.trace_eigen(b, 0.0, h, route=kind)
+        return dl.hardy_quotient(None if b is None else dl.WeightFamily(b, eps), h)
+    return dl.trace_eigen(b, eps, h, route=kind)
 
 
-PENCILS = [("direct", 0.5), ("direct", -0.5), ("transformed", -1.5), ("hardy", None)]
+# eps = 0 trace and flat Hardy pencils take the separable solve, the others
+# (eps > 0, weighted Hardy) the assembled one
+PENCILS = [("direct", 0.5, 0.0), ("direct", -0.5, 0.0), ("transformed", -1.5, 0.0),
+           ("hardy", None, 0.0), ("direct", 0.5, 0.1), ("transformed", -1.5, 0.1),
+           ("hardy", 0.5, 0.1), ("hardy", -0.5, 0.0)]
+
+
+def _case_id(case):
+    kind, b, eps = case
+    return f"{kind}-{b}" + (f"-eps{eps:g}" if eps else "")
 
 
 @pytest.mark.parametrize("h", [1 / 8, 1 / 16], ids=["h8", "h16"])
-@pytest.mark.parametrize("case", PENCILS, ids=lambda c: f"{c[0]}-{c[1]}")
-def test_separable_solve_gives_smallest_eigenvalue(case, h):
-    """The smallest eigenvalue of the assembled pencil; the rebuilt
-    eigenvector is M-normalized, zero off the free dofs, and its residual in
-    the assembled pencil is the one reported."""
+@pytest.mark.parametrize("case", PENCILS, ids=_case_id)
+def test_eigen_solve_gives_smallest_eigenvalue(case, h):
+    """Both eigen paths give the smallest eigenvalue of the assembled pencil;
+    the eigenvector is M-normalized, zero off the free dofs, and its residual
+    in the assembled pencil is the one reported."""
     mesh = HalfDiskMesh.from_h(h)
     K, M, free = _pencil(case, mesh)
-    res = _separable_result(case, h)
+    res = _eigen_result(case, h)
     assert res.lam == pytest.approx(_dense_lambdas(K, M, free)[0], rel=1e-12)
     v = res.eigenvector.values
     kv, mv = K[free][:, free] @ v[free], M[free][:, free] @ v[free]
@@ -224,6 +244,23 @@ def test_separable_solve_gives_smallest_eigenvalue(case, h):
         res.residual, abs=1e-12)
     assert v[free] @ mv == pytest.approx(1.0, rel=1e-12)
     assert not np.delete(v, free).any()
+
+
+@pytest.mark.parametrize("case", [("direct", 0.5, 0.0), ("direct", 0.5, 0.1)],
+                         ids=["separable", "assembled"])
+def test_missed_residual_tolerance_raises(case, monkeypatch):
+    """A solve whose residual misses EIG_RESIDUAL_TOL raises, naming the
+    Lanczos steps it took, on both paths."""
+    steps = _eigen_result(case, 1 / 8).iterations
+    monkeypatch.setattr(spectral, "EIG_RESIDUAL_TOL", 0.0)
+    with pytest.raises(RuntimeError, match=f"after {steps} Lanczos steps"):
+        _eigen_result(case, 1 / 8)
+
+
+def test_eigen_sweep_rejects_nonpositive_r():
+    for r in (0.0, -4.0):
+        with pytest.raises(ValueError, match="r > 0"):
+            dl.eigen_stability_sweep(0.5, [1.0, r], H_COARSE)
 
 
 def _tri(t):
@@ -236,20 +273,21 @@ def _arc_row(mesh):
     return sp.diags(e)
 
 
-@pytest.mark.parametrize("case", [("direct", -0.5), ("direct", 0.0), ("direct", 0.5),
-                                  ("transformed", -1.5), ("transformed", 0.5),
-                                  ("hardy", None)], ids=lambda c: f"{c[0]}-{c[1]}")
+@pytest.mark.parametrize("case", [("direct", -0.5, 0.0), ("direct", 0.0, 0.0),
+                                  ("direct", 0.5, 0.0), ("transformed", -1.5, 0.0),
+                                  ("transformed", 0.5, 0.0), ("hardy", None, 0.0)],
+                         ids=_case_id)
 def test_kronecker_factors_match_assembly(case):
     """K = A (x) B + C (x) D (+ W M on the arc) and M = e e^T (x) arc mass,
     or C (x) G for Hardy, from the 1-D factors equal the 2-D assembly."""
     mesh = HalfDiskMesh.from_h(1 / 8)
     K, M, free = _pencil(case, mesh)
-    kind, b = case
+    kind, b, _ = case
     if kind == "hardy":
-        (A, C), (B, D), G = _hardy_factors(mesh, 4)
+        (A, C), (B, D), G = _hardy_factors(mesh)
         Ms, shift = sp.kron(_tri(C), _tri(G)), 0.0
     else:
-        (A, C), (B, D), arc, shift = _trace_factors(mesh, b, kind, 4)
+        (A, C), (B, D), arc, shift = _trace_factors(mesh, b, kind)
         Ms = sp.kron(_arc_row(mesh), _tri(arc))
     Ks = sp.kron(_tri(A), _tri(B)) + sp.kron(_tri(C), _tri(D)) + shift * Ms
     for got, ref in ((Ks, K), (Ms, M)):
