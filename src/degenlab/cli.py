@@ -37,7 +37,7 @@ from .geometry import EmbeddedCurve, build_half_grid, fermi_mu
 from .holder import (SWEEP_MODES, ProblemFamily, admissible_eps, epsilon_sweep,
                      measure_sweep, solve_family)
 from .potentials import v_limit, v_limit_deriv
-from .spectral import eigen_stability_sweep, hardy_quotient, trace_eigen
+from .spectral import HalfDiskMesh, eigen_stability_sweep, hardy_quotient, trace_eigen
 from .weights import WeightFamily
 
 
@@ -133,11 +133,21 @@ def _eps_list(cfg: dict, default: str) -> list:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _mesh_spacing(h: float) -> bool:
+    """Whether h is a spacing of the half-disk polar mesh."""
+    try:
+        HalfDiskMesh.from_h(h)
+    except ValueError:
+        return False
+    return True
+
+
 def cmd_eigen(cfg: dict) -> int:
-    a_list = _floats(cfg, "a", "-0.5 0 0.5")
-    h = _float(cfg, "h", "1/64")
-    eps = _float(cfg, "eps", "0.0")
-    aux_list = _floats(cfg, "aux_a", "0.5 -1")
+    # trace_eigen takes exponents b < 1: a itself, and aux_a - 2
+    a_list = _floats(cfg, "a", "-0.5 0 0.5", (lambda a: a < 1.0, "below 1"))
+    h = _float(cfg, "h", "1/64", (_mesh_spacing, "1/n for an integer n >= 1"))
+    eps = _float(cfg, "eps", "0.0", (lambda e: e >= 0.0, "non-negative"))
+    aux_list = _floats(cfg, "aux_a", "0.5 -1", (lambda a: a - 2.0 < 1.0, "below 3"))
     r_list = _floats(cfg, "r_list", "1 4 16 64", (lambda r: r > 0.0, "positive"))
     sweep_a = _float(cfg, "sweep_a", "0.5", (lambda a: -1.0 < a < 1.0, "in (-1, 1)"))
     rows = []

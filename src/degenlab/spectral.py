@@ -35,14 +35,18 @@ the discrete Neumann-to-Dirichlet map of the arc (for Hardy, to the lowest
 angular block).  No two-dimensional matrix is assembled or factored.
 
 The other pencils (eps > 0, weighted Hardy) are assembled, and
-:func:`min_rayleigh` applies Lanczos to K^-1 M, with one sparse LU of K.
-Both paths share :func:`_lanczos_max`, in the mass (semi-)inner product from
-the all-ones start, and one finishing step: the Ritz vector is mapped once
-more through the solve, so it lies in the pencil's range, and lam and the
-residual ||K v - lam M v|| / ||K v|| are those of the full pencil; a residual
-above ``EIG_RESIDUAL_TOL`` raises.  Up to h = 1/64 every dense call of the
+:func:`min_rayleigh` applies Lanczos to K^-1 M.  Numbered radius-fastest,
+the free dofs of the tensor mesh make K a band matrix of half-bandwidth
+nr + 1 (nr for Hardy, whose arc is fixed), factored once by LAPACK band
+Cholesky (``dpbtrf``, lower) and solved by ``dpbtrs``.  Both paths share
+:func:`_lanczos_max`, in the mass (semi-)inner product from the all-ones
+start, and one finishing step: the Ritz vector is mapped once more through
+the solve, so it lies in the pencil's range, and lam and the residual
+||K v - lam M v|| / ||K v|| are those of the full pencil; a residual above
+``EIG_RESIDUAL_TOL`` raises.  Up to h = 1/64 every dense call of the
 separable path stays below the sizes at which OpenBLAS starts a second
-thread (see :func:`_contract`).
+thread, and every vector product of the Lanczos iteration is an einsum (see
+:func:`_contract`); only ``dpbtrf`` at h = 1/64 threads.
 
 Every element integrates with the Gauss-Legendre rule of ``ELEMENT_ORDER``
 points per direction; the arc segments and the Gauss-Jacobi edge rows take
@@ -51,6 +55,7 @@ points per direction; the arc segments and the Gauss-Jacobi edge rows take
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -58,7 +63,6 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from scipy.special import roots_jacobi, roots_legendre
 
@@ -81,8 +85,10 @@ class HalfDiskMesh:
 
     @classmethod
     def from_h(cls, h: float) -> "HalfDiskMesh":
+        if not h > 0.0:
+            raise ValueError(f"h={h} must be positive")
         nr = int(round(1.0 / h))
-        if abs(nr * h - 1.0) > 1e-9:
+        if nr < 1 or abs(nr * h - 1.0) > 1e-9:
             raise ValueError(f"h={h} must divide the unit radius")
         # 4 nr angular cells: arc spacing pi/(4 nr) < h, and refinement h -> h/2
         # doubles both directions exactly, so nodal spaces nest
@@ -186,8 +192,37 @@ def _contract(coef: np.ndarray, products: np.ndarray) -> np.ndarray:
     of an array among them, of 16,000 entries (not of 4,000).  einsum,
     numpy's own sums and the tridiagonal LAPACK routines used here
     (``dpttrf``, ``dpttrs``, ``eigh_tridiagonal``) ran on one thread at
-    every size measured."""
+    every size measured.  The band Cholesky ``dpbtrf`` with ``lower=1``
+    (n = 4,064 and 16,320) stays on one thread at half-bandwidth kd = 33
+    (h = 1/32) but threads at kd = 65 (h = 1/64), where it is slower on two
+    threads than on one (17 to 19 against 13 ms); with ``lower=0`` it threads
+    already at kd = 33, and takes 4 times as long there.  ``dpbtrs`` ran on
+    one thread at both sizes.  numpy and scipy each bundle their own
+    OpenBLAS with its own thread pool, so a numpy ddot or gemv that threads
+    in the same loop as a threaded ``dpbtrf`` puts two spinning threads on
+    the two cores: that is why the Lanczos products are einsums."""
     return np.einsum("eq,qk->ek", coef, products)
+
+
+def _frozen(rule):
+    """The rule's arrays, read-only: the caches below hand them to every caller."""
+    for x in rule:
+        x.setflags(write=False)
+    return tuple(rule)
+
+
+@functools.cache
+def _gauss_legendre(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre points and weights on [-1, 1], computed once per order
+    and read-only."""
+    return _frozen(roots_legendre(order))
+
+
+@functools.cache
+def _gauss_jacobi(order: int, jac: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi points and weights on [-1, 1] for the weight (1 + x)^jac,
+    computed once per (order, jac) and read-only."""
+    return _frozen(roots_jacobi(order, 0.0, jac))
 
 
 def _radial_rule(mesh: HalfDiskMesh):
@@ -195,7 +230,7 @@ def _radial_rule(mesh: HalfDiskMesh):
     weights scaled to the element, and the spacing."""
     rn = mesh.r_nodes
     hr = rn[1] - rn[0]
-    gx, gw = roots_legendre(ELEMENT_ORDER)
+    gx, gw = _gauss_legendre(ELEMENT_ORDER)
     return (gx + 1.0) / 2.0, gw * hr / 2.0, hr
 
 
@@ -209,7 +244,7 @@ def _theta_rows(mesh: HalfDiskMesh, jac: Optional[float]):
     plane; integrands are divided by dist^jac there, the rule restores it."""
     tn = mesh.theta_nodes
     ht = tn[1] - tn[0]
-    gx, gw = roots_legendre(ELEMENT_ORDER)
+    gx, gw = _gauss_legendre(ELEMENT_ORDER)
     if jac is None:
         groups = [(np.arange(mesh.ntheta), None)]
     else:
@@ -222,7 +257,7 @@ def _theta_rows(mesh: HalfDiskMesh, jac: Optional[float]):
         if edge is None:
             out.append((rows, (gx + 1.0) / 2.0, gw * ht / 2.0, None))
             continue
-        tqx, tqw = roots_jacobi(EDGE_ORDER, 0.0, jac)
+        tqx, tqw = _gauss_jacobi(EDGE_ORDER, jac)
         s = (tqx + 1.0) / 2.0
         out.append((rows, s if edge == "low" else 1.0 - s,
                     tqw * (ht / 2.0) ** (1.0 + jac), (s * ht) ** jac))
@@ -295,7 +330,7 @@ def _arc_elements(mesh: HalfDiskMesh, weight: Optional[Callable],
     """Arc segments j (from theta_j to theta_j+1) and their 2 x 2 element
     masses int weight(sin theta) N_a N_b dtheta, Gauss-Legendre per segment."""
     tn = mesh.theta_nodes
-    gx, gw = roots_legendre(EDGE_ORDER)
+    gx, gw = _gauss_legendre(EDGE_ORDER)
     j = np.arange(mesh.ntheta)
     if skip_sigma_adjacent:
         j = j[1:-1]
@@ -477,10 +512,13 @@ def _lanczos_max(op: Callable, mass: Callable, n: int):
     Problem*, 1998) from the all-ones start; ``op`` takes M g, the product
     at hand, so that an operator K^-1 M is one solve.  It stops when the Ritz
     residual |beta_k s_k| falls to ``LANCZOS_TOL`` times the Ritz value, or
-    when the Krylov space is invariant.  Returns (Ritz vector, steps)."""
+    when the Krylov space is invariant.  Returns (Ritz vector, steps).
+
+    Every vector product is an einsum, not a ddot or gemv (see
+    :func:`_contract`)."""
     q = np.ones(n)
     mq = mass(q)
-    nrm = math.sqrt(float(q @ mq))
+    nrm = math.sqrt(float(np.einsum("i,i->", q, mq)))
     if nrm == 0.0:
         raise RuntimeError("the mass annihilates the all-ones start")
     # rows: the Lanczos vectors q_i and M q_i; the buffers double when full
@@ -489,11 +527,11 @@ def _lanczos_max(op: Callable, mass: Callable, n: int):
     alpha, beta = [], []
     for k in range(1, n + 1):
         w = op(MQ[k - 1])
-        alpha.append(float(w @ MQ[k - 1]))
+        alpha.append(float(np.einsum("i,i->", w, MQ[k - 1])))
         for _ in range(2):                  # classical Gram-Schmidt, twice
-            w = w - (MQ[:k] @ w) @ Q[:k]
+            w = w - np.einsum("k,ki->i", np.einsum("ki,i->k", MQ[:k], w), Q[:k])
         mw = mass(w)
-        b = math.sqrt(max(float(w @ mw), 0.0))
+        b = math.sqrt(max(float(np.einsum("i,i->", w, mw)), 0.0))
         theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i",
                                                  select_range=(k - 1, k - 1))
         if b * abs(s[-1, 0]) <= LANCZOS_TOL * theta[0] or k == n:
@@ -502,7 +540,7 @@ def _lanczos_max(op: Callable, mass: Callable, n: int):
         if k == len(Q):
             Q, MQ = (np.concatenate([X, np.empty_like(X)]) for X in (Q, MQ))
         Q[k], MQ[k] = w / b, mw / b
-    return s[:, 0] @ Q[:k], k
+    return np.einsum("k,ki->i", s[:, 0], Q[:k]), k
 
 
 def _finish(v: np.ndarray, kv: np.ndarray, mv: np.ndarray, steps: int, nnodes: int,
@@ -575,22 +613,66 @@ def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0
     return _finish(V, KV, MV, steps, mesh.nnodes, dofs)
 
 
-def min_rayleigh(K: sp.csr_matrix, M: sp.csr_matrix,
-                 free: np.ndarray) -> Tuple[float, np.ndarray, float, int]:
-    """Smallest generalized eigenvalue of (K, M) on the free dofs.
+def _radius_fastest(mesh: HalfDiskMesh, free: np.ndarray) -> np.ndarray:
+    """The node numbers ``free`` ordered radius-fastest: by angular index, then
+    radial index.  The bilinear stencil then couples numbers at most one
+    angular row of free radial nodes plus one apart."""
+    i, j = np.divmod(free, mesh.ntheta + 1)
+    return free[np.lexsort((i, j))]
 
-    :func:`_lanczos_max` on K^-1 M in the M (semi-)inner product, with one
-    sparse LU of K (minimum-degree ordering of A^T + A, the pencil being
-    symmetric); the Ritz vector is mapped once more through K^-1 M, so it
-    lies in the pencil's range even where M is singular (the arc mass).
-    Returns (lam, M-normalized eigenvector on all nodes, residual
-    ||K v - lam M v|| / ||K v||, Lanczos steps)."""
-    Kf = K[free][:, free].tocsc()
-    Mf = M[free][:, free].tocsr()
-    lu = spla.splu(Kf, permc_spec="MMD_AT_PLUS_A")
-    g, steps = _lanczos_max(lu.solve, lambda u: Mf @ u, len(free))
-    v = lu.solve(Mf @ g)
-    return _finish(v, Kf @ v, Mf @ v, steps, K.shape[0], free)
+
+def _renumbered(A: sp.spmatrix, perm: np.ndarray) -> sp.coo_matrix:
+    """A on the rows and columns ``perm``, numbered in that order, from A's
+    COO triplets through a position map."""
+    pos = np.full(A.shape[0], -1)
+    pos[perm] = np.arange(len(perm))
+    C = A.tocoo()
+    i, j = pos[C.row], pos[C.col]
+    keep = (i >= 0) & (j >= 0)
+    return sp.coo_matrix((C.data[keep], (i[keep], j[keep])), shape=(len(perm),) * 2)
+
+
+def _band_cholesky(K: sp.coo_matrix) -> np.ndarray:
+    """LAPACK dpbtrf factor (lower) of the symmetric positive definite K, in
+    band storage of shape (kd + 1, n); the half-bandwidth kd is that of K's
+    stored lower triangle.  Raises LinAlgError naming dpbtrf's info when K
+    is not positive definite."""
+    lower = K.row >= K.col
+    d, j, v = K.row[lower] - K.col[lower], K.col[lower], K.data[lower]
+    n, kd = K.shape[0], int(d.max())
+    # ab[d, j] = K[j + d, j], column-major so that dpbtrf factors in place
+    ab = np.bincount(j * (kd + 1) + d, weights=v,
+                     minlength=(kd + 1) * n).reshape((kd + 1, n), order="F")
+    c, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"stiffness not positive definite (dpbtrf info={info})")
+    return c
+
+
+def min_rayleigh(mesh: HalfDiskMesh, K: sp.spmatrix, M: sp.spmatrix,
+                 free: np.ndarray) -> Tuple[float, np.ndarray, float, int]:
+    """Smallest generalized eigenvalue of (K, M) on the free dofs of ``mesh``.
+
+    The free dofs are numbered radius-fastest, which makes K a band matrix
+    of half-bandwidth nr + 1 (nr when the arc is fixed); it is factored once
+    by band Cholesky (:func:`_band_cholesky`) and :func:`_lanczos_max` runs
+    on K^-1 M in the M (semi-)inner product, one dpbtrs per step.  The Ritz
+    vector is mapped once more through K^-1 M, so it lies in the pencil's
+    range even where M is singular (the arc mass).  Returns (lam,
+    M-normalized eigenvector on all nodes, residual ||K v - lam M v|| /
+    ||K v||, Lanczos steps)."""
+    perm = _radius_fastest(mesh, free)
+    Kf = _renumbered(K, perm)
+    factor = _band_cholesky(Kf)
+    Kf, Mf = Kf.tocsr(), _renumbered(M, perm).tocsr()
+
+    def solve(u):
+        return lapack.dpbtrs(factor, u, lower=1)[0]
+
+    g, steps = _lanczos_max(solve, lambda u: Mf @ u, len(perm))
+    v = solve(Mf @ g)
+    return _finish(v, Kf @ v, Mf @ v, steps, mesh.nnodes, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +711,8 @@ def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto") -> Eig
     routes separate in (r, theta) and take :func:`_separable_eigen`."""
     if b >= 1.0:
         raise ValueError("trace exponent must satisfy b < 1")
+    if eps < 0.0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     if route == "auto":
         route = "direct" if b > -1.0 else "transformed"
     if route not in ("direct", "transformed"):
@@ -646,7 +730,7 @@ def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto") -> Eig
         else:
             K = _conjugated_forms(b, eps, mesh)
             M = assemble_arc_mass(mesh, None)
-        lam, vec, res, it = min_rayleigh(K, M, mesh.free_nodes())
+        lam, vec, res, it = min_rayleigh(mesh, K, M, mesh.free_nodes())
     return EigenResult(quotient_id=f"trace[b={b:g}]", a=b, eps_or_r=eps,
                        grid_h=grid_h, lam=lam, residual=res, route=route,
                        iterations=it, eigenvector=NodalField(mesh, vec))
@@ -683,7 +767,7 @@ def hardy_quotient(weight: WeightSpec, grid_h: float) -> EigenResult:
         K, _, M = assemble_forms(mesh, stiffness_weight=wfn, domain_mass_weight=mass,
                                  sigma_jacobi_exponent=jac)
         free = np.setdiff1d(mesh.free_nodes(), mesh.arc_node_ids())
-        lam, vec, res, it = min_rayleigh(K, M, free)
+        lam, vec, res, it = min_rayleigh(mesh, K, M, free)
     wid = "1" if a is None else f"rho[a={a:g},eps={eps:g}]"
     return EigenResult(quotient_id=f"hardy[w={wid}]",
                        a=a if a is not None else 0.0,

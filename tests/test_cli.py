@@ -44,6 +44,10 @@ def test_usage_error_exit_code(tmp_path):
     (("eigen", "r_list=-4"), "r_list", "-4"),
     (("eigen", "r_list=0"), "r_list", "0"),
     (("eigen", "sweep_a=1"), "sweep_a", "1"),
+    (("eigen", "a=1"), "a", "1"),
+    (("eigen", "aux_a=3"), "aux_a", "3"),
+    (("eigen", "h=0.3"), "h", "0.3"),
+    (("eigen", "eps=-0.1"), "eps", "-0.1"),
     (("certify", "budget=999"), "budget", "999"),
     (("certify", "phi_a=1.5"), "phi_a", "1.5"),
 ])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import lapack
+from scipy.sparse.linalg import splu
 from scipy.special import roots_jacobi, roots_legendre
 
 import degenlab as dl
@@ -255,6 +257,74 @@ def test_missed_residual_tolerance_raises(case, monkeypatch):
     monkeypatch.setattr(spectral, "EIG_RESIDUAL_TOL", 0.0)
     with pytest.raises(RuntimeError, match=f"after {steps} Lanczos steps"):
         _eigen_result(case, 1 / 8)
+
+
+# the pencils min_rayleigh factors: an eps > 0 trace pencil and weighted Hardy
+BANDED = [("direct", 0.5, 0.1), ("hardy", 0.5, 0.1)]
+
+
+def _band_factor(case, mesh):
+    """(stiffness renumbered radius-fastest as min_rayleigh numbers it, its
+    band Cholesky factor, mass renumbered the same way)."""
+    K, M, free = _pencil(case, mesh)
+    perm = spectral._radius_fastest(mesh, free)
+    Kf = spectral._renumbered(K, perm)
+    return Kf, spectral._band_cholesky(Kf), spectral._renumbered(M, perm)
+
+
+@pytest.mark.parametrize("h", [1 / 8, 1 / 16], ids=["h8", "h16"])
+@pytest.mark.parametrize("case", BANDED, ids=_case_id)
+def test_band_solve_matches_sparse_lu(case, h):
+    """A solve with the band Cholesky factor equals a sparse LU solve of the
+    same renumbered stiffness, for right-hand sides M 1 and K 1."""
+    Kf, factor, Mf = _band_factor(case, HalfDiskMesh.from_h(h))
+    lu = splu(Kf.tocsc())
+    ones = np.ones(Kf.shape[0])
+    for rhs in (Mf @ ones, Kf @ ones):
+        want = lu.solve(rhs)
+        got = lapack.dpbtrs(factor, rhs, lower=1)[0]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("h", [1 / 8, 1 / 16], ids=["h8", "h16"])
+@pytest.mark.parametrize("case, extra", [(BANDED[0], 1), (BANDED[1], 0)],
+                         ids=["trace", "hardy"])
+def test_band_width_is_free_radial_count_plus_one(case, extra, h):
+    """Numbered radius-fastest, the stiffness has half-bandwidth nr + 1 when
+    the arc nodes are free (trace) and nr when they are fixed (Hardy)."""
+    mesh = HalfDiskMesh.from_h(h)
+    _, factor, _ = _band_factor(case, mesh)
+    assert factor.shape[0] - 1 == mesh.nr + extra
+
+
+def test_indefinite_stiffness_raises():
+    """The band Cholesky of a negated stiffness fails at its first pivot."""
+    mesh = HalfDiskMesh.from_h(1 / 8)
+    K, M, free = _pencil(BANDED[0], mesh)
+    with pytest.raises(np.linalg.LinAlgError, match=r"dpbtrf info=1\)"):
+        spectral.min_rayleigh(mesh, -K, M, free)
+
+
+def test_gauss_rules_are_computed_once():
+    """The quadrature rules come from one read-only array pair per order
+    (and Jacobi exponent), equal to scipy's."""
+    x, w = spectral._gauss_legendre(spectral.ELEMENT_ORDER)
+    assert spectral._gauss_legendre(spectral.ELEMENT_ORDER)[0] is x
+    np.testing.assert_array_equal(x, roots_legendre(spectral.ELEMENT_ORDER)[0])
+    jx, jw = spectral._gauss_jacobi(spectral.EDGE_ORDER, 0.5)
+    assert spectral._gauss_jacobi(spectral.EDGE_ORDER, 0.5)[1] is jw
+    np.testing.assert_array_equal(jw, roots_jacobi(spectral.EDGE_ORDER, 0.0, 0.5)[1])
+    for arr in (x, w, jx, jw):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_mesh_and_trace_reject_values_they_cannot_run_on():
+    for h in (0.3, 0.0, -0.5, math.inf):
+        with pytest.raises(ValueError, match="must"):
+            HalfDiskMesh.from_h(h)
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        dl.trace_eigen(0.5, -0.1, 1 / 8)
 
 
 def test_eigen_sweep_rejects_nonpositive_r():
