@@ -48,7 +48,6 @@ from .geometry import (
 from .assembly import (
     AssembledOperator,
     AuxiliaryWeight,
-    ConstantWeight,
     DiscreteField,
     OperatorSpec,
     RhoWeight,

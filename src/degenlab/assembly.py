@@ -20,7 +20,8 @@ the live grid columns at once (the contract is on :class:`WeightModel`), so
 the y-faces of a grid cost one ``resistance_y`` call.  x-faces come from
 slicing the lattice along each axis, the matrix from concatenated COO
 triplets, and the faces are kept as arrays (:class:`Faces`) for right-hand
-sides.  There is no per-cell Python work: every user sampler (mu, b_tilde,
+sides.  mu is the weight model's alone (see :class:`WeightModel`).  There
+is no per-cell Python work: every user sampler (mu_inverse, b_tilde,
 t_field, drift, the data f, F and the trace, exact solutions and region
 predicates) takes coordinate arrays and is called once on all the points it
 is needed at, through ``weights._sample``.
@@ -83,27 +84,22 @@ class ParityError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Coefficient tensor A = mu * [[B_tilde, T], [T^t, 1]] with metadata.
+    """The blocks B_tilde and T of the coefficient A = mu * [[B_tilde, T], [T^t, 1]];
+    the scalar mu (1/C <= mu <= C) is the weight model's (:class:`WeightModel`).
 
     Every sampler, here and in the rest of the package, is called as
     ``g(x, y)`` with x an array of positions (a tuple of two for n = 2) and
     y an array of ordinates, and must broadcast; a scalar return is
-    broadcast.  ``mu`` is scalar with 1/C <= mu <= C; ``b_tilde`` returns
-    the (n, n) block and ``t_field`` the n-vector T, which must vanish at
-    y = 0.  Components run along leading axes: an array of shape
-    (n, n) + y.shape or (n,) + y.shape, or a ragged tuple such as
-    ``(0.3 * y, 0.0)``.  All default to the identity tensor.  Assembly uses
-    the diagonal of B_tilde only (x-face fluxes cannot carry the rest), so
-    a nonzero off-diagonal entry raises ``ValueError``, as does a sampler
-    that cannot take arrays, naming it."""
+    broadcast.  ``b_tilde`` returns the (n, n) block and ``t_field`` the
+    n-vector T, which must vanish at y = 0.  Components run along leading
+    axes: an array of shape (n, n) + y.shape or (n,) + y.shape, or a ragged
+    tuple such as ``(0.3 * y, 0.0)``.  Both default to the identity blocks.
+    Assembly uses the diagonal of B_tilde only (x-face fluxes cannot carry
+    the rest), so a nonzero off-diagonal entry raises ``ValueError``, as
+    does a sampler that cannot take arrays, naming it."""
 
-    mu: Optional[Callable] = None
     b_tilde: Optional[Callable] = None
     t_field: Optional[Callable] = None
-
-    def mu_at(self, x, y: np.ndarray) -> np.ndarray:
-        """mu at the points (x, y), in one call."""
-        return np.ones(np.shape(y)) if self.mu is None else _sample(self.mu, x, y, "mu")
 
     def b_tilde_diag_at(self, x, y: np.ndarray, axis: int) -> np.ndarray:
         """The (axis, axis) entry of B_tilde at the points (x, y), in one call."""
@@ -153,6 +149,11 @@ def _halton_points(count: int, dim: int) -> np.ndarray:
 class WeightModel:
     """Weight sampler evaluated on all the live grid columns at once.
 
+    A model owns the coefficient mu of the operator, so one model means one
+    operator: ``sol`` is its characteristic solution, whose ``mu_inverse``
+    sets the y-resistances and v, and whose ``mu_at`` gives mu on the
+    x-faces and in the T coupling.
+
     Every method receives the columns' positions ``x`` (an array of shape S,
     a tuple of them for n = 2) and the cell-center ordinates ``ys``, and
     returns one row per column, or one row for all if w does not depend on x:
@@ -160,30 +161,17 @@ class WeightModel:
     * ``values(x, ys)``: w at the cell centers;
     * ``x_conductivities(x, ys)``: the per-cell conductivity of x-faces;
     * ``cell_integral_y(x, ys, y0, y1)``: int_{y0}^{y1} w(x, s) ds for each
-      pair of endpoints, or None for the midpoint fallback w h;
+      pair of endpoints (near the plane the weight's curvature makes the
+      midpoint rule O(1) relatively wrong in the bottom cell);
     * ``resistance_y(x, ys, y0, y1)``: int_{y0}^{y1} ds/(w(s) mu(x, s)) for
       the segments y0, y1 of shape S + (m,), NaN where a segment is not asked
-      for, or None for the generic harmonic-mean fallback.
+      for.
 
     Assembly makes one call of each per grid.
     """
 
     weight_id = "generic"
-
-    def values(self, x, ys: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def resistance_y(self, x, ys: np.ndarray, y0: np.ndarray,
-                     y1: np.ndarray) -> Optional[np.ndarray]:
-        return None
-
-    def cell_integral_y(self, x, ys: np.ndarray, y0: np.ndarray,
-                        y1: np.ndarray) -> Optional[np.ndarray]:
-        """int_{y0}^{y1} w(x, s) ds, or None for the midpoint fallback.
-
-        Matters near the plane, where the weight's curvature makes the
-        midpoint rule O(1) relatively wrong in the bottom cell."""
-        return None
+    sol: CharacteristicSolution
 
     def x_conductivities(self, x, ys: np.ndarray) -> np.ndarray:
         """Per-cell conductivity used for x-direction fluxes.
@@ -199,20 +187,12 @@ def _per_segment(x, ask: np.ndarray):
     return _x_of([np.broadcast_to(np.asarray(c)[..., None], ask.shape)[ask] for c in _coords(x)])
 
 
-class ConstantWeight(WeightModel):
-    def __init__(self, value: float = 1.0):
-        self.value = float(value)
-        self.weight_id = f"const[{value:g}]"
-
-    def values(self, x, ys):
-        return np.full_like(np.asarray(ys, dtype=float), self.value)
-
-
 class RhoWeight(WeightModel):
     """w = rho(y); exact resistances through the characteristic antiderivative.
 
-    With mu present, int ds/(w mu) = int rho^(-a) mu^(-1) ds is the
-    characteristic-solution increment divided by (1-a)."""
+    mu is given as ``mu_inverse`` (None: mu == 1), and int ds/(w mu) =
+    int rho^(-a) mu^(-1) ds is the characteristic-solution increment divided
+    by (1-a).  w == 1 is ``RhoWeight(WeightFamily(0.0))``."""
 
     def __init__(self, family: WeightFamily, mu_inverse: Optional[Callable] = None,
                  quadrature_tol: float = 1e-10):
@@ -233,11 +213,11 @@ class RhoWeight(WeightModel):
 
     def cell_integral_y(self, x, ys, y0, y1):
         a, eps = self.family.a, self.family.eps
-        if eps == 0.0:
-            if a <= -1.0:
-                return None            # non-integrable alone; midpoint pairs with vanishing f
-            return (y1 ** (1.0 + a) - y0 ** (1.0 + a)) / (1.0 + a)
         ym = 0.5 * (y0 + y1)
+        if eps == 0.0:
+            if a <= -1.0:              # non-integrable alone; midpoint pairs with vanishing f
+                return rho(self.family, ym) * (y1 - y0)
+            return (y1 ** (1.0 + a) - y0 ** (1.0 + a)) / (1.0 + a)
         return (y1 - y0) / 6.0 * (rho(self.family, y0) + 4.0 * rho(self.family, ym)
                                   + rho(self.family, y1))
 
@@ -540,14 +520,9 @@ class AssembledOperator:
 
 
 def _cell_weight_integrals(weight: WeightModel, g: HalfGrid) -> np.ndarray:
-    """Per-cell int_cell w dy (exact/Simpson when available, else midpoint w h)."""
+    """Per-cell int_cell w dy, by the weight model's ``cell_integral_y``."""
     j = np.arange(g.ny)
-
-    def column(x, ys):
-        ci = weight.cell_integral_y(x, ys, j * g.h, (j + 1) * g.h)
-        return weight.values(x, ys) * g.h if ci is None else ci
-
-    return _column_values(g, column)
+    return _column_values(g, lambda x, ys: weight.cell_integral_y(x, ys, j * g.h, (j + 1) * g.h))
 
 
 def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] = None,
@@ -590,14 +565,8 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
     wxcell = _column_values(g, weight.x_conductivities)
     rows, x = _columns(g)
     R = np.full(lo.shape, np.nan)
-    Rc = weight.resistance_y(x, ys, *(np.where(need, y, np.nan)[rows] for y in (y0, y1)))
+    R[rows] = weight.resistance_y(x, ys, *(np.where(need, y, np.nan)[rows] for y in (y0, y1)))
     wf = _face_weight(wcell, lo, hi)
-    if Rc is not None:
-        R[rows] = Rc
-    elif need.any():
-        pts = mid[need]
-        pts[:, n] = np.where(plane[need], h / 4.0, pts[:, n])
-        R[need] = np.where(inner, h, h / 2.0)[need] / (wf[need] * spec.mu_at(*_xy(pts, n)))
     use = need & (~plane | (np.isfinite(R) & (R > 0)))
     tau = np.zeros(lo.shape)
     tau[use] = area / R[use]
@@ -612,7 +581,7 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
         lo, hi, mid = lo[keep], hi[keep], mid[keep]
         inner = (lo >= 0) & (hi >= 0)
         wf = _face_weight(wxcell, lo, hi)
-        afac = spec.mu_at(*_xy(mid, n)) * spec.b_tilde_diag_at(*_xy(mid, n), axis)
+        afac = weight.sol.mu_at(*_xy(mid, n)) * spec.b_tilde_diag_at(*_xy(mid, n), axis)
         tau = np.where(inner | dirichlet, area * wf * afac / np.where(inner, h, h / 2.0), 0.0)
         parts.append((np.full(len(lo), axis), lo, hi, wf, mid, tau, ~inner & dirichlet))
     faces = Faces(*(np.concatenate(a) for a in zip(*parts)))
@@ -633,7 +602,7 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
         stencils = [_centered_pairs(g, axis) for axis in range(n)]
         stencils.append(_centered_pairs(g, n, 0.5 if parity == "odd" else -0.5))
     if spec.t_field is not None:
-        triplets.append(_cross_terms(g, spec, wcell, stencils))
+        triplets.append(_cross_terms(g, spec, weight.sol, wcell, stencils))
     if has_drift:
         triplets.append(_drift_terms(g, wcell, drift, stencils))
 
@@ -645,7 +614,7 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
         flagged_supersingular=supersingular)
 
 
-def _cross_terms(g, spec, wcell, stencils):
+def _cross_terms(g, spec, sol, wcell, stencils):
     """Symmetric cell-centered discretization of the T coupling blocks.
 
     Per cell and x-axis, (Dx u)(Dy v) + (Dy u)(Dx v) with centered stencils
@@ -653,7 +622,7 @@ def _cross_terms(g, spec, wcell, stencils):
     n, h = g.n, g.h
     x, y = _xy(g.centers, n)
     t = spec.t_at(x, y).T
-    coef = h ** (n + 1) * wcell[:, None] * spec.mu_at(x, y)[:, None] * t / (h * h)
+    coef = h ** (n + 1) * wcell[:, None] * sol.mu_at(x, y)[:, None] * t / (h * h)
     DY, CY, oky = stencils[n]
     active = np.any(t != 0, axis=1) & oky
     rows, cols, vals, ok = [], [], [], []

@@ -34,8 +34,8 @@ from .assembly import (OperatorSpec, RhoWeight, assemble, convergence_study,
 from .certify import (MIN_BUDGET, verify_gamma_rectangle, verify_phi_bound,
                       verify_v_inequality, v_minimum)
 from .geometry import EmbeddedCurve, build_half_grid, fermi_mu
-from .holder import (SWEEP_MODES, ProblemFamily, admissible_eps, epsilon_sweep,
-                     measure_sweep, solve_family)
+from .holder import (ProblemFamily, _check_mode, admissible_eps, epsilon_sweep, measure_sweep,
+                     solve_family)
 from .potentials import v_limit, v_limit_deriv
 from .spectral import HalfDiskMesh, eigen_stability_sweep, hardy_quotient, trace_eigen
 from .weights import WeightFamily
@@ -123,7 +123,7 @@ def _floats(cfg: dict, key: str, default: str, valid=None) -> list:
 
 
 def _eps_list(cfg: dict, default: str) -> list:
-    eps_list = _floats(cfg, "eps_list", default)
+    eps_list = _floats(cfg, "eps_list", default, (lambda e: e >= 0.0, "non-negative"))
     if len(eps_list) < 2:
         raise ConfigError(f"eps_list: {cfg['eps_list']!r} has fewer than two entries")
     return eps_list
@@ -133,19 +133,34 @@ def _eps_list(cfg: dict, default: str) -> list:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _mesh_spacing(h: float) -> bool:
-    """Whether h is a spacing of the half-disk polar mesh."""
-    try:
-        HalfDiskMesh.from_h(h)
-    except ValueError:
-        return False
-    return True
+def _accepted_by(build, what: str):
+    """A ``valid`` pair whose predicate is the library's own rule: whether
+    ``build(x)`` runs without a ValueError or a division by zero."""
+    def ok(x) -> bool:
+        try:
+            build(x)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+
+    return ok, what
+
+
+# The characteristic solution, the trace exponents and Phi_a all need a < 1
+_BELOW_ONE = (lambda a: a < 1.0, "below 1")
+_ALPHA = (lambda alpha: 0.0 < alpha <= 1.0, "in (0, 1]")      # a Holder exponent
+_MESH_SPACING = _accepted_by(HalfDiskMesh.from_h, "1/n for an integer n >= 1")
+_GRID_SPACING = _accepted_by(lambda h: build_half_grid(1, "half_rectangle", h),
+                             "1/n for an integer n >= 4")
+# the Fermi chart of the circle must cover the grid, up to its top y = 1
+_CHART_RADIUS = _accepted_by(lambda r: fermi_mu(EmbeddedCurve.circle(r), 0.0, 1.0),
+                             "a radius whose Fermi chart covers y <= 1")
 
 
 def cmd_eigen(cfg: dict) -> int:
     # trace_eigen takes exponents b < 1: a itself, and aux_a - 2
-    a_list = _floats(cfg, "a", "-0.5 0 0.5", (lambda a: a < 1.0, "below 1"))
-    h = _float(cfg, "h", "1/64", (_mesh_spacing, "1/n for an integer n >= 1"))
+    a_list = _floats(cfg, "a", "-0.5 0 0.5", _BELOW_ONE)
+    h = _float(cfg, "h", "1/64", _MESH_SPACING)
     eps = _float(cfg, "eps", "0.0", (lambda e: e >= 0.0, "non-negative"))
     aux_list = _floats(cfg, "aux_a", "0.5 -1", (lambda a: a - 2.0 < 1.0, "below 3"))
     r_list = _floats(cfg, "r_list", "1 4 16 64", (lambda r: r > 0.0, "positive"))
@@ -190,7 +205,7 @@ def _sweep_family(a: float, mu_inv, name: str) -> ProblemFamily:
 
 
 def _family_from_cfg(cfg: dict) -> ProblemFamily:
-    a = _float(cfg, "a", "0.5")
+    a = _float(cfg, "a", "0.5", _BELOW_ONE)
     mu_kind = cfg.get("mu", "const")
     if mu_kind == "const":
         mu_inv = None
@@ -207,11 +222,13 @@ def _family_from_cfg(cfg: dict) -> ProblemFamily:
 def cmd_sweep(cfg: dict) -> int:
     family = _family_from_cfg(cfg)
     eps_list = _eps_list(cfg, "1 0.3 0.1 0.03 0.01 0")
-    alpha = _float(cfg, "alpha", "0.4")
-    h = _float(cfg, "h", "1/64")
+    alpha = _float(cfg, "alpha", "0.4", _ALPHA)
+    h = _float(cfg, "h", "1/64", _GRID_SPACING)
     mode = cfg.get("mode", "ratio_c0")
-    if mode not in SWEEP_MODES:
-        raise ConfigError(f"mode: {mode!r} is not one of {', '.join(SWEEP_MODES)}")
+    try:
+        _check_mode(family, mode)
+    except ValueError as exc:
+        raise ConfigError(f"mode: {mode!r} is not usable: {exc}") from None
     rep = epsilon_sweep(family, eps_list, alpha, mode=mode, grid_h=h)
     rows = [(e, s, sup) for e, s, sup, _ in rep.per_eps]
     header = [f"config-hash: {_config_hash(cfg)}",
@@ -231,7 +248,7 @@ def cmd_certify(cfg: dict) -> int:
     # the v inequality takes half the budget
     budget = _number("budget", cfg.get("budget", "200000"), int,
                      (lambda b: b // 2 >= MIN_BUDGET, f"at least {2 * MIN_BUDGET}"))
-    a_samples = _floats(cfg, "phi_a", "0.9 0.5 0 -1 -3 -10", (lambda a: a < 1.0, "below 1"))
+    a_samples = _floats(cfg, "phi_a", "0.9 0.5 0 -1 -3 -10", _BELOW_ONE)
     lines = [f"# degenlab {__version__}",
              f"# config-hash: {_config_hash(cfg)}",
              "# certificates: target_id domain bound threshold pass status"]
@@ -257,8 +274,8 @@ def cmd_certify(cfg: dict) -> int:
 
 
 def cmd_solve(cfg: dict) -> int:
-    a = _float(cfg, "a", "0.5")
-    h_list = _floats(cfg, "h_list", "0.0625 0.03125 0.015625")
+    a = _float(cfg, "a", "0.5", _BELOW_ONE)
+    h_list = _floats(cfg, "h_list", "0.0625 0.03125 0.015625", _GRID_SPACING)
     if len(h_list) < 3 or any(h1 >= h0 for h0, h1 in zip(h_list, h_list[1:])):
         raise ConfigError(f"h_list: {cfg['h_list']!r} is not strictly decreasing "
                           "with >= 3 entries")
@@ -291,10 +308,10 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_fermi_demo(cfg: dict) -> int:
-    a = _float(cfg, "a", "0.5")
-    radius = _float(cfg, "radius", "2.0")
-    h = _float(cfg, "h", "1/32")
-    alpha = _float(cfg, "alpha", "0.4")
+    a = _float(cfg, "a", "0.5", _BELOW_ONE)
+    radius = _float(cfg, "radius", "2.0", _CHART_RADIUS)
+    h = _float(cfg, "h", "1/32", _GRID_SPACING)
+    alpha = _float(cfg, "alpha", "0.4", _ALPHA)
     eps_list = _eps_list(cfg, "1 0.1 0.01 0")
     if len(admissible_eps(eps_list, h, restricted="sqrt_eps")) < 2:
         raise ConfigError(f"eps_list: {cfg.get('eps_list', '1 0.1 0.01 0')!r} leaves fewer "
@@ -318,12 +335,9 @@ def cmd_fermi_demo(cfg: dict) -> int:
             f"circle radius {fmt(radius)}, tolerance 1e-6"],
            rows_mu, ["t", "y", "mu", "jacobian_fd", "abs_diff"])
 
-    # 2) quotient tables in the straightened chart (mu = speed * (1 - y k))
-    speed = 2.0
-    kap = 1.0 / radius
-
+    # 2) quotient tables in the straightened chart, mu = fermi_mu = speed * (1 - y kappa)
     def mu_inv(x, y):
-        return 1.0 / (speed * (1.0 - y * kap))
+        return 1.0 / fermi_mu(curve, x, y)
 
     family = _sweep_family(a, mu_inv, f"fermi-circle[R={radius:g},a={a:g}]")
     solutions = solve_family(family, eps_list, grid_h=h)     # the three tables share them

@@ -14,7 +14,6 @@ which doubles as the scalar coefficient mu(x, y) of the transformed operator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
@@ -68,15 +67,15 @@ class HalfGrid:
 
 
 def build_half_grid(n: int, shape: str, h: float) -> HalfGrid:
-    """Construct a half-rectangle or half-disk grid of spacing h (h <= 1/8)."""
+    """Construct a half-rectangle or half-disk grid of spacing h = 1/m, m >= 4."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
     if shape not in ("half_rectangle", "half_disk"):
         raise ValueError(f"unknown shape {shape!r}")
     if shape == "half_disk" and n != 1:
         raise ValueError("half_disk is implemented for n=1 (plane half disk)")
-    if h > 0.25 + 1e-15:
-        raise ValueError(f"h must be <= 1/4, got {h}")
+    if not 0.0 < h <= 0.25 + 1e-15:
+        raise ValueError(f"h must be in (0, 1/4], got {h}")
     nx = 2.0 / h
     ny = 1.0 / h
     if abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
@@ -105,6 +104,8 @@ def build_half_grid(n: int, shape: str, h: float) -> HalfGrid:
 class EmbeddedCurve:
     """Plane curve t in [0, 1] -> psi(t), with signed curvature sampler.
 
+    ``psi`` and ``dpsi`` (components first), ``curvature`` and every method
+    broadcast over arrays of t.
     The unit normal is the +90-degree rotation of the unit tangent,
     nu = rot90(psi'/|psi'|) with rot90(v) = (-v2, v1); curvature is signed so
     that kappa > 0 bends the curve toward the side nu points into (the y > 0
@@ -115,17 +116,17 @@ class EmbeddedCurve:
     dpsi: Callable[[float], np.ndarray]
     curvature: Callable[[float], float]
 
-    def speed(self, t: float) -> float:
-        return float(np.linalg.norm(self.dpsi(t)))
+    def speed(self, t):
+        return np.hypot(*self.dpsi(t))
 
-    def normal(self, t: float) -> np.ndarray:
+    def normal(self, t) -> np.ndarray:
         v = self.dpsi(t)
-        s = np.linalg.norm(v)
-        if s < 1e-14:
+        s = np.hypot(*v)
+        if np.any(s < 1e-14):
             raise ValueError("degenerate parametrization: |psi'| ~ 0")
         return np.array([-v[1], v[0]]) / s
 
-    def point(self, t: float, y: float = 0.0) -> np.ndarray:
+    def point(self, t, y=0.0) -> np.ndarray:
         """The Fermi map Z(t, y) = psi(t) + y nu(t)."""
         return np.asarray(self.psi(t), dtype=float) + y * self.normal(t)
 
@@ -134,8 +135,8 @@ class EmbeddedCurve:
         o = np.asarray(origin, dtype=float)
         d = np.asarray(direction, dtype=float)
         d = d / np.linalg.norm(d) * length
-        return EmbeddedCurve(psi=lambda t: o + t * d,
-                             dpsi=lambda t: d,
+        return EmbeddedCurve(psi=lambda t: _lead(o, t) + t * _lead(d, t),
+                             dpsi=lambda t: np.broadcast_to(_lead(d, t), (2,) + np.shape(t)),
                              curvature=lambda t: 0.0)
 
     @staticmethod
@@ -149,20 +150,26 @@ class EmbeddedCurve:
 
         def psi(t):
             th = theta0 + arc * t / radius
-            return c + radius * np.array([math.cos(th), math.sin(th)])
+            return _lead(c, t) + radius * np.array([np.cos(th), np.sin(th)])
 
         def dpsi(t):
             th = theta0 + arc * t / radius
-            return arc * np.array([-math.sin(th), math.cos(th)])
+            return arc * np.array([-np.sin(th), np.cos(th)])
 
         return EmbeddedCurve(psi=psi, dpsi=dpsi, curvature=lambda t: kap)
 
 
-def fermi_mu(curve: EmbeddedCurve, x: float, y: float) -> float:
-    """sqrt(det g^y) = |psi'(x)| (1 - y kappa(x)); the coefficient mu(x, y).
+def _lead(v: np.ndarray, t) -> np.ndarray:
+    """A plane vector v with t's axes appended, so that it broadcasts against t."""
+    return v.reshape((2,) + (1,) * np.ndim(t))
 
-    Raises :class:`ChartError` outside the tubular neighborhood."""
-    k = curve.curvature(x)
-    if y * k >= 1.0:
-        raise ChartError(f"Fermi chart invalid: y*kappa = {y * k:.3g} >= 1")
-    return curve.speed(x) * (1.0 - y * k)
+
+def fermi_mu(curve: EmbeddedCurve, x, y):
+    """sqrt(det g^y) = |psi'(x)| (1 - y kappa(x)); the coefficient mu(x, y),
+    broadcast over arrays x and y.
+
+    Raises :class:`ChartError` if any point leaves the tubular neighborhood."""
+    yk = y * curve.curvature(x)
+    if np.any(yk >= 1.0):
+        raise ChartError(f"Fermi chart invalid: y*kappa = {np.max(yk):.3g} >= 1")
+    return curve.speed(x) * (1.0 - yk)

@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .assembly import DiscreteField, OperatorSpec, RhoWeight, assemble, solve_linear
+from .assembly import DiscreteField, RhoWeight, assemble, solve_linear
 from .geometry import HalfGrid, build_half_grid
 from .ratio import _quotient_field, _v_on_grid
 from .weights import (CharacteristicSolution, WeightFamily, _sample, omega as omega_weight,
@@ -206,10 +206,11 @@ class ProblemFamily:
     The outer Dirichlet trace is v_eps(x, y) * trace_factor(x, y), so the
     quotient w has eps-uniform boundary values by construction; forcing f and
     field F are eps-independent samplers (their quotient norms are recorded
-    per eps).  mu_inverse == None means the identity tensor.  Every sampler
-    (f, F, trace_factor and mu_inverse) takes arrays of positions x and
-    ordinates y and broadcasts over them, F returning its two components
-    along a leading axis; see :class:`OperatorSpec`."""
+    per eps).  ``mu_inverse`` samples mu^(-1) of the tensor A = mu I (None:
+    mu == 1) for each eps step's :class:`RhoWeight`.  Every sampler (f, F,
+    trace_factor and mu_inverse) takes arrays of positions x and ordinates y
+    and broadcasts over them, F returning its two components along a
+    leading axis; see :class:`OperatorSpec`."""
 
     a: float
     f: Optional[Callable] = None
@@ -218,12 +219,6 @@ class ProblemFamily:
     mu_inverse: Optional[Callable] = None
     name: str = "family"
     p1: float = 6.0
-
-    def spec(self) -> OperatorSpec:
-        if self.mu_inverse is None:
-            return OperatorSpec()
-        inv = self.mu_inverse
-        return OperatorSpec(mu=lambda x, y: 1.0 / inv(x, y))
 
 
 @dataclass
@@ -279,7 +274,7 @@ def solve_family(family: ProblemFamily, eps_list: Sequence[float],
     for eps in eps_list:
         weight = RhoWeight(WeightFamily(family.a, eps), family.mu_inverse)
         sol = weight.sol        # one solution (and segment memo) per eps
-        op = assemble(grid, weight, family.spec(), parity="odd")
+        op = assemble(grid, weight, parity="odd")
         # The trace reads v from the column ladders of sol: on the top faces from the
         # resistance ladders, on the side faces x = -1, 1 from one pass over both.
         v_char_profile(sol, side_x, ys)
@@ -362,7 +357,7 @@ def admissible_eps(eps_list: Sequence[float], grid_h: float, restricted: str = "
 
 def _check_mode(family: ProblemFamily, mode: str) -> None:
     if mode not in SWEEP_MODES:
-        raise ValueError(f"unknown sweep mode {mode!r}")
+        raise ValueError(f"unknown sweep mode {mode!r} (one of {', '.join(SWEEP_MODES)})")
     if mode == "odd_direct_c0" and not (-1.0 < family.a < 1.0):
         raise ValueError("odd_direct_c0 requires a in (-1, 1)")
 

@@ -35,6 +35,7 @@ from .weights import (
     WeightFamily,
     _antiderivative_unit,
     chi,
+    psi,
     quad,  # noqa: F401  (unused here; perfbench/layers.py wraps potentials.quad by name)
 )
 
@@ -110,7 +111,7 @@ def phi_big(a: float, t):
     pos = t > 0
     tp = t[pos]
     t2 = tp * tp
-    psi1 = tp * (1.0 + t2) ** (-a / 2.0) / _antiderivative_unit(a, tp)
+    psi1 = psi(a, 1.0, tp)
     bracket = math.sqrt(2.0) * psi1 + a * t2 / (math.sqrt(2.0) * (1.0 + t2))
     out[pos] = bracket * bracket + a * t2 * ((2.0 - a) * t2 - 2.0) / (4.0 * (1.0 + t2) ** 2)
     return out if out.ndim else float(out)

@@ -131,7 +131,7 @@ def auxiliary_rhs(spec: OperatorSpec, sol: CharacteristicSolution,
 
     def b_tildeA(x, y):
         # mu b_tilde (grad_x v / v)
-        return spec.mu_at(x, y) * spec.b_tilde_diag_at(x, y, 0) * b_identity(x, y)
+        return sol.mu_at(x, y) * spec.b_tilde_diag_at(x, y, 0) * b_identity(x, y)
 
     def T_bar(x, y):
         t = spec.t_at(x, y)[0]
@@ -160,11 +160,13 @@ def auxiliary_rhs(spec: OperatorSpec, sol: CharacteristicSolution,
 class OddProblem:
     """An odd Dirichlet problem: weight family + tensor + data + outer trace.
 
-    Its samplers take arrays as those of :class:`OperatorSpec` do, F with
-    its components along a leading axis.  ``u_exact`` switches the residual
-    check to manufactured mode: the quotient is formed from the sampled
-    exact solution instead of a discrete solve, so the residual isolates
-    the truncation of the quotient equation itself."""
+    ``sol`` holds the weight family and mu (as its ``mu_inverse``), ``spec``
+    the blocks B_tilde and T of the tensor.  Its samplers take arrays as
+    those of :class:`OperatorSpec` do, F with its components along a
+    leading axis.  ``u_exact`` switches the residual check to manufactured
+    mode: the quotient is formed from the sampled exact solution instead of
+    a discrete solve, so the residual isolates the truncation of the
+    quotient equation itself."""
 
     sol: CharacteristicSolution
     spec: OperatorSpec

@@ -423,6 +423,13 @@ class CharacteristicSolution:
     def _column(self, x) -> _Column:
         return self._memo.setdefault(x, _Column())
 
+    def mu_at(self, x, y) -> np.ndarray:
+        """mu = 1 / mu_inverse at the points (x, y) in one call (ones without
+        one): the mu of the operator's A = mu [[B_tilde, T], [T^t, 1]]."""
+        if self.mu_inverse is None:
+            return np.ones(np.shape(y))
+        return 1.0 / _sample(self.mu_inverse, x, y)
+
     def segment_integral(self, x, y0, y1):
         """int_{y0}^{y1} rho^(-a)(s) mu^(-1)(x, s) ds for single segments, all
         broadcast, 0 <= y0 <= y1.  A segment kept in its column's points, or

@@ -31,15 +31,6 @@ class _SeedWeightModel:
         return self.values(xcol, ys)
 
 
-class SeedConstantWeight(_SeedWeightModel):
-    def __init__(self, value: float = 1.0):
-        self.value = float(value)
-        self.weight_id = f"const[{value:g}]"
-
-    def values(self, xcol, ys):
-        return np.full_like(np.asarray(ys, dtype=float), self.value)
-
-
 class SeedRhoWeight(_SeedWeightModel):
     """w = rho(y); exact resistances through the characteristic antiderivative.
 

@@ -256,12 +256,11 @@ def test_criterion_10_fermi_demo():
             worst = max(worst, abs(mu - float(np.linalg.norm(zp - zm) / (2 * step))))
     ok_mu = worst <= 1e-6
 
-    speed, kap = 2.0, 1.0 / radius
     fam = dl.ProblemFamily(
         a=a,
         f=lambda x, y: np.abs(y) ** 0.5 * np.cos(np.pi * x),
         trace_factor=lambda x, y: np.cos(np.pi * x / 2.0) * (1 + 0.5 * y * y),
-        mu_inverse=lambda x, y: 1.0 / (speed * (1.0 - y * kap)),
+        mu_inverse=lambda x, y: 1.0 / dl.fermi_mu(curve, x, y),
         name="fermi-circle")
     eps_list = [1.0, 0.1, 0.01, 0.0]
     rep_c0 = dl.epsilon_sweep(fam, eps_list, 0.4, mode="ratio_c0", grid_h=1 / 32)

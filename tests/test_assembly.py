@@ -16,7 +16,7 @@ def exact_field(grid, fn, parity="odd"):
 
 def test_identity_like_solve():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
-    op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd")
+    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
     rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
     rep = dl.solve_linear(op, rhs)
     assert np.max(np.abs(rep.field.values - exact.values)) < 1e-12
@@ -26,7 +26,7 @@ def test_identity_like_solve():
 def test_poisson_1d_analytic_oracle():
     # -u'' = 1 along y with u(0) = u(1) = 0: u = y(1-y)/2, odd extension y(1-|y|)/2
     g = dl.build_half_grid(1, "half_rectangle", 1 / 64)
-    op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd")
+    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
 
     def u_exact(x, y):
         return y * (1 - abs(y)) / 2.0
@@ -85,10 +85,10 @@ def test_even_parity_annihilates_constants():
 
 def test_symmetry_without_drift():
     g = dl.build_half_grid(1, "half_disk", 1 / 16)
-    spec = dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.2 * x * x,
-                           b_tilde=lambda x, y: 1.0 + 0.1 * y * y,
+    spec = dl.OperatorSpec(b_tilde=lambda x, y: 1.0 + 0.1 * y * y,
                            t_field=lambda x, y: 0.3 * y)
-    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(-0.5, 0.1)), spec, parity="odd")
+    w = dl.RhoWeight(dl.WeightFamily(-0.5, 0.1), lambda x, y: 1.0 / (1.0 + 0.2 * x * x))
+    op = dl.assemble(g, w, spec, parity="odd")
     d = op.matrix - op.matrix.T
     assert abs(d).max() < 1e-12
 
@@ -104,7 +104,7 @@ def test_drift_zero_sampler_identical_matrix():
 
 def test_drift_solve_runs_bicgstab_consistency():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
-    w = dl.ConstantWeight(1.0)
+    w = dl.RhoWeight(dl.WeightFamily(0.0))
     op = dl.assemble(g, w, parity="odd", drift=lambda x, y: (0.2, 0.1 * y))
     rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
     rep = dl.solve_linear(op, rhs)
@@ -117,7 +117,7 @@ def test_planar_systems_factor_directly():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 64)
     assert g.ncells > dl.assembly.DIRECT_SOLVE_MAX
     for drift in (None, lambda x, y: (0.2, 0.1 * y)):
-        op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd", drift=drift)
+        op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd", drift=drift)
         assert op.has_drift == (drift is not None)
         rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
         rep = dl.solve_linear(op, rhs)
@@ -133,7 +133,7 @@ def test_iterative_solves_report_info(monkeypatch):
     g = dl.build_half_grid(2, "half_rectangle", 1 / 8)
     for drift, method in ((None, "cg-jacobi"),
                           (lambda x, y: (0.2, -0.1, 0.1 * y), "bicgstab-jacobi")):
-        op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd", drift=drift)
+        op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd", drift=drift)
         rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
         rep = dl.solve_linear(op, rhs)
         assert rep.method == method
@@ -148,7 +148,7 @@ def test_failed_krylov_solve_falls_back_to_lu(monkeypatch, drift):
     monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 0)
     monkeypatch.setattr(dl.assembly, "ITERATION_CAP", 1)
     g = dl.build_half_grid(2, "half_rectangle", 1 / 4)
-    op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd", drift=drift)
+    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd", drift=drift)
     rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
     rep = dl.solve_linear(op, rhs)
     assert rep.method == "direct-sparse-lu"
@@ -179,30 +179,38 @@ def test_v_between_ladder_points_is_linear():
 
 def test_parity_mismatch_rejected():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
-    op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd")
+    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
     with pytest.raises(ParityError):
         dl.manufactured_problem(lambda x, y: 1.0 + y * y, op, mode="discrete")
 
 
-def test_weight_equivalence_constant_mu():
-    """rho v^2 with mu = c against the plain quotient weight: operators are
-    exactly proportional and the quotient fields differ by exactly c."""
+@pytest.mark.parametrize("model,parity", [("auxiliary", "even"), ("rho", "odd")])
+def test_weight_equivalence_constant_mu(model, parity):
+    """A weight model whose mu_inverse is 1/c against the same model with
+    mu == 1, mu coming from the model alone.  rho with mu = c: the y-faces
+    and the x-faces are both exactly c times those of mu == 1.  rho v^2:
+    v is 1/c times the mu == 1 one, so the weight is 1/c^2 times and both
+    axes are exactly 1/c times (the quotient fields differ by exactly c)."""
     g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
     a, c = 0.5, 2.0
     fam = dl.WeightFamily(a, 0.1)
-    sol_c = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 1.0 / c)
-    sol_1 = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 1.0)
-    spec_c = dl.OperatorSpec(mu=lambda x, y: c)
-    op_c = dl.assemble(g, dl.AuxiliaryWeight(sol_c), spec_c, parity="even")
-    op_1 = dl.assemble(g, dl.AuxiliaryWeight(sol_1), parity="even")
-    diff = op_c.matrix * c - op_1.matrix
-    scale = abs(op_1.matrix).max()
-    assert abs(diff).max() <= 1e-10 * scale
+
+    def weight(mu_inverse):
+        if model == "rho":
+            return dl.RhoWeight(fam, mu_inverse)
+        return dl.AuxiliaryWeight(dl.CharacteristicSolution(fam, mu_inverse))
+
+    factor = c if model == "rho" else 1.0 / c
+    op_c = dl.assemble(g, weight(lambda x, s: 1.0 / c), parity=parity)
+    op_1 = dl.assemble(g, weight(lambda x, s: 1.0), parity=parity)
+    for axis in (0, 1):
+        on = op_1.faces.axis == axis
+        assert np.array_equal(op_c.faces.tau[on], factor * op_1.faces.tau[on])
+    assert (op_c.matrix != factor * op_1.matrix).nnz == 0
 
 
 def test_sigma_invariance_check():
-    spec = dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.3 * np.cos(x),
-                           b_tilde=lambda x, y: 1.0 + 0.1 * y * y,
+    spec = dl.OperatorSpec(b_tilde=lambda x, y: 1.0 + 0.1 * y * y,
                            t_field=lambda x, y: 0.2 * y)
     assert spec.check_sigma_invariance(n=1) < 1e-12
     bad = dl.OperatorSpec(t_field=lambda x, y: 5.0 + y)
@@ -233,7 +241,7 @@ def test_sigma_invariance_samples_both_signs_of_x():
 def test_convergence_study_second_order():
     def factory(h):
         g = dl.build_half_grid(1, "half_rectangle", h)
-        op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd")
+        op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
 
         def ue(x, y):
             return np.sin(np.pi * x) * y * (1 + y * y) * 0.25
@@ -281,7 +289,7 @@ def test_convergence_study_weighted_interior_order():
 def test_convergence_study_exact_flag():
     def factory(h):
         g = dl.build_half_grid(1, "half_rectangle", h)
-        op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd")
+        op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
         rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
         return op, rhs, exact
 
@@ -323,26 +331,26 @@ def test_interpolation_parity_ghosts():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_mu_at_samples_once_per_grid(n):
-    """OperatorSpec.mu_at makes one call on all its points, x an array for
-    n = 1 and a tuple of arrays for n = 2, and equals mu called point by
-    point exactly."""
+    """CharacteristicSolution.mu_at makes one call of mu_inverse on all its
+    points, x an array for n = 1 and a tuple of arrays for n = 2, and equals
+    1 / mu_inverse called point by point exactly."""
     from degenlab.assembly import _axis_faces
 
     calls = []
 
-    def mu(x, y):
+    def mu_inverse(x, y):
         calls.append(x)
         xx = x * x if n == 1 else x[0] * x[0] + 0.5 * x[1] * x[1]
-        return 1.0 + 0.2 * xx + 0.3 * y * y / (1.0 + y)
+        return 1.0 / (1.0 + 0.2 * xx + 0.3 * y * y / (1.0 + y))
 
     g = dl.build_half_grid(n, "half_rectangle", 1 / 8)
-    spec = dl.OperatorSpec(mu=mu)
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse)
     pts = np.vstack([g.centers] + [_axis_faces(g, axis)[2] for axis in range(n + 1)])
     pts = pts[np.random.default_rng(7).permutation(len(pts))]
-    want = np.array([mu(p[0] if n == 1 else tuple(p[:n]), p[n]) for p in pts])
+    want = np.array([1.0 / mu_inverse(p[0] if n == 1 else tuple(p[:n]), p[n]) for p in pts])
     calls.clear()
     x = pts[:, 0] if n == 1 else (pts[:, 0], pts[:, 1])
-    got = spec.mu_at(x, pts[:, n])
+    got = sol.mu_at(x, pts[:, n])
     assert np.array_equal(got, want)
     assert len(calls) == 1
     x = calls[0]
@@ -380,7 +388,7 @@ def test_off_diagonal_b_tilde_is_refused():
     given as a ragged tuple, scales the x-face transmissibilities of each
     axis by its own entry."""
     g = dl.build_half_grid(2, "half_rectangle", 1 / 4)
-    w = dl.ConstantWeight(1.0)
+    w = dl.RhoWeight(dl.WeightFamily(0.0))
 
     def sheared(x, y):
         return (1.0, 0.1 * y), (0.1 * y, 1.0)

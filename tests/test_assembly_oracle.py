@@ -10,6 +10,7 @@ the array assembly requires, and serve the oracle's scalar calls as well.
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ def _mu_inverse(x, y):
 def _weights(name):
     """(array model, loop model) with identical parameters."""
     if name == "const":
-        return dl.ConstantWeight(1.3), seed.SeedConstantWeight(1.3)
+        fam = dl.WeightFamily(0.0)
+        return dl.RhoWeight(fam), seed.SeedRhoWeight(fam)
     if name == "rho-eps0":
         fam = dl.WeightFamily(0.5, 0.0)
         return dl.RhoWeight(fam), seed.SeedRhoWeight(fam)
@@ -54,7 +56,10 @@ def _weights(name):
 
 @dataclass(frozen=True)
 class _PointSpec(dl.OperatorSpec):
-    """The per-point accessors of OperatorSpec that the loop oracle calls."""
+    """The per-point accessors of OperatorSpec that the loop oracle calls,
+    with the mu the loop oracle reads from the spec: the weight's own."""
+
+    mu: Optional[Callable] = None
 
     def mu_val(self, x, y):
         return 1.0 if self.mu is None else float(self.mu(x, y))
@@ -71,15 +76,14 @@ class _PointSpec(dl.OperatorSpec):
         return np.atleast_1d(np.asarray(self.t_field(x, y), dtype=float))
 
 
-def _spec(n, t_field, cls=dl.OperatorSpec):
+def _spec(n, t_field, cls=dl.OperatorSpec, **mu):
     def b_tilde(x, y):
         return 1.0 + 0.1 * y * y if n == 1 else ((1.0 + 0.1 * y * y, 0.0), (0.0, 1.2))
 
     def t(x, y):
         return 0.3 * y if n == 1 else (0.3 * y, -0.2 * y * _first(x))
 
-    return cls(mu=lambda x, y: 1.0 + 0.2 * _norm2(x),
-               b_tilde=b_tilde, t_field=t if t_field else None)
+    return cls(b_tilde=b_tilde, t_field=t if t_field else None, **mu)
 
 
 def _drift(n):
@@ -115,7 +119,9 @@ def test_array_assembly_matches_loop_oracle(grid, weight, parity, outer, drift, 
     new_w, old_w = _weights(weight)
     b = _drift(n) if drift == "drift" else None
     new = dl.assemble(g, new_w, _spec(n, t_field == "t"), parity=parity, drift=b, outer=outer)
-    old = seed.assemble(g, old_w, _spec(n, t_field == "t", _PointSpec), parity=parity,
+    mu_inverse = new_w.sol.mu_inverse
+    mu = {} if mu_inverse is None else {"mu": lambda x, y: 1.0 / mu_inverse(x, y)}
+    old = seed.assemble(g, old_w, _spec(n, t_field == "t", _PointSpec, **mu), parity=parity,
                         drift=b, outer=outer)
     scale = abs(old.matrix).max()
     assert abs(new.matrix - old.matrix).max() <= RTOL * scale

@@ -50,6 +50,18 @@ def test_usage_error_exit_code(tmp_path):
     (("eigen", "eps=-0.1"), "eps", "-0.1"),
     (("certify", "budget=999"), "budget", "999"),
     (("certify", "phi_a=1.5"), "phi_a", "1.5"),
+    (("sweep", "h=0.3"), "h", "0.3"),
+    (("solve", "h_list=0.5 0.25 0.125"), "h_list", "0.5"),
+    (("sweep", "a=1"), "a", "1"),
+    (("solve", "a=1"), "a", "1"),
+    (("fermi-demo", "a=1"), "a", "1"),
+    (("sweep", "eps_list=1 -0.1"), "eps_list", "-0.1"),
+    (("fermi-demo", "eps_list=1 0.1 -0.01 0"), "eps_list", "-0.01"),
+    (("sweep", "mode=odd_direct_c0", "a=-1.5"), "mode", "odd_direct_c0"),
+    (("fermi-demo", "radius=0"), "radius", "0"),
+    (("fermi-demo", "radius=0.5"), "radius", "0.5"),
+    (("fermi-demo", "radius=1"), "radius", "1"),
+    (("sweep", "alpha=-1"), "alpha", "-1"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     """A value that does not parse, or that the command cannot run on, is a
@@ -141,8 +153,9 @@ def test_fermi_demo_solves_once_per_eps(tmp_path, monkeypatch):
     eps_list = [1.0, 0.1, 0.01, 0.0]
     assert _run(tmp_path, "fermi-demo", "h=1/16", "eps_list=1 0.1 0.01 0") == 0
     assert len(calls) == len(eps_list)
-    # the demo's family: circle of radius 2 at speed 2, mu = 2 (1 - y / 2)
-    fam = _sweep_family(0.5, lambda x, y: 1.0 / (2.0 * (1.0 - y * 0.5)), "fermi")
+    # the demo's family: mu = fermi_mu of its circle of radius 2 at speed 2
+    curve = degenlab.EmbeddedCurve.circle(2.0, arc=2.0, theta0=-0.5)
+    fam = _sweep_family(0.5, lambda x, y: 1.0 / degenlab.fermi_mu(curve, x, y), "fermi")
     for name, mode, restricted in (("fermi_c0.csv", "ratio_c0", "none"),
                                    ("fermi_c1_restricted.csv", "ratio_c1", "sqrt_eps"),
                                    ("fermi_c1_unrestricted.csv", "ratio_c1", "none")):

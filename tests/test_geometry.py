@@ -31,6 +31,9 @@ def test_grid_validation():
         dl.build_half_grid(1, "half_rectangle", 0.5)      # too coarse
     with pytest.raises(ValueError):
         dl.build_half_grid(1, "half_rectangle", 0.11)     # does not divide
+    for h in (0.0, -0.25):                                # no positive spacing
+        with pytest.raises(ValueError, match="must be in"):
+            dl.build_half_grid(1, "half_rectangle", h)
     with pytest.raises(ValueError):
         dl.build_half_grid(2, "half_disk", 0.125)
 

@@ -11,13 +11,15 @@ LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 def _wrapped():
-    """Functions the tracer wraps by name, one of each kind (method, external
-    name, public function, public function with a result hook): a rename
-    fails here instead of zeroing its metrics."""
-    weights, potentials, spectral = (sys.modules[f"degenlab.{m}"]
-                                     for m in ("weights", "potentials", "spectral"))
+    """Functions the tracer wraps by name: every method of its ``METHODS``
+    and one of each other kind (external name, public function, public
+    function with a result hook).  A rename fails here instead of zeroing
+    its metrics."""
+    weights, potentials, spectral, assembly = (
+        sys.modules[f"degenlab.{m}"] for m in ("weights", "potentials", "spectral", "assembly"))
     return (weights.CharacteristicSolution.segment_integral, potentials.quad,
-            weights.v_char, spectral.min_rayleigh)
+            weights.v_char, spectral.min_rayleigh, assembly.RhoWeight.resistance_y,
+            assembly.AssembledOperator.rhs)
 
 
 def _tracer():

@@ -95,12 +95,15 @@ def test_auxiliary_rhs_trivial_cases():
 def test_auxiliary_rhs_grad_x_matches_fd():
     fam = dl.WeightFamily(0.0, 0.0)
     sol = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 1.0 / (1.0 + x * x * s))
-    bundle = dl.auxiliary_rhs(dl.OperatorSpec(mu=lambda x, y: 1.0 + x * x * y), sol)
+    bundle = dl.auxiliary_rhs(dl.OperatorSpec(), sol)
     x, y = 1.0, 0.5
     step = 1e-5
     fd = (dl.v_char(sol, x + step, y) - dl.v_char(sol, x - step, y)) / (2 * step)
     got = bundle.b_identity(x, y) * dl.v_char(sol, x, y)
     assert got == pytest.approx(fd, abs=1e-8)
+    # mu b_tilde grad_x v / v, mu = 1 / mu_inverse read from the solution
+    assert bundle.b_tildeA(x, y) == pytest.approx((1.0 + x * x * y) * bundle.b_identity(x, y),
+                                                  rel=1e-14)
 
 
 def test_aux_residual_evaluates_grad_x_once_per_point(monkeypatch):
@@ -111,7 +114,7 @@ def test_aux_residual_evaluates_grad_x_once_per_point(monkeypatch):
 
     fam = dl.WeightFamily(0.5, 0.1)
     sol = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 1.0 / (1.0 + 0.1 * x * x))
-    prob = dl.OddProblem(sol=sol, spec=dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.1 * x * x),
+    prob = dl.OddProblem(sol=sol, spec=dl.OperatorSpec(),
                          trace=lambda x, y: dl.v_char(sol, x, y) * wave(x, abs(y)))
     g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
     n_xfaces = int(np.sum(ratio.assemble_auxiliary(g, prob).faces.axis < g.n))
@@ -131,7 +134,7 @@ def _field_problem():
     """A quadratic-mu problem with a field F that vanishes on the plane."""
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1),
                                     mu_inverse=lambda x, s: 1.0 / (1.0 + 0.1 * x * x))
-    return dl.OddProblem(sol=sol, spec=dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.1 * x * x),
+    return dl.OddProblem(sol=sol, spec=dl.OperatorSpec(),
                          F=lambda x, y: (0.1 * y, 0.2 * y),
                          trace=lambda x, y: dl.v_char(sol, x, y) * wave(x, abs(y)))
 
@@ -217,7 +220,7 @@ def test_variable_mu_residual_stable_in_eps():
     for eps in (0.1, 0.01):
         fam = dl.WeightFamily(a, eps)
         sol = dl.CharacteristicSolution(fam, mu_inv)
-        spec = dl.OperatorSpec(mu=lambda x, y: 1.0 + 0.1 * x * x)
+        spec = dl.OperatorSpec()
 
         def trace(x, y, s=sol):
             return dl.v_char(s, x, y) * wave(x, abs(y))

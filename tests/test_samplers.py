@@ -27,7 +27,7 @@ def _op(spec=None, drift=None):
 def _convergence(region):
     def factory(h):
         g = dl.build_half_grid(1, "half_rectangle", h)
-        op = dl.assemble(g, dl.ConstantWeight(1.0), parity="odd")
+        op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
         rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
         return op, rhs, exact
 
@@ -69,10 +69,9 @@ ROLES = {
                 lambda x, y: 0.3 * y * np.cos(x), lambda x, y: 0.3 * y * math.cos(x)),
     "b_tilde": (lambda s: _op(dl.OperatorSpec(b_tilde=s)), 1,
                 lambda x, y: 1.0 + 0.1 * np.sin(y), lambda x, y: 1.0 + 0.1 * math.sin(y)),
-    "mu": (lambda s: _op(dl.OperatorSpec(mu=s)), 1,
-           lambda x, y: 1.0 + 0.1 * np.sin(x), lambda x, y: 1.0 + 0.1 * math.sin(x)),
+    # the y-resistances, then mu = 1 / mu_inverse on the x-faces
     "mu_inverse": (lambda s: dl.assemble(_grid(), dl.RhoWeight(dl.WeightFamily(0.5, 0.1), s)),
-                   1, lambda x, y: 1.0 / (1.0 + 0.1 * x * x),
+                   2, lambda x, y: 1.0 / (1.0 + 0.1 * x * x),
                    lambda x, y: 1.0 / (1.0 + 0.1 * math.sin(x))),
     # one call per eps step
     "trace_factor": (_sweep, 2,

@@ -451,8 +451,9 @@ def test_sampler_must_broadcast_over_x():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     with pytest.raises(ValueError, match="cos_column"):
         dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.5, 0.1), cos_column))
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), cos_column)
     with pytest.raises(ValueError, match="cos_column"):
-        dl.assemble(g, dl.ConstantWeight(), dl.OperatorSpec(mu=cos_column))
+        sol.mu_at(g.centers[:, 0], g.centers[:, 1])
 
 
 def _tilt(x):
@@ -473,7 +474,9 @@ def test_whole_grid_pass_matches_quad_per_segment(monkeypatch, grid, a, eps):
     equals the profile of each column alone.  mu^(-1) depends on x; eps = 0
     with a > 0 takes the substitution on the segments from the plane, and
     the half disk has columns of different heights.  At a = 0.9, eps = 1e-3
-    some segments fail qags's test and take the scalar ``quad`` fallback."""
+    some segments fail qags's test and take the scalar ``quad`` fallback.
+    mu^(-1) takes 1 + n calls on arrays: the resistances, then mu =
+    1 / mu^(-1) on the x-faces of each axis."""
     calls = []
 
     def mu_inv(x, s):
@@ -495,7 +498,7 @@ def test_whole_grid_pass_matches_quad_per_segment(monkeypatch, grid, a, eps):
 
     monkeypatch.setattr(dl.RhoWeight, "resistance_y", recording)
     op = dl.assemble(g, w, parity="odd")
-    assert len(seen) == 1 and len(calls) == 1
+    assert len(seen) == 1 and len(calls) == 1 + n
     x, y0, y1, got = seen[0]
     assert isinstance(calls[0], tuple) == (n == 2)
     ask = ~np.isnan(y0)
