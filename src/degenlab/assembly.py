@@ -72,6 +72,7 @@ from .weights import (
 
 DIRECT_SOLVE_MAX = 5_000
 ITERATION_CAP = 100_000
+SIGMA_SAMPLES = 200     # plane points at which check_sigma_invariance samples T
 
 
 class ParityError(ValueError):
@@ -120,10 +121,10 @@ class OperatorSpec:
             return np.zeros((n,) + np.shape(y))
         return _sample(self.t_field, x, y, "t_field", (n,))
 
-    def check_sigma_invariance(self, n: int = 1, npoints: int = 200) -> float:
-        """Max |T(x, 0)| over sample points (must vanish: A(x,0) e_y = mu e_y)."""
-        return float(np.max(np.abs(self.t_at(_x_of(list(_halton_points(npoints, n).T)),
-                                              np.zeros(npoints)))))
+    def check_sigma_invariance(self, n: int = 1) -> float:
+        """Max |T(x, 0)| over ``SIGMA_SAMPLES`` points (must vanish: A(x,0) e_y = mu e_y)."""
+        return float(np.max(np.abs(self.t_at(_x_of(list(_halton_points(SIGMA_SAMPLES, n).T)),
+                                              np.zeros(SIGMA_SAMPLES)))))
 
 
 def _halton_points(count: int, dim: int) -> np.ndarray:
@@ -337,7 +338,7 @@ class DiscreteField:
         """Bilinear interpolation (n=1 grids) with parity ghosts below y=h/2.
 
         Corners outside the grid take the trace at their cell centre, in one
-        call, when a trace is given, else the point takes the nearest cell."""
+        call; without a trace such a point raises ValueError."""
         if self.grid.n != 1:
             raise NotImplementedError("interpolation implemented for n=1 grids")
         g = self.grid
@@ -355,17 +356,15 @@ class DiscreteField:
                                    j0[:, None, None] + np.array([[0, 1]]))
         vals = frame[np.clip(i, -1, g.nx) + 1, np.clip(j, -2, g.ny) + 2]
         missing = np.isnan(vals)
-        if trace is not None and missing.any():
+        if missing.any():
+            if trace is None:
+                k = np.flatnonzero(missing.any(axis=(1, 2)))[0]
+                raise ValueError(f"the stencil of {tuple(points[k].tolist())} leaves the "
+                                 "grid; give a trace for the cells outside it")
             vals[missing] = _sample(trace, -1.0 + (i[missing] + 0.5) * h,
                                     (j[missing] + 0.5) * h, "trace")
-            missing[:] = False
-        out = ((1 - tx) * (1 - ty) * vals[:, 0, 0] + (1 - tx) * ty * vals[:, 0, 1]
-               + tx * (1 - ty) * vals[:, 1, 0] + tx * ty * vals[:, 1, 1])
-        far = np.flatnonzero(missing.any(axis=(1, 2)))
-        d2 = ((g.centers[None, :, 0] - points[far, 0, None]) ** 2
-              + (g.centers[None, :, 1] - points[far, 1, None]) ** 2)
-        out[far] = self.values[np.argmin(d2, axis=1)]
-        return out
+        return ((1 - tx) * (1 - ty) * vals[:, 0, 0] + (1 - tx) * ty * vals[:, 0, 1]
+                + tx * (1 - ty) * vals[:, 1, 0] + tx * ty * vals[:, 1, 1])
 
 
 def _xy(pts: np.ndarray, n: int):
@@ -666,11 +665,9 @@ class SolveReport:
     converged: bool               # relative_residual <= tolerance
     tolerance: float
     info: int                     # 0, or the cg/bicgstab failure flag (the LU then solved)
-    iteration_cap: int = ITERATION_CAP
 
 
-def solve_linear(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-10,
-                 parity: Optional[str] = None) -> SolveReport:
+def solve_linear(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-10) -> SolveReport:
     """Solve op u = rhs.
 
     Planar grids (n = 1), and n = 2 grids of at most ``DIRECT_SOLVE_MAX``
@@ -708,7 +705,7 @@ def solve_linear(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-10,
         u = lu.solve(rhs, trans="T")
         method = "direct-sparse-lu"
     res = op.residual(u, rhs)
-    fld = DiscreteField(op.grid, u, op.parity if parity is None else parity)
+    fld = DiscreteField(op.grid, u, op.parity)
     return SolveReport(field=fld, relative_residual=res, iterations=it_count[0],
                        assembly_weight_id=op.assembly_weight_id, method=method,
                        converged=res <= tol, tolerance=tol, info=info)
@@ -750,8 +747,7 @@ def _check_parity(u_exact, parity, n, tol=1e-9):
 
 
 def convergence_study(factory: Callable, h_list: Sequence[float],
-                      region: Optional[Callable] = None,
-                      tol: float = 1e-10) -> Tuple[list, SolveReport]:
+                      region: Optional[Callable] = None) -> Tuple[list, SolveReport]:
     """Solve factory(h) -> (operator, rhs, exact_field) over decreasing h.
 
     Returns (rows, finest): rows (h, max_error, order_estimate), where order
@@ -764,7 +760,7 @@ def convergence_study(factory: Callable, h_list: Sequence[float],
     prev = None
     for h in h_list:
         op, rhs, exact = factory(h)
-        rep = solve_linear(op, rhs, tol=tol)
+        rep = solve_linear(op, rhs)
         err = np.abs(rep.field.values - exact.values)
         if region is not None:
             err = err[_sample(region, *_xy(op.grid.centers, op.grid.n), "region") != 0.0]

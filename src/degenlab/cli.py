@@ -13,7 +13,8 @@ Configuration is a flat key=value text file ('#' comments allowed); command
 line overrides come as key=value pairs or --key value flags.  Outputs are
 byte deterministic: floats are printed with 12 significant digits, newline
 line endings, and the header comments record the tool version, a hash of the
-effective configuration, the grid description, and tolerances.
+keys set in the config file and overrides (not of the defaults), the grid
+description, and tolerances.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .assembly import (OperatorSpec, RhoWeight, assemble, convergence_study,
 from .certify import (MIN_BUDGET, verify_gamma_rectangle, verify_phi_bound,
                       verify_v_inequality, v_minimum)
 from .geometry import EmbeddedCurve, build_half_grid, fermi_mu
-from .holder import (ProblemFamily, _check_mode, admissible_eps, epsilon_sweep, measure_sweep,
-                     solve_family)
+from .holder import (SLOPE_TOL, TAU, ProblemFamily, _check_mode, admissible_eps, epsilon_sweep,
+                     measure_sweep, solve_family)
 from .potentials import v_limit, v_limit_deriv
 from .spectral import HalfDiskMesh, eigen_stability_sweep, hardy_quotient, trace_eigen
 from .weights import WeightFamily
@@ -230,11 +231,11 @@ def cmd_sweep(cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(f"mode: {mode!r} is not usable: {exc}") from None
     rep = epsilon_sweep(family, eps_list, alpha, mode=mode, grid_h=h)
-    rows = [(e, s, sup) for e, s, sup, _ in rep.per_eps]
+    rows = rep.per_eps
     header = [f"config-hash: {_config_hash(cfg)}",
               f"grid: half-rectangle cell-centered, h={fmt(h)}",
               f"family: {rep.family} mode={mode} alpha={fmt(alpha)}",
-              f"tolerances: tau={fmt(rep.tau)} slope_tol={fmt(rep.slope_tol)}"]
+              f"tolerances: tau={fmt(TAU)} slope_tol={fmt(SLOPE_TOL)}"]
     _write(_outdir() / "sweep.csv", header, rows, ["eps", "seminorm", "sup_norm"])
     (_outdir() / "sweep_verdict.txt").write_text(rep.verdict() + "\n")
     plot_rows = [(e if e > 0 else min(x for x in eps_list if x > 0) / 10.0, s)
@@ -352,8 +353,8 @@ def cmd_fermi_demo(cfg: dict) -> int:
                 f"grid: half-rectangle cell-centered, h={fmt(h)}",
                 rep.verdict().splitlines()[0],
                 f"restricted: {rep.restricted}",
-                f"tolerances: tau={fmt(rep.tau)} slope_tol={fmt(rep.slope_tol)}"],
-               [(e, s, sup) for e, s, sup, _ in rep.per_eps],
+                f"tolerances: tau={fmt(TAU)} slope_tol={fmt(SLOPE_TOL)}"],
+               rep.per_eps,
                ["eps", "seminorm", "sup_norm"])
     ok &= rep_c0.passed and rep_c1r.passed   # unrestricted table is reported, not judged
     return 0 if ok else 1
@@ -393,8 +394,9 @@ COMMANDS = {
 
 
 def run(argv) -> int:
+    # no abbreviations: a trailing --h is a flag without its value, not --help
     parser = argparse.ArgumentParser(
-        prog="degenlab",
+        prog="degenlab", allow_abbrev=False,
         description="verification pipelines for degenerate/singular elliptic weights")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="flat key=value file")

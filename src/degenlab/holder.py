@@ -1,14 +1,15 @@
 """Discrete Hölder seminorms, exponent fitting, and the eps-stability harness.
 
 The regularity statements under test say: the C^{0,alpha} (or C^{1,alpha})
-norm of the quotient w = u/v on an interior region is bounded by data norms
-with a constant that does not depend on the regularization parameter eps.
-The constant itself is not computable, so uniformity is operationalized as a
-two-sided check on the seminorm table over an eps-sweep:
+norm of the quotient w = u/v on an interior region is bounded by norms of
+the data with a constant that does not depend on the regularization
+parameter eps.  The constant itself is not computable, so uniformity is
+operationalized as a two-sided check on the seminorm table over an eps-sweep:
 
-* uniformity_ratio = max/min seminorm over the sweep must stay <= tau (3), and
+* uniformity_ratio = max/min seminorm over the sweep must stay <= ``TAU``
+  (3), and
 * trend_slope, the fitted slope of the median-normalized seminorm against
-  log(1/eps) over the positive entries, must stay <= slope_tol (0.1); a
+  log(1/eps) over the positive entries, must stay <= ``SLOPE_TOL`` (0.1); a
   genuine blow-up as eps -> 0 shows up as a positive slope.
 
 The seminorms are exact: each is the max over all pairs of cells of the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,11 +35,13 @@ import numpy as np
 from .assembly import DiscreteField, RhoWeight, assemble, solve_linear
 from .geometry import HalfGrid, build_half_grid
 from .ratio import _quotient_field, _v_on_grid
-from .weights import (CharacteristicSolution, WeightFamily, _sample, omega as omega_weight,
-                      v_char, v_char_profile)
+from .weights import CharacteristicSolution, WeightFamily, _sample, v_char, v_char_profile
 
-DEFAULT_TAU = 3.0
-DEFAULT_SLOPE_TOL = 0.1
+TAU = 3.0
+SLOPE_TOL = 0.1
+# the dyadic radii of exponent_estimate, and the oscillation below which a field is flat
+EXPONENT_RADII = (0.25, 0.125, 0.0625, 0.03125)
+NOISE_FLOOR = 1e-12
 SWEEP_MODES = ("ratio_c0", "ratio_c1", "odd_direct_c0")
 
 
@@ -163,18 +166,17 @@ class ExponentEstimate:
     oscillations: tuple
 
 
-def exponent_estimate(field: DiscreteField, center_on_sigma,
-                      radii: Sequence[float] = (0.25, 0.125, 0.0625, 0.03125),
-                      noise_floor: float = 1e-12) -> ExponentEstimate:
-    """Fit log osc(r) ~ alpha log r over dyadic half-annuli around a plane point.
+def exponent_estimate(field: DiscreteField, center_on_sigma) -> ExponentEstimate:
+    """Fit log osc(r) ~ alpha log r over the half-annuli of ``EXPONENT_RADII``
+    around a plane point.
 
     osc(r) = max - min of the field on {r/2 < |z - z0| <= r}; a flat field
-    (all oscillations below the noise floor) sets the smooth flag."""
+    (all oscillations below ``NOISE_FLOOR``) sets the smooth flag."""
     g = field.grid
     z0 = np.asarray(center_on_sigma, dtype=float)
     d = np.linalg.norm(g.centers - z0[None, :], axis=1)
     oscs = []
-    for r in radii:
+    for r in EXPONENT_RADII:
         sel = (d > r / 2.0) & (d <= r)
         if not np.any(sel):
             raise EmptyRegionError(f"no cells in the half-annulus at r={r}")
@@ -185,10 +187,10 @@ def exponent_estimate(field: DiscreteField, center_on_sigma,
             lo, hi = min(lo, 0.0), max(hi, 0.0)
         oscs.append(hi - lo)
     oscs_t = tuple(oscs)
-    if max(oscs) < noise_floor:
+    if max(oscs) < NOISE_FLOOR:
         return ExponentEstimate(alpha_hat=math.inf, alpha_raw=math.inf,
                                 smooth=True, oscillations=oscs_t)
-    lr = np.log(np.asarray(radii))
+    lr = np.log(np.asarray(EXPONENT_RADII))
     lo = np.log(np.maximum(oscs, 1e-300))
     slope = float(np.polyfit(lr, lo, 1)[0])
     return ExponentEstimate(alpha_hat=min(slope, 1.0), alpha_raw=slope,
@@ -205,12 +207,12 @@ class ProblemFamily:
 
     The outer Dirichlet trace is v_eps(x, y) * trace_factor(x, y), so the
     quotient w has eps-uniform boundary values by construction; forcing f and
-    field F are eps-independent samplers (their quotient norms are recorded
-    per eps).  ``mu_inverse`` samples mu^(-1) of the tensor A = mu I (None:
-    mu == 1) for each eps step's :class:`RhoWeight`.  Every sampler (f, F,
-    trace_factor and mu_inverse) takes arrays of positions x and ordinates y
-    and broadcasts over them, F returning its two components along a
-    leading axis; see :class:`OperatorSpec`."""
+    field F are eps-independent samplers.  ``mu_inverse`` samples mu^(-1) of
+    the tensor A = mu I (None: mu == 1) for each eps step's
+    :class:`RhoWeight`.  Every sampler (f, F, trace_factor and mu_inverse)
+    takes arrays of positions x and ordinates y and broadcasts over them, F
+    returning its two components along a leading axis; see
+    :class:`OperatorSpec`."""
 
     a: float
     f: Optional[Callable] = None
@@ -218,20 +220,17 @@ class ProblemFamily:
     trace_factor: Optional[Callable] = None
     mu_inverse: Optional[Callable] = None
     name: str = "family"
-    p1: float = 6.0
 
 
 @dataclass
 class StabilityReport:
     alpha: float
     region: Region
-    per_eps: list                     # (eps, seminorm, sup_norm, data_norms dict)
+    per_eps: list                     # (eps, seminorm, sup_norm)
     uniformity_ratio: float
     trend_slope: float
     passed: bool
     mode: str
-    tau: float
-    slope_tol: float
     family: str
     grid_h: float
     restricted: str = "none"
@@ -240,23 +239,22 @@ class StabilityReport:
         lines = [f"family={self.family} mode={self.mode} alpha={self.alpha:g} "
                  f"h={self.grid_h:g} region=|x|<={self.region.x_halfwidth:g},"
                  f"y<={self.region.y_max:g}"]
-        for eps, s, sup, dn in self.per_eps:
+        for eps, s, sup in self.per_eps:
             lines.append(f"  eps={eps:<6g} seminorm={s:.6g} sup={sup:.6g}")
-        lines.append(f"  uniformity_ratio={self.uniformity_ratio:.4g} (tau={self.tau:g})  "
-                     f"trend_slope={self.trend_slope:.4g} (tol={self.slope_tol:g})  "
+        lines.append(f"  uniformity_ratio={self.uniformity_ratio:.4g} (tau={TAU:g})  "
+                     f"trend_slope={self.trend_slope:.4g} (tol={SLOPE_TOL:g})  "
                      f"=> {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
 
 @dataclass(frozen=True)
 class EpsSolution:
-    """One eps step of a sweep: the odd solution u, v_eps at the cell centres
-    (the quotient is u / v) and the quotient-space data norms."""
+    """One eps step of a sweep: the odd solution u and v_eps at the cell
+    centres (the quotient is u / v)."""
 
     eps: float
     u: DiscreteField
     v: np.ndarray
-    norms: dict
 
 
 def solve_family(family: ProblemFamily, eps_list: Sequence[float],
@@ -266,8 +264,6 @@ def solve_family(family: ProblemFamily, eps_list: Sequence[float],
     A solve that does not converge raises SweepAbort carrying the solutions
     before it."""
     grid = build_half_grid(1, "half_rectangle", grid_h)
-    fv = (None if family.f is None      # f does not depend on eps
-          else _sample(family.f, grid.centers[:, 0], grid.centers[:, 1], "f"))
     ys = (np.arange(grid.ny) + 0.5) * grid.h
     side_x = -1.0 + np.array([0, grid.nx]) * grid.h      # as the face midpoints hold it
     out = []
@@ -285,14 +281,12 @@ def solve_family(family: ProblemFamily, eps_list: Sequence[float],
             raise SweepAbort(
                 f"solver failed at eps={eps}: residual {rep.relative_residual:.2e}",
                 partial=out)
-        v = _v_on_grid(sol, grid)       # the quotient and the data norms share it
-        out.append(EpsSolution(eps, rep.field, v, _data_norms(family, sol, grid, v, fv)))
+        out.append(EpsSolution(eps, rep.field, _v_on_grid(sol, grid)))
     return out
 
 
 def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha: float,
                   mode: str = "ratio_c0", region: Optional[Region] = None,
-                  tau: float = DEFAULT_TAU, slope_tol: float = DEFAULT_SLOPE_TOL,
                   restricted: str = "none") -> StabilityReport:
     """Measure each solution per mode on its region and assemble the report.
 
@@ -310,32 +304,28 @@ def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha
         if reg is None:
             continue
         fld = s.u if mode == "odd_direct_c0" else _quotient_field(s.u, s.v)
-        norms = dict(s.norms)
         if mode == "ratio_c1":
-            norms["sup_grad"], semi = c1alpha_seminorm(fld, alpha, reg)
+            semi = c1alpha_seminorm(fld, alpha, reg)[1]
         else:
             semi = holder_seminorm(fld, alpha, reg)
         sup = float(np.max(np.abs(fld.values[reg.mask(grid)])))
-        per_eps.append((s.eps, semi, sup, norms))
+        per_eps.append((s.eps, semi, sup))
     if len(per_eps) < 2:
         raise ValueError("fewer than two admissible eps entries in the sweep")
     semis = np.array([p[1] for p in per_eps])
     lo = float(np.min(semis))
     ratio = float(np.max(semis) / lo) if lo > 0 else (1.0 if np.max(semis) == 0 else math.inf)
     slope = _trend_slope([p[0] for p in per_eps], semis)
-    passed = ratio <= tau and slope <= slope_tol
+    passed = ratio <= TAU and slope <= SLOPE_TOL
     return StabilityReport(alpha=alpha, region=region, per_eps=per_eps,
                            uniformity_ratio=ratio, trend_slope=slope,
-                           passed=bool(passed), mode=mode, tau=tau,
-                           slope_tol=slope_tol, family=family.name,
+                           passed=bool(passed), mode=mode, family=family.name,
                            grid_h=solutions[0].u.grid.h, restricted=restricted)
 
 
 def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float,
                   mode: str = "ratio_c0", grid_h: float = 1.0 / 64,
-                  region: Optional[Region] = None, tau: float = DEFAULT_TAU,
-                  slope_tol: float = DEFAULT_SLOPE_TOL,
-                  restricted: str = "none",
+                  region: Optional[Region] = None, restricted: str = "none",
                   solver_tol: float = 1e-10) -> StabilityReport:
     """:func:`solve_family` at the eps the region admits, then
     :func:`measure_sweep` (modes and restricted as there)."""
@@ -344,7 +334,7 @@ def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float
         raise ValueError("eps_list must contain at least two entries")
     eps_list = admissible_eps(eps_list, grid_h, restricted, region)
     return measure_sweep(family, solve_family(family, eps_list, grid_h, solver_tol), alpha,
-                         mode, region, tau, slope_tol, restricted)
+                         mode, region, restricted)
 
 
 def admissible_eps(eps_list: Sequence[float], grid_h: float, restricted: str = "none",
@@ -388,15 +378,3 @@ def _trend_slope(eps_list, semis) -> float:
     y = np.array([s / med for _, s in pos])
     return float(np.polyfit(x, y, 1)[0])
 
-
-def _data_norms(family: ProblemFamily, sol: CharacteristicSolution, grid: HalfGrid,
-                v: np.ndarray, fv: Optional[np.ndarray]) -> dict:
-    """Quotient-space data norms: ||f/v||_{L^p1(omega dz)} and friends, from
-    v and f (None when the family has none) at the cell centres."""
-    out = {}
-    if fv is not None:
-        om = omega_weight(sol.family, grid.centers[:, grid.n])
-        voln = grid.h ** (grid.n + 1)
-        out["fbar_Lp1_omega"] = float(
-            (np.sum(om * np.abs(fv / v) ** family.p1) * voln) ** (1.0 / family.p1))
-    return out

@@ -37,6 +37,10 @@ from .geometry import HalfGrid, build_half_grid
 from .weights import CharacteristicSolution, _sample, v_char, v_char_grad_x, v_char_profile
 
 
+SOLVER_TOL = 1e-10          # of the odd solve in aux_residual, and the residual floor
+INTERIOR_MARGIN = 0.125     # distance from the outer boundary of the residual's cells
+
+
 class DivisionGuardError(ZeroDivisionError):
     """Raised if the characteristic denominator is below 1e-14 at a cell."""
 
@@ -190,29 +194,28 @@ def _assemble_auxiliary(grid: HalfGrid, problem: OddProblem,
     return assemble(grid, w, problem.spec, parity="even", drift=drift)
 
 
-def verify_ratio_equation(problem: OddProblem, grid: HalfGrid, tol: float = 1e-10,
-                          interior_margin: float = 0.125) -> Tuple[float, bool]:
+def verify_ratio_equation(problem: OddProblem, grid: HalfGrid) -> Tuple[float, bool]:
     """Residual of w = u/v in the assembled quotient equation.
 
     Solves the odd problem (or samples problem.u_exact), forms w, applies the
     auxiliary operator, and measures the weighted mean-square residual of the
-    equation over cells at distance >= interior_margin from the outer
+    equation over cells at distance >= ``INTERIOR_MARGIN`` from the outer
     boundary (where the first-order Dirichlet imposition pollutes).  The pass
-    threshold compares against 10 * (tol + C h^2), the truncation constant C
-    being estimated from one coarser-grid residual.
+    threshold compares against 10 * (``SOLVER_TOL`` + C h^2), the truncation
+    constant C being estimated from one coarser-grid residual.
     """
-    res_h = aux_residual(problem, grid, tol, interior_margin)
+    res_h = aux_residual(problem, grid)
     h2 = min(0.25, 2.0 * grid.h)
     coarse = build_half_grid(grid.n, grid.shape, h2)
-    res_2h = aux_residual(problem, coarse, tol, interior_margin)
+    res_2h = aux_residual(problem, coarse)
     c_trunc = res_2h / (h2 * h2)
-    passed = res_h <= 10.0 * (tol + c_trunc * grid.h ** 2)
+    passed = res_h <= 10.0 * (SOLVER_TOL + c_trunc * grid.h ** 2)
     return res_h, bool(passed)
 
 
-def aux_residual(problem: OddProblem, grid: HalfGrid, tol: float = 1e-10,
-                 margin: float = 0.125) -> float:
-    """Weighted rms residual density of the quotient equation on one grid."""
+def aux_residual(problem: OddProblem, grid: HalfGrid) -> float:
+    """Weighted rms residual density of the quotient equation on one grid,
+    over the cells at distance >= ``INTERIOR_MARGIN`` from the outer boundary."""
     sol = problem.sol
     if problem.u_exact is not None:
         u = DiscreteField.sample(grid, problem.u_exact, "odd")
@@ -221,7 +224,7 @@ def aux_residual(problem: OddProblem, grid: HalfGrid, tol: float = 1e-10,
         sol = wgt.sol       # the quotient reuses the resistances' segment integrals
         op = assemble(grid, wgt, problem.spec, parity="odd")
         rhs = op.rhs(f=problem.f, F=problem.F, trace=problem.trace)
-        u = solve_linear(op, rhs, tol=tol).field
+        u = solve_linear(op, rhs, tol=SOLVER_TOL).field
     w = ratio_field(u, sol)
     bundle = auxiliary_rhs(problem.spec, problem.sol, problem.f, problem.F)
     aux = _assemble_auxiliary(grid, problem, bundle)    # drift and zero order share b_identity
@@ -247,7 +250,7 @@ def aux_residual(problem: OddProblem, grid: HalfGrid, tol: float = 1e-10,
     resid = aux.matrix @ w.values - rhs_vec
     meas = _cell_weight_integrals(aux.weight, g) * g.h ** g.n   # int_cell omega dz
     dens = resid / meas
-    inner = _interior_mask(g, margin)
+    inner = _interior_mask(g, INTERIOR_MARGIN)
     num = float(np.sqrt(np.sum(meas[inner] * dens[inner] ** 2)))
     den = float(np.sqrt(np.sum(meas[inner])))
     scale = float(np.max(np.abs(rhs_vec[inner] / meas[inner]))) or 1.0

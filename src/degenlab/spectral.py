@@ -58,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -74,6 +74,7 @@ EIG_RESIDUAL_TOL = 1e-9
 LANCZOS_TOL = 1e-13
 ELEMENT_ORDER = 4       # Gauss-Legendre points per direction of an element
 EDGE_ORDER = 6          # points per arc segment and per Gauss-Jacobi edge row
+GROWTH_ARC_CELLS = 720  # trapezoid cells on each arc of growth_monitor
 
 
 @dataclass(frozen=True)
@@ -264,12 +265,12 @@ def _theta_rows(mesh: HalfDiskMesh, jac: Optional[float]):
     return out
 
 
-def assemble_forms(mesh: HalfDiskMesh,
-                   stiffness_weight: Optional[Callable] = None,
-                   potential: Optional[Callable] = None,
-                   domain_mass_weight: Optional[Callable] = None,
+def assemble_forms(mesh: HalfDiskMesh, stiffness_weight: Callable,
+                   mass_weight: Optional[Callable] = None,
                    sigma_jacobi_exponent: Optional[float] = None):
-    """Assemble (K, P, Md): weighted stiffness, potential mass, domain mass.
+    """Assemble (K, M): the stiffness int w |grad u|^2 of the weight w =
+    ``stiffness_weight`` and the domain mass int m u^2 of m = ``mass_weight``
+    (zero when None), such as a potential or the Hardy mass.
 
     All weight callables take an array of ordinates y and must broadcast:
     each is called once per row group, on the (elements, quadrature points)
@@ -278,12 +279,8 @@ def assemble_forms(mesh: HalfDiskMesh,
     theta matched to the edge behavior dist(theta)^b of the weights (weights
     are divided by dist^b before quadrature, the rule restores it exactly).
     """
-    need_K = stiffness_weight is not None
-    need_P = potential is not None
-    need_M = domain_mass_weight is not None
     K = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
-    P = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
-    Md = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
+    M = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
 
     rn, tn = mesh.r_nodes, mesh.theta_nodes
     Rloc, rwt, hr = _radial_rule(mesh)
@@ -311,18 +308,14 @@ def assemble_forms(mesh: HalfDiskMesh,
                 v = v / dist_pow
             return v * jacdet
 
-        if need_K:
-            coef = coefficient(stiffness_weight)
-            Ke = (_contract(coef, _products(dNr))
-                  + _contract(coef / ra ** 2, _products(dNt)))
-            K = K + _accumulate(mesh, nodes, Ke)
-        NN = _products(N)
-        if need_P:
-            P = P + _accumulate(mesh, nodes, _contract(coefficient(potential), NN))
-        if need_M:
-            Me = _contract(coefficient(domain_mass_weight), NN)
-            Md = Md + _accumulate(mesh, nodes, Me)
-    return K.tocsr(), P.tocsr(), Md.tocsr()
+        coef = coefficient(stiffness_weight)
+        Ke = (_contract(coef, _products(dNr))
+              + _contract(coef / ra ** 2, _products(dNt)))
+        K = K + _accumulate(mesh, nodes, Ke)
+        if mass_weight is not None:
+            Me = _contract(coefficient(mass_weight), _products(N))
+            M = M + _accumulate(mesh, nodes, Me)
+    return K.tocsr(), M.tocsr()
 
 
 def _arc_elements(mesh: HalfDiskMesh, weight: Optional[Callable],
@@ -447,7 +440,7 @@ def _trace_factors(mesh: HalfDiskMesh, b: float, route: str):
     b (b - 2) / (4 y^2) = c r^-2 sin^-2(theta) joins D as c G, and the arc
     potential is the constant W = -b/2."""
     if route == "direct":
-        w = _rho_fn(b, 0.0)
+        w = functools.partial(rho_weight, WeightFamily(b, 0.0))
         jac = b if b != 0.0 else None
         return (_radial_factors(mesh, w), _angular_factors(mesh, w, jac),
                 _arc_factor(mesh, w, skip_sigma_adjacent=jac is not None), 0.0)
@@ -679,12 +672,6 @@ def min_rayleigh(mesh: HalfDiskMesh, K: sp.spmatrix, M: sp.spmatrix,
 # Quotients
 # ---------------------------------------------------------------------------
 
-def _rho_fn(b: float, eps: float) -> Callable:
-    def w(y):
-        return (eps * eps + y * y) ** (b / 2.0)
-    return w
-
-
 def _conjugated_forms(a: float, eps: float, mesh: HalfDiskMesh) -> sp.csr_matrix:
     """K0 + P + Wb: the flat Dirichlet form, the domain potential and the arc
     potential of the weight rho conjugated away by v = rho^(1/2) u (see
@@ -695,8 +682,7 @@ def _conjugated_forms(a: float, eps: float, mesh: HalfDiskMesh) -> sp.csr_matrix
     def Warc(y):
         return potentials("rho", a, eps, y)[1]
 
-    K0, P, _ = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y),
-                              potential=V)
+    K0, P = assemble_forms(mesh, _ones, mass_weight=V)
     return K0 + P + assemble_arc_mass(mesh, Warc)
 
 
@@ -724,8 +710,8 @@ def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto") -> Eig
         lam, vec, res, it = _separable_eigen(mesh, *_trace_factors(mesh, b, route))
     else:
         if route == "direct":
-            wfn = _rho_fn(b, eps)
-            K = assemble_forms(mesh, stiffness_weight=wfn)[0]
+            wfn = functools.partial(rho_weight, WeightFamily(b, eps))
+            K = assemble_forms(mesh, wfn)[0]
             M = assemble_arc_mass(mesh, wfn)
         else:
             K = _conjugated_forms(b, eps, mesh)
@@ -736,42 +722,29 @@ def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto") -> Eig
                        iterations=it, eigenvector=NodalField(mesh, vec))
 
 
-WeightSpec = Union[None, WeightFamily, Callable]
-
-
-def _weight_fn(weight: WeightSpec) -> Tuple[Callable, Optional[float], Optional[float]]:
-    """Normalize a weight spec to (callable-on-y, exponent a or None, eps)."""
-    if weight is None:
-        return (lambda y: np.ones_like(np.asarray(y, dtype=float))), None, None
-    if isinstance(weight, WeightFamily):
-        fam = weight
-        return (lambda y: rho_weight(fam, y)), fam.a, fam.eps
-    return weight, None, None
-
-
-def hardy_quotient(weight: WeightSpec, grid_h: float) -> EigenResult:
+def hardy_quotient(weight: Optional[WeightFamily], grid_h: float) -> EigenResult:
     """min int w |grad u|^2 / int (w/y^2) u^2 over u vanishing on the plane
-    and on the arc; for w == 1 the continuum constant is 1/4 (not attained)."""
-    wfn, a, eps = _weight_fn(weight)
+    and on the arc, for w = rho of the family ``weight``, or w == 1 when it
+    is None; for w == 1 the continuum constant is 1/4 (not attained)."""
     mesh = HalfDiskMesh.from_h(grid_h)
     if weight is None:
+        a = eps = 0.0
         lam, vec, res, it = _separable_eigen(mesh, *_hardy_factors(mesh), trace=False)
     else:
-        if a is not None and a <= -1.0 and eps == 0.0:
+        a, eps = weight.a, weight.eps
+        if a <= -1.0 and eps == 0.0:
             raise ValueError("hardy direct route requires a > -1 at eps=0")
-        jac = a if (a is not None and eps == 0.0 and a != 0.0) else None
+        jac = a if (eps == 0.0 and a != 0.0) else None
+        wfn = functools.partial(rho_weight, weight)
 
         def mass(y):
             return wfn(y) / (y * y)
 
-        K, _, M = assemble_forms(mesh, stiffness_weight=wfn, domain_mass_weight=mass,
-                                 sigma_jacobi_exponent=jac)
+        K, M = assemble_forms(mesh, wfn, mass_weight=mass, sigma_jacobi_exponent=jac)
         free = np.setdiff1d(mesh.free_nodes(), mesh.arc_node_ids())
         lam, vec, res, it = min_rayleigh(mesh, K, M, free)
-    wid = "1" if a is None else f"rho[a={a:g},eps={eps:g}]"
-    return EigenResult(quotient_id=f"hardy[w={wid}]",
-                       a=a if a is not None else 0.0,
-                       eps_or_r=eps if eps is not None else 0.0,
+    wid = "1" if weight is None else f"rho[a={a:g},eps={eps:g}]"
+    return EigenResult(quotient_id=f"hardy[w={wid}]", a=a, eps_or_r=eps,
                        grid_h=grid_h, lam=lam, residual=res, route="direct",
                        iterations=it, eigenvector=NodalField(mesh, vec))
 
@@ -786,7 +759,7 @@ def eigen_stability_sweep(a: float, r_list: Sequence[float], grid_h: float) -> l
         raise ValueError(f"eigen stability sweep requires every r > 0, got {list(r_list)}")
     rows = []
     for r in r_list:
-        res = trace_eigen(a, 1.0 / r, grid_h, route="direct")
+        res = trace_eigen(a, 1.0 / r, grid_h)
         rows.append((r, res.lam, res.residual))
     return rows
 
@@ -796,24 +769,26 @@ def eigen_stability_sweep(a: float, r_list: Sequence[float], grid_h: float) -> l
 # ---------------------------------------------------------------------------
 
 def growth_monitor(field: DiscreteField, a: float, r_list: Sequence[float],
-                   trace: Optional[Callable] = None, nphi: int = 720) -> list:
+                   trace: Optional[Callable] = None) -> list:
     """Rows (r, H(r), H(r)/r^(2(1-a))) with
     H(r) = r^(-(1+a)) int_{arc r} y^a u^2 = int_0^pi sin(phi)^a u^2 dphi.
 
-    Trapezoid quadrature on arc samples interpolated from the cell-centered
-    field; odd fields vanish at the endpoints, where the integrand is set to
-    its limit 0 (integrable for a > -1)."""
+    Trapezoid quadrature on ``GROWTH_ARC_CELLS`` arc cells, from samples
+    interpolated from the cell-centered field (see
+    :meth:`DiscreteField.interpolate`, which needs ``trace`` where an arc
+    point's stencil leaves the grid); odd fields vanish at the endpoints,
+    where the integrand is set to its limit 0 (integrable for a > -1)."""
     if not -1.0 < a < 1.0:
         raise ValueError("growth monitor requires a in (-1, 1)")
     if max(r_list) > 1.0 + 1e-12:
         raise ValueError("arc radius outside the unit half-disk grid")
     rows = []
-    phi = np.linspace(0.0, math.pi, nphi + 1)
+    phi = np.linspace(0.0, math.pi, GROWTH_ARC_CELLS + 1)
     inner = phi[1:-1]
     for r in r_list:
         pts = np.stack([r * np.cos(inner), r * np.sin(inner)], axis=1)
         u = field.interpolate(pts, trace=trace)
-        integrand = np.zeros(nphi + 1)
+        integrand = np.zeros(GROWTH_ARC_CELLS + 1)
         integrand[1:-1] = np.sin(inner) ** a * u * u
         H = float(np.trapezoid(integrand, phi))
         rows.append((r, H, H / r ** (2.0 * (1.0 - a))))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -358,11 +359,11 @@ def test_mu_at_samples_once_per_grid(n):
     assert all(np.shape(c) == (len(pts),) for c in (x if n == 2 else (x,)))
 
 
-def test_interpolation_trace_and_nearest_cell_fallbacks():
+def test_interpolation_trace_fallback_and_off_grid_refusal():
     """Bilinear corners outside the grid: with a trace sampler they take the
     trace at their cell centre (one call for all of them), so a field and a
     trace of the same linear function interpolate it exactly; without one
-    the point takes the value of the nearest cell."""
+    such a point raises, naming the first of them."""
     g = dl.build_half_grid(1, "half_disk", 1 / 8)
     fld = exact_field(g, lambda x, y: 1.0 + 2.0 * x + 3.0 * y, parity="none")
     calls = []
@@ -375,11 +376,10 @@ def test_interpolation_trace_and_nearest_cell_fallbacks():
     got = fld.interpolate(pts, trace=trace)
     np.testing.assert_allclose(got, 1.0 + 2.0 * pts[:, 0] + 3.0 * pts[:, 1], rtol=1e-13)
     assert len(calls) == 1 and calls[0][0] > 1
-    near = fld.interpolate(pts)
-    assert near[0] == got[0]                        # inside the hull: bilinear
-    for (xq, yq), v in zip(pts[1:], near[1:]):
-        d2 = (g.centers[:, 0] - xq) ** 2 + (g.centers[:, 1] - yq) ** 2
-        assert v == fld.values[np.argmin(d2)]
+    assert fld.interpolate(pts[:1])[0] == got[0]    # inside the hull: bilinear
+    for p in pts[1:]:
+        with pytest.raises(ValueError, match=re.escape(f"{tuple(p.tolist())} leaves the grid")):
+            fld.interpolate(np.vstack([pts[:1], p]))
 
 
 def test_off_diagonal_b_tilde_is_refused():

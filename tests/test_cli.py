@@ -28,6 +28,9 @@ def test_usage_error_exit_code(tmp_path):
     assert _run(tmp_path, "no-such-command") == 2
     assert _run(tmp_path, "eigen", "--config", "/no/such/file") == 2
     assert _run(tmp_path, "eigen", "badoverride") == 2
+    # a trailing flag has no value; --h is no abbreviation of --help
+    for flag in ("--alpha", "--h"):
+        assert _run(tmp_path, "eigen", "a=0.5", flag) == 2
 
 
 @pytest.mark.parametrize("argv,key,token", [
@@ -75,8 +78,9 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
 
 
 def test_flag_style_overrides_and_fractions(tmp_path):
-    code = _run(tmp_path, "eigen", "--a", "0.5", "--h", "1/16",
-                "--aux_a", "0.5", "--r_list", "1 4")
+    """--key value and --key=value flags set keys as key=value does."""
+    code = _run(tmp_path, "eigen", "--a", "0.5", "--h=1/16",
+                "--aux_a=0.5", "--r_list", "1 4")
     assert code == 0
     text = (tmp_path / "eigen.csv").read_text()
     assert "h=0.0625" in text
@@ -163,7 +167,7 @@ def test_fermi_demo_solves_once_per_eps(tmp_path, monkeypatch):
                                    restricted=restricted)
         rows = (tmp_path / name).read_text().splitlines()
         rows = rows[rows.index("eps,seminorm,sup_norm") + 1:]
-        assert rows == [",".join(map(fmt, (e, s, sup))) for e, s, sup, _ in rep.per_eps]
+        assert rows == [",".join(map(fmt, row)) for row in rep.per_eps]
 
 
 def test_certify_reports_all_targets(tmp_path):
@@ -178,9 +182,19 @@ def test_certify_reports_all_targets(tmp_path):
 
 
 def test_report_merges(tmp_path):
+    """report lists the missing artifacts and the failed checks, and exits 1
+    on either; a sweep of the Lipschitz seminorm of u ~ y^(1/2) itself fails."""
     _run(tmp_path, "eigen", "a=0.5", "h=0.0625", "aux_a=0.5", "r_list=1 4")
-    _run(tmp_path, "report")
-    assert (tmp_path / "summary.csv").exists()
+    assert _run(tmp_path, "report") == 1
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert "eigen.csv,present" in summary and "sweep.csv,missing" in summary
+    assert summary[-1] == "failed_targets,none"
+    assert _run(tmp_path, "sweep", "a=0.5", "mode=odd_direct_c0", "alpha=1", "h=1/16",
+                "eps_list=1 0.01 0") == 1
+    assert _run(tmp_path, "report") == 1
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert "sweep.csv,present" in summary
+    assert summary[-1] == "failed_targets,sweep"
 
 
 def test_config_file_and_override(tmp_path):

@@ -221,8 +221,8 @@ def test_sweep_integrates_each_segment_once(monkeypatch):
     (nx (ny + 1), 21) array of dqk21 nodes, with x an (nx (ny + 1), 1) array
     of column positions; mu = 1/mu^(-1) is sampled once on the
     ((nx + 1) ny,) array of the x-face midpoints; and the side-face traces
-    take one (2 ny, 21) pass over both sides x = -1, 1.  The quotient, the
-    data norms and the top-face traces read those column ladders, so scalar
+    take one (2 ny, 21) pass over both sides x = -1, 1.  The quotient and the
+    top-face traces read those column ladders, so scalar
     ``quad`` never runs: it would only for column segments the dqk21 pass
     rejects, of which this problem has none."""
     import degenlab.weights as weights
@@ -281,7 +281,7 @@ def test_sweep_seminorms_equal_all_pairs(monkeypatch, mode, restricted):
     rep = dl.epsilon_sweep(fam, [1.0, 0.03, 0.01, 0.001, 0.0], 0.4, mode=mode,
                            grid_h=1 / 16, restricted=restricted)
     assert len(seen) == len(rep.per_eps)
-    for (field, alpha, region, out), (_, semi, _, _) in zip(seen, rep.per_eps):
+    for (field, alpha, region, out), (_, semi, _) in zip(seen, rep.per_eps):
         if mode == "ratio_c0":
             sel = region.mask(field.grid)
             want = brute_force(field.values[sel], field.grid.centers[sel], alpha)

@@ -2,6 +2,7 @@
 wraps must exist, and uninstalling must put the originals back."""
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -22,11 +23,38 @@ def _wrapped():
             assembly.AssembledOperator.rhs)
 
 
-def _tracer():
+def _layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    return layers.Tracer()
+    return layers
+
+
+def _tracer():
+    return _layers().Tracer()
+
+
+def test_every_per_layer_function_is_wrapped():
+    """Each ``module.function`` a per-layer metric names is one the tracer
+    wraps: a public function of that module, an ``EXTERNAL`` name, a
+    ``METHODS`` method, or (for cli) a subcommand.  A renamed or deleted
+    function fails here instead of reading 0 in the benchmark."""
+    layers = _layers()
+    wrapped = {(m, name) for m, name in layers.EXTERNAL}
+    wrapped |= {(m, meth) for m, _, meth in layers.METHODS}
+    wrapped |= {("cli", cmd) for cmd in sys.modules["degenlab.cli"].COMMANDS}
+    for m in layers.MODULES:
+        mod = sys.modules[f"degenlab.{m}"]
+        wrapped |= {(m, attr) for attr, fn in vars(mod).items()
+                    if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                    and not attr.startswith("_")}
+    named = []
+    for metric, _ in layers.PER_LAYER:
+        m, *rest = metric.split(".")
+        if m in layers.MODULES and len(rest) >= 2:      # module.function.measure
+            named.append((m, rest[0]))
+    assert ("holder", "epsilon_sweep") in named and ("spectral", "assemble_forms") in named
+    assert [n for n in named if n not in wrapped] == []
 
 
 def test_tracer_installs_and_uninstalls():

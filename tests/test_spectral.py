@@ -13,9 +13,14 @@ from scipy.special import roots_jacobi, roots_legendre
 import degenlab as dl
 import degenlab.spectral as spectral
 from degenlab.potentials import potentials
-from degenlab.spectral import (HalfDiskMesh, _conjugated_forms, _hardy_factors, _rho_fn,
-                               _trace_factors, assemble_arc_mass, assemble_forms)
+from degenlab.spectral import (HalfDiskMesh, _conjugated_forms, _hardy_factors, _trace_factors,
+                               assemble_arc_mass, assemble_forms)
 from degenlab.weights import rho
+
+
+def _rho(b, eps):
+    """rho of the family (b, eps) as a function of y alone."""
+    return lambda y: rho(dl.WeightFamily(b, eps), y)
 
 H_COARSE = 1 / 16
 H_MID = 1 / 32
@@ -68,12 +73,6 @@ def test_rayleigh_quotient_consistency():
     assert r.iterations >= 1
 
 
-def test_scale_invariance_of_quotients():
-    l1 = dl.hardy_quotient(lambda y: np.ones_like(y), H_COARSE).lam
-    l2 = dl.hardy_quotient(lambda y: 7.3 * np.ones_like(y), H_COARSE).lam
-    assert l1 == pytest.approx(l2, rel=1e-12)
-
-
 def test_hardy_flat_bracket_and_monotonicity():
     lams = [dl.hardy_quotient(None, h).lam for h in (1 / 16, 1 / 32, 1 / 64)]
     assert all(l >= 0.25 for l in lams)            # conformity lower bound
@@ -123,8 +122,10 @@ def test_growth_monitor_exact_homogeneous():
 def test_growth_monitor_zero_field():
     g = dl.build_half_grid(1, "half_disk", 1 / 8)
     fld = dl.DiscreteField(g, np.zeros(g.ncells), "odd")
-    rows = dl.growth_monitor(fld, 0.0, [0.5, 1.0])
+    rows = dl.growth_monitor(fld, 0.0, [0.5, 1.0], trace=lambda x, y: 0.0 * y)
     assert all(H == 0.0 for _, H, _ in rows)
+    with pytest.raises(ValueError, match="leaves the grid"):
+        dl.growth_monitor(fld, 0.0, [1.0])      # the arc's stencils need the trace
 
 
 def test_growth_monitor_perturbed_nondecreasing():
@@ -164,7 +165,7 @@ def test_conjugated_form_is_flat_at_a0(eps):
     """For a = 0 the conjugation by rho^(a/2) = 1 is the identity: both
     potentials vanish and the conjugated form is the flat Dirichlet form."""
     mesh = HalfDiskMesh.from_h(H_COARSE)
-    K0, _, _ = assemble_forms(mesh, stiffness_weight=lambda y: np.ones_like(y))
+    K0, _ = assemble_forms(mesh, lambda y: np.ones_like(y))
     assert abs(_conjugated_forms(0.0, eps, mesh) - K0).max() == 0.0
 
 
@@ -178,27 +179,21 @@ def _pencil(case, mesh):
     free = mesh.free_nodes()
     kind, b, eps = case
     if kind == "direct":
-        wfn = _rho_fn(b, eps)
+        wfn = _rho(b, eps)
         if eps > 0.0 or b == 0.0:
-            K, _, _ = assemble_forms(mesh, stiffness_weight=wfn)
+            K, _ = assemble_forms(mesh, wfn)
             return K, assemble_arc_mass(mesh, wfn), free
-        K, _, _ = assemble_forms(mesh, stiffness_weight=wfn, sigma_jacobi_exponent=b)
+        K, _ = assemble_forms(mesh, wfn, sigma_jacobi_exponent=b)
         excl = [mesh.node_id(mesh.nr, 1), mesh.node_id(mesh.nr, mesh.ntheta - 1)]
         M = assemble_arc_mass(mesh, wfn, skip_sigma_adjacent=True, exclude_nodes=excl)
         return K, M, free
     if kind == "transformed":
         K = _conjugated_forms(b, eps, mesh)
         return K, assemble_arc_mass(mesh, None), free
-    if b is None:
-        def wfn(y):
-            return np.ones_like(y)
-    else:
-        def wfn(y):
-            return rho(dl.WeightFamily(b, eps), y)
+    wfn = _rho(0.0 if b is None else b, eps)
     jac = b if b is not None and b != 0.0 and eps == 0.0 else None
-    K, _, M = assemble_forms(mesh, stiffness_weight=wfn,
-                             domain_mass_weight=lambda y: wfn(y) / (y * y),
-                             sigma_jacobi_exponent=jac)
+    K, M = assemble_forms(mesh, wfn, mass_weight=lambda y: wfn(y) / (y * y),
+                          sigma_jacobi_exponent=jac)
     return K, M, np.setdiff1d(free, mesh.arc_node_ids())
 
 
@@ -219,10 +214,11 @@ def _eigen_result(case, h):
 
 
 # eps = 0 trace and flat Hardy pencils take the separable solve, the others
-# (eps > 0, weighted Hardy) the assembled one
+# (eps > 0, weighted Hardy) the assembled one; ("hardy", 0.0, 0.0) is the flat
+# Hardy pencil again, as a weighted one through the assembled path
 PENCILS = [("direct", 0.5, 0.0), ("direct", -0.5, 0.0), ("transformed", -1.5, 0.0),
            ("hardy", None, 0.0), ("direct", 0.5, 0.1), ("transformed", -1.5, 0.1),
-           ("hardy", 0.5, 0.1), ("hardy", -0.5, 0.0)]
+           ("hardy", 0.5, 0.1), ("hardy", -0.5, 0.0), ("hardy", 0.0, 0.0)]
 
 
 def _case_id(case):
@@ -395,8 +391,8 @@ def _arc_mass_loop(mesh, weight=None, quad_order=6, skip_sigma_adjacent=False,
 
 @pytest.mark.parametrize("kwargs", [
     {},
-    {"weight": _rho_fn(0.5, 0.1)},
-    {"weight": _rho_fn(-0.5, 0.0), "skip_sigma_adjacent": True, "excluded": True},
+    {"weight": _rho(0.5, 0.1)},
+    {"weight": _rho(-0.5, 0.0), "skip_sigma_adjacent": True, "excluded": True},
 ], ids=["unweighted", "rho", "skip-and-exclude"])
 def test_arc_mass_matches_loop_reference(kwargs):
     mesh = HalfDiskMesh.from_h(1 / 8)
@@ -411,11 +407,11 @@ def test_arc_mass_matches_loop_reference(kwargs):
         assert not got[nid, :].any() and not got[:, nid].any()
 
 
-def _forms_loop(mesh, stiffness_weight, potential, mass_weight, jac=None, quad_order=4):
-    """(K, P, Md) summed element by element and point by point."""
+def _forms_loop(mesh, stiffness_weight, mass_weight, jac=None, quad_order=4):
+    """(K, M) summed element by element and point by point."""
     gx, gw = roots_legendre(quad_order)
     hr, ht = mesh.h, math.pi / mesh.ntheta
-    out = [np.zeros((mesh.nnodes, mesh.nnodes)) for _ in range(3)]
+    out = [np.zeros((mesh.nnodes, mesh.nnodes)) for _ in range(2)]
     for j in range(mesh.ntheta):
         edge = None if jac is None or 0 < j < mesh.ntheta - 1 else j
         if edge is None:
@@ -440,25 +436,25 @@ def _forms_loop(mesh, stiffness_weight, potential, mass_weight, jac=None, quad_o
                     ix = np.ix_(nodes, nodes)
                     out[0][ix] += stiffness_weight(y) * jd * (
                         np.outer(dNr, dNr) + np.outer(dNt, dNt) / ra ** 2)
-                    out[1][ix] += potential(y) * jd * np.outer(N, N)
-                    out[2][ix] += mass_weight(y) * jd * np.outer(N, N)
+                    out[1][ix] += mass_weight(y) * jd * np.outer(N, N)
     return out
 
 
+@pytest.mark.parametrize("mass", ["potential", "hardy"])
 @pytest.mark.parametrize("b, eps, jac", [(0.5, 0.1, None), (-0.5, 0.0, -0.5)])
-def test_element_forms_match_loop_reference(b, eps, jac):
+def test_element_forms_match_loop_reference(b, eps, jac, mass):
+    """The stiffness and a domain mass, the transformed route's potential or
+    the Hardy mass w / y^2, equal the point-by-point loop."""
     mesh = HalfDiskMesh.from_h(1 / 4)
-    wfn = _rho_fn(b, eps)
+    wfn = _rho(b, eps)
 
-    def V(y):
-        return potentials("rho", b, eps, y)[0]
-
-    def mass(y):
+    def weight(y):
+        if mass == "potential":
+            return potentials("rho", b, eps, y)[0]
         return wfn(y) / (y * y)
 
-    got = assemble_forms(mesh, stiffness_weight=wfn, potential=V,
-                         domain_mass_weight=mass, sigma_jacobi_exponent=jac)
-    ref = _forms_loop(mesh, wfn, V, mass, jac)
+    got = assemble_forms(mesh, wfn, mass_weight=weight, sigma_jacobi_exponent=jac)
+    ref = _forms_loop(mesh, wfn, weight, jac)
     for g, r in zip(got, ref):
         # summation order differs: a few ulps of the largest entry
         assert np.max(np.abs(g.toarray() - r)) <= 1e-13 * np.max(np.abs(r))

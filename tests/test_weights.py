@@ -126,6 +126,9 @@ def test_psi_limits_and_value():
     # closed-form oracle at a=-1, t=1: sqrt2 / ((sqrt2 + asinh 1)/2)
     want = 2.0 * math.sqrt(2.0) / (math.sqrt(2.0) + math.asinh(1.0))
     assert dl.psi(-1.0, 1.0, 1.0) == pytest.approx(want, rel=1e-12)
+    # eps = 0: identically 1 - a, the plane included, for scalars and arrays
+    assert dl.psi(-1.0, 0.0, 0.5) == 2.0
+    np.testing.assert_array_equal(dl.psi(0.5, 0.0, np.array([0.0, 1e-9, 3.0])), 0.5)
 
 
 def test_psi_scale_identity():
