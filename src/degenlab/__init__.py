@@ -17,7 +17,6 @@ from .weights import (
     psi,
     rho,
     v_char,
-    v_char_grad_x,
 )
 from .potentials import (
     gamma_small,
@@ -58,9 +57,7 @@ from .assembly import (
     solve_linear,
 )
 from .ratio import (
-    AuxiliaryRhsBundle,
     OddProblem,
-    auxiliary_rhs,
     ratio_field,
     reconstruct,
     verify_ratio_equation,

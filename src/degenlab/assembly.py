@@ -746,6 +746,12 @@ def _check_parity(u_exact, parity, n, tol=1e-9):
                           f"{(xk if n == 1 else (xk, -xk / 2), yk)}")
 
 
+def _check_h_list(h_list: Sequence[float]) -> None:
+    """Raise ValueError unless h_list is strictly decreasing with >= 3 entries."""
+    if len(h_list) < 3 or np.any(np.diff(h_list) >= 0):
+        raise ValueError("h_list must be strictly decreasing with >= 3 entries")
+
+
 def convergence_study(factory: Callable, h_list: Sequence[float],
                       region: Optional[Callable] = None) -> Tuple[list, SolveReport]:
     """Solve factory(h) -> (operator, rhs, exact_field) over decreasing h.
@@ -754,8 +760,7 @@ def convergence_study(factory: Callable, h_list: Sequence[float],
     is the local log2 slope between successive levels, math.nan for the
     first, and the string flag 'exact' replaces the order when errors sit at
     rounding level; finest is the solve report of the last (finest) level."""
-    if len(h_list) < 3 or np.any(np.diff(h_list) >= 0):
-        raise ValueError("h_list must be strictly decreasing with >= 3 entries")
+    _check_h_list(h_list)
     rows = []
     prev = None
     for h in h_list:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import (OperatorSpec, RhoWeight, assemble, convergence_study,
+from .assembly import (OperatorSpec, RhoWeight, _check_h_list, assemble, convergence_study,
                        manufactured_problem)
 from .certify import (MIN_BUDGET, verify_gamma_rectangle, verify_phi_bound,
                       verify_v_inequality, v_minimum)
@@ -99,8 +99,9 @@ def _write(path: Path, header: list, rows: list, columns: list):
 
 def _number(key: str, tok: str, kind=float, valid=None):
     """``kind(tok)``, a float also as a fraction like 1/64.  A token that does
-    not parse, or whose value fails ``valid`` = (predicate, what the command
-    needs), is a ConfigError naming the key and the token."""
+    not parse, a float that is not finite, or a value that fails ``valid`` =
+    (predicate, what the command needs), is a ConfigError naming the key and
+    the token."""
     try:
         if kind is float and "/" in tok:
             num, den = tok.split("/", 1)
@@ -109,6 +110,8 @@ def _number(key: str, tok: str, kind=float, valid=None):
             x = kind(tok)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{key}: {tok!r} is not a {kind.__name__}") from None
+    if kind is float and not np.isfinite(x):
+        raise ConfigError(f"{key}: {tok!r} is not finite")
     if valid is not None and not valid[0](x):
         raise ConfigError(f"{key}: {tok!r} is not {valid[1]}")
     return x
@@ -124,9 +127,12 @@ def _floats(cfg: dict, key: str, default: str, valid=None) -> list:
 
 
 def _eps_list(cfg: dict, default: str) -> list:
+    """At least two distinct eps >= 0: the sweep's trend fit needs two abscissae."""
     eps_list = _floats(cfg, "eps_list", default, (lambda e: e >= 0.0, "non-negative"))
     if len(eps_list) < 2:
         raise ConfigError(f"eps_list: {cfg['eps_list']!r} has fewer than two entries")
+    if len(set(eps_list)) < len(eps_list):
+        raise ConfigError(f"eps_list: {cfg['eps_list']!r} repeats an entry")
     return eps_list
 
 
@@ -211,7 +217,9 @@ def _family_from_cfg(cfg: dict) -> ProblemFamily:
     if mu_kind == "const":
         mu_inv = None
     elif mu_kind == "quadratic" or mu_kind.startswith("quadratic:"):
-        c = _number("mu", mu_kind.split(":", 1)[1]) if ":" in mu_kind else 0.1
+        # c > -1 keeps mu^(-1) = 1 + c x^2 positive on |x| <= 1
+        c = (_number("mu", mu_kind.split(":", 1)[1], valid=(lambda c: c > -1.0, "above -1"))
+             if ":" in mu_kind else 0.1)
 
         def mu_inv(x, y, c=c):
             return 1.0 / (1.0 + c * x * x)
@@ -277,9 +285,10 @@ def cmd_certify(cfg: dict) -> int:
 def cmd_solve(cfg: dict) -> int:
     a = _float(cfg, "a", "0.5", _BELOW_ONE)
     h_list = _floats(cfg, "h_list", "0.0625 0.03125 0.015625", _GRID_SPACING)
-    if len(h_list) < 3 or any(h1 >= h0 for h0, h1 in zip(h_list, h_list[1:])):
-        raise ConfigError(f"h_list: {cfg['h_list']!r} is not strictly decreasing "
-                          "with >= 3 entries")
+    try:
+        _check_h_list(h_list)
+    except ValueError as exc:
+        raise ConfigError(f"h_list: {cfg['h_list']!r} is not usable: {exc}") from None
     b = 1.0 - a
 
     def u_exact(x, y):

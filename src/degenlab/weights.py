@@ -391,7 +391,7 @@ class CharacteristicSolution:
     accepted value is the one ``quad`` returns, up to the rounding of the
     integrand, and ``quadrature_tol`` keeps its meaning.
 
-    Default-integrand values are memoized per solution object, one entry per
+    Segment integrals are memoized per solution object, one entry per
     column x (a float, or a tuple of floats for n = 2), holding ladders: the
     runs of consecutive segments integrated together, as arrays of edges,
     segment integrals and their cumulative sums.  A run that a stored ladder
@@ -402,9 +402,9 @@ class CharacteristicSolution:
     ladder's segments.  Single segments off the ladders (points of v) share
     one dqk21 pass per request and are kept in the entry's ``points``.
     The memo assumes ``mu_inverse`` is a deterministic function of (x, s);
-    :func:`v_char_grad_x` and the closed form for mu == 1 bypass it.  Two
-    threads that miss on the same column both compute and store the same
-    values, so concurrent use only repeats work.
+    the closed form for mu == 1 bypasses it.  Two threads that miss on the
+    same column both compute and store the same values, so concurrent use
+    only repeats work.
     """
 
     family: WeightFamily
@@ -487,29 +487,31 @@ class CharacteristicSolution:
 
     def _integrate(self, X: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
         """One dqk21 pass, segment k in column X[k]; ``quad`` for rejected ones."""
-        g = self.mu_inverse
-        result, ok = self._dqk21(g, X, y0, y1)
+        result, ok = self._dqk21(X, y0, y1)
         for k in np.flatnonzero(~ok):
-            result[k] = self._quad(g, _x_of(X[k].tolist()), float(y0[k]), float(y1[k]))
+            result[k] = self._quad(_x_of(X[k].tolist()), float(y0[k]), float(y1[k]))
         return result
 
-    def _dqk21(self, g: Callable, X: np.ndarray, y0: np.ndarray, y1: np.ndarray):
-        """int rho^(-a) g(X[k], s) ds on each [y0_k, y1_k] by one dqk21 pass; qags's verdicts."""
+    def _dqk21(self, X: np.ndarray, y0: np.ndarray, y1: np.ndarray):
+        """int rho^(-a) mu^(-1) ds on each [y0_k, y1_k] of column X[k]; qags's verdicts."""
         a, eps = self.family.a, self.family.eps
         b = 1.0 - a
         # eps = 0, a > 0: substitute u = s^(1-a)/(1-a) on segments from 0 to
-        # remove the endpoint singularity; the integrand becomes g(x, s(u))
+        # remove the endpoint singularity; the integrand becomes mu^(-1)(x, s(u))
         sub = (y0 == 0.0) & (eps == 0.0 and a > 0.0)
         hi = np.where(sub, y1 ** b / b, y1)
         s = _gk21_nodes(y0, hi)
         if sub.any():
             s[sub] = (b * s[sub]) ** (1.0 / b)
         wgt = np.where(sub[:, None], 1.0, (eps * eps + s * s) ** (-a / 2.0))
-        result, abserr, resabs = _gk21(wgt * _sample(g, _x_of(list(X.T[..., None])), s), y0, hi)
+        mu_inv = _sample(self.mu_inverse, _x_of(list(X.T[..., None])), s)
+        result, abserr, resabs = _gk21(wgt * mu_inv, y0, hi)
         return result, _qags_accepts(result, abserr, resabs, self.quadrature_tol)
 
-    def _quad(self, g: Callable, x, y0: float, y1: float) -> float:
+    def _quad(self, x, y0: float, y1: float) -> float:
+        """int_{y0}^{y1} rho^(-a) mu^(-1)(x, s) ds by adaptive ``quad``."""
         a, eps = self.family.a, self.family.eps
+        g = self.mu_inverse
         tol = self.quadrature_tol
         if eps == 0.0 and a > 0.0 and y0 == 0.0:
             # the substitution of _integrate
@@ -550,40 +552,3 @@ def v_char_profile(sol: CharacteristicSolution, x, ys: Sequence[float]) -> np.nd
     X = _positions(x, shape[:-1])
     lads = sol._ladders(X, [np.concatenate(([0.0], ys))] * len(X))  # ladders from 0 start there
     return (1.0 - a) * np.array([lad.cum[:len(ys)] for lad, _ in lads]).reshape(shape)
-
-
-# Step of the central difference of mu^(-1) in x in v_char_grad_x
-FD_STEP = 1e-6
-
-
-def v_char_grad_x(sol: CharacteristicSolution, x, y):
-    """d/dx of v at the points (x, y) of a plane (n = 1), broadcast.
-
-    Integrates rho^(-a)(s) times a central difference of mu^(-1) in x with
-    step FD_STEP (never a difference of v itself), all points in one dqk21
-    pass and ``quad`` for the ones it rejects.  The difference quotient
-    carries a rounding error of about eps_mach / FD_STEP * int rho^(-a)
-    |mu^(-1)|, which no quadrature can resolve, so a segment whose error
-    estimate misses the tolerance is still accepted within that floor."""
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(np.shape(x), y.shape)
-    if sol.mu_inverse is None:
-        return np.zeros(shape)[()]
-    mu = sol.mu_inverse
-
-    def dmu(xx, s):
-        return (mu(xx + FD_STEP, s) - mu(xx - FD_STEP, s)) / (2.0 * FD_STEP)
-
-    X = _positions(x, shape)
-    ay = np.broadcast_to(np.abs(y), shape).ravel()
-    val, ok = sol._dqk21(dmu, X, np.zeros(len(ay)), ay)
-    for k in np.flatnonzero(~ok):
-        xk, yk = float(X[k, 0]), float(ay[k])
-        try:
-            val[k] = sol._quad(dmu, xk, 0.0, yk)
-        except QuadratureError as exc:
-            # mu^(-1) > 0, so int rho^(-a) mu^(-1) is int rho^(-a) |mu^(-1)|
-            if exc.abserr > _EPMACH / FD_STEP * sol._quad(mu, xk, 0.0, yk):
-                raise
-            val[k] = exc.value
-    return (np.sign(y) * (1.0 - sol.family.a) * val.reshape(shape))[()]

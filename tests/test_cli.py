@@ -65,12 +65,23 @@ def test_usage_error_exit_code(tmp_path):
     (("fermi-demo", "radius=0.5"), "radius", "0.5"),
     (("fermi-demo", "radius=1"), "radius", "1"),
     (("sweep", "alpha=-1"), "alpha", "-1"),
+    (("sweep", "eps_list=0,0"), "eps_list", "0,0"),
+    (("sweep", "eps_list=1,1"), "eps_list", "1,1"),
+    (("sweep", "eps_list=0.5,0.5,0"), "eps_list", "0.5,0.5,0"),
+    (("sweep", "eps_list=inf,0"), "eps_list", "inf"),
+    (("sweep", "mu=quadratic:nan"), "mu", "nan"),
+    (("sweep", "mu=quadratic:-20"), "mu", "-20"),
+    (("sweep", "mu=quadratic:-1"), "mu", "-1"),
+    (("eigen", "r_list=inf"), "r_list", "inf"),
+    (("certify", "phi_a=-inf"), "phi_a", "-inf"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     """A value that does not parse, or that the command cannot run on, is a
     configuration error: exit 2 with a message that starts with the key and
     the token, not a crash with a traceback.  `fermi-demo eps_list=1 0.9` has
-    two entries, but its sqrt_eps table at h = 1/32 admits neither."""
+    two entries, but its sqrt_eps table at h = 1/32 admits neither.  A
+    repeated eps leaves the sweep's trend fit degenerate, and `quadratic:<c>`
+    with c <= -1 makes mu^(-1) = 1 + c x^2 vanish or turn negative."""
     assert _run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: {token!r}")
@@ -95,6 +106,23 @@ def test_eigen_artifacts(tmp_path):
     assert text.startswith("# degenlab")
     assert "config-hash" in text
     assert "trace[b=0.5]" in text
+
+
+@pytest.mark.parametrize("h,code", [("1/64", 1), ("1/32", 0)])
+def test_hardy_upper_bracket_holds_at_the_reference_h(tmp_path, monkeypatch, h, code):
+    """The Hardy quotient must lie in [0.25, 0.40] at h <= 1/64, and only
+    above 0.25 on coarser meshes: 0.41 fails at h = 1/64 and passes at
+    h = 1/32.  The trace quotients are fakes that meet their targets."""
+    import degenlab.cli as cli
+    from degenlab.spectral import EigenResult
+
+    def result(quotient_id, lam):
+        return EigenResult(quotient_id, 0.0, 0.0, 0.0, lam, 0.0, "fake", 0, None)
+
+    monkeypatch.setattr(cli, "trace_eigen", lambda b, eps, h: result(f"trace[b={b:g}]", 1.0 - b))
+    monkeypatch.setattr(cli, "hardy_quotient", lambda weight, h: result("hardy", 0.41))
+    monkeypatch.setattr(cli, "eigen_stability_sweep", lambda a, r_list, h: [])
+    assert _run(tmp_path, "eigen", f"h={h}") == code
 
 
 def test_solve_artifacts(tmp_path):

@@ -235,9 +235,9 @@ def test_sweep_integrates_each_segment_once(monkeypatch):
         quad_calls.append(1)
         return quad(*args, **kwargs)
 
-    def recording_scalar(self, g, x, y0, y1):
+    def recording_scalar(self, x, y0, y1):
         segments.append((x, y0, y1))
-        return scalar(self, g, x, y0, y1)
+        return scalar(self, x, y0, y1)
 
     def mu_inv(x, y):
         if isinstance(y, np.ndarray):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 import degenlab as dl
-from degenlab.weights import FD_STEP, _antiderivative_unit, v_char_profile
+from degenlab.weights import _antiderivative_unit, v_char_profile
 
 
 # -- independent oracle: adaptive Simpson ------------------------------------
@@ -191,44 +191,6 @@ def test_v_char_positive_for_positive_y():
     assert all(dl.v_char(sol, 0.2, y) > 0 for y in ys)
 
 
-def test_v_char_grad_x_matches_finite_difference():
-    sol = dl.CharacteristicSolution(dl.WeightFamily(0.0, 0.0),
-                                    mu_inverse=lambda x, s: 1.0 / (1.0 + x * x * s))
-    gx = dl.v_char_grad_x(sol, 1.0, 0.5)
-    step = 1e-5
-    fd = (dl.v_char(sol, 1.0 + step, 0.5) - dl.v_char(sol, 1.0 - step, 0.5)) / (2 * step)
-    assert gx == pytest.approx(fd, abs=1e-8)
-
-
-def test_v_char_grad_x_accepts_the_difference_quotient_rounding_floor():
-    """Where the x-derivative is small, the rounding noise of the central
-    difference of mu^(-1), about eps_mach / FD_STEP times int rho^(-a) mu^(-1),
-    is above quad's relative tolerance; the value within that floor is kept
-    and matches the integral of the analytic derivative."""
-    a, x, y = -0.5, -0.03125, 0.71875
-    sol = dl.CharacteristicSolution(
-        dl.WeightFamily(a, 0.0), mu_inverse=lambda x, s: 1.0 / (1.0 + 0.1 * x * x + 0.2 * s * s))
-    want = (1.0 - a) * quad(lambda s: s ** -a * (-0.2 * x) / (1.0 + 0.1 * x * x + 0.2 * s * s) ** 2,
-                            0.0, y, epsabs=0.0, epsrel=1e-12)[0]
-    assert dl.v_char_grad_x(sol, x, y) == pytest.approx(want, rel=1e-7)
-    assert dl.v_char_grad_x(sol, x, -y) == pytest.approx(-want, rel=1e-7)
-
-
-def test_v_char_grad_x_raises_beyond_the_rounding_floor():
-    """A derivative quad that misses its tolerance by more than the rounding
-    floor of the difference quotient still raises: mu^(-1) = 1 + 1e-8 x
-    sin(1e5 s) oscillates faster than 200 subintervals resolve, while
-    int rho^(-a) mu^(-1) itself converges."""
-    sol = dl.CharacteristicSolution(
-        dl.WeightFamily(-0.5, 0.0), mu_inverse=lambda x, s: 1.0 + 1e-8 * x * np.sin(1e5 * s))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        floor = np.finfo(float).eps / FD_STEP * sol._quad(sol.mu_inverse, 0.5, 0.0, 0.7)
-        with pytest.raises(dl.QuadratureError) as exc:
-            dl.v_char_grad_x(sol, 0.5, 0.7)
-    assert exc.value.abserr > floor
-
-
 def test_quadrature_error_carries_value_and_abserr():
     """A segment quad cannot resolve raises with the value and error
     estimate it reached; the value is within that estimate of the integral."""
@@ -243,17 +205,6 @@ def test_quadrature_error_carries_value_and_abserr():
     exact = 0.7 ** 1.5 / 1.5
     assert exc.value.abserr > 10 * sol.quadrature_tol * abs(exc.value.value)
     assert abs(exc.value.value - exact) <= exc.value.abserr + 1e-5 * c
-
-
-def test_v_char_grad_x_of_mu_linear_in_x_is_closed_form():
-    """mu^(-1) = 1 + 0.1 x: the central difference is exact up to rounding
-    and d/dx v = 0.1 (1 - a) chi(y), odd in y."""
-    fam = dl.WeightFamily(0.3, 0.1)
-    sol = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 1.0 + 0.1 * x + 0.0 * s)
-    for x in (-0.7, 0.2):
-        for y in (0.4, -0.9):
-            want = 0.1 * (1.0 - fam.a) * dl.chi(fam, y)
-            assert dl.v_char_grad_x(sol, x, y) == pytest.approx(want, rel=1e-8)
 
 
 def test_characteristic_solution_rejects_a_non_numeric_tolerance():
@@ -301,7 +252,7 @@ def test_gamma_ratio_holder_uniformity_across_eps():
 
 
 def test_segment_memo_is_isolated():
-    """The segment memo serves only the default integrand of its own solution."""
+    """The segment memo serves only its own solution."""
     fam = dl.WeightFamily(0.5, 0.1)
 
     def mu_inv(x, s):
@@ -310,9 +261,6 @@ def test_segment_memo_is_isolated():
     ys = np.linspace(0.05, 1.0, 20)
     sol = dl.CharacteristicSolution(fam, mu_inverse=mu_inv)
     v = v_char_profile(sol, 0.7, ys)
-    # the x-derivative's integrand bypasses the memo the profile just filled
-    want = dl.v_char_grad_x(dl.CharacteristicSolution(fam, mu_inverse=mu_inv), 0.7, 0.5)
-    assert dl.v_char_grad_x(sol, 0.7, 0.5) == want
     # a second solution with another mu keeps its own memo
     other = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 0.5 * mu_inv(x, s))
     assert np.allclose(v_char_profile(other, 0.7, ys), 0.5 * v, rtol=1e-9)
@@ -347,7 +295,7 @@ def test_column_rule_matches_quad(a, eps, mu):
     y0, y1 = np.r_[0.0, ys[:-1]], ys
     col = dl.CharacteristicSolution(fam, g).segment_integrals(0.3, y0, y1)
     one = dl.CharacteristicSolution(fam, g)
-    want = np.array([one._quad(g, 0.3, s0, s1) for s0, s1 in zip(y0, y1)])
+    want = np.array([one._quad(0.3, s0, s1) for s0, s1 in zip(y0, y1)])
     assert np.allclose(col, want, rtol=1e-13, atol=0.0)
 
 
@@ -370,7 +318,7 @@ def test_rejected_segments_take_the_quad_fallback(monkeypatch, a, eps, mu_invers
 
     fam = dl.WeightFamily(a, eps)
     y0, y1 = np.array([0.0, 0.5]), np.array([0.5, 1.0])
-    want = [dl.CharacteristicSolution(fam, mu_inverse)._quad(mu_inverse, 0.0, s0, s1)
+    want = [dl.CharacteristicSolution(fam, mu_inverse)._quad(0.0, s0, s1)
             for s0, s1 in zip(y0, y1)]
     monkeypatch.setattr(weights, "quad", counting)
     got = dl.CharacteristicSolution(fam, mu_inverse).segment_integrals(0.0, y0, y1)
@@ -507,7 +455,7 @@ def test_whole_grid_pass_matches_quad_per_segment(monkeypatch, grid, a, eps):
     ask = ~np.isnan(y0)
     cols = x if n == 2 else (x,)
     one = dl.CharacteristicSolution(fam, mu_inv)
-    want = [one._quad(mu_inv, k[0] if n == 1 else k, s0, s1) for k, s0, s1 in
+    want = [one._quad(k[0] if n == 1 else k, s0, s1) for k, s0, s1 in
             zip(zip(*(np.broadcast_to(c[:, None], y0.shape)[ask] for c in cols)),
                 y0[ask], y1[ask])]
     np.testing.assert_allclose(got[ask], want, rtol=1e-13, atol=0.0)
@@ -538,7 +486,7 @@ def test_runs_break_where_the_column_changes():
     sol = dl.CharacteristicSolution(fam, mu_inv)
     got = sol.segment_integrals(x, y0, y1)
     one = dl.CharacteristicSolution(fam, mu_inv)
-    want = [one._quad(mu_inv, *args) for args in zip(x, y0, y1)]
+    want = [one._quad(*args) for args in zip(x, y0, y1)]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     assert [lad.edges.tolist() for lad in sol._memo[0.1].ladders] == [[0.0, 0.25, 0.5]]
     assert [lad.edges.tolist() for lad in sol._memo[0.7].ladders] == [[0.5, 0.75, 1.0]]
@@ -574,7 +522,7 @@ def test_v_char_at_ladder_edges_reads_the_cumulative_sum(a, eps, mu):
     calls.clear()
     got = dl.v_char(sol, 0.3, y1)
     assert calls == []
-    want = np.array([(1.0 - a) * dl.CharacteristicSolution(fam, g)._quad(g, 0.3, 0.0, y)
+    want = np.array([(1.0 - a) * dl.CharacteristicSolution(fam, g)._quad(0.3, 0.0, y)
                      for y in y1])
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     # the profile at the cell centres is the same cumulative sum
@@ -598,7 +546,7 @@ def test_v_char_off_the_ladders_takes_one_pass():
     sol = dl.CharacteristicSolution(fam, mu_inv)
     got = dl.v_char(sol, x, y)
     assert [c for c in calls if c] == [(len(x), 21)]
-    want = [np.sign(yk) * 0.5 * sol._quad(mu_inv, xk, 0.0, abs(yk)) for xk, yk in zip(x, y)]
+    want = [np.sign(yk) * 0.5 * sol._quad(xk, 0.0, abs(yk)) for xk, yk in zip(x, y)]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     calls.clear()
     assert np.array_equal(dl.v_char(sol, x, y), got) and calls == []
