@@ -1,4 +1,4 @@
-"""Flux-form finite volumes for -div(w A grad u) = w f + div(w F) + w b.grad u.
+"""Flux-form finite volumes for -div(w A grad u) = w f + div(w F).
 
 Unknowns are cell averages at cell centers; the discrete operator is built
 from face transmissibilities
@@ -22,7 +22,7 @@ slicing the lattice along each axis, the matrix from concatenated COO
 triplets, and the faces are kept as arrays (:class:`Faces`) for right-hand
 sides.  mu is the weight model's alone (see :class:`WeightModel`).  There
 is no per-cell Python work: every user sampler (mu_inverse, b_tilde,
-t_field, drift, the data f, F and the trace, exact solutions and region
+t_field, the data f, F and the trace, exact solutions and region
 predicates) takes coordinate arrays and is called once on all the points it
 is needed at, through ``weights._sample``.
 
@@ -32,20 +32,17 @@ Boundary handling:
 * outer boundary (including the staircase of masked half-disk cells):
   Dirichlet data enter through half-cell transmissibilities, first order.
 
-The drift term is a centered-difference contribution folded into the matrix
-(nonsymmetric part); a zero drift sampler produces exactly the drift-free
-matrix.
-
 Linear solves: every planar system (n = 1) is factored by one sparse LU with
 the minimum-degree ordering of A^T + A, whatever its size.  Minimum-degree
 orderings of 2-D grid operators fill O(N log N) (George & Liu, 1981), so the
 factorisation stays cheap; on 3-D grids (n = 2) the fill grows much faster
 (40x at h = 1/16), and those take the LU only up to ``DIRECT_SOLVE_MAX``
-cells and Jacobi-preconditioned CG or BiCGSTAB above it, falling back to the
-LU when the Krylov solve fails.  The CSR matrix is
-factored through its transpose, a CSC view, so no copy is made, and the
-solve uses ``trans="T"``; ``panel_size=1`` shrinks SuperLU's panel work
-arrays, and with them the peak memory of the factorisation.
+cells and Jacobi-preconditioned CG above it (the matrix is symmetric),
+falling back to the LU when CG fails.  The CSR matrix is factored through
+its transpose, a CSC view, so no copy is made, and the solve uses
+``trans="T"``; ``panel_size=1`` shrinks SuperLU's panel work arrays, and
+with them the peak memory of the factorisation.  Every solve aims at the
+relative residual ``SOLVER_TOL``.
 """
 
 from __future__ import annotations
@@ -72,6 +69,7 @@ from .weights import (
 
 DIRECT_SOLVE_MAX = 5_000
 ITERATION_CAP = 100_000
+SOLVER_TOL = 1e-10      # relative residual of every linear solve
 SIGMA_SAMPLES = 200     # plane points at which check_sigma_invariance samples T
 
 
@@ -195,11 +193,9 @@ class RhoWeight(WeightModel):
     int rho^(-a) mu^(-1) ds is the characteristic-solution increment divided
     by (1-a).  w == 1 is ``RhoWeight(WeightFamily(0.0))``."""
 
-    def __init__(self, family: WeightFamily, mu_inverse: Optional[Callable] = None,
-                 quadrature_tol: float = 1e-10):
+    def __init__(self, family: WeightFamily, mu_inverse: Optional[Callable] = None):
         self.family = family
-        self.sol = CharacteristicSolution(family, mu_inverse,
-                                          quadrature_tol=quadrature_tol)
+        self.sol = CharacteristicSolution(family, mu_inverse)
         self.supersingular = family.a <= -1.0 and family.eps == 0.0
         self.weight_id = f"rho[a={family.a:g},eps={family.eps:g}]"
 
@@ -426,14 +422,14 @@ def _face_weight(wc: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _centered_pairs(g: HalfGrid, axis: int, ghost_coeff: Optional[float] = None):
+def _centered_pairs(g: HalfGrid, axis: int, ghost_coeff: Optional[float]):
     """Per-cell centered difference along a lattice axis, times 2h, as two
     (dof, coeff) slots: arrays D, C of shape (ncells, 2) and a mask ok.
 
     (hi - lo)/2 where both neighbours exist, one-sided differences where one
-    is missing; with ``ghost_coeff`` the bottom cells use the parity ghost
-    below the plane instead, weighing themselves by ghost_coeff.  ok is False
-    where both neighbours are missing."""
+    is missing; with a ``ghost_coeff`` (None along x) the bottom cells use
+    the parity ghost below the plane instead, weighing themselves by it.
+    ok is False where both neighbours are missing."""
     live = g.index >= 0
     m = g.index.shape[axis]
     lo = _shifted(g.index, axis, 0, m)[live]
@@ -488,9 +484,7 @@ class AssembledOperator:
     parity: str
     weight: WeightModel
     spec: OperatorSpec
-    has_drift: bool
     faces: Faces = field(repr=False)
-    assembly_weight_id: str = ""
     flagged_supersingular: bool = False
 
     def rhs(self, f: Optional[Callable] = None, F: Optional[Callable] = None,
@@ -525,22 +519,15 @@ def _cell_weight_integrals(weight: WeightModel, g: HalfGrid) -> np.ndarray:
 
 
 def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] = None,
-             parity: str = "odd", drift: Optional[Callable] = None,
-             outer: str = "dirichlet") -> AssembledOperator:
-    """Assemble the flux-form operator; see the module docstring for the scheme.
-
-    outer='neumann' closes the outer boundary with zero weighted flux instead
-    of Dirichlet half-cells (with even parity this leaves constants in the
-    kernel)."""
+             parity: str = "odd") -> AssembledOperator:
+    """Assemble the flux-form operator, symmetric and closed by Dirichlet
+    half-cells on the outer boundary; see the module docstring for the scheme."""
     if parity not in ("odd", "even"):
         raise ValueError("assembly parity must be 'odd' or 'even'")
-    if outer not in ("dirichlet", "neumann"):
-        raise ValueError("outer must be 'dirichlet' or 'neumann'")
     spec = spec or OperatorSpec()
     g = grid
     n, h = g.n, g.h
     area = h ** n
-    dirichlet = outer == "dirichlet"
     ys = (np.arange(g.ny) + 0.5) * h
     supersingular = bool(getattr(weight, "supersingular", False)) and parity == "odd"
 
@@ -552,7 +539,7 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
     plane = np.zeros(lo.shape, dtype=bool)
     plane[:, 0] = hi[:, 0] >= 0
     edge = ((lo >= 0) != (hi >= 0)) & ~plane
-    need = inner | edge & dirichlet | plane & (parity == "odd")
+    need = inner | edge | plane & (parity == "odd")
     y0 = np.where(lo >= 0, np.r_[np.nan, ys], mid[..., n])   # resistance segments:
     y1 = np.where(hi >= 0, np.r_[ys, np.nan], mid[..., n])   # center to center or face
 
@@ -571,7 +558,7 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
     tau[use] = area / R[use]
     keep = (lo >= 0) | (hi >= 0)
     parts = [(np.full(np.count_nonzero(keep), n), lo[keep], hi[keep], wf[keep],
-              mid[keep], tau[keep], (edge & dirichlet)[keep])]
+              mid[keep], tau[keep], edge[keep])]
 
     # x-faces, axis by axis
     for axis in range(n):
@@ -581,8 +568,8 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
         inner = (lo >= 0) & (hi >= 0)
         wf = _face_weight(wxcell, lo, hi)
         afac = weight.sol.mu_at(*_xy(mid, n)) * spec.b_tilde_diag_at(*_xy(mid, n), axis)
-        tau = np.where(inner | dirichlet, area * wf * afac / np.where(inner, h, h / 2.0), 0.0)
-        parts.append((np.full(len(lo), axis), lo, hi, wf, mid, tau, ~inner & dirichlet))
+        tau = area * wf * afac / np.where(inner, h, h / 2.0)
+        parts.append((np.full(len(lo), axis), lo, hi, wf, mid, tau, ~inner))
     faces = Faces(*(np.concatenate(a) for a in zip(*parts)))
 
     # diagonal summed per axis, lower face before upper face
@@ -596,24 +583,17 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
     dofs = np.arange(g.ncells)
     triplets = [(dofs, dofs, diag), (lo, hi, -tau), (hi, lo, -tau)]
 
-    has_drift = drift is not None
-    if spec.t_field is not None or has_drift:
-        stencils = [_centered_pairs(g, axis) for axis in range(n)]
-        stencils.append(_centered_pairs(g, n, 0.5 if parity == "odd" else -0.5))
     if spec.t_field is not None:
-        triplets.append(_cross_terms(g, spec, weight.sol, wcell, stencils))
-    if has_drift:
-        triplets.append(_drift_terms(g, wcell, drift, stencils))
+        triplets.append(_cross_terms(g, spec, weight.sol, wcell, parity))
 
     rows, cols_, vals = (np.concatenate(a) for a in zip(*triplets))
     M = sp.coo_matrix((vals, (rows, cols_)), shape=(g.ncells, g.ncells)).tocsr()
     return AssembledOperator(
-        matrix=M, grid=g, parity=parity, weight=weight, spec=spec,
-        has_drift=has_drift, faces=faces, assembly_weight_id=weight.weight_id,
+        matrix=M, grid=g, parity=parity, weight=weight, spec=spec, faces=faces,
         flagged_supersingular=supersingular)
 
 
-def _cross_terms(g, spec, sol, wcell, stencils):
+def _cross_terms(g, spec, sol, wcell, parity):
     """Symmetric cell-centered discretization of the T coupling blocks.
 
     Per cell and x-axis, (Dx u)(Dy v) + (Dy u)(Dx v) with centered stencils
@@ -622,11 +602,11 @@ def _cross_terms(g, spec, sol, wcell, stencils):
     x, y = _xy(g.centers, n)
     t = spec.t_at(x, y).T
     coef = h ** (n + 1) * wcell[:, None] * sol.mu_at(x, y)[:, None] * t / (h * h)
-    DY, CY, oky = stencils[n]
+    DY, CY, oky = _centered_pairs(g, n, 0.5 if parity == "odd" else -0.5)
     active = np.any(t != 0, axis=1) & oky
     rows, cols, vals, ok = [], [], [], []
     for axis in range(n):
-        DX, CX, okx = stencils[axis]
+        DX, CX, okx = _centered_pairs(g, axis, None)
         v = coef[:, axis, None, None] * CX[:, :, None] * CY[:, None, :]   # cell, x, y slot
         dx, dy = np.broadcast_arrays(DX[:, :, None], DY[:, None, :])
         rows.append(np.stack([dy, dx], axis=-1))
@@ -635,20 +615,6 @@ def _cross_terms(g, spec, sol, wcell, stencils):
         ok.append(np.broadcast_to((active & okx)[:, None, None, None], v.shape + (2,)))
     sel = np.stack(ok, axis=1)
     return tuple(np.stack(a, axis=1)[sel] for a in (rows, cols, vals))
-
-
-def _drift_terms(g, wcell, drift, stencils):
-    """Centered-difference drift contribution, COO triplets in cell order."""
-    n, h = g.n, g.h
-    b = _sample(drift, *_xy(g.centers, n), "drift", (n + 1,)).T
-    scale = -h ** (n + 1) * wcell / h
-    D = np.stack([s[0] for s in stencils], axis=1)          # cell, axis, stencil slot
-    vals = np.stack([(scale * b[:, axis])[:, None] * stencils[axis][1]
-                     for axis in range(n + 1)], axis=1)
-    ok = np.stack([s[2] for s in stencils], axis=1) & (b != 0.0)
-    sel = np.broadcast_to(ok[:, :, None], D.shape)
-    rows = np.broadcast_to(np.arange(g.ncells)[:, None, None], D.shape)
-    return rows[sel], D[sel], vals[sel]
 
 
 # ---------------------------------------------------------------------------
@@ -664,20 +630,20 @@ class SolveReport:
     method: str
     converged: bool               # relative_residual <= tolerance
     tolerance: float
-    info: int                     # 0, or the cg/bicgstab failure flag (the LU then solved)
+    info: int                     # 0, or the cg failure flag (the LU then solved)
 
 
-def solve_linear(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-10) -> SolveReport:
-    """Solve op u = rhs.
+def solve_linear(op: AssembledOperator, rhs: np.ndarray) -> SolveReport:
+    """Solve op u = rhs to the relative residual ``SOLVER_TOL``.
 
     Planar grids (n = 1), and n = 2 grids of at most ``DIRECT_SOLVE_MAX``
     cells, take one sparse LU: ``splu`` of the CSC view ``A.T`` (no copy)
     with the ``MMD_AT_PLUS_A`` ordering and ``panel_size=1``, solved with
     ``trans="T"``.  Larger n = 2 grids, whose fill grows too fast for a
-    direct factorisation, use diagonally preconditioned CG when the matrix is
-    symmetric and BiCGSTAB when a drift makes it nonsymmetric; if that
-    breaks down or reaches ``ITERATION_CAP`` (info != 0), the same sparse LU
-    solves the system, and the report keeps the Krylov info."""
+    direct factorisation, use diagonally preconditioned CG; if that breaks
+    down or reaches ``ITERATION_CAP`` (info != 0), the same sparse LU solves
+    the system, and the report keeps the CG info."""
+    tol = SOLVER_TOL
     A = op.matrix
     nn = A.shape[0]
     it_count = [0]
@@ -688,18 +654,12 @@ def solve_linear(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-10) -> 
     info = 0
     if op.grid.n == 1 or nn <= DIRECT_SOLVE_MAX:
         method = "direct-sparse-lu"
-    elif not op.has_drift:
+    else:
         d = A.diagonal()
         M = sp.diags(1.0 / np.where(d > 0, d, 1.0))
         u, info = spla.cg(A, rhs, rtol=tol * 1e-2, atol=0.0,
                           maxiter=ITERATION_CAP, M=M, callback=cb)
         method = "cg-jacobi"
-    else:
-        d = A.diagonal()
-        M = sp.diags(1.0 / np.where(np.abs(d) > 0, d, 1.0))
-        u, info = spla.bicgstab(A, rhs, rtol=tol * 1e-2, atol=0.0,
-                                maxiter=ITERATION_CAP, M=M, callback=cb)
-        method = "bicgstab-jacobi"
     if method == "direct-sparse-lu" or info != 0:
         lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A", panel_size=1)
         u = lu.solve(rhs, trans="T")
@@ -707,7 +667,7 @@ def solve_linear(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-10) -> 
     res = op.residual(u, rhs)
     fld = DiscreteField(op.grid, u, op.parity)
     return SolveReport(field=fld, relative_residual=res, iterations=it_count[0],
-                       assembly_weight_id=op.assembly_weight_id, method=method,
+                       assembly_weight_id=op.weight.weight_id, method=method,
                        converged=res <= tol, tolerance=tol, info=info)
 
 

@@ -258,7 +258,7 @@ class EpsSolution:
 
 
 def solve_family(family: ProblemFamily, eps_list: Sequence[float],
-                 grid_h: float = 1.0 / 64, solver_tol: float = 1e-10) -> List[EpsSolution]:
+                 grid_h: float = 1.0 / 64) -> List[EpsSolution]:
     """Solve the odd family once per eps on the half rectangle of spacing grid_h.
 
     A solve that does not converge raises SweepAbort carrying the solutions
@@ -276,7 +276,7 @@ def solve_family(family: ProblemFamily, eps_list: Sequence[float],
         v_char_profile(sol, side_x, ys)
         trace = _family_trace(family, sol)
         rhs = op.rhs(f=family.f, F=family.F, trace=trace)
-        rep = solve_linear(op, rhs, tol=solver_tol)
+        rep = solve_linear(op, rhs)
         if not rep.converged:
             raise SweepAbort(
                 f"solver failed at eps={eps}: residual {rep.relative_residual:.2e}",
@@ -325,15 +325,14 @@ def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha
 
 def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float,
                   mode: str = "ratio_c0", grid_h: float = 1.0 / 64,
-                  region: Optional[Region] = None, restricted: str = "none",
-                  solver_tol: float = 1e-10) -> StabilityReport:
+                  region: Optional[Region] = None, restricted: str = "none") -> StabilityReport:
     """:func:`solve_family` at the eps the region admits, then
     :func:`measure_sweep` (modes and restricted as there)."""
     _check_mode(family, mode)
     if len(eps_list) < 2:
         raise ValueError("eps_list must contain at least two entries")
     eps_list = admissible_eps(eps_list, grid_h, restricted, region)
-    return measure_sweep(family, solve_family(family, eps_list, grid_h, solver_tol), alpha,
+    return measure_sweep(family, solve_family(family, eps_list, grid_h), alpha,
                          mode, region, restricted)
 
 

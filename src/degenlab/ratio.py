@@ -30,6 +30,7 @@ import numpy as np
 from .assembly import (
     AuxiliaryWeight,
     DiscreteField,
+    SOLVER_TOL,
     OperatorSpec,
     RhoWeight,
     _cell_weight_integrals,
@@ -41,7 +42,6 @@ from .geometry import HalfGrid, build_half_grid
 from .weights import CharacteristicSolution, v_char_profile
 
 
-SOLVER_TOL = 1e-10          # of the odd solve in aux_residual, and the residual floor
 INTERIOR_MARGIN = 0.125     # distance from the outer boundary of the residual's cells
 LV_ROUNDING = 1e-12         # L v is 0 where it is below this share of its summed |terms|
 
@@ -124,14 +124,14 @@ def aux_residual(problem: OddProblem, grid: HalfGrid) -> float:
     worst_t = spec.check_sigma_invariance(n=grid.n)
     if worst_t > 1e-10:
         raise ValueError(f"T(x,0) must vanish; sampled max {worst_t:.3g}")
-    wgt = RhoWeight(problem.sol.family, problem.sol.mu_inverse, problem.sol.quadrature_tol)
+    wgt = RhoWeight(problem.sol.family, problem.sol.mu_inverse)
     sol = wgt.sol       # the quotient reuses the resistances' segment integrals
     op = assemble(grid, wgt, spec, parity="odd")
     load = op.rhs(f=problem.f, F=problem.F)
     if problem.u_exact is not None:
         u = DiscreteField.sample(grid, problem.u_exact, "odd")
     else:
-        u = solve_linear(op, load + op.rhs(trace=problem.trace), tol=SOLVER_TOL).field
+        u = solve_linear(op, load + op.rhs(trace=problem.trace)).field
     v = _v_on_grid(sol, grid)
     w = _quotient_field(u, v).values
     lv = op.matrix @ v

@@ -37,12 +37,14 @@ long as user samplers are reentrant.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import hyp2f1
+
+
+QUADRATURE_TOL = 1e-10      # relative error accepted for a segment integral
 
 
 class SingularWeightError(ValueError):
@@ -386,10 +388,10 @@ class CharacteristicSolution:
     segments of any number of columns by one vectorised 21-point
     Gauss-Kronrod pass (QUADPACK's dqk21, one sampler call on an (nseg, 21)
     array) and accepts a segment under QUADPACK qags's own test after it:
-    abserr <= quadrature_tol |result| and abserr != resabs, or abserr == 0.
+    abserr <= ``QUADRATURE_TOL`` |result| and abserr != resabs, or abserr == 0.
     Only a rejected segment goes on to the adaptive scalar ``quad``, so an
     accepted value is the one ``quad`` returns, up to the rounding of the
-    integrand, and ``quadrature_tol`` keeps its meaning.
+    integrand, and ``QUADRATURE_TOL`` keeps its meaning.
 
     Segment integrals are memoized per solution object, one entry per
     column x (a float, or a tuple of floats for n = 2), holding ladders: the
@@ -409,16 +411,12 @@ class CharacteristicSolution:
 
     family: WeightFamily
     mu_inverse: Optional[Callable] = None
-    quadrature_tol: float = 1e-10
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family.a >= 1.0:
             raise DivergentIntegralError(
                 f"characteristic solution requires a < 1, got a={self.family.a}")
-        if not isinstance(self.quadrature_tol, numbers.Real):
-            raise TypeError(f"quadrature_tol must be a number, "
-                            f"got {type(self.quadrature_tol).__name__}")
 
     def _column(self, x) -> _Column:
         return self._memo.setdefault(x, _Column())
@@ -506,13 +504,13 @@ class CharacteristicSolution:
         wgt = np.where(sub[:, None], 1.0, (eps * eps + s * s) ** (-a / 2.0))
         mu_inv = _sample(self.mu_inverse, _x_of(list(X.T[..., None])), s)
         result, abserr, resabs = _gk21(wgt * mu_inv, y0, hi)
-        return result, _qags_accepts(result, abserr, resabs, self.quadrature_tol)
+        return result, _qags_accepts(result, abserr, resabs, QUADRATURE_TOL)
 
     def _quad(self, x, y0: float, y1: float) -> float:
         """int_{y0}^{y1} rho^(-a) mu^(-1)(x, s) ds by adaptive ``quad``."""
         a, eps = self.family.a, self.family.eps
         g = self.mu_inverse
-        tol = self.quadrature_tol
+        tol = QUADRATURE_TOL
         if eps == 0.0 and a > 0.0 and y0 == 0.0:
             # the substitution of _integrate
             b = 1.0 - a

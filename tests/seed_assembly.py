@@ -37,11 +37,9 @@ class SeedRhoWeight(_SeedWeightModel):
     With mu present, int ds/(w mu) = int rho^(-a) mu^(-1) ds is the
     characteristic-solution increment divided by (1-a)."""
 
-    def __init__(self, family: WeightFamily, mu_inverse: Optional[Callable] = None,
-                 quadrature_tol: float = 1e-10):
+    def __init__(self, family: WeightFamily, mu_inverse: Optional[Callable] = None):
         self.family = family
-        self.sol = CharacteristicSolution(family, mu_inverse,
-                                          quadrature_tol=quadrature_tol)
+        self.sol = CharacteristicSolution(family, mu_inverse)
         self.supersingular = family.a <= -1.0 and family.eps == 0.0
         self.weight_id = f"rho[a={family.a:g},eps={family.eps:g}]"
 
@@ -172,7 +170,6 @@ class SeedOperator:
     parity: str
     weight: _SeedWeightModel
     spec: OperatorSpec
-    has_drift: bool
     dirichlet_faces: list = field(repr=False)   # (dof, tau, midpoint)
     face_weights: list = field(repr=False)      # (axis, lo_dof, hi_dof, w_face, midpoint)
     assembly_weight_id: str = ""
@@ -240,17 +237,11 @@ def _cell_weight_integrals(weight: _SeedWeightModel, g: HalfGrid) -> np.ndarray:
 
 
 def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSpec] = None,
-             parity: str = "odd", drift: Optional[Callable] = None,
-             outer: str = "dirichlet") -> "SeedOperator":
-    """Assemble the flux-form operator; see the module docstring for the scheme.
-
-    outer='neumann' closes the outer boundary with zero weighted flux instead
-    of Dirichlet half-cells (with even parity this leaves constants in the
-    kernel)."""
+             parity: str = "odd") -> "SeedOperator":
+    """Assemble the flux-form operator with Dirichlet half-cells on the outer
+    boundary; see the module docstring for the scheme."""
     if parity not in ("odd", "even"):
         raise ValueError("assembly parity must be 'odd' or 'even'")
-    if outer not in ("dirichlet", "neumann"):
-        raise ValueError("outer must be 'dirichlet' or 'neumann'")
     spec = spec or OperatorSpec()
     g = grid
     n, h = g.n, g.h
@@ -305,25 +296,23 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSp
                     face_weights.append((n, -1, dof, wcol[0], _mk_point(idx, y_face, h, n)))
                 else:  # staircase face below
                     mid = _mk_point(idx, y_face, h, n)
-                    if outer == "dirichlet":
-                        R = weight.resistance_y(x, y_face, yc)
-                        if R is None:
-                            R = (h / 2.0) / (wcol[j] * spec.mu_val(x, y_face))
-                        tau = area / R
-                        add(dof, dof, tau)
-                        dirichlet_faces.append((dof, tau, mid))
-                    face_weights.append((n, -1, dof, wcol[j], mid))
-            # face above
-            if j == g.ny - 1 or dofs[j + 1] < 0:
-                y_face = (j + 1) * h
-                mid = _mk_point(idx, y_face, h, n)
-                if outer == "dirichlet":
-                    R = weight.resistance_y(x, yc, y_face)
+                    R = weight.resistance_y(x, y_face, yc)
                     if R is None:
                         R = (h / 2.0) / (wcol[j] * spec.mu_val(x, y_face))
                     tau = area / R
                     add(dof, dof, tau)
                     dirichlet_faces.append((dof, tau, mid))
+                    face_weights.append((n, -1, dof, wcol[j], mid))
+            # face above
+            if j == g.ny - 1 or dofs[j + 1] < 0:
+                y_face = (j + 1) * h
+                mid = _mk_point(idx, y_face, h, n)
+                R = weight.resistance_y(x, yc, y_face)
+                if R is None:
+                    R = (h / 2.0) / (wcol[j] * spec.mu_val(x, y_face))
+                tau = area / R
+                add(dof, dof, tau)
+                dirichlet_faces.append((dof, tau, mid))
                 face_weights.append((n, dof, -1, wcol[j], mid))
             else:
                 up = dofs[j + 1]
@@ -365,10 +354,9 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSp
                 else:
                     dof = lo if lo >= 0 else hi
                     wf = wxcell[dof]
-                    if outer == "dirichlet":
-                        tau = area * wf * afac / (h / 2.0)
-                        add(dof, dof, tau)
-                        dirichlet_faces.append((dof, tau, mid))
+                    tau = area * wf * afac / (h / 2.0)
+                    add(dof, dof, tau)
+                    dirichlet_faces.append((dof, tau, mid))
                     if lo >= 0:
                         face_weights.append((axis, dof, -1, wf, mid))
                     else:
@@ -378,14 +366,10 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSp
     if spec.t_field is not None:
         _add_cross_terms(g, spec, wcell, parity, add)
 
-    has_drift = drift is not None
-    if has_drift:
-        _add_drift(g, spec, wcell, parity, drift, add)
-
     M = sp.coo_matrix((vals, (rows, cols)), shape=(g.ncells, g.ncells)).tocsr()
     return SeedOperator(
         matrix=M, grid=g, parity=parity, weight=weight, spec=spec,
-        has_drift=has_drift, dirichlet_faces=dirichlet_faces,
+        dirichlet_faces=dirichlet_faces,
         face_weights=face_weights, assembly_weight_id=weight.weight_id,
         flagged_supersingular=supersingular)
 
@@ -476,32 +460,4 @@ def _centered_pair(d_lo, d_hi, dof, parity=None, at_bottom=False):
     if d_lo >= 0 and d_hi < 0:
         return [(dof, 1.0), (d_lo, -1.0)]
     return None
-
-
-def _add_drift(g, spec, wcell, parity, drift, add):
-    lat = g.index
-    h = g.h
-    voln = h ** (g.n + 1)
-    for idx_full in np.ndindex(*g.lattice_shape()):
-        dof = int(lat[idx_full])
-        if dof < 0:
-            continue
-        p = g.centers[dof]
-        x = _xcol(p, g.n)
-        y = p[g.n]
-        b = np.atleast_1d(np.asarray(drift(x, y), dtype=float))
-        if not np.any(b):
-            continue
-        scale = -voln * wcell[dof] / h
-        for axis in range(g.n + 1):
-            if b[axis] == 0.0:
-                continue
-            d_lo, d_hi = _neighbors_along(g, lat, idx_full, axis)
-            pair = _centered_pair(d_lo, d_hi, dof,
-                                  parity=parity if axis == g.n else None,
-                                  at_bottom=(axis == g.n and idx_full[-1] == 0))
-            if pair is None:
-                continue
-            for (dj, cj) in pair:
-                add(dof, dj, scale * b[axis] * cj)
 

@@ -78,13 +78,14 @@ def test_interior_residual_of_sampled_characteristic():
 
 
 def test_even_parity_annihilates_constants():
+    # no flux through the plane: a constant feels only its outer trace
     g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
-    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.5, 0.0)),
-                     parity="even", outer="neumann")
-    assert np.max(np.abs(op.matrix @ np.ones(g.ncells))) < 1e-12
+    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.5, 0.0)), parity="even")
+    r = op.matrix @ np.ones(g.ncells) - op.rhs(trace=lambda x, y: 1.0)
+    assert np.max(np.abs(r)) < 1e-12
 
 
-def test_symmetry_without_drift():
+def test_symmetry_with_coupling():
     g = dl.build_half_grid(1, "half_disk", 1 / 16)
     spec = dl.OperatorSpec(b_tilde=lambda x, y: 1.0 + 0.1 * y * y,
                            t_field=lambda x, y: 0.3 * y)
@@ -94,62 +95,36 @@ def test_symmetry_without_drift():
     assert abs(d).max() < 1e-12
 
 
-def test_drift_zero_sampler_identical_matrix():
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
-    w = dl.RhoWeight(dl.WeightFamily(0.3, 0.2))
-    op0 = dl.assemble(g, w, parity="odd")
-    opz = dl.assemble(g, w, parity="odd", drift=lambda x, y: (0.0, 0.0))
-    assert (op0.matrix != opz.matrix).nnz == 0
-    assert opz.has_drift
-
-
-def test_drift_solve_runs_bicgstab_consistency():
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
-    w = dl.RhoWeight(dl.WeightFamily(0.0))
-    op = dl.assemble(g, w, parity="odd", drift=lambda x, y: (0.2, 0.1 * y))
-    rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
-    rep = dl.solve_linear(op, rhs)
-    assert np.max(np.abs(rep.field.values - exact.values)) < 1e-9
-
-
 def test_planar_systems_factor_directly():
-    # an n = 1 grid above DIRECT_SOLVE_MAX still takes the sparse LU; the drift
-    # case is nonsymmetric, so it checks the transposed solve of the CSC view
+    # an n = 1 grid above DIRECT_SOLVE_MAX still takes the sparse LU
     g = dl.build_half_grid(1, "half_rectangle", 1 / 64)
     assert g.ncells > dl.assembly.DIRECT_SOLVE_MAX
-    for drift in (None, lambda x, y: (0.2, 0.1 * y)):
-        op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd", drift=drift)
-        assert op.has_drift == (drift is not None)
-        rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
-        rep = dl.solve_linear(op, rhs)
-        assert rep.method == "direct-sparse-lu"
-        assert rep.iterations == 0 and rep.info == 0 and rep.converged
-        assert np.max(np.abs(rep.field.values - exact.values)) < 1e-12
+    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
+    rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
+    rep = dl.solve_linear(op, rhs)
+    assert rep.method == "direct-sparse-lu"
+    assert rep.iterations == 0 and rep.info == 0 and rep.converged
+    assert np.max(np.abs(rep.field.values - exact.values)) < 1e-12
 
 
 def test_iterative_solves_report_info(monkeypatch):
-    # on an n = 2 grid above DIRECT_SOLVE_MAX both Krylov paths run; info 0
-    # means converged
+    # on an n = 2 grid above DIRECT_SOLVE_MAX Jacobi-CG runs; info 0 means converged
     monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 10)
     g = dl.build_half_grid(2, "half_rectangle", 1 / 8)
-    for drift, method in ((None, "cg-jacobi"),
-                          (lambda x, y: (0.2, -0.1, 0.1 * y), "bicgstab-jacobi")):
-        op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd", drift=drift)
-        rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
-        rep = dl.solve_linear(op, rhs)
-        assert rep.method == method
-        assert rep.info == 0 and rep.converged and rep.iterations > 0
-        assert np.max(np.abs(rep.field.values - exact.values)) < 1e-9
+    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
+    rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
+    rep = dl.solve_linear(op, rhs)
+    assert rep.method == "cg-jacobi"
+    assert rep.info == 0 and rep.converged and rep.iterations > 0
+    assert np.max(np.abs(rep.field.values - exact.values)) < 1e-9
 
 
-@pytest.mark.parametrize("drift", [None, lambda x, y: (0.2, -0.1, 0.1 * y)],
-                         ids=["cg", "bicgstab"])
-def test_failed_krylov_solve_falls_back_to_lu(monkeypatch, drift):
-    # one iteration cannot converge: the Krylov info is kept, the LU solves
+def test_failed_krylov_solve_falls_back_to_lu(monkeypatch):
+    # one iteration cannot converge: the CG info is kept, the LU solves
     monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 0)
     monkeypatch.setattr(dl.assembly, "ITERATION_CAP", 1)
     g = dl.build_half_grid(2, "half_rectangle", 1 / 4)
-    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd", drift=drift)
+    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
     rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
     rep = dl.solve_linear(op, rhs)
     assert rep.method == "direct-sparse-lu"

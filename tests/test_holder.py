@@ -133,12 +133,13 @@ def test_empty_region_error():
         dl.holder_seminorm(f, 0.5, dl.Region(x_halfwidth=1e-9, y_max=1e-9))
 
 
-def test_sweep_abort_carries_partial_table():
+def test_sweep_abort_carries_partial_table(monkeypatch):
     fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5,
                            trace_factor=lambda x, y: 1.0, name="abort")
+    # an unreachable solver tolerance forces the failure on the first eps
+    monkeypatch.setattr(dl.assembly, "SOLVER_TOL", 1e-30)
     with pytest.raises(dl.SweepAbort) as exc:
-        # an unreachable solver tolerance forces the failure on the first eps
-        dl.epsilon_sweep(fam, [1.0, 0.1], 0.4, grid_h=1 / 16, solver_tol=1e-30)
+        dl.epsilon_sweep(fam, [1.0, 0.1], 0.4, grid_h=1 / 16)
     assert isinstance(exc.value.partial, list)
 
 

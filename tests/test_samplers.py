@@ -19,9 +19,8 @@ def _grid(shape="half_rectangle"):
     return dl.build_half_grid(1, shape, 1 / 8)
 
 
-def _op(spec=None, drift=None):
-    return dl.assemble(_grid(), dl.RhoWeight(dl.WeightFamily(0.5, 0.0)), spec,
-                       parity="odd", drift=drift)
+def _op(spec=None):
+    return dl.assemble(_grid(), dl.RhoWeight(dl.WeightFamily(0.5, 0.0)), spec, parity="odd")
 
 
 def _convergence(region):
@@ -63,8 +62,6 @@ ROLES = {
     # one call per grid of the study
     "region": (_convergence, 3,
                lambda x, y: np.floor(4 * y) >= 1, lambda x, y: math.floor(4 * y) >= 1),
-    "drift": (lambda s: _op(drift=s), 1,
-              lambda x, y: (0.2 * np.cos(x), 0.1 * y), lambda x, y: (0.2 * math.cos(x), 0.1 * y)),
     "t_field": (lambda s: _op(dl.OperatorSpec(t_field=s)), 1,
                 lambda x, y: 0.3 * y * np.cos(x), lambda x, y: 0.3 * y * math.cos(x)),
     "b_tilde": (lambda s: _op(dl.OperatorSpec(b_tilde=s)), 1,

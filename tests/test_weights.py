@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 import degenlab as dl
-from degenlab.weights import _antiderivative_unit, v_char_profile
+from degenlab.weights import QUADRATURE_TOL, _antiderivative_unit, v_char_profile
 
 
 # -- independent oracle: adaptive Simpson ------------------------------------
@@ -203,17 +203,16 @@ def test_quadrature_error_carries_value_and_abserr():
             dl.v_char(sol, 0.5, 0.7)
     # int_0^y s^(1/2) ds, plus 0.5 c int_0^y s^(1/2) sin(1e5 s) ds, |.| < 1e-5
     exact = 0.7 ** 1.5 / 1.5
-    assert exc.value.abserr > 10 * sol.quadrature_tol * abs(exc.value.value)
+    assert exc.value.abserr > 10 * QUADRATURE_TOL * abs(exc.value.value)
     assert abs(exc.value.value - exact) <= exc.value.abserr + 1e-5 * c
 
 
 def test_characteristic_solution_rejects_a_non_numeric_tolerance():
-    """quadrature_tol is the third field: a sampler passed there (an
-    x-derivative of mu^(-1), say) fails at construction, not in a quadrature."""
+    """The solution takes two fields: a third argument (an x-derivative of
+    mu^(-1), say) fails at construction, not in a quadrature."""
     fam = dl.WeightFamily(0.5, 0.1)
-    with pytest.raises(TypeError, match="quadrature_tol"):
+    with pytest.raises(TypeError, match="positional argument"):
         dl.CharacteristicSolution(fam, lambda x, s: 1.0, lambda x, s: 0.0)
-    assert dl.CharacteristicSolution(fam, None, np.float32(1e-8)).quadrature_tol == np.float32(1e-8)
 
 
 def _gamma_ratio(a, eps, mu_inverse, x, y):
@@ -305,7 +304,7 @@ def test_column_rule_matches_quad(a, eps, mu):
 ])
 def test_rejected_segments_take_the_quad_fallback(monkeypatch, a, eps, mu_inverse):
     """A segment that fails qags's test after the dqk21 pass gets quad's value.
-    (A tiny quadrature_tol cannot force this: quad refuses epsrel below
+    (A tiny QUADRATURE_TOL cannot force this: quad refuses epsrel below
     50 machine epsilons, which dqk21's error floor already meets.)"""
     import degenlab.weights as weights
 
