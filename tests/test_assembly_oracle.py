@@ -6,6 +6,13 @@ together) to 1e-13 relative, and a matrix symmetric to the same bound.
 Summation order differs between the two, and numpy's vector power may differ
 from the scalar one in the last bit, so the comparison is not exact.  The samplers take arrays, as
 the array assembly requires, and serve the oracle's scalar calls as well.
+
+The same cases check what the solvers and right-hand sides rely on: the
+matrix is positive definite (CG needs it), ``solve_linear`` agrees with a
+dense solve on the path it takes for the grid, a constant feels only its
+outer trace and, under odd parity, the zero on the plane, and without T the
+matrix is the face form sum_f tau_f (u_hi - u_lo)(v_hi - v_lo) of
+``op.faces``, the faces the right-hand sides read.
 """
 
 import itertools
@@ -14,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import degenlab as dl
 import seed_assembly as seed
@@ -121,3 +129,71 @@ def test_array_assembly_matches_loop_oracle(grid, weight, parity, t_field):
     r_old = old.rhs(f=_f, F=_F, trace=_trace)
     assert np.max(np.abs(r_new - r_old)) <= RTOL * np.max(np.abs(r_old))
     assert new.flagged_supersingular == old.flagged_supersingular
+
+
+def _assembled(grid, weight, parity, t_field):
+    n, shape, h = GRIDS[grid]
+    g = dl.build_half_grid(n, shape, h)
+    return dl.assemble(g, _weights(weight)[0], _spec(n, t_field == "t"), parity=parity)
+
+
+@pytest.mark.parametrize("grid,weight,parity,t_field", CASES,
+                         ids=["-".join(c) for c in CASES])
+def test_assembled_matrix_is_positive_definite(grid, weight, parity, t_field):
+    A = _assembled(grid, weight, parity, t_field).matrix.toarray()
+    np.linalg.cholesky(A)   # raises LinAlgError unless A is positive definite
+    assert np.linalg.eigvalsh(A).min() > 1e-3 * abs(A).max()
+
+
+@pytest.mark.parametrize("grid,weight,parity,t_field", CASES,
+                         ids=["-".join(c) for c in CASES])
+def test_solve_linear_matches_a_dense_solve(grid, weight, parity, t_field, monkeypatch):
+    # n = 2 grids are sent down the Jacobi-CG path, n = 1 grids take the LU
+    monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 0)
+    op = _assembled(grid, weight, parity, t_field)
+    rhs = op.rhs(f=_f, F=_F, trace=_trace)
+    rep = dl.solve_linear(op, rhs)
+    assert rep.method == ("cg-jacobi" if op.grid.n == 2 else "direct-sparse-lu")
+    assert rep.info == 0 and rep.converged
+    u = np.linalg.solve(op.matrix.toarray(), rhs)
+    assert np.max(np.abs(rep.field.values - u)) <= 1e-8 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("grid,weight,parity,t_field", CASES,
+                         ids=["-".join(c) for c in CASES])
+def test_constants_feel_only_the_trace_and_the_plane(grid, weight, parity, t_field):
+    op = _assembled(grid, weight, parity, t_field)
+    g, fc = op.grid, op.faces
+    r = op.matrix @ np.ones(g.ncells) - op.rhs(trace=lambda x, y: 1.0)
+    # the plane faces carry the odd zero (tau is 0 there under even parity)
+    plane = (fc.axis == g.n) & (fc.lo < 0) & (fc.mid[:, g.n] == 0.0)
+    expect = np.zeros(g.ncells)
+    np.add.at(expect, fc.hi[plane], fc.tau[plane])
+    assert parity == "odd" or not expect.any()
+    # T's centred y-difference sees the odd ghost -1 in the row next to the plane
+    rows = np.ones(g.ncells, dtype=bool)
+    if parity == "odd" and t_field == "t":
+        rows = g.centers[:, g.n] > g.h
+    scale = abs(op.matrix).max()
+    assert np.max(np.abs(r - expect)[rows]) <= RTOL * scale
+
+
+FORM_CASES = [c for c in CASES if c[3] == "no-t"]
+
+
+@pytest.mark.parametrize("grid,weight,parity,t_field", FORM_CASES,
+                         ids=["-".join(c) for c in FORM_CASES])
+def test_matrix_is_the_face_form_without_coupling(grid, weight, parity, t_field):
+    op = _assembled(grid, weight, parity, t_field)
+    fc = op.faces
+    # signed incidence: +1 at the cell above/right of a face, -1 below/left
+    rows, cols, vals = [], [], []
+    for side, sign in ((fc.hi, 1.0), (fc.lo, -1.0)):
+        on = np.flatnonzero(side >= 0)
+        rows.append(on)
+        cols.append(side[on])
+        vals.append(np.full(len(on), sign))
+    B = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(len(fc.lo), op.grid.ncells))
+    form = B.T @ sp.diags(fc.tau) @ B
+    assert abs(form - op.matrix).max() <= RTOL * abs(op.matrix).max()
