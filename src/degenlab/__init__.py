@@ -48,7 +48,6 @@ from .assembly import (
     AssembledOperator,
     AuxiliaryWeight,
     DiscreteField,
-    OperatorSpec,
     RhoWeight,
     SolveReport,
     assemble,

@@ -1,17 +1,17 @@
-"""Flux-form finite volumes for -div(w A grad u) = w f + div(w F).
+"""Flux-form finite volumes for -div(w A grad u) = w f + div(w F), A = mu I.
 
 Unknowns are cell averages at cell centers; the discrete operator is built
 from face transmissibilities
 
-    tau_f = (face area) / R_f,      R_f = int_segment ds / (w * A_nn),
+    tau_f = (face area) / R_f,      R_f = int_segment ds / (w * mu),
 
 so that the bilinear form sum_f tau_f (u_hi - u_lo)(v_hi - v_lo) is symmetric
 and positive.  For y-faces the resistance integral R_f is evaluated exactly
 through the characteristic antiderivative of the weight family (the odd
 comparison solution is literally the resistance function of the operator in
 the y-direction); x-faces use the harmonic mean of the adjacent cell weights
-with the tensor factor at the face midpoint.  This keeps the scheme exact for
-the model odd solution in one dimension and uniformly well behaved across the
+with mu at the face midpoint.  This keeps the scheme exact for the model odd
+solution in one dimension and uniformly well behaved across the
 degenerate/singular range of exponents.
 
 The operator is built with array operations over the lattice ``grid.index``,
@@ -21,10 +21,10 @@ the y-faces of a grid cost one ``resistance_y`` call.  x-faces come from
 slicing the lattice along each axis, the matrix from concatenated COO
 triplets, and the faces are kept as arrays (:class:`Faces`) for right-hand
 sides.  mu is the weight model's alone (see :class:`WeightModel`).  There
-is no per-cell Python work: every user sampler (mu_inverse, b_tilde,
-t_field, the data f, F and the trace, exact solutions and region
-predicates) takes coordinate arrays and is called once on all the points it
-is needed at, through ``weights._sample``.
+is no per-cell Python work: every user sampler (mu_inverse, the data f, F
+and the trace, exact solutions and region predicates) takes coordinate
+arrays and is called once on all the points it is needed at, through
+``weights._sample``.
 
 Boundary handling:
 * characteristic plane (y = 0): odd parity imposes u = 0 through the exact
@@ -70,75 +70,10 @@ from .weights import (
 DIRECT_SOLVE_MAX = 5_000
 ITERATION_CAP = 100_000
 SOLVER_TOL = 1e-10      # relative residual of every linear solve
-SIGMA_SAMPLES = 200     # plane points at which check_sigma_invariance samples T
 
 
 class ParityError(ValueError):
     """Raised when a sampled exact solution does not respect the stated parity."""
-
-
-# ---------------------------------------------------------------------------
-# Operator coefficients
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """The blocks B_tilde and T of the coefficient A = mu * [[B_tilde, T], [T^t, 1]];
-    the scalar mu (1/C <= mu <= C) is the weight model's (:class:`WeightModel`).
-
-    Every sampler, here and in the rest of the package, is called as
-    ``g(x, y)`` with x an array of positions (a tuple of two for n = 2) and
-    y an array of ordinates, and must broadcast; a scalar return is
-    broadcast.  ``b_tilde`` returns the (n, n) block and ``t_field`` the
-    n-vector T, which must vanish at y = 0.  Components run along leading
-    axes: an array of shape (n, n) + y.shape or (n,) + y.shape, or a ragged
-    tuple such as ``(0.3 * y, 0.0)``.  Both default to the identity blocks.
-    Assembly uses the diagonal of B_tilde only (x-face fluxes cannot carry
-    the rest), so a nonzero off-diagonal entry raises ``ValueError``, as
-    does a sampler that cannot take arrays, naming it."""
-
-    b_tilde: Optional[Callable] = None
-    t_field: Optional[Callable] = None
-
-    def b_tilde_diag_at(self, x, y: np.ndarray, axis: int) -> np.ndarray:
-        """The (axis, axis) entry of B_tilde at the points (x, y), in one call."""
-        if self.b_tilde is None:
-            return np.ones(np.shape(y))
-        n = len(_coords(x))
-        B = _sample(self.b_tilde, x, y, "b_tilde", (n, n))
-        if np.any(B[~np.eye(n, dtype=bool)]):
-            name = getattr(self.b_tilde, "__qualname__", repr(self.b_tilde))
-            raise ValueError(f"b_tilde sampler {name!r} has a nonzero off-diagonal entry; "
-                             f"assembly uses the diagonal of B_tilde only")
-        return B[axis, axis]
-
-    def t_at(self, x, y: np.ndarray) -> np.ndarray:
-        """T at the points (x, y), components first: shape (n,) + y.shape."""
-        n = len(_coords(x))
-        if self.t_field is None:
-            return np.zeros((n,) + np.shape(y))
-        return _sample(self.t_field, x, y, "t_field", (n,))
-
-    def check_sigma_invariance(self, n: int = 1) -> float:
-        """Max |T(x, 0)| over ``SIGMA_SAMPLES`` points (must vanish: A(x,0) e_y = mu e_y)."""
-        return float(np.max(np.abs(self.t_at(_x_of(list(_halton_points(SIGMA_SAMPLES, n).T)),
-                                              np.zeros(SIGMA_SAMPLES)))))
-
-
-def _halton_points(count: int, dim: int) -> np.ndarray:
-    """Deterministic low-discrepancy points in (-1,1)^dim (Halton, bases 2, 3, 5)."""
-    primes = [2, 3, 5][:dim]
-    out = np.empty((count, dim))
-    for d, p in enumerate(primes):
-        i = np.arange(1, count + 1)
-        f = 1.0 / p
-        val = np.zeros(count)
-        while np.any(i > 0):
-            val += f * (i % p)
-            i = i // p
-            f /= p
-        out[:, d] = 2.0 * val - 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +86,7 @@ class WeightModel:
     A model owns the coefficient mu of the operator, so one model means one
     operator: ``sol`` is its characteristic solution, whose ``mu_inverse``
     sets the y-resistances and v, and whose ``mu_at`` gives mu on the
-    x-faces and in the T coupling.
+    x-faces.
 
     Every method receives the columns' positions ``x`` (an array of shape S,
     a tuple of them for n = 2) and the cell-center ordinates ``ys``, and
@@ -196,7 +131,6 @@ class RhoWeight(WeightModel):
     def __init__(self, family: WeightFamily, mu_inverse: Optional[Callable] = None):
         self.family = family
         self.sol = CharacteristicSolution(family, mu_inverse)
-        self.supersingular = family.a <= -1.0 and family.eps == 0.0
         self.weight_id = f"rho[a={family.a:g},eps={family.eps:g}]"
 
     def values(self, x, ys):
@@ -422,31 +356,6 @@ def _face_weight(wc: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _centered_pairs(g: HalfGrid, axis: int, ghost_coeff: Optional[float]):
-    """Per-cell centered difference along a lattice axis, times 2h, as two
-    (dof, coeff) slots: arrays D, C of shape (ncells, 2) and a mask ok.
-
-    (hi - lo)/2 where both neighbours exist, one-sided differences where one
-    is missing; with a ``ghost_coeff`` (None along x) the bottom cells use
-    the parity ghost below the plane instead, weighing themselves by it.
-    ok is False where both neighbours are missing."""
-    live = g.index >= 0
-    m = g.index.shape[axis]
-    lo = _shifted(g.index, axis, 0, m)[live]
-    hi = _shifted(g.index, axis, 2, m)[live]
-    dof = np.arange(g.ncells)
-    has_lo, has_hi = lo >= 0, hi >= 0
-    c1 = np.where(has_lo & has_hi, 0.5, 1.0)
-    c2 = -c1
-    if ghost_coeff is not None:
-        bottom = np.zeros(g.ncells, dtype=bool)
-        bottom[g.index[..., 0][live[..., 0]]] = True
-        ghost = bottom & has_hi
-        c1[ghost], c2[ghost] = 0.5, ghost_coeff
-    D = np.stack([np.where(has_hi, hi, dof), np.where(has_lo, lo, dof)], axis=1)
-    return D, np.stack([c1, c2], axis=1), has_lo | has_hi
-
-
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
@@ -483,9 +392,7 @@ class AssembledOperator:
     grid: HalfGrid
     parity: str
     weight: WeightModel
-    spec: OperatorSpec
     faces: Faces = field(repr=False)
-    flagged_supersingular: bool = False
 
     def rhs(self, f: Optional[Callable] = None, F: Optional[Callable] = None,
             trace: Optional[Callable] = None) -> np.ndarray:
@@ -518,18 +425,15 @@ def _cell_weight_integrals(weight: WeightModel, g: HalfGrid) -> np.ndarray:
     return _column_values(g, lambda x, ys: weight.cell_integral_y(x, ys, j * g.h, (j + 1) * g.h))
 
 
-def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] = None,
-             parity: str = "odd") -> AssembledOperator:
+def assemble(grid: HalfGrid, weight: WeightModel, parity: str = "odd") -> AssembledOperator:
     """Assemble the flux-form operator, symmetric and closed by Dirichlet
     half-cells on the outer boundary; see the module docstring for the scheme."""
     if parity not in ("odd", "even"):
         raise ValueError("assembly parity must be 'odd' or 'even'")
-    spec = spec or OperatorSpec()
     g = grid
     n, h = g.n, g.h
     area = h ** n
     ys = (np.arange(g.ny) + 0.5) * h
-    supersingular = bool(getattr(weight, "supersingular", False)) and parity == "odd"
 
     # y-faces: face k of column c lies at y = k h, between cells k-1 and k
     lo, hi, mid = _axis_faces(g, n)
@@ -567,8 +471,7 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
         lo, hi, mid = lo[keep], hi[keep], mid[keep]
         inner = (lo >= 0) & (hi >= 0)
         wf = _face_weight(wxcell, lo, hi)
-        afac = weight.sol.mu_at(*_xy(mid, n)) * spec.b_tilde_diag_at(*_xy(mid, n), axis)
-        tau = area * wf * afac / np.where(inner, h, h / 2.0)
+        tau = area * wf * weight.sol.mu_at(*_xy(mid, n)) / np.where(inner, h, h / 2.0)
         parts.append((np.full(len(lo), axis), lo, hi, wf, mid, tau, ~inner))
     faces = Faces(*(np.concatenate(a) for a in zip(*parts)))
 
@@ -581,40 +484,10 @@ def assemble(grid: HalfGrid, weight: WeightModel, spec: Optional[OperatorSpec] =
     inner = (faces.lo >= 0) & (faces.hi >= 0)
     lo, hi, tau = faces.lo[inner], faces.hi[inner], faces.tau[inner]
     dofs = np.arange(g.ncells)
-    triplets = [(dofs, dofs, diag), (lo, hi, -tau), (hi, lo, -tau)]
-
-    if spec.t_field is not None:
-        triplets.append(_cross_terms(g, spec, weight.sol, wcell, parity))
-
-    rows, cols_, vals = (np.concatenate(a) for a in zip(*triplets))
+    rows, cols_, vals = (np.concatenate(a) for a in
+                         zip((dofs, dofs, diag), (lo, hi, -tau), (hi, lo, -tau)))
     M = sp.coo_matrix((vals, (rows, cols_)), shape=(g.ncells, g.ncells)).tocsr()
-    return AssembledOperator(
-        matrix=M, grid=g, parity=parity, weight=weight, spec=spec, faces=faces,
-        flagged_supersingular=supersingular)
-
-
-def _cross_terms(g, spec, sol, wcell, parity):
-    """Symmetric cell-centered discretization of the T coupling blocks.
-
-    Per cell and x-axis, (Dx u)(Dy v) + (Dy u)(Dx v) with centered stencils
-    (parity ghost in y); COO triplets in cell order."""
-    n, h = g.n, g.h
-    x, y = _xy(g.centers, n)
-    t = spec.t_at(x, y).T
-    coef = h ** (n + 1) * wcell[:, None] * sol.mu_at(x, y)[:, None] * t / (h * h)
-    DY, CY, oky = _centered_pairs(g, n, 0.5 if parity == "odd" else -0.5)
-    active = np.any(t != 0, axis=1) & oky
-    rows, cols, vals, ok = [], [], [], []
-    for axis in range(n):
-        DX, CX, okx = _centered_pairs(g, axis, None)
-        v = coef[:, axis, None, None] * CX[:, :, None] * CY[:, None, :]   # cell, x, y slot
-        dx, dy = np.broadcast_arrays(DX[:, :, None], DY[:, None, :])
-        rows.append(np.stack([dy, dx], axis=-1))
-        cols.append(np.stack([dx, dy], axis=-1))
-        vals.append(np.stack([v, v], axis=-1))
-        ok.append(np.broadcast_to((active & okx)[:, None, None, None], v.shape + (2,)))
-    sel = np.stack(ok, axis=1)
-    return tuple(np.stack(a, axis=1)[sel] for a in (rows, cols, vals))
+    return AssembledOperator(matrix=M, grid=g, parity=parity, weight=weight, faces=faces)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +499,6 @@ class SolveReport:
     field: DiscreteField
     relative_residual: float
     iterations: int
-    assembly_weight_id: str
     method: str
     converged: bool               # relative_residual <= tolerance
     tolerance: float
@@ -667,8 +539,7 @@ def solve_linear(op: AssembledOperator, rhs: np.ndarray) -> SolveReport:
     res = op.residual(u, rhs)
     fld = DiscreteField(op.grid, u, op.parity)
     return SolveReport(field=fld, relative_residual=res, iterations=it_count[0],
-                       assembly_weight_id=op.weight.weight_id, method=method,
-                       converged=res <= tol, tolerance=tol, info=info)
+                       method=method, converged=res <= tol, tolerance=tol, info=info)
 
 
 def manufactured_problem(u_exact: Callable, op: AssembledOperator, mode: str = "discrete",
@@ -714,7 +585,7 @@ def _check_h_list(h_list: Sequence[float]) -> None:
 
 def convergence_study(factory: Callable, h_list: Sequence[float],
                       region: Optional[Callable] = None) -> Tuple[list, SolveReport]:
-    """Solve factory(h) -> (operator, rhs, exact_field) over decreasing h.
+    """Solve factory(h) -> (operator, rhs, exact) over decreasing h.
 
     Returns (rows, finest): rows (h, max_error, order_estimate), where order
     is the local log2 slope between successive levels, math.nan for the

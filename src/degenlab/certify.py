@@ -248,7 +248,7 @@ def verify_v_inequality(budget: int = 100_000) -> CertificationReport:
     return rep
 
 
-def v_minimum(budget: int = 60_000) -> Tuple[float, float]:
+def v_minimum() -> Tuple[float, float]:
     """(argmin, min) of v over t > 0, by deterministic grid + golden refinement.
 
     v blows up at 0+ and tends to 1 at infinity, changing monotonicity once,

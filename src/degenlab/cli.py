@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import (OperatorSpec, RhoWeight, _check_h_list, assemble, convergence_study,
+from .assembly import (RhoWeight, _check_h_list, assemble, convergence_study,
                        manufactured_problem)
 from .certify import (MIN_BUDGET, verify_gamma_rectangle, verify_phi_bound,
                       verify_v_inequality, v_minimum)
@@ -297,7 +297,7 @@ def cmd_solve(cfg: dict) -> int:
     def factory(h):
         grid = build_half_grid(1, "half_rectangle", h)
         fam = WeightFamily(a, 0.0)
-        op = assemble(grid, RhoWeight(fam), OperatorSpec(), parity="odd")
+        op = assemble(grid, RhoWeight(fam), parity="odd")
         rhs, exact = manufactured_problem(u_exact, op, mode="discrete")
         return op, rhs, exact
 

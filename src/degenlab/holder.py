@@ -34,7 +34,7 @@ import numpy as np
 
 from .assembly import DiscreteField, RhoWeight, assemble, solve_linear
 from .geometry import HalfGrid, build_half_grid
-from .ratio import _quotient_field, _v_on_grid
+from .ratio import _quotient, _v_on_grid
 from .weights import CharacteristicSolution, WeightFamily, _sample, v_char, v_char_profile
 
 TAU = 3.0
@@ -211,8 +211,7 @@ class ProblemFamily:
     the tensor A = mu I (None: mu == 1) for each eps step's
     :class:`RhoWeight`.  Every sampler (f, F, trace_factor and mu_inverse)
     takes arrays of positions x and ordinates y and broadcasts over them, F
-    returning its two components along a leading axis; see
-    :class:`OperatorSpec`."""
+    returning its two components along a leading axis."""
 
     a: float
     f: Optional[Callable] = None
@@ -303,7 +302,7 @@ def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha
         reg = _eps_region(region, restricted, s.eps, grid.h)
         if reg is None:
             continue
-        fld = s.u if mode == "odd_direct_c0" else _quotient_field(s.u, s.v)
+        fld = s.u if mode == "odd_direct_c0" else _quotient(s.u, s.v)
         if mode == "ratio_c1":
             semi = c1alpha_seminorm(fld, alpha, reg)[1]
         else:

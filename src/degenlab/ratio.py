@@ -1,23 +1,22 @@
 """The boundary quotient machinery: w = u / v and its auxiliary equation.
 
-Dividing an odd solution of -div(rho A grad u) = rho f + div(rho F) by the
-characteristic odd solution v produces an even solution w = u / v of
+Dividing an odd solution of -div(rho A grad u) = rho f + div(rho F), with
+A = mu I, by the characteristic odd solution v produces an even solution
+w = u / v of
 
     -div(rho v^2 A grad w) = v (rho f + div(rho F)) - w v L v,
     L = -div(rho A grad .),
 
-the product rule for u = v w with A symmetric.  With A = mu [[B_tilde, T],
-[T, 1]] (n = 1) and rho mu d_y v = 1 - a,
+the product rule for u = v w.  Since rho mu d_y v = 1 - a (n = 1),
 
-    L v = -d_x(rho mu B_tilde d_x v) - (1-a) d_x T - d_y(rho mu T d_x v),
+    L v = -d_x(rho mu d_x v),
 
 so that -w v L v = div(rho v^2 w b) - rho v^2 b.(w grad(v)/v + grad w) with
-the drift b = (mu B_tilde d_x v / v + (1-a) T / (rho v), mu T d_x v / v).
-When mu == 1 and T == 0, L v = 0 and the equation is the pure
-super-degenerate problem with weight rho v^2 ~ omega.  This module forms
-the quotient and verifies the equation by applying the assembled quotient
-operator to w, with L v from the assembled odd operator applied to v, and
-measuring the weighted residual.
+the drift b = (mu d_x v / v, 0).  When mu does not depend on x, L v = 0 and
+the equation is the pure super-degenerate problem with weight
+rho v^2 ~ omega.  This module forms the quotient and verifies the equation
+by applying the assembled quotient operator to w, with L v from the
+assembled odd operator applied to v, and measuring the weighted residual.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .assembly import (
     AuxiliaryWeight,
     DiscreteField,
     SOLVER_TOL,
-    OperatorSpec,
     RhoWeight,
     _cell_weight_integrals,
     _column_values,
@@ -56,10 +54,10 @@ def _v_on_grid(sol: CharacteristicSolution, grid: HalfGrid) -> np.ndarray:
 
 def ratio_field(u: DiscreteField, sol: CharacteristicSolution) -> DiscreteField:
     """Pointwise quotient u / v at cell centers; parity flips odd -> even."""
-    return _quotient_field(u, _v_on_grid(sol, u.grid))
+    return _quotient(u, _v_on_grid(sol, u.grid))
 
 
-def _quotient_field(u: DiscreteField, v: np.ndarray) -> DiscreteField:
+def _quotient(u: DiscreteField, v: np.ndarray) -> DiscreteField:
     """u / v for v at the cell centers, guarded against a vanishing v."""
     if np.any(np.abs(v) < 1e-14):
         raise DivisionGuardError("characteristic solution below 1e-14 at a cell center")
@@ -74,18 +72,16 @@ def reconstruct(w: DiscreteField, sol: CharacteristicSolution) -> DiscreteField:
 
 @dataclass(frozen=True)
 class OddProblem:
-    """An odd Dirichlet problem: weight family + tensor + data + outer trace.
+    """An odd Dirichlet problem: weight family + mu + data + outer trace.
 
-    ``sol`` holds the weight family and mu (as its ``mu_inverse``), ``spec``
-    the blocks B_tilde and T of the tensor.  Its samplers take arrays as
-    those of :class:`OperatorSpec` do, F with its components along a
-    leading axis.  ``u_exact`` switches the residual check to manufactured
+    ``sol`` holds the weight family and mu (as its ``mu_inverse``).  Its
+    samplers take arrays of positions x and ordinates y and broadcast, F
+    returning its components along a leading axis.  ``u_exact`` switches the residual check to manufactured
     mode: the quotient is formed from the sampled exact solution instead of
     a discrete solve, so the residual isolates the truncation of the
     quotient equation itself."""
 
     sol: CharacteristicSolution
-    spec: OperatorSpec
     f: Optional[Callable] = None
     F: Optional[Callable] = None
     trace: Optional[Callable] = None
@@ -118,26 +114,21 @@ def aux_residual(problem: OddProblem, grid: HalfGrid) -> float:
     The load v (rho f + div(rho F)) - w v L v (module docstring) is the odd
     operator's load times v, less w v times its matrix applied to v.  Both
     operators carry Dirichlet half-cell terms without a trace on the cells
-    with an outer face, so those are left out too.  Raises ``ValueError``
-    if T(x, 0) != 0 (T / (rho v) is then non-integrable)."""
-    spec = problem.spec
-    worst_t = spec.check_sigma_invariance(n=grid.n)
-    if worst_t > 1e-10:
-        raise ValueError(f"T(x,0) must vanish; sampled max {worst_t:.3g}")
+    with an outer face, so those are left out too."""
     wgt = RhoWeight(problem.sol.family, problem.sol.mu_inverse)
     sol = wgt.sol       # the quotient reuses the resistances' segment integrals
-    op = assemble(grid, wgt, spec, parity="odd")
+    op = assemble(grid, wgt, parity="odd")
     load = op.rhs(f=problem.f, F=problem.F)
     if problem.u_exact is not None:
         u = DiscreteField.sample(grid, problem.u_exact, "odd")
     else:
         u = solve_linear(op, load + op.rhs(trace=problem.trace)).field
     v = _v_on_grid(sol, grid)
-    w = _quotient_field(u, v).values
+    w = _quotient(u, v).values
     lv = op.matrix @ v
     lv[np.abs(lv) <= LV_ROUNDING * (abs(op.matrix) @ np.abs(v))] = 0.0
     rhs = v * (load - w * lv)
-    aux = assemble(grid, AuxiliaryWeight(sol), spec, parity="even")
+    aux = assemble(grid, AuxiliaryWeight(sol), parity="even")
     meas = _cell_weight_integrals(aux.weight, grid) * grid.h ** grid.n   # int_cell omega dz
     dens = (aux.matrix @ w - rhs) / meas
     inner = _interior_mask(grid, INTERIOR_MARGIN)

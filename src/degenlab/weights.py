@@ -307,9 +307,9 @@ class SamplerError(ValueError):
 
 def _sample(g: Callable, x, y, role: str = "mu_inverse", lead: tuple = ()) -> np.ndarray:
     """g(x, y) on arrays of positions x (a tuple of them for n = 2) and
-    ordinates y, broadcast to ``lead + y.shape``: a vector or matrix sampler
-    returns its components along the leading axes ``lead``, as one array or
-    a (ragged, nested) tuple.  A sampler that cannot take arrays raises
+    ordinates y, broadcast to ``lead + y.shape``: a vector sampler (F)
+    returns its components along the leading axis ``lead``, as one array or
+    a ragged tuple.  A sampler that cannot take arrays raises
     :class:`SamplerError` naming it and its role."""
     y = np.asarray(y, dtype=float)
     shape = tuple(lead) + y.shape
@@ -423,7 +423,7 @@ class CharacteristicSolution:
 
     def mu_at(self, x, y) -> np.ndarray:
         """mu = 1 / mu_inverse at the points (x, y) in one call (ones without
-        one): the mu of the operator's A = mu [[B_tilde, T], [T^t, 1]]."""
+        one): the mu of the operator's A = mu I."""
         if self.mu_inverse is None:
             return np.ones(np.shape(y))
         return 1.0 / _sample(self.mu_inverse, x, y)

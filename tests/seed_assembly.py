@@ -2,7 +2,9 @@
 
 Scalar weight models (one call per face) and the per-face, per-cell Python
 loops of ``assemble`` and ``AssembledOperator.rhs``, unchanged apart from
-names.  ``test_assembly_oracle.py`` compares the array assembly of
+names, except that mu is read point by point from the weight model's
+``mu_inverse`` and that the coupling T, which the array assembly no longer
+carries, is gone.  ``test_assembly_oracle.py`` compares the array assembly of
 ``degenlab.assembly`` against them on matrices and right-hand sides.
 """
 
@@ -13,7 +15,6 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from degenlab.assembly import OperatorSpec
 from degenlab.geometry import HalfGrid
 from degenlab.weights import CharacteristicSolution, WeightFamily, chi, rho
 
@@ -40,7 +41,6 @@ class SeedRhoWeight(_SeedWeightModel):
     def __init__(self, family: WeightFamily, mu_inverse: Optional[Callable] = None):
         self.family = family
         self.sol = CharacteristicSolution(family, mu_inverse)
-        self.supersingular = family.a <= -1.0 and family.eps == 0.0
         self.weight_id = f"rho[a={family.a:g},eps={family.eps:g}]"
 
     def values(self, xcol, ys):
@@ -169,11 +169,8 @@ class SeedOperator:
     grid: HalfGrid
     parity: str
     weight: _SeedWeightModel
-    spec: OperatorSpec
     dirichlet_faces: list = field(repr=False)   # (dof, tau, midpoint)
     face_weights: list = field(repr=False)      # (axis, lo_dof, hi_dof, w_face, midpoint)
-    assembly_weight_id: str = ""
-    flagged_supersingular: bool = False
 
     def rhs(self, f: Optional[Callable] = None, F: Optional[Callable] = None,
             trace: Optional[Callable] = None) -> np.ndarray:
@@ -236,13 +233,17 @@ def _cell_weight_integrals(weight: _SeedWeightModel, g: HalfGrid) -> np.ndarray:
     return out
 
 
-def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSpec] = None,
-             parity: str = "odd") -> "SeedOperator":
+def _mu_val(weight: _SeedWeightModel, x, y) -> float:
+    """mu at one point: 1 / mu_inverse of the weight model's solution, 1 without one."""
+    mu_inverse = weight.sol.mu_inverse
+    return 1.0 if mu_inverse is None else 1.0 / float(mu_inverse(x, y))
+
+
+def assemble(grid: HalfGrid, weight: _SeedWeightModel, parity: str = "odd") -> "SeedOperator":
     """Assemble the flux-form operator with Dirichlet half-cells on the outer
     boundary; see the module docstring for the scheme."""
     if parity not in ("odd", "even"):
         raise ValueError("assembly parity must be 'odd' or 'even'")
-    spec = spec or OperatorSpec()
     g = grid
     n, h = g.n, g.h
     area = h ** n
@@ -259,10 +260,7 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSp
         cols.append(j)
         vals.append(v)
 
-    supersingular = bool(getattr(weight, "supersingular", False)) and parity == "odd"
-
-    # column-wise pass: y-direction faces + cache of cell weights
-    wcell = np.empty(g.ncells)
+    # column-wise pass: y-direction faces + cache of cell x-conductivities
     wxcell = np.empty(g.ncells)
     for idx in np.ndindex(*((g.nx,) * n)):
         dofs = lat[idx]
@@ -275,7 +273,6 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSp
             raise ValueError(
                 f"weight {weight.weight_id!r} non-finite or non-positive at a cell "
                 f"in column x={x}")
-        wcell[dofs[live]] = wcol[live]
         wxcol = weight.x_conductivities(x, ys)
         wxcell[dofs[live]] = wxcol[live]
         for j in live:
@@ -287,7 +284,7 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSp
                 if j == 0 and parity == "odd":
                     R = weight.resistance_y(x, 0.0, h / 2.0)
                     if R is None:
-                        R = (h / 2.0) / (wcol[0] * spec.mu_val(x, h / 4.0))
+                        R = (h / 2.0) / (wcol[0] * _mu_val(weight, x, h / 4.0))
                     if math.isfinite(R) and R > 0:
                         tau = area / R
                         add(dof, dof, tau)
@@ -298,7 +295,7 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSp
                     mid = _mk_point(idx, y_face, h, n)
                     R = weight.resistance_y(x, y_face, yc)
                     if R is None:
-                        R = (h / 2.0) / (wcol[j] * spec.mu_val(x, y_face))
+                        R = (h / 2.0) / (wcol[j] * _mu_val(weight, x, y_face))
                     tau = area / R
                     add(dof, dof, tau)
                     dirichlet_faces.append((dof, tau, mid))
@@ -309,7 +306,7 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSp
                 mid = _mk_point(idx, y_face, h, n)
                 R = weight.resistance_y(x, yc, y_face)
                 if R is None:
-                    R = (h / 2.0) / (wcol[j] * spec.mu_val(x, y_face))
+                    R = (h / 2.0) / (wcol[j] * _mu_val(weight, x, y_face))
                 tau = area / R
                 add(dof, dof, tau)
                 dirichlet_faces.append((dof, tau, mid))
@@ -320,7 +317,7 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSp
                 R = weight.resistance_y(x, yc, ys[j + 1])
                 wh = 2.0 * wcol[j] * wcol[j + 1] / (wcol[j] + wcol[j + 1])
                 if R is None:
-                    R = h / (wh * spec.mu_val(x, y_face))
+                    R = h / (wh * _mu_val(weight, x, y_face))
                 tau = area / R
                 add(dof, dof, tau)
                 add(up, up, tau)
@@ -341,7 +338,7 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSp
                 mid = _face_mid_x(g, idx, axis, f)
                 x_mid = _xcol(mid, n)
                 y_mid = mid[n]
-                afac = spec.mu_val(x_mid, y_mid) * spec.b_tilde_diag(x_mid, y_mid, axis, n)
+                afac = _mu_val(weight, x_mid, y_mid)
                 if lo >= 0 and hi >= 0:
                     wl, wh_ = wxcell[lo], wxcell[hi]
                     wf = 2.0 * wl * wh_ / (wl + wh_)
@@ -362,16 +359,10 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, spec: Optional[OperatorSp
                     else:
                         face_weights.append((axis, -1, dof, wf, mid))
 
-    # symmetric cross terms from T (vanish when t_field is None)
-    if spec.t_field is not None:
-        _add_cross_terms(g, spec, wcell, parity, add)
-
     M = sp.coo_matrix((vals, (rows, cols)), shape=(g.ncells, g.ncells)).tocsr()
     return SeedOperator(
-        matrix=M, grid=g, parity=parity, weight=weight, spec=spec,
-        dirichlet_faces=dirichlet_faces,
-        face_weights=face_weights, assembly_weight_id=weight.weight_id,
-        flagged_supersingular=supersingular)
+        matrix=M, grid=g, parity=parity, weight=weight,
+        dirichlet_faces=dirichlet_faces, face_weights=face_weights)
 
 
 def _mk_point(idx, y, h, n):
@@ -402,62 +393,3 @@ def _face_mid_x(g: HalfGrid, idx, axis, f):
     out[axis] = -1.0 + f * g.h
     out[g.n] = (full[g.n] + 0.5) * g.h
     return out
-
-
-def _neighbors_along(g, lat, idx_full, axis):
-    lo = list(idx_full)
-    hi = list(idx_full)
-    lo[axis] -= 1
-    hi[axis] += 1
-    nmax = g.nx if axis < g.n else g.ny
-    dlo = lat[tuple(lo)] if lo[axis] >= 0 else -1
-    dhi = lat[tuple(hi)] if hi[axis] < nmax else -1
-    return int(dlo), int(dhi)
-
-
-def _add_cross_terms(g, spec, wcell, parity, add):
-    """Symmetric cell-centered discretization of the T coupling blocks."""
-    lat = g.index
-    h = g.h
-    voln = h ** (g.n + 1)
-    for idx_full in np.ndindex(*g.lattice_shape()):
-        dof = int(lat[idx_full])
-        if dof < 0:
-            continue
-        p = g.centers[dof]
-        x = _xcol(p, g.n)
-        y = p[g.n]
-        tvec = spec.t_val(x, y, g.n)
-        muv = spec.mu_val(x, y)
-        if not np.any(tvec):
-            continue
-        dy_lo, dy_hi = _neighbors_along(g, lat, idx_full, g.n)
-        for axis in range(g.n):
-            dx_lo, dx_hi = _neighbors_along(g, lat, idx_full, axis)
-            coef = voln * wcell[dof] * muv * tvec[axis] / (h * h)
-            # centered stencils where both neighbors exist; parity ghost in y
-            x_pair = _centered_pair(dx_lo, dx_hi, dof)
-            y_pair = _centered_pair(dy_lo, dy_hi, dof, parity=parity, at_bottom=(idx_full[-1] == 0))
-            if x_pair is None or y_pair is None:
-                continue
-            for (di, ci) in x_pair:
-                for (dj, cj) in y_pair:
-                    # (Dx u)(Dy v) + (Dy u)(Dx v): assemble both products
-                    add(dj, di, coef * ci * cj)
-                    add(di, dj, coef * ci * cj)
-
-
-def _centered_pair(d_lo, d_hi, dof, parity=None, at_bottom=False):
-    """Return [(dof, coeff)...] realizing a centered difference / (2h) * 2h = +-1/2."""
-    if d_lo >= 0 and d_hi >= 0:
-        return [(d_hi, 0.5), (d_lo, -0.5)]
-    if d_lo < 0 and d_hi >= 0:
-        if at_bottom and parity == "odd":
-            return [(d_hi, 0.5), (dof, 0.5)]
-        if at_bottom and parity == "even":
-            return [(d_hi, 0.5), (dof, -0.5)]
-        return [(d_hi, 1.0), (dof, -1.0)]
-    if d_lo >= 0 and d_hi < 0:
-        return [(dof, 1.0), (d_lo, -1.0)]
-    return None
-

@@ -156,7 +156,7 @@ def test_criterion_6_ratio_equation_residual_decay():
             return (np.copysign(np.abs(y) ** (1 - a), y) * np.cos(np.pi * x / 2)
                     * (np.pi ** 2 / 4.0 * (1 + 0.5 * y * y) - (b + 1.0)))
 
-        prob = dl.OddProblem(sol=sol, spec=dl.OperatorSpec(), f=f, u_exact=u_exact)
+        prob = dl.OddProblem(sol=sol, f=f, u_exact=u_exact)
         r32 = aux_residual(prob, dl.build_half_grid(1, "half_rectangle", 1 / 32))
         r64 = aux_residual(prob, dl.build_half_grid(1, "half_rectangle", 1 / 64))
         rates.append(r32 / r64)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import degenlab as dl
-from degenlab.assembly import ParityError, _halton_points
+from degenlab.assembly import ParityError
 
 
 def exact_field(grid, fn, parity="odd"):
@@ -83,16 +83,6 @@ def test_even_parity_annihilates_constants():
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.5, 0.0)), parity="even")
     r = op.matrix @ np.ones(g.ncells) - op.rhs(trace=lambda x, y: 1.0)
     assert np.max(np.abs(r)) < 1e-12
-
-
-def test_symmetry_with_coupling():
-    g = dl.build_half_grid(1, "half_disk", 1 / 16)
-    spec = dl.OperatorSpec(b_tilde=lambda x, y: 1.0 + 0.1 * y * y,
-                           t_field=lambda x, y: 0.3 * y)
-    w = dl.RhoWeight(dl.WeightFamily(-0.5, 0.1), lambda x, y: 1.0 / (1.0 + 0.2 * x * x))
-    op = dl.assemble(g, w, spec, parity="odd")
-    d = op.matrix - op.matrix.T
-    assert abs(d).max() < 1e-12
 
 
 def test_planar_systems_factor_directly():
@@ -185,35 +175,6 @@ def test_weight_equivalence_constant_mu(model, parity):
     assert (op_c.matrix != factor * op_1.matrix).nnz == 0
 
 
-def test_sigma_invariance_check():
-    spec = dl.OperatorSpec(b_tilde=lambda x, y: 1.0 + 0.1 * y * y,
-                           t_field=lambda x, y: 0.2 * y)
-    assert spec.check_sigma_invariance(n=1) < 1e-12
-    bad = dl.OperatorSpec(t_field=lambda x, y: 5.0 + y)
-    assert bad.check_sigma_invariance(n=1) > 1.0
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_halton_points_fill_the_open_cube(dim):
-    pts = _halton_points(256, dim)
-    assert pts.shape == (256, dim)
-    assert np.all(np.abs(pts) < 1.0)
-    # low discrepancy: each half of each axis holds half the points, +- 2
-    for d in range(dim):
-        assert abs(int(np.sum(pts[:, d] < 0.0)) - 128) <= 2
-
-
-def test_sigma_invariance_samples_both_signs_of_x():
-    """T(x, 0) is sampled over x in (-1, 1)^n, so a coupling that is nonzero
-    on one side of x = 0 only is caught on either side."""
-    for side in (-1.0, 1.0):
-        one_sided = dl.OperatorSpec(t_field=lambda x, y, s=side: np.where(s * x > 0, 5.0, 0.0))
-        assert one_sided.check_sigma_invariance(n=1) == 5.0
-    corner = dl.OperatorSpec(
-        t_field=lambda x, y: (np.where((x[0] < 0) & (x[1] < 0), 3.0, 0.0), 0.0))
-    assert corner.check_sigma_invariance(n=2) == 3.0
-
-
 def test_convergence_study_second_order():
     def factory(h):
         g = dl.build_half_grid(1, "half_rectangle", h)
@@ -277,9 +238,7 @@ def test_solve_report_fields():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(-1.5, 0.0)), parity="odd")
     rep = dl.solve_linear(op, op.rhs(trace=lambda x, y: y))
-    assert rep.assembly_weight_id == "rho[a=-1.5,eps=0]"
     assert rep.converged
-    assert op.flagged_supersingular
 
 
 def test_field_export_roundtrip_lattice():
@@ -356,22 +315,3 @@ def test_interpolation_trace_fallback_and_off_grid_refusal():
         with pytest.raises(ValueError, match=re.escape(f"{tuple(p.tolist())} leaves the grid")):
             fld.interpolate(np.vstack([pts[:1], p]))
 
-
-def test_off_diagonal_b_tilde_is_refused():
-    """Assembly uses the diagonal of B_tilde only, so an n = 2 block with a
-    nonzero off-diagonal entry raises, naming the sampler; a diagonal block,
-    given as a ragged tuple, scales the x-face transmissibilities of each
-    axis by its own entry."""
-    g = dl.build_half_grid(2, "half_rectangle", 1 / 4)
-    w = dl.RhoWeight(dl.WeightFamily(0.0))
-
-    def sheared(x, y):
-        return (1.0, 0.1 * y), (0.1 * y, 1.0)
-
-    with pytest.raises(ValueError, match="b_tilde sampler .*sheared.* off-diagonal"):
-        dl.assemble(g, w, dl.OperatorSpec(b_tilde=sheared))
-    base = dl.assemble(g, w).faces
-    faces = dl.assemble(g, w, dl.OperatorSpec(b_tilde=lambda x, y: ((2.0, 0.0), (0.0, 3.0)))).faces
-    for axis, c in ((0, 2.0), (1, 3.0), (2, 1.0)):
-        on = base.axis == axis
-        np.testing.assert_allclose(faces.tau[on], c * base.tau[on], rtol=1e-15)

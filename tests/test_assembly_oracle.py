@@ -1,6 +1,6 @@
 """Array assembly against the loop assembly it replaced (``seed_assembly``).
 
-Every combination of grid, weight model, parity and coupling field T must
+Every combination of grid, weight model (mu among them) and parity must
 give the same matrix and the same right-hand side (f, F and Dirichlet trace
 together) to 1e-13 relative, and a matrix symmetric to the same bound.
 Summation order differs between the two, and numpy's vector power may differ
@@ -10,14 +10,12 @@ the array assembly requires, and serve the oracle's scalar calls as well.
 The same cases check what the solvers and right-hand sides rely on: the
 matrix is positive definite (CG needs it), ``solve_linear`` agrees with a
 dense solve on the path it takes for the grid, a constant feels only its
-outer trace and, under odd parity, the zero on the plane, and without T the
-matrix is the face form sum_f tau_f (u_hi - u_lo)(v_hi - v_lo) of
+outer trace and, under odd parity, the zero on the plane, and the matrix is
+the face form sum_f tau_f (u_hi - u_lo)(v_hi - v_lo) of
 ``op.faces``, the faces the right-hand sides read.
 """
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -62,38 +60,6 @@ def _weights(name):
     return dl.AuxiliaryWeight(sol), seed.SeedAuxiliaryWeight(sol)
 
 
-@dataclass(frozen=True)
-class _PointSpec(dl.OperatorSpec):
-    """The per-point accessors of OperatorSpec that the loop oracle calls,
-    with the mu the loop oracle reads from the spec: the weight's own."""
-
-    mu: Optional[Callable] = None
-
-    def mu_val(self, x, y):
-        return 1.0 if self.mu is None else float(self.mu(x, y))
-
-    def b_tilde_diag(self, x, y, axis, n):
-        if self.b_tilde is None:
-            return 1.0
-        v = self.b_tilde(x, y)
-        return float(v) if n == 1 else float(np.asarray(v)[axis][axis])
-
-    def t_val(self, x, y, n):
-        if self.t_field is None:
-            return np.zeros(n)
-        return np.atleast_1d(np.asarray(self.t_field(x, y), dtype=float))
-
-
-def _spec(n, t_field, cls=dl.OperatorSpec, **mu):
-    def b_tilde(x, y):
-        return 1.0 + 0.1 * y * y if n == 1 else ((1.0 + 0.1 * y * y, 0.0), (0.0, 1.2))
-
-    def t(x, y):
-        return 0.3 * y if n == 1 else (0.3 * y, -0.2 * y * _first(x))
-
-    return cls(b_tilde=b_tilde, t_field=t if t_field else None, **mu)
-
-
 def _f(x, y):
     return np.cos(_first(x)) * (1.0 + y)
 
@@ -109,48 +75,43 @@ def _trace(x, y):
 GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n1-disk": (1, "half_disk", 1 / 8),
          "n2-rect": (2, "half_rectangle", 1 / 4)}
 WEIGHTS = ("const", "rho-eps0", "rho-eps0.1", "rho-quadratic-mu", "aux")
-CASES = list(itertools.product(GRIDS, WEIGHTS, ("odd", "even"), ("t", "no-t")))
+CASES = list(itertools.product(GRIDS, WEIGHTS, ("odd", "even")))
+IDS = ["-".join(c) for c in CASES]
 
 
-@pytest.mark.parametrize("grid,weight,parity,t_field", CASES,
-                         ids=["-".join(c) for c in CASES])
-def test_array_assembly_matches_loop_oracle(grid, weight, parity, t_field):
+@pytest.mark.parametrize("grid,weight,parity", CASES, ids=IDS)
+def test_array_assembly_matches_loop_oracle(grid, weight, parity):
     n, shape, h = GRIDS[grid]
     g = dl.build_half_grid(n, shape, h)
     new_w, old_w = _weights(weight)
-    new = dl.assemble(g, new_w, _spec(n, t_field == "t"), parity=parity)
-    mu_inverse = new_w.sol.mu_inverse
-    mu = {} if mu_inverse is None else {"mu": lambda x, y: 1.0 / mu_inverse(x, y)}
-    old = seed.assemble(g, old_w, _spec(n, t_field == "t", _PointSpec, **mu), parity=parity)
+    new = dl.assemble(g, new_w, parity=parity)
+    old = seed.assemble(g, old_w, parity=parity)
     scale = abs(old.matrix).max()
     assert abs(new.matrix - old.matrix).max() <= RTOL * scale
     assert abs(new.matrix - new.matrix.T).max() <= RTOL * scale
     r_new = new.rhs(f=_f, F=_F, trace=_trace)
     r_old = old.rhs(f=_f, F=_F, trace=_trace)
     assert np.max(np.abs(r_new - r_old)) <= RTOL * np.max(np.abs(r_old))
-    assert new.flagged_supersingular == old.flagged_supersingular
 
 
-def _assembled(grid, weight, parity, t_field):
+def _assembled(grid, weight, parity):
     n, shape, h = GRIDS[grid]
     g = dl.build_half_grid(n, shape, h)
-    return dl.assemble(g, _weights(weight)[0], _spec(n, t_field == "t"), parity=parity)
+    return dl.assemble(g, _weights(weight)[0], parity=parity)
 
 
-@pytest.mark.parametrize("grid,weight,parity,t_field", CASES,
-                         ids=["-".join(c) for c in CASES])
-def test_assembled_matrix_is_positive_definite(grid, weight, parity, t_field):
-    A = _assembled(grid, weight, parity, t_field).matrix.toarray()
+@pytest.mark.parametrize("grid,weight,parity", CASES, ids=IDS)
+def test_assembled_matrix_is_positive_definite(grid, weight, parity):
+    A = _assembled(grid, weight, parity).matrix.toarray()
     np.linalg.cholesky(A)   # raises LinAlgError unless A is positive definite
     assert np.linalg.eigvalsh(A).min() > 1e-3 * abs(A).max()
 
 
-@pytest.mark.parametrize("grid,weight,parity,t_field", CASES,
-                         ids=["-".join(c) for c in CASES])
-def test_solve_linear_matches_a_dense_solve(grid, weight, parity, t_field, monkeypatch):
+@pytest.mark.parametrize("grid,weight,parity", CASES, ids=IDS)
+def test_solve_linear_matches_a_dense_solve(grid, weight, parity, monkeypatch):
     # n = 2 grids are sent down the Jacobi-CG path, n = 1 grids take the LU
     monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 0)
-    op = _assembled(grid, weight, parity, t_field)
+    op = _assembled(grid, weight, parity)
     rhs = op.rhs(f=_f, F=_F, trace=_trace)
     rep = dl.solve_linear(op, rhs)
     assert rep.method == ("cg-jacobi" if op.grid.n == 2 else "direct-sparse-lu")
@@ -159,10 +120,9 @@ def test_solve_linear_matches_a_dense_solve(grid, weight, parity, t_field, monke
     assert np.max(np.abs(rep.field.values - u)) <= 1e-8 * np.max(np.abs(u))
 
 
-@pytest.mark.parametrize("grid,weight,parity,t_field", CASES,
-                         ids=["-".join(c) for c in CASES])
-def test_constants_feel_only_the_trace_and_the_plane(grid, weight, parity, t_field):
-    op = _assembled(grid, weight, parity, t_field)
+@pytest.mark.parametrize("grid,weight,parity", CASES, ids=IDS)
+def test_constants_feel_only_the_trace_and_the_plane(grid, weight, parity):
+    op = _assembled(grid, weight, parity)
     g, fc = op.grid, op.faces
     r = op.matrix @ np.ones(g.ncells) - op.rhs(trace=lambda x, y: 1.0)
     # the plane faces carry the odd zero (tau is 0 there under even parity)
@@ -170,21 +130,12 @@ def test_constants_feel_only_the_trace_and_the_plane(grid, weight, parity, t_fie
     expect = np.zeros(g.ncells)
     np.add.at(expect, fc.hi[plane], fc.tau[plane])
     assert parity == "odd" or not expect.any()
-    # T's centred y-difference sees the odd ghost -1 in the row next to the plane
-    rows = np.ones(g.ncells, dtype=bool)
-    if parity == "odd" and t_field == "t":
-        rows = g.centers[:, g.n] > g.h
-    scale = abs(op.matrix).max()
-    assert np.max(np.abs(r - expect)[rows]) <= RTOL * scale
+    assert np.max(np.abs(r - expect)) <= RTOL * abs(op.matrix).max()
 
 
-FORM_CASES = [c for c in CASES if c[3] == "no-t"]
-
-
-@pytest.mark.parametrize("grid,weight,parity,t_field", FORM_CASES,
-                         ids=["-".join(c) for c in FORM_CASES])
-def test_matrix_is_the_face_form_without_coupling(grid, weight, parity, t_field):
-    op = _assembled(grid, weight, parity, t_field)
+@pytest.mark.parametrize("grid,weight,parity", CASES, ids=IDS)
+def test_matrix_is_the_face_form(grid, weight, parity):
+    op = _assembled(grid, weight, parity)
     fc = op.faces
     # signed incidence: +1 at the cell above/right of a face, -1 below/left
     rows, cols, vals = [], [], []

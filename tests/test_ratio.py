@@ -32,7 +32,7 @@ def make_manufactured(a):
     def f(x, y):
         return np.copysign(np.abs(y) ** (1 - a), y) * fbar(x, np.abs(y))
 
-    return dl.OddProblem(sol=sol, spec=dl.OperatorSpec(), f=f, u_exact=u_exact)
+    return dl.OddProblem(sol=sol, f=f, u_exact=u_exact)
 
 
 def test_ratio_of_v_is_one():
@@ -80,8 +80,7 @@ def _field_problem():
     """A quadratic-mu problem with a field F that vanishes on the plane."""
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1),
                                     mu_inverse=lambda x, s: 1.0 / (1.0 + 0.1 * x * x))
-    return dl.OddProblem(sol=sol, spec=dl.OperatorSpec(),
-                         F=lambda x, y: (0.1 * y, 0.2 * y),
+    return dl.OddProblem(sol=sol, F=lambda x, y: (0.1 * y, 0.2 * y),
                          trace=lambda x, y: dl.v_char(sol, x, y) * wave(x, abs(y)))
 
 
@@ -95,42 +94,18 @@ def test_aux_residual_with_field_is_finite():
     assert np.isfinite(res)
 
 
-def test_auxiliary_rhs_rejects_bad_t():
-    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1))
-    prob = dl.OddProblem(sol=sol, spec=dl.OperatorSpec(t_field=lambda x, y: 1.0 + y))
-    with pytest.raises(ValueError):
-        aux_residual(prob, dl.build_half_grid(1, "half_rectangle", 1 / 8))
-
-
-def test_auxiliary_rhs_rejects_t_nonzero_for_negative_x():
-    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1))
-    spec = dl.OperatorSpec(t_field=lambda x, y: np.where(x < 0, 5.0, 0.0))
-    prob = dl.OddProblem(sol=sol, spec=spec)
-    with pytest.raises(ValueError, match="T\\(x,0\\) must vanish"):
-        aux_residual(prob, dl.build_half_grid(1, "half_rectangle", 1 / 8))
-
-
 def _quadratic_mu_inverse(x, s):
     return 1.0 / (1.0 + 0.1 * x * x)
 
 
-@pytest.mark.parametrize("a,mu_inverse,t_field,F", [
-    (0.5, None, lambda x, y: 0.2 * y * (1.0 + x), None),
-    (0.5, _quadratic_mu_inverse, lambda x, y: 0.2 * y, None),
-    (0.0, _quadratic_mu_inverse, lambda x, y: 0.2 * y * (1.0 + x), None),
-    (0.5, _quadratic_mu_inverse, lambda x, y: 0.2 * y * (1.0 + x),
-     lambda x, y: (0.1 * y, 0.2 * y)),
-    (0.0, None, lambda x, y: 0.2 * y, None),
-], ids=["mu1-Txy", "muq-Ty", "muq-Txy-a0", "muq-Txy-F", "mu1-Ty-a0"])
-def test_coupled_residual_decays(a, mu_inverse, t_field, F):
-    """With a coupling T the residual falls by >= 2.5 per halving of h: the
-    drift of the quotient equation carries (1-a) T / (rho v) in x and
-    mu T d_x v / v in y, which L v = (odd operator) v brings in whole.
-    For mu == 1 and T = T(y), L v == 0 and the odd operator applied to v is
-    rounding only, which must not set the scale of this source-free load
-    (the residual would read about 1e9 at h = 1/64)."""
-    sol = dl.CharacteristicSolution(dl.WeightFamily(a, 0.1), mu_inverse)
-    prob = dl.OddProblem(sol=sol, spec=dl.OperatorSpec(t_field=t_field), F=F,
+@pytest.mark.parametrize("a", [0.5, 0.0])
+@pytest.mark.parametrize("F", [None, lambda x, y: (0.1 * y, 0.2 * y)], ids=["no-F", "F"])
+def test_variable_mu_residual_decays(a, F):
+    """With mu varying in x, L v = -d_x(rho mu d_x v) != 0, so the quotient
+    equation carries the drift (mu d_x v / v, 0); the residual still falls
+    by >= 2.5 per halving of h, at a = 0 as at a = 0.5, with and without F."""
+    sol = dl.CharacteristicSolution(dl.WeightFamily(a, 0.1), _quadratic_mu_inverse)
+    prob = dl.OddProblem(sol=sol, F=F,
                          trace=lambda x, y: dl.v_char(sol, x, y) * wave(x, abs(y)))
     rs = [aux_residual(prob, dl.build_half_grid(1, "half_rectangle", h))
           for h in (1 / 16, 1 / 32, 1 / 64)]
@@ -157,7 +132,7 @@ def _solved_power_problem(a):
     def trace(x, y):
         return np.copysign(np.abs(y) ** (1 - a), y) * wave(x, np.abs(y))
 
-    return dl.OddProblem(sol=sol, spec=dl.OperatorSpec(), trace=trace)
+    return dl.OddProblem(sol=sol, trace=trace)
 
 
 def test_verify_ratio_equation_solved_path():
@@ -176,30 +151,22 @@ def test_residual_leaves_out_the_cells_with_an_outer_face():
 
 
 def test_variable_mu_residual_stable_in_eps():
-    """For mu^(-1) = 1 / (1 + 0.1 x^2), without and with a coupling T = 0.2 y."""
-    a = -1.5
+    """For mu^(-1) = 1 / (1 + 0.1 x^2)."""
+    out = {}
+    for eps in (0.1, 0.01):
+        sol = dl.CharacteristicSolution(dl.WeightFamily(-1.5, eps), _quadratic_mu_inverse)
 
-    def mu_inv(x, s):
-        return 1.0 / (1.0 + 0.1 * x * x)
+        def trace(x, y, s=sol):
+            return dl.v_char(s, x, y) * wave(x, abs(y))
 
-    for t_field in (None, lambda x, y: 0.2 * y):
-        out = {}
-        for eps in (0.1, 0.01):
-            fam = dl.WeightFamily(a, eps)
-            sol = dl.CharacteristicSolution(fam, mu_inv)
-            spec = dl.OperatorSpec(t_field=t_field)
-
-            def trace(x, y, s=sol):
-                return dl.v_char(s, x, y) * wave(x, abs(y))
-
-            prob = dl.OddProblem(sol=sol, spec=spec, trace=trace)
-            rs = []
-            for h in (1 / 8, 1 / 16):
-                rs.append(aux_residual(prob, dl.build_half_grid(1, "half_rectangle", h)))
-            out[eps] = rs[1] / (1 / 16) ** 2        # the constant C in res <= C h^2
-            assert rs[0] > rs[1]
-        c1, c2 = out[0.1], out[0.01]
-        assert max(c1, c2) <= 5.0 * min(c1, c2)     # C stable across eps
+        prob = dl.OddProblem(sol=sol, trace=trace)
+        rs = []
+        for h in (1 / 8, 1 / 16):
+            rs.append(aux_residual(prob, dl.build_half_grid(1, "half_rectangle", h)))
+        out[eps] = rs[1] / (1 / 16) ** 2        # the constant C in res <= C h^2
+        assert rs[0] > rs[1]
+    c1, c2 = out[0.1], out[0.01]
+    assert max(c1, c2) <= 5.0 * min(c1, c2)     # C stable across eps
 
 
 def test_super_degeneracy_of_quotient_weight():

@@ -19,8 +19,8 @@ def _grid(shape="half_rectangle"):
     return dl.build_half_grid(1, shape, 1 / 8)
 
 
-def _op(spec=None):
-    return dl.assemble(_grid(), dl.RhoWeight(dl.WeightFamily(0.5, 0.0)), spec, parity="odd")
+def _op():
+    return dl.assemble(_grid(), dl.RhoWeight(dl.WeightFamily(0.5, 0.0)), parity="odd")
 
 
 def _convergence(region):
@@ -62,10 +62,6 @@ ROLES = {
     # one call per grid of the study
     "region": (_convergence, 3,
                lambda x, y: np.floor(4 * y) >= 1, lambda x, y: math.floor(4 * y) >= 1),
-    "t_field": (lambda s: _op(dl.OperatorSpec(t_field=s)), 1,
-                lambda x, y: 0.3 * y * np.cos(x), lambda x, y: 0.3 * y * math.cos(x)),
-    "b_tilde": (lambda s: _op(dl.OperatorSpec(b_tilde=s)), 1,
-                lambda x, y: 1.0 + 0.1 * np.sin(y), lambda x, y: 1.0 + 0.1 * math.sin(y)),
     # the y-resistances, then mu = 1 / mu_inverse on the x-faces
     "mu_inverse": (lambda s: dl.assemble(_grid(), dl.RhoWeight(dl.WeightFamily(0.5, 0.1), s)),
                    2, lambda x, y: 1.0 / (1.0 + 0.1 * x * x),
