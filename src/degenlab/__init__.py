@@ -13,7 +13,6 @@ from .weights import (
     SingularWeightError,
     WeightFamily,
     chi,
-    omega,
     psi,
     rho,
     v_char,
@@ -41,6 +40,7 @@ from .geometry import (
     ChartError,
     EmbeddedCurve,
     HalfGrid,
+    Region,
     build_half_grid,
     fermi_mu,
 )
@@ -58,13 +58,11 @@ from .assembly import (
 from .ratio import (
     OddProblem,
     ratio_field,
-    reconstruct,
     verify_ratio_equation,
 )
 from .spectral import (
     EigenResult,
     HalfDiskMesh,
-    NodalField,
     eigen_stability_sweep,
     growth_monitor,
     hardy_quotient,
@@ -74,7 +72,6 @@ from .holder import (
     EmptyRegionError,
     ExponentEstimate,
     ProblemFamily,
-    Region,
     StabilityReport,
     SweepAbort,
     c1alpha_seminorm,

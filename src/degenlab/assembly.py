@@ -542,23 +542,15 @@ def solve_linear(op: AssembledOperator, rhs: np.ndarray) -> SolveReport:
                        method=method, converged=res <= tol, tolerance=tol, info=info)
 
 
-def manufactured_problem(u_exact: Callable, op: AssembledOperator, mode: str = "discrete",
-                         f: Optional[Callable] = None, F: Optional[Callable] = None
+def manufactured_problem(u_exact: Callable, op: AssembledOperator
                          ) -> Tuple[np.ndarray, DiscreteField]:
-    """Right-hand side + exact field for the method of manufactured solutions.
-
-    mode='discrete': rhs = A u_exact (solver must reproduce u_exact to solver
-    tolerance); mode='analytic': rhs from the continuum forcing f (and F) with
-    Dirichlet data sampled from u_exact (solver converges at scheme order)."""
-    g = op.grid
-    _check_parity(u_exact, op.parity, g.n)
-    exact = DiscreteField.sample(g, u_exact, op.parity)
-    if mode == "discrete":
-        return op.matrix @ exact.values, exact
-    if mode != "analytic":
-        raise ValueError("mode must be 'discrete' or 'analytic'")
-    rhs = op.rhs(f=f, F=F, trace=u_exact)
-    return rhs, exact
+    """Right-hand side A u_exact and exact field for the method of
+    manufactured solutions: the solver must reproduce u_exact to solver
+    tolerance.  (For the scheme's order, solve ``op.rhs(f=..., F=...,
+    trace=u_exact)`` against :meth:`DiscreteField.sample` of u_exact.)"""
+    _check_parity(u_exact, op.parity, op.grid.n)
+    exact = DiscreteField.sample(op.grid, u_exact, op.parity)
+    return op.matrix @ exact.values, exact
 
 
 def _check_parity(u_exact, parity, n, tol=1e-9):

@@ -298,7 +298,7 @@ def cmd_solve(cfg: dict) -> int:
         grid = build_half_grid(1, "half_rectangle", h)
         fam = WeightFamily(a, 0.0)
         op = assemble(grid, RhoWeight(fam), parity="odd")
-        rhs, exact = manufactured_problem(u_exact, op, mode="discrete")
+        rhs, exact = manufactured_problem(u_exact, op)
         return op, rhs, exact
 
     rows, rep = convergence_study(factory, h_list)
@@ -322,10 +322,11 @@ def cmd_fermi_demo(cfg: dict) -> int:
     radius = _float(cfg, "radius", "2.0", _CHART_RADIUS)
     h = _float(cfg, "h", "1/32", _GRID_SPACING)
     alpha = _float(cfg, "alpha", "0.4", _ALPHA)
-    eps_list = _eps_list(cfg, "1 0.1 0.01 0")
+    eps_text = cfg.get("eps_list", "1 0.1 0.01 0")
+    eps_list = _eps_list(cfg, eps_text)
     if len(admissible_eps(eps_list, h, restricted="sqrt_eps")) < 2:
-        raise ConfigError(f"eps_list: {cfg.get('eps_list', '1 0.1 0.01 0')!r} leaves fewer "
-                          f"than two eps for the sqrt_eps table at h={fmt(h)}")
+        raise ConfigError(f"eps_list: {eps_text!r} leaves fewer than two eps for the "
+                          f"sqrt_eps table at h={fmt(h)}")
     curve = EmbeddedCurve.circle(radius, arc=2.0, theta0=-0.5)
     # 1) metric factor against the finite-difference Jacobian of the chart map
     step = 1e-5

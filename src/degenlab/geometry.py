@@ -5,7 +5,9 @@ characteristic hyperplane {y = 0}, so singular weights (a <= -1) stay finite
 at every sampled point; the smallest ordinate is h/2.  The half disk is the
 staircase subset of the half rectangle whose cell centers satisfy |z| <= 1
 (documented first-order boundary error; eigenvalue work uses the conforming
-nodal mesh in :mod:`degenlab.spectral` instead).
+nodal mesh in :mod:`degenlab.spectral` instead).  A :class:`Region` is an
+axis box of cells: the sweeps measure their seminorms on one, and the
+quotient residual keeps the cells of one away from the outer boundary.
 
 For an embedded plane curve with unit normal pointing into the positive side,
 the parallel-surface volume element is sqrt(det g^y) = |psi'(x)| (1 - y k(x)),
@@ -50,20 +52,30 @@ class HalfGrid:
         bottom = self.index[..., 0]
         return int(np.count_nonzero(bottom >= 0))
 
-    def sigma_face_midpoints(self) -> np.ndarray:
-        """Midpoints (on y = 0) of the faces separating bottom cells from the plane."""
-        bottom = self.index[..., 0]
-        sel = np.nonzero(bottom >= 0)
-        mids = self.centers[bottom[sel]].copy()
-        mids[:, -1] = 0.0
-        return mids
-
     def lattice_shape(self) -> Tuple[int, ...]:
         return (self.nx,) * self.n + (self.ny,)
 
     def describe(self) -> str:
         return (f"n={self.n} shape={self.shape} h={self.h:.12g} "
                 f"cells={self.ncells} sigma_faces={self.num_sigma_faces}")
+
+
+@dataclass(frozen=True)
+class Region:
+    """Axis box |x| <= x_halfwidth, y_min <= y <= y_max."""
+
+    x_halfwidth: float = 0.5
+    y_max: float = 0.5
+    y_min: float = 0.0
+
+    def mask(self, grid: HalfGrid) -> np.ndarray:
+        c = grid.centers
+        ok = np.ones(grid.ncells, dtype=bool)
+        for d in range(grid.n):
+            ok &= np.abs(c[:, d]) <= self.x_halfwidth + 1e-12
+        ok &= c[:, grid.n] <= self.y_max + 1e-12
+        ok &= c[:, grid.n] >= self.y_min - 1e-12
+        return ok
 
 
 def build_half_grid(n: int, shape: str, h: float) -> HalfGrid:
@@ -129,15 +141,6 @@ class EmbeddedCurve:
     def point(self, t, y=0.0) -> np.ndarray:
         """The Fermi map Z(t, y) = psi(t) + y nu(t)."""
         return np.asarray(self.psi(t), dtype=float) + y * self.normal(t)
-
-    @staticmethod
-    def line(origin=(0.0, 0.0), direction=(1.0, 0.0), length: float = 1.0) -> "EmbeddedCurve":
-        o = np.asarray(origin, dtype=float)
-        d = np.asarray(direction, dtype=float)
-        d = d / np.linalg.norm(d) * length
-        return EmbeddedCurve(psi=lambda t: _lead(o, t) + t * _lead(d, t),
-                             dpsi=lambda t: np.broadcast_to(_lead(d, t), (2,) + np.shape(t)),
-                             curvature=lambda t: 0.0)
 
     @staticmethod
     def circle(radius: float, center=(0.0, 0.0), arc: float = 1.0,

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .assembly import DiscreteField, RhoWeight, assemble, solve_linear
-from .geometry import HalfGrid, build_half_grid
+from .geometry import HalfGrid, Region, build_half_grid
 from .ratio import _quotient, _v_on_grid
 from .weights import CharacteristicSolution, WeightFamily, _sample, v_char, v_char_profile
 
@@ -43,24 +43,6 @@ SLOPE_TOL = 0.1
 EXPONENT_RADII = (0.25, 0.125, 0.0625, 0.03125)
 NOISE_FLOOR = 1e-12
 SWEEP_MODES = ("ratio_c0", "ratio_c1", "odd_direct_c0")
-
-
-@dataclass(frozen=True)
-class Region:
-    """Axis box |x| <= x_halfwidth, y_min <= y <= y_max."""
-
-    x_halfwidth: float = 0.5
-    y_max: float = 0.5
-    y_min: float = 0.0
-
-    def mask(self, grid: HalfGrid) -> np.ndarray:
-        c = grid.centers
-        ok = np.ones(grid.ncells, dtype=bool)
-        for d in range(grid.n):
-            ok &= np.abs(c[:, d]) <= self.x_halfwidth + 1e-12
-        ok &= c[:, grid.n] <= self.y_max + 1e-12
-        ok &= c[:, grid.n] >= self.y_min - 1e-12
-        return ok
 
 
 class EmptyRegionError(ValueError):
@@ -285,9 +267,9 @@ def solve_family(family: ProblemFamily, eps_list: Sequence[float],
 
 
 def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha: float,
-                  mode: str = "ratio_c0", region: Optional[Region] = None,
-                  restricted: str = "none") -> StabilityReport:
-    """Measure each solution per mode on its region and assemble the report.
+                  mode: str = "ratio_c0", restricted: str = "none") -> StabilityReport:
+    """Measure each solution per mode on the fixed :class:`Region` and
+    assemble the report.
 
     modes: 'ratio_c0' (alpha-seminorm of w = u/v), 'ratio_c1' (gradient
     seminorm of w), 'odd_direct_c0' (alpha-seminorm of u itself; requires
@@ -295,11 +277,10 @@ def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha
     y >= sqrt(eps) (the restricted tables of the curved-geometry estimates)
     and skips the eps where that leaves (nearly) no cells."""
     _check_mode(family, mode)
-    region = region or Region()
     per_eps = []
     for s in solutions:
         grid = s.u.grid
-        reg = _eps_region(region, restricted, s.eps, grid.h)
+        reg = _eps_region(restricted, s.eps, grid.h)
         if reg is None:
             continue
         fld = s.u if mode == "odd_direct_c0" else _quotient(s.u, s.v)
@@ -316,31 +297,24 @@ def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha
     ratio = float(np.max(semis) / lo) if lo > 0 else (1.0 if np.max(semis) == 0 else math.inf)
     slope = _trend_slope([p[0] for p in per_eps], semis)
     passed = ratio <= TAU and slope <= SLOPE_TOL
-    return StabilityReport(alpha=alpha, region=region, per_eps=per_eps,
+    return StabilityReport(alpha=alpha, region=Region(), per_eps=per_eps,
                            uniformity_ratio=ratio, trend_slope=slope,
                            passed=bool(passed), mode=mode, family=family.name,
                            grid_h=solutions[0].u.grid.h, restricted=restricted)
 
 
 def epsilon_sweep(family: ProblemFamily, eps_list: Sequence[float], alpha: float,
-                  mode: str = "ratio_c0", grid_h: float = 1.0 / 64,
-                  region: Optional[Region] = None, restricted: str = "none") -> StabilityReport:
-    """:func:`solve_family` at the eps the region admits, then
-    :func:`measure_sweep` (modes and restricted as there)."""
+                  mode: str, grid_h: float) -> StabilityReport:
+    """:func:`solve_family`, then :func:`measure_sweep` (modes as there); an
+    unknown mode is refused before any solve."""
     _check_mode(family, mode)
-    if len(eps_list) < 2:
-        raise ValueError("eps_list must contain at least two entries")
-    eps_list = admissible_eps(eps_list, grid_h, restricted, region)
-    return measure_sweep(family, solve_family(family, eps_list, grid_h), alpha,
-                         mode, region, restricted)
+    return measure_sweep(family, solve_family(family, eps_list, grid_h), alpha, mode)
 
 
-def admissible_eps(eps_list: Sequence[float], grid_h: float, restricted: str = "none",
-                   region: Optional[Region] = None) -> list:
+def admissible_eps(eps_list: Sequence[float], grid_h: float, restricted: str = "none") -> list:
     """The entries of eps_list that :func:`measure_sweep` measures on a grid
     of spacing grid_h (every entry unless restricted='sqrt_eps')."""
-    region = region or Region()
-    return [e for e in eps_list if _eps_region(region, restricted, e, grid_h) is not None]
+    return [e for e in eps_list if _eps_region(restricted, e, grid_h) is not None]
 
 
 def _check_mode(family: ProblemFamily, mode: str) -> None:
@@ -350,14 +324,15 @@ def _check_mode(family: ProblemFamily, mode: str) -> None:
         raise ValueError("odd_direct_c0 requires a in (-1, 1)")
 
 
-def _eps_region(region: Region, restricted: str, eps: float, h: float) -> Optional[Region]:
+def _eps_region(restricted: str, eps: float, h: float) -> Optional[Region]:
     """The region measured at eps; None when restricted='sqrt_eps' leaves it
     (nearly) empty."""
+    region = Region()
     if restricted != "sqrt_eps":
         return region
     if math.sqrt(eps) > region.y_max - 4 * h:
         return None
-    return Region(region.x_halfwidth, region.y_max, y_min=max(region.y_min, math.sqrt(eps)))
+    return Region(y_min=math.sqrt(eps))
 
 
 def _family_trace(family: ProblemFamily, sol: CharacteristicSolution) -> Callable:

@@ -36,7 +36,7 @@ from .assembly import (
     assemble,
     solve_linear,
 )
-from .geometry import HalfGrid, build_half_grid
+from .geometry import HalfGrid, Region, build_half_grid
 from .weights import CharacteristicSolution, v_char_profile
 
 
@@ -62,12 +62,6 @@ def _quotient(u: DiscreteField, v: np.ndarray) -> DiscreteField:
     if np.any(np.abs(v) < 1e-14):
         raise DivisionGuardError("characteristic solution below 1e-14 at a cell center")
     return DiscreteField(u.grid, u.values / v, "even")
-
-
-def reconstruct(w: DiscreteField, sol: CharacteristicSolution) -> DiscreteField:
-    """Inverse of ratio_field: u = w * v, parity even -> odd."""
-    v = _v_on_grid(sol, w.grid)
-    return DiscreteField(w.grid, w.values * v, "odd")
 
 
 @dataclass(frozen=True)
@@ -131,19 +125,10 @@ def aux_residual(problem: OddProblem, grid: HalfGrid) -> float:
     aux = assemble(grid, AuxiliaryWeight(sol), parity="even")
     meas = _cell_weight_integrals(aux.weight, grid) * grid.h ** grid.n   # int_cell omega dz
     dens = (aux.matrix @ w - rhs) / meas
-    inner = _interior_mask(grid, INTERIOR_MARGIN)
+    inner = Region(1.0 - INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN).mask(grid)
     fc = aux.faces
     inner[np.maximum(fc.lo, fc.hi)[fc.dirichlet]] = False
     num = float(np.sqrt(np.sum(meas[inner] * dens[inner] ** 2)))
     den = float(np.sqrt(np.sum(meas[inner])))
     scale = float(np.max(np.abs(rhs[inner] / meas[inner]))) or 1.0
     return num / (den * scale)
-
-
-def _interior_mask(g: HalfGrid, margin: float) -> np.ndarray:
-    c = g.centers
-    ok = np.ones(g.ncells, dtype=bool)
-    for d in range(g.n):
-        ok &= np.abs(c[:, d]) <= 1.0 - margin
-    ok &= c[:, g.n] <= 1.0 - margin
-    return ok

@@ -129,12 +129,6 @@ class HalfDiskMesh:
 
 
 @dataclass
-class NodalField:
-    mesh: HalfDiskMesh
-    values: np.ndarray
-
-
-@dataclass
 class EigenResult:
     quotient_id: str
     a: float
@@ -144,7 +138,7 @@ class EigenResult:
     residual: float
     route: str
     iterations: int
-    eigenvector: NodalField = field(repr=False)
+    eigenvector: np.ndarray = field(repr=False)      # on all nodes
 
     def csv_row(self) -> tuple:
         return (self.quotient_id, self.a, self.eps_or_r, self.grid_h,
@@ -686,25 +680,20 @@ def _conjugated_forms(a: float, eps: float, mesh: HalfDiskMesh) -> sp.csr_matrix
     return K0 + P + assemble_arc_mass(mesh, Warc)
 
 
-def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto") -> EigenResult:
+def trace_eigen(b: float, eps: float, grid_h: float) -> EigenResult:
     """Sharp constant of int rho^b |grad u|^2 >= lam int_arc rho^b u^2, u|_plane = 0.
 
     The minimum tends to 1 - b under refinement (eigenfunction y^(1-b)).
-    route='direct' assembles the weighted quotient literally (requires
-    b > -1); route='transformed' conjugates by rho^(b/2) and uses the
-    closed-form potentials, valid for every b < 1; 'auto' picks direct in the
-    locally integrable range and transformed outside.  At eps = 0 both
-    routes separate in (r, theta) and take :func:`_separable_eigen`."""
+    The route follows b: for b > -1 the direct route assembles the weighted
+    quotient literally; otherwise the transformed route conjugates by
+    rho^(b/2) and uses the closed-form potentials (valid for every b < 1).
+    At eps = 0 both routes separate in (r, theta) and take
+    :func:`_separable_eigen`."""
     if b >= 1.0:
         raise ValueError("trace exponent must satisfy b < 1")
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    if route == "auto":
-        route = "direct" if b > -1.0 else "transformed"
-    if route not in ("direct", "transformed"):
-        raise ValueError(f"unknown route {route!r}")
-    if route == "direct" and b <= -1.0:
-        raise ValueError("direct route requires locally integrable weight (b > -1)")
+    route = "direct" if b > -1.0 else "transformed"
     mesh = HalfDiskMesh.from_h(grid_h)
     if eps == 0.0:
         lam, vec, res, it = _separable_eigen(mesh, *_trace_factors(mesh, b, route))
@@ -717,9 +706,7 @@ def trace_eigen(b: float, eps: float, grid_h: float, route: str = "auto") -> Eig
             K = _conjugated_forms(b, eps, mesh)
             M = assemble_arc_mass(mesh, None)
         lam, vec, res, it = min_rayleigh(mesh, K, M, mesh.free_nodes())
-    return EigenResult(quotient_id=f"trace[b={b:g}]", a=b, eps_or_r=eps,
-                       grid_h=grid_h, lam=lam, residual=res, route=route,
-                       iterations=it, eigenvector=NodalField(mesh, vec))
+    return EigenResult(f"trace[b={b:g}]", b, eps, grid_h, lam, res, route, it, vec)
 
 
 def hardy_quotient(weight: Optional[WeightFamily], grid_h: float) -> EigenResult:
@@ -744,9 +731,7 @@ def hardy_quotient(weight: Optional[WeightFamily], grid_h: float) -> EigenResult
         free = np.setdiff1d(mesh.free_nodes(), mesh.arc_node_ids())
         lam, vec, res, it = min_rayleigh(mesh, K, M, free)
     wid = "1" if weight is None else f"rho[a={a:g},eps={eps:g}]"
-    return EigenResult(quotient_id=f"hardy[w={wid}]", a=a, eps_or_r=eps,
-                       grid_h=grid_h, lam=lam, residual=res, route="direct",
-                       iterations=it, eigenvector=NodalField(mesh, vec))
+    return EigenResult(f"hardy[w={wid}]", a, eps, grid_h, lam, res, "direct", it, vec)
 
 
 def eigen_stability_sweep(a: float, r_list: Sequence[float], grid_h: float) -> list:

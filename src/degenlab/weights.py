@@ -17,8 +17,6 @@ functional of rho:
                (1-a) int_0^y rho^(-a)(s) mu(x,s)^(-1) ds, the positive odd
                comparison solution used as denominator of the boundary
                quotient u/v.
-* ``omega`` -- rho * ((1-a) chi)^2, the super-degenerate weight of the
-               quotient equation (~ y^2 for eps > 0, |y|^(2-a) for eps = 0).
 * ``psi``   -- y rho^(-a)(y) / chi(y), scale invariant
                (psi(y; eps) = psi(y/eps; 1)) with limits 1 at 0+ and 1-a at
                infinity; its sup/inf are max/min{1, 1-a}.
@@ -165,16 +163,6 @@ def chi(family: WeightFamily, y):
     else:
         out = sgn * eps ** (1.0 - a) * _antiderivative_unit(a, ay / eps)
     return out if out.ndim else float(out)
-
-
-def omega(family: WeightFamily, y):
-    """Auxiliary super-degenerate weight rho(y) * ((1-a) chi(y))^2.
-
-    Even in y; behaves like y^2 at the hyperplane for eps > 0 and like
-    |y|^(2-a) for eps = 0.
-    """
-    c = (1.0 - family.a) * chi(family, y)
-    return rho(family, y) * c * c
 
 
 def psi(a: float, eps: float, y):

@@ -263,10 +263,10 @@ def test_criterion_10_fermi_demo():
         mu_inverse=lambda x, y: 1.0 / dl.fermi_mu(curve, x, y),
         name="fermi-circle")
     eps_list = [1.0, 0.1, 0.01, 0.0]
-    rep_c0 = dl.epsilon_sweep(fam, eps_list, 0.4, mode="ratio_c0", grid_h=1 / 32)
-    rep_c1 = dl.epsilon_sweep(fam, eps_list, 0.4, mode="ratio_c1", grid_h=1 / 32,
-                              restricted="sqrt_eps")
-    rep_c1u = dl.epsilon_sweep(fam, eps_list, 0.4, mode="ratio_c1", grid_h=1 / 32)
+    solutions = dl.solve_family(fam, eps_list, grid_h=1 / 32)
+    rep_c0 = dl.measure_sweep(fam, solutions, 0.4, mode="ratio_c0")
+    rep_c1 = dl.measure_sweep(fam, solutions, 0.4, mode="ratio_c1", restricted="sqrt_eps")
+    rep_c1u = dl.measure_sweep(fam, solutions, 0.4, mode="ratio_c1")
     ok = ok_mu and rep_c0.passed and rep_c1.passed
     report(10, ok, f"circle chart factor within {worst:.1e} of the Jacobian; "
            f"quotient tables: C0 ratio {rep_c0.uniformity_ratio:.2f}, restricted C1 "

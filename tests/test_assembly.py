@@ -18,7 +18,7 @@ def exact_field(grid, fn, parity="odd"):
 def test_identity_like_solve():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
-    rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
+    rhs, exact = dl.manufactured_problem(lambda x, y: y, op)
     rep = dl.solve_linear(op, rhs)
     assert np.max(np.abs(rep.field.values - exact.values)) < 1e-12
     assert rep.relative_residual <= rep.tolerance
@@ -32,8 +32,7 @@ def test_poisson_1d_analytic_oracle():
     def u_exact(x, y):
         return y * (1 - abs(y)) / 2.0
 
-    rhs, exact = dl.manufactured_problem(u_exact, op, mode="analytic",
-                                         f=lambda x, y: 1.0)
+    rhs, exact = op.rhs(f=lambda x, y: 1.0, trace=u_exact), exact_field(g, u_exact)
     rep = dl.solve_linear(op, rhs)
     assert np.max(np.abs(rep.field.values - exact.values)) <= 1e-4
 
@@ -90,7 +89,7 @@ def test_planar_systems_factor_directly():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 64)
     assert g.ncells > dl.assembly.DIRECT_SOLVE_MAX
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
-    rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
+    rhs, exact = dl.manufactured_problem(lambda x, y: y, op)
     rep = dl.solve_linear(op, rhs)
     assert rep.method == "direct-sparse-lu"
     assert rep.iterations == 0 and rep.info == 0 and rep.converged
@@ -102,7 +101,7 @@ def test_iterative_solves_report_info(monkeypatch):
     monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 10)
     g = dl.build_half_grid(2, "half_rectangle", 1 / 8)
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
-    rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
+    rhs, exact = dl.manufactured_problem(lambda x, y: y, op)
     rep = dl.solve_linear(op, rhs)
     assert rep.method == "cg-jacobi"
     assert rep.info == 0 and rep.converged and rep.iterations > 0
@@ -115,7 +114,7 @@ def test_failed_krylov_solve_falls_back_to_lu(monkeypatch):
     monkeypatch.setattr(dl.assembly, "ITERATION_CAP", 1)
     g = dl.build_half_grid(2, "half_rectangle", 1 / 4)
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
-    rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
+    rhs, exact = dl.manufactured_problem(lambda x, y: y, op)
     rep = dl.solve_linear(op, rhs)
     assert rep.method == "direct-sparse-lu"
     assert rep.info == 1 and rep.iterations == 1 and rep.converged
@@ -147,7 +146,7 @@ def test_parity_mismatch_rejected():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
     with pytest.raises(ParityError):
-        dl.manufactured_problem(lambda x, y: 1.0 + y * y, op, mode="discrete")
+        dl.manufactured_problem(lambda x, y: 1.0 + y * y, op)
 
 
 @pytest.mark.parametrize("model,parity", [("auxiliary", "even"), ("rho", "odd")])
@@ -188,8 +187,7 @@ def test_convergence_study_second_order():
             return (np.pi ** 2 * np.sin(np.pi * x) * y * (1 + y * y) * 0.25
                     - np.sin(np.pi * x) * 6.0 * y * 0.25)
 
-        rhs, exact = dl.manufactured_problem(ue, op, mode="analytic", f=f)
-        return op, rhs, exact
+        return op, op.rhs(f=f, trace=ue), exact_field(g, ue)
 
     rows, _ = dl.convergence_study(factory, [1 / 8, 1 / 16, 1 / 32])
     last_order = rows[-1][2]
@@ -213,8 +211,7 @@ def test_convergence_study_weighted_interior_order():
     def factory(h):
         g = dl.build_half_grid(1, "half_rectangle", h)
         op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(a, 0.0)), parity="odd")
-        rhs, exact = dl.manufactured_problem(ue, op, mode="analytic", f=f)
-        return op, rhs, exact
+        return op, op.rhs(f=f, trace=ue), exact_field(g, ue)
 
     rows, _ = dl.convergence_study(factory, [1 / 16, 1 / 32, 1 / 64],
                                 region=lambda x, y: y >= 0.1)
@@ -227,7 +224,7 @@ def test_convergence_study_exact_flag():
     def factory(h):
         g = dl.build_half_grid(1, "half_rectangle", h)
         op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
-        rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
+        rhs, exact = dl.manufactured_problem(lambda x, y: y, op)
         return op, rhs, exact
 
     rows, _ = dl.convergence_study(factory, [1 / 8, 1 / 16, 1 / 32])

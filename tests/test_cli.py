@@ -191,8 +191,8 @@ def test_fermi_demo_solves_once_per_eps(tmp_path, monkeypatch):
     for name, mode, restricted in (("fermi_c0.csv", "ratio_c0", "none"),
                                    ("fermi_c1_restricted.csv", "ratio_c1", "sqrt_eps"),
                                    ("fermi_c1_unrestricted.csv", "ratio_c1", "none")):
-        rep = holder.epsilon_sweep(fam, eps_list, 0.4, mode=mode, grid_h=1 / 16,
-                                   restricted=restricted)
+        rep = holder.measure_sweep(fam, holder.solve_family(fam, eps_list, grid_h=1 / 16), 0.4,
+                                   mode=mode, restricted=restricted)
         rows = (tmp_path / name).read_text().splitlines()
         rows = rows[rows.index("eps,seminorm,sup_norm") + 1:]
         assert rows == [",".join(map(fmt, row)) for row in rep.per_eps]

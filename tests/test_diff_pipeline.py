@@ -51,7 +51,7 @@ def test_lists_identical_and_differing_files(tmp_path, change, code, listed):
     identical = out.split("identical: ")[1].split("differ: ")[0].split()[2:]
     differ = out.split("differ: ")[1].splitlines()[1:]
     assert sorted(identical) == sorted(set(BASE) - set(listed))
-    assert sorted(line.split() for line in differ) == sorted([f, d] for f, d in listed.items())
+    assert sorted(line.split()[:2] for line in differ) == sorted([f, d] for f, d in listed.items())
 
 
 def test_identical_trees_and_exit_codes(tmp_path):
@@ -60,3 +60,21 @@ def test_identical_trees_and_exit_codes(tmp_path):
     assert rc == 0 and "identical: 3 files" in out and "differ: 0 files" in out
     rc, out = _run(parent, _tree(tmp_path / "crash", BASE, code=3))
     assert rc == 1 and "parent 1, change 3" in out
+
+
+def test_points_at_the_largest_deviation(tmp_path):
+    """Each differing file names the line and the column of its largest
+    deviation: the CSV header field, or the key of a key=value pair.  A 0
+    printed as -0 deviates by 0."""
+    csv = "# degenlab 0.1.0\nid,lambda,residual\nt,0.5,1e-12\nu,0.25,2e-12\nz,0,0\n"
+    txt = "# certificates\nv_minimum t=1.5 value=0.25\n"
+    parent = _tree(tmp_path / "parent", {"e.csv": csv, "c.txt": txt})
+    other = _tree(tmp_path / "change", {
+        "e.csv": csv.replace("1e-12", "1.5e-12").replace("0.25", "0.2500001")
+                    .replace("z,0,", "z,-0,"),
+        "c.txt": txt.replace("t=1.5", "t=1.50001").replace("value=0.25", "value=0.3")})
+    rc, out = _run(parent, other)
+    assert rc == 1
+    differ = dict(line.split(None, 1) for line in out.split("differ: ")[1].splitlines()[1:])
+    assert differ == {"e.csv": "0.333  line 3, column residual",
+                      "c.txt": "0.167  line 2, column value"}

@@ -8,6 +8,16 @@ import pytest
 import degenlab as dl
 
 
+def _line(origin=(0.0, 0.0), direction=(1.0, 0.0), length=1.0):
+    """The straight segment t -> origin + t length e, e the unit vector along
+    direction, at a scalar t."""
+    o = np.asarray(origin, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d) * length
+    return dl.EmbeddedCurve(psi=lambda t: o + t * d, dpsi=lambda t: d,
+                            curvature=lambda t: 0.0)
+
+
 def test_half_rectangle_counts():
     g = dl.build_half_grid(1, "half_rectangle", 0.25)
     assert g.ncells == 8 * 4
@@ -42,8 +52,8 @@ def test_refinement_quadruples_and_nests():
     g1 = dl.build_half_grid(1, "half_rectangle", 0.125)
     g2 = dl.build_half_grid(1, "half_rectangle", 0.0625)
     assert g2.ncells == 4 * g1.ncells
-    # coarse sigma-face midpoints are fine sigma-skeleton nodes
-    mids = g1.sigma_face_midpoints()[:, 0]
+    # coarse sigma-face midpoints (the bottom-row centres' x) are fine sigma-skeleton nodes
+    mids = g1.centers[g1.index[:, 0], 0]
     fine_nodes = -1.0 + np.arange(2 * g2.nx + 1) * (g2.h / 2)
     for m in mids:
         assert np.min(np.abs(fine_nodes - m)) < 1e-12
@@ -57,7 +67,7 @@ def test_no_cell_on_sigma():
 
 
 def test_fermi_mu_line_and_circle():
-    line = dl.EmbeddedCurve.line((0.0, 0.0), (1.0, 0.0), length=1.0)
+    line = _line((0.0, 0.0), (1.0, 0.0), length=1.0)
     assert dl.fermi_mu(line, 0.3, 0.7) == pytest.approx(1.0)
     circ = dl.EmbeddedCurve.circle(2.0, arc=1.0)
     assert dl.fermi_mu(circ, 0.2, 0.5) == pytest.approx(0.75)
@@ -106,17 +116,17 @@ def test_mean_curvature_two_ways(R):
 
 
 def test_mean_curvature_line():
-    line = dl.EmbeddedCurve.line()
+    line = _line()
     assert line.curvature(0.4) == 0.0
     assert _mean_curvature_from_mu(line, 0.4, 0.2) == 0.0
 
 
 def test_fermi_map_of_line_is_closed_form():
     # Z(t, y) = origin + t length e + y e_perp, e_perp the left normal of e
-    line = dl.EmbeddedCurve.line((-0.5, 0.0), (1.0, 0.0), length=2.0)
+    line = _line((-0.5, 0.0), (1.0, 0.0), length=2.0)
     assert line.point(0.4, 0.2) == pytest.approx([0.3, 0.2], abs=1e-15)
     e = np.array([3.0, 4.0]) / 5.0
-    slant = dl.EmbeddedCurve.line((1.0, -1.0), (3.0, 4.0), length=0.5)
+    slant = _line((1.0, -1.0), (3.0, 4.0), length=0.5)
     for t in (0.0, 0.3, 1.0):
         for y in (-0.2, 0.0, 0.7):
             want = np.array([1.0, -1.0]) + 0.5 * t * e + y * np.array([-e[1], e[0]])
@@ -128,7 +138,7 @@ def test_fermi_chart_is_orthogonal_with_unit_normal():
     the signed distance to the curve inside the chart (|grad y| = 1)."""
     step = 1e-6
     for curve in (dl.EmbeddedCurve.circle(2.0, center=(0.3, -0.2), arc=3.0, theta0=0.2),
-                  dl.EmbeddedCurve.line((1.0, -1.0), (3.0, 4.0), length=0.5)):
+                  _line((1.0, -1.0), (3.0, 4.0), length=0.5)):
         for t in (0.1, 0.5, 0.9):
             for y in (-0.4, 0.0, 0.4):
                 zy = (curve.point(t, y + step) - curve.point(t, y - step)) / (2 * step)
@@ -139,7 +149,7 @@ def test_fermi_chart_is_orthogonal_with_unit_normal():
 
 
 def test_degenerate_parametrization_rejected():
-    still = dl.EmbeddedCurve.line((0.2, 0.1), (1.0, 0.0), length=0.0)
+    still = _line((0.2, 0.1), (1.0, 0.0), length=0.0)
     with pytest.raises(ValueError, match="degenerate"):
         still.point(0.5, 0.1)
 

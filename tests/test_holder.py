@@ -139,7 +139,7 @@ def test_sweep_abort_carries_partial_table(monkeypatch):
     # an unreachable solver tolerance forces the failure on the first eps
     monkeypatch.setattr(dl.assembly, "SOLVER_TOL", 1e-30)
     with pytest.raises(dl.SweepAbort) as exc:
-        dl.epsilon_sweep(fam, [1.0, 0.1], 0.4, grid_h=1 / 16)
+        dl.epsilon_sweep(fam, [1.0, 0.1], 0.4, mode="ratio_c0", grid_h=1 / 16)
     assert isinstance(exc.value.partial, list)
 
 
@@ -181,7 +181,7 @@ def test_sweep_a0_exactly_uniform():
     fam = dl.ProblemFamily(a=0.0, f=lambda x, y: y * np.cos(np.pi * x),
                            trace_factor=lambda x, y: np.cos(np.pi * x / 2),
                            name="flat")
-    rep = dl.epsilon_sweep(fam, [1.0, 0.1, 0.0], 0.4, grid_h=1 / 16)
+    rep = dl.epsilon_sweep(fam, [1.0, 0.1, 0.0], 0.4, mode="ratio_c0", grid_h=1 / 16)
     assert rep.uniformity_ratio == pytest.approx(1.0, abs=1e-9)
     assert abs(rep.trend_slope) < 1e-9
     assert rep.passed
@@ -203,15 +203,16 @@ def test_exponent_fit_flags_alpha_above_one_minus_a():
 def test_sweep_restricted_region_skips_large_eps():
     fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5,
                            trace_factor=lambda x, y: 1.0 + 0.1 * y * y, name="r")
-    rep = dl.epsilon_sweep(fam, [1.0, 0.04, 0.0], 0.4, mode="ratio_c1",
-                           grid_h=1 / 16, restricted="sqrt_eps")
-    eps_used = [e for e, *_ in rep.per_eps]
-    assert 1.0 not in eps_used                      # sqrt(1) exceeds the region
-    assert 0.0 in eps_used
+    eps_list, h = [1.0, 0.04, 0.0], 1 / 16
+    admitted = dl.holder.admissible_eps(eps_list, h, restricted="sqrt_eps")
+    assert admitted == [0.04, 0.0]                  # sqrt(1) exceeds the region
+    rep = dl.measure_sweep(fam, dl.solve_family(fam, admitted, grid_h=h), 0.4,
+                           mode="ratio_c1", restricted="sqrt_eps")
+    assert [e for e, *_ in rep.per_eps] == admitted
     assert rep.restricted == "sqrt_eps"
     assert rep.trend_slope == 0.0       # fitted over the eps measured: one is positive
     # measured from solves of every eps, eps = 1 included, the table is the same
-    solutions = dl.solve_family(fam, [1.0, 0.04, 0.0], grid_h=1 / 16)
+    solutions = dl.solve_family(fam, eps_list, grid_h=h)
     rep_all = dl.measure_sweep(fam, solutions, 0.4, mode="ratio_c1", restricted="sqrt_eps")
     assert rep_all.per_eps == rep.per_eps
     assert rep_all.trend_slope == 0.0 and rep_all.passed == rep.passed
@@ -253,7 +254,7 @@ def test_sweep_integrates_each_segment_once(monkeypatch):
     h = 1 / 16
     g = dl.build_half_grid(1, "half_rectangle", h)
     eps_list = [1.0, 0.1, 0.0]
-    dl.epsilon_sweep(fam, eps_list, 0.4, grid_h=h)
+    dl.epsilon_sweep(fam, eps_list, 0.4, mode="ratio_c0", grid_h=h)
     nres, nside = g.nx * (g.ny + 1), 2 * g.ny
     per_eps = [((nres, 1), (nres, 21)), (((g.nx + 1) * g.ny,), ((g.nx + 1) * g.ny,)),
                ((nside, 1), (nside, 21))]
@@ -279,8 +280,8 @@ def test_sweep_seminorms_equal_all_pairs(monkeypatch, mode, restricted):
     fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * np.cos(np.pi * x),
                            trace_factor=lambda x, y: np.cos(np.pi * x / 2.0),
                            mu_inverse=lambda x, y: 1.0 / (1.0 + 0.1 * x * x), name="exact")
-    rep = dl.epsilon_sweep(fam, [1.0, 0.03, 0.01, 0.001, 0.0], 0.4, mode=mode,
-                           grid_h=1 / 16, restricted=restricted)
+    solutions = dl.solve_family(fam, [1.0, 0.03, 0.01, 0.001, 0.0], grid_h=1 / 16)
+    rep = dl.measure_sweep(fam, solutions, 0.4, mode=mode, restricted=restricted)
     assert len(seen) == len(rep.per_eps)
     for (field, alpha, region, out), (_, semi, _) in zip(seen, rep.per_eps):
         if mode == "ratio_c0":
@@ -337,7 +338,7 @@ def test_sweep_rhs_matches_quad_trace_reference(monkeypatch):
     fam = dl.ProblemFamily(a=a, f=f, trace_factor=trace_factor, mu_inverse=mu_inv,
                            name="fermi")
     eps_list = [1.0, 0.1, 0.01, 0.0]
-    dl.epsilon_sweep(fam, eps_list, 0.4, grid_h=1 / 16)
+    dl.epsilon_sweep(fam, eps_list, 0.4, mode="ratio_c0", grid_h=1 / 16)
     assert len(seen) == len(eps_list)
     for eps, (op, got) in zip(eps_list, seen):
         want = rhs(op, f=f, trace=reference_trace(eps))

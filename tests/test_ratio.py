@@ -65,17 +65,6 @@ def test_ratio_power_cosine():
     assert np.max(np.abs(w.values - want.values)) < 1e-12
 
 
-def test_reconstruct_round_trip():
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
-    sol = dl.CharacteristicSolution(dl.WeightFamily(-0.8, 0.05))
-    rng_vals = np.cos(np.arange(g.ncells) * 0.7)     # deterministic 'random' even field
-    w = dl.DiscreteField(g, rng_vals, "even")
-    u = dl.reconstruct(w, sol)
-    w2 = dl.ratio_field(u, sol)
-    assert u.parity == "odd"
-    assert np.max(np.abs(w2.values - w.values)) < 1e-12
-
-
 def _field_problem():
     """A quadratic-mu problem with a field F that vanishes on the plane."""
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1),

@@ -27,7 +27,7 @@ def _convergence(region):
     def factory(h):
         g = dl.build_half_grid(1, "half_rectangle", h)
         op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
-        rhs, exact = dl.manufactured_problem(lambda x, y: y, op, mode="discrete")
+        rhs, exact = dl.manufactured_problem(lambda x, y: y, op)
         return op, rhs, exact
 
     dl.convergence_study(factory, [1 / 4, 1 / 8, 1 / 16], region=region)
@@ -35,7 +35,7 @@ def _convergence(region):
 
 def _sweep(trace_factor):
     fam = dl.ProblemFamily(a=0.5, trace_factor=trace_factor, name="contract")
-    dl.epsilon_sweep(fam, [1.0, 0.0], 0.4, grid_h=1 / 8)
+    dl.epsilon_sweep(fam, [1.0, 0.0], 0.4, "ratio_c0", 1 / 8)
 
 
 def _odd_field(shape="half_rectangle"):
@@ -57,7 +57,7 @@ ROLES = {
     "trace": (lambda s: _op().rhs(trace=s), 1,
               lambda x, y: np.cos(x) * y, lambda x, y: math.cos(x) * y),
     # the parity probes and the cell centres
-    "u_exact": (lambda s: dl.manufactured_problem(s, _op(), mode="discrete"), 2,
+    "u_exact": (lambda s: dl.manufactured_problem(s, _op()), 2,
                 lambda x, y: np.cos(x) * y, lambda x, y: math.cos(x) * y),
     # one call per grid of the study
     "region": (_convergence, 3,

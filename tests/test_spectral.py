@@ -13,8 +13,9 @@ from scipy.special import roots_jacobi, roots_legendre
 import degenlab as dl
 import degenlab.spectral as spectral
 from degenlab.potentials import potentials
-from degenlab.spectral import (HalfDiskMesh, _conjugated_forms, _hardy_factors, _trace_factors,
-                               assemble_arc_mass, assemble_forms)
+from degenlab.spectral import (HalfDiskMesh, _conjugated_forms, _hardy_factors,
+                               _separable_eigen, _trace_factors, assemble_arc_mass,
+                               assemble_forms)
 from degenlab.weights import rho
 
 
@@ -48,17 +49,11 @@ def test_trace_eigen_supersingular_exponents():
 
 
 def test_trace_routes_agree_in_integrable_range():
+    mesh = HalfDiskMesh.from_h(H_MID)
     for b in (0.5, -0.5):
-        d = dl.trace_eigen(b, 0.0, H_MID, route="direct")
-        t = dl.trace_eigen(b, 0.0, H_MID, route="transformed")
-        assert d.lam == pytest.approx(t.lam, abs=0.02)
-
-
-def test_trace_direct_route_rejects_supersingular():
-    with pytest.raises(ValueError):
-        dl.trace_eigen(-1.5, 0.0, H_COARSE, route="direct")
-    with pytest.raises(ValueError):
-        dl.trace_eigen(1.2, 0.0, H_COARSE)
+        d, t = (_separable_eigen(mesh, *_trace_factors(mesh, b, r))[0]
+                for r in ("direct", "transformed"))
+        assert d == pytest.approx(t, abs=0.02)
 
 
 def test_conformity_monotone_under_refinement():
@@ -210,7 +205,9 @@ def _eigen_result(case, h):
     kind, b, eps = case
     if kind == "hardy":
         return dl.hardy_quotient(None if b is None else dl.WeightFamily(b, eps), h)
-    return dl.trace_eigen(b, eps, h, route=kind)
+    res = dl.trace_eigen(b, eps, h)
+    assert res.route == kind
+    return res
 
 
 # eps = 0 trace and flat Hardy pencils take the separable solve, the others
@@ -236,7 +233,7 @@ def test_eigen_solve_gives_smallest_eigenvalue(case, h):
     K, M, free = _pencil(case, mesh)
     res = _eigen_result(case, h)
     assert res.lam == pytest.approx(_dense_lambdas(K, M, free)[0], rel=1e-12)
-    v = res.eigenvector.values
+    v = res.eigenvector
     kv, mv = K[free][:, free] @ v[free], M[free][:, free] @ v[free]
     assert np.linalg.norm(kv - res.lam * mv) / np.linalg.norm(kv) == pytest.approx(
         res.residual, abs=1e-12)
@@ -321,6 +318,8 @@ def test_mesh_and_trace_reject_values_they_cannot_run_on():
             HalfDiskMesh.from_h(h)
     with pytest.raises(ValueError, match="eps must be >= 0"):
         dl.trace_eigen(0.5, -0.1, 1 / 8)
+    with pytest.raises(ValueError, match="b < 1"):
+        dl.trace_eigen(1.2, 0.0, 1 / 8)
 
 
 def test_eigen_sweep_rejects_nonpositive_r():

@@ -102,7 +102,6 @@ def test_chi_eps_to_zero_monotone_pointwise():
 def test_parities(a, eps, y):
     fam = dl.WeightFamily(a, eps)
     assert dl.rho(fam, y) == dl.rho(fam, -y)
-    assert dl.omega(fam, y) == dl.omega(fam, -y)
     assert dl.chi(fam, -y) == pytest.approx(-dl.chi(fam, y), rel=1e-12)
     sol = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 1.0 / (1.0 + s * s))
     assert dl.v_char(sol, 0.3, -y) == pytest.approx(-dl.v_char(sol, 0.3, y), rel=1e-9)
@@ -149,17 +148,6 @@ def test_psi_sup_inf_bounds(a):
     # probed values never leave the band
     assert vals.max() <= max(1.0, 1.0 - a) + 1e-9
     assert vals.min() >= min(1.0, 1.0 - a) - 1e-9
-
-
-def test_omega_values():
-    assert dl.omega(dl.WeightFamily(0.0, 0.2), 0.4) == pytest.approx(0.16)
-    assert dl.omega(dl.WeightFamily(0.5, 0.0), 0.5) == pytest.approx(0.5 ** 1.5)
-    # Taylor oracle: for eps=1, a=-1: omega/y^2 -> rho(0) * (1-a)^2 * (chi'(0))^2 = 1*4*1...
-    # chi(y) ~ rho^{-a}(0) y = y, omega ~ rho(0)*(1-a)^2*y^2 -> omega/y^2 -> (1-a)^2 * rho(0)^{1-2a}...
-    fam = dl.WeightFamily(-1.0, 1.0)
-    y = 1e-6
-    want = dl.rho(fam, 0.0) * (1 - (-1.0)) ** 2 * (1.0) ** 2  # chi'(0) = rho^{-a}(0) = 1
-    assert dl.omega(fam, y) / (y * y) == pytest.approx(want, rel=1e-6)
 
 
 def test_v_char_constant_and_scaled_mu():
