@@ -58,12 +58,10 @@ from .assembly import (
 from .ratio import (
     OddProblem,
     ratio_field,
-    verify_ratio_equation,
 )
 from .spectral import (
     EigenResult,
     HalfDiskMesh,
-    eigen_stability_sweep,
     growth_monitor,
     hardy_quotient,
     trace_eigen,

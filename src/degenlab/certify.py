@@ -20,7 +20,7 @@ the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -51,9 +51,9 @@ class CertificationReport:
     lipschitz_estimate: float
     passed: bool
     method: str
-    status: str = "decided"          # 'decided' | 'undecided'
-    min_sample: float = math.inf
-    argmin: tuple = ()
+    status: str                      # 'decided' | 'undecided'
+    min_sample: float
+    argmin: tuple
 
     def record(self) -> str:
         """Line-oriented text record consumed by the CLI."""
@@ -220,19 +220,9 @@ def verify_phi_bound(a_samples: Sequence[float], budget: int = 200_000):
         bound = min(core.certified_infimum_lower_bound, tails)
         decided = core.status == "decided"
         passed = decided and core.passed and tails > -0.25
-        reports.append(CertificationReport(
-            target_id=core.target_id,
-            domain=(lo, hi),
-            certified_infimum_lower_bound=bound,
-            threshold=-0.25,
-            samples_used=core.samples_used,
-            lipschitz_estimate=core.lipschitz_estimate,
-            passed=passed,
-            method=core.method + "; tails: " + note,
-            status=core.status,
-            min_sample=min(core.min_sample, tails),
-            argmin=core.argmin,
-        ))
+        reports.append(replace(core, certified_infimum_lower_bound=bound, passed=passed,
+                               method=core.method + "; tails: " + note,
+                               min_sample=min(core.min_sample, tails)))
     return reports
 
 

@@ -38,7 +38,7 @@ from .geometry import EmbeddedCurve, build_half_grid, fermi_mu
 from .holder import (SLOPE_TOL, TAU, ProblemFamily, _check_mode, admissible_eps, epsilon_sweep,
                      measure_sweep, solve_family)
 from .potentials import v_limit, v_limit_deriv
-from .spectral import HalfDiskMesh, eigen_stability_sweep, hardy_quotient, trace_eigen
+from .spectral import HalfDiskMesh, hardy_quotient, trace_eigen
 from .weights import WeightFamily
 
 
@@ -182,13 +182,14 @@ def cmd_eigen(cfg: dict) -> int:
         res = trace_eigen(a - 2.0, eps, h)
         rows.append(res.csv_row())
         ok &= abs(res.lam - (3.0 - a)) <= 0.1
-    hres = hardy_quotient(None, h)
+    hres = hardy_quotient(h)
     rows.append(hres.csv_row())
     ok &= hres.lam >= 0.25                   # conformity bound at every h
     if h <= 1.0 / 64 + 1e-12:
         ok &= hres.lam <= 0.40               # bracketed value at the reference h
-    for r, lam, res in eigen_stability_sweep(sweep_a, r_list, h):
-        rows.append((f"lambda_r[a={sweep_a:g}]", sweep_a, r, h, lam, res))
+    for r in r_list:                         # lam_r -> 1 - sweep_a as r grows
+        res = trace_eigen(sweep_a, 1.0 / r, h)
+        rows.append((f"lambda_r[a={sweep_a:g}]", sweep_a, r, h, res.lam, res.residual))
     header = [f"config-hash: {_config_hash(cfg)}",
               f"grid: half-disk polar mesh, h={fmt(h)}",
               "tolerances: trace 0.05, auxiliary 0.1, hardy [0.25,0.40]"]

@@ -143,28 +143,21 @@ class EmbeddedCurve:
         return np.asarray(self.psi(t), dtype=float) + y * self.normal(t)
 
     @staticmethod
-    def circle(radius: float, center=(0.0, 0.0), arc: float = 1.0,
-               theta0: float = 0.0) -> "EmbeddedCurve":
-        """Arc of a circle, counter-clockwise from angle theta0 with constant
-        speed = ``arc`` length; the normal points to the center, so the Fermi
-        ordinate grows toward it (kappa = +1/R)."""
-        c = np.asarray(center, dtype=float)
+    def circle(radius: float, arc: float = 1.0, theta0: float = 0.0) -> "EmbeddedCurve":
+        """Arc of the circle about the origin, counter-clockwise from angle
+        theta0 with constant speed = ``arc`` length; the normal points to the
+        origin, so the Fermi ordinate grows toward it (kappa = +1/R)."""
         kap = 1.0 / radius
 
         def psi(t):
             th = theta0 + arc * t / radius
-            return _lead(c, t) + radius * np.array([np.cos(th), np.sin(th)])
+            return radius * np.array([np.cos(th), np.sin(th)])
 
         def dpsi(t):
             th = theta0 + arc * t / radius
             return arc * np.array([-np.sin(th), np.cos(th)])
 
         return EmbeddedCurve(psi=psi, dpsi=dpsi, curvature=lambda t: kap)
-
-
-def _lead(v: np.ndarray, t) -> np.ndarray:
-    """A plane vector v with t's axes appended, so that it broadcasts against t."""
-    return v.reshape((2,) + (1,) * np.ndim(t))
 
 
 def fermi_mu(curve: EmbeddedCurve, x, y):

@@ -142,10 +142,8 @@ def c1alpha_seminorm(field: DiscreteField, alpha: float,
 
 @dataclass(frozen=True)
 class ExponentEstimate:
-    alpha_hat: float          # capped at 1
-    alpha_raw: float          # least-squares slope as fitted
+    alpha_hat: float          # least-squares slope, capped at 1
     smooth: bool
-    oscillations: tuple
 
 
 def exponent_estimate(field: DiscreteField, center_on_sigma) -> ExponentEstimate:
@@ -153,7 +151,7 @@ def exponent_estimate(field: DiscreteField, center_on_sigma) -> ExponentEstimate
     around a plane point.
 
     osc(r) = max - min of the field on {r/2 < |z - z0| <= r}; a flat field
-    (all oscillations below ``NOISE_FLOOR``) sets the smooth flag."""
+    (every osc(r) below ``NOISE_FLOOR``) sets the smooth flag."""
     g = field.grid
     z0 = np.asarray(center_on_sigma, dtype=float)
     d = np.linalg.norm(g.centers - z0[None, :], axis=1)
@@ -168,15 +166,12 @@ def exponent_estimate(field: DiscreteField, center_on_sigma) -> ExponentEstimate
             # the half-annulus touches the plane, where an odd field's trace is 0
             lo, hi = min(lo, 0.0), max(hi, 0.0)
         oscs.append(hi - lo)
-    oscs_t = tuple(oscs)
     if max(oscs) < NOISE_FLOOR:
-        return ExponentEstimate(alpha_hat=math.inf, alpha_raw=math.inf,
-                                smooth=True, oscillations=oscs_t)
+        return ExponentEstimate(alpha_hat=math.inf, smooth=True)
     lr = np.log(np.asarray(EXPONENT_RADII))
     lo = np.log(np.maximum(oscs, 1e-300))
     slope = float(np.polyfit(lr, lo, 1)[0])
-    return ExponentEstimate(alpha_hat=min(slope, 1.0), alpha_raw=slope,
-                            smooth=False, oscillations=oscs_t)
+    return ExponentEstimate(alpha_hat=min(slope, 1.0), smooth=False)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +201,6 @@ class ProblemFamily:
 @dataclass
 class StabilityReport:
     alpha: float
-    region: Region
     per_eps: list                     # (eps, seminorm, sup_norm)
     uniformity_ratio: float
     trend_slope: float
@@ -217,9 +211,10 @@ class StabilityReport:
     restricted: str = "none"
 
     def verdict(self) -> str:
+        region = Region()
         lines = [f"family={self.family} mode={self.mode} alpha={self.alpha:g} "
-                 f"h={self.grid_h:g} region=|x|<={self.region.x_halfwidth:g},"
-                 f"y<={self.region.y_max:g}"]
+                 f"h={self.grid_h:g} region=|x|<={region.x_halfwidth:g},"
+                 f"y<={region.y_max:g}"]
         for eps, s, sup in self.per_eps:
             lines.append(f"  eps={eps:<6g} seminorm={s:.6g} sup={sup:.6g}")
         lines.append(f"  uniformity_ratio={self.uniformity_ratio:.4g} (tau={TAU:g})  "
@@ -297,7 +292,7 @@ def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha
     ratio = float(np.max(semis) / lo) if lo > 0 else (1.0 if np.max(semis) == 0 else math.inf)
     slope = _trend_slope([p[0] for p in per_eps], semis)
     passed = ratio <= TAU and slope <= SLOPE_TOL
-    return StabilityReport(alpha=alpha, region=Region(), per_eps=per_eps,
+    return StabilityReport(alpha=alpha, per_eps=per_eps,
                            uniformity_ratio=ratio, trend_slope=slope,
                            passed=bool(passed), mode=mode, family=family.name,
                            grid_h=solutions[0].u.grid.h, restricted=restricted)

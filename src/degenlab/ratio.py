@@ -14,29 +14,30 @@ the product rule for u = v w.  Since rho mu d_y v = 1 - a (n = 1),
 so that -w v L v = div(rho v^2 w b) - rho v^2 b.(w grad(v)/v + grad w) with
 the drift b = (mu d_x v / v, 0).  When mu does not depend on x, L v = 0 and
 the equation is the pure super-degenerate problem with weight
-rho v^2 ~ omega.  This module forms the quotient and verifies the equation
-by applying the assembled quotient operator to w, with L v from the
-assembled odd operator applied to v, and measuring the weighted residual.
+rho v^2 ~ omega.  This module forms the quotient, and :func:`aux_residual`
+measures how well w satisfies the equation on one grid: the assembled
+quotient operator applied to w, against the load with L v from the
+assembled odd operator applied to v, as a weighted residual.  Its decay
+under refinement is the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from .assembly import (
     AuxiliaryWeight,
     DiscreteField,
-    SOLVER_TOL,
     RhoWeight,
     _cell_weight_integrals,
     _column_values,
     assemble,
     solve_linear,
 )
-from .geometry import HalfGrid, Region, build_half_grid
+from .geometry import HalfGrid, Region
 from .weights import CharacteristicSolution, v_char_profile
 
 
@@ -80,25 +81,6 @@ class OddProblem:
     F: Optional[Callable] = None
     trace: Optional[Callable] = None
     u_exact: Optional[Callable] = None
-
-
-def verify_ratio_equation(problem: OddProblem, grid: HalfGrid) -> Tuple[float, bool]:
-    """Residual of w = u/v in the assembled quotient equation.
-
-    Solves the odd problem (or samples problem.u_exact), forms w, applies the
-    auxiliary operator, and measures the weighted mean-square residual of the
-    equation over cells at distance >= ``INTERIOR_MARGIN`` from the outer
-    boundary (where the first-order Dirichlet imposition pollutes).  The pass
-    threshold compares against 10 * (``SOLVER_TOL`` + C h^2), the truncation
-    constant C being estimated from one coarser-grid residual.
-    """
-    res_h = aux_residual(problem, grid)
-    h2 = min(0.25, 2.0 * grid.h)
-    coarse = build_half_grid(grid.n, grid.shape, h2)
-    res_2h = aux_residual(problem, coarse)
-    c_trunc = res_2h / (h2 * h2)
-    passed = res_h <= 10.0 * (SOLVER_TOL + c_trunc * grid.h ** 2)
-    return res_h, bool(passed)
 
 
 def aux_residual(problem: OddProblem, grid: HalfGrid) -> float:

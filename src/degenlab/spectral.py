@@ -14,7 +14,7 @@ Two assembly routes realize the weighted trace quotient:
   integrable (exponent > -1).  With eps = 0 the elements touching the plane
   integrate the singular/degenerate factor by Gauss-Jacobi rules matched to
   the exponent, and the weighted boundary mass drops the two arc nodes
-  adjacent to the plane.  The Hardy quotients take this route only.
+  adjacent to the plane.
 * transformed: substitute v = w^(1/2) u, turning the quotient into a flat
   Dirichlet form plus the closed-form potentials of
   :mod:`degenlab.potentials`; this is the only usable route once the weight
@@ -34,11 +34,10 @@ angular blocks mu_m B + D with one tridiagonal LDL^T, and applies Lanczos to
 the discrete Neumann-to-Dirichlet map of the arc (for Hardy, to the lowest
 angular block).  No two-dimensional matrix is assembled or factored.
 
-The other pencils (eps > 0, weighted Hardy) are assembled, and
-:func:`min_rayleigh` applies Lanczos to K^-1 M.  Numbered radius-fastest,
-the free dofs of the tensor mesh make K a band matrix of half-bandwidth
-nr + 1 (nr for Hardy, whose arc is fixed), factored once by LAPACK band
-Cholesky (``dpbtrf``, lower) and solved by ``dpbtrs``.  Both paths share
+The eps > 0 trace pencils are assembled, and :func:`min_rayleigh` applies
+Lanczos to K^-1 M.  Numbered radius-fastest, the free dofs of the tensor
+mesh make K a band matrix of half-bandwidth nr + 1, factored once by LAPACK
+band Cholesky (``dpbtrf``, lower) and solved by ``dpbtrs``.  Both paths share
 :func:`_lanczos_max`, in the mass (semi-)inner product from the all-ones
 start, and one finishing step: the Ritz vector is mapped once more through
 the solve, so it lies in the pencil's range, and lam and the residual
@@ -123,9 +122,6 @@ class HalfDiskMesh:
         j = np.arange(self.ntheta + 1)
         fixed[self.node_id(0, j)] = True
         return np.nonzero(~fixed)[0]
-
-    def arc_node_ids(self) -> np.ndarray:
-        return self.node_id(self.nr, np.arange(self.ntheta + 1))
 
 
 @dataclass
@@ -312,15 +308,13 @@ def assemble_forms(mesh: HalfDiskMesh, stiffness_weight: Callable,
     return K.tocsr(), M.tocsr()
 
 
-def _arc_elements(mesh: HalfDiskMesh, weight: Optional[Callable],
-                  skip_sigma_adjacent: bool) -> Tuple[np.ndarray, np.ndarray]:
+def _arc_elements(mesh: HalfDiskMesh, weight: Optional[Callable]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Arc segments j (from theta_j to theta_j+1) and their 2 x 2 element
     masses int weight(sin theta) N_a N_b dtheta, Gauss-Legendre per segment."""
     tn = mesh.theta_nodes
     gx, gw = _gauss_legendre(EDGE_ORDER)
     j = np.arange(mesh.ntheta)
-    if skip_sigma_adjacent:
-        j = j[1:-1]
     t0 = tn[j][:, None]
     ht = (tn[j + 1] - tn[j])[:, None]
     ta = t0 + (gx + 1.0) / 2.0 * ht
@@ -331,20 +325,17 @@ def _arc_elements(mesh: HalfDiskMesh, weight: Optional[Callable],
     return j, (c[:, :, None, None] * (N[:, :, :, None] * N[:, :, None, :])).sum(axis=1)
 
 
-def assemble_arc_mass(mesh: HalfDiskMesh, weight: Optional[Callable] = None,
-                      skip_sigma_adjacent: bool = False,
-                      exclude_nodes: Sequence[int] = ()) -> sp.csr_matrix:
-    """Boundary mass on the arc r = 1: int weight(y) u^2 dtheta.
+def assemble_arc_mass(mesh: HalfDiskMesh, weight: Optional[Callable]) -> sp.csr_matrix:
+    """Boundary mass on the arc r = 1: int weight(y) u^2 dtheta (weight 1
+    when None).
 
     ``weight`` must broadcast: it is called once, on the (segments, EDGE_ORDER)
-    array of y = sin(theta).  Rows and columns of ``exclude_nodes`` are zero."""
-    j, Me = _arc_elements(mesh, weight, skip_sigma_adjacent)
+    array of y = sin(theta)."""
+    j, Me = _arc_elements(mesh, weight)
     ends = np.stack([mesh.node_id(mesh.nr, j), mesh.node_id(mesh.nr, j + 1)], axis=1)
     rows = np.repeat(ends, 2, axis=1).ravel()
     cols = np.tile(ends, 2).ravel()
-    vals = Me.ravel()
-    keep = ~(np.isin(rows, exclude_nodes) | np.isin(cols, exclude_nodes))
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+    return sp.coo_matrix((Me.ravel(), (rows, cols)),
                          shape=(mesh.nnodes, mesh.nnodes)).tocsr()
 
 
@@ -404,17 +395,10 @@ def _angular_factors(mesh: HalfDiskMesh, weight: Callable, jac: Optional[float] 
     return _tridiagonal(mesh.ntheta + 1, mass), _tridiagonal(mesh.ntheta + 1, stiff)
 
 
-def _arc_factor(mesh: HalfDiskMesh, weight: Optional[Callable] = None,
-                skip_sigma_adjacent: bool = False):
+def _arc_factor(mesh: HalfDiskMesh, weight: Optional[Callable]):
     """The arc mass of :func:`assemble_arc_mass` as a tridiagonal over the
-    arc nodes; with ``skip_sigma_adjacent`` the two arc nodes next to the
-    plane are zero-mass rows, as the direct route excludes them."""
-    d, o = _tridiagonal(mesh.ntheta + 1, [_arc_elements(mesh, weight, skip_sigma_adjacent)])
-    if skip_sigma_adjacent:
-        for j in (1, mesh.ntheta - 1):
-            d[j] = 0.0
-            o[j - 1] = o[j] = 0.0
-    return d, o
+    arc nodes."""
+    return _tridiagonal(mesh.ntheta + 1, [_arc_elements(mesh, weight)])
 
 
 def _ones(s):
@@ -430,19 +414,23 @@ def _trace_factors(mesh: HalfDiskMesh, b: float, route: str):
     of the eps = 0 trace pencil K = A (x) B + C (x) D + W M, M = arc mass.
 
     direct: the weight |y|^b = r^b sin^b(theta) splits, with the Gauss-Jacobi
-    edge rows for b != 0.  transformed: the flat form, the domain potential
-    b (b - 2) / (4 y^2) = c r^-2 sin^-2(theta) joins D as c G, and the arc
-    potential is the constant W = -b/2."""
+    edge rows for b != 0, and then the two arc nodes next to the plane are
+    zero-mass rows (the route drops them).  transformed: the flat form, the
+    domain potential b (b - 2) / (4 y^2) = c r^-2 sin^-2(theta) joins D as
+    c G, and the arc potential is the constant W = -b/2."""
     if route == "direct":
         w = functools.partial(rho_weight, WeightFamily(b, 0.0))
         jac = b if b != 0.0 else None
-        return (_radial_factors(mesh, w), _angular_factors(mesh, w, jac),
-                _arc_factor(mesh, w, skip_sigma_adjacent=jac is not None), 0.0)
+        d, o = _arc_factor(mesh, w)
+        if jac is not None:
+            d[[1, -2]] = 0.0
+            o[[0, 1, -2, -1]] = 0.0
+        return (_radial_factors(mesh, w), _angular_factors(mesh, w, jac), (d, o), 0.0)
     B, D = _angular_factors(mesh, _ones)
     G, _ = _angular_factors(mesh, _inverse_square)
     c = b * (b - 2.0) / 4.0
     return (_radial_factors(mesh, _ones), (B, (D[0] + c * G[0], D[1] + c * G[1])),
-            _arc_factor(mesh), -b / 2.0)
+            _arc_factor(mesh, None), -b / 2.0)
 
 
 def _hardy_factors(mesh: HalfDiskMesh):
@@ -600,10 +588,11 @@ def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0
     return _finish(V, KV, MV, steps, mesh.nnodes, dofs)
 
 
-def _radius_fastest(mesh: HalfDiskMesh, free: np.ndarray) -> np.ndarray:
-    """The node numbers ``free`` ordered radius-fastest: by angular index, then
-    radial index.  The bilinear stencil then couples numbers at most one
+def _radius_fastest(mesh: HalfDiskMesh) -> np.ndarray:
+    """The free nodes of ``mesh`` ordered radius-fastest: by angular index,
+    then radial index.  The bilinear stencil then couples numbers at most one
     angular row of free radial nodes plus one apart."""
+    free = mesh.free_nodes()
     i, j = np.divmod(free, mesh.ntheta + 1)
     return free[np.lexsort((i, j))]
 
@@ -637,19 +626,19 @@ def _band_cholesky(K: sp.coo_matrix) -> np.ndarray:
     return c
 
 
-def min_rayleigh(mesh: HalfDiskMesh, K: sp.spmatrix, M: sp.spmatrix,
-                 free: np.ndarray) -> Tuple[float, np.ndarray, float, int]:
+def min_rayleigh(mesh: HalfDiskMesh, K: sp.spmatrix, M: sp.spmatrix
+                 ) -> Tuple[float, np.ndarray, float, int]:
     """Smallest generalized eigenvalue of (K, M) on the free dofs of ``mesh``.
 
     The free dofs are numbered radius-fastest, which makes K a band matrix
-    of half-bandwidth nr + 1 (nr when the arc is fixed); it is factored once
+    of half-bandwidth nr + 1; it is factored once
     by band Cholesky (:func:`_band_cholesky`) and :func:`_lanczos_max` runs
     on K^-1 M in the M (semi-)inner product, one dpbtrs per step.  The Ritz
     vector is mapped once more through K^-1 M, so it lies in the pencil's
     range even where M is singular (the arc mass).  Returns (lam,
     M-normalized eigenvector on all nodes, residual ||K v - lam M v|| /
     ||K v||, Lanczos steps)."""
-    perm = _radius_fastest(mesh, free)
+    perm = _radius_fastest(mesh)
     Kf = _renumbered(K, perm)
     factor = _band_cholesky(Kf)
     Kf, Mf = Kf.tocsr(), _renumbered(M, perm).tocsr()
@@ -705,48 +694,16 @@ def trace_eigen(b: float, eps: float, grid_h: float) -> EigenResult:
         else:
             K = _conjugated_forms(b, eps, mesh)
             M = assemble_arc_mass(mesh, None)
-        lam, vec, res, it = min_rayleigh(mesh, K, M, mesh.free_nodes())
+        lam, vec, res, it = min_rayleigh(mesh, K, M)
     return EigenResult(f"trace[b={b:g}]", b, eps, grid_h, lam, res, route, it, vec)
 
 
-def hardy_quotient(weight: Optional[WeightFamily], grid_h: float) -> EigenResult:
-    """min int w |grad u|^2 / int (w/y^2) u^2 over u vanishing on the plane
-    and on the arc, for w = rho of the family ``weight``, or w == 1 when it
-    is None; for w == 1 the continuum constant is 1/4 (not attained)."""
+def hardy_quotient(grid_h: float) -> EigenResult:
+    """min int |grad u|^2 / int u^2 / y^2 over u vanishing on the plane and on
+    the arc; the continuum constant is 1/4 (not attained)."""
     mesh = HalfDiskMesh.from_h(grid_h)
-    if weight is None:
-        a = eps = 0.0
-        lam, vec, res, it = _separable_eigen(mesh, *_hardy_factors(mesh), trace=False)
-    else:
-        a, eps = weight.a, weight.eps
-        if a <= -1.0 and eps == 0.0:
-            raise ValueError("hardy direct route requires a > -1 at eps=0")
-        jac = a if (eps == 0.0 and a != 0.0) else None
-        wfn = functools.partial(rho_weight, weight)
-
-        def mass(y):
-            return wfn(y) / (y * y)
-
-        K, M = assemble_forms(mesh, wfn, mass_weight=mass, sigma_jacobi_exponent=jac)
-        free = np.setdiff1d(mesh.free_nodes(), mesh.arc_node_ids())
-        lam, vec, res, it = min_rayleigh(mesh, K, M, free)
-    wid = "1" if weight is None else f"rho[a={a:g},eps={eps:g}]"
-    return EigenResult(f"hardy[w={wid}]", a, eps, grid_h, lam, res, "direct", it, vec)
-
-
-def eigen_stability_sweep(a: float, r_list: Sequence[float], grid_h: float) -> list:
-    """Table of (r, lam_r, residual) for the dilated weights rho(a, 1/r),
-    a in (-1, 1), r > 0; lam_r -> 1-a as r grows.  The residual is the eigen
-    solve's (see :func:`min_rayleigh`)."""
-    if not (-1.0 < a < 1.0):
-        raise ValueError("eigen stability sweep requires a in (-1, 1)")
-    if not all(r > 0.0 for r in r_list):
-        raise ValueError(f"eigen stability sweep requires every r > 0, got {list(r_list)}")
-    rows = []
-    for r in r_list:
-        res = trace_eigen(a, 1.0 / r, grid_h)
-        rows.append((r, res.lam, res.residual))
-    return rows
+    lam, vec, res, it = _separable_eigen(mesh, *_hardy_factors(mesh), trace=False)
+    return EigenResult("hardy[w=1]", 0.0, 0.0, grid_h, lam, res, "direct", it, vec)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_criterion_2_auxiliary_eigenvalue():
 # -- 3 -----------------------------------------------------------------------
 
 def test_criterion_3_hardy_constant():
-    lams = [dl.hardy_quotient(None, h).lam for h in (1 / 16, 1 / 32, 1 / 64)]
+    lams = [dl.hardy_quotient(h).lam for h in (1 / 16, 1 / 32, 1 / 64)]
     ok = 0.25 <= lams[-1] <= 0.40 and lams[0] >= lams[1] >= lams[2]
     report(3, ok, f"flat Hardy quotient {lams[-1]:.4f} in [0.25, 0.40], "
            f"monotone {['%.4f' % v for v in lams]}")

@@ -74,6 +74,7 @@ def test_usage_error_exit_code(tmp_path):
     (("sweep", "mu=quadratic:-1"), "mu", "-1"),
     (("eigen", "r_list=inf"), "r_list", "inf"),
     (("certify", "phi_a=-inf"), "phi_a", "-inf"),
+    (("eigen", "sweep_a=-1.5"), "sweep_a", "-1.5"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     """A value that does not parse, or that the command cannot run on, is a
@@ -108,6 +109,21 @@ def test_eigen_artifacts(tmp_path):
     assert "trace[b=0.5]" in text
 
 
+def test_eigen_lambda_r_rows_are_trace_quotients_of_dilated_weights(tmp_path):
+    """Each lambda_r row of eigen.csv is trace_eigen(sweep_a, 1/r, h), its
+    lambda and residual printed to 12 significant digits."""
+    assert _run(tmp_path, "eigen", "a=0.5", "h=1/16", "aux_a=0.5",
+                "r_list=1 4", "sweep_a=-0.5") == 0
+    rows = [line.split(",") for line in (tmp_path / "eigen.csv").read_text().splitlines()
+            if line.startswith("lambda_r")]
+    want = []
+    for r in (1.0, 4.0):
+        res = degenlab.trace_eigen(-0.5, 1.0 / r, 1 / 16)
+        want.append(["lambda_r[a=-0.5]", "-0.5", fmt(r), "0.0625", fmt(res.lam),
+                     fmt(res.residual)])
+    assert rows == want
+
+
 @pytest.mark.parametrize("h,code", [("1/64", 1), ("1/32", 0)])
 def test_hardy_upper_bracket_holds_at_the_reference_h(tmp_path, monkeypatch, h, code):
     """The Hardy quotient must lie in [0.25, 0.40] at h <= 1/64, and only
@@ -120,8 +136,7 @@ def test_hardy_upper_bracket_holds_at_the_reference_h(tmp_path, monkeypatch, h, 
         return EigenResult(quotient_id, 0.0, 0.0, 0.0, lam, 0.0, "fake", 0, None)
 
     monkeypatch.setattr(cli, "trace_eigen", lambda b, eps, h: result(f"trace[b={b:g}]", 1.0 - b))
-    monkeypatch.setattr(cli, "hardy_quotient", lambda weight, h: result("hardy", 0.41))
-    monkeypatch.setattr(cli, "eigen_stability_sweep", lambda a, r_list, h: [])
+    monkeypatch.setattr(cli, "hardy_quotient", lambda h: result("hardy", 0.41))
     assert _run(tmp_path, "eigen", f"h={h}") == code
 
 

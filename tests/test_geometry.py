@@ -137,7 +137,7 @@ def test_fermi_chart_is_orthogonal_with_unit_normal():
     """d/dy Z(t, y) is the unit normal and is orthogonal to d/dt Z, so y is
     the signed distance to the curve inside the chart (|grad y| = 1)."""
     step = 1e-6
-    for curve in (dl.EmbeddedCurve.circle(2.0, center=(0.3, -0.2), arc=3.0, theta0=0.2),
+    for curve in (dl.EmbeddedCurve.circle(2.0, arc=3.0, theta0=0.2),
                   _line((1.0, -1.0), (3.0, 4.0), length=0.5)):
         for t in (0.1, 0.5, 0.9):
             for y in (-0.4, 0.0, 0.4):
@@ -155,13 +155,13 @@ def test_degenerate_parametrization_rejected():
 
 
 def test_fermi_map_of_inward_circle_is_closed_form():
-    # Z(t, y) sits at distance R - y from the centre, on the ray through the
+    # Z(t, y) sits at distance R - y from the origin, on the ray through the
     # foot psi(t): the normal points to the centre
-    R, c = 2.0, np.array([0.3, -0.2])
-    curve = dl.EmbeddedCurve.circle(R, center=c, arc=2.0, theta0=0.7)
+    R = 2.0
+    curve = dl.EmbeddedCurve.circle(R, arc=2.0, theta0=0.7)
     for t in (0.15, 0.5, 0.85):
         th = 0.7 + 2.0 * t / R
         for y in (-0.3, 0.0, 0.4):
-            d = curve.point(t, y) - c
+            d = curve.point(t, y)
             assert np.linalg.norm(d) == pytest.approx(R - y, rel=1e-14)
             assert d / (R - y) == pytest.approx([math.cos(th), math.sin(th)], abs=1e-14)

@@ -109,12 +109,6 @@ def test_manufactured_residual_decays(a):
     assert r32 / r64 >= 3.0, (a, r32, r64)
 
 
-def test_verify_ratio_equation_passes_manufactured():
-    prob = make_manufactured(0.5)
-    res, ok = dl.verify_ratio_equation(prob, dl.build_half_grid(1, "half_rectangle", 1 / 32))
-    assert ok and res < 1e-2
-
-
 def _solved_power_problem(a):
     sol = dl.CharacteristicSolution(dl.WeightFamily(a, 0.0))
 
@@ -124,17 +118,10 @@ def _solved_power_problem(a):
     return dl.OddProblem(sol=sol, trace=trace)
 
 
-def test_verify_ratio_equation_solved_path():
-    prob = _solved_power_problem(0.5)
-    res, ok = dl.verify_ratio_equation(prob, dl.build_half_grid(1, "half_rectangle", 1 / 32))
-    assert ok
-
-
 def test_residual_leaves_out_the_cells_with_an_outer_face():
-    """At h = 1/4, the coarse grid of verify_ratio_equation at h = 1/8, the
-    cells with an outer face lie inside INTERIOR_MARGIN.  Both operators
-    carry Dirichlet terms without a trace there, which would read about 1.1;
-    the residual leaves those cells out."""
+    """At h = 1/4 the cells with an outer face lie inside INTERIOR_MARGIN.
+    Both operators carry Dirichlet terms without a trace there, which would
+    read about 1.1; the residual leaves those cells out."""
     prob = _solved_power_problem(0.5)
     assert aux_residual(prob, dl.build_half_grid(1, "half_rectangle", 1 / 4)) < 0.05
 

@@ -23,16 +23,6 @@ def _op():
     return dl.assemble(_grid(), dl.RhoWeight(dl.WeightFamily(0.5, 0.0)), parity="odd")
 
 
-def _convergence(region):
-    def factory(h):
-        g = dl.build_half_grid(1, "half_rectangle", h)
-        op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
-        rhs, exact = dl.manufactured_problem(lambda x, y: y, op)
-        return op, rhs, exact
-
-    dl.convergence_study(factory, [1 / 4, 1 / 8, 1 / 16], region=region)
-
-
 def _sweep(trace_factor):
     fam = dl.ProblemFamily(a=0.5, trace_factor=trace_factor, name="contract")
     dl.epsilon_sweep(fam, [1.0, 0.0], 0.4, "ratio_c0", 1 / 8)
@@ -59,9 +49,6 @@ ROLES = {
     # the parity probes and the cell centres
     "u_exact": (lambda s: dl.manufactured_problem(s, _op()), 2,
                 lambda x, y: np.cos(x) * y, lambda x, y: math.cos(x) * y),
-    # one call per grid of the study
-    "region": (_convergence, 3,
-               lambda x, y: np.floor(4 * y) >= 1, lambda x, y: math.floor(4 * y) >= 1),
     # the y-resistances, then mu = 1 / mu_inverse on the x-faces
     "mu_inverse": (lambda s: dl.assemble(_grid(), dl.RhoWeight(dl.WeightFamily(0.5, 0.1), s)),
                    2, lambda x, y: 1.0 / (1.0 + 0.1 * x * x),

@@ -1,4 +1,4 @@
-"""Trace/Hardy quotients, stability sweeps, growth monitor."""
+"""Trace/Hardy quotients, the lambda_r dilation rows, growth monitor."""
 
 import math
 
@@ -69,36 +69,27 @@ def test_rayleigh_quotient_consistency():
 
 
 def test_hardy_flat_bracket_and_monotonicity():
-    lams = [dl.hardy_quotient(None, h).lam for h in (1 / 16, 1 / 32, 1 / 64)]
+    lams = [dl.hardy_quotient(h).lam for h in (1 / 16, 1 / 32, 1 / 64)]
     assert all(l >= 0.25 for l in lams)            # conformity lower bound
     assert lams[0] >= lams[1] >= lams[2]           # nested spaces
     assert 0.25 <= lams[2] <= 0.40
 
 
-def test_hardy_weighted_stable_across_eps():
-    vals = [dl.hardy_quotient(dl.WeightFamily(0.5, e), H_COARSE).lam
-            for e in (0.0, 0.1, 1.0)]
-    assert all(v > 0.05 for v in vals)
-    assert max(vals) <= 5.0 * min(vals)
+def _lambda_r(a, r_list, h):
+    """The lambda_r rows of ``eigen``: the trace quotient of rho(a, 1/r)."""
+    return [dl.trace_eigen(a, 1.0 / r, h).lam for r in r_list]
 
 
 def test_eigen_sweep_constant_weight_cancels():
-    rows = dl.eigen_stability_sweep(0.0, [1.0, 4.0, 16.0], H_COARSE)
-    lams = [l for _, l, _ in rows]
+    lams = _lambda_r(0.0, [1.0, 4.0, 16.0], H_COARSE)
     assert max(lams) - min(lams) < 1e-9
     assert lams[0] == pytest.approx(dl.trace_eigen(0.0, 0.0, H_COARSE).lam, abs=1e-9)
 
 
 def test_eigen_sweep_rho_converges():
-    rows = dl.eigen_stability_sweep(0.5, [1.0, 4.0, 16.0, 64.0], 1 / 64)
-    lams = [l for _, l, _ in rows]
+    lams = _lambda_r(0.5, [1.0, 4.0, 16.0, 64.0], 1 / 64)
     assert abs(lams[-1] - 0.5) < abs(lams[0] - 0.5)
     assert abs(lams[-1] - 0.5) <= 0.05
-
-
-def test_eigen_sweep_rho_requires_integrable():
-    with pytest.raises(ValueError):
-        dl.eigen_stability_sweep(-1.5, [1.0], H_COARSE)
 
 
 def test_growth_monitor_exact_homogeneous():
@@ -168,9 +159,24 @@ def test_conjugated_form_is_flat_at_a0(eps):
 # Eigen solves against the assembled pencils and a dense solve
 # ---------------------------------------------------------------------------
 
+def _sigma_adjacent_arc_nodes(mesh):
+    """The two arc nodes next to the plane, which the direct eps = 0 route
+    drops from the arc mass."""
+    return [mesh.node_id(mesh.nr, 1), mesh.node_id(mesh.nr, mesh.ntheta - 1)]
+
+
+def _zeroed(M, nodes):
+    """M with the rows and columns of ``nodes`` zero."""
+    keep = np.ones(M.shape[0])
+    keep[nodes] = 0.0
+    D = sp.diags(keep)
+    return (D @ M @ D).tocsr()
+
+
 def _pencil(case, mesh):
     """(K, M, free dofs) as the two-dimensional assembly builds them.  A case
-    is (kind, b, eps); for Hardy b is the weight exponent, None when flat."""
+    is (kind, b, eps); the Hardy case ("hardy", None, 0.0) is the flat Hardy
+    pencil, whose arc is fixed."""
     free = mesh.free_nodes()
     kind, b, eps = case
     if kind == "direct":
@@ -179,17 +185,12 @@ def _pencil(case, mesh):
             K, _ = assemble_forms(mesh, wfn)
             return K, assemble_arc_mass(mesh, wfn), free
         K, _ = assemble_forms(mesh, wfn, sigma_jacobi_exponent=b)
-        excl = [mesh.node_id(mesh.nr, 1), mesh.node_id(mesh.nr, mesh.ntheta - 1)]
-        M = assemble_arc_mass(mesh, wfn, skip_sigma_adjacent=True, exclude_nodes=excl)
-        return K, M, free
+        return K, _zeroed(assemble_arc_mass(mesh, wfn), _sigma_adjacent_arc_nodes(mesh)), free
     if kind == "transformed":
         K = _conjugated_forms(b, eps, mesh)
         return K, assemble_arc_mass(mesh, None), free
-    wfn = _rho(0.0 if b is None else b, eps)
-    jac = b if b is not None and b != 0.0 and eps == 0.0 else None
-    K, M = assemble_forms(mesh, wfn, mass_weight=lambda y: wfn(y) / (y * y),
-                          sigma_jacobi_exponent=jac)
-    return K, M, np.setdiff1d(free, mesh.arc_node_ids())
+    K, M = assemble_forms(mesh, np.ones_like, mass_weight=lambda y: 1.0 / (y * y))
+    return K, M, np.setdiff1d(free, mesh.node_id(mesh.nr, np.arange(mesh.ntheta + 1)))
 
 
 def _dense_lambdas(K, M, free):
@@ -204,18 +205,16 @@ def _dense_lambdas(K, M, free):
 def _eigen_result(case, h):
     kind, b, eps = case
     if kind == "hardy":
-        return dl.hardy_quotient(None if b is None else dl.WeightFamily(b, eps), h)
+        return dl.hardy_quotient(h)
     res = dl.trace_eigen(b, eps, h)
     assert res.route == kind
     return res
 
 
-# eps = 0 trace and flat Hardy pencils take the separable solve, the others
-# (eps > 0, weighted Hardy) the assembled one; ("hardy", 0.0, 0.0) is the flat
-# Hardy pencil again, as a weighted one through the assembled path
+# eps = 0 trace and flat Hardy pencils take the separable solve, the eps > 0
+# trace pencils the assembled one
 PENCILS = [("direct", 0.5, 0.0), ("direct", -0.5, 0.0), ("transformed", -1.5, 0.0),
-           ("hardy", None, 0.0), ("direct", 0.5, 0.1), ("transformed", -1.5, 0.1),
-           ("hardy", 0.5, 0.1), ("hardy", -0.5, 0.0), ("hardy", 0.0, 0.0)]
+           ("hardy", None, 0.0), ("direct", 0.5, 0.1), ("transformed", -1.5, 0.1)]
 
 
 def _case_id(case):
@@ -252,15 +251,15 @@ def test_missed_residual_tolerance_raises(case, monkeypatch):
         _eigen_result(case, 1 / 8)
 
 
-# the pencils min_rayleigh factors: an eps > 0 trace pencil and weighted Hardy
-BANDED = [("direct", 0.5, 0.1), ("hardy", 0.5, 0.1)]
+# the pencils min_rayleigh factors: the eps > 0 trace pencils of both routes
+BANDED = [("direct", 0.5, 0.1), ("transformed", -1.5, 0.1)]
 
 
 def _band_factor(case, mesh):
     """(stiffness renumbered radius-fastest as min_rayleigh numbers it, its
     band Cholesky factor, mass renumbered the same way)."""
-    K, M, free = _pencil(case, mesh)
-    perm = spectral._radius_fastest(mesh, free)
+    K, M, _ = _pencil(case, mesh)
+    perm = spectral._radius_fastest(mesh)
     Kf = spectral._renumbered(K, perm)
     return Kf, spectral._band_cholesky(Kf), spectral._renumbered(M, perm)
 
@@ -280,22 +279,21 @@ def test_band_solve_matches_sparse_lu(case, h):
 
 
 @pytest.mark.parametrize("h", [1 / 8, 1 / 16], ids=["h8", "h16"])
-@pytest.mark.parametrize("case, extra", [(BANDED[0], 1), (BANDED[1], 0)],
-                         ids=["trace", "hardy"])
-def test_band_width_is_free_radial_count_plus_one(case, extra, h):
-    """Numbered radius-fastest, the stiffness has half-bandwidth nr + 1 when
-    the arc nodes are free (trace) and nr when they are fixed (Hardy)."""
+@pytest.mark.parametrize("case", BANDED[:1], ids=["trace"])
+def test_band_width_is_free_radial_count_plus_one(case, h):
+    """Numbered radius-fastest, the stiffness has half-bandwidth nr + 1: the
+    free radial nodes of one angular row, arc node included, plus one."""
     mesh = HalfDiskMesh.from_h(h)
     _, factor, _ = _band_factor(case, mesh)
-    assert factor.shape[0] - 1 == mesh.nr + extra
+    assert factor.shape[0] - 1 == mesh.nr + 1
 
 
 def test_indefinite_stiffness_raises():
     """The band Cholesky of a negated stiffness fails at its first pivot."""
     mesh = HalfDiskMesh.from_h(1 / 8)
-    K, M, free = _pencil(BANDED[0], mesh)
+    K, M, _ = _pencil(BANDED[0], mesh)
     with pytest.raises(np.linalg.LinAlgError, match=r"dpbtrf info=1\)"):
-        spectral.min_rayleigh(mesh, -K, M, free)
+        spectral.min_rayleigh(mesh, -K, M)
 
 
 def test_gauss_rules_are_computed_once():
@@ -320,12 +318,6 @@ def test_mesh_and_trace_reject_values_they_cannot_run_on():
         dl.trace_eigen(0.5, -0.1, 1 / 8)
     with pytest.raises(ValueError, match="b < 1"):
         dl.trace_eigen(1.2, 0.0, 1 / 8)
-
-
-def test_eigen_sweep_rejects_nonpositive_r():
-    for r in (0.0, -4.0):
-        with pytest.raises(ValueError, match="r > 0"):
-            dl.eigen_stability_sweep(0.5, [1.0, r], H_COARSE)
 
 
 def _tri(t):
@@ -388,22 +380,26 @@ def _arc_mass_loop(mesh, weight=None, quad_order=6, skip_sigma_adjacent=False,
     return M
 
 
-@pytest.mark.parametrize("kwargs", [
-    {},
-    {"weight": _rho(0.5, 0.1)},
-    {"weight": _rho(-0.5, 0.0), "skip_sigma_adjacent": True, "excluded": True},
-], ids=["unweighted", "rho", "skip-and-exclude"])
-def test_arc_mass_matches_loop_reference(kwargs):
+@pytest.mark.parametrize("weight, skipped", [(None, False), (_rho(0.5, 0.1), False),
+                                             (_rho(-0.5, 0.0), True)],
+                         ids=["unweighted", "rho", "skip-and-exclude"])
+def test_arc_mass_matches_loop_reference(weight, skipped):
+    """The arc mass equals the segment-by-segment loop.  With the two arc
+    nodes next to the plane dropped, as the direct eps = 0 route drops them,
+    it equals on the free dofs the loop that also skips the two segments
+    touching the plane: those segments reach no other free dof."""
     mesh = HalfDiskMesh.from_h(1 / 8)
-    kwargs = dict(kwargs)
-    if kwargs.pop("excluded", False):
-        kwargs["exclude_nodes"] = [mesh.node_id(mesh.nr, 1),
-                                   mesh.node_id(mesh.nr, mesh.ntheta - 1)]
-    got = assemble_arc_mass(mesh, **kwargs).toarray()
-    ref = _arc_mass_loop(mesh, **kwargs)
+    got = assemble_arc_mass(mesh, weight)
+    if skipped:
+        drop = _sigma_adjacent_arc_nodes(mesh)
+        free = mesh.free_nodes()
+        got = _zeroed(got, drop)[free][:, free].toarray()
+        ref = _arc_mass_loop(mesh, weight, skip_sigma_adjacent=True,
+                             exclude_nodes=drop)[np.ix_(free, free)]
+    else:
+        got = got.toarray()
+        ref = _arc_mass_loop(mesh, weight)
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
-    for nid in kwargs.get("exclude_nodes", ()):
-        assert not got[nid, :].any() and not got[:, nid].any()
 
 
 def _forms_loop(mesh, stiffness_weight, mass_weight, jac=None, quad_order=4):

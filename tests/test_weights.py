@@ -195,7 +195,7 @@ def test_quadrature_error_carries_value_and_abserr():
     assert abs(exc.value.value - exact) <= exc.value.abserr + 1e-5 * c
 
 
-def test_characteristic_solution_rejects_a_non_numeric_tolerance():
+def test_characteristic_solution_refuses_a_third_field():
     """The solution takes two fields: a third argument (an x-derivative of
     mu^(-1), say) fails at construction, not in a quadrature."""
     fam = dl.WeightFamily(0.5, 0.1)
