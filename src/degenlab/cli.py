@@ -10,7 +10,8 @@ environment variable (default: current directory).  Exit codes:
     3  crash: an uncaught exception, whose traceback goes to stderr
 
 Configuration is a flat key=value text file ('#' comments allowed); command
-line overrides come as key=value pairs or --key value flags.  Outputs are
+line overrides come as key=value pairs or --key value flags; a key that the
+subcommand does not read (see ``KEYS``) is a configuration error.  Outputs are
 byte deterministic: floats are printed with 12 significant digits, newline
 line endings, and the header comments record the tool version, a hash of the
 keys set in the config file and overrides (not of the defaults), the grid
@@ -168,18 +169,17 @@ def cmd_eigen(cfg: dict) -> int:
     # trace_eigen takes exponents b < 1: a itself, and aux_a - 2
     a_list = _floats(cfg, "a", "-0.5 0 0.5", _BELOW_ONE)
     h = _float(cfg, "h", "1/64", _MESH_SPACING)
-    eps = _float(cfg, "eps", "0.0", (lambda e: e >= 0.0, "non-negative"))
     aux_list = _floats(cfg, "aux_a", "0.5 -1", (lambda a: a - 2.0 < 1.0, "below 3"))
     r_list = _floats(cfg, "r_list", "1 4 16 64", (lambda r: r > 0.0, "positive"))
     sweep_a = _float(cfg, "sweep_a", "0.5", (lambda a: -1.0 < a < 1.0, "in (-1, 1)"))
     rows = []
     ok = True
     for a in a_list:
-        res = trace_eigen(a, eps, h)
+        res = trace_eigen(a, 0.0, h)
         rows.append(res.csv_row())
         ok &= abs(res.lam - (1.0 - a)) <= 0.05
     for a in aux_list:
-        res = trace_eigen(a - 2.0, eps, h)
+        res = trace_eigen(a - 2.0, 0.0, h)
         rows.append(res.csv_row())
         ok &= abs(res.lam - (3.0 - a)) <= 0.1
     hres = hardy_quotient(h)
@@ -394,6 +394,16 @@ def cmd_report(cfg: dict) -> int:
     return 0 if (all_present and not fails) else 1
 
 
+# the keys each subcommand reads, as README's "Keys per subcommand" lists them
+KEYS = {
+    "eigen": ("a", "h", "aux_a", "r_list", "sweep_a"),
+    "sweep": ("a", "mu", "alpha", "h", "eps_list", "mode"),
+    "certify": ("budget", "phi_a"),
+    "solve": ("a", "h_list"),
+    "fermi-demo": ("a", "radius", "h", "alpha", "eps_list"),
+    "report": (),
+}
+
 COMMANDS = {
     "eigen": cmd_eigen,
     "sweep": cmd_sweep,
@@ -445,6 +455,9 @@ def run(argv) -> int:
                 raise ConfigError(f"override must be key=value or --key value: {tok!r}")
             k, v = tok.split("=", 1)
             cfg[k.strip()] = v.strip()
+        for k, v in cfg.items():
+            if k not in KEYS[ns.command]:
+                raise ConfigError(f"{k}: {v!r} is not a key of {ns.command}")
         return COMMANDS[ns.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

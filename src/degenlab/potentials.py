@@ -5,11 +5,11 @@ turns int w |grad u|^2 into a flat-gradient quadratic form
 
     Q(v) = int |grad v|^2 + int V v^2 + int_{arc} W v^2,   v = w^(1/2) u,
 
-with potentials V, W determined by log-derivatives of w.  This module
-evaluates those potentials in closed form for three weight kinds: 'rho',
-whose form is the transformed route of the spectral trace quotient, and
-'omega_inverse' and 'omega'.  It also holds the three functions that certify
-coercivity of the omega-inverse form:
+with potentials V, W determined by log-derivatives of w.  :func:`potentials`
+evaluates them in closed form for w = rho = (eps^2 + y^2)^(a/2); at eps = 0
+they are a (a - 2) / (4 y^2) and the constant -a/2, the transformed route of
+the spectral trace quotient.  This module also holds the functions that
+certify coercivity of the omega-inverse form:
 
 * ``phi_big``     -- Phi_a(t) with V_omega_inv(y) = Phi_a(y/eps) / y^2;
                      limits 2 at t -> 0+ and (2-a)(4-a)/4 at t -> infinity.
@@ -32,55 +32,24 @@ from scipy.special import dawsn
 
 from .weights import (
     DivergentIntegralError,
-    WeightFamily,
     _antiderivative_unit,
-    chi,
     psi,
     quad,  # noqa: F401  (unused here; perfbench/layers.py wraps potentials.quad by name)
 )
 
 
-def potentials(kind: str, a: float, eps: float, y):
-    """Return the pair (V(y), W(y)) for the requested weight kind at y > 0.
+def potentials(a: float, eps: float, y):
+    """The pair (V(y), W(y)) of the rho-conjugation at y > 0:
 
-    kinds:
-      'rho'           V = a[(a-2)y^2 + 2 eps^2] / (4 (eps^2+y^2)^2),
-                      W = -a y^2 / (2 (eps^2+y^2)).
-      'omega_inverse' V = (1/4)[(log w)']^2 - (1/2)(log w)'',
-                      W = +(1/2)(log w)' y,     w = omega.
-      'omega'         V = same as 'rho' (the two coincide),
-                      W = -(1/2)(log w)' y.
+      V = a[(a-2)y^2 + 2 eps^2] / (4 (eps^2+y^2)^2),
+      W = -a y^2 / (2 (eps^2+y^2)).
     """
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise ValueError("potentials are evaluated at y > 0 only")
     d2 = eps * eps + y * y
-    v_rho = a * ((a - 2.0) * y * y + 2.0 * eps * eps) / (4.0 * d2 * d2)
-    if kind == "rho":
-        V = v_rho
-        W = -a * y * y / (2.0 * d2)
-    elif kind in ("omega_inverse", "omega"):
-        if a >= 1.0:
-            raise DivergentIntegralError("omega potentials require a < 1")
-        if eps == 0.0:
-            logw1 = (2.0 - a) / y
-            logw2 = -(2.0 - a) / (y * y)
-        else:
-            fam = WeightFamily(a, eps)
-            c = chi(fam, y)
-            rinv = d2 ** (-a / 2.0)            # rho^(-a)(y)
-            rinv_p = -a * y * d2 ** (-a / 2.0 - 1.0)
-            logw1 = a * y / d2 + 2.0 * rinv / c
-            logw2 = (a * (eps * eps - y * y) / (d2 * d2)
-                     + 2.0 * (rinv_p * c - rinv * rinv) / (c * c))
-        if kind == "omega_inverse":
-            V = 0.25 * logw1 * logw1 - 0.5 * logw2
-            W = 0.5 * logw1 * y
-        else:
-            V = v_rho
-            W = -0.5 * logw1 * y
-    else:
-        raise ValueError(f"unknown potential kind {kind!r}")
+    V = a * ((a - 2.0) * y * y + 2.0 * eps * eps) / (4.0 * d2 * d2)
+    W = -a * y * y / (2.0 * d2)
     if V.ndim:
         return V, W
     return float(V), float(W)

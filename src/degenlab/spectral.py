@@ -8,23 +8,24 @@ only over-estimate continuum infima, and nested refinement can only lower
 them).  The flat diameter lies on the characteristic plane: every quotient
 here constrains its functions to vanish there.
 
-Two assembly routes realize the weighted trace quotient:
+Two routes realize the weighted trace quotient:
 
 * direct: stiffness with the weight w itself; admissible while w is locally
   integrable (exponent > -1).  With eps = 0 the elements touching the plane
   integrate the singular/degenerate factor by Gauss-Jacobi rules matched to
   the exponent, and the weighted boundary mass drops the two arc nodes
   adjacent to the plane.
-* transformed: substitute v = w^(1/2) u, turning the quotient into a flat
-  Dirichlet form plus the closed-form potentials of
-  :mod:`degenlab.potentials`; this is the only usable route once the weight
-  leaves the locally integrable range (trace exponents <= -1, among them the
-  auxiliary exponents b = a - 2), and the two routes agree in the integrable
-  range, which the tests exercise.
+* transformed, at eps = 0 only: substitute v = w^(1/2) u, turning the
+  quotient into a flat Dirichlet form plus the potentials of
+  :func:`degenlab.potentials.potentials`, here b (b - 2) / (4 y^2) in the
+  domain and the constant -b/2 on the arc; this is the only usable route
+  once the weight leaves the locally integrable range (trace exponents
+  <= -1, among them the auxiliary exponents b = a - 2), and the two routes
+  agree in the integrable range, which the tests exercise.
 
 At eps = 0 every trace pencil (both routes) and the flat Hardy pencil
 separates on the tensor mesh: the weight |y|^b = r^b sin^b(theta), the
-transformed potential b (b - 2) / (4 y^2) and the Hardy mass 1 / y^2 are
+transformed potential and the Hardy mass 1 / y^2 are
 products of a radial and an angular factor, and so are the quadrature rules.
 The pencil is then K = A (x) B + C (x) D against M = e e^T (x) M_arc (trace)
 or C (x) G (Hardy), with tridiagonal one-dimensional factors built by the
@@ -34,7 +35,8 @@ angular blocks mu_m B + D with one tridiagonal LDL^T, and applies Lanczos to
 the discrete Neumann-to-Dirichlet map of the arc (for Hardy, to the lowest
 angular block).  No two-dimensional matrix is assembled or factored.
 
-The eps > 0 trace pencils are assembled, and :func:`min_rayleigh` applies
+The eps > 0 trace pencils take the direct route only (b > -1): they are
+assembled, and :func:`min_rayleigh` applies
 Lanczos to K^-1 M.  Numbered radius-fastest, the free dofs of the tensor
 mesh make K a band matrix of half-bandwidth nr + 1, factored once by LAPACK
 band Cholesky (``dpbtrf``, lower) and solved by ``dpbtrs``.  Both paths share
@@ -416,8 +418,9 @@ def _trace_factors(mesh: HalfDiskMesh, b: float, route: str):
     direct: the weight |y|^b = r^b sin^b(theta) splits, with the Gauss-Jacobi
     edge rows for b != 0, and then the two arc nodes next to the plane are
     zero-mass rows (the route drops them).  transformed: the flat form, the
-    domain potential b (b - 2) / (4 y^2) = c r^-2 sin^-2(theta) joins D as
-    c G, and the arc potential is the constant W = -b/2."""
+    domain potential c / y^2 = c r^-2 sin^-2(theta) joins D as c G, and the
+    arc potential is the constant W; (c, W) are the eps = 0 potentials of
+    :func:`degenlab.potentials.potentials` at y = 1."""
     if route == "direct":
         w = functools.partial(rho_weight, WeightFamily(b, 0.0))
         jac = b if b != 0.0 else None
@@ -428,9 +431,9 @@ def _trace_factors(mesh: HalfDiskMesh, b: float, route: str):
         return (_radial_factors(mesh, w), _angular_factors(mesh, w, jac), (d, o), 0.0)
     B, D = _angular_factors(mesh, _ones)
     G, _ = _angular_factors(mesh, _inverse_square)
-    c = b * (b - 2.0) / 4.0
+    c, W = potentials(b, 0.0, 1.0)
     return (_radial_factors(mesh, _ones), (B, (D[0] + c * G[0], D[1] + c * G[1])),
-            _arc_factor(mesh, None), -b / 2.0)
+            _arc_factor(mesh, None), W)
 
 
 def _hardy_factors(mesh: HalfDiskMesh):
@@ -655,46 +658,30 @@ def min_rayleigh(mesh: HalfDiskMesh, K: sp.spmatrix, M: sp.spmatrix
 # Quotients
 # ---------------------------------------------------------------------------
 
-def _conjugated_forms(a: float, eps: float, mesh: HalfDiskMesh) -> sp.csr_matrix:
-    """K0 + P + Wb: the flat Dirichlet form, the domain potential and the arc
-    potential of the weight rho conjugated away by v = rho^(1/2) u (see
-    :func:`degenlab.potentials.potentials`)."""
-    def V(y):
-        return potentials("rho", a, eps, y)[0]
-
-    def Warc(y):
-        return potentials("rho", a, eps, y)[1]
-
-    K0, P = assemble_forms(mesh, _ones, mass_weight=V)
-    return K0 + P + assemble_arc_mass(mesh, Warc)
-
-
 def trace_eigen(b: float, eps: float, grid_h: float) -> EigenResult:
     """Sharp constant of int rho^b |grad u|^2 >= lam int_arc rho^b u^2, u|_plane = 0.
 
     The minimum tends to 1 - b under refinement (eigenfunction y^(1-b)).
-    The route follows b: for b > -1 the direct route assembles the weighted
-    quotient literally; otherwise the transformed route conjugates by
-    rho^(b/2) and uses the closed-form potentials (valid for every b < 1).
-    At eps = 0 both routes separate in (r, theta) and take
-    :func:`_separable_eigen`."""
+    At eps = 0 the route follows b: for b > -1 the direct route assembles the
+    weighted quotient literally; otherwise the transformed route conjugates
+    by |y|^(b/2) and uses the closed-form potentials (valid for every b < 1).
+    Both separate in (r, theta) and take :func:`_separable_eigen`.  For
+    eps > 0 the direct pencil is assembled and solved by :func:`min_rayleigh`;
+    it takes b > -1 only."""
     if b >= 1.0:
         raise ValueError("trace exponent must satisfy b < 1")
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     route = "direct" if b > -1.0 else "transformed"
+    if eps > 0.0 and route == "transformed":
+        raise ValueError(f"eps > 0 takes the direct route, which needs b > -1, got b={b}")
     mesh = HalfDiskMesh.from_h(grid_h)
     if eps == 0.0:
         lam, vec, res, it = _separable_eigen(mesh, *_trace_factors(mesh, b, route))
     else:
-        if route == "direct":
-            wfn = functools.partial(rho_weight, WeightFamily(b, eps))
-            K = assemble_forms(mesh, wfn)[0]
-            M = assemble_arc_mass(mesh, wfn)
-        else:
-            K = _conjugated_forms(b, eps, mesh)
-            M = assemble_arc_mass(mesh, None)
-        lam, vec, res, it = min_rayleigh(mesh, K, M)
+        wfn = functools.partial(rho_weight, WeightFamily(b, eps))
+        lam, vec, res, it = min_rayleigh(mesh, assemble_forms(mesh, wfn)[0],
+                                         assemble_arc_mass(mesh, wfn))
     return EigenResult(f"trace[b={b:g}]", b, eps, grid_h, lam, res, route, it, vec)
 
 

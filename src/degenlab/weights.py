@@ -332,14 +332,12 @@ class _Ladder(NamedTuple):
 
 
 class _Column:
-    """The memo of one column x: its ladders, and the single segments asked
-    for one at a time (``(y0, y1) -> value``)."""
+    """The memo of one column x: its ladders."""
 
-    __slots__ = ("ladders", "points")
+    __slots__ = ("ladders",)
 
     def __init__(self):
         self.ladders: list = []
-        self.points: dict = {}
 
     def find(self, edges: np.ndarray) -> Optional[Tuple[_Ladder, int]]:
         """A stored ladder with ``lad.edges[i:i + len(edges)] == edges``, and i."""
@@ -390,7 +388,7 @@ class CharacteristicSolution:
     the top-face Dirichlet traces of one eps step share one pass.  Any other
     run becomes a ladder of its own, never a sum or difference of another
     ladder's segments.  Single segments off the ladders (points of v) share
-    one dqk21 pass per request and are kept in the entry's ``points``.
+    one dqk21 pass per request and are not kept.
     The memo assumes ``mu_inverse`` is a deterministic function of (x, s);
     the closed form for mu == 1 bypasses it.  Two threads that miss on the
     same column both compute and store the same values, so concurrent use
@@ -418,23 +416,20 @@ class CharacteristicSolution:
 
     def segment_integral(self, x, y0, y1):
         """int_{y0}^{y1} rho^(-a)(s) mu^(-1)(x, s) ds for single segments, all
-        broadcast, 0 <= y0 <= y1.  A segment kept in its column's points, or
-        from the start of a stored ladder to one of its edges, is read; the
-        others share one dqk21 pass (see the class docstring)."""
+        broadcast, 0 <= y0 <= y1.  A segment from the start of a stored
+        ladder to one of its edges is read; the others share one dqk21 pass
+        (see the class docstring)."""
         shape = np.broadcast_shapes(*map(np.shape, _coords(x)), np.shape(y0), np.shape(y1))
         y0, y1 = (np.broadcast_to(np.asarray(y, dtype=float), shape).ravel() for y in (y0, y1))
         if self.mu_inverse is None:
             return (chi(self.family, y1) - chi(self.family, y0)).reshape(shape)[()]
         X = _positions(x, shape)
         cols = [self._column(_x_of(row)) for row in X.tolist()]
-        segs = list(zip(y0.tolist(), y1.tolist()))
-        vals = [c.points[s] if s in c.points else c.cumulative(*s) for c, s in zip(cols, segs)]
+        vals = [c.cumulative(s0, s1) for c, s0, s1 in zip(cols, y0.tolist(), y1.tolist())]
         miss = [k for k, val in enumerate(vals) if val is None]
         if miss:
             for k, val in zip(miss, self._integrate(X[miss], y0[miss], y1[miss]).tolist()):
                 vals[k] = val
-        for col, seg, val in zip(cols, segs, vals):
-            col.points[seg] = val
         return np.array(vals).reshape(shape)[()]
 
     def segment_integrals(self, x, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:

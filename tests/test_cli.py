@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import degenlab
+import degenlab.cli as cli
 from degenlab.cli import _write, fmt, run
 
 
@@ -75,6 +77,8 @@ def test_usage_error_exit_code(tmp_path):
     (("eigen", "r_list=inf"), "r_list", "inf"),
     (("certify", "phi_a=-inf"), "phi_a", "-inf"),
     (("eigen", "sweep_a=-1.5"), "sweep_a", "-1.5"),
+    (("certify", "bugdet=5"), "bugdet", "5"),
+    (("report", "a=0.5"), "a", "0.5"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     """A value that does not parse, or that the command cannot run on, is a
@@ -82,11 +86,30 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     the token, not a crash with a traceback.  `fermi-demo eps_list=1 0.9` has
     two entries, but its sqrt_eps table at h = 1/32 admits neither.  A
     repeated eps leaves the sweep's trend fit degenerate, and `quadratic:<c>`
-    with c <= -1 makes mu^(-1) = 1 + c x^2 vanish or turn negative."""
+    with c <= -1 makes mu^(-1) = 1 + c x^2 vanish or turn negative.  A key
+    the command does not read (`eigen eps=`, a typo, any key of `report`)
+    is refused before the command runs."""
     assert _run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: {token!r}")
     assert "Traceback" not in err
+
+
+def test_readme_key_table_is_the_cli_contract():
+    """Each row of README's "Keys per subcommand" table lists the keys of
+    ``cli.KEYS`` for its subcommand, in order, and the rows name every
+    subcommand."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text[text.index("Keys per"):].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = {}
+    for line in lines[start + 2:]:                 # past the header and the rule
+        if not line.startswith("|"):
+            break
+        name, keys = (c.strip() for c in re.split(r"(?<!\\)\|", line.strip("|")))
+        table[name] = tuple(re.findall(r"`([^`]+)` \(", keys))
+    assert table == cli.KEYS
+    assert sorted(table) == sorted(cli.COMMANDS)
 
 
 def test_flag_style_overrides_and_fractions(tmp_path):
@@ -129,7 +152,6 @@ def test_hardy_upper_bracket_holds_at_the_reference_h(tmp_path, monkeypatch, h, 
     """The Hardy quotient must lie in [0.25, 0.40] at h <= 1/64, and only
     above 0.25 on coarser meshes: 0.41 fails at h = 1/64 and passes at
     h = 1/32.  The trace quotients are fakes that meet their targets."""
-    import degenlab.cli as cli
     from degenlab.spectral import EigenResult
 
     def result(quotient_id, lam):
@@ -285,7 +307,6 @@ def test_byte_determinism_across_runs(tmp_path):
 
 
 def test_crash_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
-    import degenlab.cli as cli
 
     def boom(cfg):
         raise RuntimeError("forced crash")

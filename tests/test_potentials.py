@@ -12,10 +12,10 @@ from degenlab.weights import _antiderivative_unit
 
 
 def test_rho_potentials_closed_form():
-    V, W = dl.potentials("rho", 0.5, 0.0, 1.0)
+    V, W = dl.potentials(0.5, 0.0, 1.0)
     assert V == pytest.approx(0.5 * (0.5 - 2.0) / 4.0)       # a(a-2)/(4 y^2)
     assert W == pytest.approx(-0.25)
-    V0, W0 = dl.potentials("rho", 0.0, 0.7, 0.3)
+    V0, W0 = dl.potentials(0.0, 0.7, 0.3)
     assert V0 == 0.0 and W0 == 0.0
 
 
@@ -30,14 +30,27 @@ def test_rho_potentials_from_log_derivatives():
 
     l1 = (logr(y + h) - logr(y - h)) / (2 * h)
     l2 = (logr(y + h) - 2 * logr(y) + logr(y - h)) / (h * h)
-    V, W = dl.potentials("rho", a, eps, y)
+    V, W = dl.potentials(a, eps, y)
     assert V == pytest.approx(0.25 * l1 * l1 + 0.5 * l2, abs=1e-5)
     assert W == pytest.approx(-0.5 * l1 * y, abs=1e-8)
 
 
+def _omega_inverse_potentials(a, eps, y):
+    """(V, W) of the conjugation by omega^(-1/2), omega = rho^a chi^2:
+    V = (1/4)[(log omega)']^2 - (1/2)(log omega)'', W = (1/2)(log omega)' y.
+    The oracle of phi_big, V = Phi_a(y/eps) / y^2."""
+    d2 = eps * eps + y * y
+    c = dl.chi(dl.WeightFamily(a, eps), y)
+    rinv = d2 ** (-a / 2.0)                     # rho^(-a), the derivative of chi
+    rinv_p = -a * y * d2 ** (-a / 2.0 - 1.0)
+    logw1 = a * y / d2 + 2.0 * rinv / c
+    logw2 = a * (eps * eps - y * y) / (d2 * d2) + 2.0 * (rinv_p * c - rinv * rinv) / (c * c)
+    return 0.25 * logw1 * logw1 - 0.5 * logw2, 0.5 * logw1 * y
+
+
 def test_omega_inverse_potentials_at_eps_zero():
     a, y = 0.5, 0.7
-    V, W = dl.potentials("omega_inverse", a, 0.0, y)
+    V, W = _omega_inverse_potentials(a, 0.0, y)
     assert V == pytest.approx((2 - a) * (4 - a) / (4 * y * y), rel=1e-12)
     assert W == pytest.approx((2 - a) / 2.0, rel=1e-12)
 
@@ -46,26 +59,13 @@ def test_omega_inverse_potential_is_phi_over_y2():
     for a in (0.5, -1.0, -4.0):
         for eps in (0.1, 1.0):
             for y in (0.05, 0.3, 0.9):
-                V, _ = dl.potentials("omega_inverse", a, eps, y)
+                V, _ = _omega_inverse_potentials(a, eps, y)
                 assert V == pytest.approx(dl.phi_big(a, y / eps) / (y * y), rel=1e-9)
-
-
-def test_omega_potentials_share_v_with_rho():
-    for a in (0.6, -2.0):
-        for eps in (0.0, 0.5):
-            y = 0.4
-            Vr, _ = dl.potentials("rho", a, eps, y)
-            Vo, Wo = dl.potentials("omega", a, eps, y)
-            assert Vo == pytest.approx(Vr, rel=1e-12)
-    # and the two omega boundary terms are opposite
-    Vi, Wi = dl.potentials("omega_inverse", -1.0, 0.3, 0.5)
-    Vo, Wo = dl.potentials("omega", -1.0, 0.3, 0.5)
-    assert Wo == pytest.approx(-Wi, rel=1e-12)
 
 
 def test_potentials_require_positive_y():
     with pytest.raises(ValueError):
-        dl.potentials("rho", 0.5, 0.1, 0.0)
+        dl.potentials(0.5, 0.1, 0.0)
 
 
 def test_phi_limits():

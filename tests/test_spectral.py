@@ -12,8 +12,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 import degenlab as dl
 import degenlab.spectral as spectral
-from degenlab.potentials import potentials
-from degenlab.spectral import (HalfDiskMesh, _conjugated_forms, _hardy_factors,
+from degenlab.spectral import (HalfDiskMesh, _hardy_factors,
                                _separable_eigen, _trace_factors, assemble_arc_mass,
                                assemble_forms)
 from degenlab.weights import rho
@@ -146,15 +145,6 @@ def test_perturbation_mode_is_discretely_harmonic():
     assert np.max(np.abs(rep.field.values - ex.values)) < 1e-10
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.5])
-def test_conjugated_form_is_flat_at_a0(eps):
-    """For a = 0 the conjugation by rho^(a/2) = 1 is the identity: both
-    potentials vanish and the conjugated form is the flat Dirichlet form."""
-    mesh = HalfDiskMesh.from_h(H_COARSE)
-    K0, _ = assemble_forms(mesh, lambda y: np.ones_like(y))
-    assert abs(_conjugated_forms(0.0, eps, mesh) - K0).max() == 0.0
-
-
 # ---------------------------------------------------------------------------
 # Eigen solves against the assembled pencils and a dense solve
 # ---------------------------------------------------------------------------
@@ -176,7 +166,9 @@ def _zeroed(M, nodes):
 def _pencil(case, mesh):
     """(K, M, free dofs) as the two-dimensional assembly builds them.  A case
     is (kind, b, eps); the Hardy case ("hardy", None, 0.0) is the flat Hardy
-    pencil, whose arc is fixed."""
+    pencil, whose arc is fixed.  The transformed case (eps = 0) is the flat
+    form with the domain potential c / y^2, c = b (b - 2) / 4, and the arc
+    potential W = -b/2 times the unweighted arc mass."""
     free = mesh.free_nodes()
     kind, b, eps = case
     if kind == "direct":
@@ -187,8 +179,10 @@ def _pencil(case, mesh):
         K, _ = assemble_forms(mesh, wfn, sigma_jacobi_exponent=b)
         return K, _zeroed(assemble_arc_mass(mesh, wfn), _sigma_adjacent_arc_nodes(mesh)), free
     if kind == "transformed":
-        K = _conjugated_forms(b, eps, mesh)
-        return K, assemble_arc_mass(mesh, None), free
+        c, W = b * (b - 2.0) / 4.0, -b / 2.0
+        K, P = assemble_forms(mesh, np.ones_like, mass_weight=lambda y: c / (y * y))
+        arc = assemble_arc_mass(mesh, None)
+        return K + P + W * arc, arc, free
     K, M = assemble_forms(mesh, np.ones_like, mass_weight=lambda y: 1.0 / (y * y))
     return K, M, np.setdiff1d(free, mesh.node_id(mesh.nr, np.arange(mesh.ntheta + 1)))
 
@@ -214,7 +208,7 @@ def _eigen_result(case, h):
 # eps = 0 trace and flat Hardy pencils take the separable solve, the eps > 0
 # trace pencils the assembled one
 PENCILS = [("direct", 0.5, 0.0), ("direct", -0.5, 0.0), ("transformed", -1.5, 0.0),
-           ("hardy", None, 0.0), ("direct", 0.5, 0.1), ("transformed", -1.5, 0.1)]
+           ("hardy", None, 0.0), ("direct", 0.5, 0.1), ("direct", -0.5, 0.1)]
 
 
 def _case_id(case):
@@ -251,8 +245,8 @@ def test_missed_residual_tolerance_raises(case, monkeypatch):
         _eigen_result(case, 1 / 8)
 
 
-# the pencils min_rayleigh factors: the eps > 0 trace pencils of both routes
-BANDED = [("direct", 0.5, 0.1), ("transformed", -1.5, 0.1)]
+# the pencils min_rayleigh factors: eps > 0 trace pencils, degenerate and singular
+BANDED = [("direct", 0.5, 0.1), ("direct", -0.5, 0.1)]
 
 
 def _band_factor(case, mesh):
@@ -318,6 +312,9 @@ def test_mesh_and_trace_reject_values_they_cannot_run_on():
         dl.trace_eigen(0.5, -0.1, 1 / 8)
     with pytest.raises(ValueError, match="b < 1"):
         dl.trace_eigen(1.2, 0.0, 1 / 8)
+    for b in (-1.0, -1.5):              # eps > 0 assembles the direct pencil only
+        with pytest.raises(ValueError, match="needs b > -1"):
+            dl.trace_eigen(b, 0.1, 1 / 8)
 
 
 def _tri(t):
@@ -438,14 +435,15 @@ def _forms_loop(mesh, stiffness_weight, mass_weight, jac=None, quad_order=4):
 @pytest.mark.parametrize("mass", ["potential", "hardy"])
 @pytest.mark.parametrize("b, eps, jac", [(0.5, 0.1, None), (-0.5, 0.0, -0.5)])
 def test_element_forms_match_loop_reference(b, eps, jac, mass):
-    """The stiffness and a domain mass, the transformed route's potential or
-    the Hardy mass w / y^2, equal the point-by-point loop."""
+    """The stiffness and a domain mass, the potential V of the
+    rho-conjugation or the Hardy mass w / y^2, equal the point-by-point loop."""
     mesh = HalfDiskMesh.from_h(1 / 4)
     wfn = _rho(b, eps)
 
     def weight(y):
         if mass == "potential":
-            return potentials("rho", b, eps, y)[0]
+            d2 = eps * eps + y * y
+            return b * ((b - 2.0) * y * y + 2.0 * eps * eps) / (4.0 * d2 * d2)
         return wfn(y) / (y * y)
 
     got = assemble_forms(mesh, wfn, mass_weight=weight, sigma_jacobi_exponent=jac)
