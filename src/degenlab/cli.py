@@ -39,7 +39,7 @@ from .geometry import EmbeddedCurve, build_half_grid, fermi_mu
 from .holder import (SLOPE_TOL, TAU, ProblemFamily, _check_mode, admissible_eps, epsilon_sweep,
                      measure_sweep, solve_family)
 from .potentials import v_limit, v_limit_deriv
-from .spectral import HalfDiskMesh, hardy_quotient, trace_eigen
+from .spectral import HalfDiskMesh, _trace_route, hardy_quotient, trace_eigen
 from .weights import WeightFamily
 
 
@@ -158,6 +158,8 @@ def _accepted_by(build, what: str):
 _BELOW_ONE = (lambda a: a < 1.0, "below 1")
 _ALPHA = (lambda alpha: 0.0 < alpha <= 1.0, "in (0, 1]")      # a Holder exponent
 _MESH_SPACING = _accepted_by(HalfDiskMesh.from_h, "1/n for an integer n >= 1")
+# the lambda_r rows solve at eps = 1/r > 0
+_EPS_TRACE_EXPONENT = _accepted_by(lambda b: _trace_route(b, 1.0), "in (-1, 1)")
 _GRID_SPACING = _accepted_by(lambda h: build_half_grid(1, "half_rectangle", h),
                              "1/n for an integer n >= 4")
 # the Fermi chart of the circle must cover the grid, up to its top y = 1
@@ -171,7 +173,7 @@ def cmd_eigen(cfg: dict) -> int:
     h = _float(cfg, "h", "1/64", _MESH_SPACING)
     aux_list = _floats(cfg, "aux_a", "0.5 -1", (lambda a: a - 2.0 < 1.0, "below 3"))
     r_list = _floats(cfg, "r_list", "1 4 16 64", (lambda r: r > 0.0, "positive"))
-    sweep_a = _float(cfg, "sweep_a", "0.5", (lambda a: -1.0 < a < 1.0, "in (-1, 1)"))
+    sweep_a = _float(cfg, "sweep_a", "0.5", _EPS_TRACE_EXPONENT)
     rows = []
     ok = True
     for a in a_list:

@@ -29,17 +29,21 @@ transformed potential and the Hardy mass 1 / y^2 are
 products of a radial and an angular factor, and so are the quadrature rules.
 The pencil is then K = A (x) B + C (x) D against M = e e^T (x) M_arc (trace)
 or C (x) G (Hardy), with tridiagonal one-dimensional factors built by the
-rules of :func:`assemble_forms` and :func:`assemble_arc_mass`.
+element rules :func:`_radial_rule` and :func:`_theta_rows`, and the arc
+mass of :func:`assemble_arc_mass`.
 :func:`_separable_eigen` diagonalises the radial pencil (A, C), factors the
 angular blocks mu_m B + D with one tridiagonal LDL^T, and applies Lanczos to
 the discrete Neumann-to-Dirichlet map of the arc (for Hardy, to the lowest
 angular block).  No two-dimensional matrix is assembled or factored.
 
-The eps > 0 trace pencils take the direct route only (b > -1): they are
-assembled, and :func:`min_rayleigh` applies
-Lanczos to K^-1 M.  Numbered radius-fastest, the free dofs of the tensor
-mesh make K a band matrix of half-bandwidth nr + 1, factored once by LAPACK
-band Cholesky (``dpbtrf``, lower) and solved by ``dpbtrs``.  Both paths share
+The eps > 0 trace pencils take the direct route only (b > -1); their
+weight (eps^2 + y^2)^(b/2) does not separate.  Numbered radius-fastest, the
+free dofs make K a band matrix of half-bandwidth nr + 1.  What the pencils
+of one mesh share is built once (:func:`_band_geometry`), so
+:func:`assemble_forms` is one weight call, two contractions and one
+``bincount`` into LAPACK band storage.  :func:`min_rayleigh` factors K once
+by band Cholesky (``dpbtrf``, lower) and applies Lanczos to K^-1 M, one
+``dpbtrs`` per step, the arc mass a tridiagonal on the arc dofs.  Both paths share
 :func:`_lanczos_max`, in the mass (semi-)inner product from the all-ones
 start, and one finishing step: the Ritz vector is mapped once more through
 the solve, so it lies in the pencil's range, and lam and the residual
@@ -59,12 +63,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.special import roots_jacobi, roots_legendre
 
 from .assembly import DiscreteField
@@ -144,25 +147,15 @@ class EigenResult:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized element assembly
+# Element arrays and quadrature rules
 # ---------------------------------------------------------------------------
 
-def _element_rows(mesh: HalfDiskMesh, jrange) -> np.ndarray:
-    """Node quadruples for all elements in theta-rows jrange, shape (nel, 4)."""
-    jj = np.asarray(jrange)
-    ii = np.arange(mesh.nr)
-    I, J = np.meshgrid(ii, jj, indexing="ij")
-    n00 = mesh.node_id(I, J).ravel()
-    n01 = mesh.node_id(I, J + 1).ravel()
-    n10 = mesh.node_id(I + 1, J).ravel()
-    n11 = mesh.node_id(I + 1, J + 1).ravel()
-    return np.stack([n00, n01, n10, n11], axis=1)
-
-
-def _accumulate(mesh, nodes, Ke) -> sp.coo_matrix:
-    r = np.repeat(nodes[:, :, None], 4, axis=2).ravel()
-    c = np.repeat(nodes[:, None, :], 4, axis=1).ravel()
-    return sp.coo_matrix((Ke.ravel(), (r, c)), shape=(mesh.nnodes, mesh.nnodes))
+def _element_rows(mesh: HalfDiskMesh) -> np.ndarray:
+    """Nodes (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1) of every element
+    (i, j), radial-major, shape (nel, 4)."""
+    I, J = np.meshgrid(np.arange(mesh.nr), np.arange(mesh.ntheta), indexing="ij")
+    return np.stack([mesh.node_id(I + di, J + dj).ravel()
+                     for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1))], axis=1)
 
 
 def _products(A: np.ndarray) -> np.ndarray:
@@ -171,7 +164,7 @@ def _products(A: np.ndarray) -> np.ndarray:
 
 
 def _contract(coef: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """Sum over quadrature points of (nel, nq) coefficients times (nq, 16)
+    """Sum over quadrature points of (..., nq) coefficients times (nq, 16)
     products.  einsum's own loop, not a matmul.
 
     The rule for every dense call in this module, measured on a 2-core
@@ -183,9 +176,9 @@ def _contract(coef: np.ndarray, products: np.ndarray) -> np.ndarray:
     and n = 128 with evd; ``solve_triangular`` with a matrix right-hand side
     from n = 16; ``matmul`` from about 127^3; a ddot, ``numpy.linalg.norm``
     of an array among them, of 16,000 entries (not of 4,000).  einsum,
-    numpy's own sums and the tridiagonal LAPACK routines used here
-    (``dpttrf``, ``dpttrs``, ``eigh_tridiagonal``) ran on one thread at
-    every size measured.  The band Cholesky ``dpbtrf`` with ``lower=1``
+    numpy's own sums, the tridiagonal LAPACK routines used here (``dpttrf``,
+    ``dpttrs``, ``dstebz``, ``dstein``) and the band product ``dsbmv`` ran on
+    one thread at every size measured.  The band Cholesky ``dpbtrf`` with ``lower=1``
     (n = 4,064 and 16,320) stays on one thread at half-bandwidth kd = 33
     (h = 1/32) but threads at kd = 65 (h = 1/64), where it is slower on two
     threads than on one (17 to 19 against 13 ms); with ``lower=0`` it threads
@@ -194,7 +187,7 @@ def _contract(coef: np.ndarray, products: np.ndarray) -> np.ndarray:
     OpenBLAS with its own thread pool, so a numpy ddot or gemv that threads
     in the same loop as a threaded ``dpbtrf`` puts two spinning threads on
     the two cores: that is why the Lanczos products are einsums."""
-    return np.einsum("eq,qk->ek", coef, products)
+    return np.einsum("...q,qk->...k", coef, products)
 
 
 def _frozen(rule):
@@ -257,90 +250,6 @@ def _theta_rows(mesh: HalfDiskMesh, jac: Optional[float]):
     return out
 
 
-def assemble_forms(mesh: HalfDiskMesh, stiffness_weight: Callable,
-                   mass_weight: Optional[Callable] = None,
-                   sigma_jacobi_exponent: Optional[float] = None):
-    """Assemble (K, M): the stiffness int w |grad u|^2 of the weight w =
-    ``stiffness_weight`` and the domain mass int m u^2 of m = ``mass_weight``
-    (zero when None), such as a potential or the Hardy mass.
-
-    All weight callables take an array of ordinates y and must broadcast:
-    each is called once per row group, on the (elements, quadrature points)
-    array.  When ``sigma_jacobi_exponent`` = b is given, the elements in the
-    two theta-rows touching the plane integrate with Gauss-Jacobi rules in
-    theta matched to the edge behavior dist(theta)^b of the weights (weights
-    are divided by dist^b before quadrature, the rule restores it exactly).
-    """
-    K = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
-    M = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
-
-    rn, tn = mesh.r_nodes, mesh.theta_nodes
-    Rloc, rwt, hr = _radial_rule(mesh)
-    ht = tn[1] - tn[0]
-
-    for jrange, Tloc, twt, dist in _theta_rows(mesh, sigma_jacobi_exponent):
-        nodes = _element_rows(mesh, jrange)
-        r0 = np.repeat(rn[:-1], len(jrange))
-        t0 = np.tile(tn[jrange], mesh.nr)
-        dist_pow = None if dist is None else np.tile(dist, len(Rloc))
-        # quadrature pairs (radial-major), one column per pair
-        R = np.repeat(Rloc, len(Tloc))
-        T = np.tile(Tloc, len(Rloc))
-        ra = r0[:, None] + R * hr
-        ta = t0[:, None] + T * ht
-        y = ra * np.sin(ta)
-        jacdet = np.repeat(rwt, len(Tloc)) * np.tile(twt, len(Rloc)) * ra
-        N = np.stack([(1 - R) * (1 - T), (1 - R) * T, R * (1 - T), R * T], axis=1)
-        dNr = np.stack([-(1 - T), -T, (1 - T), T], axis=1) / hr
-        dNt = np.stack([-(1 - R), (1 - R), -R, R], axis=1) / ht
-
-        def coefficient(fn):
-            v = np.asarray(fn(y), dtype=float)
-            if dist_pow is not None:
-                v = v / dist_pow
-            return v * jacdet
-
-        coef = coefficient(stiffness_weight)
-        Ke = (_contract(coef, _products(dNr))
-              + _contract(coef / ra ** 2, _products(dNt)))
-        K = K + _accumulate(mesh, nodes, Ke)
-        if mass_weight is not None:
-            Me = _contract(coefficient(mass_weight), _products(N))
-            M = M + _accumulate(mesh, nodes, Me)
-    return K.tocsr(), M.tocsr()
-
-
-def _arc_elements(mesh: HalfDiskMesh, weight: Optional[Callable]
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Arc segments j (from theta_j to theta_j+1) and their 2 x 2 element
-    masses int weight(sin theta) N_a N_b dtheta, Gauss-Legendre per segment."""
-    tn = mesh.theta_nodes
-    gx, gw = _gauss_legendre(EDGE_ORDER)
-    j = np.arange(mesh.ntheta)
-    t0 = tn[j][:, None]
-    ht = (tn[j + 1] - tn[j])[:, None]
-    ta = t0 + (gx + 1.0) / 2.0 * ht
-    wq = gw * ht / 2.0
-    c = wq if weight is None else np.asarray(weight(np.sin(ta)), dtype=float) * wq
-    s = (ta - t0) / ht
-    N = np.stack([1.0 - s, s], axis=2)
-    return j, (c[:, :, None, None] * (N[:, :, :, None] * N[:, :, None, :])).sum(axis=1)
-
-
-def assemble_arc_mass(mesh: HalfDiskMesh, weight: Optional[Callable]) -> sp.csr_matrix:
-    """Boundary mass on the arc r = 1: int weight(y) u^2 dtheta (weight 1
-    when None).
-
-    ``weight`` must broadcast: it is called once, on the (segments, EDGE_ORDER)
-    array of y = sin(theta)."""
-    j, Me = _arc_elements(mesh, weight)
-    ends = np.stack([mesh.node_id(mesh.nr, j), mesh.node_id(mesh.nr, j + 1)], axis=1)
-    rows = np.repeat(ends, 2, axis=1).ravel()
-    cols = np.tile(ends, 2).ravel()
-    return sp.coo_matrix((Me.ravel(), (rows, cols)),
-                         shape=(mesh.nnodes, mesh.nnodes)).tocsr()
-
-
 # ---------------------------------------------------------------------------
 # One-dimensional factors of the separable eps = 0 pencils
 # ---------------------------------------------------------------------------
@@ -369,7 +278,7 @@ def _linear(T: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
 
 def _radial_factors(mesh: HalfDiskMesh, weight: Callable):
     """A = int w r phi' phi' dr and C = int w r^-1 phi phi dr, w = weight(r),
-    on every radial node, by the radial rule of :func:`assemble_forms`."""
+    on every radial node, by :func:`_radial_rule`."""
     Rloc, rwt, hr = _radial_rule(mesh)
     ra = mesh.r_nodes[:-1, None] + Rloc * hr
     coef = weight(ra) * rwt * ra
@@ -381,8 +290,8 @@ def _radial_factors(mesh: HalfDiskMesh, weight: Callable):
 
 def _angular_factors(mesh: HalfDiskMesh, weight: Callable, jac: Optional[float] = None):
     """B = int w psi psi dtheta and D = int w psi' psi' dtheta, w =
-    weight(sin theta), on every angular node, by the angular rule of
-    :func:`assemble_forms` with ``sigma_jacobi_exponent`` = jac."""
+    weight(sin theta), on every angular node, by the rule
+    :func:`_theta_rows` gives for jac."""
     tn = mesh.theta_nodes
     ht = tn[1] - tn[0]
     mass, stiff = [], []
@@ -397,10 +306,24 @@ def _angular_factors(mesh: HalfDiskMesh, weight: Callable, jac: Optional[float] 
     return _tridiagonal(mesh.ntheta + 1, mass), _tridiagonal(mesh.ntheta + 1, stiff)
 
 
-def _arc_factor(mesh: HalfDiskMesh, weight: Optional[Callable]):
-    """The arc mass of :func:`assemble_arc_mass` as a tridiagonal over the
-    arc nodes."""
-    return _tridiagonal(mesh.ntheta + 1, [_arc_elements(mesh, weight)])
+def assemble_arc_mass(mesh: HalfDiskMesh, weight: Optional[Callable]):
+    """Boundary mass int weight(y) u^2 dtheta on the arc r = 1 (weight 1 when
+    None), as a tridiagonal over the arc nodes, Gauss-Legendre per segment.
+
+    ``weight`` must broadcast: it is called once, on the (segments, EDGE_ORDER)
+    array of y = sin(theta)."""
+    tn = mesh.theta_nodes
+    gx, gw = _gauss_legendre(EDGE_ORDER)
+    j = np.arange(mesh.ntheta)
+    t0 = tn[j][:, None]
+    ht = (tn[j + 1] - tn[j])[:, None]
+    ta = t0 + (gx + 1.0) / 2.0 * ht
+    wq = gw * ht / 2.0
+    c = wq if weight is None else np.asarray(weight(np.sin(ta)), dtype=float) * wq
+    s = (ta - t0) / ht
+    N = np.stack([1.0 - s, s], axis=2)
+    Me = (c[:, :, None, None] * (N[:, :, :, None] * N[:, :, None, :])).sum(axis=1)
+    return _tridiagonal(mesh.ntheta + 1, [(j, Me)])
 
 
 def _ones(s):
@@ -424,7 +347,7 @@ def _trace_factors(mesh: HalfDiskMesh, b: float, route: str):
     if route == "direct":
         w = functools.partial(rho_weight, WeightFamily(b, 0.0))
         jac = b if b != 0.0 else None
-        d, o = _arc_factor(mesh, w)
+        d, o = assemble_arc_mass(mesh, w)
         if jac is not None:
             d[[1, -2]] = 0.0
             o[[0, 1, -2, -1]] = 0.0
@@ -433,7 +356,7 @@ def _trace_factors(mesh: HalfDiskMesh, b: float, route: str):
     G, _ = _angular_factors(mesh, _inverse_square)
     c, W = potentials(b, 0.0, 1.0)
     return (_radial_factors(mesh, _ones), (B, (D[0] + c * G[0], D[1] + c * G[1])),
-            _arc_factor(mesh, None), W)
+            assemble_arc_mass(mesh, None), W)
 
 
 def _hardy_factors(mesh: HalfDiskMesh):
@@ -481,6 +404,23 @@ def _radial_modes(A, C) -> Tuple[np.ndarray, np.ndarray]:
     return mu, Finv @ Y
 
 
+def _top_ritz_pair(alpha: list, beta: list) -> Tuple[float, np.ndarray]:
+    """Largest eigenvalue of the symmetric tridiagonal (alpha, beta) and its
+    unit eigenvector: LAPACK ``dstebz`` (by index) and ``dstein``, the
+    routines of ``scipy.linalg.eigh_tridiagonal(select="i")`` without its
+    argument checks."""
+    k = len(alpha)
+    if k == 1:
+        return alpha[0], np.ones(1)
+    d, e = np.array(alpha), np.array(beta)
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info == 0:
+        z, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Ritz pair of the Lanczos tridiagonal failed (info={info})")
+    return float(w[0]), z[:, 0]
+
+
 def _lanczos_max(op: Callable, mass: Callable, n: int):
     """Eigenvector of the largest eigenvalue of ``op``, self-adjoint in the
     (semi-)inner product of the symmetric positive semi-definite matrix that
@@ -510,15 +450,14 @@ def _lanczos_max(op: Callable, mass: Callable, n: int):
             w = w - np.einsum("k,ki->i", np.einsum("ki,i->k", MQ[:k], w), Q[:k])
         mw = mass(w)
         b = math.sqrt(max(float(np.einsum("i,i->", w, mw)), 0.0))
-        theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i",
-                                                 select_range=(k - 1, k - 1))
-        if b * abs(s[-1, 0]) <= LANCZOS_TOL * theta[0] or k == n:
+        theta, s = _top_ritz_pair(alpha, beta)
+        if b * abs(s[-1]) <= LANCZOS_TOL * theta or k == n:
             break
         beta.append(b)
         if k == len(Q):
             Q, MQ = (np.concatenate([X, np.empty_like(X)]) for X in (Q, MQ))
         Q[k], MQ[k] = w / b, mw / b
-    return np.einsum("k,ki->i", s[:, 0], Q[:k]), k
+    return np.einsum("k,ki->i", s, Q[:k]), k
 
 
 def _finish(v: np.ndarray, kv: np.ndarray, mv: np.ndarray, steps: int, nnodes: int,
@@ -591,72 +530,129 @@ def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0
     return _finish(V, KV, MV, steps, mesh.nnodes, dofs)
 
 
-def _radius_fastest(mesh: HalfDiskMesh) -> np.ndarray:
-    """The free nodes of ``mesh`` ordered radius-fastest: by angular index,
-    then radial index.  The bilinear stencil then couples numbers at most one
-    angular row of free radial nodes plus one apart."""
+# ---------------------------------------------------------------------------
+# The eps > 0 trace pencil, assembled straight into band storage
+# ---------------------------------------------------------------------------
+
+class _BandGeometry(NamedTuple):
+    """What the eps > 0 pencils of one mesh share; every array is read-only."""
+
+    perm: np.ndarray        # the free nodes, radius-fastest
+    y: np.ndarray           # ordinates, (radial elements, angular elements, points)
+    jacdet: np.ndarray      # quadrature weight times the Jacobian r, (radial, 1, points)
+    jacdet_r2: np.ndarray   # jacdet / r^2
+    dr: np.ndarray          # (points, 16) products of the radial derivatives
+    dt: np.ndarray          # and of the angular ones
+    entries: np.ndarray     # element entries (flat) in the stored lower band
+    band: np.ndarray        # their flat positions in the band, column-major
+    arc: np.ndarray         # positions of the free arc nodes, by angle
+    shape: Tuple[int, int]  # of the band, (kd + 1, n)
+
+
+@functools.lru_cache(maxsize=1)
+def _band_geometry(mesh: HalfDiskMesh) -> _BandGeometry:
+    """The geometry of the eps > 0 pencils on ``mesh``, built once: only the
+    weight changes between the ``lambda_r`` rows of one mesh.
+
+    The free nodes are numbered radius-fastest (by angular index, then radial
+    index), so the bilinear stencil couples numbers at most nr + 1 apart: K
+    is a band matrix of half-bandwidth kd = nr + 1, stored as LAPACK's lower
+    band ab[d, j] = K[j + d, j].  Every element integrates with the
+    Gauss-Legendre rule of ``ELEMENT_ORDER`` points per direction."""
     free = mesh.free_nodes()
     i, j = np.divmod(free, mesh.ntheta + 1)
-    return free[np.lexsort((i, j))]
-
-
-def _renumbered(A: sp.spmatrix, perm: np.ndarray) -> sp.coo_matrix:
-    """A on the rows and columns ``perm``, numbered in that order, from A's
-    COO triplets through a position map."""
-    pos = np.full(A.shape[0], -1)
+    perm = free[np.lexsort((i, j))]
+    pos = np.full(mesh.nnodes, -1)
     pos[perm] = np.arange(len(perm))
-    C = A.tocoo()
-    i, j = pos[C.row], pos[C.col]
-    keep = (i >= 0) & (j >= 0)
-    return sp.coo_matrix((C.data[keep], (i[keep], j[keep])), shape=(len(perm),) * 2)
+    (_, Tloc, twt, _), = _theta_rows(mesh, None)
+    Rloc, rwt, hr = _radial_rule(mesh)
+    tn = mesh.theta_nodes
+    ht = tn[1] - tn[0]
+    # quadrature pairs radial-major; r and the Jacobian are the same for every theta
+    R = np.repeat(Rloc, len(Tloc))
+    T = np.tile(Tloc, len(Rloc))
+    ra = (mesh.r_nodes[:-1, None] + R * hr)[:, None, :]
+    ta = tn[:-1, None] + T * ht
+    jacdet = np.repeat(rwt, len(Tloc)) * np.tile(twt, len(Rloc)) * ra
+    dNr = np.stack([-(1 - T), -T, (1 - T), T], axis=1) / hr
+    dNt = np.stack([-(1 - R), (1 - R), -R, R], axis=1) / ht
+    nodes = pos[_element_rows(mesh)]
+    row, col = np.broadcast_arrays(nodes[:, :, None], nodes[:, None, :])
+    lower = (col >= 0) & (row >= col)
+    d = (row - col)[lower]
+    kd = int(d.max())
+    return _BandGeometry(*_frozen((
+        perm, ra * np.sin(ta), jacdet, jacdet / ra ** 2, _products(dNr), _products(dNt),
+        np.flatnonzero(lower), col[lower] * (kd + 1) + d,
+        pos[mesh.node_id(mesh.nr, np.arange(1, mesh.ntheta))])), (kd + 1, len(perm)))
 
 
-def _band_cholesky(K: sp.coo_matrix) -> np.ndarray:
-    """LAPACK dpbtrf factor (lower) of the symmetric positive definite K, in
-    band storage of shape (kd + 1, n); the half-bandwidth kd is that of K's
-    stored lower triangle.  Raises LinAlgError naming dpbtrf's info when K
-    is not positive definite."""
-    lower = K.row >= K.col
-    d, j, v = K.row[lower] - K.col[lower], K.col[lower], K.data[lower]
-    n, kd = K.shape[0], int(d.max())
-    # ab[d, j] = K[j + d, j], column-major so that dpbtrf factors in place
-    ab = np.bincount(j * (kd + 1) + d, weights=v,
-                     minlength=(kd + 1) * n).reshape((kd + 1, n), order="F")
-    c, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+def assemble_forms(mesh: HalfDiskMesh, weight: Callable) -> np.ndarray:
+    """The stiffness int w |grad u|^2 of the weight w = ``weight`` on the
+    free dofs of ``mesh``, in the lower band storage of
+    :func:`_band_geometry`.
+
+    ``weight`` takes an array of ordinates y and must broadcast: it is called
+    once, on the (radial elements, angular elements, quadrature points)
+    array."""
+    g = _band_geometry(mesh)
+    w = np.asarray(weight(g.y), dtype=float)
+    Ke = _contract(w * g.jacdet, g.dr)
+    Ke += _contract(w * g.jacdet_r2, g.dt)
+    return np.bincount(g.band, weights=Ke.ravel()[g.entries],
+                       minlength=g.shape[0] * g.shape[1]).reshape(g.shape, order="F")
+
+
+def min_rayleigh(mesh: HalfDiskMesh, K: np.ndarray, arc) -> Tuple[float, np.ndarray, float, int]:
+    """Smallest eigenvalue of the trace pencil of the band stiffness ``K``
+    of :func:`assemble_forms` and the arc mass ``arc`` of
+    :func:`assemble_arc_mass`, on the free dofs of ``mesh``.
+
+    K is factored once by LAPACK band Cholesky (``dpbtrf``, lower; a K that
+    is not positive definite raises LinAlgError naming its info), and
+    :func:`_lanczos_max` runs on K^-1 M in the M semi-inner product, one
+    ``dpbtrs`` per step.  The Ritz vector is mapped once more through K^-1 M,
+    so it lies in the pencil's range although the arc mass is singular, and
+    K v is the band product ``dsbmv`` of the unfactored K.
+    Returns (lam, M-normalized eigenvector on all nodes, residual ||K v - lam
+    M v|| / ||K v||, Lanczos steps)."""
+    g = _band_geometry(mesh)
+    factor, info = lapack.dpbtrf(K, lower=1)
     if info != 0:
-        raise np.linalg.LinAlgError(
-            f"stiffness not positive definite (dpbtrf info={info})")
-    return c
+        raise np.linalg.LinAlgError(f"stiffness not positive definite (dpbtrf info={info})")
+    Ma = (arc[0][1:-1], arc[1][1:-1])
 
-
-def min_rayleigh(mesh: HalfDiskMesh, K: sp.spmatrix, M: sp.spmatrix
-                 ) -> Tuple[float, np.ndarray, float, int]:
-    """Smallest generalized eigenvalue of (K, M) on the free dofs of ``mesh``.
-
-    The free dofs are numbered radius-fastest, which makes K a band matrix
-    of half-bandwidth nr + 1; it is factored once
-    by band Cholesky (:func:`_band_cholesky`) and :func:`_lanczos_max` runs
-    on K^-1 M in the M (semi-)inner product, one dpbtrs per step.  The Ritz
-    vector is mapped once more through K^-1 M, so it lies in the pencil's
-    range even where M is singular (the arc mass).  Returns (lam,
-    M-normalized eigenvector on all nodes, residual ||K v - lam M v|| /
-    ||K v||, Lanczos steps)."""
-    perm = _radius_fastest(mesh)
-    Kf = _renumbered(K, perm)
-    factor = _band_cholesky(Kf)
-    Kf, Mf = Kf.tocsr(), _renumbered(M, perm).tocsr()
+    def mass(u):
+        mu = np.zeros_like(u)
+        mu[g.arc] = _tri_apply(Ma, u[g.arc])
+        return mu
 
     def solve(u):
         return lapack.dpbtrs(factor, u, lower=1)[0]
 
-    g, steps = _lanczos_max(solve, lambda u: Mf @ u, len(perm))
-    v = solve(Mf @ g)
-    return _finish(v, Kf @ v, Mf @ v, steps, mesh.nnodes, perm)
+    q, steps = _lanczos_max(solve, mass, len(g.perm))
+    v = solve(mass(q))
+    kv = blas.dsbmv(len(K) - 1, 1.0, K, v, lower=1)
+    return _finish(v, kv, mass(v), steps, mesh.nnodes, g.perm)
 
 
 # ---------------------------------------------------------------------------
 # Quotients
 # ---------------------------------------------------------------------------
+
+def _trace_route(b: float, eps: float) -> str:
+    """The route :func:`trace_eigen` takes for (b, eps): b < 1 and eps >= 0,
+    and eps > 0 takes the direct route, which needs b > -1.  Any other
+    (b, eps) raises ValueError."""
+    if b >= 1.0:
+        raise ValueError("trace exponent must satisfy b < 1")
+    if eps < 0.0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    route = "direct" if b > -1.0 else "transformed"
+    if eps > 0.0 and route == "transformed":
+        raise ValueError(f"eps > 0 takes the direct route, which needs b > -1, got b={b}")
+    return route
+
 
 def trace_eigen(b: float, eps: float, grid_h: float) -> EigenResult:
     """Sharp constant of int rho^b |grad u|^2 >= lam int_arc rho^b u^2, u|_plane = 0.
@@ -666,21 +662,15 @@ def trace_eigen(b: float, eps: float, grid_h: float) -> EigenResult:
     weighted quotient literally; otherwise the transformed route conjugates
     by |y|^(b/2) and uses the closed-form potentials (valid for every b < 1).
     Both separate in (r, theta) and take :func:`_separable_eigen`.  For
-    eps > 0 the direct pencil is assembled and solved by :func:`min_rayleigh`;
-    it takes b > -1 only."""
-    if b >= 1.0:
-        raise ValueError("trace exponent must satisfy b < 1")
-    if eps < 0.0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    route = "direct" if b > -1.0 else "transformed"
-    if eps > 0.0 and route == "transformed":
-        raise ValueError(f"eps > 0 takes the direct route, which needs b > -1, got b={b}")
+    eps > 0 the direct pencil is assembled and solved by :func:`min_rayleigh`.
+    :func:`_trace_route` states which (b, eps) are taken."""
+    route = _trace_route(b, eps)
     mesh = HalfDiskMesh.from_h(grid_h)
     if eps == 0.0:
         lam, vec, res, it = _separable_eigen(mesh, *_trace_factors(mesh, b, route))
     else:
         wfn = functools.partial(rho_weight, WeightFamily(b, eps))
-        lam, vec, res, it = min_rayleigh(mesh, assemble_forms(mesh, wfn)[0],
+        lam, vec, res, it = min_rayleigh(mesh, assemble_forms(mesh, wfn),
                                          assemble_arc_mass(mesh, wfn))
     return EigenResult(f"trace[b={b:g}]", b, eps, grid_h, lam, res, route, it, vec)
 

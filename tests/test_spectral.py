@@ -163,27 +163,98 @@ def _zeroed(M, nodes):
     return (D @ M @ D).tocsr()
 
 
+def _coo_forms(mesh, stiffness_weight, mass_weight=None, jac=None):
+    """(K, M) on all nodes, sparse: the stiffness int w |grad u|^2 and the
+    domain mass int m u^2 (zero when ``mass_weight`` is None), element rows
+    at once, the two rows touching the plane by the Gauss-Jacobi rule of
+    ``jac`` when given.  The vectorised assembler the separable factors
+    replaced, kept as their oracle."""
+    K = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
+    M = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
+    rn, tn = mesh.r_nodes, mesh.theta_nodes
+    Rloc, rwt, hr = spectral._radial_rule(mesh)
+    ht = tn[1] - tn[0]
+
+    def accumulate(nodes, Ke):
+        r = np.repeat(nodes[:, :, None], 4, axis=2).ravel()
+        c = np.repeat(nodes[:, None, :], 4, axis=1).ravel()
+        return sp.coo_matrix((Ke.ravel(), (r, c)), shape=(mesh.nnodes, mesh.nnodes))
+
+    for jrange, Tloc, twt, dist in spectral._theta_rows(mesh, jac):
+        nodes = spectral._element_rows(mesh).reshape(mesh.nr, mesh.ntheta, 4)[:, jrange].reshape(-1, 4)
+        r0 = np.repeat(rn[:-1], len(jrange))
+        t0 = np.tile(tn[jrange], mesh.nr)
+        dist_pow = None if dist is None else np.tile(dist, len(Rloc))
+        R = np.repeat(Rloc, len(Tloc))
+        T = np.tile(Tloc, len(Rloc))
+        ra = r0[:, None] + R * hr
+        y = ra * np.sin(t0[:, None] + T * ht)
+        jacdet = np.repeat(rwt, len(Tloc)) * np.tile(twt, len(Rloc)) * ra
+        N = np.stack([(1 - R) * (1 - T), (1 - R) * T, R * (1 - T), R * T], axis=1)
+        dNr = np.stack([-(1 - T), -T, (1 - T), T], axis=1) / hr
+        dNt = np.stack([-(1 - R), (1 - R), -R, R], axis=1) / ht
+
+        def coefficient(fn):
+            v = np.asarray(fn(y), dtype=float)
+            if dist_pow is not None:
+                v = v / dist_pow
+            return v * jacdet
+
+        coef = coefficient(stiffness_weight)
+        K = K + accumulate(nodes, spectral._contract(coef, spectral._products(dNr))
+                           + spectral._contract(coef / ra ** 2, spectral._products(dNt)))
+        if mass_weight is not None:
+            M = M + accumulate(nodes, spectral._contract(coefficient(mass_weight),
+                                                         spectral._products(N)))
+    return K.tocsr(), M.tocsr()
+
+
+def _arc_matrix(mesh, t):
+    """The arc tridiagonal t of ``assemble_arc_mass`` on all nodes, sparse."""
+    arc = mesh.node_id(mesh.nr, np.arange(mesh.ntheta + 1))
+    T = sp.coo_matrix(_tri(t))
+    return sp.csr_matrix((T.data, (arc[T.row], arc[T.col])), shape=(mesh.nnodes,) * 2)
+
+
+def _unband(ab):
+    """The symmetric matrix of the lower band storage ab[d, j] = K[j + d, j]."""
+    n = ab.shape[1]
+    L = sp.diags([ab[d, :n - d] for d in range(len(ab))], [-d for d in range(len(ab))])
+    return (L + sp.triu(L.T, 1)).tocsr()
+
+
+def _band_matrix(mesh, ab):
+    """The band stiffness of ``assemble_forms`` on all nodes, sparse."""
+    perm = spectral._band_geometry(mesh).perm
+    P = sp.csr_matrix((np.ones(len(perm)), (perm, np.arange(len(perm)))),
+                      shape=(mesh.nnodes, len(perm)))
+    return (P @ _unband(ab) @ P.T).tocsr()
+
+
 def _pencil(case, mesh):
-    """(K, M, free dofs) as the two-dimensional assembly builds them.  A case
-    is (kind, b, eps); the Hardy case ("hardy", None, 0.0) is the flat Hardy
-    pencil, whose arc is fixed.  The transformed case (eps = 0) is the flat
-    form with the domain potential c / y^2, c = b (b - 2) / 4, and the arc
-    potential W = -b/2 times the unweighted arc mass."""
+    """(K, M, free dofs) on all nodes.  A case is (kind, b, eps); the Hardy
+    case ("hardy", None, 0.0) is the flat Hardy pencil, whose arc is fixed.
+    An eps > 0 case is the band pencil ``min_rayleigh`` solves; the eps = 0
+    cases come from ``_coo_forms``.  The transformed case (eps = 0) is the
+    flat form with the domain potential c / y^2, c = b (b - 2) / 4, and the
+    arc potential W = -b/2 times the unweighted arc mass."""
     free = mesh.free_nodes()
     kind, b, eps = case
     if kind == "direct":
         wfn = _rho(b, eps)
-        if eps > 0.0 or b == 0.0:
-            K, _ = assemble_forms(mesh, wfn)
-            return K, assemble_arc_mass(mesh, wfn), free
-        K, _ = assemble_forms(mesh, wfn, sigma_jacobi_exponent=b)
-        return K, _zeroed(assemble_arc_mass(mesh, wfn), _sigma_adjacent_arc_nodes(mesh)), free
+        arc = _arc_matrix(mesh, assemble_arc_mass(mesh, wfn))
+        if eps > 0.0:
+            return _band_matrix(mesh, assemble_forms(mesh, wfn)), arc, free
+        if b == 0.0:
+            return _coo_forms(mesh, wfn)[0], arc, free
+        K, _ = _coo_forms(mesh, wfn, jac=b)
+        return K, _zeroed(arc, _sigma_adjacent_arc_nodes(mesh)), free
     if kind == "transformed":
         c, W = b * (b - 2.0) / 4.0, -b / 2.0
-        K, P = assemble_forms(mesh, np.ones_like, mass_weight=lambda y: c / (y * y))
-        arc = assemble_arc_mass(mesh, None)
+        K, P = _coo_forms(mesh, np.ones_like, mass_weight=lambda y: c / (y * y))
+        arc = _arc_matrix(mesh, assemble_arc_mass(mesh, None))
         return K + P + W * arc, arc, free
-    K, M = assemble_forms(mesh, np.ones_like, mass_weight=lambda y: 1.0 / (y * y))
+    K, M = _coo_forms(mesh, np.ones_like, mass_weight=lambda y: 1.0 / (y * y))
     return K, M, np.setdiff1d(free, mesh.node_id(mesh.nr, np.arange(mesh.ntheta + 1)))
 
 
@@ -250,19 +321,23 @@ BANDED = [("direct", 0.5, 0.1), ("direct", -0.5, 0.1)]
 
 
 def _band_factor(case, mesh):
-    """(stiffness renumbered radius-fastest as min_rayleigh numbers it, its
-    band Cholesky factor, mass renumbered the same way)."""
-    K, M, _ = _pencil(case, mesh)
-    perm = spectral._radius_fastest(mesh)
-    Kf = spectral._renumbered(K, perm)
-    return Kf, spectral._band_cholesky(Kf), spectral._renumbered(M, perm)
+    """(stiffness in the band numbering of ``min_rayleigh``, sparse, the
+    band Cholesky factor of its band storage, mass in the same numbering)."""
+    _, b, eps = case
+    wfn = _rho(b, eps)
+    ab = assemble_forms(mesh, wfn)
+    factor, info = lapack.dpbtrf(ab, lower=1)
+    assert info == 0
+    perm = spectral._band_geometry(mesh).perm
+    M = _arc_matrix(mesh, assemble_arc_mass(mesh, wfn))[perm][:, perm]
+    return _unband(ab), factor, M
 
 
 @pytest.mark.parametrize("h", [1 / 8, 1 / 16], ids=["h8", "h16"])
 @pytest.mark.parametrize("case", BANDED, ids=_case_id)
 def test_band_solve_matches_sparse_lu(case, h):
     """A solve with the band Cholesky factor equals a sparse LU solve of the
-    same renumbered stiffness, for right-hand sides M 1 and K 1."""
+    same stiffness, for right-hand sides M 1 and K 1."""
     Kf, factor, Mf = _band_factor(case, HalfDiskMesh.from_h(h))
     lu = splu(Kf.tocsc())
     ones = np.ones(Kf.shape[0])
@@ -285,9 +360,26 @@ def test_band_width_is_free_radial_count_plus_one(case, h):
 def test_indefinite_stiffness_raises():
     """The band Cholesky of a negated stiffness fails at its first pivot."""
     mesh = HalfDiskMesh.from_h(1 / 8)
-    K, M, _ = _pencil(BANDED[0], mesh)
+    wfn = _rho(*BANDED[0][1:])
     with pytest.raises(np.linalg.LinAlgError, match=r"dpbtrf info=1\)"):
-        spectral.min_rayleigh(mesh, -K, M)
+        spectral.min_rayleigh(mesh, -assemble_forms(mesh, wfn), assemble_arc_mass(mesh, wfn))
+
+
+def test_lambda_r_rows_share_one_geometry():
+    """The lambda_r rows of one h reuse one band geometry, and the cache
+    holds the geometry of one mesh only."""
+    spectral._band_geometry.cache_clear()
+    mesh = HalfDiskMesh.from_h(1 / 8)
+    dl.trace_eigen(0.5, 1.0, 1 / 8)
+    geometry = spectral._band_geometry(mesh)
+    dl.trace_eigen(0.5, 0.25, 1 / 8)
+    assert spectral._band_geometry(mesh) is geometry
+    assert spectral._band_geometry.cache_info().misses == 1
+    dl.trace_eigen(0.5, 1.0, 1 / 16)
+    info = spectral._band_geometry.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+    for arr in (a for a in geometry if isinstance(a, np.ndarray)):
+        assert not arr.flags.writeable
 
 
 def test_gauss_rules_are_computed_once():
@@ -302,6 +394,19 @@ def test_gauss_rules_are_computed_once():
     for arr in (x, w, jx, jw):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_top_ritz_pair_is_eigh_tridiagonal():
+    """The Lanczos convergence test's Ritz pair is, bit for bit, the top
+    eigenpair ``scipy.linalg.eigh_tridiagonal(select="i")`` gives."""
+    rng = np.random.default_rng(5)
+    for k in range(1, 21):
+        alpha, beta = list(rng.random(k)), list(rng.random(k - 1))
+        theta, s = spectral._top_ritz_pair(alpha, beta)
+        want, vec = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i",
+                                                  select_range=(k - 1, k - 1))
+        assert theta == want[0]
+        np.testing.assert_array_equal(s, vec[:, 0])
 
 
 def test_mesh_and_trace_reject_values_they_cannot_run_on():
@@ -386,7 +491,7 @@ def test_arc_mass_matches_loop_reference(weight, skipped):
     it equals on the free dofs the loop that also skips the two segments
     touching the plane: those segments reach no other free dof."""
     mesh = HalfDiskMesh.from_h(1 / 8)
-    got = assemble_arc_mass(mesh, weight)
+    got = _arc_matrix(mesh, assemble_arc_mass(mesh, weight))
     if skipped:
         drop = _sigma_adjacent_arc_nodes(mesh)
         free = mesh.free_nodes()
@@ -435,8 +540,9 @@ def _forms_loop(mesh, stiffness_weight, mass_weight, jac=None, quad_order=4):
 @pytest.mark.parametrize("mass", ["potential", "hardy"])
 @pytest.mark.parametrize("b, eps, jac", [(0.5, 0.1, None), (-0.5, 0.0, -0.5)])
 def test_element_forms_match_loop_reference(b, eps, jac, mass):
-    """The stiffness and a domain mass, the potential V of the
-    rho-conjugation or the Hardy mass w / y^2, equal the point-by-point loop."""
+    """The oracle ``_coo_forms`` of the separable factors: the stiffness and a
+    domain mass, the potential V of the rho-conjugation or the Hardy mass
+    w / y^2, equal the point-by-point loop."""
     mesh = HalfDiskMesh.from_h(1 / 4)
     wfn = _rho(b, eps)
 
@@ -446,8 +552,20 @@ def test_element_forms_match_loop_reference(b, eps, jac, mass):
             return b * ((b - 2.0) * y * y + 2.0 * eps * eps) / (4.0 * d2 * d2)
         return wfn(y) / (y * y)
 
-    got = assemble_forms(mesh, wfn, mass_weight=weight, sigma_jacobi_exponent=jac)
+    got = _coo_forms(mesh, wfn, mass_weight=weight, jac=jac)
     ref = _forms_loop(mesh, wfn, weight, jac)
     for g, r in zip(got, ref):
         # summation order differs: a few ulps of the largest entry
         assert np.max(np.abs(g.toarray() - r)) <= 1e-13 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("b", [0.5, -0.5])
+def test_band_stiffness_matches_loop_reference(b):
+    """The band storage of ``assemble_forms``, expanded, equals the
+    point-by-point loop's stiffness entry by entry on the free dofs."""
+    mesh = HalfDiskMesh.from_h(1 / 4)
+    wfn = _rho(b, 0.1)
+    free = mesh.free_nodes()
+    got = _band_matrix(mesh, assemble_forms(mesh, wfn))[free][:, free].toarray()
+    ref = _forms_loop(mesh, wfn, lambda y: 0.0)[0][np.ix_(free, free)]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
