@@ -7,8 +7,10 @@ PARENT and CHANGE are checkout roots (CHANGE defaults to this script's);
 each pipeline runs on its tree's ``src`` into a temporary directory.  Files
 are listed as identical or differing, a differing one with the largest
 relative deviation |p - c| / max(|p|, |c|) between numbers in the same place
-(inf where other text differs), and the line and column where it is, so
-that rounding noise in one column can be told from a change.  Exit 0 when
+(inf where other text differs), the line and column where it is, and the
+largest absolute deviation |p - c|, so that rounding noise in one column can
+be told from a change: a column of rounding-level values, such as errors of
+1e-15, deviates by O(1) relative but by O(1e-15) absolute.  Exit 0 when
 every deviation is at most 1e-12 and the pipelines' exit codes agree,
 else 1."""
 
@@ -51,36 +53,40 @@ def _where(text: str, parts: list, k: int) -> str:
 
 def deviation(a: str, b: str) -> tuple:
     """(largest relative deviation between the numbers of two texts, where in
-    the first text it is, or None when they hold the same numbers)."""
+    the first text it is, or None when they hold the same numbers, largest
+    absolute deviation)."""
     pa, pb = _TOKEN.split(a), _TOKEN.split(b)
     if len(pa) != len(pb):
         la, lb = a.splitlines(), b.splitlines()
         number = next((i for i, (x, y) in enumerate(zip(la, lb), 1) if x != y),
                       min(len(la), len(lb)) + 1)
-        return math.inf, f"line {number}"
-    worst, at = 0.0, None
+        return math.inf, f"line {number}", math.inf
+    worst, at, absolute = 0.0, None, 0.0
     for k in range(0, len(pa), 2):
         if pa[k] != pb[k]:
             try:
                 p, c = float(pa[k]), float(pb[k])
             except ValueError:
-                return math.inf, _where(a, pa, k)
-            dev = abs(p - c) / max(abs(p), abs(c)) if p != c else 0.0    # 0 against -0
-            dev = dev if dev == dev else math.inf       # nan, inf
+                return math.inf, _where(a, pa, k), math.inf
+            diff = abs(p - c) if p != c else 0.0                        # inf against inf
+            diff = diff if diff == diff else math.inf                   # nan, inf
+            dev = diff / max(abs(p), abs(c)) if 0.0 < diff < math.inf else diff
             if at is None or dev > worst:
                 worst, at = dev, k
-    return worst, (None if at is None else _where(a, pa, at))
+            absolute = max(absolute, diff)
+    return worst, (None if at is None else _where(a, pa, at)), absolute
 
 
 def compare(parent: Path, change: Path) -> tuple:
-    """(identical files, {differing file: (deviation, where)}) of two output
-    trees; where is None for a file that only one tree holds."""
+    """(identical files, {differing file: (deviation, where, absolute
+    deviation)}) of two output trees; where is None for a file that only one
+    tree holds."""
     same, differ = [], {}
     for f in sorted({p.relative_to(d) for d in (parent, change)
                      for p in d.rglob("*") if p.is_file()}):
         a, b = parent / f, change / f
         if not (a.is_file() and b.is_file()):
-            differ[f] = (math.inf, None)
+            differ[f] = (math.inf, None, math.inf)
         elif a.read_bytes() == b.read_bytes():
             same.append(f)
         else:
@@ -97,10 +103,11 @@ def main(argv: list) -> int:
     print(f"pipeline exit codes: parent {codes[0]}, change {codes[1]}")
     print(f"identical: {len(same)} files")
     print("".join(f"  {f}\n" for f in same), end="")
-    print(f"differ: {len(differ)} files (largest relative deviation, and where)")
-    print("".join(f"  {f}  {dev:.3g}" + (f"  {at}" if at else "") + "\n"
-                  for f, (dev, at) in differ.items()), end="")
-    return 0 if codes[0] == codes[1] and all(d <= TOLERANCE for d, _ in differ.values()) else 1
+    print(f"differ: {len(differ)} files (largest relative deviation, largest absolute "
+          "deviation, and where the relative one is)")
+    print("".join(f"  {f}  {dev:.3g}  abs {ab:.3g}" + (f"  {at}" if at else "") + "\n"
+                  for f, (dev, at, ab) in differ.items()), end="")
+    return 0 if codes[0] == codes[1] and all(d <= TOLERANCE for d, *_ in differ.values()) else 1
 
 
 if __name__ == "__main__":

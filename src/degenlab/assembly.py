@@ -31,17 +31,11 @@ Boundary handling:
 * outer boundary (including the staircase of masked half-disk cells):
   Dirichlet data enter through half-cell transmissibilities, first order.
 
-Linear solves: every planar system (n = 1) is factored by one sparse LU with
-the minimum-degree ordering of A^T + A, whatever its size.  Minimum-degree
-orderings of 2-D grid operators fill O(N log N) (George & Liu, 1981), so the
-factorisation stays cheap; on 3-D grids (n = 2) the fill grows much faster
-(40x at h = 1/16), and those take the LU only up to ``DIRECT_SOLVE_MAX``
-cells and Jacobi-preconditioned CG above it (the matrix is symmetric),
-falling back to the LU when CG fails.  The CSR matrix is factored through
-its transpose, a CSC view, so no copy is made, and the solve uses
-``trans="T"``; ``panel_size=1`` shrinks SuperLU's panel work arrays, and
-with them the peak memory of the factorisation.  Every solve aims at the
-relative residual ``SOLVER_TOL``.
+Linear solves: one CG call, preconditioned on the n = 1 half rectangle by
+the exact solve of the separable fit of the face transmissibilities (Lynch,
+Rice & Thomas, 1964; Concus & Golub, 1973), which every operator the CLI
+assembles matches, so CG stops within two steps; masked and n = 2 grids
+take the diagonal.  Every solve aims at the relative residual ``SOLVER_TOL``.
 """
 
 from __future__ import annotations
@@ -53,6 +47,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .geometry import HalfGrid
 from .weights import (
@@ -66,7 +61,6 @@ from .weights import (
     v_char_profile,
 )
 
-DIRECT_SOLVE_MAX = 5_000
 ITERATION_CAP = 100_000
 SOLVER_TOL = 1e-10      # relative residual of every linear solve
 
@@ -412,11 +406,6 @@ class AssembledOperator:
             np.add.at(out, np.maximum(fc.lo, fc.hi)[d], fc.tau[d] * tv)
         return out
 
-    def residual(self, u: np.ndarray, rhs: np.ndarray) -> float:
-        r = self.matrix @ u - rhs
-        denom = float(np.linalg.norm(rhs))
-        return float(np.linalg.norm(r)) / (denom if denom > 0 else 1.0)
-
 
 def _cell_weight_integrals(weight: WeightModel, g: HalfGrid) -> np.ndarray:
     """Per-cell int_cell w dy, by the weight model's ``cell_integral_y``."""
@@ -498,47 +487,56 @@ class SolveReport:
     field: DiscreteField
     relative_residual: float
     iterations: int
-    method: str
-    converged: bool               # relative_residual <= tolerance
+    method: str                   # always "cg-preconditioned"
+    converged: bool               # info == 0 and relative_residual <= tolerance
     tolerance: float
-    info: int                     # 0, or the cg failure flag (the LU then solved)
+    info: int                     # cg's flag: 0, or ITERATION_CAP when CG stopped there
+
+
+def _separable_solve(op: AssembledOperator) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact solve of the separable fit of an n = 1 half-rectangle operator.
+
+    The y-face lattice (nx, ny + 1) of ``op.faces.tau`` is fitted as m (x) d
+    and the x-face lattice (ny, nx + 1) as c (x) a, each as u v^T with v its
+    column sums (least squares, exact at rank one).  With D_x and K_y the
+    face forms of a and d, D_x Q = diag(m) Q diag(lam), Q^T diag(m) Q = I,
+    splits D_x (x) diag(c) + diag(m) (x) K_y into the blocks
+    lam_i diag(c) + K_y, factored by one dpttrf of their stacked tridiagonals."""
+    g, tau = op.grid, op.faces.tau
+    k = g.nx * (g.ny + 1)
+    fits = []
+    for T in (tau[:k].reshape(g.nx, g.ny + 1), tau[k:].reshape(g.ny, g.nx + 1)):
+        v = T.sum(axis=0)
+        fits.append((T @ v / (v @ v), v[:-1] + v[1:], -v[1:-1]))   # u, face form of v
+    (m, dy, ey), (c, dx, ex) = fits
+    s = 1.0 / np.sqrt(m)
+    lam, V = eigh_tridiagonal(s * s * dx, s[:-1] * s[1:] * ex)
+    Q = s[:, None] * V
+    # each block's off-diagonal and a zero coupling to the next block
+    df, ef, _ = lapack.dpttrf((lam[:, None] * c + dy).ravel(), np.tile(np.r_[ey, 0.0], g.nx)[:-1])
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        w = lapack.dpttrs(df, ef, (Q.T @ r.reshape(g.nx, g.ny)).ravel())[0]
+        return (Q @ w.reshape(g.nx, g.ny)).ravel()
+
+    return solve
 
 
 def solve_linear(op: AssembledOperator, rhs: np.ndarray) -> SolveReport:
-    """Solve op u = rhs to the relative residual ``SOLVER_TOL``.
-
-    Planar grids (n = 1), and n = 2 grids of at most ``DIRECT_SOLVE_MAX``
-    cells, take one sparse LU: ``splu`` of the CSC view ``A.T`` (no copy)
-    with the ``MMD_AT_PLUS_A`` ordering and ``panel_size=1``, solved with
-    ``trans="T"``.  Larger n = 2 grids, whose fill grows too fast for a
-    direct factorisation, use diagonally preconditioned CG; if that breaks
-    down or reaches ``ITERATION_CAP`` (info != 0), the same sparse LU solves
-    the system, and the report keeps the CG info."""
-    tol = SOLVER_TOL
-    A = op.matrix
-    nn = A.shape[0]
-    it_count = [0]
-
-    def cb(_):
-        it_count[0] += 1
-
-    info = 0
-    if op.grid.n == 1 or nn <= DIRECT_SOLVE_MAX:
-        method = "direct-sparse-lu"
+    """Solve op u = rhs by CG to the relative residual ``SOLVER_TOL * 1e-5`` of its
+    recursion or ``ITERATION_CAP`` steps, preconditioned as the module docstring says."""
+    A, g = op.matrix, op.grid
+    if g.n == 1 and g.shape == "half_rectangle":
+        M = spla.LinearOperator(A.shape, matvec=_separable_solve(op))
     else:
-        d = A.diagonal()
-        M = sp.diags(1.0 / np.where(d > 0, d, 1.0))
-        u, info = spla.cg(A, rhs, rtol=tol * 1e-2, atol=0.0,
-                          maxiter=ITERATION_CAP, M=M, callback=cb)
-        method = "cg-jacobi"
-    if method == "direct-sparse-lu" or info != 0:
-        lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A", panel_size=1)
-        u = lu.solve(rhs, trans="T")
-        method = "direct-sparse-lu"
-    res = op.residual(u, rhs)
-    fld = DiscreteField(op.grid, u, op.parity)
-    return SolveReport(field=fld, relative_residual=res, iterations=it_count[0],
-                       method=method, converged=res <= tol, tolerance=tol, info=info)
+        M = sp.diags(1.0 / A.diagonal())
+    steps = []
+    u, info = spla.cg(A, rhs, rtol=SOLVER_TOL * 1e-5, atol=0.0, maxiter=ITERATION_CAP,
+                      M=M, callback=lambda _: steps.append(1))
+    res = float(np.linalg.norm(A @ u - rhs)) / (float(np.linalg.norm(rhs)) or 1.0)
+    return SolveReport(field=DiscreteField(g, u, op.parity), relative_residual=res,
+                       iterations=len(steps), method="cg-preconditioned", info=info,
+                       converged=info == 0 and res <= SOLVER_TOL, tolerance=SOLVER_TOL)
 
 
 def manufactured_problem(u_exact: Callable, op: AssembledOperator

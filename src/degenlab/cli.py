@@ -157,7 +157,7 @@ def _accepted_by(build, what: str):
 # The characteristic solution, the trace exponents and Phi_a all need a < 1
 _BELOW_ONE = (lambda a: a < 1.0, "below 1")
 _ALPHA = (lambda alpha: 0.0 < alpha <= 1.0, "in (0, 1]")      # a Holder exponent
-_MESH_SPACING = _accepted_by(HalfDiskMesh.from_h, "1/n for an integer n >= 1")
+_MESH_SPACING = _accepted_by(HalfDiskMesh.from_h, "1/n for an integer n >= 3")
 # the lambda_r rows solve at eps = 1/r > 0
 _EPS_TRACE_EXPONENT = _accepted_by(lambda b: _trace_route(b, 1.0), "in (-1, 1)")
 _GRID_SPACING = _accepted_by(lambda h: build_half_grid(1, "half_rectangle", h),

@@ -95,6 +95,8 @@ class HalfDiskMesh:
         nr = int(round(1.0 / h))
         if nr < 1 or abs(nr * h - 1.0) > 1e-9:
             raise ValueError(f"h={h} must divide the unit radius")
+        if nr < 3:
+            raise ValueError(f"h={h} must be at most 1/3: Hardy needs two interior radii")
         # 4 nr angular cells: arc spacing pi/(4 nr) < h, and refinement h -> h/2
         # doubles both directions exactly, so nodal spaces nest
         return cls(nr=nr, ntheta=4 * nr)
@@ -507,8 +509,7 @@ def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0
     if not trace:
         mu, X, z = mu[:1], X[:, :1], np.ones(1)
     k, n = len(mu), len(B[0])
-    e = np.zeros((k, n))
-    e[:, :-1] = mu[:, None] * B[1] + D[1]
+    e = np.pad(mu[:, None] * B[1] + D[1], ((0, 0), (0, 1)))     # no coupling between blocks
     df, ef, info = lapack.dpttrf((mu[:, None] * B[0] + D[0]).ravel(), e.ravel()[:-1])
     if info != 0:
         raise np.linalg.LinAlgError(f"angular block not positive definite (dpttrf info={info})")

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 import degenlab as dl
 from degenlab.assembly import ParityError
@@ -84,41 +85,59 @@ def test_even_parity_annihilates_constants():
     assert np.max(np.abs(r)) < 1e-12
 
 
-def test_planar_systems_factor_directly():
-    # an n = 1 grid above DIRECT_SOLVE_MAX still takes the sparse LU
+def _quadratic_mu_inverse(x, y):
+    return 1.0 / (1.0 + 0.1 * x * x)
+
+
+SEPARABLE = {
+    "mu1": lambda: dl.RhoWeight(dl.WeightFamily(0.5, 0.0)),
+    "quadratic-mu": lambda: dl.RhoWeight(dl.WeightFamily(0.5, 0.0), _quadratic_mu_inverse),
+    "eps0.01": lambda: dl.RhoWeight(dl.WeightFamily(0.5, 0.01)),
+    "singular": lambda: dl.RhoWeight(dl.WeightFamily(-1.5, 0.0)),
+    "auxiliary": lambda: dl.AuxiliaryWeight(dl.CharacteristicSolution(
+        dl.WeightFamily(0.5, 0.1), _quadratic_mu_inverse)),
+}
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("weight", SEPARABLE)
+def test_separable_operators_converge_in_two_steps(weight, parity):
+    # on the full rectangle the preconditioner is the separable operator's own solve
     g = dl.build_half_grid(1, "half_rectangle", 1 / 64)
-    assert g.ncells > dl.assembly.DIRECT_SOLVE_MAX
-    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
-    rhs, exact = dl.manufactured_problem(lambda x, y: y, op)
+    op = dl.assemble(g, SEPARABLE[weight](), parity=parity)
+    rhs = op.rhs(f=lambda x, y: np.cos(x) * (1.0 + y), trace=lambda x, y: 1.0 + x + y * y)
     rep = dl.solve_linear(op, rhs)
-    assert rep.method == "direct-sparse-lu"
-    assert rep.iterations == 0 and rep.info == 0 and rep.converged
-    assert np.max(np.abs(rep.field.values - exact.values)) < 1e-12
+    assert rep.method == "cg-preconditioned"
+    assert rep.iterations <= 2 and rep.info == 0 and rep.converged
+    assert rep.relative_residual <= 1e-14
+    u = spsolve(op.matrix.tocsc(), rhs)
+    assert np.max(np.abs(rep.field.values - u)) <= 1e-11 * np.max(np.abs(u))
 
 
-def test_iterative_solves_report_info(monkeypatch):
-    # on an n = 2 grid above DIRECT_SOLVE_MAX Jacobi-CG runs; info 0 means converged
-    monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 10)
-    g = dl.build_half_grid(2, "half_rectangle", 1 / 8)
-    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
-    rhs, exact = dl.manufactured_problem(lambda x, y: y, op)
+def test_non_separable_operator_takes_more_steps():
+    # mu^-1 = 1 + 3 (x^2 + y^2) has face lattices of rank > 1: the fit only preconditions
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
+    weight = dl.RhoWeight(dl.WeightFamily(0.5, 0.0), lambda x, y: 1.0 + 3.0 * (x * x + y * y))
+    op = dl.assemble(g, weight, parity="odd")
+    rhs = op.rhs(f=lambda x, y: np.cos(x) * (1.0 + y), trace=lambda x, y: 1.0 + x + y * y)
     rep = dl.solve_linear(op, rhs)
-    assert rep.method == "cg-jacobi"
-    assert rep.info == 0 and rep.converged and rep.iterations > 0
-    assert np.max(np.abs(rep.field.values - exact.values)) < 1e-9
+    assert rep.iterations > 2 and rep.info == 0 and rep.converged
+    u = np.linalg.solve(op.matrix.toarray(), rhs)
+    assert np.max(np.abs(rep.field.values - u)) <= 1e-8 * np.max(np.abs(u))
 
 
-def test_failed_krylov_solve_falls_back_to_lu(monkeypatch):
-    # one iteration cannot converge: the CG info is kept, the LU solves
-    monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 0)
+def test_iteration_cap_is_reported_and_aborts_a_sweep(monkeypatch):
+    # one CG step cannot converge: the report says so, and a sweep stops on it
     monkeypatch.setattr(dl.assembly, "ITERATION_CAP", 1)
-    g = dl.build_half_grid(2, "half_rectangle", 1 / 4)
+    g = dl.build_half_grid(1, "half_disk", 1 / 8)
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
-    rhs, exact = dl.manufactured_problem(lambda x, y: y, op)
+    rhs, _ = dl.manufactured_problem(lambda x, y: y, op)
     rep = dl.solve_linear(op, rhs)
-    assert rep.method == "direct-sparse-lu"
-    assert rep.info == 1 and rep.iterations == 1 and rep.converged
-    assert np.max(np.abs(rep.field.values - exact.values)) < 1e-12
+    assert rep.iterations == 1 and rep.info != 0 and not rep.converged
+    fam = dl.ProblemFamily(a=0.5, trace_factor=lambda x, y: 1.0 + x,
+                           mu_inverse=lambda x, y: 1.0 + 3.0 * (x * x + y * y))
+    with pytest.raises(dl.SweepAbort, match="solver failed at eps=1"):
+        dl.holder.solve_family(fam, [1.0, 0.0], grid_h=1 / 16)
 
 
 def test_auxiliary_resistance_before_values():

@@ -9,9 +9,9 @@ the array assembly requires, and serve the oracle's scalar calls as well.
 
 The same cases check what the solvers and right-hand sides rely on: the
 matrix is positive definite (CG needs it), ``solve_linear`` agrees with a
-dense solve on the path it takes for the grid, a constant feels only its
-outer trace and, under odd parity, the zero on the plane, and the matrix is
-the face form sum_f tau_f (u_hi - u_lo)(v_hi - v_lo) of
+dense solve, within two CG steps on the n = 1 half rectangle, a constant
+feels only its outer trace and, under odd parity, the zero on the plane, and
+the matrix is the face form sum_f tau_f (u_hi - u_lo)(v_hi - v_lo) of
 ``op.faces``, the faces the right-hand sides read.
 """
 
@@ -113,14 +113,15 @@ def test_assembled_matrix_is_positive_definite(grid, weight, parity):
 
 
 @pytest.mark.parametrize("grid,weight,parity", CASES, ids=IDS)
-def test_solve_linear_matches_a_dense_solve(grid, weight, parity, monkeypatch):
-    # n = 2 grids are sent down the Jacobi-CG path, n = 1 grids take the LU
-    monkeypatch.setattr(dl.assembly, "DIRECT_SOLVE_MAX", 0)
+def test_solve_linear_matches_a_dense_solve(grid, weight, parity):
+    # every operator here is separable (mu depends on x alone): CG preconditioned
+    # by the separable fit stops within two steps on the n = 1 half rectangle
     op = _assembled(grid, weight, parity)
     rhs = op.rhs(f=_f, F=_F, trace=_trace)
     rep = dl.solve_linear(op, rhs)
-    assert rep.method == ("cg-jacobi" if op.grid.n == 2 else "direct-sparse-lu")
+    assert rep.method == "cg-preconditioned"
     assert rep.info == 0 and rep.converged
+    assert rep.iterations <= 2 or grid not in ("n1-rect", "n1-rect-h4")
     u = np.linalg.solve(op.matrix.toarray(), rhs)
     assert np.max(np.abs(rep.field.values - u)) <= 1e-8 * np.max(np.abs(u))
 

@@ -79,6 +79,8 @@ def test_usage_error_exit_code(tmp_path):
     (("eigen", "sweep_a=-1.5"), "sweep_a", "-1.5"),
     (("certify", "bugdet=5"), "bugdet", "5"),
     (("report", "a=0.5"), "a", "0.5"),
+    (("eigen", "h=1/2"), "h", "1/2"),
+    (("eigen", "h=1"), "h", "1"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     """A value that does not parse, or that the command cannot run on, is a
@@ -93,6 +95,14 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: {token!r}")
     assert "Traceback" not in err
+
+
+def test_eigen_runs_at_the_coarsest_mesh_it_accepts(tmp_path, capsys):
+    """h = 1/3 is the coarsest eigen mesh: it runs (its trace rows miss their
+    tolerances, exit 1) where h = 1/2 and 1 are refused."""
+    assert _run(tmp_path, "eigen", "h=1/3", "r_list=1") == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert "hardy" in (tmp_path / "eigen.csv").read_text()
 
 
 def test_readme_key_table_is_the_cli_contract():

@@ -76,5 +76,17 @@ def test_points_at_the_largest_deviation(tmp_path):
     rc, out = _run(parent, other)
     assert rc == 1
     differ = dict(line.split(None, 1) for line in out.split("differ: ")[1].splitlines()[1:])
-    assert differ == {"e.csv": "0.333  line 3, column residual",
-                      "c.txt": "0.167  line 2, column value"}
+    assert differ == {"e.csv": "0.333  abs 1e-07  line 3, column residual",
+                      "c.txt": "0.167  abs 0.05  line 2, column value"}
+
+
+def test_prints_the_largest_absolute_deviation(tmp_path):
+    """A column of rounding-level errors deviates by O(1) relative and by
+    O(1e-15) absolute; both are printed, and the exit rule still reads the
+    relative deviation alone."""
+    parent = _tree(tmp_path / "parent", {"o.csv": "h,max_error\n0.25,1e-15\n0.125,5.3e-15\n"})
+    other = _tree(tmp_path / "change", {"o.csv": "h,max_error\n0.25,1e-15\n0.125,1.8e-15\n"})
+    rc, out = _run(parent, other)
+    assert rc == 1
+    differ = out.split("differ: ")[1].splitlines()[1:]
+    assert differ == ["  o.csv  0.66  abs 3.5e-15  line 3, column max_error"]

@@ -413,6 +413,10 @@ def test_mesh_and_trace_reject_values_they_cannot_run_on():
     for h in (0.3, 0.0, -0.5, math.inf):
         with pytest.raises(ValueError, match="must"):
             HalfDiskMesh.from_h(h)
+    for h in (1.0, 0.5):                # the Hardy pencil needs two interior radial nodes
+        with pytest.raises(ValueError, match="must be at most 1/3"):
+            HalfDiskMesh.from_h(h)
+    assert HalfDiskMesh.from_h(1 / 3).nr == 3
     with pytest.raises(ValueError, match="eps must be >= 0"):
         dl.trace_eigen(0.5, -0.1, 1 / 8)
     with pytest.raises(ValueError, match="b < 1"):
