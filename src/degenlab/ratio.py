@@ -90,7 +90,8 @@ def aux_residual(problem: OddProblem, grid: HalfGrid) -> float:
     The load v (rho f + div(rho F)) - w v L v (module docstring) is the odd
     operator's load times v, less w v times its matrix applied to v.  Both
     operators carry Dirichlet half-cell terms without a trace on the cells
-    with an outer face, so those are left out too."""
+    with an outer face, so those are left out too.  A solve that did not
+    converge raises ``RuntimeError`` naming its residual."""
     wgt = RhoWeight(problem.sol.family, problem.sol.mu_inverse)
     sol = wgt.sol       # the quotient reuses the resistances' segment integrals
     op = assemble(grid, wgt, parity="odd")
@@ -98,7 +99,10 @@ def aux_residual(problem: OddProblem, grid: HalfGrid) -> float:
     if problem.u_exact is not None:
         u = DiscreteField.sample(grid, problem.u_exact, "odd")
     else:
-        u = solve_linear(op, load + op.rhs(trace=problem.trace)).field
+        rep = solve_linear(op, load + op.rhs(trace=problem.trace))
+        if not rep.converged:
+            raise RuntimeError(f"solver failed: residual {rep.relative_residual:.2e}")
+        u = rep.field
     v = _v_on_grid(sol, grid)
     w = _quotient(u, v).values
     lv = op.matrix @ v

@@ -28,15 +28,15 @@ integrated numerically: all the points or grid columns of a request in one
 vectorised pass of QUADPACK's 21-point Gauss-Kronrod rule under QUADPACK's
 own acceptance test, with adaptive ``quad`` for the segments it rejects;
 samplers take coordinate arrays (:func:`_sample`).  The functions here are
-pure; the one piece of state is the per-column ladder memo of
-:class:`CharacteristicSolution` (see there), so concurrent use is safe as
-long as user samplers are reentrant.
+pure; the one piece of state is the memo of :class:`CharacteristicSolution`,
+a list of ladders per column (see there), so concurrent use is safe as long
+as user samplers are reentrant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import hyp2f1
@@ -216,15 +216,10 @@ _WG = np.array([
 _EPMACH = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
 
-# dqk21 adds the centre, then the Gauss abscissae (odd positions of _XGK),
-# then the Kronrod-only ones
-_PAIR_ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
-
-
-def _seqsum(terms: np.ndarray) -> np.ndarray:
-    """Column sums of ``terms``, added strictly top to bottom (unlike
-    ``np.sum``, whose pairwise summation reorders the additions)."""
-    return np.add.accumulate(terms, axis=0)[-1]
+# the Kronrod and Gauss weights in _gk21_nodes' order (no Gauss node at the centre)
+_WK21 = np.concatenate([_WGK[10:], _WGK[:10], _WGK[:10]])
+_WG21 = np.zeros(21)
+_WG21[2:11:2] = _WG21[12::2] = _WG
 
 
 def _gk21_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -238,19 +233,13 @@ def _gk21_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _gk21(fvals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """QUADPACK's dqk21 on each row: (result, abserr, resabs) per segment.
 
-    ``fvals`` holds the integrand at ``_gk21_nodes(lo, hi)``.  Every sum runs
-    in dqk21's order (``_seqsum``), so a row equals the first pass of
-    ``quad`` on that segment up to the rounding of the integrand values."""
-    f = fvals.T
-    fc = f[0]
-    o = _PAIR_ORDER
-    pair = (f[1:11] + f[11:])[o]
-    resg = _seqsum(_WG[:, None] * pair[:5])
-    resk = _seqsum(np.vstack([_WGK[10] * fc, _WGK[o, None] * pair]))
-    resabs = _seqsum(np.vstack([np.abs(_WGK[10] * fc),
-                                _WGK[o, None] * (np.abs(f[1:11]) + np.abs(f[11:]))[o]]))
-    dev = np.abs(f - resk * 0.5)
-    resasc = _seqsum(np.vstack([_WGK[10] * dev[0], _WGK[:10, None] * (dev[1:11] + dev[11:])]))
+    ``fvals`` holds the integrand at ``_gk21_nodes(lo, hi)``.  Its four sums
+    are weighted sums of each row (einsum, not gemv: ``spectral._contract``),
+    so a row is the first pass of ``quad`` on that segment up to rounding."""
+    resk = np.einsum("sk,k->s", fvals, _WK21)
+    resg = np.einsum("sk,k->s", fvals, _WG21)
+    resabs = np.einsum("sk,k->s", np.abs(fvals), _WK21)
+    resasc = np.einsum("sk,k->s", np.abs(fvals - 0.5 * resk[:, None]), _WK21)
     hlgth = 0.5 * (hi - lo)
     result = resk * hlgth
     resabs = resabs * np.abs(hlgth)
@@ -331,29 +320,19 @@ class _Ladder(NamedTuple):
     cum: np.ndarray
 
 
-class _Column:
-    """The memo of one column x: its ladders."""
+def _find(ladders: list, edges: np.ndarray) -> Optional[_Ladder]:
+    """A stored ladder whose edges start with ``edges``."""
+    m = len(edges)
+    return next((lad for lad in ladders if np.array_equal(lad.edges[:m], edges)), None)
 
-    __slots__ = ("ladders",)
 
-    def __init__(self):
-        self.ladders: list = []
-
-    def find(self, edges: np.ndarray) -> Optional[Tuple[_Ladder, int]]:
-        """A stored ladder with ``lad.edges[i:i + len(edges)] == edges``, and i."""
-        for lad in self.ladders:
-            i = int(np.searchsorted(lad.edges, edges[0]))
-            if np.array_equal(lad.edges[i:i + len(edges)], edges):
-                return lad, i
-        return None
-
-    def cumulative(self, y0: float, y1: float) -> Optional[float]:
-        """The integral over [y0, y1] from a stored ladder from y0 with edge y1."""
-        for lad in self.ladders:
-            e, j = lad.edges, int(np.searchsorted(lad.edges, y1))
-            if e[0] == y0 and 0 < j < len(e) and e[j] == y1:
-                return float(lad.cum[j - 1])
-        return None
+def _cumulative(ladders: list, y0: float, y1: float) -> Optional[float]:
+    """The integral over [y0, y1] from a stored ladder from y0 with edge y1."""
+    for lad in ladders:
+        e, j = lad.edges, int(np.searchsorted(lad.edges, y1))
+        if e[0] == y0 and 0 < j < len(e) and e[j] == y1:
+            return float(lad.cum[j - 1])
+    return None
 
 
 @dataclass(frozen=True)
@@ -375,20 +354,20 @@ class CharacteristicSolution:
     Gauss-Kronrod pass (QUADPACK's dqk21, one sampler call on an (nseg, 21)
     array) and accepts a segment under QUADPACK qags's own test after it:
     abserr <= ``QUADRATURE_TOL`` |result| and abserr != resabs, or abserr == 0.
-    Only a rejected segment goes on to the adaptive scalar ``quad``, so an
-    accepted value is the one ``quad`` returns, up to the rounding of the
-    integrand, and ``QUADRATURE_TOL`` keeps its meaning.
+    Only a rejected segment goes on to the adaptive scalar ``quad``: the pass
+    accepts where ``quad`` stops after its first 21 evaluations, with the
+    value ``quad`` returns up to rounding, so ``QUADRATURE_TOL`` keeps its meaning.
 
-    Segment integrals are memoized per solution object, one entry per
-    column x (a float, or a tuple of floats for n = 2), holding ladders: the
-    runs of consecutive segments integrated together, as arrays of edges,
-    segment integrals and their cumulative sums.  A run that a stored ladder
-    holds is a slice of it, and v at a ladder edge (a ladder from y0 = 0) is
-    its cumulative sum, so the face resistances, the cell-centre columns and
-    the top-face Dirichlet traces of one eps step share one pass.  Any other
-    run becomes a ladder of its own, never a sum or difference of another
-    ladder's segments.  Single segments off the ladders (points of v) share
-    one dqk21 pass per request and are not kept.
+    Segment integrals are memoized per solution object: ``_memo`` maps a
+    column x (a float, or a tuple of floats for n = 2) to a list of ladders,
+    the runs of consecutive segments integrated together, as arrays of
+    edges, segment integrals and their cumulative sums.  A run whose edges
+    begin a stored ladder's is its prefix, and v at a ladder edge (a ladder
+    from y0 = 0) is its cumulative sum, so the face resistances, the
+    cell-centre columns and the top-face Dirichlet traces of one eps step
+    share one pass.  Any other run, one from inside a ladder too, becomes a
+    ladder of its own, never a sum or difference of another one's segments.
+    Single segments off the ladders (points of v) share one pass and are not kept.
     The memo assumes ``mu_inverse`` is a deterministic function of (x, s);
     the closed form for mu == 1 bypasses it.  Two threads that miss on the
     same column both compute and store the same values, so concurrent use
@@ -403,9 +382,6 @@ class CharacteristicSolution:
         if self.family.a >= 1.0:
             raise DivergentIntegralError(
                 f"characteristic solution requires a < 1, got a={self.family.a}")
-
-    def _column(self, x) -> _Column:
-        return self._memo.setdefault(x, _Column())
 
     def mu_at(self, x, y) -> np.ndarray:
         """mu = 1 / mu_inverse at the points (x, y) in one call (ones without
@@ -424,8 +400,8 @@ class CharacteristicSolution:
         if self.mu_inverse is None:
             return (chi(self.family, y1) - chi(self.family, y0)).reshape(shape)[()]
         X = _positions(x, shape)
-        cols = [self._column(_x_of(row)) for row in X.tolist()]
-        vals = [c.cumulative(s0, s1) for c, s0, s1 in zip(cols, y0.tolist(), y1.tolist())]
+        vals = [_cumulative(self._memo.get(_x_of(row), ()), s0, s1)
+                for row, s0, s1 in zip(X.tolist(), y0.tolist(), y1.tolist())]
         miss = [k for k, val in enumerate(vals) if val is None]
         if miss:
             for k, val in zip(miss, self._integrate(X[miss], y0[miss], y1[miss]).tolist()):
@@ -434,7 +410,7 @@ class CharacteristicSolution:
 
     def segment_integrals(self, x, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
         """int_{y0_k}^{y1_k} rho^(-a)(s) mu^(-1)(x_k, s) ds, x broadcast against
-        y0: each run of consecutive segments of one column is a slice of a
+        y0: each run of consecutive segments of one column is the prefix of a
         stored ladder, or a new ladder; new ones share one dqk21 pass."""
         y0 = np.asarray(y0, dtype=float)
         y1 = np.asarray(y1, dtype=float)
@@ -446,15 +422,15 @@ class CharacteristicSolution:
         hi = np.r_[lo[1:], len(y0)]
         runs = [np.concatenate((y0[i:i + 1], y1[i:j])) for i, j in zip(lo, hi)]
         out = np.empty(len(y0))
-        for i, j, (lad, k) in zip(lo, hi, self._ladders(X[lo], runs)):
-            out[i:j] = lad.seg[k:k + j - i]
+        for i, j, lad in zip(lo, hi, self._ladders(X[lo], runs)):
+            out[i:j] = lad.seg[:j - i]
         return out
 
     def _ladders(self, X: np.ndarray, runs: list) -> list:
-        """(ladder, i) per run of edges in column X[k]: a stored ladder holding
-        them from index i, or a new one and 0, all from one dqk21 pass."""
-        cols = [self._column(_x_of(row)) for row in X.tolist()]
-        out = [col.find(edges) for col, edges in zip(cols, runs)]
+        """A ladder per run of edges in column X[k]: a stored one whose edges
+        start with the run's, or a new one; new ones share one dqk21 pass."""
+        xs = [_x_of(row) for row in X.tolist()]
+        out = [_find(self._memo.get(x, ()), edges) for x, edges in zip(xs, runs)]
         new = [k for k, hit in enumerate(out) if hit is None]
         if new:
             counts = [len(runs[k]) - 1 for k in new]
@@ -462,8 +438,8 @@ class CharacteristicSolution:
                                   np.concatenate([runs[k][:-1] for k in new]),
                                   np.concatenate([runs[k][1:] for k in new]))
             for k, part in zip(new, np.split(seg, np.cumsum(counts)[:-1])):
-                out[k] = (_Ladder(runs[k], part, np.cumsum(part)), 0)
-                cols[k].ladders.append(out[k][0])
+                out[k] = _Ladder(runs[k], part, np.cumsum(part))
+                self._memo.setdefault(xs[k], []).append(out[k])
         return out
 
     def _integrate(self, X: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
@@ -531,5 +507,5 @@ def v_char_profile(sol: CharacteristicSolution, x, ys: Sequence[float]) -> np.nd
     if sol.mu_inverse is None:
         return np.broadcast_to((1.0 - a) * chi(sol.family, ys), shape).copy()
     X = _positions(x, shape[:-1])
-    lads = sol._ladders(X, [np.concatenate(([0.0], ys))] * len(X))  # ladders from 0 start there
-    return (1.0 - a) * np.array([lad.cum[:len(ys)] for lad, _ in lads]).reshape(shape)
+    lads = sol._ladders(X, [np.concatenate(([0.0], ys))] * len(X))
+    return (1.0 - a) * np.array([lad.cum[:len(ys)] for lad in lads]).reshape(shape)

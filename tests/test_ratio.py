@@ -101,6 +101,20 @@ def test_variable_mu_residual_decays(a, F):
     assert rs[0] / rs[1] >= 2.5 and rs[1] / rs[2] >= 2.5 and rs[2] < 0.05, rs
 
 
+def test_unconverged_solve_raises(monkeypatch):
+    """A solve stopped short by ``ITERATION_CAP`` raises naming its residual
+    instead of feeding the residual a wrong u.  mu^(-1) = 1 + 3 (x^2 + y^2)
+    does not separate, so one preconditioned CG step does not solve it."""
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1),
+                                    lambda x, s: 1.0 + 3.0 * (x * x + s * s))
+    prob = dl.OddProblem(sol=sol, trace=lambda x, y: dl.v_char(sol, x, y) * wave(x, abs(y)))
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 32)
+    assert aux_residual(prob, g) < 1e-3
+    monkeypatch.setattr(dl.assembly, "ITERATION_CAP", 1)
+    with pytest.raises(RuntimeError, match=r"solver failed: residual \d\.\d\de-\d\d"):
+        aux_residual(prob, g)
+
+
 @pytest.mark.parametrize("a", [0.5, -1.5])
 def test_manufactured_residual_decays(a):
     prob = make_manufactured(a)

@@ -286,6 +286,31 @@ def test_column_rule_matches_quad(a, eps, mu):
     assert np.allclose(col, want, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("mu", sorted(_MU_INVERSES))
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.01, 1.0])
+@pytest.mark.parametrize("a", [-1.5, -0.5, 0.5, 0.9])
+def test_column_rule_accepts_where_quad_stops_after_one_pass(a, eps, mu):
+    """``QUADRATURE_TOL`` means what it means to qags: the dqk21 pass accepts
+    a segment exactly when ``quad`` at that tolerance stops after its first
+    21 evaluations, on the same integrand (in u = s^(1-a)/(1-a) on the
+    segments from 0 when eps = 0 and a > 0)."""
+    g = _MU_INVERSES[mu]
+    ys = (np.arange(16) + 0.5) / 16
+    y0, y1 = np.r_[0.0, ys[:-1]], ys
+    sol = dl.CharacteristicSolution(dl.WeightFamily(a, eps), g)
+    _, ok = sol._dqk21(np.full((16, 1), 0.3), y0, y1)
+    b = 1.0 - a
+    stops = []
+    for s0, s1 in zip(y0, y1):
+        if s0 == 0.0 and eps == 0.0 and a > 0.0:
+            f, lo, hi = (lambda u: g(0.3, (b * u) ** (1.0 / b))), 0.0, s1 ** b / b
+        else:
+            f, lo, hi = (lambda s: (eps * eps + s * s) ** (-a / 2.0) * g(0.3, s)), s0, s1
+        info = quad(f, lo, hi, epsabs=0, epsrel=QUADRATURE_TOL, limit=200, full_output=1)[2]
+        stops.append(info["neval"] == 21)
+    assert ok.tolist() == stops
+
+
 @pytest.mark.parametrize("a,eps,mu_inverse", [
     (0.5, 0.1, lambda x, s: 1.0 + 100.0 * np.exp(-((s - 0.3) / 0.01) ** 2)),   # steep mu
     (0.9, 1e-3, lambda x, s: 1.0 / (1.0 + s * s)),        # rho^(-a) steep near 0
@@ -475,8 +500,8 @@ def test_runs_break_where_the_column_changes():
     one = dl.CharacteristicSolution(fam, mu_inv)
     want = [one._quad(*args) for args in zip(x, y0, y1)]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    assert [lad.edges.tolist() for lad in sol._memo[0.1].ladders] == [[0.0, 0.25, 0.5]]
-    assert [lad.edges.tolist() for lad in sol._memo[0.7].ladders] == [[0.5, 0.75, 1.0]]
+    assert [lad.edges.tolist() for lad in sol._memo[0.1]] == [[0.0, 0.25, 0.5]]
+    assert [lad.edges.tolist() for lad in sol._memo[0.7]] == [[0.5, 0.75, 1.0]]
 
 
 # -- per-column ladders --------------------------------------------------------
@@ -540,7 +565,9 @@ def test_v_char_off_the_ladders_takes_one_pass():
 def test_full_and_half_spacing_ladders_are_integrated_apart():
     """A half-spacing ladder on a solution that already holds the
     full-spacing one is integrated on its own: each equals the values of a
-    fresh solution exactly."""
+    fresh solution exactly.  A later run is looked up from its first edge:
+    one that starts a stored ladder is read as its prefix, one from inside
+    it becomes a ladder of its own, with the same values."""
     fam = dl.WeightFamily(0.5, 0.1)
     calls = []
 
@@ -556,10 +583,13 @@ def test_full_and_half_spacing_ladders_are_integrated_apart():
     v_half = v_char_profile(sol, 0.3, half)
     assert np.array_equal(v_full, v_char_profile(dl.CharacteristicSolution(fam, g), 0.3, full))
     assert np.array_equal(v_half, v_char_profile(dl.CharacteristicSolution(fam, g), 0.3, half))
-    assert len(sol._memo[0.3].ladders) == 2
-    # a run of consecutive segments of a stored ladder is its slice
+    assert len(sol._memo[0.3]) == 2
     calls.clear()
-    seg = sol.segment_integrals(0.3, half[3:9], half[4:10])
+    seg = sol.segment_integrals(0.3, np.r_[0.0, half[:5]], half[:6])
     assert calls == []
-    assert np.array_equal(seg, sol._memo[0.3].ladders[1].seg[4:10])
-    assert len(sol._memo[0.3].ladders) == 2
+    assert np.array_equal(seg, sol._memo[0.3][1].seg[:6])
+    assert len(sol._memo[0.3]) == 2
+    seg = sol.segment_integrals(0.3, half[3:9], half[4:10])
+    assert calls == [(6, 21)]
+    assert [lad.edges.tolist() for lad in sol._memo[0.3][2:]] == [half[3:10].tolist()]
+    assert np.array_equal(seg, sol._memo[0.3][1].seg[4:10])
