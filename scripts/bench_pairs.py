@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Run one perfbench workload in two checkouts, in alternating pairs, and
+"""Run perfbench workloads in two checkouts, in alternating pairs, and
 compare their end-to-end metrics.
 
-Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W --seeds FIRST COUNT [--seconds S]
+Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W [W ...]
+           --seeds FIRST COUNT [--seconds S]
 
-PARENT and CHANGE are checkout roots.  Pair k runs ``perfbench/run.py
---workload W --seed FIRST+k --seconds S --trace 0`` in both, the parent
-first when k is even and the change first when k is odd.  For each
-end-to-end metric of BENCHMARK.json the summary gives the parent and change
-medians, the interquartile distance of the parent's runs, and the pairs the
-change won (ties count for neither side).  Exit 1 if a run fails or reports
+PARENT and CHANGE are checkout roots; each W names a workload of
+BENCHMARK.json, and ``all`` stands for every one.  Pair k runs, workload by
+workload, ``perfbench/run.py --workload W --seed FIRST+k --seconds S --trace 0``
+in both checkouts, the parent first when k is even and the change first when
+k is odd.  For each workload and end-to-end metric of BENCHMARK.json the
+summary gives each side's first quartile, median and third quartile, the
+interquartile distance of the parent's runs, and the pairs the change won
+(ties count for neither side).  Exit 1 if a run fails or reports
 ``failed > 0``, else 0.
 """
 
@@ -23,10 +26,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def end_to_end_metrics() -> list:
     """(name, better) of each end-to-end metric of BENCHMARK.json."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"]) for m in _benchmark()["end_to_end"]]
+
+
+def workloads(names: list) -> list:
+    """The workloads named, or every workload of BENCHMARK.json for ``all``."""
+    return [w["name"] for w in _benchmark()["workloads"]] if "all" in names else names
 
 
 def record(stdout: str) -> dict:
@@ -47,23 +58,23 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return record(proc.stdout)
 
 
-def _iqr(values: list) -> float:
+def quartiles(values: list) -> tuple:
+    """(first quartile, median, third quartile), inclusive; one value is all three."""
     if len(values) < 2:
-        return 0.0
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q3 - q1
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def summary(pairs: list, metrics: list) -> list:
-    """(name, parent median, change median, parent IQR, change wins) per
-    metric, over ``pairs`` of (parent record, change record)."""
+    """(name, parent quartiles, change quartiles, change wins) per metric,
+    over ``pairs`` of (parent record, change record)."""
     rows = []
     for name, better in metrics:
         p = [pr["metrics"][name]["value"] for pr, _ in pairs]
         c = [cr["metrics"][name]["value"] for _, cr in pairs]
         sign = 1.0 if better == "lower" else -1.0
         wins = sum(sign * (pv - cv) > 0 for pv, cv in zip(p, c))
-        rows.append((name, statistics.median(p), statistics.median(c), _iqr(p), wins))
+        rows.append((name, quartiles(p), quartiles(c), wins))
     return rows
 
 
@@ -71,30 +82,35 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--seeds", type=int, nargs=2, metavar=("FIRST", "COUNT"), required=True)
     ap.add_argument("--seconds", type=float, default=18.0)
     args = ap.parse_args(argv)
     metrics = end_to_end_metrics()
+    names = workloads(args.workload)
     first, count = args.seeds
-    pairs = []
+    pairs = {w: [] for w in names}
     try:
         for k in range(count):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            runs = {side: run_once(getattr(args, side), args.workload, first + k, args.seconds)
-                    for side in order}
-            pairs.append((runs["parent"], runs["change"]))
-            print(f"seed {first + k}, {order[0]} first: " + "  ".join(
-                f"{name} {runs['parent']['metrics'][name]['value']:.6g} -> "
-                f"{runs['change']['metrics'][name]['value']:.6g}" for name, _ in metrics))
+            for w in names:
+                runs = {side: run_once(getattr(args, side), w, first + k, args.seconds)
+                        for side in order}
+                pairs[w].append((runs["parent"], runs["change"]))
+                print(f"{w} seed {first + k}, {order[0]} first: " + "  ".join(
+                    f"{name} {runs['parent']['metrics'][name]['value']:.6g} -> "
+                    f"{runs['change']['metrics'][name]['value']:.6g}" for name, _ in metrics))
     except RuntimeError as e:
         print(f"bench_pairs: {e}", file=sys.stderr)
         return 1
-    print(f"{args.workload}: {len(pairs)} pairs, seeds {first}-{first + count - 1}")
-    print(f"  {'metric':14s} {'parent':>12s} {'change':>12s} {'parent IQR':>12s}  change wins")
-    for name, pm, cm, iqr, wins in summary(pairs, metrics):
-        print(f"  {name:14s} {pm:12.6g} {cm:12.6g} {iqr:12.6g}  {wins}/{len(pairs)}")
-    failed = sum(r["failed"] for pair in pairs for r in pair)
+    for w in names:
+        print(f"{w}: {len(pairs[w])} pairs, seeds {first}-{first + count - 1}")
+        print(f"  {'metric':14s} {'parent q1':>11s} {'median':>11s} {'q3':>11s} "
+              f"{'change q1':>11s} {'median':>11s} {'q3':>11s} {'parent IQR':>11s}  change wins")
+        for name, pq, cq, wins in summary(pairs[w], metrics):
+            print(f"  {name:14s} " + " ".join(f"{v:11.6g}" for v in (*pq, *cq, pq[2] - pq[0]))
+                  + f"  {wins}/{len(pairs[w])}")
+    failed = sum(r["failed"] for ps in pairs.values() for pair in ps for r in pair)
     if failed:
         print(f"  {failed} failed invocations")
     return 1 if failed else 0

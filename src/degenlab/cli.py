@@ -21,7 +21,6 @@ description, and tolerances.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import os
 import sys
@@ -43,16 +42,14 @@ from .spectral import HalfDiskMesh, _trace_route, hardy_quotient, trace_eigen
 from .weights import WeightFamily
 
 
+_FLOAT = "%.12g"         # every float of every artifact: 12 significant digits
+_BLOCK_ROWS = 4096       # rows joined and written at a time
+
+
 def fmt(x) -> str:
     if isinstance(x, float):
-        return f"{x:.12g}"
+        return _FLOAT % x
     return str(x)
-
-
-@functools.cache
-def _row_format(types: tuple) -> str:
-    """One %-format for a row of values of these types, printing each as fmt."""
-    return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -88,14 +85,25 @@ def _outdir() -> Path:
     return d
 
 
-def _write(path: Path, header: list, rows: list, columns: list):
-    lines = [f"# degenlab {__version__}"]
-    lines += [f"# {h}" for h in header]
-    lines.append(",".join(columns))
-    for row in rows:
-        row = tuple(row)
-        lines.append(_row_format(tuple(map(type, row))) % row)
-    path.write_text("\n".join(lines) + "\n")
+def _texts(column):
+    """fmt of each entry.  A float64 array formats each distinct bit pattern
+    once (-0.0, every NaN and +-inf keep their own text) and indexes back."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        return np.array([_FLOAT % x for x in bits.view(np.float64).tolist()], dtype=object)[inverse]
+    return [fmt(x) for x in column]
+
+
+def _write(path: Path, header: list, names: list, columns):
+    """A CSV artifact: the version and ``header`` as comment lines, ``names``,
+    then one line per row of the equal-length ``columns``, each entry as fmt."""
+    texts = [_texts(c) for c in columns]
+    with path.open("w") as out:
+        out.write("".join(f"# {h}\n" for h in [f"degenlab {__version__}", *header])
+                  + ",".join(names) + "\n")
+        for start in range(0, len(texts[0]), _BLOCK_ROWS):
+            block = zip(*(t[start:start + _BLOCK_ROWS] for t in texts), strict=True)
+            out.write("".join([",".join(row) + "\n" for row in block]))
 
 
 def _number(key: str, tok: str, kind=float, valid=None):
@@ -195,8 +203,8 @@ def cmd_eigen(cfg: dict) -> int:
     header = [f"config-hash: {_config_hash(cfg)}",
               f"grid: half-disk polar mesh, h={fmt(h)}",
               "tolerances: trace 0.05, auxiliary 0.1, hardy [0.25,0.40]"]
-    _write(_outdir() / "eigen.csv", header, rows,
-           ["quotient_id", "a", "eps_or_r", "h", "lambda", "residual"])
+    _write(_outdir() / "eigen.csv", header,
+           ["quotient_id", "a", "eps_or_r", "h", "lambda", "residual"], zip(*rows))
     return 0 if ok else 1
 
 
@@ -247,12 +255,12 @@ def cmd_sweep(cfg: dict) -> int:
               f"grid: half-rectangle cell-centered, h={fmt(h)}",
               f"family: {rep.family} mode={mode} alpha={fmt(alpha)}",
               f"tolerances: tau={fmt(TAU)} slope_tol={fmt(SLOPE_TOL)}"]
-    _write(_outdir() / "sweep.csv", header, rows, ["eps", "seminorm", "sup_norm"])
+    _write(_outdir() / "sweep.csv", header, ["eps", "seminorm", "sup_norm"], zip(*rows))
     (_outdir() / "sweep_verdict.txt").write_text(rep.verdict() + "\n")
     plot_rows = [(e if e > 0 else min(x for x in eps_list if x > 0) / 10.0, s)
                  for e, s, _ in rows]
     _write(_outdir() / "sweep_plot.dat", ["two-column plot data: eps seminorm"],
-           plot_rows, ["eps", "seminorm"])
+           ["eps", "seminorm"], zip(*plot_rows))
     return 0 if rep.passed else 1
 
 
@@ -309,14 +317,12 @@ def cmd_solve(cfg: dict) -> int:
     header = [f"config-hash: {_config_hash(cfg)}",
               f"manufactured odd problem, a={fmt(a)}, discrete consistency mode",
               "tolerances: recovery at solver tolerance"]
-    _write(_outdir() / "solve_orders.csv", header, rows, ["h", "max_error", "order"])
+    _write(_outdir() / "solve_orders.csv", header, ["h", "max_error", "order"], zip(*rows))
     grid = rep.field.grid
-    frows = zip(grid.centers[:, 0].tolist(), grid.centers[:, 1].tolist(),
-                rep.field.values.tolist())
     _write(_outdir() / "solve_field.csv",
            [f"config-hash: {_config_hash(cfg)}", f"grid: {grid.describe()}",
             f"tolerances: solver relative residual {fmt(rep.tolerance)}"],
-           frows, ["x", "y", "value"])
+           ["x", "y", "value"], [grid.centers[:, 0], grid.centers[:, 1], rep.field.values])
     return 0 if ok else 1
 
 
@@ -347,7 +353,7 @@ def cmd_fermi_demo(cfg: dict) -> int:
     _write(_outdir() / "fermi_mu_check.csv",
            [f"config-hash: {_config_hash(cfg)}",
             f"circle radius {fmt(radius)}, tolerance 1e-6"],
-           rows_mu, ["t", "y", "mu", "jacobian_fd", "abs_diff"])
+           ["t", "y", "mu", "jacobian_fd", "abs_diff"], zip(*rows_mu))
 
     # 2) quotient tables in the straightened chart, mu = fermi_mu = speed * (1 - y kappa)
     def mu_inv(x, y):
@@ -367,20 +373,15 @@ def cmd_fermi_demo(cfg: dict) -> int:
                 rep.verdict().splitlines()[0],
                 f"restricted: {rep.restricted}",
                 f"tolerances: tau={fmt(TAU)} slope_tol={fmt(SLOPE_TOL)}"],
-               rep.per_eps,
-               ["eps", "seminorm", "sup_norm"])
+               ["eps", "seminorm", "sup_norm"], zip(*rep.per_eps))
     ok &= rep_c0.passed and rep_c1r.passed   # unrestricted table is reported, not judged
     return 0 if ok else 1
 
 
 def cmd_report(cfg: dict) -> int:
     out = _outdir()
-    checks = []
-    for name in ("eigen.csv", "sweep.csv", "certify.txt", "solve_orders.csv",
-                 "fermi_mu_check.csv"):
-        p = out / name
-        checks.append((name, "present" if p.exists() else "missing"))
-    all_present = all(v == "present" for _, v in checks)
+    names = ["eigen.csv", "sweep.csv", "certify.txt", "solve_orders.csv", "fermi_mu_check.csv"]
+    status = ["present" if (out / name).exists() else "missing" for name in names]
     fails = []
     cert = out / "certify.txt"
     if cert.exists():
@@ -390,10 +391,9 @@ def cmd_report(cfg: dict) -> int:
     verdict = out / "sweep_verdict.txt"
     if verdict.exists() and "FAIL" in verdict.read_text():
         fails.append("sweep")
-    rows = checks + [("failed_targets", ";".join(fails) if fails else "none")]
-    _write(out / "summary.csv", [f"config-hash: {_config_hash(cfg)}"],
-           rows, ["artifact", "status"])
-    return 0 if (all_present and not fails) else 1
+    _write(out / "summary.csv", [f"config-hash: {_config_hash(cfg)}"], ["artifact", "status"],
+           [names + ["failed_targets"], status + [";".join(fails) if fails else "none"]])
+    return 0 if ("missing" not in status and not fails) else 1
 
 
 # the keys each subcommand reads, as README's "Keys per subcommand" lists them

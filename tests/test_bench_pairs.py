@@ -30,28 +30,34 @@ def test_record_is_the_json_line_after_the_report():
 
 
 def test_summary_medians_parent_spread_and_wins():
-    """Medians of each side, the parent's interquartile distance, and the
-    pairs the change won; a tie counts for neither side."""
+    """Each side's quartiles and median, and the pairs the change won; a tie
+    counts for neither side."""
     parent = [(0.050, 90.0), (0.052, 90.0), (0.051, 91.0), (0.060, 90.0)]
     change = [(0.044, 90.0), (0.053, 89.0), (0.045, 91.0), (0.046, 90.5)]
     pairs = [(bench_pairs.record(_line(*p)), bench_pairs.record(_line(*c)))
              for p, c in zip(parent, change)]
     rows = bench_pairs.summary(pairs, METRICS)
-    name, pm, cm, iqr, wins = rows[0]
+    name, pq, cq, wins = rows[0]
     assert name == "wall_s" and wins == 3
-    assert pm == pytest.approx(0.0515) and cm == pytest.approx(0.0455)
-    assert iqr == pytest.approx(0.054 - 0.05075)          # inclusive quartiles
-    assert rows[1] == ("peak_rss_mb", 90.0, 90.25, pytest.approx(0.25), 1)
+    assert pq == pytest.approx((0.05075, 0.0515, 0.054))   # inclusive quartiles
+    assert cq == pytest.approx((0.04475, 0.0455, 0.04775))
+    assert rows[1] == ("peak_rss_mb", pytest.approx((90.0, 90.0, 90.25)),
+                       pytest.approx((89.75, 90.25, 90.625)), 1)
+    assert bench_pairs.quartiles([0.07]) == (0.07, 0.07, 0.07)
 
 
+# logs "<checkout> <workload> <seed>" and scales wall_s by the seed
 STAND_IN = '''import json, sys
 from pathlib import Path
 
 here = Path(__file__).resolve().parents[1]
+workload, seed = (sys.argv[sys.argv.index(flag) + 1] for flag in ("--workload", "--seed"))
 with open(here.parent / "order.log", "a") as log:
-    log.write(here.name + " " + sys.argv[sys.argv.index("--seed") + 1] + "\\n")
+    log.write(" ".join((here.name, workload, seed)) + "\\n")
+rec = {LINE}
+rec["metrics"]["wall_s"]["value"] *= int(seed)
 print("report")
-print(json.dumps({LINE}))
+print(json.dumps(rec))
 '''
 
 
@@ -68,5 +74,31 @@ def test_pairs_alternate_and_failures_exit_1(tmp_path, capsys, failed, code):
     argv = [str(parent), str(change), "--workload", "eigen", "--seeds", "7", "3"]
     assert bench_pairs.main(argv) == code
     assert (tmp_path / "order.log").read_text().split("\n")[:-1] == [
-        "parent 7", "change 7", "change 8", "parent 8", "parent 9", "change 9"]
-    assert "wall_s" in capsys.readouterr().out
+        "parent eigen 7", "change eigen 7", "change eigen 8", "parent eigen 8",
+        "parent eigen 9", "change eigen 9"]
+    # wall_s: parent 0.35, 0.40, 0.45 and change 0.28, 0.32, 0.36 over seeds 7-9
+    lines = capsys.readouterr().out.splitlines()
+    wall = next(line for line in lines if line.split()[0] == "wall_s").split()
+    assert [float(v) for v in wall[1:8]] == pytest.approx(
+        [0.375, 0.40, 0.425, 0.30, 0.32, 0.34, 0.05])
+    assert wall[8] == "3/3"
+
+
+@pytest.mark.parametrize("names", [["solve-fine", "eigen"], ["all"]])
+def test_each_pair_runs_every_workload_on_both_sides(tmp_path, capsys, names):
+    """Pair k runs each workload in turn on both checkouts, with the side that
+    goes first alternating between pairs; ``all`` is every workload of
+    BENCHMARK.json.  Each workload gets its own summary."""
+    parent = _checkout(tmp_path / "parent", _line(0.05, 90.0))
+    change = _checkout(tmp_path / "change", _line(0.04, 90.0))
+    argv = [str(parent), str(change), "--workload", *names, "--seeds", "3", "2"]
+    assert bench_pairs.main(argv) == 0
+    spec = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    expected = [w["name"] for w in spec["workloads"]] if names == ["all"] else names
+    assert bench_pairs.workloads(names) == expected
+    assert (tmp_path / "order.log").read_text().split("\n")[:-1] == (
+        [f"{side} {w} 3" for w in expected for side in ("parent", "change")]
+        + [f"{side} {w} 4" for w in expected for side in ("change", "parent")])
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines() if "pairs, seeds 3-4" in line] \
+        == expected

@@ -190,21 +190,71 @@ def _old_row(row):
     return ",".join(fmt(v) for v in row)
 
 
+def _data_lines(path, names):
+    lines = path.read_text().split("\n")
+    assert lines[-1] == ""
+    return lines[lines.index(",".join(names)) + 1:-1]
+
+
 def test_write_matches_per_value_fmt(tmp_path):
+    """Every entry of a column prints as fmt, whatever its type."""
     values = [0.1, 1 / 3, np.float64(2 / 3), np.float64(-1e-7), 7, np.int64(-3),
               True, False, "exact", "a,b", "100%", math.nan, np.float64(math.nan),
               math.inf, -math.inf, np.float64(-math.inf), -0.0, np.float64(-0.0),
               0.0, 1e-300, 1.5e300, 5e-324, 123456789012345.0, np.float32(0.1),
               None, (1, 2.5)]
-    rows = [tuple(values), values[::-1], values[5:] + values[:5], [], [1.0],
-            ("x",), (np.float64(1.5), 2, "y")]
-    # column types change between rows, as in solve_orders.csv
-    rows += [(0.0625, 1e-15, math.nan), (0.03125, 3e-15, "exact"),
-             (0.015625, 5e-12, 2.0)]
-    _write(tmp_path / "t.csv", ["header"], rows, ["c"])
-    lines = (tmp_path / "t.csv").read_text().split("\n")
-    assert lines[3:-1] == [_old_row(r) for r in rows]
-    assert lines[-1] == ""
+    tables = [[values, values[::-1], values[5:] + values[:5]],
+              # the order column of solve_orders.csv mixes str and float
+              [(0.0625, 0.03125, 0.015625), (1e-15, 3e-15, 5e-12), (math.nan, "exact", 2.0)],
+              [(1.0, np.float64(1.5)), ("x", 2), ("y", "x")]]
+    for columns in tables:
+        names = [f"c{j}" for j in range(len(columns))]
+        _write(tmp_path / "t.csv", ["header"], names, columns)
+        assert _data_lines(tmp_path / "t.csv", names) == [_old_row(r) for r in zip(*columns)]
+
+
+def test_write_formats_float_arrays_per_bit_pattern(tmp_path):
+    """A float64 array column, formatted once per distinct bit pattern, prints
+    as fmt of each entry: 0.0 and -0.0, NaNs of several payloads and signs,
+    +-inf, subnormals and repeats, over more rows than one write block, also
+    from strided views as the grid's coordinate columns are."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                     0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    special = np.concatenate([[0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                               2.2250738585072e-308, 1e-310, 1 / 3, 0.1, -1.5e300], nans])
+    rng = np.random.default_rng(28)
+    n = 2 * cli._BLOCK_ROWS + 7
+    pool = np.concatenate([special, rng.standard_normal(40)])
+    centers = rng.choice(pool, size=(n, 2))
+    value = rng.choice(pool, size=n)
+    columns = [centers[:, 0], centers[:, 1], value, np.arange(n),
+               np.linspace(-1, 1, n, dtype=np.float32)]
+    names = ["x", "y", "value", "index", "single"]
+    _write(tmp_path / "t.csv", ["header"], names, columns)
+    lines = _data_lines(tmp_path / "t.csv", names)
+    assert lines == [_old_row(r) for r in zip(*columns)]
+    floats = {v for line in lines for v in line.split(",")[:3]}
+    assert {"0", "-0", "nan", "inf", "-inf", "4.94065645841e-324"} <= floats
+
+
+def test_solve_field_lines_are_fmt_of_the_finest_field(tmp_path, monkeypatch):
+    """solve_field.csv holds one line per cell of the finest grid: x, y and
+    the solved value, each as fmt."""
+    studies = []
+    study = cli.convergence_study
+
+    def keeping(*args, **kwargs):
+        rows, rep = study(*args, **kwargs)
+        studies.append(rep)
+        return rows, rep
+
+    monkeypatch.setattr(cli, "convergence_study", keeping)
+    assert _run(tmp_path, "solve", "a=0.5", "h_list=1/8 1/16 1/32") == 0
+    grid, values = studies[0].field.grid, studies[0].field.values
+    assert len(values) == 64 * 32
+    expected = [_old_row(r) for r in zip(grid.centers[:, 0].tolist(),
+                                         grid.centers[:, 1].tolist(), values.tolist())]
+    assert _data_lines(tmp_path / "solve_field.csv", ["x", "y", "value"]) == expected
 
 
 def test_sweep_artifacts_and_verdict(tmp_path):
