@@ -37,6 +37,10 @@ from .potentials import (
 SAFETY = 2.0
 MIN_BUDGET = 1000       # fewest samples certify_infimum accepts
 
+PHI_PROBE_T = 1e6       # _phi_core_domain probes Phi_a on [1/PHI_PROBE_T, PHI_PROBE_T]
+# the least a whose t^(1-a) stays finite there
+PHI_A_MIN = 1.0 - math.log10(np.finfo(float).max) / math.log10(PHI_PROBE_T)
+
 GAMMA_RECTANGLE = ((-43.3272, -2.96767), (1.0, 5.1))
 V_INEQUALITY_INTERVAL = (math.sqrt(2.0), math.sqrt(6.0))
 
@@ -186,7 +190,7 @@ def _phi_core_domain(a: float) -> Tuple[float, float, str]:
     differences, and keep a 5% guard band past it; outside the core the
     function is (empirically) monotone toward its limits, so the tail infimum
     is min(endpoint value, limit)."""
-    tp = np.geomspace(1e-6, 1e6, 4001)
+    tp = np.geomspace(1.0 / PHI_PROBE_T, PHI_PROBE_T, 4001)
     vals = phi_big(a, tp)
     d = np.diff(vals)
     scale = max(1.0, float(np.max(np.abs(vals))))
@@ -200,16 +204,23 @@ def _phi_core_domain(a: float) -> Tuple[float, float, str]:
         return 1e-3, 100.0, note
     t_last = tp[changes[-1] + 1]
     lo = min(1e-3, t_last / 2.0)
-    hi = min(1e6, 1.05 * t_last * 10.0)
+    hi = min(PHI_PROBE_T, 1.05 * t_last * 10.0)
     return lo, max(hi, 10.0), note
 
 
+def _phi_exponent_rule(a: float) -> None:
+    """Raise ValueError unless PHI_A_MIN <= a < 1, without evaluating Phi_a."""
+    if not PHI_A_MIN <= a < 1.0:
+        raise ValueError(f"phi bound requires {PHI_A_MIN!r} <= a < 1 (below, t^(1-a) "
+                         f"overflows at t = {PHI_PROBE_T:g}), got a={a}")
+
+
 def verify_phi_bound(a_samples: Sequence[float], budget: int = 200_000):
-    """Certify inf_{t>0} Phi_a(t) > -1/4 for each a in a_samples."""
+    """Certify inf_{t>0} Phi_a(t) > -1/4 for each a in a_samples (each a
+    must pass :func:`_phi_exponent_rule`)."""
     reports = []
     for a in a_samples:
-        if a >= 1.0:
-            raise ValueError(f"phi bound requires a < 1, got a={a}")
+        _phi_exponent_rule(a)
         lo, hi, note = _phi_core_domain(a)
         core = certify_infimum(lambda t: phi_big(a, t), (lo, hi), -0.25,
                                budget=budget, target_id=f"phi_bound[a={a:g}]")

@@ -32,8 +32,8 @@ import numpy as np
 from . import __version__
 from .assembly import (RhoWeight, _check_h_list, assemble, convergence_study,
                        manufactured_problem)
-from .certify import (MIN_BUDGET, verify_gamma_rectangle, verify_phi_bound,
-                      verify_v_inequality, v_minimum)
+from .certify import (MIN_BUDGET, PHI_A_MIN, _phi_exponent_rule, verify_gamma_rectangle,
+                      verify_phi_bound, verify_v_inequality, v_minimum)
 from .geometry import EmbeddedCurve, build_half_grid, fermi_mu
 from .holder import (SLOPE_TOL, TAU, ProblemFamily, _check_mode, admissible_eps, epsilon_sweep,
                      measure_sweep, solve_family)
@@ -162,9 +162,10 @@ def _accepted_by(build, what: str):
     return ok, what
 
 
-# The characteristic solution, the trace exponents and Phi_a all need a < 1
+# The characteristic solution and the trace exponents need a < 1
 _BELOW_ONE = (lambda a: a < 1.0, "below 1")
 _ALPHA = (lambda alpha: 0.0 < alpha <= 1.0, "in (0, 1]")      # a Holder exponent
+_PHI_EXPONENT = _accepted_by(_phi_exponent_rule, f"in [{PHI_A_MIN!r}, 1)")
 _MESH_SPACING = _accepted_by(HalfDiskMesh.from_h, "1/n for an integer n >= 3")
 # the lambda_r rows solve at eps = 1/r > 0
 _EPS_TRACE_EXPONENT = _accepted_by(lambda b: _trace_route(b, 1.0), "in (-1, 1)")
@@ -268,7 +269,7 @@ def cmd_certify(cfg: dict) -> int:
     # the v inequality takes half the budget
     budget = _number("budget", cfg.get("budget", "200000"), int,
                      (lambda b: b // 2 >= MIN_BUDGET, f"at least {2 * MIN_BUDGET}"))
-    a_samples = _floats(cfg, "phi_a", "0.9 0.5 0 -1 -3 -10", _BELOW_ONE)
+    a_samples = _floats(cfg, "phi_a", "0.9 0.5 0 -1 -3 -10", _PHI_EXPONENT)
     lines = [f"# degenlab {__version__}",
              f"# config-hash: {_config_hash(cfg)}",
              "# certificates: target_id domain bound threshold pass status"]

@@ -42,16 +42,16 @@ free dofs make K a band matrix of half-bandwidth nr + 1.  What the pencils
 of one mesh share is built once (:func:`_band_geometry`), so
 :func:`assemble_forms` is one weight call, two contractions and one
 ``bincount`` into LAPACK band storage.  :func:`min_rayleigh` factors K once
-by band Cholesky (``dpbtrf``, lower) and applies Lanczos to K^-1 M, one
-``dpbtrs`` per step, the arc mass a tridiagonal on the arc dofs.  Both paths share
-:func:`_lanczos_max`, in the mass (semi-)inner product from the all-ones
-start, and one finishing step: the Ritz vector is mapped once more through
-the solve, so it lies in the pencil's range, and lam and the residual
+by band Cholesky (``dpbtrf``, lower) and, like the separable path, applies
+Lanczos to the discrete Neumann-to-Dirichlet map of the arc: vectors over
+the free arc dofs, one ``dpbtrs`` per step.  Both paths share
+:func:`_lanczos_max`, in the arc mass (semi-)inner product from the
+all-ones start, and one finishing step: the Ritz vector is lifted once
+through the solve onto the mesh, and lam and the residual
 ||K v - lam M v|| / ||K v|| are those of the full pencil; a residual above
-``EIG_RESIDUAL_TOL`` raises.  Up to h = 1/64 every dense call of the
-separable path stays below the sizes at which OpenBLAS starts a second
-thread, and every vector product of the Lanczos iteration is an einsum (see
-:func:`_contract`); only ``dpbtrf`` at h = 1/64 threads.
+``EIG_RESIDUAL_TOL`` raises.  Up to h = 1/64 every dense call stays below
+the sizes at which OpenBLAS starts a second thread (see :func:`_contract`);
+only ``dpbtrf`` at h = 1/64 threads.
 
 Every element integrates with the Gauss-Legendre rule of ``ELEMENT_ORDER``
 points per direction; the arc segments and the Gauss-Jacobi edge rows take
@@ -79,6 +79,7 @@ LANCZOS_TOL = 1e-13
 ELEMENT_ORDER = 4       # Gauss-Legendre points per direction of an element
 EDGE_ORDER = 6          # points per arc segment and per Gauss-Jacobi edge row
 GROWTH_ARC_CELLS = 720  # trapezoid cells on each arc of growth_monitor
+BLAS_ONE_THREAD = 2 ** 19  # multiply-adds of a gemm that OpenBLAS keeps on one thread
 
 
 @dataclass(frozen=True)
@@ -167,29 +168,35 @@ def _products(A: np.ndarray) -> np.ndarray:
 
 def _contract(coef: np.ndarray, products: np.ndarray) -> np.ndarray:
     """Sum over quadrature points of (..., nq) coefficients times (nq, 16)
-    products.  einsum's own loop, not a matmul.
+    products, as matmuls of at most ``BLAS_ONE_THREAD`` multiply-adds each.
 
     The rule for every dense call in this module, measured on a 2-core
     machine with OpenBLAS 0.3.31 and ``OPENBLAS_NUM_THREADS=2``: a call that
-    OpenBLAS threads leaves its second thread spinning for about 130 ms after
-    it returns, which doubles the CPU time of a short solve.  Generalized
-    ``scipy.linalg.eigh`` threads from n = 32 and ``numpy.linalg.eigh`` from
-    n = 31; standard ``scipy.linalg.eigh`` from n = 64 with the evr driver
-    and n = 128 with evd; ``solve_triangular`` with a matrix right-hand side
-    from n = 16; ``matmul`` from about 127^3; a ddot, ``numpy.linalg.norm``
-    of an array among them, of 16,000 entries (not of 4,000).  einsum,
-    numpy's own sums, the tridiagonal LAPACK routines used here (``dpttrf``,
-    ``dpttrs``, ``dstebz``, ``dstein``) and the band product ``dsbmv`` ran on
-    one thread at every size measured.  The band Cholesky ``dpbtrf`` with ``lower=1``
-    (n = 4,064 and 16,320) stays on one thread at half-bandwidth kd = 33
-    (h = 1/32) but threads at kd = 65 (h = 1/64), where it is slower on two
-    threads than on one (17 to 19 against 13 ms); with ``lower=0`` it threads
-    already at kd = 33, and takes 4 times as long there.  ``dpbtrs`` ran on
-    one thread at both sizes.  numpy and scipy each bundle their own
-    OpenBLAS with its own thread pool, so a numpy ddot or gemv that threads
-    in the same loop as a threaded ``dpbtrf`` puts two spinning threads on
-    the two cores: that is why the Lanczos products are einsums."""
-    return np.einsum("...q,qk->...k", coef, products)
+    OpenBLAS threads leaves its second thread spinning for 50 to 130 ms after
+    it returns (``scripts/blas_spin.py``), which doubles the CPU time of a
+    short solve.  Generalized ``scipy.linalg.eigh`` threads from n = 32 and
+    ``numpy.linalg.eigh`` from n = 31; standard ``scipy.linalg.eigh`` from
+    n = 64 with the evr driver and n = 128 with evd; ``solve_triangular``
+    with a matrix right-hand side from n = 16; ``matmul`` at 2^20
+    multiply-adds (4,096 x 16 by 16 x 16; not at 2,049 x 16 by 16 x 16); a
+    ddot, ``numpy.linalg.norm`` of an array among them, of 16,000 entries
+    (not of 4,000).  einsum, numpy's own sums, the tridiagonal LAPACK
+    routines used here (``dpttrf``, ``dpttrs``, ``dstebz``, ``dstein``) and
+    the band product ``dsbmv`` ran on one thread at every size measured.
+    The band Cholesky ``dpbtrf`` with ``lower=1`` (n = 4,064 and 16,320)
+    stays on one thread at half-bandwidth kd = 33 (h = 1/32) but threads at
+    kd = 65 (h = 1/64), where it is slower on two threads than on one (17 to
+    19 against 13 ms).  ``dpbtrs`` ran on one thread at both sizes.  numpy
+    and scipy each bundle their own OpenBLAS with its own thread pool, so a
+    numpy ddot or gemv that threads in the same loop as a threaded
+    ``dpbtrf`` puts two spinning threads on the two cores: that is why the
+    Lanczos products are einsums."""
+    rows = coef.reshape(-1, coef.shape[-1])
+    out = np.empty((len(rows), products.shape[1]))
+    step = max(1, BLAS_ONE_THREAD // products.size)
+    for i in range(0, len(rows), step):
+        np.matmul(rows[i:i + step], products, out=out[i:i + step])
+    return out.reshape(coef.shape[:-1] + products.shape[1:])
 
 
 def _frozen(rule):
@@ -423,21 +430,24 @@ def _top_ritz_pair(alpha: list, beta: list) -> Tuple[float, np.ndarray]:
     return float(w[0]), z[:, 0]
 
 
-def _lanczos_max(op: Callable, mass: Callable, n: int):
+def _lanczos_max(op: Callable, mass) -> Tuple[np.ndarray, int]:
     """Eigenvector of the largest eigenvalue of ``op``, self-adjoint in the
-    (semi-)inner product of the symmetric positive semi-definite matrix that
-    ``mass`` applies, mass-normalised.
+    (semi-)inner product of the symmetric positive semi-definite tridiagonal
+    ``mass``, mass-normalised, on the dofs of ``mass``: the free arc dofs of
+    a trace pencil, the free angular dofs of the lowest Hardy block.
 
     Lanczos with full reorthogonalisation (Parlett, *The Symmetric Eigenvalue
     Problem*, 1998) from the all-ones start; ``op`` takes M g, the product
-    at hand, so that an operator K^-1 M is one solve.  It stops when the Ritz
-    residual |beta_k s_k| falls to ``LANCZOS_TOL`` times the Ritz value, or
-    when the Krylov space is invariant.  Returns (Ritz vector, steps).
+    at hand, so that the Neumann-to-Dirichlet map g -> E^T K^-1 E M g is one
+    solve.  It stops when the Ritz residual |beta_k s_k| falls to
+    ``LANCZOS_TOL`` times the Ritz value, or when the Krylov space is
+    invariant.  Returns (Ritz vector, steps).
 
     Every vector product is an einsum, not a ddot or gemv (see
     :func:`_contract`)."""
+    n = len(mass[0])
     q = np.ones(n)
-    mq = mass(q)
+    mq = _tri_apply(mass, q)
     nrm = math.sqrt(float(np.einsum("i,i->", q, mq)))
     if nrm == 0.0:
         raise RuntimeError("the mass annihilates the all-ones start")
@@ -450,7 +460,7 @@ def _lanczos_max(op: Callable, mass: Callable, n: int):
         alpha.append(float(np.einsum("i,i->", w, MQ[k - 1])))
         for _ in range(2):                  # classical Gram-Schmidt, twice
             w = w - np.einsum("k,ki->i", np.einsum("ki,i->k", MQ[:k], w), Q[:k])
-        mw = mass(w)
+        mw = _tri_apply(mass, w)
         b = math.sqrt(max(float(np.einsum("i,i->", w, mw)), 0.0))
         theta, s = _top_ritz_pair(alpha, beta)
         if b * abs(s[-1]) <= LANCZOS_TOL * theta or k == n:
@@ -519,7 +529,7 @@ def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0
         y, _ = lapack.dpttrs(df, ef, np.tile(u, k))
         return z[:, None] * y.reshape(k, n)
 
-    g, steps = _lanczos_max(lambda mg: z @ blocks(mg), lambda u: _tri_apply(Ma, u), n)
+    g, steps = _lanczos_max(lambda mg: z @ blocks(mg), Ma)
     V = np.einsum("im,mj->ij", X, blocks(_tri_apply(Ma, g)))
     if trace:
         MV = np.zeros_like(V)
@@ -610,31 +620,30 @@ def min_rayleigh(mesh: HalfDiskMesh, K: np.ndarray, arc) -> Tuple[float, np.ndar
     :func:`assemble_arc_mass`, on the free dofs of ``mesh``.
 
     K is factored once by LAPACK band Cholesky (``dpbtrf``, lower; a K that
-    is not positive definite raises LinAlgError naming its info), and
-    :func:`_lanczos_max` runs on K^-1 M in the M semi-inner product, one
-    ``dpbtrs`` per step.  The Ritz vector is mapped once more through K^-1 M,
-    so it lies in the pencil's range although the arc mass is singular, and
-    K v is the band product ``dsbmv`` of the unfactored K.
-    Returns (lam, M-normalized eigenvector on all nodes, residual ||K v - lam
-    M v|| / ||K v||, Lanczos steps)."""
+    is not positive definite raises LinAlgError naming its info).
+    :func:`_lanczos_max` runs on the free arc dofs E, on the discrete
+    Neumann-to-Dirichlet map g -> E^T K^-1 E Ma g (Ma the arc mass), one
+    scatter, ``dpbtrs`` and gather per step.  The Ritz vector g is lifted
+    once, v = K^-1 E Ma g, and K v is the band product ``dsbmv`` of the
+    unfactored K.  Returns (lam, M-normalized eigenvector on all nodes,
+    residual ||K v - lam M v|| / ||K v||, Lanczos steps)."""
     g = _band_geometry(mesh)
     factor, info = lapack.dpbtrf(K, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"stiffness not positive definite (dpbtrf info={info})")
     Ma = (arc[0][1:-1], arc[1][1:-1])
 
-    def mass(u):
-        mu = np.zeros_like(u)
-        mu[g.arc] = _tri_apply(Ma, u[g.arc])
-        return mu
-
-    def solve(u):
+    def solve(mg):                      # K^-1 E mg on every free dof
+        u = np.zeros(len(g.perm))
+        u[g.arc] = mg
         return lapack.dpbtrs(factor, u, lower=1)[0]
 
-    q, steps = _lanczos_max(solve, mass, len(g.perm))
-    v = solve(mass(q))
+    q, steps = _lanczos_max(lambda mg: solve(mg)[g.arc], Ma)
+    v = solve(_tri_apply(Ma, q))
+    mv = np.zeros_like(v)
+    mv[g.arc] = _tri_apply(Ma, v[g.arc])
     kv = blas.dsbmv(len(K) - 1, 1.0, K, v, lower=1)
-    return _finish(v, kv, mass(v), steps, mesh.nnodes, g.perm)
+    return _finish(v, kv, mv, steps, mesh.nnodes, g.perm)
 
 
 # ---------------------------------------------------------------------------

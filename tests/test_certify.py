@@ -109,6 +109,18 @@ def test_verify_phi_bound_targets():
     assert rep0.min_sample == pytest.approx(2.0, abs=1e-9)
 
 
+def test_verify_phi_bound_refuses_overflowing_exponents():
+    """Below PHI_A_MIN = 1 - log10(float max)/6 (about -50.376) the probe's
+    t^(1-a) overflows at t = 1e6: such an a is a ValueError, not a
+    'non-finite sample' crash; just above the bound the certificate runs."""
+    from degenlab.certify import PHI_A_MIN
+    assert PHI_A_MIN == pytest.approx(-50.3758, abs=1e-4)
+    (rep,) = dl.verify_phi_bound([-50.3], budget=20_000)
+    assert rep.passed and math.isfinite(rep.certified_infimum_lower_bound), rep.record()
+    with pytest.raises(ValueError, match="overflows"):
+        dl.verify_phi_bound([-50.4], budget=20_000)
+
+
 def test_verify_v_inequality():
     rep = dl.verify_v_inequality()
     assert rep.passed

@@ -76,6 +76,7 @@ def test_usage_error_exit_code(tmp_path):
     (("sweep", "mu=quadratic:-1"), "mu", "-1"),
     (("eigen", "r_list=inf"), "r_list", "inf"),
     (("certify", "phi_a=-inf"), "phi_a", "-inf"),
+    (("certify", "phi_a=-50.4"), "phi_a", "-50.4"),
     (("eigen", "sweep_a=-1.5"), "sweep_a", "-1.5"),
     (("certify", "bugdet=5"), "bugdet", "5"),
     (("report", "a=0.5"), "a", "0.5"),

@@ -277,9 +277,12 @@ def _eigen_result(case, h):
 
 
 # eps = 0 trace and flat Hardy pencils take the separable solve, the eps > 0
-# trace pencils the assembled one
+# trace pencils the assembled one, at eps = 0.1 and at the eps = 1/r of the
+# lambda_r rows of `eigen` (r = 1, 4, 16, 64)
+LAMBDA_R_EPS = [1.0, 0.25, 0.0625, 0.015625]
 PENCILS = [("direct", 0.5, 0.0), ("direct", -0.5, 0.0), ("transformed", -1.5, 0.0),
-           ("hardy", None, 0.0), ("direct", 0.5, 0.1), ("direct", -0.5, 0.1)]
+           ("hardy", None, 0.0), ("direct", 0.5, 0.1), ("direct", -0.5, 0.1)] + [
+    ("direct", b, eps) for b in (0.5, -0.5) for eps in LAMBDA_R_EPS]
 
 
 def _case_id(case):
@@ -355,6 +358,52 @@ def test_band_width_is_free_radial_count_plus_one(case, h):
     mesh = HalfDiskMesh.from_h(h)
     _, factor, _ = _band_factor(case, mesh)
     assert factor.shape[0] - 1 == mesh.nr + 1
+
+
+def test_lanczos_runs_on_the_arc_trace(monkeypatch):
+    """min_rayleigh iterates on the free arc dofs, not on every free dof:
+    each vector its Lanczos operator takes or returns, and the Ritz vector,
+    has ntheta - 1 entries."""
+    lengths = set()
+    lanczos = spectral._lanczos_max
+
+    def recording(op, mass):
+        def op_recording(mg):
+            out = op(mg)
+            lengths.update((len(mg), len(out)))
+            return out
+
+        q, steps = lanczos(op_recording, mass)
+        lengths.add(len(q))
+        return q, steps
+
+    monkeypatch.setattr(spectral, "_lanczos_max", recording)
+    mesh = HalfDiskMesh.from_h(1 / 8)
+    assert len(spectral._band_geometry(mesh).perm) > mesh.ntheta - 1
+    dl.trace_eigen(0.5, 0.25, 1 / 8)
+    assert lengths == {mesh.ntheta - 1}
+
+
+@pytest.mark.parametrize("shape", [(1, 16), (2048, 16), (2049, 16), (64, 256, 16)],
+                         ids=["1", "2048", "2049", "16384"])
+def test_blocked_contract_is_one_matmul(shape, monkeypatch):
+    """_contract, a matmul in row blocks of at most BLAS_ONE_THREAD
+    multiply-adds, equals one matmul over every row; 16,384 rows are the
+    (radial, angular) elements at h = 1/64."""
+    rng = np.random.default_rng(29)
+    coef, products = rng.standard_normal(shape), rng.standard_normal((16, 16))
+    want = coef @ products
+    blocks, matmul = [], np.matmul
+
+    def recording(a, b, **kw):
+        blocks.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    got = spectral._contract(coef, products)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert max(blocks) <= spectral.BLAS_ONE_THREAD and sum(blocks) == coef.size * 16
 
 
 def test_indefinite_stiffness_raises():
