@@ -76,12 +76,12 @@ def test_usage_error_exit_code(tmp_path):
     (("sweep", "mu=quadratic:-1"), "mu", "-1"),
     (("eigen", "r_list=inf"), "r_list", "inf"),
     (("certify", "phi_a=-inf"), "phi_a", "-inf"),
-    (("certify", "phi_a=-50.4"), "phi_a", "-50.4"),
     (("eigen", "sweep_a=-1.5"), "sweep_a", "-1.5"),
     (("certify", "bugdet=5"), "bugdet", "5"),
     (("report", "a=0.5"), "a", "0.5"),
     (("eigen", "h=1/2"), "h", "1/2"),
     (("eigen", "h=1"), "h", "1"),
+    (("certify", "phi_a=-50.4"), "phi_a", "-50.4"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     """A value that does not parse, or that the command cannot run on, is a
