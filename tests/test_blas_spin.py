@@ -11,9 +11,10 @@ blas_spin = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(blas_spin)
 
 
-def test_prints_one_row_per_shape(capsys):
-    assert blas_spin.main(["4", "16", "16", "2", "3", "5", "--repeats", "1",
-                           "--sleep", "0"]) == 0
+def test_prints_one_row_per_shape(capsys, monkeypatch):
+    monkeypatch.setattr(blas_spin, "REPEATS", 1)
+    monkeypatch.setattr(blas_spin, "SLEEP", 0)
+    assert blas_spin.main(["4", "16", "16", "2", "3", "5"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0].split() == ["M", "K", "N", "M*K*N", "matmul_ms", "sleep_cpu_ms"]
     assert [r.split()[:4] for r in rows[1:]] == [["4", "16", "16", "1024"],

@@ -367,13 +367,13 @@ def test_lanczos_runs_on_the_arc_trace(monkeypatch):
     lengths = set()
     lanczos = spectral._lanczos_max
 
-    def recording(op, mass):
+    def recording(op, mass, *rest):
         def op_recording(mg):
             out = op(mg)
             lengths.update((len(mg), len(out)))
             return out
 
-        q, steps = lanczos(op_recording, mass)
+        q, steps = lanczos(op_recording, mass, *rest)
         lengths.add(len(q))
         return q, steps
 
