@@ -3,7 +3,7 @@
 compare their end-to-end metrics.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W [W ...]
-           --seeds FIRST COUNT [--seconds S]
+           --seeds FIRST COUNT [--seconds S] [--record PATH]
 
 PARENT and CHANGE are checkout roots; each W names a workload of
 BENCHMARK.json, and ``all`` stands for every one.  Pair k runs, workload by
@@ -12,8 +12,11 @@ in both checkouts, the parent first when k is even and the change first when
 k is odd.  For each workload and end-to-end metric of BENCHMARK.json the
 summary gives each side's first quartile, median and third quartile, the
 interquartile distance of the parent's runs, and the pairs the change won
-(ties count for neither side).  Exit 1 if a run fails or reports
-``failed > 0``, else 0.
+(ties count for neither side).  ``--record PATH`` writes one JSON line per
+run to PATH as the run ends: perfbench's full JSON line with the keys
+``workload``, ``pair``, ``seed``, ``side`` (parent or change) and ``first``
+(the side that ran first in the pair) added.  Exit 1 if a run fails or
+reports ``failed > 0``, else 0.
 """
 
 import argparse
@@ -85,17 +88,25 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--seeds", type=int, nargs=2, metavar=("FIRST", "COUNT"), required=True)
     ap.add_argument("--seconds", type=float, default=18.0)
+    ap.add_argument("--record", type=Path, help="write every run's JSON line here")
     args = ap.parse_args(argv)
     metrics = end_to_end_metrics()
     names = workloads(args.workload)
     first, count = args.seeds
     pairs = {w: [] for w in names}
+    log = args.record.open("w") if args.record else None
     try:
         for k in range(count):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for w in names:
-                runs = {side: run_once(getattr(args, side), w, first + k, args.seconds)
-                        for side in order}
+                runs = {}
+                for side in order:
+                    runs[side] = run_once(getattr(args, side), w, first + k, args.seconds)
+                    if log:
+                        log.write(json.dumps({"workload": w, "pair": k, "seed": first + k,
+                                              "side": side, "first": order[0],
+                                              **runs[side]}) + "\n")
+                        log.flush()
                 pairs[w].append((runs["parent"], runs["change"]))
                 print(f"{w} seed {first + k}, {order[0]} first: " + "  ".join(
                     f"{name} {runs['parent']['metrics'][name]['value']:.6g} -> "
@@ -103,6 +114,9 @@ def main(argv=None) -> int:
     except RuntimeError as e:
         print(f"bench_pairs: {e}", file=sys.stderr)
         return 1
+    finally:
+        if log:
+            log.close()
     for w in names:
         print(f"{w}: {len(pairs[w])} pairs, seeds {first}-{first + count - 1}")
         print(f"  {'metric':14s} {'parent q1':>11s} {'median':>11s} {'q3':>11s} "

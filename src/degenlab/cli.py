@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import (RhoWeight, _check_h_list, assemble, convergence_study,
+from .assembly import (RangeError, RhoWeight, _check_h_list, assemble, convergence_study,
                        manufactured_problem)
 from .certify import (MIN_BUDGET, PHI_A_MIN, _phi_exponent_rule, verify_gamma_rectangle,
                       verify_phi_bound, verify_v_inequality, v_minimum)
@@ -313,7 +313,11 @@ def cmd_solve(cfg: dict) -> int:
         rhs, exact = manufactured_problem(u_exact, op)
         return op, rhs, exact
 
-    rows, rep = convergence_study(factory, h_list)
+    try:
+        rows, rep = convergence_study(factory, h_list)
+    except RangeError as exc:
+        raise ConfigError(f"a: {cfg.get('a', '0.5')!r} is not usable with this h_list: "
+                          f"{exc}") from None
     ok = all(err <= 1e-8 for _, err, _ in rows)   # discrete mode recovers exactly
     header = [f"config-hash: {_config_hash(cfg)}",
               f"manufactured odd problem, a={fmt(a)}, discrete consistency mode",

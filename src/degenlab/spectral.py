@@ -50,8 +50,8 @@ all-ones start, and one finishing step: the Ritz vector is lifted once
 through the solve onto the mesh, and lam and the residual
 ||K v - lam M v|| / ||K v|| are those of the full pencil; a residual above
 ``EIG_RESIDUAL_TOL`` raises.  Up to h = 1/64 every dense call stays below
-the sizes at which OpenBLAS starts a second thread (see :func:`_contract`);
-only ``dpbtrf`` at h = 1/64 threads.
+the sizes at which OpenBLAS starts a second thread (see
+:func:`~degenlab.assembly._matmul`); only ``dpbtrf`` at h = 1/64 threads.
 
 Every element integrates with the Gauss-Legendre rule of ``ELEMENT_ORDER``
 points per direction; the arc segments and the Gauss-Jacobi edge rows take
@@ -70,7 +70,7 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 from scipy.special import roots_jacobi, roots_legendre
 
-from .assembly import DiscreteField
+from .assembly import DiscreteField, _matmul
 from .potentials import potentials
 from .weights import WeightFamily, rho as rho_weight
 
@@ -79,7 +79,6 @@ LANCZOS_TOL = 1e-13
 ELEMENT_ORDER = 4       # Gauss-Legendre points per direction of an element
 EDGE_ORDER = 6          # points per arc segment and per Gauss-Jacobi edge row
 GROWTH_ARC_CELLS = 720  # trapezoid cells on each arc of growth_monitor
-BLAS_ONE_THREAD = 2 ** 19  # multiply-adds of a gemm that OpenBLAS keeps on one thread
 
 
 @dataclass(frozen=True)
@@ -168,35 +167,10 @@ def _products(A: np.ndarray) -> np.ndarray:
 
 def _contract(coef: np.ndarray, products: np.ndarray) -> np.ndarray:
     """Sum over quadrature points of (..., nq) coefficients times (nq, 16)
-    products, as matmuls of at most ``BLAS_ONE_THREAD`` multiply-adds each.
-
-    The rule for every dense call in this module, measured on a 2-core
-    machine with OpenBLAS 0.3.31 and ``OPENBLAS_NUM_THREADS=2``: a call that
-    OpenBLAS threads leaves its second thread spinning for 50 to 130 ms after
-    it returns (``scripts/blas_spin.py``), which doubles the CPU time of a
-    short solve.  Generalized ``scipy.linalg.eigh`` threads from n = 32 and
-    ``numpy.linalg.eigh`` from n = 31; standard ``scipy.linalg.eigh`` from
-    n = 64 with the evr driver and n = 128 with evd; ``solve_triangular``
-    with a matrix right-hand side from n = 16; ``matmul`` at 2^20
-    multiply-adds (4,096 x 16 by 16 x 16; not at 2,049 x 16 by 16 x 16); a
-    ddot, ``numpy.linalg.norm`` of an array among them, of 16,000 entries
-    (not of 4,000).  einsum, numpy's own sums, the tridiagonal LAPACK
-    routines used here (``dpttrf``, ``dpttrs``, ``dstebz``, ``dstein``) and
-    the band product ``dsbmv`` ran on one thread at every size measured.
-    The band Cholesky ``dpbtrf`` with ``lower=1`` (n = 4,064 and 16,320)
-    stays on one thread at half-bandwidth kd = 33 (h = 1/32) but threads at
-    kd = 65 (h = 1/64), where it is slower on two threads than on one (17 to
-    19 against 13 ms).  ``dpbtrs`` ran on one thread at both sizes.  numpy
-    and scipy each bundle their own OpenBLAS with its own thread pool, so a
-    numpy ddot or gemv that threads in the same loop as a threaded
-    ``dpbtrf`` puts two spinning threads on the two cores: that is why the
-    Lanczos products are einsums."""
+    products, as one :func:`~degenlab.assembly._matmul` over the rows of
+    coef, which keeps every block on one BLAS thread."""
     rows = coef.reshape(-1, coef.shape[-1])
-    out = np.empty((len(rows), products.shape[1]))
-    step = max(1, BLAS_ONE_THREAD // products.size)
-    for i in range(0, len(rows), step):
-        np.matmul(rows[i:i + step], products, out=out[i:i + step])
-    return out.reshape(coef.shape[:-1] + products.shape[1:])
+    return _matmul(rows, products).reshape(coef.shape[:-1] + products.shape[1:])
 
 
 def _frozen(rule):
@@ -444,7 +418,7 @@ def _lanczos_max(op: Callable, mass) -> Tuple[np.ndarray, int]:
     invariant.  Returns (Ritz vector, steps).
 
     Every vector product is an einsum, not a ddot or gemv (see
-    :func:`_contract`)."""
+    :func:`~degenlab.assembly._matmul`)."""
     n = len(mass[0])
     q = np.ones(n)
     mq = _tri_apply(mass, q)
@@ -477,9 +451,10 @@ def _finish(v: np.ndarray, kv: np.ndarray, mv: np.ndarray, steps: int, nnodes: i
     """(lam, eigenvector, residual, steps) from v and the pencil's K v and M v.
 
     lam is the Rayleigh quotient and the residual ||K v - lam M v|| / ||K v||,
-    both from numpy sums, not ddots (see :func:`_contract`); a residual above
-    ``EIG_RESIDUAL_TOL`` (or nan) raises RuntimeError.  The eigenvector is
-    v / ||v||_M at the node numbers ``dofs`` (of v's shape), zero elsewhere."""
+    both from numpy sums, not ddots (see :func:`~degenlab.assembly._matmul`);
+    a residual above ``EIG_RESIDUAL_TOL`` (or nan) raises RuntimeError.  The
+    eigenvector is v / ||v||_M at the node numbers ``dofs`` (of v's shape),
+    zero elsewhere."""
     vmv = float(np.sum(v * mv))
     lam = float(np.sum(v * kv)) / vmv
     r = kv - lam * mv

@@ -6,10 +6,13 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import spsolve
 
 import degenlab as dl
-from degenlab.assembly import ParityError
+from degenlab import assembly
+from degenlab.assembly import ParityError, RangeError
 
 
 def exact_field(grid, fn, parity="odd"):
@@ -138,6 +141,104 @@ def test_iteration_cap_is_reported_and_aborts_a_sweep(monkeypatch):
                            mu_inverse=lambda x, y: 1.0 + 3.0 * (x * x + y * y))
     with pytest.raises(dl.SweepAbort, match="solver failed at eps=1"):
         dl.holder.solve_family(fam, [1.0, 0.0], grid_h=1 / 16)
+
+
+def _scipy_cg(op, rhs):
+    """The oracle of ``assembly._cg``: scipy's cg with the same preconditioner,
+    tolerance and cap.  Returns (u, info, steps)."""
+    A, g = op.matrix, op.grid
+    if g.shape == "half_rectangle":
+        M = spla.LinearOperator(A.shape, matvec=assembly._separable_solve(op))
+    else:
+        M = sp.diags(1.0 / A.diagonal())
+    steps = []
+    u, info = spla.cg(A, rhs, rtol=assembly.SOLVER_TOL * 1e-5, atol=0.0,
+                      maxiter=assembly.ITERATION_CAP, M=M, callback=lambda _: steps.append(1))
+    return u, info, len(steps)
+
+
+ORACLE_CASES = {
+    **{f"{w}-{parity}": (w, parity, "half_rectangle", 1 / 64)
+       for w in SEPARABLE for parity in ("odd", "even")},
+    "half-disk-mu1": ("mu1", "odd", "half_disk", 1 / 16),
+    "half-disk-quadratic-mu": ("quadratic-mu", "even", "half_disk", 1 / 16),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_cg_follows_scipy_step_for_step(case):
+    """The lab's CG loop takes scipy's steps: the same count (2 with the
+    separable preconditioner, about a hundred with the diagonal one on the
+    half disk) and the same field up to the order of its sums."""
+    weight, parity, shape, h = ORACLE_CASES[case]
+    op = dl.assemble(dl.build_half_grid(1, shape, h), SEPARABLE[weight](), parity=parity)
+    rhs = op.rhs(f=lambda x, y: np.cos(x) * (1.0 + y), trace=lambda x, y: 1.0 + x + y * y)
+    u, info, steps = _scipy_cg(op, rhs)
+    rep = dl.solve_linear(op, rhs)
+    assert (rep.iterations, rep.info) == (steps, info) and info == 0 and rep.converged
+    assert steps == 2 if shape == "half_rectangle" else steps > 50
+    assert np.max(np.abs(rep.field.values - u)) <= 1e-13 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("shape", ["half_rectangle", "half_disk"])
+def test_zero_rhs_is_the_zero_field_in_zero_steps(shape):
+    op = dl.assemble(dl.build_half_grid(1, shape, 1 / 8), dl.RhoWeight(dl.WeightFamily(0.5)))
+    rep = dl.solve_linear(op, np.zeros(op.grid.ncells))
+    assert not rep.field.values.any()
+    assert (rep.iterations, rep.info, rep.relative_residual, rep.converged) == (0, 0, 0.0, True)
+
+
+def test_cg_overflow_raises_range_error():
+    # ||b|| overflows: scipy's loop runs to the cap on inf and nan, the lab's stops at once
+    op = dl.assemble(dl.build_half_grid(1, "half_disk", 1 / 8), dl.RhoWeight(dl.WeightFamily(0.5)))
+    with pytest.raises(RangeError, match="CG overflows at step 0"):
+        dl.solve_linear(op, np.full(op.grid.ncells, 1e200))
+
+
+@pytest.mark.parametrize("shape", [(192, 192, 96), (200, 192, 96), (192, 192, 96, "T")],
+                         ids=["separable-h96", "ragged-last-block", "transposed"])
+def test_blocked_matmul_is_the_plain_product_bit_for_bit(shape, monkeypatch):
+    """192 x 192 by 192 x 96 is the separable solve's Q^T R at h = 1/96; 200
+    rows end in a block of 4 after seven of 28."""
+    rng = np.random.default_rng(30)
+    a, b = rng.standard_normal(shape[:2]), rng.standard_normal(shape[1:3])
+    if shape[3:]:
+        a = a.T
+    blocks, matmul = [], np.matmul
+
+    def recording(x, y, **kw):
+        blocks.append(x.shape[0] * x.shape[1] * y.shape[1])
+        return matmul(x, y, **kw)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    assert np.array_equal(assembly._matmul(a, b), a @ b)
+    assert max(blocks) <= assembly.BLAS_ONE_THREAD and sum(blocks) == a.size * b.shape[1]
+
+
+def test_solve_calls_no_blas_dot_or_threaded_matmul(monkeypatch):
+    """A solve at h = 1/96 (the finest level of solve-fine) makes no ddot or
+    dnrm2, which OpenBLAS threads at this length, and no gemm above
+    ``BLAS_ONE_THREAD`` multiply-adds."""
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 96)
+    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.5)), parity="odd")
+    rhs, exact = dl.manufactured_problem(lambda x, y: np.copysign(np.abs(y) ** 0.5, y), op)
+    blocks, matmul = [], np.matmul
+
+    def refuse(*args, **kw):
+        raise AssertionError("a BLAS dot or norm in the solve")
+
+    def recording(x, y, **kw):
+        blocks.append(x.shape[0] * x.shape[1] * y.shape[1])
+        return matmul(x, y, **kw)
+
+    for name in ("dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    monkeypatch.setattr(np, "matmul", recording)
+    rep = dl.solve_linear(op, rhs)
+    assert rep.converged and rep.iterations == 2
+    assert np.max(np.abs(rep.field.values - exact.values)) <= 1e-12
+    assert blocks and max(blocks) <= assembly.BLAS_ONE_THREAD
 
 
 def test_auxiliary_resistance_before_values():

@@ -102,3 +102,23 @@ def test_each_pair_runs_every_workload_on_both_sides(tmp_path, capsys, names):
     out = capsys.readouterr().out
     assert [line.split(":")[0] for line in out.splitlines() if "pairs, seeds 3-4" in line] \
         == expected
+
+
+def test_record_holds_every_run_with_side_seed_and_order(tmp_path):
+    """--record writes perfbench's whole JSON line of each run, in the order
+    the runs ended, with its workload, pair, seed, side and first side."""
+    parent = _checkout(tmp_path / "parent", _line(0.05, 90.0))
+    change = _checkout(tmp_path / "change", _line(0.04, 91.0))
+    path = tmp_path / "runs.jsonl"
+    argv = [str(parent), str(change), "--workload", "eigen", "--seeds", "7", "2",
+            "--record", str(path)]
+    assert bench_pairs.main(argv) == 0
+    runs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["pair"], r["seed"], r["side"], r["first"]) for r in runs] == [
+        (0, 7, "parent", "parent"), (0, 7, "change", "parent"),
+        (1, 8, "change", "change"), (1, 8, "parent", "change")]
+    assert {r["workload"] for r in runs} == {"eigen"}
+    assert all((r["correct"], r["attempted"], r["failed"]) == (True, 40, 0) for r in runs)
+    assert [r["metrics"]["wall_s"]["value"] for r in runs] == pytest.approx(
+        [0.35, 0.28, 0.32, 0.40])
+    assert [r["metrics"]["peak_rss_mb"]["value"] for r in runs] == [90.0, 91.0, 91.0, 90.0]

@@ -1,17 +1,21 @@
 """Command-line pipelines: artifacts, exit codes, byte determinism."""
 
+import contextlib
 import filecmp
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import degenlab
 import degenlab.cli as cli
@@ -82,6 +86,9 @@ def test_usage_error_exit_code(tmp_path):
     (("eigen", "h=1/2"), "h", "1/2"),
     (("eigen", "h=1"), "h", "1"),
     (("certify", "phi_a=-50.4"), "phi_a", "-50.4"),
+    (("solve", "a=-300"), "a", "-300"),
+    (("solve", "a=-100", "h_list=1/4 1/8 1/16"), "a", "-100"),
+    (("solve", "a=0.9999999999999998"), "a", "0.9999999999999998"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     """A value that does not parse, or that the command cannot run on, is a
@@ -91,11 +98,29 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     repeated eps leaves the sweep's trend fit degenerate, and `quadratic:<c>`
     with c <= -1 makes mu^(-1) = 1 + c x^2 vanish or turn negative.  A key
     the command does not read (`eigen eps=`, a typo, any key of `report`)
-    is refused before the command runs."""
+    is refused before the command runs.  `solve` refuses an a whose weight,
+    operator or separable fit overflows on its grids: y^a with a = -300 at
+    the first cell centre, the fit's sums of squares with a = -100 at
+    h = 1/16, and the y-resistances, which round to 0 with a = 1 - 2^-52."""
     assert _run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: {token!r}")
     assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=st.floats(max_value=1.0, exclude_max=True, allow_nan=False, allow_infinity=False),
+       n=st.lists(st.integers(4, 16), min_size=3, max_size=3, unique=True).map(sorted))
+def test_solve_never_crashes_on_what_it_admits(a, n):
+    """Any finite a below 1 and any three levels 1/n of n >= 4: solve runs
+    (exit 0 or 1) or refuses one key (exit 2, the message starts with it),
+    and never crashes (exit 3)."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = _run(tmp, "solve", f"a={a!r}", "h_list=" + " ".join(f"1/{k}" for k in n))
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert re.match(r"config error: (a|h_list): ", err.getvalue()), err.getvalue()
 
 
 def test_eigen_runs_at_the_coarsest_mesh_it_accepts(tmp_path, capsys):

@@ -403,7 +403,7 @@ def test_blocked_contract_is_one_matmul(shape, monkeypatch):
     got = spectral._contract(coef, products)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    assert max(blocks) <= spectral.BLAS_ONE_THREAD and sum(blocks) == coef.size * 16
+    assert max(blocks) <= dl.assembly.BLAS_ONE_THREAD and sum(blocks) == coef.size * 16
 
 
 def test_indefinite_stiffness_raises():
