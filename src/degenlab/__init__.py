@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 from .weights import (
     CharacteristicSolution,
     DivergentIntegralError,
+    MuInverse,
     QuadratureError,
     SingularWeightError,
     WeightFamily,

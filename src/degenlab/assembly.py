@@ -54,10 +54,9 @@ from scipy.linalg import eigh_tridiagonal, lapack
 from .geometry import HalfGrid
 from .weights import (
     CharacteristicSolution,
+    MuInverse,
     WeightFamily,
-    _coords,
     _sample,
-    _x_of,
     chi,
     rho,
     v_char_profile,
@@ -135,8 +134,8 @@ class WeightModel:
 
     A model owns the coefficient mu of the operator, so one model means one
     operator: ``sol`` is its characteristic solution, whose ``mu_inverse``
-    sets the y-resistances and v, and whose ``mu_at`` gives mu on the
-    x-faces.
+    pair m^(-1)(x) n^(-1)(y) sets the y-resistances and v, and whose
+    ``mu_at`` gives mu on the x-faces.
 
     Every method receives the columns' positions ``x`` (an array of shape S,
     a tuple of them for n = 2) and the cell-center ordinates ``ys``, and
@@ -166,19 +165,15 @@ class WeightModel:
         return self.values(x, ys)
 
 
-def _per_segment(x, ask: np.ndarray):
-    """The column position of each True entry of ``ask`` (shape S + (m,))."""
-    return _x_of([np.broadcast_to(np.asarray(c)[..., None], ask.shape)[ask] for c in _coords(x)])
-
-
 class RhoWeight(WeightModel):
     """w = rho(y); exact resistances through the characteristic antiderivative.
 
-    mu is given as ``mu_inverse`` (None: mu == 1), and int ds/(w mu) =
-    int rho^(-a) mu^(-1) ds is the characteristic-solution increment divided
-    by (1-a).  w == 1 is ``RhoWeight(WeightFamily(0.0))``."""
+    mu is given as the pair ``mu_inverse`` (None: mu == 1), and int ds/(w mu)
+    = int rho^(-a) mu^(-1) ds = m^(-1)(x) (N(y1) - N(y0)) is the
+    characteristic-solution increment divided by (1-a).  w == 1 is
+    ``RhoWeight(WeightFamily(0.0))``."""
 
-    def __init__(self, family: WeightFamily, mu_inverse: Optional[Callable] = None):
+    def __init__(self, family: WeightFamily, mu_inverse: Optional[MuInverse] = None):
         self.family = family
         self.sol = CharacteristicSolution(family, mu_inverse)
         self.weight_id = f"rho[a={family.a:g},eps={family.eps:g}]"
@@ -187,10 +182,17 @@ class RhoWeight(WeightModel):
         return rho(self.family, np.asarray(ys, dtype=float))
 
     def resistance_y(self, x, ys, y0, y1):
+        """N read from the half-spacing ladder of ys, computed here once."""
+        sol = self.sol
         ask = ~np.isnan(y0)
         out = np.full(y0.shape, np.nan)
-        out[ask] = self.sol.segment_integrals(_per_segment(x, ask), y0[ask], y1[ask])
-        return out
+        if sol.mu_inverse is None:
+            out[ask] = chi(self.family, y1[ask]) - chi(self.family, y0[ask])
+            return out
+        sol.integral(_half_ladder(ys), keep=True)
+        n0, n1 = sol.integral(np.stack([y0[ask], y1[ask]]))
+        out[ask] = n1 - n0
+        return np.asarray(sol.m_inv_at(x))[..., None] * out
 
     def cell_integral_y(self, x, ys, y0, y1):
         a, eps = self.family.a, self.family.eps
@@ -206,9 +208,8 @@ class RhoWeight(WeightModel):
 class AuxiliaryWeight(WeightModel):
     """w = rho (v)^2 with v the characteristic odd solution (quotient weight).
 
-    Values and resistances come from a ladder of v at half-spacing
-    resolution in every column (``v_char_profile``: segment integrals
-    memoized on the solution when mu varies, closed form when mu == 1); the
+    Values and resistances come from v on the half-spacing ladder in every
+    column (``v_char_profile``, on the solution's ladder of N); the
     resistance of the first half cell [0, h/2] is infinite (super-degenerate
     weight), which encodes the natural zero-flux closure.
     """
@@ -220,9 +221,7 @@ class AuxiliaryWeight(WeightModel):
 
     def _ladder(self, x, ys) -> Tuple[np.ndarray, np.ndarray]:
         """The half-spacing ladder of ordinates and v on it in each column."""
-        ys = np.asarray(ys, dtype=float)
-        h = ys[1] - ys[0] if len(ys) > 1 else 2 * ys[0]
-        ladder_y = np.arange(1, 2 * len(ys) + 1) * (h / 2.0)
+        ladder_y = _half_ladder(np.asarray(ys, dtype=float))
         return ladder_y, v_char_profile(self.sol, x, ladder_y)
 
     @staticmethod
@@ -255,17 +254,18 @@ class AuxiliaryWeight(WeightModel):
         at the plane; the face-midpoint flux is exact for that branch, while
         a harmonic or line-resistance rule (exact for the odd problem's
         singular branch) has an O(1) relative flux error at the first face."""
-        fam = self.sol.family
+        sol = self.sol
+        fam = sol.family
         out = np.full(y0.shape, math.inf)
         pos = y0 > 0.0
         ym = 0.5 * (y0 + y1)
-        if self.sol.mu_inverse is None:
+        if sol.mu_inverse is None:
             v = (1.0 - fam.a) * chi(fam, ym[pos])
             k = rho(fam, ym[pos]) * v * v
         else:
             v = self._v_at(*self._ladder(x, ys), ym)[pos]
-            mi = _sample(self.sol.mu_inverse, _per_segment(x, pos), ym[pos])
-            k = rho(fam, ym[pos]) * v * v / mi
+            m = np.broadcast_to(np.asarray(sol.m_inv_at(x))[..., None], ym.shape)[pos]
+            k = rho(fam, ym[pos]) * v * v / (m * sol.n_inv_at(ym[pos]))
         out[pos] = (y1[pos] - y0[pos]) / k
         return out
 
@@ -345,6 +345,17 @@ class DiscreteField:
                                     (j[missing] + 0.5) * h, "trace")
         return ((1 - tx) * (1 - ty) * vals[:, 0, 0] + (1 - tx) * ty * vals[:, 0, 1]
                 + tx * (1 - ty) * vals[:, 1, 0] + tx * ty * vals[:, 1, 1])
+
+
+def _half_ladder(ys: np.ndarray) -> np.ndarray:
+    """The half-spacing ladder h/2, h, ..., len(ys) h of the cell centres
+    ys = (j + 1/2) h of a column: every cell centre and face ordinate."""
+    return np.arange(1, 2 * len(ys) + 1) * ys[0]
+
+
+def _x_of(coords):
+    """x as samplers take it: the coordinate, a tuple of them for n = 2."""
+    return coords[0] if len(coords) == 1 else tuple(coords)
 
 
 def _xy(pts: np.ndarray, n: int):

@@ -39,7 +39,7 @@ from .holder import (SLOPE_TOL, TAU, ProblemFamily, _check_mode, admissible_eps,
                      measure_sweep, solve_family)
 from .potentials import v_limit, v_limit_deriv
 from .spectral import HalfDiskMesh, _trace_route, hardy_quotient, trace_eigen
-from .weights import WeightFamily
+from .weights import MuInverse, WeightFamily
 
 
 _FLOAT = "%.12g"         # every float of every artifact: 12 significant digits
@@ -162,6 +162,7 @@ def _accepted_by(build, what: str):
     return ok, what
 
 
+_A = "0.5"              # the default exponent of sweep, solve and fermi-demo
 # The characteristic solution and the trace exponents need a < 1
 _BELOW_ONE = (lambda a: a < 1.0, "below 1")
 _ALPHA = (lambda alpha: 0.0 < alpha <= 1.0, "in (0, 1]")      # a Holder exponent
@@ -224,7 +225,7 @@ def _sweep_family(a: float, mu_inv, name: str) -> ProblemFamily:
 
 
 def _family_from_cfg(cfg: dict) -> ProblemFamily:
-    a = _float(cfg, "a", "0.5", _BELOW_ONE)
+    a = _float(cfg, "a", _A, _BELOW_ONE)
     mu_kind = cfg.get("mu", "const")
     if mu_kind == "const":
         mu_inv = None
@@ -233,8 +234,9 @@ def _family_from_cfg(cfg: dict) -> ProblemFamily:
         c = (_number("mu", mu_kind.split(":", 1)[1], valid=(lambda c: c > -1.0, "above -1"))
              if ":" in mu_kind else 0.1)
 
-        def mu_inv(x, y, c=c):
+        def m_inv(x, c=c):
             return 1.0 / (1.0 + c * x * x)
+        mu_inv = MuInverse(m_inv=m_inv)
     else:
         raise ConfigError(f"mu: {mu_kind!r} is not const, quadratic or quadratic:<c>")
     return _sweep_family(a, mu_inv, f"a={a:g},mu={mu_kind}")
@@ -295,7 +297,7 @@ def cmd_certify(cfg: dict) -> int:
 
 
 def cmd_solve(cfg: dict) -> int:
-    a = _float(cfg, "a", "0.5", _BELOW_ONE)
+    a = _float(cfg, "a", _A, _BELOW_ONE)
     h_list = _floats(cfg, "h_list", "0.0625 0.03125 0.015625", _GRID_SPACING)
     try:
         _check_h_list(h_list)
@@ -313,11 +315,7 @@ def cmd_solve(cfg: dict) -> int:
         rhs, exact = manufactured_problem(u_exact, op)
         return op, rhs, exact
 
-    try:
-        rows, rep = convergence_study(factory, h_list)
-    except RangeError as exc:
-        raise ConfigError(f"a: {cfg.get('a', '0.5')!r} is not usable with this h_list: "
-                          f"{exc}") from None
+    rows, rep = convergence_study(factory, h_list)
     ok = all(err <= 1e-8 for _, err, _ in rows)   # discrete mode recovers exactly
     header = [f"config-hash: {_config_hash(cfg)}",
               f"manufactured odd problem, a={fmt(a)}, discrete consistency mode",
@@ -332,7 +330,7 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_fermi_demo(cfg: dict) -> int:
-    a = _float(cfg, "a", "0.5", _BELOW_ONE)
+    a = _float(cfg, "a", _A, _BELOW_ONE)
     radius = _float(cfg, "radius", "2.0", _CHART_RADIUS)
     h = _float(cfg, "h", "1/32", _GRID_SPACING)
     alpha = _float(cfg, "alpha", "0.4", _ALPHA)
@@ -360,11 +358,12 @@ def cmd_fermi_demo(cfg: dict) -> int:
             f"circle radius {fmt(radius)}, tolerance 1e-6"],
            ["t", "y", "mu", "jacobian_fd", "abs_diff"], zip(*rows_mu))
 
-    # 2) quotient tables in the straightened chart, mu = fermi_mu = speed * (1 - y kappa)
-    def mu_inv(x, y):
-        return 1.0 / fermi_mu(curve, x, y)
+    # 2) quotient tables in the straightened chart, mu = fermi_mu = speed * (1 - y kappa),
+    # a function of y alone on the circle, whose speed and curvature are constant
+    def n_inv(y):
+        return 1.0 / fermi_mu(curve, 0.0, y)
 
-    family = _sweep_family(a, mu_inv, f"fermi-circle[R={radius:g},a={a:g}]")
+    family = _sweep_family(a, MuInverse(n_inv=n_inv), f"fermi-circle[R={radius:g},a={a:g}]")
     solutions = solve_family(family, eps_list, grid_h=h)     # the three tables share them
     rep_c0 = measure_sweep(family, solutions, alpha, mode="ratio_c0")
     rep_c1r = measure_sweep(family, solutions, alpha, mode="ratio_c1", restricted="sqrt_eps")
@@ -468,6 +467,10 @@ def run(argv) -> int:
         return COMMANDS[ns.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except RangeError as e:     # an exponent a that takes the weight or operator out of range
+        print(f"config error: a: {cfg.get('a', _A)!r} is not usable on this grid: {e}",
+              file=sys.stderr)
         return 2
     except Exception:                           # a crash, not a failed check
         traceback.print_exc()

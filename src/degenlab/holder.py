@@ -35,7 +35,7 @@ import numpy as np
 from .assembly import DiscreteField, RhoWeight, assemble, solve_linear
 from .geometry import HalfGrid, Region, build_half_grid
 from .ratio import _quotient, _v_on_grid
-from .weights import CharacteristicSolution, WeightFamily, _sample, v_char, v_char_profile
+from .weights import CharacteristicSolution, MuInverse, WeightFamily, _sample, v_char
 
 TAU = 3.0
 SLOPE_TOL = 0.1
@@ -184,17 +184,18 @@ class ProblemFamily:
 
     The outer Dirichlet trace is v_eps(x, y) * trace_factor(x, y), so the
     quotient w has eps-uniform boundary values by construction; forcing f and
-    field F are eps-independent samplers.  ``mu_inverse`` samples mu^(-1) of
-    the tensor A = mu I (None: mu == 1) for each eps step's
-    :class:`RhoWeight`.  Every sampler (f, F, trace_factor and mu_inverse)
-    takes arrays of positions x and ordinates y and broadcasts over them, F
+    field F are eps-independent samplers.  ``mu_inverse`` is the pair
+    (m^(-1)(x), n^(-1)(y)) of the tensor A = mu I, mu = m(x) n(y)
+    (:class:`MuInverse`; None: mu == 1), for each eps step's
+    :class:`RhoWeight`.  Every sampler (f, F, trace_factor and the factors
+    of mu_inverse) broadcasts over arrays of positions x and ordinates y, F
     returning its two components along a leading axis."""
 
     a: float
     f: Optional[Callable] = None
     F: Optional[Callable] = None
     trace_factor: Optional[Callable] = None
-    mu_inverse: Optional[Callable] = None
+    mu_inverse: Optional[MuInverse] = None
     name: str = "family"
 
 
@@ -240,16 +241,11 @@ def solve_family(family: ProblemFamily, eps_list: Sequence[float],
     A solve that does not converge raises SweepAbort carrying the solutions
     before it."""
     grid = build_half_grid(1, "half_rectangle", grid_h)
-    ys = (np.arange(grid.ny) + 0.5) * grid.h
-    side_x = -1.0 + np.array([0, grid.nx]) * grid.h      # as the face midpoints hold it
     out = []
     for eps in eps_list:
         weight = RhoWeight(WeightFamily(family.a, eps), family.mu_inverse)
-        sol = weight.sol        # one solution (and segment memo) per eps
+        sol = weight.sol        # one solution per eps: the trace and v read its ladder of N
         op = assemble(grid, weight, parity="odd")
-        # The trace reads v from the column ladders of sol: on the top faces from the
-        # resistance ladders, on the side faces x = -1, 1 from one pass over both.
-        v_char_profile(sol, side_x, ys)
         trace = _family_trace(family, sol)
         rhs = op.rhs(f=family.f, F=family.F, trace=trace)
         rep = solve_linear(op, rhs)

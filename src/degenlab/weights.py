@@ -14,23 +14,25 @@ functional of rho:
                y^(1-a)/(1-a) on y > 0, the profile of the model odd solution
                y|y|^(-a).
 * ``v_char``-- the variable-coefficient generalization
-               (1-a) int_0^y rho^(-a)(s) mu(x,s)^(-1) ds, the positive odd
-               comparison solution used as denominator of the boundary
-               quotient u/v.
+               (1-a) m(x)^(-1) int_0^y rho^(-a)(s) n(s)^(-1) ds for
+               mu = m(x) n(y), the positive odd comparison solution used as
+               denominator of the boundary quotient u/v.
 * ``psi``   -- y rho^(-a)(y) / chi(y), scale invariant
                (psi(y; eps) = psi(y/eps; 1)) with limits 1 at 0+ and 1-a at
                infinity; its sup/inf are max/min{1, 1-a}.
 
 All evaluations are closed-form where a closed form exists (a in {0, -2},
 eps = 0, plus a Gauss-hypergeometric expression for the general
-antiderivative).  Only integrands involving a genuine sampler mu are
-integrated numerically: all the points or grid columns of a request in one
-vectorised pass of QUADPACK's 21-point Gauss-Kronrod rule under QUADPACK's
-own acceptance test, with adaptive ``quad`` for the segments it rejects;
-samplers take coordinate arrays (:func:`_sample`).  The functions here are
-pure; the one piece of state is the memo of :class:`CharacteristicSolution`,
-a list of ladders per column (see there), so concurrent use is safe as long
-as user samplers are reentrant.
+antiderivative).  mu^(-1) is a product m^(-1)(x) n^(-1)(y)
+(:class:`MuInverse`), so only the 1-D integral of rho^(-a) n^(-1) is
+integrated numerically, and only when n^(-1) is given: the segments of one
+ladder of ordinates, shared by every column, in one vectorised pass of
+QUADPACK's 21-point Gauss-Kronrod rule under QUADPACK's own acceptance
+test, with adaptive ``quad`` for the segments it rejects; samplers take
+coordinate arrays (:func:`_sample`).  The functions here are pure; the one
+piece of state is the last ladder a :class:`CharacteristicSolution` computed
+(see there), so concurrent use is safe as long as user samplers are
+reentrant.
 """
 
 from __future__ import annotations
@@ -267,17 +269,6 @@ def _coords(x) -> tuple:
     return x if isinstance(x, tuple) else (x,)
 
 
-def _positions(x, shape: tuple) -> np.ndarray:
-    """Column positions x broadcast to ``shape``, one row (x_1, ..., x_n) each."""
-    return np.stack([np.broadcast_to(np.asarray(c, dtype=float), shape).ravel()
-                     for c in _coords(x)], axis=1)
-
-
-def _x_of(coords):
-    """x as samplers and the memo take it: the coordinate, a tuple for n = 2."""
-    return coords[0] if len(coords) == 1 else tuple(coords)
-
-
 class SamplerError(ValueError):
     """Raised when a user sampler cannot take coordinate arrays."""
 
@@ -289,15 +280,19 @@ def _sample(g: Callable, x, y, role: str = "mu_inverse", lead: tuple = ()) -> np
     a ragged tuple.  A sampler that cannot take arrays raises
     :class:`SamplerError` naming it and its role."""
     y = np.asarray(y, dtype=float)
-    shape = tuple(lead) + y.shape
+    return _call(g, (x, y), y.shape, role, lead)
+
+
+def _call(g: Callable, args: tuple, shape: tuple, role: str, lead: tuple) -> np.ndarray:
+    """g(*args) as a float array of shape ``lead + shape`` (see :func:`_sample`)."""
     try:
-        return np.broadcast_to(_stacked(g(x, y), y.shape), shape)
+        return np.broadcast_to(_stacked(g(*args), shape), tuple(lead) + shape)
     except SamplerError:
         raise                   # a sampler called inside g failed; it is named already
     except (TypeError, ValueError) as exc:
         raise SamplerError(f"{role} sampler {getattr(g, '__qualname__', repr(g))!r} must "
-                           f"broadcast over arrays of x and y and return a scalar or an "
-                           f"array of shape {shape}") from exc
+                           f"broadcast over coordinate arrays and return a scalar or an "
+                           f"array of shape {tuple(lead) + shape}") from exc
 
 
 def _stacked(val, shape: tuple) -> np.ndarray:
@@ -310,174 +305,157 @@ def _stacked(val, shape: tuple) -> np.ndarray:
     return np.stack([np.broadcast_to(p, common) for p in parts])
 
 
-class _Ladder(NamedTuple):
-    """Consecutive segments of one column, integrated in one pass: the edges
-    e_0 < ... < e_m, the segment integrals ``seg[k]`` over [e_k, e_k+1] and
-    their running sums ``cum[k]`` over [e_0, e_k+1]."""
-
-    edges: np.ndarray
-    seg: np.ndarray
-    cum: np.ndarray
+def _factor(g: Optional[Callable], z):
+    """A factor of mu^(-1) at the coordinate arrays z (a tuple of them for
+    positions with n = 2), an array of their shape; 1.0 for None."""
+    if g is None:
+        return 1.0
+    return _call(g, (z,), np.broadcast_shapes(*map(np.shape, _coords(z))), "mu_inverse", ())
 
 
-def _find(ladders: list, edges: np.ndarray) -> Optional[_Ladder]:
-    """A stored ladder whose edges start with ``edges``."""
-    m = len(edges)
-    return next((lad for lad in ladders if np.array_equal(lad.edges[:m], edges)), None)
+class MuInverse(NamedTuple):
+    """mu^(-1)(x, y) = m^(-1)(x) n^(-1)(y), the coefficient of A = mu I as
+    its two factors, either of them None for 1.
 
+    ``m_inv`` takes column positions x (a tuple of arrays for n = 2) and
+    ``n_inv`` ordinates y, on which it must be even; both broadcast over
+    arrays.  Called on (x, y), the pair is their product."""
 
-def _cumulative(ladders: list, y0: float, y1: float) -> Optional[float]:
-    """The integral over [y0, y1] from a stored ladder from y0 with edge y1."""
-    for lad in ladders:
-        e, j = lad.edges, int(np.searchsorted(lad.edges, y1))
-        if e[0] == y0 and 0 < j < len(e) and e[j] == y1:
-            return float(lad.cum[j - 1])
-    return None
+    m_inv: Optional[Callable] = None
+    n_inv: Optional[Callable] = None
+
+    def __call__(self, x, y):
+        out = 1.0 if self.m_inv is None else self.m_inv(x)
+        return out if self.n_inv is None else out * self.n_inv(y)
 
 
 @dataclass(frozen=True)
 class CharacteristicSolution:
-    """The odd comparison solution v(x, y) = (1-a) int_0^y rho^(-a)(s) mu(x,s)^(-1) ds.
+    """The odd comparison solution v(x, y) = (1-a) m^(-1)(x) N(y),
+    N(y) = int_0^y rho^(-a)(s) n^(-1)(s) ds, for mu^(-1) = m^(-1)(x) n^(-1)(y).
 
-    ``mu_inverse(x, s)`` samples mu^(-1); None means mu == 1, in which case
-    v = (1-a) chi exactly.  mu must be even in s so that v is odd; evaluation
-    enforces oddness by integrating over |y| and restoring the sign.
+    ``mu_inverse`` is that pair (:class:`MuInverse`; a plain pair is taken
+    as one), or None for mu == 1, in which case v = (1-a) chi exactly.  n
+    must be even in s so that v is odd; evaluation enforces oddness by
+    integrating over |y| and restoring the sign.  Every y-resistance of the
+    rho weight is m^(-1)(x) (N(y1) - N(y0)).
 
-    Samplers must broadcast over ndarrays of ordinates ``s`` and of column
-    positions ``x`` (a tuple of them for n = 2), since one pass samples all
-    the columns of a request; a scalar return is broadcast.  A sampler that
-    cannot take arrays raises ``ValueError`` naming it.
+    N is chi, in closed form, when n^(-1) is None.  Otherwise N at a set of
+    ordinates, shared by every column, is the cumulative sum of the segments
+    between them from 0, integrated by one vectorised 21-point Gauss-Kronrod
+    pass (QUADPACK's dqk21, one call of n^(-1) on an (nseg, 21) array).  A
+    segment is accepted under QUADPACK qags's own test after the pass:
+    abserr <= ``QUADRATURE_TOL`` |result| and abserr != resabs, or
+    abserr == 0.  Only a rejected one goes on to the adaptive scalar
+    ``quad``: the pass accepts where ``quad`` stops after its first 21
+    evaluations, with the value ``quad`` returns up to rounding.
 
-    Every value of v and every y-resistance of the rho weight with mu present
-    is a sum of segment integrals.  :meth:`segment_integrals` integrates the
-    segments of any number of columns by one vectorised 21-point
-    Gauss-Kronrod pass (QUADPACK's dqk21, one sampler call on an (nseg, 21)
-    array) and accepts a segment under QUADPACK qags's own test after it:
-    abserr <= ``QUADRATURE_TOL`` |result| and abserr != resabs, or abserr == 0.
-    Only a rejected segment goes on to the adaptive scalar ``quad``: the pass
-    accepts where ``quad`` stops after its first 21 evaluations, with the
-    value ``quad`` returns up to rounding, so ``QUADRATURE_TOL`` keeps its meaning.
-
-    Segment integrals are memoized per solution object: ``_memo`` maps a
-    column x (a float, or a tuple of floats for n = 2) to a list of ladders,
-    the runs of consecutive segments integrated together, as arrays of
-    edges, segment integrals and their cumulative sums.  A run whose edges
-    begin a stored ladder's is its prefix, and v at a ladder edge (a ladder
-    from y0 = 0) is its cumulative sum, so the face resistances, the
-    cell-centre columns and the top-face Dirichlet traces of one eps step
-    share one pass.  Any other run, one from inside a ladder too, becomes a
-    ladder of its own, never a sum or difference of another one's segments.
-    Single segments off the ladders (points of v) share one pass and are not kept.
-    The memo assumes ``mu_inverse`` is a deterministic function of (x, s);
-    the closed form for mu == 1 bypasses it.  Two threads that miss on the
-    same column both compute and store the same values, so concurrent use
-    only repeats work.
+    One ladder of N is kept (``_memo``), and N at its ordinates is read.  A
+    grid's y-resistances keep the half-spacing ladder of its cell centres,
+    which holds every cell centre and face ordinate, so v at the cell
+    centres, the quotient weight and the Dirichlet traces of one eps step
+    read the same N.  The memo assumes n^(-1) is a deterministic function of
+    s; concurrent use only repeats work.
     """
 
     family: WeightFamily
-    mu_inverse: Optional[Callable] = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    mu_inverse: Optional[MuInverse] = None
+    _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family.a >= 1.0:
             raise DivergentIntegralError(
                 f"characteristic solution requires a < 1, got a={self.family.a}")
+        mi = self.mu_inverse
+        if mi is not None:
+            if callable(mi) and not isinstance(mi, MuInverse):
+                raise TypeError("mu_inverse must be a pair (m_inv(x), n_inv(y)), mu^(-1) "
+                                "= m^(-1)(x) n^(-1)(y), not an (x, y) sampler")
+            mi = MuInverse(*mi)
+            object.__setattr__(self, "mu_inverse", None if mi == (None, None) else mi)
+
+    def m_inv_at(self, x):
+        """m^(-1) at the column positions x (1.0 without it)."""
+        return _factor((self.mu_inverse or MuInverse()).m_inv, x)
+
+    def n_inv_at(self, y):
+        """n^(-1) at the ordinates y (1.0 without it)."""
+        return _factor((self.mu_inverse or MuInverse()).n_inv, np.asarray(y, dtype=float))
 
     def mu_at(self, x, y) -> np.ndarray:
-        """mu = 1 / mu_inverse at the points (x, y) in one call (ones without
-        one): the mu of the operator's A = mu I."""
+        """mu = 1 / (m^(-1)(x) n^(-1)(y)) at the points (x, y), one call of
+        each factor (ones without them): the mu of the operator's A = mu I."""
+        shape = np.broadcast_shapes(*map(np.shape, _coords(x)), np.shape(y))
         if self.mu_inverse is None:
-            return np.ones(np.shape(y))
-        return 1.0 / _sample(self.mu_inverse, x, y)
+            return np.ones(shape)
+        return 1.0 / np.broadcast_to(self.m_inv_at(x) * self.n_inv_at(y), shape)
 
     def segment_integral(self, x, y0, y1):
-        """int_{y0}^{y1} rho^(-a)(s) mu^(-1)(x, s) ds for single segments, all
-        broadcast, 0 <= y0 <= y1.  A segment from the start of a stored
-        ladder to one of its edges is read; the others share one dqk21 pass
-        (see the class docstring)."""
+        """int_{y0}^{y1} rho^(-a)(s) mu^(-1)(x, s) ds = m^(-1)(x) (N(y1) - N(y0)),
+        all broadcast, 0 <= y0 <= y1; N as :meth:`integral` gives it."""
         shape = np.broadcast_shapes(*map(np.shape, _coords(x)), np.shape(y0), np.shape(y1))
-        y0, y1 = (np.broadcast_to(np.asarray(y, dtype=float), shape).ravel() for y in (y0, y1))
+        y0, y1 = (np.broadcast_to(np.asarray(y, dtype=float), shape) for y in (y0, y1))
         if self.mu_inverse is None:
-            return (chi(self.family, y1) - chi(self.family, y0)).reshape(shape)[()]
-        X = _positions(x, shape)
-        vals = [_cumulative(self._memo.get(_x_of(row), ()), s0, s1)
-                for row, s0, s1 in zip(X.tolist(), y0.tolist(), y1.tolist())]
-        miss = [k for k, val in enumerate(vals) if val is None]
-        if miss:
-            for k, val in zip(miss, self._integrate(X[miss], y0[miss], y1[miss]).tolist()):
-                vals[k] = val
-        return np.array(vals).reshape(shape)[()]
+            return (chi(self.family, y1) - chi(self.family, y0))[()]
+        n0, n1 = self.integral(np.stack([y0, y1]))
+        return (self.m_inv_at(x) * (n1 - n0))[()]
 
-    def segment_integrals(self, x, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-        """int_{y0_k}^{y1_k} rho^(-a)(s) mu^(-1)(x_k, s) ds, x broadcast against
-        y0: each run of consecutive segments of one column is the prefix of a
-        stored ladder, or a new ladder; new ones share one dqk21 pass."""
-        y0 = np.asarray(y0, dtype=float)
-        y1 = np.asarray(y1, dtype=float)
-        if self.mu_inverse is None:
-            return chi(self.family, y1) - chi(self.family, y0)
-        X = _positions(x, y0.shape)
-        new = np.any(X[1:] != X[:-1], axis=1) | (y0[1:] != y1[:-1])
-        lo = np.flatnonzero(np.r_[len(y0) > 0, new])          # run starts; none if empty
-        hi = np.r_[lo[1:], len(y0)]
-        runs = [np.concatenate((y0[i:i + 1], y1[i:j])) for i, j in zip(lo, hi)]
-        out = np.empty(len(y0))
-        for i, j, lad in zip(lo, hi, self._ladders(X[lo], runs)):
-            out[i:j] = lad.seg[:j - i]
-        return out
+    def integral(self, y, keep: bool = False) -> np.ndarray:
+        """N at ordinates y >= 0 (an array): read on the kept ladder (0 at 0),
+        and at the other distinct ordinates, in increasing order, computed as
+        the class docstring says.  With ``keep``, unless every y is read, all
+        of them are computed and kept as the ladder."""
+        y = np.asarray(y, dtype=float)
+        edges, N = self._memo or (np.zeros(1), np.zeros(1))
+        i = np.minimum(np.searchsorted(edges, y), len(edges) - 1)
+        got, hit = N[i], edges[i] == y
+        if not hit.all():
+            new, inverse = np.unique(y[~hit | keep], return_inverse=True)
+            if self.mu_inverse is None or self.mu_inverse.n_inv is None:
+                N = chi(self.family, new)
+            else:
+                N = np.cumsum(self._integrate(np.r_[0.0, new[:-1]], new))
+            got[~hit | keep] = N[inverse]
+            if keep:
+                self._memo[:] = [np.r_[0.0, new], np.r_[0.0, N]]
+        return got
 
-    def _ladders(self, X: np.ndarray, runs: list) -> list:
-        """A ladder per run of edges in column X[k]: a stored one whose edges
-        start with the run's, or a new one; new ones share one dqk21 pass."""
-        xs = [_x_of(row) for row in X.tolist()]
-        out = [_find(self._memo.get(x, ()), edges) for x, edges in zip(xs, runs)]
-        new = [k for k, hit in enumerate(out) if hit is None]
-        if new:
-            counts = [len(runs[k]) - 1 for k in new]
-            seg = self._integrate(np.repeat(X[new], counts, axis=0),
-                                  np.concatenate([runs[k][:-1] for k in new]),
-                                  np.concatenate([runs[k][1:] for k in new]))
-            for k, part in zip(new, np.split(seg, np.cumsum(counts)[:-1])):
-                out[k] = _Ladder(runs[k], part, np.cumsum(part))
-                self._memo.setdefault(xs[k], []).append(out[k])
-        return out
-
-    def _integrate(self, X: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-        """One dqk21 pass, segment k in column X[k]; ``quad`` for rejected ones."""
-        result, ok = self._dqk21(X, y0, y1)
+    def _integrate(self, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+        """int rho^(-a) n^(-1) ds on each [y0_k, y1_k]: one dqk21 pass, and
+        ``quad`` for the segments it rejects."""
+        result, ok = self._dqk21(y0, y1)
         for k in np.flatnonzero(~ok):
-            result[k] = self._quad(_x_of(X[k].tolist()), float(y0[k]), float(y1[k]))
+            result[k] = self._quad(float(y0[k]), float(y1[k]))
         return result
 
-    def _dqk21(self, X: np.ndarray, y0: np.ndarray, y1: np.ndarray):
-        """int rho^(-a) mu^(-1) ds on each [y0_k, y1_k] of column X[k]; qags's verdicts."""
+    def _dqk21(self, y0: np.ndarray, y1: np.ndarray):
+        """int rho^(-a) n^(-1) ds on each [y0_k, y1_k]; qags's verdicts."""
         a, eps = self.family.a, self.family.eps
         b = 1.0 - a
         # eps = 0, a > 0: substitute u = s^(1-a)/(1-a) on segments from 0 to
-        # remove the endpoint singularity; the integrand becomes mu^(-1)(x, s(u))
+        # remove the endpoint singularity; the integrand becomes n^(-1)(s(u))
         sub = (y0 == 0.0) & (eps == 0.0 and a > 0.0)
         hi = np.where(sub, y1 ** b / b, y1)
         s = _gk21_nodes(y0, hi)
         if sub.any():
             s[sub] = (b * s[sub]) ** (1.0 / b)
         wgt = np.where(sub[:, None], 1.0, (eps * eps + s * s) ** (-a / 2.0))
-        mu_inv = _sample(self.mu_inverse, _x_of(list(X.T[..., None])), s)
-        result, abserr, resabs = _gk21(wgt * mu_inv, y0, hi)
+        result, abserr, resabs = _gk21(wgt * self.n_inv_at(s), y0, hi)
         return result, _qags_accepts(result, abserr, resabs, QUADRATURE_TOL)
 
-    def _quad(self, x, y0: float, y1: float) -> float:
-        """int_{y0}^{y1} rho^(-a) mu^(-1)(x, s) ds by adaptive ``quad``."""
+    def _quad(self, y0: float, y1: float) -> float:
+        """int_{y0}^{y1} rho^(-a) n^(-1)(s) ds by adaptive ``quad``."""
         a, eps = self.family.a, self.family.eps
-        g = self.mu_inverse
+        g = self.mu_inverse.n_inv
         tol = QUADRATURE_TOL
         if eps == 0.0 and a > 0.0 and y0 == 0.0:
-            # the substitution of _integrate
+            # the substitution of _dqk21
             b = 1.0 - a
             u1 = y1 ** b / b
-            val, err = quad(lambda u: g(x, (b * u) ** (1.0 / b)),
+            val, err = quad(lambda u: g((b * u) ** (1.0 / b)),
                             0.0, u1, epsabs=0.0, epsrel=tol, limit=200)
         else:
-            val, err = quad(lambda s: (eps * eps + s * s) ** (-a / 2.0) * g(x, s),
+            val, err = quad(lambda s: (eps * eps + s * s) ** (-a / 2.0) * g(s),
                             y0, y1, epsabs=0.0, epsrel=tol, limit=200)
         if err > 10 * tol * max(abs(val), 1e-300) and err > 1e-13:
             raise QuadratureError(
@@ -497,8 +475,8 @@ def v_char(sol: CharacteristicSolution, x, y):
 
 def v_char_profile(sol: CharacteristicSolution, x, ys: Sequence[float]) -> np.ndarray:
     """v(x, ys), shape S + (len(ys),), in each column of x (shape S) on an
-    increasing grid of positive ordinates: cumulative sums of the ladders
-    with edges 0, ys (prefixes of stored ones, or new ones of one pass)."""
+    increasing grid of positive ordinates: (1-a) m^(-1)(x) N(ys), N kept as
+    the solution's ladder (:meth:`CharacteristicSolution.integral`)."""
     ys = np.asarray(ys, dtype=float)
     if np.any(np.diff(ys) <= 0) or np.any(ys <= 0):
         raise ValueError("ys must be strictly increasing and positive")
@@ -506,6 +484,5 @@ def v_char_profile(sol: CharacteristicSolution, x, ys: Sequence[float]) -> np.nd
     shape = np.shape(_coords(x)[0]) + ys.shape
     if sol.mu_inverse is None:
         return np.broadcast_to((1.0 - a) * chi(sol.family, ys), shape).copy()
-    X = _positions(x, shape[:-1])
-    lads = sol._ladders(X, [np.concatenate(([0.0], ys))] * len(X))
-    return (1.0 - a) * np.array([lad.cum[:len(ys)] for lad in lads]).reshape(shape)
+    m = np.asarray(sol.m_inv_at(x))[..., None]
+    return np.broadcast_to((1.0 - a) * (m * sol.integral(ys, keep=True)), shape).copy()

@@ -172,8 +172,7 @@ def _family(a, mu_kind):
     if mu_kind == "const":
         mu_inv = None
     else:
-        def mu_inv(x, y):
-            return 1.0 / (1.0 + 0.1 * x * x)
+        mu_inv = dl.MuInverse(m_inv=lambda x: 1.0 / (1.0 + 0.1 * x * x))
 
     def f(x, y):
         return np.abs(y) ** (1.0 - a) * np.cos(np.pi * x)
@@ -260,7 +259,8 @@ def test_criterion_10_fermi_demo():
         a=a,
         f=lambda x, y: np.abs(y) ** 0.5 * np.cos(np.pi * x),
         trace_factor=lambda x, y: np.cos(np.pi * x / 2.0) * (1 + 0.5 * y * y),
-        mu_inverse=lambda x, y: 1.0 / dl.fermi_mu(curve, x, y),
+        # the circle's speed and curvature are constant: mu depends on y alone
+        mu_inverse=dl.MuInverse(n_inv=lambda y: 1.0 / dl.fermi_mu(curve, 0.0, y)),
         name="fermi-circle")
     eps_list = [1.0, 0.1, 0.01, 0.0]
     solutions = dl.solve_family(fam, eps_list, grid_h=1 / 32)

@@ -88,8 +88,7 @@ def test_even_parity_annihilates_constants():
     assert np.max(np.abs(r)) < 1e-12
 
 
-def _quadratic_mu_inverse(x, y):
-    return 1.0 / (1.0 + 0.1 * x * x)
+_quadratic_mu_inverse = dl.MuInverse(m_inv=lambda x: 1.0 / (1.0 + 0.1 * x * x))
 
 
 SEPARABLE = {
@@ -117,11 +116,19 @@ def test_separable_operators_converge_in_two_steps(weight, parity):
     assert np.max(np.abs(rep.field.values - u)) <= 1e-11 * np.max(np.abs(u))
 
 
+class _TiltedRho(dl.RhoWeight):
+    """rho with x-face conductivities times 1 + 3 (x^2 + y^2), which is no
+    product m(x) n(y): the x-face lattice has rank > 1 (a product mu keeps
+    every face lattice rank one)."""
+
+    def x_conductivities(self, x, ys):
+        return self.values(x, ys) * (1.0 + 3.0 * (np.asarray(x)[..., None] ** 2 + ys * ys))
+
+
 def test_non_separable_operator_takes_more_steps():
-    # mu^-1 = 1 + 3 (x^2 + y^2) has face lattices of rank > 1: the fit only preconditions
+    # a face lattice of rank > 1: the separable fit only preconditions
     g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
-    weight = dl.RhoWeight(dl.WeightFamily(0.5, 0.0), lambda x, y: 1.0 + 3.0 * (x * x + y * y))
-    op = dl.assemble(g, weight, parity="odd")
+    op = dl.assemble(g, _TiltedRho(dl.WeightFamily(0.5, 0.0)), parity="odd")
     rhs = op.rhs(f=lambda x, y: np.cos(x) * (1.0 + y), trace=lambda x, y: 1.0 + x + y * y)
     rep = dl.solve_linear(op, rhs)
     assert rep.iterations > 2 and rep.info == 0 and rep.converged
@@ -138,7 +145,7 @@ def test_iteration_cap_is_reported_and_aborts_a_sweep(monkeypatch):
     rep = dl.solve_linear(op, rhs)
     assert rep.iterations == 1 and rep.info != 0 and not rep.converged
     fam = dl.ProblemFamily(a=0.5, trace_factor=lambda x, y: 1.0 + x,
-                           mu_inverse=lambda x, y: 1.0 + 3.0 * (x * x + y * y))
+                           mu_inverse=(lambda x: 1.0 + 3.0 * x * x, lambda y: 1.0 + 3.0 * y * y))
     with pytest.raises(dl.SweepAbort, match="solver failed at eps=1"):
         dl.holder.solve_family(fam, [1.0, 0.0], grid_h=1 / 16)
 
@@ -242,8 +249,7 @@ def test_solve_calls_no_blas_dot_or_threaded_matmul(monkeypatch):
 
 
 def test_auxiliary_resistance_before_values():
-    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1),
-                                    mu_inverse=lambda x, s: 1.0 / (1.0 + 0.1 * x * x))
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), _quadratic_mu_inverse)
     ys = (np.arange(8) + 0.5) / 8
     y0, y1 = np.r_[0.0, ys], np.r_[ys, 1.0]
     fresh = dl.AuxiliaryWeight(sol).resistance_y(0.3, ys, y0, y1)
@@ -271,7 +277,7 @@ def test_parity_mismatch_rejected():
 
 @pytest.mark.parametrize("model,parity", [("auxiliary", "even"), ("rho", "odd")])
 def test_weight_equivalence_constant_mu(model, parity):
-    """A weight model whose mu_inverse is 1/c against the same model with
+    """A weight model whose m^(-1) is 1/c against the same model with
     mu == 1, mu coming from the model alone.  rho with mu = c: the y-faces
     and the x-faces are both exactly c times those of mu == 1.  rho v^2:
     v is 1/c times the mu == 1 one, so the weight is 1/c^2 times and both
@@ -286,8 +292,8 @@ def test_weight_equivalence_constant_mu(model, parity):
         return dl.AuxiliaryWeight(dl.CharacteristicSolution(fam, mu_inverse))
 
     factor = c if model == "rho" else 1.0 / c
-    op_c = dl.assemble(g, weight(lambda x, s: 1.0 / c), parity=parity)
-    op_1 = dl.assemble(g, weight(lambda x, s: 1.0), parity=parity)
+    op_c = dl.assemble(g, weight(dl.MuInverse(m_inv=lambda x: 1.0 / c)), parity=parity)
+    op_1 = dl.assemble(g, weight(dl.MuInverse(m_inv=lambda x: 1.0)), parity=parity)
     for axis in (0, 1):
         on = op_1.faces.axis == axis
         assert np.array_equal(op_c.faces.tau[on], factor * op_1.faces.tau[on])
@@ -387,18 +393,23 @@ def test_interpolation_parity_ghosts():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_mu_at_samples_once_per_grid(n):
-    """CharacteristicSolution.mu_at makes one call of mu_inverse on all its
-    points, x an array for n = 1 and a tuple of arrays for n = 2, and equals
-    1 / mu_inverse called point by point exactly."""
+    """CharacteristicSolution.mu_at makes one call of each factor of
+    mu_inverse on all its points, x an array for n = 1 and a tuple of arrays
+    for n = 2, and equals 1 / mu_inverse called point by point exactly."""
     from degenlab.assembly import _axis_faces
 
     calls = []
 
-    def mu_inverse(x, y):
+    def m_inv(x):
         calls.append(x)
         xx = x * x if n == 1 else x[0] * x[0] + 0.5 * x[1] * x[1]
-        return 1.0 / (1.0 + 0.2 * xx + 0.3 * y * y / (1.0 + y))
+        return 1.0 / (1.0 + 0.2 * xx)
 
+    def n_inv(y):
+        calls.append(y)
+        return 1.0 / (1.0 + 0.3 * y * y / (1.0 + y))
+
+    mu_inverse = dl.MuInverse(m_inv, n_inv)
     g = dl.build_half_grid(n, "half_rectangle", 1 / 8)
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse)
     pts = np.vstack([g.centers] + [_axis_faces(g, axis)[2] for axis in range(n + 1)])
@@ -408,7 +419,7 @@ def test_mu_at_samples_once_per_grid(n):
     x = pts[:, 0] if n == 1 else (pts[:, 0], pts[:, 1])
     got = sol.mu_at(x, pts[:, n])
     assert np.array_equal(got, want)
-    assert len(calls) == 1
+    assert len(calls) == 2 and np.array_equal(calls[1], pts[:, n])
     x = calls[0]
     assert isinstance(x, tuple) == (n == 2)
     assert all(np.shape(c) == (len(pts),) for c in (x if n == 2 else (x,)))

@@ -38,8 +38,9 @@ def _norm2(x):
     return sum(np.square(c) for c in x) if isinstance(x, tuple) else np.square(x)
 
 
-def _mu_inverse(x, y):
-    return 1.0 / (1.0 + 0.1 * _norm2(x))
+# mu^(-1) = 1 / (1 + 0.1 |x|^2) as the pair the array assembly takes; called on
+# (x, y), the pair is the (x, y) sampler the loop oracle reads point by point
+_mu_inverse = dl.MuInverse(m_inv=lambda x: 1.0 / (1.0 + 0.1 * _norm2(x)))
 
 
 def _weights(name):

@@ -89,6 +89,10 @@ def test_usage_error_exit_code(tmp_path):
     (("solve", "a=-300"), "a", "-300"),
     (("solve", "a=-100", "h_list=1/4 1/8 1/16"), "a", "-100"),
     (("solve", "a=0.9999999999999998"), "a", "0.9999999999999998"),
+    (("sweep", "a=-300", "h=1/16"), "a", "-300"),
+    (("sweep", "a=0.9999999999999998", "h=1/16"), "a", "0.9999999999999998"),
+    (("sweep", "a=-100", "h=1/16"), "a", "-100"),
+    (("fermi-demo", "a=-300"), "a", "-300"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     """A value that does not parse, or that the command cannot run on, is a
@@ -98,10 +102,12 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     repeated eps leaves the sweep's trend fit degenerate, and `quadratic:<c>`
     with c <= -1 makes mu^(-1) = 1 + c x^2 vanish or turn negative.  A key
     the command does not read (`eigen eps=`, a typo, any key of `report`)
-    is refused before the command runs.  `solve` refuses an a whose weight,
-    operator or separable fit overflows on its grids: y^a with a = -300 at
-    the first cell centre, the fit's sums of squares with a = -100 at
-    h = 1/16, and the y-resistances, which round to 0 with a = 1 - 2^-52."""
+    is refused before the command runs.  `solve`, `sweep` and `fermi-demo`
+    refuse an a whose weight, operator or separable fit overflows on their
+    grids (``cli.run`` maps ``assembly.RangeError`` for every subcommand):
+    y^a with a = -300 at the first cell centre, or the harmonic mean of two
+    x-face weights with eps > 0; the fit's sums of squares with a = -100 at
+    h = 1/16; and the y-resistances, which round to 0 with a = 1 - 2^-52."""
     assert _run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: {token!r}")
@@ -121,6 +127,44 @@ def test_solve_never_crashes_on_what_it_admits(a, n):
     assert code in (0, 1, 2), err.getvalue()
     if code == 2:
         assert re.match(r"config error: (a|h_list): ", err.getvalue()), err.getvalue()
+
+
+def _never_crashes(argv, keys):
+    """Run argv: exit 0 or 1, or exit 2 whose message starts with one of
+    ``keys``; never a crash (exit 3)."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = _run(tmp, *argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert re.match(rf"config error: ({'|'.join(keys)}): ", err.getvalue()), err.getvalue()
+
+
+_A_BELOW_ONE = st.floats(max_value=1.0, exclude_max=True, allow_nan=False, allow_infinity=False)
+_EPS_PAIR = st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2, unique=True)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a=_A_BELOW_ONE, eps=_EPS_PAIR, alpha=st.floats(1e-3, 1.0),
+       mu=st.one_of(st.just("const"), st.floats(-0.999, 1e3).map(lambda c: f"quadratic:{c!r}")),
+       mode=st.sampled_from(["ratio_c0", "ratio_c1", "odd_direct_c0"]))
+def test_sweep_never_crashes_on_what_it_admits(a, eps, alpha, mu, mode):
+    """Any finite a below 1, any mu kind with c > -1, alpha in (0, 1], any
+    mode and two distinct eps >= 0, at h = 1/16: sweep runs (exit 0 or 1) or
+    refuses one key (exit 2, the message starts with it), never exit 3."""
+    _never_crashes(["sweep", f"a={a!r}", f"mu={mu}", f"alpha={alpha!r}", f"mode={mode}",
+                    "h=1/16", "eps_list=" + " ".join(map(repr, eps))], cli.KEYS["sweep"])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a=_A_BELOW_ONE, eps=_EPS_PAIR, alpha=st.floats(1e-3, 1.0),
+       radius=st.floats(1.0, 1e3, exclude_min=True))
+def test_fermi_demo_never_crashes_on_what_it_admits(a, eps, alpha, radius):
+    """Any finite a below 1, a chart radius above 1, alpha in (0, 1] and two
+    distinct eps >= 0, at h = 1/16: fermi-demo runs (exit 0 or 1) or refuses
+    one key (exit 2, the message starts with it), never exit 3."""
+    _never_crashes(["fermi-demo", f"a={a!r}", f"radius={radius!r}", f"alpha={alpha!r}",
+                    "h=1/16", "eps_list=" + " ".join(map(repr, eps))], cli.KEYS["fermi-demo"])
 
 
 def test_eigen_runs_at_the_coarsest_mesh_it_accepts(tmp_path, capsys):
@@ -310,7 +354,8 @@ def test_fermi_demo_solves_once_per_eps(tmp_path, monkeypatch):
     assert len(calls) == len(eps_list)
     # the demo's family: mu = fermi_mu of its circle of radius 2 at speed 2
     curve = degenlab.EmbeddedCurve.circle(2.0, arc=2.0, theta0=-0.5)
-    fam = _sweep_family(0.5, lambda x, y: 1.0 / degenlab.fermi_mu(curve, x, y), "fermi")
+    fam = _sweep_family(0.5, degenlab.MuInverse(
+        n_inv=lambda y: 1.0 / degenlab.fermi_mu(curve, 0.0, y)), "fermi")
     for name, mode, restricted in (("fermi_c0.csv", "ratio_c0", "none"),
                                    ("fermi_c1_restricted.csv", "ratio_c1", "sqrt_eps"),
                                    ("fermi_c1_unrestricted.csv", "ratio_c1", "none")):

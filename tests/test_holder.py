@@ -219,47 +219,60 @@ def test_sweep_restricted_region_skips_large_eps():
 
 
 def test_sweep_integrates_each_segment_once(monkeypatch):
-    """Per eps, the resistances sample mu^(-1) once for the whole grid on an
-    (nx (ny + 1), 21) array of dqk21 nodes, with x an (nx (ny + 1), 1) array
-    of column positions; mu = 1/mu^(-1) is sampled once on the
-    ((nx + 1) ny,) array of the x-face midpoints; and the side-face traces
-    take one (2 ny, 21) pass over both sides x = -1, 1.  The quotient and the
-    top-face traces read those column ladders, so scalar
-    ``quad`` never runs: it would only for column segments the dqk21 pass
-    rejects, of which this problem has none."""
+    """The work of a sweep on a product mu, counted on ``weights._gk21`` (one
+    dqk21 pass), ``weights.hyp2f1`` and the factor samplers.  x-only
+    mu^(-1) = 1/(1 + 0.1 x^2): N is chi, so no pass and one hyp2f1 call per
+    eps > 0, on the half-spacing ladder; m^(-1) is sampled on the nx columns
+    for the resistances and for v at the cell centres, on the x-face
+    midpoints for mu, and on the Dirichlet faces for the trace.  y-only
+    mu^(-1) = 1/(2 (1 - y/2)): exactly one 1-D pass per eps, on the
+    (2 ny, 21) nodes of the half-spacing ladder, shared by every column;
+    n^(-1) is sampled there and on the x-face midpoints.  The resistances,
+    v and the traces all read the ladder, so scalar ``quad`` never runs (it
+    would only for segments the pass rejects)."""
     import degenlab.weights as weights
 
-    quad_calls, segments, column_calls = [], [], []
-    quad = weights.quad
-    scalar = weights.CharacteristicSolution._quad
+    passes, hyp, quad_calls, m_calls, n_calls = [], [], [], [], []
+    gk21, hyp2f1, quad = weights._gk21, weights.hyp2f1, weights.quad
+
+    def counting_gk21(fvals, lo, hi):
+        passes.append(fvals.shape)
+        return gk21(fvals, lo, hi)
+
+    def counting_hyp2f1(*args):
+        hyp.append(1)
+        return hyp2f1(*args)
 
     def counting_quad(*args, **kwargs):
         quad_calls.append(1)
         return quad(*args, **kwargs)
 
-    def recording_scalar(self, x, y0, y1):
-        segments.append((x, y0, y1))
-        return scalar(self, x, y0, y1)
-
-    def mu_inv(x, y):
-        if isinstance(y, np.ndarray):
-            column_calls.append((np.shape(x), y.shape))
+    def m_inv(x):
+        m_calls.append(np.shape(x))
         return 1.0 / (1.0 + 0.1 * x * x)
 
+    def n_inv(y):
+        n_calls.append(np.shape(y))
+        return 1.0 / (2.0 * (1.0 - y / 2.0))
+
+    monkeypatch.setattr(weights, "_gk21", counting_gk21)
+    monkeypatch.setattr(weights, "hyp2f1", counting_hyp2f1)
     monkeypatch.setattr(weights, "quad", counting_quad)
-    monkeypatch.setattr(weights.CharacteristicSolution, "_quad", recording_scalar)
-    fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * np.cos(np.pi * x),
-                           trace_factor=lambda x, y: np.cos(np.pi * x / 2.0),
-                           mu_inverse=mu_inv, name="count")
     h = 1 / 16
     g = dl.build_half_grid(1, "half_rectangle", h)
     eps_list = [1.0, 0.1, 0.0]
-    dl.epsilon_sweep(fam, eps_list, 0.4, mode="ratio_c0", grid_h=h)
-    nres, nside = g.nx * (g.ny + 1), 2 * g.ny
-    per_eps = [((nres, 1), (nres, 21)), (((g.nx + 1) * g.ny,), ((g.nx + 1) * g.ny,)),
-               ((nside, 1), (nside, 21))]
-    assert column_calls == per_eps * len(eps_list)
-    assert quad_calls == [] and segments == []
+    xfaces, dirichlet = (g.nx + 1) * g.ny, 2 * g.ny + g.nx
+    for mu_inverse in (dl.MuInverse(m_inv=m_inv), dl.MuInverse(n_inv=n_inv)):
+        fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * np.cos(np.pi * x),
+                               trace_factor=lambda x, y: np.cos(np.pi * x / 2.0),
+                               mu_inverse=mu_inverse, name="count")
+        dl.epsilon_sweep(fam, eps_list, 0.4, mode="ratio_c0", grid_h=h)
+    per_eps = [(g.nx,), (xfaces,), (dirichlet,), (g.nx,)]
+    assert m_calls == per_eps * len(eps_list)
+    assert passes == [(2 * g.ny, 21)] * len(eps_list)
+    assert n_calls == [(2 * g.ny, 21), (xfaces,)] * len(eps_list)
+    assert len(hyp) == sum(eps > 0 for eps in eps_list)    # chi of the x-only sweep's ladders
+    assert quad_calls == []
 
 
 @pytest.mark.parametrize("mode,restricted", [("ratio_c0", "none"), ("ratio_c1", "sqrt_eps")])
@@ -279,7 +292,7 @@ def test_sweep_seminorms_equal_all_pairs(monkeypatch, mode, restricted):
     monkeypatch.setattr(holder, name, recording)
     fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * np.cos(np.pi * x),
                            trace_factor=lambda x, y: np.cos(np.pi * x / 2.0),
-                           mu_inverse=lambda x, y: 1.0 / (1.0 + 0.1 * x * x), name="exact")
+                           mu_inverse=(lambda x: 1.0 / (1.0 + 0.1 * x * x), None), name="exact")
     solutions = dl.solve_family(fam, [1.0, 0.03, 0.01, 0.001, 0.0], grid_h=1 / 16)
     rep = dl.measure_sweep(fam, solutions, 0.4, mode=mode, restricted=restricted)
     assert len(seen) == len(rep.per_eps)
@@ -298,14 +311,14 @@ def test_sweep_seminorms_equal_all_pairs(monkeypatch, mode, restricted):
 def test_sweep_rhs_matches_quad_trace_reference(monkeypatch):
     """With the fermi-demo mu^(-1) = 1/(2(1 - y/2)), which varies along the
     column, the right-hand side of every eps step (traces read from the
-    column ladders) equals one built from a per-face quad trace to 1e-12."""
+    ladder of N) equals one built from a per-face quad trace to 1e-12."""
     from scipy.integrate import quad
 
     from degenlab.assembly import AssembledOperator
 
     a = 0.5
 
-    def mu_inv(x, y):
+    def n_inv(y):
         return 1.0 / (2.0 * (1.0 - y / 2.0))
 
     def f(x, y):
@@ -317,9 +330,9 @@ def test_sweep_rhs_matches_quad_trace_reference(monkeypatch):
     def reference_trace(eps):
         def v(x, y):
             if eps == 0.0:      # s^(-a) as the algebraic weight of QUADPACK's qaws
-                return quad(lambda s: mu_inv(x, s), 0.0, y, weight="alg", wvar=(-a, 0.0),
+                return quad(n_inv, 0.0, y, weight="alg", wvar=(-a, 0.0),
                             epsabs=0.0, epsrel=1e-13)[0]
-            return quad(lambda s: (eps * eps + s * s) ** (-a / 2.0) * mu_inv(x, s),
+            return quad(lambda s: (eps * eps + s * s) ** (-a / 2.0) * n_inv(s),
                         0.0, y, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
         def trace(x, y):        # the reference integrates face by face
@@ -335,8 +348,8 @@ def test_sweep_rhs_matches_quad_trace_reference(monkeypatch):
         return out
 
     monkeypatch.setattr(AssembledOperator, "rhs", recording)
-    fam = dl.ProblemFamily(a=a, f=f, trace_factor=trace_factor, mu_inverse=mu_inv,
-                           name="fermi")
+    fam = dl.ProblemFamily(a=a, f=f, trace_factor=trace_factor,
+                           mu_inverse=dl.MuInverse(n_inv=n_inv), name="fermi")
     eps_list = [1.0, 0.1, 0.01, 0.0]
     dl.epsilon_sweep(fam, eps_list, 0.4, mode="ratio_c0", grid_h=1 / 16)
     assert len(seen) == len(eps_list)

@@ -9,6 +9,9 @@ import degenlab as dl
 from degenlab.ratio import aux_residual
 
 
+_quadratic_mu_inverse = dl.MuInverse(m_inv=lambda x: 1.0 / (1.0 + 0.1 * x * x))
+
+
 def wave(x, y):
     return np.cos(np.pi * x / 2.0) * (1.0 + 0.5 * y * y)
 
@@ -38,7 +41,7 @@ def make_manufactured(a):
 def test_ratio_of_v_is_one():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     fam = dl.WeightFamily(0.4, 0.2)
-    sol = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 1.0 / (1 + 0.1 * x * x))
+    sol = dl.CharacteristicSolution(fam, mu_inverse=_quadratic_mu_inverse)
     u = dl.DiscreteField(g, dl.v_char(sol, g.centers[:, 0], g.centers[:, 1]), "odd")
     w = dl.ratio_field(u, sol)
     assert w.parity == "even"
@@ -67,8 +70,7 @@ def test_ratio_power_cosine():
 
 def _field_problem():
     """A quadratic-mu problem with a field F that vanishes on the plane."""
-    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1),
-                                    mu_inverse=lambda x, s: 1.0 / (1.0 + 0.1 * x * x))
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), _quadratic_mu_inverse)
     return dl.OddProblem(sol=sol, F=lambda x, y: (0.1 * y, 0.2 * y),
                          trace=lambda x, y: dl.v_char(sol, x, y) * wave(x, abs(y)))
 
@@ -81,10 +83,6 @@ def test_aux_residual_with_field_is_finite():
         warnings.simplefilter("error", RuntimeWarning)
         res = aux_residual(_field_problem(), g)
     assert np.isfinite(res)
-
-
-def _quadratic_mu_inverse(x, s):
-    return 1.0 / (1.0 + 0.1 * x * x)
 
 
 @pytest.mark.parametrize("a", [0.5, 0.0])
@@ -103,10 +101,11 @@ def test_variable_mu_residual_decays(a, F):
 
 def test_unconverged_solve_raises(monkeypatch):
     """A solve stopped short by ``ITERATION_CAP`` raises naming its residual
-    instead of feeding the residual a wrong u.  mu^(-1) = 1 + 3 (x^2 + y^2)
-    does not separate, so one preconditioned CG step does not solve it."""
+    instead of feeding the residual a wrong u.  mu^(-1) =
+    (1 + 3 x^2) (1 + 3 y^2) separates, but a solve stopped at the cap after
+    one step reports no convergence all the same."""
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1),
-                                    lambda x, s: 1.0 + 3.0 * (x * x + s * s))
+                                    (lambda x: 1.0 + 3.0 * x * x, lambda s: 1.0 + 3.0 * s * s))
     prob = dl.OddProblem(sol=sol, trace=lambda x, y: dl.v_char(sol, x, y) * wave(x, abs(y)))
     g = dl.build_half_grid(1, "half_rectangle", 1 / 32)
     assert aux_residual(prob, g) < 1e-3

@@ -49,10 +49,16 @@ ROLES = {
     # the parity probes and the cell centres
     "u_exact": (lambda s: dl.manufactured_problem(s, _op()), 2,
                 lambda x, y: np.cos(x) * y, lambda x, y: math.cos(x) * y),
-    # the y-resistances, then mu = 1 / mu_inverse on the x-faces
-    "mu_inverse": (lambda s: dl.assemble(_grid(), dl.RhoWeight(dl.WeightFamily(0.5, 0.1), s)),
-                   2, lambda x, y: 1.0 / (1.0 + 0.1 * x * x),
-                   lambda x, y: 1.0 / (1.0 + 0.1 * math.sin(x))),
+    # the factor m^(-1)(x): the y-resistances, then mu on the x-faces
+    "mu_inverse": (lambda s: dl.assemble(_grid(), dl.RhoWeight(dl.WeightFamily(0.5, 0.1),
+                                                               dl.MuInverse(m_inv=s))),
+                   2, lambda x: 1.0 / (1.0 + 0.1 * x * x),
+                   lambda x: 1.0 / (1.0 + 0.1 * math.sin(x))),
+    # the factor n^(-1)(y): the ladder of N, then mu on the x-faces
+    "y-mu_inverse": (lambda s: dl.assemble(_grid(), dl.RhoWeight(dl.WeightFamily(0.5, 0.1),
+                                                                 dl.MuInverse(n_inv=s))),
+                     2, lambda y: 1.0 / (1.0 + 0.1 * y * y),
+                     lambda y: 1.0 / (1.0 + 0.1 * math.sin(y))),
     # one call per eps step
     "trace_factor": (_sweep, 2,
                      lambda x, y: np.cos(np.pi * x / 2), lambda x, y: math.cos(math.pi * x / 2)),
@@ -66,8 +72,8 @@ ROLES = {
 
 def _named(fn, name):
     """fn under its own name, so the error message can be checked for it."""
-    def sampler(x, y):
-        return fn(x, y)
+    def sampler(*args):
+        return fn(*args)
 
     sampler.__qualname__ = name
     return sampler
@@ -78,9 +84,9 @@ def test_each_sampler_role_takes_arrays_once(role):
     run, count, array_fn, math_fn = ROLES[role]
     calls = []
 
-    def counting(x, y):
-        calls.append(np.shape(y))
-        return array_fn(x, y)
+    def counting(*args):            # (x, y), or the one coordinate of a factor of mu^(-1)
+        calls.append(np.shape(args[-1]))
+        return array_fn(*args)
 
     run(counting)
     assert len(calls) == count

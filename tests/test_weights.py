@@ -103,7 +103,7 @@ def test_parities(a, eps, y):
     fam = dl.WeightFamily(a, eps)
     assert dl.rho(fam, y) == dl.rho(fam, -y)
     assert dl.chi(fam, -y) == pytest.approx(-dl.chi(fam, y), rel=1e-12)
-    sol = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 1.0 / (1.0 + s * s))
+    sol = dl.CharacteristicSolution(fam, mu_inverse=(None, lambda s: 1.0 / (1.0 + s * s)))
     assert dl.v_char(sol, 0.3, -y) == pytest.approx(-dl.v_char(sol, 0.3, y), rel=1e-9)
 
 
@@ -154,19 +154,19 @@ def test_v_char_constant_and_scaled_mu():
     fam = dl.WeightFamily(0.0, 0.5)
     sol1 = dl.CharacteristicSolution(fam)
     assert dl.v_char(sol1, 0.0, 0.5) == pytest.approx(0.5)
-    sol2 = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 0.5)
+    sol2 = dl.CharacteristicSolution(fam, mu_inverse=(lambda x: 0.5, None))
     assert dl.v_char(sol2, 0.0, 0.5) == pytest.approx(0.25)
 
 
 def test_v_char_arctan_oracle():
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.0, 0.0),
-                                    mu_inverse=lambda x, s: 1.0 / (1.0 + s * s))
+                                    mu_inverse=(None, lambda s: 1.0 / (1.0 + s * s)))
     assert dl.v_char(sol, 0.0, 1.0) == pytest.approx(math.pi / 4.0, rel=1e-10)
 
 
 def test_v_char_reduces_to_chi():
     fam = dl.WeightFamily(0.4, 0.2)
-    sol = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 1.0)
+    sol = dl.CharacteristicSolution(fam, mu_inverse=(None, lambda s: 1.0))    # integrated
     for y in (0.1, 0.7):
         assert dl.v_char(sol, 0.0, y) == pytest.approx(
             (1 - fam.a) * dl.chi(fam, y), rel=1e-9)
@@ -174,17 +174,18 @@ def test_v_char_reduces_to_chi():
 
 def test_v_char_positive_for_positive_y():
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1),
-                                    mu_inverse=lambda x, s: 1.0 / (1.5 + np.sin(3 * s)))
+                                    mu_inverse=(None, lambda s: 1.0 / (1.5 + np.sin(3 * s))))
     ys = np.linspace(0.01, 1.0, 17)
     assert all(dl.v_char(sol, 0.2, y) > 0 for y in ys)
 
 
 def test_quadrature_error_carries_value_and_abserr():
     """A segment quad cannot resolve raises with the value and error
-    estimate it reached; the value is within that estimate of the integral."""
+    estimate it reached; the value is within that estimate of the integral.
+    n^(-1) = 1 + (c/2) sin(1e5 s) is the column x = 0.5 of 1 + c x sin(1e5 s)."""
     a, c = -0.5, 1e-3
     sol = dl.CharacteristicSolution(
-        dl.WeightFamily(a, 0.0), mu_inverse=lambda x, s: 1.0 + c * x * np.sin(1e5 * s))
+        dl.WeightFamily(a, 0.0), mu_inverse=(None, lambda s: 1.0 + 0.5 * c * np.sin(1e5 * s)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         with pytest.raises(dl.QuadratureError) as exc:
@@ -200,7 +201,20 @@ def test_characteristic_solution_refuses_a_third_field():
     mu^(-1), say) fails at construction, not in a quadrature."""
     fam = dl.WeightFamily(0.5, 0.1)
     with pytest.raises(TypeError, match="positional argument"):
-        dl.CharacteristicSolution(fam, lambda x, s: 1.0, lambda x, s: 0.0)
+        dl.CharacteristicSolution(fam, (None, lambda s: 1.0), lambda x, s: 0.0)
+
+
+def test_mu_inverse_is_a_pair_of_factors():
+    """mu^(-1) is the pair (m^(-1)(x), n^(-1)(y)): a plain pair is taken as
+    one, (None, None) is mu == 1 (the closed form), and an (x, y) sampler,
+    which need not be a product, is refused at construction."""
+    fam = dl.WeightFamily(0.5, 0.1)
+    pair = dl.CharacteristicSolution(fam, (np.cos, None)).mu_inverse
+    assert isinstance(pair, dl.MuInverse) and pair == (np.cos, None)
+    assert pair(0.3, 0.7) == np.cos(0.3)
+    assert dl.CharacteristicSolution(fam, (None, None)).mu_inverse is None
+    with pytest.raises(TypeError, match="must be a pair"):
+        dl.CharacteristicSolution(fam, lambda x, s: 1.0 + x * s)
 
 
 def _gamma_ratio(a, eps, mu_inverse, x, y):
@@ -211,22 +225,20 @@ def _gamma_ratio(a, eps, mu_inverse, x, y):
 
 def test_gamma_ratio_values_and_limits():
     assert _gamma_ratio(0.3, 0.2, None, 0.0, 0.5) == pytest.approx(1.0, rel=1e-15)
-    got = _gamma_ratio(0.0, 0.0, lambda x, s: 1.0 / (1.0 + s), 0.0, 1.0)
+    got = _gamma_ratio(0.0, 0.0, (None, lambda s: 1.0 / (1.0 + s)), 0.0, 1.0)
     assert got == pytest.approx(math.log(2.0), rel=1e-10)
     # y -> 0+ limit equals mu^{-1}(x, 0) for three sampled fields
-    for mu_inv in (lambda x, s: 1.0 / (1.0 + s),
-                   lambda x, s: 2.0 / (2.0 + s * s),
-                   lambda x, s: 1.0 / (1.5 + np.sin(s))):
-        want = mu_inv(0.0, 0.0)
-        assert _gamma_ratio(0.5, 0.1, mu_inv, 0.0, 1e-9) == pytest.approx(want, rel=1e-6)
+    for n_inv in (lambda s: 1.0 / (1.0 + s),
+                  lambda s: 2.0 / (2.0 + s * s),
+                  lambda s: 1.0 / (1.5 + np.sin(s))):
+        want = n_inv(0.0)
+        assert _gamma_ratio(0.5, 0.1, (None, n_inv), 0.0, 1e-9) == pytest.approx(want, rel=1e-6)
 
 
 def test_gamma_ratio_holder_uniformity_across_eps():
     """Discrete alpha-seminorm of v / ((1-a) chi) stays within 3x of its eps=1 value."""
     alpha = 0.5
-
-    def mu_inv(x, s):
-        return 1.0 / (1.0 + 0.3 * abs(s) ** alpha + 0.1 * x * x)
+    mu_inv = (lambda x: 1.0 / (1.0 + 0.1 * x * x), lambda s: 1.0 / (1.0 + 0.3 * abs(s) ** alpha))
 
     grid = dl.build_half_grid(1, "half_rectangle", 1.0 / 16)
     semis = {}
@@ -239,33 +251,38 @@ def test_gamma_ratio_holder_uniformity_across_eps():
 
 
 def test_segment_memo_is_isolated():
-    """The segment memo serves only its own solution."""
-    fam = dl.WeightFamily(0.5, 0.1)
+    """The ladder of N serves only its own solution; a hit repeats the first
+    evaluation exactly, and v at the cell centres and the y-resistances are
+    the same N (its values and their differences)."""
+    a = 0.5
+    fam = dl.WeightFamily(a, 0.1)
 
-    def mu_inv(x, s):
-        return 1.0 / (1.0 + x * x * s)
+    def n_inv(s):
+        return 1.0 / (1.0 + 0.49 * s)
 
-    ys = np.linspace(0.05, 1.0, 20)
-    sol = dl.CharacteristicSolution(fam, mu_inverse=mu_inv)
+    ys = (np.arange(20) + 0.5) * (1 / 20)       # cell centres, as a grid holds them
+    sol = dl.CharacteristicSolution(fam, (None, n_inv))
     v = v_char_profile(sol, 0.7, ys)
-    # a second solution with another mu keeps its own memo
-    other = dl.CharacteristicSolution(fam, mu_inverse=lambda x, s: 0.5 * mu_inv(x, s))
+    # a second solution with another mu keeps its own ladder
+    other = dl.CharacteristicSolution(fam, (None, lambda s: 0.5 * n_inv(s)))
     assert np.allclose(v_char_profile(other, 0.7, ys), 0.5 * v, rtol=1e-9)
     # memo hits repeat the first evaluation exactly
-    w = dl.RhoWeight(fam, mu_inv)
+    w = dl.RhoWeight(fam, (None, n_inv))
     y0, y1 = np.r_[0.0, ys[:-1]], ys
     r1 = w.resistance_y(0.7, ys, y0, y1)
     assert np.array_equal(w.resistance_y(0.7, ys, y0, y1), r1)
-    assert np.array_equal(v_char_profile(w.sol, 0.7, ys),
-                          (1.0 - fam.a) * np.cumsum(r1))
+    N = w.sol.integral(ys)
+    assert np.array_equal(v_char_profile(w.sol, 0.7, ys), (1.0 - a) * N)
+    assert np.array_equal(np.diff(np.r_[0.0, N]), r1)
 
 
 # -- the vectorised dqk21 pass against scipy quad -----------------------------
 
+# n^(-1)(s); "quadratic" is the column x = 0.3 of 1/(1 + 0.1 x^2 + 0.5 s^2)
 _MU_INVERSES = {
-    "constant": lambda x, s: 0.8,
-    "quadratic": lambda x, s: 1.0 / (1.0 + 0.1 * x * x + 0.5 * s * s),
-    "oscillating": lambda x, s: 1.0 / (1.5 + np.sin(40.0 * s)),
+    "constant": lambda s: 0.8 + 0.0 * s,
+    "quadratic": lambda s: 1.0 / (1.009 + 0.5 * s * s),
+    "oscillating": lambda s: 1.0 / (1.5 + np.sin(40.0 * s)),
 }
 
 
@@ -273,17 +290,20 @@ _MU_INVERSES = {
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.01, 1.0])
 @pytest.mark.parametrize("a", [-1.5, -0.5, 0.5, 0.9])
 def test_column_rule_matches_quad(a, eps, mu):
-    """Each segment of a column, the first one at y0 = 0 included, equals the
+    """Each segment of a ladder, the first one at y0 = 0 included, equals the
     scalar ``quad`` value: the dqk21 pass returns quad's own first pass when
-    it is accepted and defers to quad when it is not."""
+    it is accepted and defers to quad when it is not.  N on the ladder is
+    the cumulative sum of the segments."""
     fam = dl.WeightFamily(a, eps)
     g = _MU_INVERSES[mu]
     ys = (np.arange(16) + 0.5) / 16
     y0, y1 = np.r_[0.0, ys[:-1]], ys
-    col = dl.CharacteristicSolution(fam, g).segment_integrals(0.3, y0, y1)
-    one = dl.CharacteristicSolution(fam, g)
-    want = np.array([one._quad(0.3, s0, s1) for s0, s1 in zip(y0, y1)])
-    assert np.allclose(col, want, rtol=1e-13, atol=0.0)
+    sol = dl.CharacteristicSolution(fam, (None, g))
+    seg = sol._integrate(y0, y1)
+    one = dl.CharacteristicSolution(fam, (None, g))
+    want = np.array([one._quad(s0, s1) for s0, s1 in zip(y0, y1)])
+    assert np.allclose(seg, want, rtol=1e-13, atol=0.0)
+    assert np.array_equal(sol.integral(ys), np.cumsum(seg))
 
 
 @pytest.mark.parametrize("mu", sorted(_MU_INVERSES))
@@ -297,25 +317,25 @@ def test_column_rule_accepts_where_quad_stops_after_one_pass(a, eps, mu):
     g = _MU_INVERSES[mu]
     ys = (np.arange(16) + 0.5) / 16
     y0, y1 = np.r_[0.0, ys[:-1]], ys
-    sol = dl.CharacteristicSolution(dl.WeightFamily(a, eps), g)
-    _, ok = sol._dqk21(np.full((16, 1), 0.3), y0, y1)
+    sol = dl.CharacteristicSolution(dl.WeightFamily(a, eps), (None, g))
+    _, ok = sol._dqk21(y0, y1)
     b = 1.0 - a
     stops = []
     for s0, s1 in zip(y0, y1):
         if s0 == 0.0 and eps == 0.0 and a > 0.0:
-            f, lo, hi = (lambda u: g(0.3, (b * u) ** (1.0 / b))), 0.0, s1 ** b / b
+            f, lo, hi = (lambda u: g((b * u) ** (1.0 / b))), 0.0, s1 ** b / b
         else:
-            f, lo, hi = (lambda s: (eps * eps + s * s) ** (-a / 2.0) * g(0.3, s)), s0, s1
+            f, lo, hi = (lambda s: (eps * eps + s * s) ** (-a / 2.0) * g(s)), s0, s1
         info = quad(f, lo, hi, epsabs=0, epsrel=QUADRATURE_TOL, limit=200, full_output=1)[2]
         stops.append(info["neval"] == 21)
     assert ok.tolist() == stops
 
 
-@pytest.mark.parametrize("a,eps,mu_inverse", [
-    (0.5, 0.1, lambda x, s: 1.0 + 100.0 * np.exp(-((s - 0.3) / 0.01) ** 2)),   # steep mu
-    (0.9, 1e-3, lambda x, s: 1.0 / (1.0 + s * s)),        # rho^(-a) steep near 0
+@pytest.mark.parametrize("a,eps,n_inv", [
+    (0.5, 0.1, lambda s: 1.0 + 100.0 * np.exp(-((s - 0.3) / 0.01) ** 2)),   # steep mu
+    (0.9, 1e-3, lambda s: 1.0 / (1.0 + s * s)),          # rho^(-a) steep near 0
 ])
-def test_rejected_segments_take_the_quad_fallback(monkeypatch, a, eps, mu_inverse):
+def test_rejected_segments_take_the_quad_fallback(monkeypatch, a, eps, n_inv):
     """A segment that fails qags's test after the dqk21 pass gets quad's value.
     (A tiny QUADRATURE_TOL cannot force this: quad refuses epsrel below
     50 machine epsilons, which dqk21's error floor already meets.)"""
@@ -330,10 +350,10 @@ def test_rejected_segments_take_the_quad_fallback(monkeypatch, a, eps, mu_invers
 
     fam = dl.WeightFamily(a, eps)
     y0, y1 = np.array([0.0, 0.5]), np.array([0.5, 1.0])
-    want = [dl.CharacteristicSolution(fam, mu_inverse)._quad(0.0, s0, s1)
+    want = [dl.CharacteristicSolution(fam, (None, n_inv))._quad(s0, s1)
             for s0, s1 in zip(y0, y1)]
     monkeypatch.setattr(weights, "quad", counting)
-    got = dl.CharacteristicSolution(fam, mu_inverse).segment_integrals(0.0, y0, y1)
+    got = dl.CharacteristicSolution(fam, (None, n_inv))._integrate(y0, y1)
     assert len(calls) >= 1
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -392,29 +412,29 @@ def test_gauss_kronrod_constants_and_error_estimate():
 
 
 def test_sampler_must_broadcast():
-    def scalar_only(x, s):
+    def scalar_only(s):
         return 1.0 / (1.5 + math.sin(s))
 
-    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse=scalar_only)
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse=(None, scalar_only))
     with pytest.raises(ValueError, match="mu_inverse sampler .*scalar_only"):
         dl.v_char(sol, 0.0, 0.5)               # one point: one pass on arrays all the same
     with pytest.raises(ValueError, match="scalar_only"):
         v_char_profile(sol, 0.0, [0.25, 0.5])
-    const = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse=lambda x, s: 2.0)
+    const = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse=(None, lambda s: 2.0))
     assert v_char_profile(const, 0.0, [0.25, 0.5]) == pytest.approx(
         2.0 * (1 - 0.5) * dl.chi(dl.WeightFamily(0.5, 0.1), np.array([0.25, 0.5])), rel=1e-12)
 
 
 def test_sampler_must_broadcast_over_x():
-    """A sampler that takes a scalar x only fails the whole-grid pass, in the
-    resistances and in mu_at, with a ValueError naming it."""
-    def cos_column(x, s):
-        return 1.0 / (1.5 + math.cos(x)) + 0.0 * s
+    """A factor m^(-1) that takes a scalar x only fails the whole-grid call,
+    in the resistances and in mu_at, with a ValueError naming it."""
+    def cos_column(x):
+        return 1.0 / (1.5 + math.cos(x))
 
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     with pytest.raises(ValueError, match="cos_column"):
-        dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.5, 0.1), cos_column))
-    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), cos_column)
+        dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.5, 0.1), (cos_column, None)))
+    sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), (cos_column, None))
     with pytest.raises(ValueError, match="cos_column"):
         sol.mu_at(g.centers[:, 0], g.centers[:, 1])
 
@@ -430,27 +450,33 @@ def _tilt(x):
                          ids=["n1-rect", "n1-disk", "n2-rect"])
 @pytest.mark.parametrize("a,eps", [(0.5, 0.0), (-0.5, 0.1), (0.9, 1e-3)])
 def test_whole_grid_pass_matches_quad_per_segment(monkeypatch, grid, a, eps):
-    """The y-resistances of a grid, integrated in one dqk21 pass with one
-    sampler call on arrays of x (a tuple of them for n = 2), equal a scalar
-    ``quad`` of each segment to 1e-13 relative and land between the cells of
-    their own column in the matrix; v on the cell centres of all columns
-    equals the profile of each column alone.  mu^(-1) depends on x; eps = 0
-    with a > 0 takes the substitution on the segments from the plane, and
-    the half disk has columns of different heights.  At a = 0.9, eps = 1e-3
-    some segments fail qags's test and take the scalar ``quad`` fallback.
-    mu^(-1) takes 1 + n calls on arrays: the resistances, then mu =
-    1 / mu^(-1) on the x-faces of each axis."""
-    calls = []
+    """The y-resistances of a grid are m^(-1)(x) times differences of N on
+    the half-spacing ladder, integrated in one dqk21 pass (one call of
+    n^(-1)) for every column, with one call of m^(-1) on the array of column
+    positions (a tuple of them for n = 2).  They equal m^(-1)(x) times a
+    scalar ``quad`` of each segment to 1e-13 relative and land between the
+    cells of their own column in the matrix; v on the cell centres of all
+    columns equals the profile of each column alone.  eps = 0 with a > 0
+    takes the substitution on the segment from the plane, and the half disk
+    has columns of different heights and faces at the staircase.  At
+    a = 0.9, eps = 1e-3 some segments fail qags's test and take the scalar
+    ``quad`` fallback.  Each factor takes 1 + n calls on arrays: the
+    resistances, then mu on the x-faces of each axis."""
+    m_calls, n_calls = [], []
 
-    def mu_inv(x, s):
+    def m_inv(x):
+        m_calls.append(x)
+        return 1.0 / (1.5 + 0.3 * _tilt(x))
+
+    def n_inv(s):
         if np.ndim(s):          # not a scalar call of quad
-            calls.append(x)
-        return 1.0 / (1.5 + 0.3 * _tilt(x) + 0.5 * s * s)
+            n_calls.append(np.shape(s))
+        return 1.0 / (1.0 + 0.5 * s * s)
 
     n, shape, h = grid
     g = dl.build_half_grid(n, shape, h)
     fam = dl.WeightFamily(a, eps)
-    w = dl.RhoWeight(fam, mu_inv)
+    w = dl.RhoWeight(fam, (m_inv, n_inv))
     seen = []
     resistance_y = dl.RhoWeight.resistance_y
 
@@ -461,15 +487,15 @@ def test_whole_grid_pass_matches_quad_per_segment(monkeypatch, grid, a, eps):
 
     monkeypatch.setattr(dl.RhoWeight, "resistance_y", recording)
     op = dl.assemble(g, w, parity="odd")
-    assert len(seen) == 1 and len(calls) == 1 + n
+    assert len(seen) == 1 and len(m_calls) == len(n_calls) == 1 + n
+    assert n_calls[0] == (2 * g.ny, 21)
     x, y0, y1, got = seen[0]
-    assert isinstance(calls[0], tuple) == (n == 2)
+    assert isinstance(m_calls[0], tuple) == (n == 2)
     ask = ~np.isnan(y0)
     cols = x if n == 2 else (x,)
-    one = dl.CharacteristicSolution(fam, mu_inv)
-    want = [one._quad(k[0] if n == 1 else k, s0, s1) for k, s0, s1 in
-            zip(zip(*(np.broadcast_to(c[:, None], y0.shape)[ask] for c in cols)),
-                y0[ask], y1[ask])]
+    one = dl.CharacteristicSolution(fam, (None, n_inv))
+    m = np.broadcast_to(m_inv(x)[..., None], y0.shape)[ask]
+    want = m * [one._quad(s0, s1) for s0, s1 in zip(y0[ask], y1[ask])]
     np.testing.assert_allclose(got[ask], want, rtol=1e-13, atol=0.0)
     ys = (np.arange(g.ny) + 0.5) * h
     dof = {tuple(c): i for i, c in enumerate(g.centers.tolist())}
@@ -479,117 +505,196 @@ def test_whole_grid_pass_matches_quad_per_segment(monkeypatch, grid, a, eps):
         assert tau == pytest.approx(h ** n / got[r, k], rel=1e-13)
     if shape == "half_disk":
         assert len(set(np.count_nonzero(ask, axis=1))) > 1
-    v = v_char_profile(dl.CharacteristicSolution(fam, mu_inv), x, ys)
+    v = v_char_profile(dl.CharacteristicSolution(fam, (m_inv, n_inv)), x, ys)
     for k, xk in enumerate(zip(*cols)):
-        alone = v_char_profile(dl.CharacteristicSolution(fam, mu_inv), xk[0] if n == 1 else xk, ys)
+        alone = v_char_profile(dl.CharacteristicSolution(fam, (m_inv, n_inv)),
+                               xk[0] if n == 1 else xk, ys)
         assert np.array_equal(v[k], alone)
 
 
-def test_runs_break_where_the_column_changes():
-    """Segments of two columns that chain in y are two runs, each integrated
-    in its own column and stored as that column's ladder."""
+def test_columns_share_one_pass_of_N():
+    """Segments of several columns take one pass over the distinct
+    ordinates of N (and scalar quad for the segments that pass rejects),
+    and each is m^(-1) of its column times a scalar quad of the segment."""
     fam = dl.WeightFamily(0.5, 0.1)
+    calls = []
 
-    def mu_inv(x, s):
-        return 1.0 / (1.0 + 0.3 * x * x + 0.5 * s * s)
+    def m_inv(x):
+        return 1.0 / (1.0 + 0.3 * x * x)
+
+    def n_inv(s):
+        calls.append(np.shape(s))
+        return 1.0 / (1.0 + 0.5 * s * s)
 
     x = np.array([0.1, 0.1, 0.7, 0.7])
     y0, y1 = np.array([0.0, 0.25, 0.5, 0.75]), np.array([0.25, 0.5, 0.75, 1.0])
-    sol = dl.CharacteristicSolution(fam, mu_inv)
-    got = sol.segment_integrals(x, y0, y1)
-    one = dl.CharacteristicSolution(fam, mu_inv)
-    want = [one._quad(*args) for args in zip(x, y0, y1)]
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    assert [lad.edges.tolist() for lad in sol._memo[0.1]] == [[0.0, 0.25, 0.5]]
-    assert [lad.edges.tolist() for lad in sol._memo[0.7]] == [[0.5, 0.75, 1.0]]
+    sol = dl.CharacteristicSolution(fam, (m_inv, n_inv))
+    got = sol.segment_integral(x, y0, y1)
+    assert [c for c in calls if c] == [(4, 21)]    # N at 0.25, 0.5, 0.75, 1 (N(0) = 0)
+    one = dl.CharacteristicSolution(fam, (None, n_inv))
+    want = m_inv(x) * [one._quad(s0, s1) for s0, s1 in zip(y0, y1)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-# -- per-column ladders --------------------------------------------------------
+# -- the ladder of N -----------------------------------------------------------
 
 _LADDER_MU_INVERSES = {
-    "quadratic": lambda x, s: 1.0 / (1.0 + 0.1 * x * x),
-    "y-dependent": lambda x, s: 1.0 / (2.0 * (1.0 - s / 2.0)),
+    "quadratic": dl.MuInverse(m_inv=lambda x: 1.0 / (1.0 + 0.1 * x * x)),
+    "y-dependent": dl.MuInverse(n_inv=lambda s: 1.0 / (2.0 * (1.0 - s / 2.0))),
 }
 
 
 @pytest.mark.parametrize("mu", sorted(_LADDER_MU_INVERSES))
 @pytest.mark.parametrize("eps", [0.0, 0.01, 1.0])
 @pytest.mark.parametrize("a", [-0.5, 0.5, 0.9])
-def test_v_char_at_ladder_edges_reads_the_cumulative_sum(a, eps, mu):
-    """v at every edge of a column's resistance ladder (cell centres and the
-    top face) is read from the ladder without sampling mu^(-1) again, and
-    equals a fresh quad over [0, y]."""
-    g = _LADDER_MU_INVERSES[mu]
+def test_v_char_at_ladder_edges_reads_the_cumulative_sum(monkeypatch, a, eps, mu):
+    """v at every ordinate of a column's resistance ladder (cell centres and
+    the top face) is read from the half-spacing ladder of N that the
+    resistances computed, without sampling n^(-1) or evaluating chi again,
+    and equals a fresh quad over [0, y]."""
+    import degenlab.weights as weights
+
+    pair = _LADDER_MU_INVERSES[mu]
     calls = []
+    chi = weights.chi
 
-    def counting(x, s):
+    def counting_n(s):
         calls.append(np.shape(s))
-        return g(x, s)
+        return pair.n_inv(s)
 
+    def counting_chi(*args):
+        calls.append("chi")
+        return chi(*args)
+
+    monkeypatch.setattr(weights, "chi", counting_chi)
     fam = dl.WeightFamily(a, eps)
     ys = (np.arange(16) + 0.5) / 16
     y0, y1 = np.r_[0.0, ys], np.r_[ys, 1.0]
-    sol = dl.RhoWeight(fam, counting).sol
-    sol.segment_integrals(0.3, y0, y1)          # the ladder 0, ys, 1 of a column
+    w = dl.RhoWeight(fam, pair._replace(n_inv=pair.n_inv and counting_n))
+    w.resistance_y(0.3, ys, y0, y1)
     calls.clear()
-    got = dl.v_char(sol, 0.3, y1)
+    got = dl.v_char(w.sol, 0.3, y1)
     assert calls == []
-    want = np.array([(1.0 - a) * dl.CharacteristicSolution(fam, g)._quad(0.3, 0.0, y)
-                     for y in y1])
+    # the same mu^(-1) in the column x = 0.3, as a factor of y alone
+    col = dl.CharacteristicSolution(fam, (None, lambda s: pair(0.3, s)))
+    want = np.array([(1.0 - a) * col._quad(0.0, y) for y in y1])
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-    # the profile at the cell centres is the same cumulative sum
-    assert np.array_equal(v_char_profile(sol, 0.3, ys), got[:-1])
+    # the profile at the cell centres is the same read
+    assert np.array_equal(v_char_profile(w.sol, 0.3, ys), got[:-1])
+    assert calls == []
 
 
 def test_v_char_off_the_ladders_takes_one_pass():
-    """v at points off every stored ladder, in several columns and of both
-    signs, takes one sampler call on arrays for all of them (and scalar
-    quad for the segments that pass rejects), and equals a scalar quad of
-    each to 1e-13 relative."""
+    """v at points off the ladder, in several columns and of both signs,
+    takes one call of n^(-1) on an array for all of them (and scalar quad
+    for the segments that pass rejects), and equals m^(-1)(x) times a
+    scalar quad of each to 1e-13 relative."""
     fam = dl.WeightFamily(0.5, 0.1)
     calls = []
 
-    def mu_inv(x, s):
+    def m_inv(x):
+        return 1.0 / (1.0 + 0.1 * x * x)
+
+    def n_inv(s):
         calls.append(np.shape(s))
-        return 1.0 / (1.0 + 0.1 * x * x + 0.5 * s * s)
+        return 1.0 / (1.0 + 0.5 * s * s)
 
     x = np.array([-0.7, -0.7, 0.2, 0.9, 0.9])
     y = np.array([0.3, -0.55, 0.8, 0.05, 1.0])
-    sol = dl.CharacteristicSolution(fam, mu_inv)
+    sol = dl.CharacteristicSolution(fam, (m_inv, n_inv))
     got = dl.v_char(sol, x, y)
     assert [c for c in calls if c] == [(len(x), 21)]
-    want = [np.sign(yk) * 0.5 * sol._quad(xk, 0.0, abs(yk)) for xk, yk in zip(x, y)]
+    want = [np.sign(yk) * 0.5 * m_inv(xk) * sol._quad(0.0, abs(yk)) for xk, yk in zip(x, y)]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_full_and_half_spacing_ladders_are_integrated_apart():
-    """A half-spacing ladder on a solution that already holds the
-    full-spacing one is integrated on its own: each equals the values of a
-    fresh solution exactly.  A later run is looked up from its first edge:
-    one that starts a stored ladder is read as its prefix, one from inside
-    it becomes a ladder of its own, with the same values."""
+    """A half-spacing ladder on a solution that holds the full-spacing one
+    is integrated on its own, from 0: each equals the values of a fresh
+    solution exactly.  It takes the full-spacing one's place and holds all
+    its ordinates, so the full-spacing ladder and any segment between its
+    ordinates are then read without another pass."""
     fam = dl.WeightFamily(0.5, 0.1)
     calls = []
 
-    def g(x, s):
+    def g(s):
         calls.append(np.shape(s))
-        return _LADDER_MU_INVERSES["y-dependent"](x, s)
+        return _LADDER_MU_INVERSES["y-dependent"].n_inv(s)
 
     h = 1 / 16
     full = (np.arange(16) + 0.5) * h
     half = np.arange(1, 33) * (h / 2.0)
-    sol = dl.CharacteristicSolution(fam, g)
+    sol = dl.CharacteristicSolution(fam, (None, g))
     v_full = v_char_profile(sol, 0.3, full)
     v_half = v_char_profile(sol, 0.3, half)
-    assert np.array_equal(v_full, v_char_profile(dl.CharacteristicSolution(fam, g), 0.3, full))
-    assert np.array_equal(v_half, v_char_profile(dl.CharacteristicSolution(fam, g), 0.3, half))
-    assert len(sol._memo[0.3]) == 2
+    assert calls == [(16, 21), (32, 21)]
+    assert np.array_equal(v_full, v_char_profile(dl.CharacteristicSolution(fam, (None, g)),
+                                                 0.3, full))
+    assert np.array_equal(v_half, v_char_profile(dl.CharacteristicSolution(fam, (None, g)),
+                                                 0.3, half))
     calls.clear()
-    seg = sol.segment_integrals(0.3, np.r_[0.0, half[:5]], half[:6])
+    assert np.array_equal(v_char_profile(sol, 0.3, full), v_half[::2])
+    seg = sol.segment_integral(0.3, half[3:9], half[4:10])
     assert calls == []
-    assert np.array_equal(seg, sol._memo[0.3][1].seg[:6])
-    assert len(sol._memo[0.3]) == 2
-    seg = sol.segment_integrals(0.3, half[3:9], half[4:10])
-    assert calls == [(6, 21)]
-    assert [lad.edges.tolist() for lad in sol._memo[0.3][2:]] == [half[3:10].tolist()]
-    assert np.array_equal(seg, sol._memo[0.3][1].seg[4:10])
+    assert np.array_equal(seg, np.diff(v_half[3:10]) / 0.5)
+
+
+# -- product mu: closed form for x alone, one shared ladder for y alone -------
+
+@pytest.mark.parametrize("a,eps", [(0.5, 0.0), (0.5, 0.01), (-1.5, 0.1), (0.9, 1.0)])
+def test_x_only_mu_is_chi_in_closed_form(a, eps):
+    """For mu^(-1) = m^(-1)(x), v = (1-a) m^(-1)(x) chi(y) and the
+    y-resistances are m^(-1)(x) (chi(y1) - chi(y0)), bit for bit, and each
+    matches a scalar scipy ``quad`` of its own column to 1e-12."""
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
+    fam = dl.WeightFamily(a, eps)
+
+    def m_inv(x):
+        return 1.0 / (1.0 + 0.1 * x * x)
+
+    w = dl.RhoWeight(fam, (m_inv, None))
+    x = -1.0 + (np.arange(g.nx) + 0.5) * g.h
+    ys = (np.arange(g.ny) + 0.5) * g.h
+    y0 = np.broadcast_to(np.r_[0.0, ys], (g.nx, g.ny + 1))
+    y1 = np.broadcast_to(np.r_[ys, 1.0], (g.nx, g.ny + 1))
+    R = w.resistance_y(x, ys, y0, y1)
+    assert np.array_equal(R, m_inv(x)[:, None] * (dl.chi(fam, y1) - dl.chi(fam, y0)))
+    v = v_char_profile(w.sol, x, ys)
+    assert np.array_equal(v, (1.0 - a) * (m_inv(x)[:, None] * dl.chi(fam, ys)))
+
+    def column_quad(xk, s0, s1):
+        if eps == 0.0 and s0 == 0.0:    # s^(-a) as the algebraic weight of QUADPACK's qaws
+            return quad(lambda s: m_inv(xk), s0, s1, weight="alg", wvar=(-a, 0.0),
+                        epsabs=0.0, epsrel=1e-13)[0]
+        return quad(lambda s: (eps * eps + s * s) ** (-a / 2.0) * m_inv(xk), s0, s1,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    for k in (0, 5, g.nx - 1):
+        want = [column_quad(x[k], s0, s1) for s0, s1 in zip(y0[k], y1[k])]
+        np.testing.assert_allclose(R[k], want, rtol=1e-12, atol=0.0)
+        want = [(1.0 - a) * column_quad(x[k], 0.0, y) for y in ys]
+        np.testing.assert_allclose(v[k], want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01, 0.0])
+def test_fermi_ladder_matches_quad(eps):
+    """For the fermi-demo circle (radius 2, speed 2), mu^(-1) =
+    1 / (2 (1 - y/2)) depends on y alone: N on the half-spacing ladder of
+    h = 1/32, shared by every column, matches a scalar scipy ``quad`` over
+    [0, y] to 1e-12 at every ordinate."""
+    a = 0.5
+    curve = dl.EmbeddedCurve.circle(2.0, arc=2.0, theta0=-0.5)
+
+    def n_inv(y):
+        return 1.0 / dl.fermi_mu(curve, 0.0, y)
+
+    sol = dl.CharacteristicSolution(dl.WeightFamily(a, eps), (None, n_inv))
+    ladder = np.arange(1, 65) / 64
+    N = sol.integral(ladder)
+    if eps == 0.0:
+        want = [quad(n_inv, 0.0, y, weight="alg", wvar=(-a, 0.0), epsabs=0.0,
+                     epsrel=1e-13)[0] for y in ladder]
+    else:
+        want = [quad(lambda s: (eps * eps + s * s) ** (-a / 2.0) * n_inv(s), 0.0, y,
+                     epsabs=0.0, epsrel=1e-13, limit=200)[0] for y in ladder]
+    np.testing.assert_allclose(N, want, rtol=1e-12, atol=0.0)
