@@ -15,15 +15,17 @@ solution in one dimension and uniformly well behaved across the
 degenerate/singular range of exponents.
 
 The operator is built with array operations over the lattice ``grid.index``,
-by one code path for n = 1 and n = 2.  Weight models are evaluated on all
-the live grid columns at once (the contract is on :class:`WeightModel`), so
-the y-faces of a grid cost one ``resistance_y`` call.  x-faces come from
-slicing the lattice along each axis, the matrix from concatenated COO
-triplets, and the faces are kept as arrays (:class:`Faces`) for right-hand
-sides.  mu is the weight model's alone (see :class:`WeightModel`).  There
-is no per-cell Python work: every user sampler (mu_inverse, the data f, F
-and the trace, and exact solutions) takes coordinate arrays and is called
-once on all the points it is needed at, through ``weights._sample``.
+by one code path for n = 1 and n = 2.  The grid's :class:`Stencil`, built
+once per grid, holds what depends on the grid alone: the faces, from slicing
+the lattice along each axis, each cell's faces and the CSR pattern.  An
+assembly computes the weights, transmissibilities and diagonal and gathers
+them into the matrix.  Weight models are evaluated on all the live grid
+columns at once (the contract, and mu, is :class:`WeightModel`'s), so the
+y-faces of a grid cost one ``resistance_y`` call.  The faces are kept as
+arrays (:class:`Faces`) for right-hand sides.  There is no per-cell Python
+work: every user sampler (mu_inverse, the data f, F and the trace, and
+exact solutions) takes coordinate arrays and is called once on all the
+points it is needed at, through ``weights._sample``.
 
 Boundary handling:
 * characteristic plane (y = 0): odd parity imposes u = 0 through the exact
@@ -43,6 +45,7 @@ residual ``SOLVER_TOL``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -182,16 +185,14 @@ class RhoWeight(WeightModel):
         return rho(self.family, np.asarray(ys, dtype=float))
 
     def resistance_y(self, x, ys, y0, y1):
-        """N read from the half-spacing ladder of ys, computed here once."""
+        """N computed once on the half-spacing ladder of ys, read at each segment
+        end (a cell centre, a face or the plane) by its ladder index y / (h/2)."""
         sol = self.sol
         ask = ~np.isnan(y0)
+        N = np.r_[0.0, sol.integral(_half_ladder(ys), keep=True)]
+        i0, i1 = (np.rint(y[ask] / ys[0]).astype(np.intp) for y in (y0, y1))
         out = np.full(y0.shape, np.nan)
-        if sol.mu_inverse is None:
-            out[ask] = chi(self.family, y1[ask]) - chi(self.family, y0[ask])
-            return out
-        sol.integral(_half_ladder(ys), keep=True)
-        n0, n1 = sol.integral(np.stack([y0[ask], y1[ask]]))
-        out[ask] = n1 - n0
+        out[ask] = N[i1] - N[i0]
         return np.asarray(sol.m_inv_at(x))[..., None] * out
 
     def cell_integral_y(self, x, ys, y0, y1):
@@ -367,29 +368,11 @@ def _xy(pts: np.ndarray, n: int):
 # Lattice arrays
 # ---------------------------------------------------------------------------
 
-def _columns(g: HalfGrid):
-    """The rows of ``g.index.reshape(-1, g.ny)`` (grid columns) holding a
-    live cell, and their positions x (an array, a tuple of them for n = 2)."""
-    rows = np.flatnonzero(np.any(g.index.reshape(-1, g.ny) >= 0, axis=1))
-    xs = -1.0 + (np.arange(g.nx) + 0.5) * g.h
-    return rows, _x_of([xs[i] for i in np.unravel_index(rows, (g.nx,) * g.n)])
-
-
 def _column_values(g: HalfGrid, fn: Callable) -> np.ndarray:
     """fn(x, ys) on all the grid columns with a live cell in one call, at
     the live cells in dof order."""
-    rows, x = _columns(g)
-    live = g.index.reshape(-1, g.ny)[rows] >= 0
-    return np.broadcast_to(fn(x, (np.arange(g.ny) + 0.5) * g.h), live.shape)[live]
-
-
-def _shifted(index: np.ndarray, axis: int, offset: int, count: int) -> np.ndarray:
-    """Entries offset .. offset+count-1 along ``axis`` of index padded with -1
-    at both ends of that axis."""
-    pad = [(0, 0)] * index.ndim
-    pad[axis] = (1, 1)
-    return np.take(np.pad(index, pad, constant_values=-1),
-                   np.arange(offset, offset + count), axis=axis)
+    st = g.stencil
+    return np.broadcast_to(fn(st.x, st.ys), st.live.shape)[st.live]
 
 
 def _axis_faces(g: HalfGrid, axis: int):
@@ -397,24 +380,16 @@ def _axis_faces(g: HalfGrid, axis: int):
     normal to a lattice axis (axis n is y), as flat arrays ordered by the
     other lattice coordinates first and the face position last."""
     m = g.index.shape[axis]
-    lo = np.moveaxis(_shifted(g.index, axis, 0, m + 1), axis, -1).ravel()
-    hi = np.moveaxis(_shifted(g.index, axis, 1, m + 1), axis, -1).ravel()
+    pad = [(0, 0)] * g.index.ndim
+    pad[axis] = (1, 1)
+    cells = np.moveaxis(np.pad(g.index, pad, constant_values=-1), axis, -1)
+    lo, hi = cells[..., :-1].ravel(), cells[..., 1:].ravel()
     h = g.h
     coords = [-1.0 + (np.arange(g.nx) + 0.5) * h] * g.n + [(np.arange(g.ny) + 0.5) * h]
     coords[axis] = (-1.0 if axis < g.n else 0.0) + np.arange(m + 1) * h
     mid = np.stack([np.moveaxis(c, axis, -1).ravel()
                     for c in np.meshgrid(*coords, indexing="ij")], axis=-1)
     return lo, hi, mid
-
-
-def _face_weight(wc: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Harmonic mean of the cell values on interior faces, the live cell's
-    value on boundary faces."""
-    out = np.where(lo >= 0, wc[lo], wc[hi])
-    inner = (lo >= 0) & (hi >= 0)
-    wl, wh = wc[lo[inner]], wc[hi[inner]]
-    out[inner] = 2.0 * wl * wh / (wl + wh)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -481,72 +456,107 @@ def _cell_weight_integrals(weight: WeightModel, g: HalfGrid) -> np.ndarray:
     return _column_values(g, lambda x, ys: weight.cell_integral_y(x, ys, j * g.h, (j + 1) * g.h))
 
 
+class Stencil:
+    """What :func:`assemble` reads from the grid alone, built once per grid
+    (:attr:`HalfGrid.stencil`) and shared by every operator on it: the
+    columns with a live cell (``x``, ``live``, ``ys``); the weight-free, read-only
+    :class:`Faces` fields; the y-faces of the live columns (``ykeep`` the
+    kept ones, ``plane``, ``need[parity]`` and the segment ends ``y0``,
+    ``y1``); the cell values of each face weight (``side``, ``inner``,
+    ``inner_hi``, into the y-face values followed by the x-face ones);
+    ``slots``, each cell's lower and upper face per axis, y first; and the
+    CSR pattern, ``src`` naming each entry's face, or its cell past the faces.
+    Dofs increase in lattice order, so a row's slots are in column order."""
+
+    def __init__(self, g: HalfGrid):
+        n, h = g.n, g.h
+        rows = np.flatnonzero(np.any(g.index.reshape(-1, g.ny) >= 0, axis=1))
+        xs = -1.0 + (np.arange(g.nx) + 0.5) * h
+        self.x = _x_of([xs[i] for i in np.unravel_index(rows, (g.nx,) * n)])
+        self.live = g.index.reshape(-1, g.ny)[rows] >= 0
+        self.ys = (np.arange(g.ny) + 0.5) * h
+
+        # y-faces: face k of a live column lies at y = k h, between cells k-1 and k
+        lo, hi, mid = (a.reshape(-1, g.ny + 1, *a.shape[1:])[rows]
+                       for a in _axis_faces(g, n))
+        plane = np.zeros(lo.shape, dtype=bool)
+        plane[:, 0] = hi[:, 0] >= 0
+        edge = ((lo >= 0) != (hi >= 0)) & ~plane
+        self.ykeep = keep = (lo >= 0) | (hi >= 0)
+        self.plane = plane[keep]
+        self.need = {"even": (lo >= 0) & (hi >= 0) | edge}
+        self.need["odd"] = self.need["even"] | plane
+        self.y0 = np.where(lo >= 0, np.r_[np.nan, self.ys], mid[..., n])   # center to center
+        self.y1 = np.where(hi >= 0, np.r_[self.ys, np.nan], mid[..., n])   # or face
+        k = np.flatnonzero(keep)
+        parts = [(np.full(len(k), n), lo.ravel()[k], hi.ravel()[k],
+                  mid.reshape(-1, n + 1)[k], edge.ravel()[k])]
+        for axis in range(n):
+            lo, hi, mid = _axis_faces(g, axis)
+            k = np.flatnonzero((lo >= 0) | (hi >= 0))
+            lo, hi = lo[k], hi[k]
+            parts.append((np.full(len(k), axis), lo, hi, mid[k], (lo < 0) | (hi < 0)))
+        self.axis, self.lo, self.hi, self.mid, self.dirichlet = (np.concatenate(a)
+                                                                  for a in zip(*parts))
+        off = np.where(self.axis == n, 0, g.ncells)
+        inner = np.flatnonzero((self.lo >= 0) & (self.hi >= 0))
+        self.side = np.where(self.lo >= 0, self.lo, self.hi) + off
+        self.inner, self.inner_hi = inner, self.hi[inner] + off[inner]
+
+        # each cell is the upper side of its lower face and the lower side of its upper one
+        self.slots = np.empty((2 * n + 2, g.ncells), dtype=np.int64)
+        for i, (axis, side) in enumerate(itertools.product((n, *range(n)), (self.hi, self.lo))):
+            on = np.flatnonzero(self.axis == axis)
+            cell = side[on]
+            self.slots[i, cell[cell >= 0]] = on[cell >= 0]
+        dofs = np.arange(g.ncells)
+        lower, upper = [*range(2, 2 * n + 2, 2), 0], [1, *range(2 * n + 1, 2, -2)]
+        nb = np.vstack([self.lo[self.slots[lower]], dofs, self.hi[self.slots[upper]]])
+        face = np.vstack([self.slots[lower], len(self.lo) + dofs, self.slots[upper]])
+        there = (nb >= 0).T               # a row's entries are a column of nb
+        self.src = face.T[there]
+        pattern = sp.csr_matrix((self.src, nb.T[there], np.r_[0, np.cumsum(there.sum(axis=1))]),
+                                shape=(g.ncells, g.ncells))
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        for name in ("axis", "lo", "hi", "mid", "dirichlet", "indices", "indptr"):
+            getattr(self, name).setflags(write=False)
+
+
 def assemble(grid: HalfGrid, weight: WeightModel, parity: str = "odd") -> AssembledOperator:
     """Assemble the flux-form operator, symmetric and closed by Dirichlet
-    half-cells on the outer boundary; see the module docstring for the scheme."""
+    half-cells on the outer boundary; see the module docstring for the
+    scheme.  The grid's :class:`Stencil` gives everything but the values."""
     if parity not in ("odd", "even"):
         raise ValueError("assembly parity must be 'odd' or 'even'")
-    g = grid
-    n, h = g.n, g.h
-    area = h ** n
-    ys = (np.arange(g.ny) + 0.5) * h
-
-    # y-faces: face k of column c lies at y = k h, between cells k-1 and k
-    lo, hi, mid = _axis_faces(g, n)
-    lo, hi = lo.reshape(-1, g.ny + 1), hi.reshape(-1, g.ny + 1)
-    mid = mid.reshape(lo.shape + (n + 1,))
-    inner = (lo >= 0) & (hi >= 0)
-    plane = np.zeros(lo.shape, dtype=bool)
-    plane[:, 0] = hi[:, 0] >= 0
-    edge = ((lo >= 0) != (hi >= 0)) & ~plane
-    need = inner | edge | plane & (parity == "odd")
-    y0 = np.where(lo >= 0, np.r_[np.nan, ys], mid[..., n])   # resistance segments:
-    y1 = np.where(hi >= 0, np.r_[ys, np.nan], mid[..., n])   # center to center or face
-
+    g, st = grid, grid.stencil
+    area = g.h ** g.n
     wcell = _column_values(g, weight.values)
     bad = np.flatnonzero(~(np.isfinite(wcell) & (wcell > 0)))
     if len(bad):
         raise RangeError(f"weight {weight.weight_id!r} non-finite or non-positive at the "
                          f"cell centre {tuple(g.centers[bad[0]].tolist())}")
-    wxcell = _column_values(g, weight.x_conductivities)
-    rows, x = _columns(g)
-    R = np.full(lo.shape, np.nan)
-    R[rows] = weight.resistance_y(x, ys, *(np.where(need, y, np.nan)[rows] for y in (y0, y1)))
-    wf = _face_weight(wcell, lo, hi)
-    use = need & (~plane | (np.isfinite(R) & (R > 0)))
-    tau = np.zeros(lo.shape)
-    tau[use] = area / R[use]
-    keep = (lo >= 0) | (hi >= 0)
-    parts = [(np.full(np.count_nonzero(keep), n), lo[keep], hi[keep], wf[keep],
-              mid[keep], tau[keep], edge[keep])]
+    cw = np.concatenate([wcell, _column_values(g, weight.x_conductivities)])
+    wf = cw[st.side]
+    wl, wh = wf[st.inner], cw[st.inner_hi]
+    wf[st.inner] = 2.0 * wl * wh / (wl + wh)      # harmonic mean between live cells
 
-    # x-faces, axis by axis
-    for axis in range(n):
-        lo, hi, mid = _axis_faces(g, axis)
-        keep = (lo >= 0) | (hi >= 0)
-        lo, hi, mid = lo[keep], hi[keep], mid[keep]
-        inner = (lo >= 0) & (hi >= 0)
-        wf = _face_weight(wxcell, lo, hi)
-        tau = area * wf * weight.sol.mu_at(*_xy(mid, n)) / np.where(inner, h, h / 2.0)
-        parts.append((np.full(len(lo), axis), lo, hi, wf, mid, tau, ~inner))
-    faces = Faces(*(np.concatenate(a) for a in zip(*parts)))
-
-    # diagonal summed per axis, lower face before upper face
-    diag = np.zeros(g.ncells)
-    for axis in (n, *range(n)):
-        on = faces.axis == axis
-        for side in (faces.hi[on], faces.lo[on]):
-            diag[side[side >= 0]] += faces.tau[on][side >= 0]
+    need = st.need[parity]
+    R = weight.resistance_y(st.x, st.ys, *(np.where(need, y, np.nan) for y in (st.y0, st.y1)))
+    R = R[st.ykeep]
+    use = need[st.ykeep] & (~st.plane | (np.isfinite(R) & (R > 0)))
+    k = len(R)
+    tau = np.zeros(len(wf))
+    tau[:k][use] = area / R[use]
+    tau[k:] = (area * wf[k:] * weight.sol.mu_at(*_xy(st.mid[k:], g.n))
+               / np.where(st.dirichlet[k:], g.h / 2.0, g.h))
+    diag = sum(tau[st.slots])         # per axis, y first, lower face before upper
     bad = np.flatnonzero(~np.isfinite(diag))
     if len(bad):
         raise RangeError(f"operator of weight {weight.weight_id!r} non-finite at the cell "
                          f"centre {tuple(g.centers[bad[0]].tolist())}")
-    inner = (faces.lo >= 0) & (faces.hi >= 0)
-    lo, hi, tau = faces.lo[inner], faces.hi[inner], faces.tau[inner]
-    dofs = np.arange(g.ncells)
-    rows, cols_, vals = (np.concatenate(a) for a in
-                         zip((dofs, dofs, diag), (lo, hi, -tau), (hi, lo, -tau)))
-    M = sp.coo_matrix((vals, (rows, cols_)), shape=(g.ncells, g.ncells)).tocsr()
+    M = sp.csr_matrix((np.concatenate([-tau, diag])[st.src], st.indices, st.indptr),
+                      shape=(g.ncells, g.ncells))
+    faces = Faces(st.axis, st.lo, st.hi, wf, st.mid, tau, st.dirichlet)
     return AssembledOperator(matrix=M, grid=g, parity=parity, weight=weight, faces=faces)
 
 

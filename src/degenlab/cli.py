@@ -34,7 +34,7 @@ from .assembly import (RangeError, RhoWeight, _check_h_list, assemble, convergen
                        manufactured_problem)
 from .certify import (MIN_BUDGET, PHI_A_MIN, _phi_exponent_rule, verify_gamma_rectangle,
                       verify_phi_bound, verify_v_inequality, v_minimum)
-from .geometry import EmbeddedCurve, build_half_grid, fermi_mu
+from .geometry import EmbeddedCurve, _cell_counts, build_half_grid, fermi_mu
 from .holder import (SLOPE_TOL, TAU, ProblemFamily, _check_mode, admissible_eps, epsilon_sweep,
                      measure_sweep, solve_family)
 from .potentials import v_limit, v_limit_deriv
@@ -170,8 +170,7 @@ _PHI_EXPONENT = _accepted_by(_phi_exponent_rule, f"in [{PHI_A_MIN!r}, 1)")
 _MESH_SPACING = _accepted_by(HalfDiskMesh.from_h, "1/n for an integer n >= 3")
 # the lambda_r rows solve at eps = 1/r > 0
 _EPS_TRACE_EXPONENT = _accepted_by(lambda b: _trace_route(b, 1.0), "in (-1, 1)")
-_GRID_SPACING = _accepted_by(lambda h: build_half_grid(1, "half_rectangle", h),
-                             "1/n for an integer n >= 4")
+_GRID_SPACING = _accepted_by(_cell_counts, "1/n for an integer n >= 4")
 # the Fermi chart of the circle must cover the grid, up to its top y = 1
 _CHART_RADIUS = _accepted_by(lambda r: fermi_mu(EmbeddedCurve.circle(r), 0.0, 1.0),
                              "a radius whose Fermi chart covers y <= 1")

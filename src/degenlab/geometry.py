@@ -16,6 +16,7 @@ which doubles as the scalar coefficient mu(x, y) of the transformed operator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
@@ -52,6 +53,13 @@ class HalfGrid:
         bottom = self.index[..., 0]
         return int(np.count_nonzero(bottom >= 0))
 
+    @functools.cached_property
+    def stencil(self):
+        """The grid-only part of every operator assembled on this grid
+        (:class:`degenlab.assembly.Stencil`), built on first use."""
+        from .assembly import Stencil       # assembly imports this module
+        return Stencil(self)
+
     def lattice_shape(self) -> Tuple[int, ...]:
         return (self.nx,) * self.n + (self.ny,)
 
@@ -78,6 +86,18 @@ class Region:
         return ok
 
 
+def _cell_counts(h: float) -> Tuple[int, int]:
+    """(nx, ny), the cells per x-axis and in y, for h = 1/m with an integer
+    m >= 4 (to 1e-9 in 2/h and 1/h); ValueError for any other h, and for
+    h <= 2^-52, where every double 1/h is an integer."""
+    if not 0.0 < h <= 0.25 + 1e-15:
+        raise ValueError(f"h must be in (0, 1/4], got {h}")
+    nx, ny = 2.0 / h, 1.0 / h
+    if ny >= 2.0 ** 52 or abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
+        raise ValueError(f"h={h} does not divide the domain extents")
+    return int(round(nx)), int(round(ny))
+
+
 def build_half_grid(n: int, shape: str, h: float) -> HalfGrid:
     """Construct a half-rectangle or half-disk grid of spacing h = 1/m, m >= 4."""
     if n not in (1, 2):
@@ -86,13 +106,7 @@ def build_half_grid(n: int, shape: str, h: float) -> HalfGrid:
         raise ValueError(f"unknown shape {shape!r}")
     if shape == "half_disk" and n != 1:
         raise ValueError("half_disk is implemented for n=1 (plane half disk)")
-    if not 0.0 < h <= 0.25 + 1e-15:
-        raise ValueError(f"h must be in (0, 1/4], got {h}")
-    nx = 2.0 / h
-    ny = 1.0 / h
-    if abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
-        raise ValueError(f"h={h} does not divide the domain extents")
-    nx, ny = int(round(nx)), int(round(ny))
+    nx, ny = _cell_counts(h)
     axes = [(-1.0 + (np.arange(nx) + 0.5) * h) for _ in range(n)]
     ys = (np.arange(ny) + 0.5) * h
     grids = np.meshgrid(*axes, ys, indexing="ij")

@@ -16,15 +16,17 @@ The seminorms are exact: each is the max over all pairs of cells of the
 region, which is a box of the cell lattice.  The pairs are grouped by their
 horizontal lattice offset k; one offset is one broadcast of every pair of
 ordinates against one table of (h |(k, j1 - j2)|)^(-alpha), so a box of
-nx columns costs nx array steps.
+nx columns costs nx array steps; :func:`measure_sweep` computes the tables
+once per box shape.
 
-An eps-sweep solves once per eps (:func:`solve_family`) and measures those
-fields (:func:`measure_sweep`), so several tables of one family, as in
-``fermi-demo``, share the solves.
+An eps-sweep solves once per eps on one grid (:func:`solve_family`) and
+measures those fields (:func:`measure_sweep`), so several tables of one
+family, as in ``fermi-demo``, share the solves.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -68,24 +70,32 @@ def _lattice_box(sel: np.ndarray) -> Tuple[slice, ...]:
     return box
 
 
-def _box_seminorm(lat: np.ndarray, h: float, alpha: float) -> float:
-    """max over all pairs of cells of the lattice box lat (horizontal axes
-    first, y last) of |u(z1) - u(z2)| / |z1 - z2|^alpha.
-
-    One step per horizontal offset k, over a half space of offsets (a pair and
-    its reverse are one pair): every pair of ordinates is broadcast, and
-    (h |(k, j1 - j2)|)^(-alpha) is one (ny, ny) table, 0 where z1 = z2."""
-    *horiz, ny = lat.shape
+def _distance_tables(shape: Tuple[int, ...], h: float, alpha: float) -> list:
+    """(hi, lo, weight) for each horizontal offset k of a lattice box of
+    ``shape`` (horizontal axes first, y last) over a half space of offsets (a
+    pair and its reverse are one pair): the slices that k pairs, and the
+    (ny, ny) table (h |(k, j1 - j2)|)^(-alpha), 0 where z1 = z2."""
+    *horiz, ny = shape
     dj2 = np.subtract.outer(np.arange(ny), np.arange(ny)) ** 2
     zero = (0,) * len(horiz)
-    best = 0.0
+    out = []
     for k in itertools.product(*(range(1 - n, n) for n in horiz)):
         if k < zero:
             continue
         hi = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip(k, horiz))
         lo = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(k, horiz))
         dist = h * np.sqrt(sum(d * d for d in k) + dj2)
-        weight = np.divide(1.0, dist ** alpha, out=np.zeros_like(dist), where=dist > 0)
+        out.append((hi, lo, np.divide(1.0, dist ** alpha, out=np.zeros_like(dist),
+                                      where=dist > 0)))
+    return out
+
+
+def _box_seminorm(lat: np.ndarray, tables: list) -> float:
+    """max over all pairs of cells of the lattice box lat of
+    |u(z1) - u(z2)| / |z1 - z2|^alpha, given the :func:`_distance_tables` of
+    its shape: one step per offset, every pair of ordinates broadcast."""
+    best = 0.0
+    for hi, lo, weight in tables:
         diff = lat[hi][..., :, None] - lat[lo][..., None, :]
         np.abs(diff, out=diff)
         diff *= weight
@@ -98,26 +108,31 @@ def _region_cells(grid: HalfGrid, region: Region) -> np.ndarray:
     return (grid.index >= 0) & region.mask(grid)[grid.index]
 
 
-def holder_seminorm(field: DiscreteField, alpha: float, region: Region) -> float:
+def holder_seminorm(field: DiscreteField, alpha: float, region: Region,
+                    tables: Callable = _distance_tables) -> float:
     """max over all pairs of cell centres in the region of
     |u(z1) - u(z2)| / |z1 - z2|^alpha.
 
     The region must select a box of the cell lattice, as every Region does
-    on a half-rectangle grid; a ValueError says when it does not."""
+    on a half-rectangle grid; a ValueError says when it does not.  The box's
+    distance tables are ``tables(shape, h, alpha)``: a caller that measures
+    many boxes passes one cache of :func:`_distance_tables`."""
     sel = _region_cells(field.grid, region)
     if not np.any(sel):
         raise EmptyRegionError("region selects no cells")
-    return _box_seminorm(field.lattice()[_lattice_box(sel)], field.grid.h, alpha)
+    lat = field.lattice()[_lattice_box(sel)]
+    return _box_seminorm(lat, tables(lat.shape, field.grid.h, alpha))
 
 
-def c1alpha_seminorm(field: DiscreteField, alpha: float,
-                     region: Region) -> Tuple[float, float]:
+def c1alpha_seminorm(field: DiscreteField, alpha: float, region: Region,
+                     tables: Callable = _distance_tables) -> Tuple[float, float]:
     """(sup |grad u|, max over components of the gradient's alpha-seminorm).
 
     Centered differences at cells with both neighbors; the vertical derivative
     on the bottom layer uses the parity ghost below the plane.  Both
     components are measured over all pairs of the box of cells in the region
-    that have a gradient, as in :func:`holder_seminorm`."""
+    that have a gradient, as in :func:`holder_seminorm`, with one set of
+    distance tables."""
     g = field.grid
     if g.n != 1:
         raise NotImplementedError("c1alpha_seminorm implemented for n=1 grids")
@@ -136,7 +151,8 @@ def c1alpha_seminorm(field: DiscreteField, alpha: float,
         raise EmptyRegionError("region too thin for gradient stencils")
     box = _lattice_box(ok)
     sup_grad = float(np.max(np.hypot(gx[box], gy[box])))
-    semi = max(_box_seminorm(gx[box], h, alpha), _box_seminorm(gy[box], h, alpha))
+    dist = tables(gx[box].shape, h, alpha)
+    semi = max(_box_seminorm(gx[box], dist), _box_seminorm(gy[box], dist))
     return sup_grad, semi
 
 
@@ -269,6 +285,7 @@ def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha
     and skips the eps where that leaves (nearly) no cells."""
     _check_mode(family, mode)
     per_eps = []
+    tables = functools.cache(_distance_tables)      # for this call's boxes only
     for s in solutions:
         grid = s.u.grid
         reg = _eps_region(restricted, s.eps, grid.h)
@@ -276,9 +293,9 @@ def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha
             continue
         fld = s.u if mode == "odd_direct_c0" else _quotient(s.u, s.v)
         if mode == "ratio_c1":
-            semi = c1alpha_seminorm(fld, alpha, reg)[1]
+            semi = c1alpha_seminorm(fld, alpha, reg, tables)[1]
         else:
-            semi = holder_seminorm(fld, alpha, reg)
+            semi = holder_seminorm(fld, alpha, reg, tables)
         sup = float(np.max(np.abs(fld.values[reg.mask(grid)])))
         per_eps.append((s.eps, semi, sup))
     if len(per_eps) < 2:

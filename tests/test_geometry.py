@@ -48,6 +48,30 @@ def test_grid_validation():
         dl.build_half_grid(2, "half_disk", 0.125)
 
 
+# 1/m and its neighbours, spacings that do not divide, and the ends of the range:
+# 2^-52 and below, where every double 1/h is an integer (5e-324 makes 2/h inf)
+SPACINGS = sorted({f / m for m in (*range(1, 10), 12, 16, 24, 31, 32, 64)
+                   for f in (1.0, 1 - 1e-12, 1 + 1e-12, 1 + 1e-8)}
+                  | {0.0, -0.125, 0.25 + 1e-15, 0.25 + 1e-14, 2 / 7, 0.11, 1e-300, 5e-324,
+                     2.0 ** -52, 2.0 ** -53, math.inf, -math.inf}) + [math.nan]
+
+
+@pytest.mark.parametrize("h", SPACINGS)
+def test_spacing_validator_admits_exactly_what_the_builder_admits(h, monkeypatch):
+    """The CLI's h check is the builder's own rule, and builds no grid."""
+    from degenlab import cli, geometry
+
+    try:
+        dl.build_half_grid(1, "half_rectangle", h)
+        built = True
+    except ValueError:
+        built = False
+    monkeypatch.setattr(geometry, "build_half_grid", None)
+    monkeypatch.setattr(cli, "build_half_grid", None)
+    ok, _ = cli._GRID_SPACING
+    assert ok(h) == built
+
+
 def test_refinement_quadruples_and_nests():
     g1 = dl.build_half_grid(1, "half_rectangle", 0.125)
     g2 = dl.build_half_grid(1, "half_rectangle", 0.0625)

@@ -284,8 +284,8 @@ def test_sweep_seminorms_equal_all_pairs(monkeypatch, mode, restricted):
     name = "holder_seminorm" if mode == "ratio_c0" else "c1alpha_seminorm"
     seminorm = getattr(holder, name)
 
-    def recording(field, alpha, region):
-        out = seminorm(field, alpha, region)
+    def recording(field, alpha, region, *tables):
+        out = seminorm(field, alpha, region, *tables)
         seen.append((field, alpha, region, out))
         return out
 
