@@ -8,8 +8,9 @@ REPEATS products, then the process CPU time (every thread of the process)
 that one sleep of SLEEP seconds burns right after one more product.  A
 product that OpenBLAS runs on several threads leaves its other threads
 spinning after it returns; they show as CPU burned during the sleep, which
-a single-threaded product leaves near 0.  Set ``OPENBLAS_NUM_THREADS``
-before the run to fix the thread count.
+a single-threaded product leaves near 0.  The products run outside
+``degenlab.cli.run``, which holds every subcommand on one OpenBLAS thread,
+so ``OPENBLAS_NUM_THREADS``, set before the run, fixes their thread count.
 """
 
 import argparse

@@ -33,12 +33,11 @@ Boundary handling:
 * outer boundary (including the staircase of masked half-disk cells):
   Dirichlet data enter through half-cell transmissibilities, first order.
 
-Linear solves: CG (:func:`_cg`, scipy's ``cg`` recursion with every product
-on one BLAS thread, see :func:`_matmul`), preconditioned on the n = 1 half
-rectangle by the exact solve of the separable fit of the face
-transmissibilities (Lynch, Rice & Thomas, 1964; Concus & Golub, 1973), which
-every operator the CLI assembles matches, so CG stops within two steps;
-masked and n = 2 grids take the diagonal.  Every solve aims at the relative
+Linear solves: CG (:func:`_cg`, scipy's ``cg`` recursion), preconditioned
+on the n = 1 half rectangle by the exact solve of the separable fit of the
+face transmissibilities (Lynch, Rice & Thomas, 1964; Concus & Golub, 1973),
+which every operator the CLI assembles matches, so CG stops within two
+steps; masked and n = 2 grids take the diagonal.  Every solve aims at the relative
 residual ``SOLVER_TOL``.
 """
 
@@ -67,7 +66,6 @@ from .weights import (
 
 ITERATION_CAP = 100_000
 SOLVER_TOL = 1e-10      # relative residual of every linear solve
-BLAS_ONE_THREAD = 2 ** 19  # multiply-adds of a gemm that OpenBLAS keeps on one thread
 
 
 class ParityError(ValueError):
@@ -77,55 +75,6 @@ class ParityError(ValueError):
 class RangeError(ValueError):
     """Raised when a weight, an operator or a solve leaves the range of double
     precision on a grid: the problem is not representable there."""
-
-
-# ---------------------------------------------------------------------------
-# Dense products on one BLAS thread
-# ---------------------------------------------------------------------------
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-D arrays, as matmuls of row blocks of a of at most
-    ``BLAS_ONE_THREAD`` multiply-adds each.
-
-    With :func:`_dot`, the rule for every dense product of the lab, measured
-    on a 2-core machine with OpenBLAS 0.3.31 and ``OPENBLAS_NUM_THREADS=2``:
-    a call that OpenBLAS threads leaves its second thread spinning for 50 to
-    130 ms after it returns (``scripts/blas_spin.py``), which doubles the
-    CPU time of a short solve.  Generalized ``scipy.linalg.eigh`` threads
-    from n = 32 and ``numpy.linalg.eigh`` from n = 31; standard
-    ``scipy.linalg.eigh`` from n = 64 with the evr driver and n = 128 with
-    evd; ``solve_triangular`` with a matrix right-hand side from n = 16;
-    ``matmul`` at 2^20 multiply-adds (4,096 x 16 by 16 x 16, and 192 x 192
-    by 192 x 96; not at 2,049 x 16 by 16 x 16); a ddot, ``numpy.linalg.norm``
-    of an array among them, of 16,000 entries (not of 4,000).  einsum,
-    numpy's own sums, the tridiagonal LAPACK routines used here
-    (``dpttrf``, ``dpttrs``, ``dstebz``, ``dstein``) and the band product
-    ``dsbmv`` ran on one thread at every size measured.  The band Cholesky
-    ``dpbtrf`` with ``lower=1`` (n = 4,064 and 16,320) stays on one thread
-    at half-bandwidth kd = 33 (h = 1/32) but threads at kd = 65 (h = 1/64),
-    where it is slower on two threads than on one (17 to 19 against 13 ms).
-    ``dpbtrs`` ran on one thread at both sizes.  numpy and scipy each bundle
-    their own OpenBLAS with its own thread pool, so a numpy ddot or gemv that
-    threads in the same loop as a threaded ``dpbtrf`` puts two spinning
-    threads on the two cores.  The blocks equal one matmul over every row bit
-    for bit at 192 x 192 by 192 x 96 (the separable solve at h = 1/96), and
-    to the last bits at 4,097 x 16 by 16 x 16."""
-    out = np.empty((len(a), b.shape[1]))
-    step = max(1, BLAS_ONE_THREAD // b.size)
-    for i in range(0, len(a), step):
-        np.matmul(a[i:i + step], b, out=out[i:i + step])
-    return out
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """The inner product of two vectors by einsum, on one thread at every
-    size, where a ddot threads from 16,000 entries (see :func:`_matmul`)."""
-    return float(np.einsum("i,i", x, y))
-
-
-def _norm(x: np.ndarray) -> float:
-    """The Euclidean norm of a vector, by :func:`_dot`."""
-    return math.sqrt(_dot(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +549,8 @@ def _separable_solve(op: AssembledOperator) -> Callable[[np.ndarray], np.ndarray
     df, ef, _ = lapack.dpttrf((lam[:, None] * c + dy).ravel(), np.tile(np.r_[ey, 0.0], g.nx)[:-1])
 
     def solve(r: np.ndarray) -> np.ndarray:
-        w = lapack.dpttrs(df, ef, _matmul(Q.T, r.reshape(g.nx, g.ny)).ravel())[0]
-        return _matmul(Q, w.reshape(g.nx, g.ny)).ravel()
+        w = lapack.dpttrs(df, ef, (Q.T @ r.reshape(g.nx, g.ny)).ravel())[0]
+        return (Q @ w.reshape(g.nx, g.ny)).ravel()
 
     return solve
 
@@ -610,21 +559,20 @@ def _cg(A: sp.csr_matrix, b: np.ndarray, precondition: Callable[[np.ndarray], np
         ) -> Tuple[np.ndarray, int, int]:
     """(u, info, steps) of preconditioned CG on A u = b from u = 0.
 
-    The recursion of ``scipy.sparse.linalg.cg`` step for step, with its inner
-    products and norms by :func:`_dot`: it stops with info 0 when the
-    recursion's ||r|| falls below ``SOLVER_TOL * 1e-5 * ||b||`` (at once for
-    b = 0), or with info ``ITERATION_CAP`` after that many steps.  An inner
-    product that overflows raises RangeError."""
+    The recursion of ``scipy.sparse.linalg.cg`` step for step: it stops with
+    info 0 when the recursion's ||r|| falls below ``SOLVER_TOL * 1e-5 *
+    ||b||`` (at once for b = 0), or with info ``ITERATION_CAP`` after that
+    many steps.  An inner product that overflows raises RangeError."""
     u, r = np.zeros(len(b)), np.array(b, dtype=float)
-    bnorm = _norm(r)
+    bnorm = math.sqrt(r @ r)
     if bnorm == 0.0:
         return u, 0, 0
     tol = SOLVER_TOL * 1e-5 * bnorm
     for k in range(ITERATION_CAP):
-        if _norm(r) < tol:
+        if math.sqrt(r @ r) < tol:
             return u, 0, k
         z = precondition(r)
-        rz = _dot(r, z)
+        rz = float(r @ z)
         if not math.isfinite(rz):
             raise RangeError(f"CG overflows at step {k}")
         if k:
@@ -633,7 +581,7 @@ def _cg(A: sp.csr_matrix, b: np.ndarray, precondition: Callable[[np.ndarray], np
         else:
             p = z
         q = A @ p
-        alpha = rz / _dot(p, q)
+        alpha = rz / float(p @ q)
         u += alpha * p
         r -= alpha * q
         rz_prev = rz
@@ -648,7 +596,7 @@ def solve_linear(op: AssembledOperator, rhs: np.ndarray) -> SolveReport:
     else:
         precondition = functools.partial(np.multiply, 1.0 / A.diagonal())
     u, info, steps = _cg(A, rhs, precondition)
-    res = _norm(A @ u - rhs) / (_norm(rhs) or 1.0)
+    res = float(np.linalg.norm(A @ u - rhs) / (np.linalg.norm(rhs) or 1.0))
     return SolveReport(field=DiscreteField(g, u, op.parity), relative_residual=res,
                        iterations=steps, method="cg-preconditioned", info=info,
                        converged=info == 0 and res <= SOLVER_TOL, tolerance=SOLVER_TOL)

@@ -21,7 +21,10 @@ description, and tolerances.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
+import importlib
 import os
 import sys
 import traceback
@@ -44,6 +47,8 @@ from .weights import MuInverse, WeightFamily
 
 _FLOAT = "%.12g"         # every float of every artifact: 12 significant digits
 _BLOCK_ROWS = 4096       # rows joined and written at a time
+# extension modules that link numpy's and scipy's bundled OpenBLAS
+_BLAS_USERS = ("numpy._core._multiarray_umath", "scipy.linalg._fblas")
 
 
 def fmt(x) -> str:
@@ -143,6 +148,42 @@ def _eps_list(cfg: dict, default: str) -> list:
     if len(set(eps_list)) < len(eps_list):
         raise ConfigError(f"eps_list: {cfg['eps_list']!r} repeats an entry")
     return eps_list
+
+
+def _thread_setter(module: str):
+    """``openblas_set_num_threads_local`` of the OpenBLAS that ``module``
+    links (``dlsym`` on its handle searches its dependencies), or None."""
+    try:
+        library = ctypes.CDLL(importlib.import_module(module).__file__)
+        setter = library.openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's and scipy's OpenBLAS on one thread each inside the block, and
+    at their old counts after it, restored in reverse order so that a library
+    reached twice ends at its own.  On a 2-core machine a call that OpenBLAS
+    threads (a gemm from 2^20 multiply-adds, a ddot from 16,000 entries,
+    ``dpbtrf`` at h = 1/64) leaves a thread spinning for 50 ms after it
+    returns (``scripts/blas_spin.py``), and no call of the lab gains from a
+    second thread.  A library without the setter is named on stderr."""
+    restore = []
+    for module in _BLAS_USERS:
+        setter = _thread_setter(module)
+        if setter is None:
+            print(f"degenlab: no OpenBLAS thread setter found through {module}; "
+                  "its BLAS keeps its own thread count", file=sys.stderr)
+        else:
+            restore.append((setter, setter(1)))
+    try:
+        yield
+    finally:
+        for setter, count in reversed(restore):
+            setter(count)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +504,8 @@ def run(argv) -> int:
         for k, v in cfg.items():
             if k not in KEYS[ns.command]:
                 raise ConfigError(f"{k}: {v!r} is not a key of {ns.command}")
-        return COMMANDS[ns.command](cfg)
+        with _one_blas_thread():
+            return COMMANDS[ns.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -49,9 +49,7 @@ the free arc dofs, one ``dpbtrs`` per step.  Both paths share
 all-ones start, and one finishing step: the Ritz vector is lifted once
 through the solve onto the mesh, and lam and the residual
 ||K v - lam M v|| / ||K v|| are those of the full pencil; a residual above
-``EIG_RESIDUAL_TOL`` raises.  Up to h = 1/64 every dense call stays below
-the sizes at which OpenBLAS starts a second thread (see
-:func:`~degenlab.assembly._matmul`); only ``dpbtrf`` at h = 1/64 threads.
+``EIG_RESIDUAL_TOL`` raises.
 
 Every element integrates with the Gauss-Legendre rule of ``ELEMENT_ORDER``
 points per direction; the arc segments and the Gauss-Jacobi edge rows take
@@ -70,7 +68,7 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 from scipy.special import roots_jacobi, roots_legendre
 
-from .assembly import DiscreteField, _matmul
+from .assembly import DiscreteField
 from .potentials import potentials
 from .weights import WeightFamily, rho as rho_weight
 
@@ -79,6 +77,7 @@ LANCZOS_TOL = 1e-13
 ELEMENT_ORDER = 4       # Gauss-Legendre points per direction of an element
 EDGE_ORDER = 6          # points per arc segment and per Gauss-Jacobi edge row
 GROWTH_ARC_CELLS = 720  # trapezoid cells on each arc of growth_monitor
+CONTRACT_ROWS = 2048    # rows of one matmul block of _contract
 
 
 @dataclass(frozen=True)
@@ -167,10 +166,17 @@ def _products(A: np.ndarray) -> np.ndarray:
 
 def _contract(coef: np.ndarray, products: np.ndarray) -> np.ndarray:
     """Sum over quadrature points of (..., nq) coefficients times (nq, 16)
-    products, as one :func:`~degenlab.assembly._matmul` over the rows of
-    coef, which keeps every block on one BLAS thread."""
+    products: one matmul per block of at most ``CONTRACT_ROWS`` rows of coef.
+    A cache rule (Goto & van de Geijn, *ACM TOMS* 34(3), 2008), not a thread
+    rule: on one OpenBLAS 0.3.31 thread of a 2-core VM, a plain matmul costs
+    2 to 3 times as much per row from 3,500 to 4,096 rows, so one over the
+    4,096 elements at h = 1/32 took 67-104 us against 34-59 us in blocks, and
+    over the 16,384 at h = 1/64 377-503 us against 188-263 us."""
     rows = coef.reshape(-1, coef.shape[-1])
-    return _matmul(rows, products).reshape(coef.shape[:-1] + products.shape[1:])
+    out = np.empty((len(rows), products.shape[1]))
+    for i in range(0, len(rows), CONTRACT_ROWS):
+        np.matmul(rows[i:i + CONTRACT_ROWS], products, out=out[i:i + CONTRACT_ROWS])
+    return out.reshape(coef.shape[:-1] + products.shape[1:])
 
 
 def _frozen(rule):
@@ -415,10 +421,7 @@ def _lanczos_max(op: Callable, mass) -> Tuple[np.ndarray, int]:
     at hand, so that the Neumann-to-Dirichlet map g -> E^T K^-1 E M g is one
     solve.  It stops when the Ritz residual |beta_k s_k| falls to
     ``LANCZOS_TOL`` times the Ritz value, or when the Krylov space is
-    invariant.  Returns (Ritz vector, steps).
-
-    Every vector product is an einsum, not a ddot or gemv (see
-    :func:`~degenlab.assembly._matmul`)."""
+    invariant.  Returns (Ritz vector, steps)."""
     n = len(mass[0])
     q = np.ones(n)
     mq = _tri_apply(mass, q)
@@ -450,8 +453,7 @@ def _finish(v: np.ndarray, kv: np.ndarray, mv: np.ndarray, steps: int, nnodes: i
             dofs: np.ndarray) -> Tuple[float, np.ndarray, float, int]:
     """(lam, eigenvector, residual, steps) from v and the pencil's K v and M v.
 
-    lam is the Rayleigh quotient and the residual ||K v - lam M v|| / ||K v||,
-    both from numpy sums, not ddots (see :func:`~degenlab.assembly._matmul`);
+    lam is the Rayleigh quotient and the residual ||K v - lam M v|| / ||K v||;
     a residual above ``EIG_RESIDUAL_TOL`` (or nan) raises RuntimeError.  The
     eigenvector is v / ||v||_M at the node numbers ``dofs`` (of v's shape),
     zero elsewhere."""

@@ -236,8 +236,8 @@ def _gk21(fvals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """QUADPACK's dqk21 on each row: (result, abserr, resabs) per segment.
 
     ``fvals`` holds the integrand at ``_gk21_nodes(lo, hi)``.  Its four sums
-    are weighted sums of each row (einsum, not gemv: ``assembly._matmul``),
-    so a row is the first pass of ``quad`` on that segment up to rounding."""
+    are weighted sums of each row, so a row is the first pass of ``quad`` on
+    that segment up to rounding."""
     resk = np.einsum("sk,k->s", fvals, _WK21)
     resg = np.einsum("sk,k->s", fvals, _WG21)
     resabs = np.einsum("sk,k->s", np.abs(fvals), _WK21)

@@ -202,52 +202,6 @@ def test_cg_overflow_raises_range_error():
         dl.solve_linear(op, np.full(op.grid.ncells, 1e200))
 
 
-@pytest.mark.parametrize("shape", [(192, 192, 96), (200, 192, 96), (192, 192, 96, "T")],
-                         ids=["separable-h96", "ragged-last-block", "transposed"])
-def test_blocked_matmul_is_the_plain_product_bit_for_bit(shape, monkeypatch):
-    """192 x 192 by 192 x 96 is the separable solve's Q^T R at h = 1/96; 200
-    rows end in a block of 4 after seven of 28."""
-    rng = np.random.default_rng(30)
-    a, b = rng.standard_normal(shape[:2]), rng.standard_normal(shape[1:3])
-    if shape[3:]:
-        a = a.T
-    blocks, matmul = [], np.matmul
-
-    def recording(x, y, **kw):
-        blocks.append(x.shape[0] * x.shape[1] * y.shape[1])
-        return matmul(x, y, **kw)
-
-    monkeypatch.setattr(np, "matmul", recording)
-    assert np.array_equal(assembly._matmul(a, b), a @ b)
-    assert max(blocks) <= assembly.BLAS_ONE_THREAD and sum(blocks) == a.size * b.shape[1]
-
-
-def test_solve_calls_no_blas_dot_or_threaded_matmul(monkeypatch):
-    """A solve at h = 1/96 (the finest level of solve-fine) makes no ddot or
-    dnrm2, which OpenBLAS threads at this length, and no gemm above
-    ``BLAS_ONE_THREAD`` multiply-adds."""
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 96)
-    op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.5)), parity="odd")
-    rhs, exact = dl.manufactured_problem(lambda x, y: np.copysign(np.abs(y) ** 0.5, y), op)
-    blocks, matmul = [], np.matmul
-
-    def refuse(*args, **kw):
-        raise AssertionError("a BLAS dot or norm in the solve")
-
-    def recording(x, y, **kw):
-        blocks.append(x.shape[0] * x.shape[1] * y.shape[1])
-        return matmul(x, y, **kw)
-
-    for name in ("dot", "vdot", "inner"):
-        monkeypatch.setattr(np, name, refuse)
-    monkeypatch.setattr(np.linalg, "norm", refuse)
-    monkeypatch.setattr(np, "matmul", recording)
-    rep = dl.solve_linear(op, rhs)
-    assert rep.converged and rep.iterations == 2
-    assert np.max(np.abs(rep.field.values - exact.values)) <= 1e-12
-    assert blocks and max(blocks) <= assembly.BLAS_ONE_THREAD
-
-
 def test_auxiliary_resistance_before_values():
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), _quadratic_mu_inverse)
     ys = (np.arange(8) + 0.5) / 8

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import degenlab
 import degenlab.cli as cli
+from degenlab.certify import MIN_BUDGET, PHI_A_MIN
 from degenlab.cli import _write, fmt, run
 
 
@@ -165,6 +166,17 @@ def test_fermi_demo_never_crashes_on_what_it_admits(a, eps, alpha, radius):
     one key (exit 2, the message starts with it), never exit 3."""
     _never_crashes(["fermi-demo", f"a={a!r}", f"radius={radius!r}", f"alpha={alpha!r}",
                     "h=1/16", "eps_list=" + " ".join(map(repr, eps))], cli.KEYS["fermi-demo"])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(phi_a=st.lists(st.floats(PHI_A_MIN, 1.0, exclude_max=True), min_size=1, max_size=3),
+       budget=st.integers(2 * MIN_BUDGET, 10 * MIN_BUDGET))
+def test_certify_never_crashes_on_what_it_admits(phi_a, budget):
+    """One to three phi_a in [PHI_A_MIN, 1) and a budget from the least that
+    certify admits, 2 MIN_BUDGET, to 10 MIN_BUDGET: certify runs (exit 0 or
+    1) or refuses one key (exit 2, the message starts with it), never exit 3."""
+    _never_crashes(["certify", "phi_a=" + " ".join(map(repr, phi_a)), f"budget={budget}"],
+                   cli.KEYS["certify"])
 
 
 def test_eigen_runs_at_the_coarsest_mesh_it_accepts(tmp_path, capsys):
@@ -446,6 +458,91 @@ def test_crash_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
     assert _run(tmp_path, "solve") == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: forced crash" in err
+
+
+def test_no_blas_thread_spins_after_a_run(tmp_path):
+    """With ``OPENBLAS_NUM_THREADS=2``, a 50 ms sleep right after ``cli.run``
+    burns under 1 ms of CPU: after solve-fine's levels, whose h = 1/96 CG dots
+    and separable products OpenBLAS threads on its own, and after the
+    pipeline's eigen at h = 1/64, whose band Cholesky it threads."""
+    script = textwrap.dedent(f"""
+        import json, os, time
+        import degenlab.cli
+        os.environ["DEGENLAB_OUT"] = {str(tmp_path)!r}
+        runs = []
+        for argv in (["solve", "a=0.5", "h_list=1/24 1/48 1/96"], ["eigen", "h=1/64"]):
+            code = degenlab.cli.run(argv)
+            c0 = time.process_time()
+            time.sleep(0.05)
+            runs.append((code, time.process_time() - c0))
+        print(json.dumps(runs))
+    """)
+    src = str(Path(degenlab.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    (solve_code, solve_cpu), (eigen_code, eigen_cpu) = json.loads(out.stdout)
+    assert (solve_code, eigen_code) == (0, 0) and out.stderr == ""
+    assert solve_cpu < 1e-3 and eigen_cpu < 1e-3
+
+
+def _count(setter) -> int:
+    """The thread count of a setter's library: set, and set back."""
+    count = setter(1)
+    setter(count)
+    return count
+
+
+def test_run_holds_each_blas_library_at_one_thread(tmp_path, monkeypatch):
+    """Inside ``cli.run`` numpy's and scipy's OpenBLAS each read 1 thread;
+    after it, each reads its old count again, also when the command raised."""
+    setters = [cli._thread_setter(module) for module in cli._BLAS_USERS]
+    assert None not in setters
+    before = [_count(s) for s in setters]
+    inside = []
+
+    def probe(cfg):
+        inside.append([_count(s) for s in setters])
+        if len(inside) > 1:
+            raise RuntimeError("forced crash")
+        return 0
+
+    monkeypatch.setitem(cli.COMMANDS, "report", probe)
+    assert _run(tmp_path, "report") == 0
+    assert [_count(s) for s in setters] == before
+    assert _run(tmp_path, "report") == 3
+    assert [_count(s) for s in setters] == before
+    assert inside == [[1, 1], [1, 1]]
+
+
+def test_a_library_reached_twice_ends_at_its_old_count(tmp_path, monkeypatch):
+    """If numpy and scipy shared one OpenBLAS, the second setter call would
+    return 1; the control restores in reverse order, so 3 comes back last."""
+    count = [3]
+
+    def setter(n):
+        old, count[0] = count[0], n
+        return old
+
+    monkeypatch.setattr(cli, "_thread_setter", lambda module: setter)
+    inside = []
+    monkeypatch.setitem(cli.COMMANDS, "report", lambda cfg: inside.append(count[0]) or 0)
+    assert _run(tmp_path, "report") == 0
+    assert inside == [1] and count == [3]
+
+
+def test_a_library_without_the_setter_is_named_once(tmp_path, monkeypatch, capsys):
+    """A module whose library exports no thread setter costs one stderr line
+    naming it; the run and its exit code go on unchanged."""
+    argv = ("solve", "h_list=1/8 1/16 1/32")
+    assert _run(tmp_path, *argv) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(cli, "_BLAS_USERS", cli._BLAS_USERS + ("_ctypes",))
+    assert _run(tmp_path, *argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "degenlab: no OpenBLAS thread setter found through _ctypes; "
+        "its BLAS keeps its own thread count"]
 
 
 def test_startup_leaves_scipy_integrate_unloaded(tmp_path):

@@ -387,23 +387,24 @@ def test_lanczos_runs_on_the_arc_trace(monkeypatch):
 @pytest.mark.parametrize("shape", [(1, 16), (2048, 16), (2049, 16), (64, 256, 16)],
                          ids=["1", "2048", "2049", "16384"])
 def test_blocked_contract_is_one_matmul(shape, monkeypatch):
-    """_contract, a matmul in row blocks of at most BLAS_ONE_THREAD
-    multiply-adds, equals one matmul over every row; 16,384 rows are the
-    (radial, angular) elements at h = 1/64."""
+    """_contract, a matmul in blocks of at most ``CONTRACT_ROWS`` = 2,048
+    rows, equals one matmul over every row; 16,384 rows are the (radial,
+    angular) elements at h = 1/64."""
     rng = np.random.default_rng(29)
     coef, products = rng.standard_normal(shape), rng.standard_normal((16, 16))
     want = coef @ products
     blocks, matmul = [], np.matmul
 
     def recording(a, b, **kw):
-        blocks.append(a.shape[0] * a.shape[1] * b.shape[1])
+        blocks.append(len(a))
         return matmul(a, b, **kw)
 
     monkeypatch.setattr(np, "matmul", recording)
     got = spectral._contract(coef, products)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    assert max(blocks) <= dl.assembly.BLAS_ONE_THREAD and sum(blocks) == coef.size * 16
+    assert spectral.CONTRACT_ROWS == 2048
+    assert max(blocks) <= 2048 and sum(blocks) == coef.size // 16
 
 
 def test_indefinite_stiffness_raises():
