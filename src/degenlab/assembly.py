@@ -59,9 +59,7 @@ from .weights import (
     MuInverse,
     WeightFamily,
     _sample,
-    chi,
     rho,
-    v_char_profile,
 )
 
 ITERATION_CAP = 100_000
@@ -120,9 +118,9 @@ class WeightModel:
 class RhoWeight(WeightModel):
     """w = rho(y); exact resistances through the characteristic antiderivative.
 
-    mu is given as the pair ``mu_inverse`` (None: mu == 1), and int ds/(w mu)
-    = int rho^(-a) mu^(-1) ds = m^(-1)(x) (N(y1) - N(y0)) is the
-    characteristic-solution increment divided by (1-a).  w == 1 is
+    mu is given as the pair ``mu_inverse`` (None: ``MuInverse()``, mu == 1),
+    and int ds/(w mu) = int rho^(-a) mu^(-1) ds = m^(-1)(x) (N(y1) - N(y0))
+    is the characteristic-solution increment divided by (1-a).  w == 1 is
     ``RhoWeight(WeightFamily(0.0))``."""
 
     def __init__(self, family: WeightFamily, mu_inverse: Optional[MuInverse] = None):
@@ -158,44 +156,26 @@ class RhoWeight(WeightModel):
 class AuxiliaryWeight(WeightModel):
     """w = rho (v)^2 with v the characteristic odd solution (quotient weight).
 
-    Values and resistances come from v on the half-spacing ladder in every
-    column (``v_char_profile``, on the solution's ladder of N); the
-    resistance of the first half cell [0, h/2] is infinite (super-degenerate
-    weight), which encodes the natural zero-flux closure.
+    v = (1-a) (m^(-1)(x) N(y)) for every mu, N read through ``sol.integral``
+    on the half-spacing ladder of the cell centres, which each method keeps,
+    and computed off it.  The resistance of the first half cell [0, h/2] is
+    infinite (super-degenerate weight): the natural zero-flux closure.
     """
 
     def __init__(self, sol: CharacteristicSolution):
         self.sol = sol
-        fam = sol.family
-        self.weight_id = f"rho_v2[a={fam.a:g},eps={fam.eps:g}]"
+        self.weight_id = f"rho_v2[a={sol.family.a:g},eps={sol.family.eps:g}]"
 
-    def _ladder(self, x, ys) -> Tuple[np.ndarray, np.ndarray]:
-        """The half-spacing ladder of ordinates and v on it in each column."""
-        ladder_y = _half_ladder(np.asarray(ys, dtype=float))
-        return ladder_y, v_char_profile(self.sol, x, ladder_y)
-
-    @staticmethod
-    def _v_at(ly: np.ndarray, lv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """v at ordinates y > 0, row by row of the ladder values lv: ladder
-        values where y sits on a ladder point, linear interpolation between
-        points, through the origin below the first point and constant above
-        the last."""
-        y = np.broadcast_to(y, lv.shape[:-1] + y.shape[-1:])
-        i = np.searchsorted(ly, y)
-        top = i >= len(ly)
-        ic = np.minimum(i, len(ly) - 1)
-        on = ~top & (np.abs(ly[ic] - y) < 1e-12)
-        k = np.maximum(ic, 1)
-        t = (y - ly[k - 1]) / (ly[k] - ly[k - 1])
-        lv0, lv1, lvc = (np.take_along_axis(lv, j, axis=-1) for j in (k - 1, k, ic))
-        out = np.where(top, lv[..., -1:], lv[..., :1] * y / ly[0])
-        out = np.where(~on & ~top & (i > 0), (1 - t) * lv0 + t * lv1, out)
-        return np.where(on, lvc, out)
+    def _rho_v2(self, x, ys, y) -> np.ndarray:
+        """rho v^2 at ordinates y > 0 in each column of x, after keeping the
+        half-spacing ladder of the cell centres ys."""
+        sol = self.sol
+        sol.integral(_half_ladder(ys), keep=True)
+        v = (1.0 - sol.family.a) * (np.asarray(sol.m_inv_at(x))[..., None] * sol.integral(y))
+        return rho(sol.family, y) * v * v
 
     def values(self, x, ys):
-        ys = np.asarray(ys, dtype=float)
-        v = self._ladder(x, ys)[1][..., ::2]
-        return rho(self.sol.family, ys) * v * v
+        return self._rho_v2(x, ys, np.asarray(ys, dtype=float))
 
     def resistance_y(self, x, ys, y0, y1):
         """Face-midpoint rule R = (y1-y0) / (rho v^2 mu)(face).
@@ -204,20 +184,11 @@ class AuxiliaryWeight(WeightModel):
         at the plane; the face-midpoint flux is exact for that branch, while
         a harmonic or line-resistance rule (exact for the odd problem's
         singular branch) has an O(1) relative flux error at the first face."""
-        sol = self.sol
-        fam = sol.family
-        out = np.full(y0.shape, math.inf)
         pos = y0 > 0.0
-        ym = 0.5 * (y0 + y1)
-        if sol.mu_inverse is None:
-            v = (1.0 - fam.a) * chi(fam, ym[pos])
-            k = rho(fam, ym[pos]) * v * v
-        else:
-            v = self._v_at(*self._ladder(x, ys), ym)[pos]
-            m = np.broadcast_to(np.asarray(sol.m_inv_at(x))[..., None], ym.shape)[pos]
-            k = rho(fam, ym[pos]) * v * v / (m * sol.n_inv_at(ym[pos]))
-        out[pos] = (y1[pos] - y0[pos]) / k
-        return out
+        ym = np.where(pos, 0.5 * (y0 + y1), ys[0])
+        k = self._rho_v2(x, ys, ym) / (np.asarray(self.sol.m_inv_at(x))[..., None]
+                                       * self.sol.n_inv_at(ym))
+        return np.where(pos, (y1 - y0) / k, math.inf)
 
     def x_conductivities(self, x, ys):
         ys = np.asarray(ys, dtype=float)
@@ -227,16 +198,13 @@ class AuxiliaryWeight(WeightModel):
 
     def cell_integral_y(self, x, ys, y0, y1):
         fam = self.sol.family
-        if self.sol.mu_inverse is None and fam.eps == 0.0:
+        if self.sol.mu_inverse == MuInverse() and fam.eps == 0.0:
             p = 3.0 - fam.a          # rho * ((1-a) chi)^2 = y^(2-a) exactly
             return (y1 ** p - y0 ** p) / p
-        ly, lv = self._ladder(x, ys)
 
         def w_at(y):
             pos = y > 0.0            # super-degenerate: rho v^2 -> 0 at the plane
-            yp = np.where(pos, y, ly[0])
-            v = self._v_at(ly, lv, yp)
-            return np.where(pos, rho(fam, yp) * v * v, 0.0)
+            return np.where(pos, self._rho_v2(x, ys, np.where(pos, y, ys[0])), 0.0)
 
         ym = 0.5 * (y0 + y1)
         return (y1 - y0) / 6.0 * (w_at(y0) + 4.0 * w_at(ym) + w_at(y1))

@@ -37,11 +37,12 @@ from .assembly import (RangeError, RhoWeight, _check_h_list, assemble, convergen
                        manufactured_problem)
 from .certify import (MIN_BUDGET, PHI_A_MIN, _phi_exponent_rule, verify_gamma_rectangle,
                       verify_phi_bound, verify_v_inequality, v_minimum)
-from .geometry import EmbeddedCurve, _cell_counts, build_half_grid, fermi_mu
-from .holder import (SLOPE_TOL, TAU, ProblemFamily, _check_mode, admissible_eps, epsilon_sweep,
-                     measure_sweep, solve_family)
+from .geometry import MAX_CELLS, EmbeddedCurve, _cell_counts, build_half_grid, fermi_mu
+from .holder import (SLOPE_TOL, TAU, ProblemFamily, _check_mode, _eps_step_rule, admissible_eps,
+                     epsilon_sweep, measure_sweep, solve_family)
 from .potentials import v_limit, v_limit_deriv
-from .spectral import HalfDiskMesh, _trace_route, hardy_quotient, trace_eigen
+from .ratio import DivisionGuardError
+from .spectral import MAX_NODES, HalfDiskMesh, _trace_route, hardy_quotient, trace_eigen
 from .weights import MuInverse, WeightFamily
 
 
@@ -140,9 +141,14 @@ def _floats(cfg: dict, key: str, default: str, valid=None) -> list:
             for tok in cfg.get(key, default).replace(",", " ").split()]
 
 
-def _eps_list(cfg: dict, default: str) -> list:
-    """At least two distinct eps >= 0: the sweep's trend fit needs two abscissae."""
-    eps_list = _floats(cfg, "eps_list", default, (lambda e: e >= 0.0, "non-negative"))
+def _eps_list(cfg: dict, default: str, a: float, h: float) -> list:
+    """At least two distinct eps >= 0 (the trend fit needs two abscissae).  An
+    eps > 1 whose step is not representable at a on the grid of spacing h,
+    where eps = 1's is, is refused; any other such step is a's (``run``)."""
+    step = _accepted_by(lambda e: _eps_step_rule(a, e, h), "")[0]
+    eps_list = _floats(cfg, "eps_list", default, (
+        lambda e: e >= 0.0 and (step(e) or e <= 1.0 or not step(1.0)),
+        f"non-negative, with rho and v representable at a={a:g} on h={h:g}"))
     if len(eps_list) < 2:
         raise ConfigError(f"eps_list: {cfg['eps_list']!r} has fewer than two entries")
     if len(set(eps_list)) < len(eps_list):
@@ -208,10 +214,11 @@ _A = "0.5"              # the default exponent of sweep, solve and fermi-demo
 _BELOW_ONE = (lambda a: a < 1.0, "below 1")
 _ALPHA = (lambda alpha: 0.0 < alpha <= 1.0, "in (0, 1]")      # a Holder exponent
 _PHI_EXPONENT = _accepted_by(_phi_exponent_rule, f"in [{PHI_A_MIN!r}, 1)")
-_MESH_SPACING = _accepted_by(HalfDiskMesh.from_h, "1/n for an integer n >= 3")
+_MESH_SPACING = _accepted_by(HalfDiskMesh.from_h, f"1/n, n >= 3, at most {MAX_NODES} nodes")
 # the lambda_r rows solve at eps = 1/r > 0
 _EPS_TRACE_EXPONENT = _accepted_by(lambda b: _trace_route(b, 1.0), "in (-1, 1)")
-_GRID_SPACING = _accepted_by(_cell_counts, "1/n for an integer n >= 4")
+_LAMBDA_R = _accepted_by(lambda r: _trace_route(0.0, 1.0 / r), "positive, with 1/r^2 finite")
+_GRID_SPACING = _accepted_by(lambda h: _cell_counts(h, 1), f"1/n, n >= 4, <= {MAX_CELLS} cells")
 # the Fermi chart of the circle must cover the grid, up to its top y = 1
 _CHART_RADIUS = _accepted_by(lambda r: fermi_mu(EmbeddedCurve.circle(r), 0.0, 1.0),
                              "a radius whose Fermi chart covers y <= 1")
@@ -222,7 +229,7 @@ def cmd_eigen(cfg: dict) -> int:
     a_list = _floats(cfg, "a", "-0.5 0 0.5", _BELOW_ONE)
     h = _float(cfg, "h", "1/64", _MESH_SPACING)
     aux_list = _floats(cfg, "aux_a", "0.5 -1", (lambda a: a - 2.0 < 1.0, "below 3"))
-    r_list = _floats(cfg, "r_list", "1 4 16 64", (lambda r: r > 0.0, "positive"))
+    r_list = _floats(cfg, "r_list", "1 4 16 64", _LAMBDA_R)
     sweep_a = _float(cfg, "sweep_a", "0.5", _EPS_TRACE_EXPONENT)
     rows = []
     ok = True
@@ -284,9 +291,9 @@ def _family_from_cfg(cfg: dict) -> ProblemFamily:
 
 def cmd_sweep(cfg: dict) -> int:
     family = _family_from_cfg(cfg)
-    eps_list = _eps_list(cfg, "1 0.3 0.1 0.03 0.01 0")
-    alpha = _float(cfg, "alpha", "0.4", _ALPHA)
     h = _float(cfg, "h", "1/64", _GRID_SPACING)
+    eps_list = _eps_list(cfg, "1 0.3 0.1 0.03 0.01 0", family.a, h)
+    alpha = _float(cfg, "alpha", "0.4", _ALPHA)
     mode = cfg.get("mode", "ratio_c0")
     try:
         _check_mode(family, mode)
@@ -375,7 +382,7 @@ def cmd_fermi_demo(cfg: dict) -> int:
     h = _float(cfg, "h", "1/32", _GRID_SPACING)
     alpha = _float(cfg, "alpha", "0.4", _ALPHA)
     eps_text = cfg.get("eps_list", "1 0.1 0.01 0")
-    eps_list = _eps_list(cfg, eps_text)
+    eps_list = _eps_list(cfg, eps_text, a, h)
     if len(admissible_eps(eps_list, h, restricted="sqrt_eps")) < 2:
         raise ConfigError(f"eps_list: {eps_text!r} leaves fewer than two eps for the "
                           f"sqrt_eps table at h={fmt(h)}")
@@ -509,7 +516,7 @@ def run(argv) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except RangeError as e:     # an exponent a that takes the weight or operator out of range
+    except (RangeError, DivisionGuardError) as e:   # an a that takes w, A or v out of range
         print(f"config error: a: {cfg.get('a', _A)!r} is not usable on this grid: {e}",
               file=sys.stderr)
         return 2

@@ -22,6 +22,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+MAX_CELLS = 2 ** 18     # the most cells of a grid lattice: h >= 1/362 (n = 1), 1/40 (n = 2)
+
 
 class ChartError(ValueError):
     """Raised when (x, y) leaves the tubular neighborhood (y * kappa >= 1)."""
@@ -86,15 +88,15 @@ class Region:
         return ok
 
 
-def _cell_counts(h: float) -> Tuple[int, int]:
+def _cell_counts(h: float, n: int) -> Tuple[int, int]:
     """(nx, ny), the cells per x-axis and in y, for h = 1/m with an integer
-    m >= 4 (to 1e-9 in 2/h and 1/h); ValueError for any other h, and for
-    h <= 2^-52, where every double 1/h is an integer."""
+    m >= 4 (to 1e-9 in 2/h and 1/h) whose lattice of nx^n ny cells has at
+    most ``MAX_CELLS``; ValueError for any other h."""
     if not 0.0 < h <= 0.25 + 1e-15:
         raise ValueError(f"h must be in (0, 1/4], got {h}")
     nx, ny = 2.0 / h, 1.0 / h
-    if ny >= 2.0 ** 52 or abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
-        raise ValueError(f"h={h} does not divide the domain extents")
+    if nx ** n * ny > MAX_CELLS or abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
+        raise ValueError(f"h={h} must divide the domain extents into at most {MAX_CELLS} cells")
     return int(round(nx)), int(round(ny))
 
 
@@ -106,7 +108,7 @@ def build_half_grid(n: int, shape: str, h: float) -> HalfGrid:
         raise ValueError(f"unknown shape {shape!r}")
     if shape == "half_disk" and n != 1:
         raise ValueError("half_disk is implemented for n=1 (plane half disk)")
-    nx, ny = _cell_counts(h)
+    nx, ny = _cell_counts(h, n)
     axes = [(-1.0 + (np.arange(nx) + 0.5) * h) for _ in range(n)]
     ys = (np.arange(ny) + 0.5) * h
     grids = np.meshgrid(*axes, ys, indexing="ij")

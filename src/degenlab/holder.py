@@ -36,8 +36,8 @@ import numpy as np
 
 from .assembly import DiscreteField, RhoWeight, assemble, solve_linear
 from .geometry import HalfGrid, Region, build_half_grid
-from .ratio import _quotient, _v_on_grid
-from .weights import CharacteristicSolution, MuInverse, WeightFamily, _sample, v_char
+from .ratio import V_GUARD, _quotient, _v_on_grid
+from .weights import CharacteristicSolution, MuInverse, WeightFamily, _sample, rho, v_char
 
 TAU = 3.0
 SLOPE_TOL = 0.1
@@ -202,7 +202,7 @@ class ProblemFamily:
     quotient w has eps-uniform boundary values by construction; forcing f and
     field F are eps-independent samplers.  ``mu_inverse`` is the pair
     (m^(-1)(x), n^(-1)(y)) of the tensor A = mu I, mu = m(x) n(y)
-    (:class:`MuInverse`; None: mu == 1), for each eps step's
+    (:class:`MuInverse`; None: ``MuInverse()``, mu == 1), for each eps step's
     :class:`RhoWeight`.  Every sampler (f, F, trace_factor and the factors
     of mu_inverse) broadcasts over arrays of positions x and ordinates y, F
     returning its two components along a leading axis."""
@@ -323,6 +323,18 @@ def admissible_eps(eps_list: Sequence[float], grid_h: float, restricted: str = "
     """The entries of eps_list that :func:`measure_sweep` measures on a grid
     of spacing grid_h (every entry unless restricted='sqrt_eps')."""
     return [e for e in eps_list if _eps_region(restricted, e, grid_h) is not None]
+
+
+def _eps_step_rule(a: float, eps: float, grid_h: float) -> None:
+    """Raise ValueError unless rho is finite and positive at the first and last
+    cell centre and v = (1-a) chi (mu == 1) at the first, y = h/2, is at least
+    ``V_GUARD`` by its lower bound (1-a) y min(rho^(-a)) over [0, y]."""
+    fam, y = WeightFamily(a, eps), grid_h / 2.0
+    with np.errstate(over="ignore", divide="ignore"):
+        w = rho(fam, np.array([y, 1.0 - y]))
+        low = (1.0 - a) * y * np.min((eps * eps + np.array([0.0, y * y])) ** (-a / 2.0))
+    if not (np.all(np.isfinite(w) & (w > 0.0)) and low >= V_GUARD):
+        raise ValueError(f"rho or v leaves the range of double precision at eps={eps!r}")
 
 
 def _check_mode(family: ProblemFamily, mode: str) -> None:

@@ -43,10 +43,11 @@ from .weights import CharacteristicSolution, v_char_profile
 
 INTERIOR_MARGIN = 0.125     # distance from the outer boundary of the residual's cells
 LV_ROUNDING = 1e-12         # L v is 0 where it is below this share of its summed |terms|
+V_GUARD = 1e-14             # the least |v| that a quotient divides by
 
 
 class DivisionGuardError(ZeroDivisionError):
-    """Raised if the characteristic denominator is below 1e-14 at a cell."""
+    """Raised if the characteristic denominator is below ``V_GUARD`` at a cell."""
 
 
 def _v_on_grid(sol: CharacteristicSolution, grid: HalfGrid) -> np.ndarray:
@@ -60,8 +61,8 @@ def ratio_field(u: DiscreteField, sol: CharacteristicSolution) -> DiscreteField:
 
 def _quotient(u: DiscreteField, v: np.ndarray) -> DiscreteField:
     """u / v for v at the cell centers, guarded against a vanishing v."""
-    if np.any(np.abs(v) < 1e-14):
-        raise DivisionGuardError("characteristic solution below 1e-14 at a cell center")
+    if np.any(np.abs(v) < V_GUARD):
+        raise DivisionGuardError(f"characteristic solution below {V_GUARD:g} at a cell center")
     return DiscreteField(u.grid, u.values / v, "even")
 
 

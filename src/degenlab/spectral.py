@@ -78,6 +78,7 @@ ELEMENT_ORDER = 4       # Gauss-Legendre points per direction of an element
 EDGE_ORDER = 6          # points per arc segment and per Gauss-Jacobi edge row
 GROWTH_ARC_CELLS = 720  # trapezoid cells on each arc of growth_monitor
 CONTRACT_ROWS = 2048    # rows of one matmul block of _contract
+MAX_NODES = 2 ** 17     # the most nodes of a polar mesh: h = 1/180
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ class HalfDiskMesh:
 
     @classmethod
     def from_h(cls, h: float) -> "HalfDiskMesh":
-        if not h > 0.0:
-            raise ValueError(f"h={h} must be positive")
+        if not (h > 0.0 and (1.0 / h + 1.0) * (4.0 / h + 1.0) <= MAX_NODES):
+            raise ValueError(f"h={h} must be positive, with at most {MAX_NODES} nodes")
         nr = int(round(1.0 / h))
         if nr < 1 or abs(nr * h - 1.0) > 1e-9:
             raise ValueError(f"h={h} must divide the unit radius")
@@ -633,8 +634,8 @@ def _trace_route(b: float, eps: float) -> str:
     (b, eps) raises ValueError."""
     if b >= 1.0:
         raise ValueError("trace exponent must satisfy b < 1")
-    if eps < 0.0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    if not (eps >= 0.0 and math.isfinite(eps * eps)):
+        raise ValueError(f"eps must be >= 0 with a finite square, got {eps}")
     route = "direct" if b > -1.0 else "transformed"
     if eps > 0.0 and route == "transformed":
         raise ValueError(f"eps > 0 takes the direct route, which needs b > -1, got b={b}")

@@ -24,8 +24,9 @@ functional of rho:
 All evaluations are closed-form where a closed form exists (a in {0, -2},
 eps = 0, plus a Gauss-hypergeometric expression for the general
 antiderivative).  mu^(-1) is a product m^(-1)(x) n^(-1)(y)
-(:class:`MuInverse`), so only the 1-D integral of rho^(-a) n^(-1) is
-integrated numerically, and only when n^(-1) is given: the segments of one
+(:class:`MuInverse`; ``MuInverse()`` is mu == 1), so only the 1-D integral
+N of rho^(-a) n^(-1) in v = (1-a) m^(-1)(x) N(y) is integrated numerically,
+and only when n^(-1) is given: the segments of one
 ladder of ordinates, shared by every column, in one vectorised pass of
 QUADPACK's 21-point Gauss-Kronrod rule under QUADPACK's own acceptance
 test, with adaptive ``quad`` for the segments it rejects; samplers take
@@ -315,7 +316,7 @@ def _factor(g: Optional[Callable], z):
 
 class MuInverse(NamedTuple):
     """mu^(-1)(x, y) = m^(-1)(x) n^(-1)(y), the coefficient of A = mu I as
-    its two factors, either of them None for 1.
+    its two factors, either of them None for 1: ``MuInverse()`` is mu == 1.
 
     ``m_inv`` takes column positions x (a tuple of arrays for n = 2) and
     ``n_inv`` ordinates y, on which it must be even; both broadcast over
@@ -335,10 +336,11 @@ class CharacteristicSolution:
     N(y) = int_0^y rho^(-a)(s) n^(-1)(s) ds, for mu^(-1) = m^(-1)(x) n^(-1)(y).
 
     ``mu_inverse`` is that pair (:class:`MuInverse`; a plain pair is taken
-    as one), or None for mu == 1, in which case v = (1-a) chi exactly.  n
-    must be even in s so that v is odd; evaluation enforces oddness by
-    integrating over |y| and restoring the sign.  Every y-resistance of the
-    rho weight is m^(-1)(x) (N(y1) - N(y0)).
+    as one), or None for mu == 1, which is stored as ``MuInverse()``: v has
+    one rule, (1-a) (m^(-1)(x) N(y)), whatever the spelling.  n must be even
+    in s so that v is odd; evaluation enforces oddness by integrating over
+    |y| and restoring the sign.  Every y-resistance of the rho weight is
+    m^(-1)(x) (N(y1) - N(y0)).
 
     N is chi, in closed form, when n^(-1) is None.  Otherwise N at a set of
     ordinates, shared by every column, is the cumulative sum of the segments
@@ -354,8 +356,8 @@ class CharacteristicSolution:
     grid's y-resistances keep the half-spacing ladder of its cell centres,
     which holds every cell centre and face ordinate, so v at the cell
     centres, the quotient weight and the Dirichlet traces of one eps step
-    read the same N.  The memo assumes n^(-1) is a deterministic function of
-    s; concurrent use only repeats work.
+    read the same N, and compute it only off the ladder.  The memo assumes
+    n^(-1) is a deterministic function of s; concurrent use only repeats work.
     """
 
     family: WeightFamily
@@ -366,28 +368,24 @@ class CharacteristicSolution:
         if self.family.a >= 1.0:
             raise DivergentIntegralError(
                 f"characteristic solution requires a < 1, got a={self.family.a}")
-        mi = self.mu_inverse
-        if mi is not None:
-            if callable(mi) and not isinstance(mi, MuInverse):
-                raise TypeError("mu_inverse must be a pair (m_inv(x), n_inv(y)), mu^(-1) "
-                                "= m^(-1)(x) n^(-1)(y), not an (x, y) sampler")
-            mi = MuInverse(*mi)
-            object.__setattr__(self, "mu_inverse", None if mi == (None, None) else mi)
+        mi = MuInverse() if self.mu_inverse is None else self.mu_inverse
+        if callable(mi) and not isinstance(mi, MuInverse):
+            raise TypeError("mu_inverse must be a pair (m_inv(x), n_inv(y)), mu^(-1) "
+                            "= m^(-1)(x) n^(-1)(y), not an (x, y) sampler")
+        object.__setattr__(self, "mu_inverse", MuInverse(*mi))
 
     def m_inv_at(self, x):
         """m^(-1) at the column positions x (1.0 without it)."""
-        return _factor((self.mu_inverse or MuInverse()).m_inv, x)
+        return _factor(self.mu_inverse.m_inv, x)
 
     def n_inv_at(self, y):
         """n^(-1) at the ordinates y (1.0 without it)."""
-        return _factor((self.mu_inverse or MuInverse()).n_inv, np.asarray(y, dtype=float))
+        return _factor(self.mu_inverse.n_inv, np.asarray(y, dtype=float))
 
     def mu_at(self, x, y) -> np.ndarray:
         """mu = 1 / (m^(-1)(x) n^(-1)(y)) at the points (x, y), one call of
-        each factor (ones without them): the mu of the operator's A = mu I."""
+        each factor: the mu of the operator's A = mu I."""
         shape = np.broadcast_shapes(*map(np.shape, _coords(x)), np.shape(y))
-        if self.mu_inverse is None:
-            return np.ones(shape)
         return 1.0 / np.broadcast_to(self.m_inv_at(x) * self.n_inv_at(y), shape)
 
     def segment_integral(self, x, y0, y1):
@@ -395,8 +393,6 @@ class CharacteristicSolution:
         all broadcast, 0 <= y0 <= y1; N as :meth:`integral` gives it."""
         shape = np.broadcast_shapes(*map(np.shape, _coords(x)), np.shape(y0), np.shape(y1))
         y0, y1 = (np.broadcast_to(np.asarray(y, dtype=float), shape) for y in (y0, y1))
-        if self.mu_inverse is None:
-            return (chi(self.family, y1) - chi(self.family, y0))[()]
         n0, n1 = self.integral(np.stack([y0, y1]))
         return (self.m_inv_at(x) * (n1 - n0))[()]
 
@@ -411,7 +407,7 @@ class CharacteristicSolution:
         got, hit = N[i], edges[i] == y
         if not hit.all():
             new, inverse = np.unique(y[~hit | keep], return_inverse=True)
-            if self.mu_inverse is None or self.mu_inverse.n_inv is None:
+            if self.mu_inverse.n_inv is None:
                 N = chi(self.family, new)
             else:
                 N = np.cumsum(self._integrate(np.r_[0.0, new[:-1]], new))
@@ -468,8 +464,6 @@ def v_char(sol: CharacteristicSolution, x, y):
     """The characteristic odd solution at the points (x, y), x (a tuple of
     arrays for n = 2) and y broadcast; a float for scalars."""
     y = np.asarray(y, dtype=float)
-    if sol.mu_inverse is None:
-        return (1.0 - sol.family.a) * chi(sol.family, y)
     return (np.sign(y) * (1.0 - sol.family.a) * sol.segment_integral(x, 0.0, np.abs(y)))[()]
 
 
@@ -480,9 +474,6 @@ def v_char_profile(sol: CharacteristicSolution, x, ys: Sequence[float]) -> np.nd
     ys = np.asarray(ys, dtype=float)
     if np.any(np.diff(ys) <= 0) or np.any(ys <= 0):
         raise ValueError("ys must be strictly increasing and positive")
-    a = sol.family.a
     shape = np.shape(_coords(x)[0]) + ys.shape
-    if sol.mu_inverse is None:
-        return np.broadcast_to((1.0 - a) * chi(sol.family, ys), shape).copy()
     m = np.asarray(sol.m_inv_at(x))[..., None]
-    return np.broadcast_to((1.0 - a) * (m * sol.integral(ys, keep=True)), shape).copy()
+    return np.broadcast_to((1.0 - sol.family.a) * (m * sol.integral(ys, keep=True)), shape).copy()

@@ -3,7 +3,8 @@
 Scalar weight models (one call per face) and the per-face, per-cell Python
 loops of ``assemble`` and ``AssembledOperator.rhs``, unchanged apart from
 names, except that mu is read point by point from the weight model's
-``mu_inverse`` and that the coupling T, which the array assembly no longer
+``mu_inverse``, that the quotient weight reads v point by point and exactly
+(``v_char``), and that the coupling T, which the array assembly no longer
 carries, is gone.  ``test_assembly_oracle.py`` compares the array assembly of
 ``degenlab.assembly`` against them on matrices and right-hand sides.
 """
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from degenlab.geometry import HalfGrid
-from degenlab.weights import CharacteristicSolution, WeightFamily, chi, rho
+from degenlab.weights import CharacteristicSolution, WeightFamily, rho, v_char
 
 
 class _SeedWeightModel:
@@ -47,8 +48,6 @@ class SeedRhoWeight(_SeedWeightModel):
         return rho(self.family, np.asarray(ys, dtype=float))
 
     def resistance_y(self, xcol, y0, y1):
-        if self.sol.mu_inverse is None:
-            return float(chi(self.family, y1) - chi(self.family, y0))
         return self.sol.segment_integral(xcol, y0, y1)
 
     def cell_integral_y(self, xcol, y0, y1):
@@ -65,55 +64,22 @@ class SeedRhoWeight(_SeedWeightModel):
 class SeedAuxiliaryWeight(_SeedWeightModel):
     """w = rho (v)^2 with v the characteristic odd solution (quotient weight).
 
-    Values and resistances come from a per-column ladder of v at half-spacing
-    resolution, cumulative quadrature when mu varies and closed form when
-    mu == 1; the resistance of the first half cell [0, h/2] is infinite
-    (super-degenerate weight), which encodes the natural zero-flux closure.
+    Values and resistances read v point by point, exactly (``v_char``); the
+    resistance of the first half cell [0, h/2] is infinite (super-degenerate
+    weight), which encodes the natural zero-flux closure.
     """
 
     def __init__(self, sol: CharacteristicSolution):
         self.sol = sol
         fam = sol.family
         self.weight_id = f"rho_v2[a={fam.a:g},eps={fam.eps:g}]"
-        self._ladder: dict = {}   # x-key -> {'y': half-spacing grid, 'v': values}
 
-    @staticmethod
-    def _xkey(xcol):
-        return float(xcol) if np.isscalar(xcol) else tuple(np.atleast_1d(xcol))
-
-    def _column(self, xcol, ys: np.ndarray) -> dict:
-        key = self._xkey(xcol)
-        got = self._ladder.get(key)
-        if got is not None and len(got["y"]) >= 2 * len(ys):
-            return got
-        h = ys[1] - ys[0] if len(ys) > 1 else 2 * ys[0]
-        ladder_y = np.arange(1, 2 * len(ys) + 1) * (h / 2.0)
-        fam = self.sol.family
-        if self.sol.mu_inverse is None:
-            v = (1.0 - fam.a) * chi(fam, ladder_y)
-        else:
-            from degenlab.weights import v_char_profile
-            v = v_char_profile(self.sol, xcol, ladder_y)
-        col = {"y": ladder_y, "v": v, "h": h}
-        self._ladder[key] = col
-        return col
-
-    def _v_at(self, col, y: float) -> float:
-        ly, lv = col["y"], col["v"]
-        i = int(np.searchsorted(ly, y))
-        if i < len(ly) and abs(ly[i] - y) < 1e-12:
-            return float(lv[i])
-        if i >= len(ly):
-            return float(lv[-1])
-        if i == 0:
-            return float(lv[0]) * y / ly[0]
-        t = (y - ly[i - 1]) / (ly[i] - ly[i - 1])
-        return float((1 - t) * lv[i - 1] + t * lv[i])
+    def _v_at(self, xcol, y: float) -> float:
+        return float(v_char(self.sol, xcol, y))
 
     def values(self, xcol, ys):
         ys = np.asarray(ys, dtype=float)
-        col = self._column(xcol, ys)
-        v = col["v"][::2][: len(ys)]
+        v = np.array([self._v_at(xcol, y) for y in ys])
         return rho(self.sol.family, ys) * v * v
 
     def resistance_y(self, xcol, y0, y1):
@@ -127,36 +93,23 @@ class SeedAuxiliaryWeight(_SeedWeightModel):
         if y0 <= 0.0:
             return math.inf
         ym = 0.5 * (y0 + y1)
-        if self.sol.mu_inverse is None:
-            v = (1.0 - fam.a) * chi(fam, ym)
-            k = float(rho(fam, ym)) * v * v
-        else:
-            col = self._ladder.get(self._xkey(xcol))
-            if col is None:
-                raise RuntimeError(
-                    "AuxiliaryWeight.resistance_y before values() for this column")
-            v = self._v_at(col, ym)
-            k = float(rho(fam, ym)) * v * v / self.sol.mu_inverse(xcol, ym)
+        v = self._v_at(xcol, ym)
+        k = float(rho(fam, ym)) * v * v / self.sol.mu_inverse(xcol, ym)
         return (y1 - y0) / k
 
     def x_conductivities(self, xcol, ys):
         ys = np.asarray(ys, dtype=float)
         h = ys[1] - ys[0] if len(ys) > 1 else 2 * ys[0]
-        self._column(xcol, ys)
         return np.array([self.cell_integral_y(xcol, j * h, (j + 1) * h)
                          for j in range(len(ys))]) / h
 
     def cell_integral_y(self, xcol, y0, y1):
         fam = self.sol.family
-        if self.sol.mu_inverse is None and fam.eps == 0.0:
-            p = 3.0 - fam.a          # rho * ((1-a) chi)^2 = y^(2-a) exactly
-            return (y1 ** p - y0 ** p) / p
-        col = self._ladder.get(self._xkey(xcol))
 
         def w_at(y):
             if y <= 0.0:
                 return 0.0           # super-degenerate: rho v^2 -> 0 at the plane
-            v = float((1.0 - fam.a) * chi(fam, y)) if col is None else self._v_at(col, y)
+            v = self._v_at(xcol, y)
             return float(rho(fam, y)) * v * v
 
         ym = 0.5 * (y0 + y1)
@@ -234,9 +187,8 @@ def _cell_weight_integrals(weight: _SeedWeightModel, g: HalfGrid) -> np.ndarray:
 
 
 def _mu_val(weight: _SeedWeightModel, x, y) -> float:
-    """mu at one point: 1 / mu_inverse of the weight model's solution, 1 without one."""
-    mu_inverse = weight.sol.mu_inverse
-    return 1.0 if mu_inverse is None else 1.0 / float(mu_inverse(x, y))
+    """mu at one point: 1 / mu_inverse of the weight model's solution."""
+    return 1.0 / float(weight.sol.mu_inverse(x, y))
 
 
 def assemble(grid: HalfGrid, weight: _SeedWeightModel, parity: str = "odd") -> "SeedOperator":

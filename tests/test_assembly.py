@@ -213,15 +213,6 @@ def test_auxiliary_resistance_before_values():
     assert fresh[0] == math.inf and np.all(np.isfinite(fresh[1:]))
 
 
-def test_v_between_ladder_points_is_linear():
-    """(1 - t) v_k + t v_k+1 at t = 1/4 and 3/4 between ladder points (the
-    assembly itself only asks for t = 1/2, where the two weights agree);
-    through the origin below the first point, constant above the last."""
-    ly, lv = np.array([0.5, 1.0, 1.5]), np.array([1.0, 2.0, 4.0])
-    got = dl.AuxiliaryWeight._v_at(ly, lv, np.array([0.25, 0.625, 1.0, 1.375, 2.0]))
-    assert np.array_equal(got, [0.5, 1.25, 2.0, 3.5, 4.0])
-
-
 def test_parity_mismatch_rejected():
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
@@ -252,6 +243,42 @@ def test_weight_equivalence_constant_mu(model, parity):
         on = op_1.faces.axis == axis
         assert np.array_equal(op_c.faces.tau[on], factor * op_1.faces.tau[on])
     assert (op_c.matrix != factor * op_1.matrix).nnz == 0
+
+
+MU_ONE_GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n1-disk": (1, "half_disk", 1 / 8),
+                "n2-rect": (2, "half_rectangle", 1 / 4)}
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("model", ["rho", "auxiliary"])
+@pytest.mark.parametrize("grid", MU_ONE_GRIDS)
+def test_mu_one_spelled_none_or_as_a_pair_is_one_operator(grid, model, parity):
+    """mu == 1 spelled None and spelled MuInverse(m_inv=ones) give the same
+    operator, right-hand side and v, bit for bit: v has one rule.  (At
+    eps = 0 the quotient weight's cell integrals take the exact y^(3-a) form
+    for MuInverse(), which a sampler of ones does not reach.)"""
+    g = dl.build_half_grid(*MU_ONE_GRIDS[grid])
+    fam = dl.WeightFamily(0.5, 0.1)
+    pts = np.vstack([g.centers, g.stencil.mid])
+
+    def f(x, y):
+        return np.cos(x if g.n == 1 else x[0]) * (1.0 + y)
+
+    def F(x, y):
+        return (0.3 * y,) * g.n + (0.2 + y * y,)
+
+    def built(mu_inverse):
+        if model == "rho":
+            weight = dl.RhoWeight(fam, mu_inverse)
+        else:
+            weight = dl.AuxiliaryWeight(dl.CharacteristicSolution(fam, mu_inverse))
+        op = dl.assemble(g, weight, parity=parity)
+        rhs = op.rhs(f=f, F=F, trace=lambda x, y: dl.v_char(weight.sol, x, y))
+        return (op.matrix.data, op.matrix.indices, op.matrix.indptr, op.faces.tau,
+                op.faces.weight, rhs, dl.v_char(weight.sol, *assembly._xy(pts, g.n)))
+
+    for got, want in zip(built(None), built(dl.MuInverse(m_inv=lambda x: 1.0))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_convergence_study_second_order():

@@ -94,6 +94,17 @@ def test_usage_error_exit_code(tmp_path):
     (("sweep", "a=0.9999999999999998", "h=1/16"), "a", "0.9999999999999998"),
     (("sweep", "a=-100", "h=1/16"), "a", "-100"),
     (("fermi-demo", "a=-300"), "a", "-300"),
+    (("sweep", "a=-30", "h=1/16", "eps_list=1,0"), "a", "-30"),
+    (("eigen", "h=1/8", "r_list=1e-155"), "r_list", "1e-155"),
+    (("eigen", "h=1/4", "r_list=5e-324"), "r_list", "5e-324"),
+    (("solve", "h_list=1/8 1/16 1e-5"), "h_list", "1e-5"),
+    (("sweep", "h=1e-5"), "h", "1e-5"),
+    (("fermi-demo", "h=1e-5"), "h", "1e-5"),
+    (("eigen", "h=1e-5"), "h", "1e-5"),
+    (("eigen", "h=5e-324"), "h", "5e-324"),
+    (("sweep", "h=1/16", "eps_list=1e100,0"), "eps_list", "1e100"),
+    (("sweep", "h=1/16", "eps_list=1e154,0"), "eps_list", "1e154"),
+    (("sweep", "h=1/16", "eps_list=1e200,0"), "eps_list", "1e200"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     """A value that does not parse, or that the command cannot run on, is a
@@ -108,11 +119,21 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     grids (``cli.run`` maps ``assembly.RangeError`` for every subcommand):
     y^a with a = -300 at the first cell centre, or the harmonic mean of two
     x-face weights with eps > 0; the fit's sums of squares with a = -100 at
-    h = 1/16; and the y-resistances, which round to 0 with a = 1 - 2^-52."""
+    h = 1/16; the y-resistances, which round to 0 with a = 1 - 2^-52; and v
+    below the quotient's guard at eps = 0 with a = -30.  An `r_list` entry
+    whose eps = 1/r has no finite square, a spacing whose grid or polar
+    mesh exceeds the size bound, and an eps above 1 whose rho or v leaves
+    the range of double precision (where eps = 1 does not) are refused by
+    the library's own rules, before any array is allocated."""
     assert _run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: {token!r}")
     assert "Traceback" not in err
+
+
+def test_a_huge_eps_is_usable_where_it_is_representable(tmp_path):
+    """At a = 0, rho is 1 and v is y whatever eps is, so eps = 1e200 runs."""
+    assert _run(tmp_path, "sweep", "h=1/16", "a=0", "eps_list=1e200,0") == 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -72,6 +72,19 @@ def test_spacing_validator_admits_exactly_what_the_builder_admits(h, monkeypatch
     assert ok(h) == built
 
 
+def test_size_bound_admits_the_spacings_in_use():
+    """Cell grids to h = 1/256 on n = 1 and to 1/32 on n = 2 stay admitted;
+    a spacing whose lattice exceeds ``MAX_CELLS`` is refused by its counts."""
+    from degenlab.geometry import MAX_CELLS, _cell_counts
+
+    assert _cell_counts(1 / 256, 1) == (512, 256)
+    assert _cell_counts(1 / 32, 2) == (64, 32)
+    for h, n in ((1e-5, 1), (1 / 64, 2)):
+        assert (2 / h) ** n / h > MAX_CELLS
+        with pytest.raises(ValueError, match=f"at most {MAX_CELLS} cells"):
+            _cell_counts(h, n)
+
+
 def test_refinement_quadruples_and_nests():
     g1 = dl.build_half_grid(1, "half_rectangle", 0.125)
     g2 = dl.build_half_grid(1, "half_rectangle", 0.0625)

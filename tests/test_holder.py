@@ -200,6 +200,27 @@ def test_exponent_fit_flags_alpha_above_one_minus_a():
     assert est.alpha_hat == pytest.approx(1 - a, abs=0.1)
 
 
+@pytest.mark.parametrize("a,eps,ok", [(0.5, 1.0, True), (0.5, 0.0, True), (0.5, 1e100, False),
+                                       (0.5, 1e154, False), (0.5, 1e200, False),
+                                       (0.0, 1e200, True), (-0.5, 1e200, False),
+                                       (-30.0, 1.0, True), (-30.0, 0.0, False),
+                                       (1.0 - 2.0 ** -52, 0.0, False),
+                                       (1.0 - 2.0 ** -52, 1.0, False)])
+def test_eps_step_rule(a, eps, ok):
+    """rho finite and positive, and v at least the guard by its lower bound,
+    at h = 1/16: v below it (eps = 1e100 and 1e154 at a = 0.5, eps = 0 at
+    a = -30, and a next to 1 at eps = 1), rho infinite (1e200 at a = 0.5)
+    or 0 (1e200 at a = -0.5).  The bound is conservative where rho^(-a)
+    varies over [0, h/2]: at eps = 0 and a next to 1, v = y^(1-a) is near 1,
+    but the bound (1-a) y^(1-a) is 2e-16.  Above eps = 1, the only entries
+    the CLI refuses by it, it is within (1 + h^2/4)^(|a|/2) of v."""
+    if ok:
+        dl.holder._eps_step_rule(a, eps, 1 / 16)
+    else:
+        with pytest.raises(ValueError, match="range of double precision"):
+            dl.holder._eps_step_rule(a, eps, 1 / 16)
+
+
 def test_sweep_restricted_region_skips_large_eps():
     fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5,
                            trace_factor=lambda x, y: 1.0 + 0.1 * y * y, name="r")

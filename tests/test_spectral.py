@@ -467,6 +467,13 @@ def test_mesh_and_trace_reject_values_they_cannot_run_on():
         with pytest.raises(ValueError, match="must be at most 1/3"):
             HalfDiskMesh.from_h(h)
     assert HalfDiskMesh.from_h(1 / 3).nr == 3
+    assert HalfDiskMesh.from_h(1 / 128).nnodes <= spectral.MAX_NODES
+    for h in (1 / 256, 1e-5, 5e-324):   # more nodes than MAX_NODES, refused before rounding
+        with pytest.raises(ValueError, match=f"at most {spectral.MAX_NODES} nodes"):
+            HalfDiskMesh.from_h(h)
+    for r in (1e-155, 5e-324):          # eps = 1/r whose square is not finite
+        with pytest.raises(ValueError, match="finite square"):
+            spectral._trace_route(0.5, 1.0 / r)
     with pytest.raises(ValueError, match="eps must be >= 0"):
         dl.trace_eigen(0.5, -0.1, 1 / 8)
     with pytest.raises(ValueError, match="b < 1"):

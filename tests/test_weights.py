@@ -206,13 +206,15 @@ def test_characteristic_solution_refuses_a_third_field():
 
 def test_mu_inverse_is_a_pair_of_factors():
     """mu^(-1) is the pair (m^(-1)(x), n^(-1)(y)): a plain pair is taken as
-    one, (None, None) is mu == 1 (the closed form), and an (x, y) sampler,
+    one, None and (None, None) are mu == 1, stored as MuInverse() (N is chi
+    in closed form), and an (x, y) sampler,
     which need not be a product, is refused at construction."""
     fam = dl.WeightFamily(0.5, 0.1)
     pair = dl.CharacteristicSolution(fam, (np.cos, None)).mu_inverse
     assert isinstance(pair, dl.MuInverse) and pair == (np.cos, None)
     assert pair(0.3, 0.7) == np.cos(0.3)
-    assert dl.CharacteristicSolution(fam, (None, None)).mu_inverse is None
+    assert dl.CharacteristicSolution(fam, (None, None)).mu_inverse == dl.MuInverse()
+    assert dl.CharacteristicSolution(fam).mu_inverse == dl.MuInverse()
     with pytest.raises(TypeError, match="must be a pair"):
         dl.CharacteristicSolution(fam, lambda x, s: 1.0 + x * s)
 
