@@ -12,21 +12,29 @@ in both checkouts, the parent first when k is even and the change first when
 k is odd.  For each workload and end-to-end metric of BENCHMARK.json the
 summary gives each side's first quartile, median and third quartile, the
 interquartile distance of the parent's runs, and the pairs the change won
-(ties count for neither side).  ``--record PATH`` writes one JSON line per
-run to PATH as the run ends: perfbench's full JSON line with the keys
-``workload``, ``pair``, ``seed``, ``side`` (parent or change) and ``first``
-(the side that ran first in the pair) added.  Exit 1 if a run fails or
-reports ``failed > 0``, else 0.
+(ties count for neither side).  The scaled times are perfbench's raw
+times multiplied by the machine speed that ``worker.calibrate`` measured
+next to them, and a change to the program can move that measurement too,
+so the summary also gives each side's median raw times and speed factor,
+read from perfbench's ``machine speed ... unscaled medians ...`` report
+line.  ``--record PATH`` writes one JSON line per run to PATH as the run
+ends: perfbench's full JSON line with the keys ``workload``, ``pair``,
+``seed``, ``side`` (parent or change) and ``first`` (the side that ran
+first in the pair) added, and ``speed`` and ``raw`` (the unscaled medians)
+from the report line.  Exit 1 if a run fails or reports ``failed > 0``,
+else 0.
 """
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+MACHINE = re.compile(r"machine speed (\S+) of the reference; unscaled medians (.*)")
 
 
 def _benchmark() -> dict:
@@ -44,11 +52,17 @@ def workloads(names: list) -> list:
 
 
 def record(stdout: str) -> dict:
-    """The JSON line that perfbench prints after its report."""
+    """The JSON line that perfbench prints after its report, with the
+    report's speed factor and unscaled medians as ``speed`` and ``raw``
+    where it printed them."""
     lines = [line for line in stdout.splitlines() if line.startswith("{")]
     if not lines:
         raise RuntimeError("perfbench printed no JSON line")
-    return json.loads(lines[-1])
+    rec = json.loads(lines[-1])
+    for m in filter(None, map(MACHINE.match, stdout.splitlines())):
+        rec["speed"] = float(m[1])
+        rec["raw"] = {k: float(v) for k, v in (f.split("=", 1) for f in m[2].split())}
+    return rec
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -79,6 +93,17 @@ def summary(pairs: list, metrics: list) -> list:
         wins = sum(sign * (pv - cv) > 0 for pv, cv in zip(p, c))
         rows.append((name, quartiles(p), quartiles(c), wins))
     return rows
+
+
+def raw_summary(pairs: list) -> list:
+    """(name, parent median, change median) of each unscaled median and of
+    the speed factor, over ``pairs`` whose records all carry them."""
+    if not all("raw" in r for pair in pairs for r in pair):
+        return []
+    names = list(pairs[0][0]["raw"])
+    side = [[{**r["raw"], "speed": r["speed"]} for r in rs] for rs in zip(*pairs)]
+    return [(name, *(statistics.median(v[name] for v in runs) for runs in side))
+            for name in names + ["speed"]]
 
 
 def main(argv=None) -> int:
@@ -124,6 +149,11 @@ def main(argv=None) -> int:
         for name, pq, cq, wins in summary(pairs[w], metrics):
             print(f"  {name:14s} " + " ".join(f"{v:11.6g}" for v in (*pq, *cq, pq[2] - pq[0]))
                   + f"  {wins}/{len(pairs[w])}")
+        raw = raw_summary(pairs[w])
+        if raw:
+            print(f"  {'unscaled':14s} {'parent median':>13s} {'change median':>13s}")
+            for name, pm, cm in raw:
+                print(f"  {name:14s} {pm:13.6g} {cm:13.6g}")
     failed = sum(r["failed"] for ps in pairs.values() for pair in ps for r in pair)
     if failed:
         print(f"  {failed} failed invocations")

@@ -14,13 +14,13 @@ with mu at the face midpoint.  This keeps the scheme exact for the model odd
 solution in one dimension and uniformly well behaved across the
 degenerate/singular range of exponents.
 
-The operator is built with array operations over the lattice ``grid.index``,
-by one code path for n = 1 and n = 2.  The grid's :class:`Stencil`, built
-once per grid, holds what depends on the grid alone: the faces, from slicing
-the lattice along each axis, each cell's faces and the CSR pattern.  An
-assembly computes the weights, transmissibilities and diagonal and gathers
-them into the matrix.  Weight models are evaluated on all the live grid
-columns at once (the contract, and mu, is :class:`WeightModel`'s), so the
+The operator is built with array operations over the cell lattice of the
+half rectangle, by one code path for n = 1 and n = 2.  The grid's
+:class:`Stencil`, built once per grid, holds what depends on the grid alone:
+the faces, each cell's faces and the CSR pattern, all by index arithmetic
+on the lattice.  An assembly computes the weights, transmissibilities and
+diagonal and gathers them into the matrix.  Weight models are evaluated on
+all the grid columns at once (the contract, and mu, is :class:`WeightModel`'s), so the
 y-faces of a grid cost one ``resistance_y`` call.  The faces are kept as
 arrays (:class:`Faces`) for right-hand sides.  There is no per-cell Python
 work: every user sampler (mu_inverse, the data f, F and the trace, and
@@ -30,21 +30,20 @@ points it is needed at, through ``weights._sample``.
 Boundary handling:
 * characteristic plane (y = 0): odd parity imposes u = 0 through the exact
   half-cell resistance; even parity imposes zero weighted flux (no term).
-* outer boundary (including the staircase of masked half-disk cells):
-  Dirichlet data enter through half-cell transmissibilities, first order.
+* outer boundary: Dirichlet data enter through half-cell
+  transmissibilities, first order.
 
 Linear solves: CG (:func:`_cg`, scipy's ``cg`` recursion), preconditioned
 on the n = 1 half rectangle by the exact solve of the separable fit of the
 face transmissibilities (Lynch, Rice & Thomas, 1964; Concus & Golub, 1973),
 which every operator the CLI assembles matches, so CG stops within two
-steps; masked and n = 2 grids take the diagonal.  Every solve aims at the relative
+steps; n = 2 grids take the diagonal.  Every solve aims at the relative
 residual ``SOLVER_TOL``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -80,7 +79,7 @@ class RangeError(ValueError):
 # ---------------------------------------------------------------------------
 
 class WeightModel:
-    """Weight sampler evaluated on all the live grid columns at once.
+    """Weight sampler evaluated on all the grid columns at once.
 
     A model owns the coefficient mu of the operator, so one model means one
     operator: ``sol`` is its characteristic solution, whose ``mu_inverse``
@@ -97,8 +96,8 @@ class WeightModel:
       pair of endpoints (near the plane the weight's curvature makes the
       midpoint rule O(1) relatively wrong in the bottom cell);
     * ``resistance_y(x, ys, y0, y1)``: int_{y0}^{y1} ds/(w(s) mu(x, s)) for
-      the segments y0, y1 of shape S + (m,), NaN where a segment is not asked
-      for.
+      the segments [y0[k], y1[k]] of a column's y-faces (arrays of shape
+      (m,), every column's), each end a cell centre, the plane or the top.
 
     Assembly makes one call of each per grid.
     """
@@ -135,12 +134,9 @@ class RhoWeight(WeightModel):
         """N computed once on the half-spacing ladder of ys, read at each segment
         end (a cell centre, a face or the plane) by its ladder index y / (h/2)."""
         sol = self.sol
-        ask = ~np.isnan(y0)
         N = np.r_[0.0, sol.integral(_half_ladder(ys), keep=True)]
-        i0, i1 = (np.rint(y[ask] / ys[0]).astype(np.intp) for y in (y0, y1))
-        out = np.full(y0.shape, np.nan)
-        out[ask] = N[i1] - N[i0]
-        return np.asarray(sol.m_inv_at(x))[..., None] * out
+        i0, i1 = (np.rint(y / ys[0]).astype(np.intp) for y in (y0, y1))
+        return np.asarray(sol.m_inv_at(x))[..., None] * (N[i1] - N[i0])
 
     def cell_integral_y(self, x, ys, y0, y1):
         a, eps = self.family.a, self.family.eps
@@ -228,9 +224,8 @@ class DiscreteField:
         return cls(grid, _sample(fn, *_xy(grid.centers, grid.n), "field").copy(), parity)
 
     def lattice(self) -> np.ndarray:
-        out = np.full(self.grid.lattice_shape(), np.nan)
-        out[self.grid.index >= 0] = self.values[self.grid.index[self.grid.index >= 0]]
-        return out
+        """The values on the cell lattice (a view)."""
+        return self.values.reshape(self.grid.lattice_shape())
 
     def interpolate(self, points: np.ndarray, trace: Optional[Callable] = None) -> np.ndarray:
         """Bilinear interpolation (n=1 grids) with parity ghosts below y=h/2.
@@ -286,27 +281,9 @@ def _xy(pts: np.ndarray, n: int):
 # ---------------------------------------------------------------------------
 
 def _column_values(g: HalfGrid, fn: Callable) -> np.ndarray:
-    """fn(x, ys) on all the grid columns with a live cell in one call, at
-    the live cells in dof order."""
+    """fn(x, ys) on all the grid columns in one call, at the cells in dof order."""
     st = g.stencil
-    return np.broadcast_to(fn(st.x, st.ys), st.live.shape)[st.live]
-
-
-def _axis_faces(g: HalfGrid, axis: int):
-    """Dofs on both sides (-1 outside) and midpoints (x..., y) of the faces
-    normal to a lattice axis (axis n is y), as flat arrays ordered by the
-    other lattice coordinates first and the face position last."""
-    m = g.index.shape[axis]
-    pad = [(0, 0)] * g.index.ndim
-    pad[axis] = (1, 1)
-    cells = np.moveaxis(np.pad(g.index, pad, constant_values=-1), axis, -1)
-    lo, hi = cells[..., :-1].ravel(), cells[..., 1:].ravel()
-    h = g.h
-    coords = [-1.0 + (np.arange(g.nx) + 0.5) * h] * g.n + [(np.arange(g.ny) + 0.5) * h]
-    coords[axis] = (-1.0 if axis < g.n else 0.0) + np.arange(m + 1) * h
-    mid = np.stack([np.moveaxis(c, axis, -1).ravel()
-                    for c in np.meshgrid(*coords, indexing="ij")], axis=-1)
-    return lo, hi, mid
+    return np.broadcast_to(fn(st.x, st.ys), (g.nx ** g.n, g.ny)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +292,10 @@ def _axis_faces(g: HalfGrid, axis: int):
 
 @dataclass(frozen=True)
 class Faces:
-    """Every face next to a live cell, as parallel arrays.
+    """Every face of the grid, as parallel arrays.
 
     Order: the y-faces column by column from the plane up, then the x-faces
-    of each axis.  ``lo``/``hi`` are the dofs below/above (left/right) of the
+    of each axis, line by line (:class:`Stencil`).  ``lo``/``hi`` are the dofs below/above (left/right) of the
     face, -1 outside the grid; ``weight`` is the face weight of the flux
     w F.n; ``mid`` the midpoint (x..., y); ``dirichlet`` marks the outer
     faces where the trace enters, with transmissibility ``tau``."""
@@ -375,66 +352,82 @@ def _cell_weight_integrals(weight: WeightModel, g: HalfGrid) -> np.ndarray:
 
 class Stencil:
     """What :func:`assemble` reads from the grid alone, built once per grid
-    (:attr:`HalfGrid.stencil`) and shared by every operator on it: the
-    columns with a live cell (``x``, ``live``, ``ys``); the weight-free, read-only
-    :class:`Faces` fields; the y-faces of the live columns (``ykeep`` the
-    kept ones, ``plane``, ``need[parity]`` and the segment ends ``y0``,
-    ``y1``); the cell values of each face weight (``side``, ``inner``,
-    ``inner_hi``, into the y-face values followed by the x-face ones);
-    ``slots``, each cell's lower and upper face per axis, y first; and the
-    CSR pattern, ``src`` naming each entry's face, or its cell past the faces.
-    Dofs increase in lattice order, so a row's slots are in column order."""
+    (:attr:`HalfGrid.stencil`) and shared by every operator on it, all by
+    index arithmetic on the lattice (nx,)*n + (ny,): the columns' positions
+    ``x`` and cell ordinates ``ys``; the weight-free, read-only
+    :class:`Faces` fields; the y-segment ends ``y0``, ``y1`` of a column's
+    faces (centre to centre, or the plane or the top face to a centre) and
+    the ``plane`` faces among the y-faces; the cell values of each face
+    weight (``side``, ``inner``, ``inner_hi``, into the y-face values
+    followed by the x-face ones); ``slots``, each cell's lower and upper
+    face per axis, y first; and the CSR pattern, ``src`` naming each entry's
+    face, or its cell past the faces.  Dofs increase in lattice order, so a
+    row's slots are in column order.
+
+    The faces normal to a lattice axis d (axis n is y), of length m and dof
+    stride s, come in lines: one per cell with i_d = 0, whose dof is
+    ``first``, in lattice order; the faces of a line are at positions
+    0..m, between the cells first + (p-1) s and first + p s."""
 
     def __init__(self, g: HalfGrid):
-        n, h = g.n, g.h
-        rows = np.flatnonzero(np.any(g.index.reshape(-1, g.ny) >= 0, axis=1))
-        xs = -1.0 + (np.arange(g.nx) + 0.5) * h
-        self.x = _x_of([xs[i] for i in np.unravel_index(rows, (g.nx,) * n)])
-        self.live = g.index.reshape(-1, g.ny)[rows] >= 0
-        self.ys = (np.arange(g.ny) + 0.5) * h
+        n, h, ny, ncells = g.n, g.h, g.ny, g.ncells
+        shape = g.lattice_shape()
+        self.x = _x_of([g.centers[::ny, d] for d in range(n)])
+        self.ys = (np.arange(ny) + 0.5) * h
+        self.y0, self.y1 = np.r_[0.0, self.ys], np.r_[self.ys, ny * h]
+        self.plane = np.arange(ncells // ny * (ny + 1)) % (ny + 1) == 0
 
-        # y-faces: face k of a live column lies at y = k h, between cells k-1 and k
-        lo, hi, mid = (a.reshape(-1, g.ny + 1, *a.shape[1:])[rows]
-                       for a in _axis_faces(g, n))
-        plane = np.zeros(lo.shape, dtype=bool)
-        plane[:, 0] = hi[:, 0] >= 0
-        edge = ((lo >= 0) != (hi >= 0)) & ~plane
-        self.ykeep = keep = (lo >= 0) | (hi >= 0)
-        self.plane = plane[keep]
-        self.need = {"even": (lo >= 0) & (hi >= 0) | edge}
-        self.need["odd"] = self.need["even"] | plane
-        self.y0 = np.where(lo >= 0, np.r_[np.nan, self.ys], mid[..., n])   # center to center
-        self.y1 = np.where(hi >= 0, np.r_[self.ys, np.nan], mid[..., n])   # or face
-        k = np.flatnonzero(keep)
-        parts = [(np.full(len(k), n), lo.ravel()[k], hi.ravel()[k],
-                  mid.reshape(-1, n + 1)[k], edge.ravel()[k])]
-        for axis in range(n):
-            lo, hi, mid = _axis_faces(g, axis)
-            k = np.flatnonzero((lo >= 0) | (hi >= 0))
-            lo, hi = lo[k], hi[k]
-            parts.append((np.full(len(k), axis), lo, hi, mid[k], (lo < 0) | (hi < 0)))
-        self.axis, self.lo, self.hi, self.mid, self.dirichlet = (np.concatenate(a)
-                                                                  for a in zip(*parts))
-        off = np.where(self.axis == n, 0, g.ncells)
-        inner = np.flatnonzero((self.lo >= 0) & (self.hi >= 0))
-        self.side = np.where(self.lo >= 0, self.lo, self.hi) + off
-        self.inner, self.inner_hi = inner, self.hi[inner] + off[inner]
+        order = (n, *range(n))                                 # y-faces first
+        total = sum(ncells // shape[d] * (shape[d] + 1) for d in order)
+        self.axis, self.lo, self.hi, self.side = np.empty((4, total), dtype=np.int64)
+        self.mid, self.dirichlet = np.empty((total, n + 1)), np.zeros(total, dtype=bool)
+        self.slots = np.empty((2 * n + 2, ncells), dtype=np.int64)
+        inner, start = [], 0
+        for i, d in enumerate(order):
+            m, s = shape[d], math.prod(shape[d + 1:])
+            line, pos = np.arange(ncells // m), np.arange(m + 1)
+            first = line // s * (m * s) + line % s
+            cells = first[:, None] + pos[:-1] * s
+            block, off = slice(start, start + len(line) * (m + 1)), (0 if d == n else ncells)
+            axis, lo, hi, side = (a[block].reshape(-1, m + 1)
+                                  for a in (self.axis, self.lo, self.hi, self.side))
+            axis[...], lo[:, 0], lo[:, 1:], hi[:, :-1], hi[:, -1] = d, -1, cells, cells, -1
+            side[:, 0], side[:, 1:] = cells[:, 0] + off, cells + off
+            mid = self.mid[block].reshape(-1, m + 1, n + 1).transpose(2, 0, 1)
+            mid[...] = g.centers[first].T[..., None]
+            mid[d] = (-1.0 if d < n else 0.0) + pos * h
+            self.dirichlet[block].reshape(-1, m + 1)[:, [0, m] if d < n else [m]] = True
+            inner.append(((start + (m + 1) * line[:, None] + pos[1:-1]).ravel(),
+                          (cells[:, 1:] + off).ravel()))
+            # a cell is the upper side of the face at p = i_d and the lower side of p + 1
+            np.add(start + (m + 1) * line.reshape(shape[:d] + (1,) + shape[d + 1:]),
+                   pos[:-1].reshape((m,) + (1,) * (n - d)), out=self.slots[2 * i].reshape(shape))
+            self.slots[2 * i + 1] = self.slots[2 * i] + 1
+            start = block.stop
+        self.inner, self.inner_hi = (np.concatenate(a) for a in zip(*inner))
 
-        # each cell is the upper side of its lower face and the lower side of its upper one
-        self.slots = np.empty((2 * n + 2, g.ncells), dtype=np.int64)
-        for i, (axis, side) in enumerate(itertools.product((n, *range(n)), (self.hi, self.lo))):
-            on = np.flatnonzero(self.axis == axis)
-            cell = side[on]
-            self.slots[i, cell[cell >= 0]] = on[cell >= 0]
-        dofs = np.arange(g.ncells)
-        lower, upper = [*range(2, 2 * n + 2, 2), 0], [1, *range(2 * n + 1, 2, -2)]
-        nb = np.vstack([self.lo[self.slots[lower]], dofs, self.hi[self.slots[upper]]])
-        face = np.vstack([self.slots[lower], len(self.lo) + dofs, self.slots[upper]])
-        there = (nb >= 0).T               # a row's entries are a column of nb
-        self.src = face.T[there]
-        pattern = sp.csr_matrix((self.src, nb.T[there], np.r_[0, np.cumsum(there.sum(axis=1))]),
-                                shape=(g.ncells, g.ncells))
-        self.indices, self.indptr = pattern.indices, pattern.indptr
+        # a row's entries in column order: the lower neighbour along axis 0, ..., n, the
+        # cell, then the upper neighbour along axis n, ..., 0; none across the boundary
+        sides = [*((d, 0) for d in range(n + 1)), None, *((d, 1) for d in range(n, -1, -1))]
+        face = np.empty((ncells, len(sides)), dtype=np.int64)
+        step = np.zeros(len(sides), dtype=np.int32)
+        there = np.ones(shape + (len(sides),), dtype=bool)
+        count = np.full(shape, len(sides), dtype=np.int32)
+        for k, side in enumerate(sides):
+            if side is None:
+                face[:, k] = total + np.arange(ncells)
+                continue
+            d, up = side
+            face[:, k] = self.slots[2 * order.index(d) + up]
+            step[k] = math.prod(shape[d + 1:]) * (1 if up else -1)
+            edge = (slice(None),) * d + (-up,)
+            there[edge + (Ellipsis, k)] = False
+            count[edge] -= 1
+        there = there.reshape(ncells, len(sides))
+        self.src = face[there]
+        self.indices = (np.arange(ncells, dtype=np.int32)[:, None] + step)[there]
+        self.indptr = np.zeros(ncells + 1, dtype=np.int32)
+        np.cumsum(count.ravel(), out=self.indptr[1:])
         for name in ("axis", "lo", "hi", "mid", "dirichlet", "indices", "indptr"):
             getattr(self, name).setflags(write=False)
 
@@ -442,7 +435,9 @@ class Stencil:
 def assemble(grid: HalfGrid, weight: WeightModel, parity: str = "odd") -> AssembledOperator:
     """Assemble the flux-form operator, symmetric and closed by Dirichlet
     half-cells on the outer boundary; see the module docstring for the
-    scheme.  The grid's :class:`Stencil` gives everything but the values."""
+    scheme.  The grid's :class:`Stencil` gives everything but the values:
+    the y-resistances come from one ``resistance_y`` call on a column's
+    segments, and the plane faces carry the odd problem's u = 0 only."""
     if parity not in ("odd", "even"):
         raise ValueError("assembly parity must be 'odd' or 'even'")
     g, st = grid, grid.stencil
@@ -455,12 +450,12 @@ def assemble(grid: HalfGrid, weight: WeightModel, parity: str = "odd") -> Assemb
     cw = np.concatenate([wcell, _column_values(g, weight.x_conductivities)])
     wf = cw[st.side]
     wl, wh = wf[st.inner], cw[st.inner_hi]
-    wf[st.inner] = 2.0 * wl * wh / (wl + wh)      # harmonic mean between live cells
+    wf[st.inner] = 2.0 * wl * wh / (wl + wh)      # harmonic mean between two cells
 
-    need = st.need[parity]
-    R = weight.resistance_y(st.x, st.ys, *(np.where(need, y, np.nan) for y in (st.y0, st.y1)))
-    R = R[st.ykeep]
-    use = need[st.ykeep] & (~st.plane | (np.isfinite(R) & (R > 0)))
+    R = np.broadcast_to(weight.resistance_y(st.x, st.ys, st.y0, st.y1),
+                        (g.nx ** g.n, g.ny + 1)).ravel()
+    # a plane face closes the odd problem (u = 0) through a finite half-cell resistance
+    use = ~st.plane if parity == "even" else ~st.plane | (np.isfinite(R) & (R > 0))
     k = len(R)
     tau = np.zeros(len(wf))
     tau[:k][use] = area / R[use]
@@ -506,7 +501,8 @@ def _separable_solve(op: AssembledOperator) -> Callable[[np.ndarray], np.ndarray
     fits = []
     for T in (tau[:k].reshape(g.nx, g.ny + 1), tau[k:].reshape(g.ny, g.nx + 1)):
         v = T.sum(axis=0)
-        fits.append((T @ v / (v @ v), v[:-1] + v[1:], -v[1:-1]))   # u, face form of v
+        e = 2.0 ** -np.frexp(np.max(v))[1]      # v e in [1/2, 1): exact, and no square underflows
+        fits.append((T @ (v * e) / ((v * e) @ (v * e)) * e, v[:-1] + v[1:], -v[1:-1]))
     (m, dy, ey), (c, dx, ex) = fits
     s = 1.0 / np.sqrt(m)
     if not np.all(np.isfinite(s)):
@@ -557,9 +553,10 @@ def _cg(A: sp.csr_matrix, b: np.ndarray, precondition: Callable[[np.ndarray], np
 
 
 def solve_linear(op: AssembledOperator, rhs: np.ndarray) -> SolveReport:
-    """Solve op u = rhs by :func:`_cg`, preconditioned as the module docstring says."""
+    """Solve op u = rhs by :func:`_cg`, preconditioned by the separable solve
+    (:func:`_separable_solve`) on n = 1 grids and by the diagonal on n = 2."""
     A, g = op.matrix, op.grid
-    if g.n == 1 and g.shape == "half_rectangle":
+    if g.n == 1:
         precondition = _separable_solve(op)
     else:
         precondition = functools.partial(np.multiply, 1.0 / A.diagonal())

@@ -141,13 +141,14 @@ def _floats(cfg: dict, key: str, default: str, valid=None) -> list:
             for tok in cfg.get(key, default).replace(",", " ").split()]
 
 
-def _eps_list(cfg: dict, default: str, a: float, h: float) -> list:
+def _eps_list(cfg: dict, default: str, a: float, h: float, m_inv) -> list:
     """At least two distinct eps >= 0 (the trend fit needs two abscissae).  An
-    eps > 1 whose step is not representable at a on the grid of spacing h,
-    where eps = 1's is, is refused; any other such step is a's (``run``)."""
-    step = _accepted_by(lambda e: _eps_step_rule(a, e, h), "")[0]
+    eps > 1 whose step is not representable at a and the family's m^(-1) on
+    the grid of spacing h, where eps = 1's is, is refused; any other such
+    step is a's (``run``)."""
+    step = _accepted_by(lambda e: _eps_step_rule(a, e, h, m_inv), "")[0]
     eps_list = _floats(cfg, "eps_list", default, (
-        lambda e: e >= 0.0 and (step(e) or e <= 1.0 or not step(1.0)),
+        lambda e: e >= 0.0 and (e <= 1.0 or step(e) or not step(1.0)),
         f"non-negative, with rho and v representable at a={a:g} on h={h:g}"))
     if len(eps_list) < 2:
         raise ConfigError(f"eps_list: {cfg['eps_list']!r} has fewer than two entries")
@@ -292,7 +293,8 @@ def _family_from_cfg(cfg: dict) -> ProblemFamily:
 def cmd_sweep(cfg: dict) -> int:
     family = _family_from_cfg(cfg)
     h = _float(cfg, "h", "1/64", _GRID_SPACING)
-    eps_list = _eps_list(cfg, "1 0.3 0.1 0.03 0.01 0", family.a, h)
+    eps_list = _eps_list(cfg, "1 0.3 0.1 0.03 0.01 0", family.a, h,
+                         (family.mu_inverse or MuInverse()).m_inv)
     alpha = _float(cfg, "alpha", "0.4", _ALPHA)
     mode = cfg.get("mode", "ratio_c0")
     try:
@@ -382,7 +384,7 @@ def cmd_fermi_demo(cfg: dict) -> int:
     h = _float(cfg, "h", "1/32", _GRID_SPACING)
     alpha = _float(cfg, "alpha", "0.4", _ALPHA)
     eps_text = cfg.get("eps_list", "1 0.1 0.01 0")
-    eps_list = _eps_list(cfg, eps_text, a, h)
+    eps_list = _eps_list(cfg, eps_text, a, h, None)
     if len(admissible_eps(eps_list, h, restricted="sqrt_eps")) < 2:
         raise ConfigError(f"eps_list: {eps_text!r} leaves fewer than two eps for the "
                           f"sqrt_eps table at h={fmt(h)}")

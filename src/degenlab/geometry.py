@@ -2,12 +2,13 @@
 
 Grids are cell-centered on purpose: no unknown ever sits on the
 characteristic hyperplane {y = 0}, so singular weights (a <= -1) stay finite
-at every sampled point; the smallest ordinate is h/2.  The half disk is the
-staircase subset of the half rectangle whose cell centers satisfy |z| <= 1
-(documented first-order boundary error; eigenvalue work uses the conforming
-nodal mesh in :mod:`degenlab.spectral` instead).  A :class:`Region` is an
-axis box of cells: the sweeps measure their seminorms on one, and the
-quotient residual keeps the cells of one away from the outer boundary.
+at every sampled point; the smallest ordinate is h/2.  The one cell grid is
+the half rectangle, whose cells fill the lattice: the half disk is
+discretised only by the conforming nodal mesh of :mod:`degenlab.spectral`,
+and the growth monitor reads the half ball B_r^+ inside the rectangle.  A
+:class:`Region` is an axis box of cells: the sweeps measure their seminorms
+on one, and the quotient residual keeps the cells of one away from the
+outer boundary.
 
 For an embedded plane curve with unit normal pointing into the positive side,
 the parallel-surface volume element is sqrt(det g^y) = |psi'(x)| (1 - y k(x)),
@@ -31,19 +32,18 @@ class ChartError(ValueError):
 
 @dataclass(frozen=True)
 class HalfGrid:
-    """Cell-centered grid on x in [-1,1]^n, y in (0,1], optionally disk-masked.
+    """Cell-centered grid on the half rectangle x in [-1,1]^n, y in (0,1].
 
     Cells are indexed by integer coordinates (i_1[, i_2], j) with centers
-    x_d = -1 + (i_d + 1/2) h and y = (j + 1/2) h.  ``index`` maps lattice
-    coords to the dense dof numbering (-1 for masked-out cells).
+    x_d = -1 + (i_d + 1/2) h and y = (j + 1/2) h.  Every cell of the lattice
+    (nx,)*n + (ny,) is a dof, numbered in lattice (C) order: ``index`` is
+    that numbering, and ``centers`` lists the cells in it.
     """
 
     n: int
-    shape: str                    # 'half_rectangle' | 'half_disk'
     h: float
     nx: int                       # cells per x-axis
     ny: int                       # cells in y
-    index: np.ndarray = field(repr=False)     # lattice -> dof, shape (nx,)*n + (ny,)
     centers: np.ndarray = field(repr=False)   # (ncells, n+1)
 
     @property
@@ -52,8 +52,12 @@ class HalfGrid:
 
     @property
     def num_sigma_faces(self) -> int:
-        bottom = self.index[..., 0]
-        return int(np.count_nonzero(bottom >= 0))
+        return self.nx ** self.n
+
+    @property
+    def index(self) -> np.ndarray:
+        """The dof of each lattice cell, shape (nx,)*n + (ny,)."""
+        return np.arange(self.ncells).reshape(self.lattice_shape())
 
     @functools.cached_property
     def stencil(self):
@@ -66,7 +70,7 @@ class HalfGrid:
         return (self.nx,) * self.n + (self.ny,)
 
     def describe(self) -> str:
-        return (f"n={self.n} shape={self.shape} h={self.h:.12g} "
+        return (f"n={self.n} shape=half_rectangle h={self.h:.12g} "
                 f"cells={self.ncells} sigma_faces={self.num_sigma_faces}")
 
 
@@ -101,27 +105,17 @@ def _cell_counts(h: float, n: int) -> Tuple[int, int]:
 
 
 def build_half_grid(n: int, shape: str, h: float) -> HalfGrid:
-    """Construct a half-rectangle or half-disk grid of spacing h = 1/m, m >= 4."""
+    """Construct the half-rectangle grid (``shape`` = 'half_rectangle') of
+    spacing h = 1/m, m >= 4."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    if shape not in ("half_rectangle", "half_disk"):
-        raise ValueError(f"unknown shape {shape!r}")
-    if shape == "half_disk" and n != 1:
-        raise ValueError("half_disk is implemented for n=1 (plane half disk)")
+    if shape != "half_rectangle":
+        raise ValueError(f"unknown shape {shape!r}: the cell grid is the half rectangle")
     nx, ny = _cell_counts(h, n)
     axes = [(-1.0 + (np.arange(nx) + 0.5) * h) for _ in range(n)]
     ys = (np.arange(ny) + 0.5) * h
     grids = np.meshgrid(*axes, ys, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    if shape == "half_disk":
-        mask = (pts ** 2).sum(axis=1) <= 1.0 + 1e-12
-    else:
-        mask = np.ones(pts.shape[0], dtype=bool)
-    index = -np.ones(pts.shape[0], dtype=np.int64)
-    index[mask] = np.arange(int(mask.sum()))
-    lattice = index.reshape((nx,) * n + (ny,))
-    return HalfGrid(n=n, shape=shape, h=h, nx=nx, ny=ny,
-                    index=lattice, centers=pts[mask])
+    return HalfGrid(n=n, h=h, nx=nx, ny=ny, centers=np.stack([g.ravel() for g in grids], axis=1))
 
 
 # ---------------------------------------------------------------------------

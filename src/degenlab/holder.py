@@ -35,9 +35,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .assembly import DiscreteField, RhoWeight, assemble, solve_linear
-from .geometry import HalfGrid, Region, build_half_grid
+from .geometry import HalfGrid, Region, _cell_counts, build_half_grid
 from .ratio import V_GUARD, _quotient, _v_on_grid
-from .weights import CharacteristicSolution, MuInverse, WeightFamily, _sample, rho, v_char
+from .weights import (CharacteristicSolution, MuInverse, WeightFamily, _factor, _sample, chi,
+                      rho, v_char)
 
 TAU = 3.0
 SLOPE_TOL = 0.1
@@ -60,14 +61,12 @@ class SweepAbort(RuntimeError):
 
 
 def _lattice_box(sel: np.ndarray) -> Tuple[slice, ...]:
-    """The slices of the box of the cell lattice that the True cells of sel fill."""
+    """The slices of the box of the cell lattice that the True cells of sel
+    fill (an axis box of a Region always selects one)."""
     idx = np.nonzero(sel)
     if len(idx[0]) < 2:
         raise EmptyRegionError("region contains fewer than two cells")
-    box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx)
-    if not np.all(sel[box]):
-        raise ValueError("region is not a box of the cell lattice")
-    return box
+    return tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx)
 
 
 def _distance_tables(shape: Tuple[int, ...], h: float, alpha: float) -> list:
@@ -105,7 +104,7 @@ def _box_seminorm(lat: np.ndarray, tables: list) -> float:
 
 def _region_cells(grid: HalfGrid, region: Region) -> np.ndarray:
     """The region's cells as a boolean array over the cell lattice."""
-    return (grid.index >= 0) & region.mask(grid)[grid.index]
+    return region.mask(grid).reshape(grid.lattice_shape())
 
 
 def holder_seminorm(field: DiscreteField, alpha: float, region: Region,
@@ -113,9 +112,8 @@ def holder_seminorm(field: DiscreteField, alpha: float, region: Region,
     """max over all pairs of cell centres in the region of
     |u(z1) - u(z2)| / |z1 - z2|^alpha.
 
-    The region must select a box of the cell lattice, as every Region does
-    on a half-rectangle grid; a ValueError says when it does not.  The box's
-    distance tables are ``tables(shape, h, alpha)``: a caller that measures
+    Every Region selects a box of the cell lattice.  The box's distance
+    tables are ``tables(shape, h, alpha)``: a caller that measures
     many boxes passes one cache of :func:`_distance_tables`."""
     sel = _region_cells(field.grid, region)
     if not np.any(sel):
@@ -325,15 +323,20 @@ def admissible_eps(eps_list: Sequence[float], grid_h: float, restricted: str = "
     return [e for e in eps_list if _eps_region(restricted, e, grid_h) is not None]
 
 
-def _eps_step_rule(a: float, eps: float, grid_h: float) -> None:
-    """Raise ValueError unless rho is finite and positive at the first and last
-    cell centre and v = (1-a) chi (mu == 1) at the first, y = h/2, is at least
-    ``V_GUARD`` by its lower bound (1-a) y min(rho^(-a)) over [0, y]."""
+def _eps_step_rule(a: float, eps: float, grid_h: float, m_inv: Optional[Callable]) -> None:
+    """Raise ValueError unless, on the n = 1 grid of spacing grid_h, rho is
+    finite and positive at the first and last cell centre, and v = (1-a)
+    m^(-1)(x) chi(y) (mu^(-1) = m^(-1)(x), None for 1) is at least ``V_GUARD``
+    at y = h/2 by its lower bound (1-a) y min(rho^(-a)) over [0, y] and
+    finite at the top, y = 1, in every column x."""
     fam, y = WeightFamily(a, eps), grid_h / 2.0
+    m = _factor(m_inv, -1.0 + (np.arange(_cell_counts(grid_h, 1)[0]) + 0.5) * grid_h)
     with np.errstate(over="ignore", divide="ignore"):
         w = rho(fam, np.array([y, 1.0 - y]))
         low = (1.0 - a) * y * np.min((eps * eps + np.array([0.0, y * y])) ** (-a / 2.0))
-    if not (np.all(np.isfinite(w) & (w > 0.0)) and low >= V_GUARD):
+        top = (1.0 - a) * chi(fam, 1.0) * np.max(m)
+    if not (np.all(np.isfinite(w) & (w > 0.0)) and low * np.min(m) >= V_GUARD
+            and math.isfinite(top)):
         raise ValueError(f"rho or v leaves the range of double precision at eps={eps!r}")
 
 

@@ -94,8 +94,9 @@ def _antiderivative_unit(a, t):
     out[near] = tn * hyp2f1(0.5, a[near] / 2.0, 1.5, -(tn * tn))
     if np.any(~near):
         af = a[~near]
-        base = _HYP_T_MAX * hyp2f1(0.5, af / 2.0, 1.5, -(_HYP_T_MAX ** 2))
-        out[~near] = base + _antiderivative_tail(af, _HYP_T_MAX, t[~near])
+        ua, which = np.unique(af, return_inverse=True)      # I_a(1e3) once per distinct a
+        base = _HYP_T_MAX * hyp2f1(0.5, ua / 2.0, 1.5, -(_HYP_T_MAX ** 2))
+        out[~near] = base[which] + _antiderivative_tail(af, _HYP_T_MAX, t[~near])
     return out if out.ndim else float(out)
 
 
@@ -164,7 +165,12 @@ def chi(family: WeightFamily, y):
     elif a == -2.0:
         out = eps * eps * y + y ** 3 / 3.0
     else:
-        out = sgn * eps ** (1.0 - a) * _antiderivative_unit(a, ay / eps)
+        unit = _antiderivative_unit(a, ay / eps)
+        try:
+            out = sgn * eps ** (1.0 - a) * unit
+        except OverflowError:       # eps^(1-a) alone; chi ~ eps^(-a) y at y << eps need not
+            with np.errstate(over="ignore"):
+                out = sgn * np.float64(eps) ** -a * (eps * unit)
     return out if out.ndim else float(out)
 
 

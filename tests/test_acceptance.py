@@ -213,31 +213,55 @@ def test_criterion_8_exponent_optimality():
 
 # -- 9 -----------------------------------------------------------------------
 
+CRIT9_A, CRIT9_R = 0.5, [0.25, 0.5, 0.75, 1.0]
+
+
+def _crit9_trace(x, y):
+    """y^{1-a}(1 + 0.1 x), odd in y: the perturbed trace of criterion 9."""
+    return np.copysign(np.abs(y) ** (1 - CRIT9_A), y) * (1.0 + 0.1 * x)
+
+
+def _growth_column(field, trace):
+    return [c for _, _, c in dl.growth_monitor(field, CRIT9_A, CRIT9_R, trace=trace)]
+
+
+def _nondecreasing(norm):
+    return all(n2 >= n1 * 0.98 for n1, n2 in zip(norm, norm[1:]))
+
+
 def test_criterion_9_growth_monotonicity():
-    a = 0.5
-    g = dl.build_half_grid(1, "half_disk", 1 / 32)
-    r_list = [0.25, 0.5, 0.75, 1.0]
+    """On the half rectangle [-1, 1] x (0, 1], which holds the half balls
+    B_r^+ of the monitor, r <= 1."""
+    a = CRIT9_A
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 32)
 
     def exact(x, y):
         return np.copysign(np.abs(y) ** (1 - a), y)
 
-    fld = dl.DiscreteField.sample(g, exact, "odd")
-    rows = dl.growth_monitor(fld, a, r_list, trace=exact)
-    norm = [c for _, _, c in rows]
+    norm = _growth_column(dl.DiscreteField.sample(g, exact, "odd"), exact)
     ok_const = max(norm) / min(norm) <= 1.02
 
-    def trace(x, y):
-        return np.copysign(np.abs(y) ** (1 - a), y) * (1.0 + 0.1 * x)
-
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(a, 0.0)), parity="odd")
-    rep = dl.solve_linear(op, op.rhs(trace=trace))
-    rows2 = dl.growth_monitor(rep.field, a, r_list, trace=trace)
-    norm2 = [c for _, _, c in rows2]
-    ok_mono = all(n2 >= n1 * 0.98 for n1, n2 in zip(norm2, norm2[1:]))
+    rep = dl.solve_linear(op, op.rhs(trace=_crit9_trace))
+    ok_mono = _nondecreasing(_growth_column(rep.field, _crit9_trace))
     ok = ok_const and ok_mono
     report(9, ok, f"normalized growth: exact spread "
            f"{max(norm) / min(norm) - 1:.4f} <= 2%, perturbed nondecreasing {ok_mono}")
     assert ok
+
+
+def test_criterion_9_monotone_check_fails_on_a_non_solution():
+    """The monotone half of criterion 9 can fail: the perturbed trace times
+    (1.5 - y), which solves no equation of the family, sampled on the same
+    grid, has a decreasing normalized growth column."""
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 32)
+
+    def bent(x, y):
+        return _crit9_trace(x, y) * (1.5 - y)
+
+    norm = _growth_column(dl.DiscreteField.sample(g, bent, "odd"), bent)
+    assert not _nondecreasing(norm)
+    assert all(n2 < n1 for n1, n2 in zip(norm, norm[1:]))
 
 
 # -- 10 ----------------------------------------------------------------------

@@ -43,8 +43,7 @@ def test_poisson_1d_analytic_oracle():
 
 def test_characteristic_solution_is_discretely_exact():
     grids = (dl.build_half_grid(1, "half_rectangle", 1 / 16),
-             dl.build_half_grid(2, "half_rectangle", 1 / 8),
-             dl.build_half_grid(1, "half_disk", 1 / 8))
+             dl.build_half_grid(2, "half_rectangle", 1 / 8))
     for g, a in itertools.product(grids, (0.5, -0.5, -1.5, -2.5)):
         fam = dl.WeightFamily(a, 0.0)
         op = dl.assemble(g, dl.RhoWeight(fam), parity="odd")
@@ -139,7 +138,7 @@ def test_non_separable_operator_takes_more_steps():
 def test_iteration_cap_is_reported_and_aborts_a_sweep(monkeypatch):
     # one CG step cannot converge: the report says so, and a sweep stops on it
     monkeypatch.setattr(dl.assembly, "ITERATION_CAP", 1)
-    g = dl.build_half_grid(1, "half_disk", 1 / 8)
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
     rhs, _ = dl.manufactured_problem(lambda x, y: y, op)
     rep = dl.solve_linear(op, rhs)
@@ -154,7 +153,7 @@ def _scipy_cg(op, rhs):
     """The oracle of ``assembly._cg``: scipy's cg with the same preconditioner,
     tolerance and cap.  Returns (u, info, steps)."""
     A, g = op.matrix, op.grid
-    if g.shape == "half_rectangle":
+    if g.n == 1:
         M = spla.LinearOperator(A.shape, matvec=assembly._separable_solve(op))
     else:
         M = sp.diags(1.0 / A.diagonal())
@@ -165,31 +164,38 @@ def _scipy_cg(op, rhs):
 
 
 ORACLE_CASES = {
-    **{f"{w}-{parity}": (w, parity, "half_rectangle", 1 / 64)
+    **{f"{w}-{parity}": (w, parity, 1, 1 / 64)
        for w in SEPARABLE for parity in ("odd", "even")},
-    "half-disk-mu1": ("mu1", "odd", "half_disk", 1 / 16),
-    "half-disk-quadratic-mu": ("quadratic-mu", "even", "half_disk", 1 / 16),
+    "n2-mu1": ("mu1", "odd", 2, 1 / 8),
+    "n2-eps0.01": ("eps0.01", "even", 2, 1 / 8),
 }
+
+
+def _first(x):
+    return x[0] if isinstance(x, tuple) else x
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_cg_follows_scipy_step_for_step(case):
     """The lab's CG loop takes scipy's steps: the same count (2 with the
-    separable preconditioner, about a hundred with the diagonal one on the
-    half disk) and the same field up to the order of its sums."""
-    weight, parity, shape, h = ORACLE_CASES[case]
-    op = dl.assemble(dl.build_half_grid(1, shape, h), SEPARABLE[weight](), parity=parity)
-    rhs = op.rhs(f=lambda x, y: np.cos(x) * (1.0 + y), trace=lambda x, y: 1.0 + x + y * y)
+    separable preconditioner on n = 1, dozens with the diagonal one on
+    n = 2) and the same field up to the order of its sums."""
+    weight, parity, n, h = ORACLE_CASES[case]
+    op = dl.assemble(dl.build_half_grid(n, "half_rectangle", h), SEPARABLE[weight](),
+                     parity=parity)
+    rhs = op.rhs(f=lambda x, y: np.cos(_first(x)) * (1.0 + y),
+                 trace=lambda x, y: 1.0 + _first(x) + y * y)
     u, info, steps = _scipy_cg(op, rhs)
     rep = dl.solve_linear(op, rhs)
     assert (rep.iterations, rep.info) == (steps, info) and info == 0 and rep.converged
-    assert steps == 2 if shape == "half_rectangle" else steps > 50
+    assert steps == 2 if n == 1 else steps > 10
     assert np.max(np.abs(rep.field.values - u)) <= 1e-13 * np.max(np.abs(u))
 
 
-@pytest.mark.parametrize("shape", ["half_rectangle", "half_disk"])
-def test_zero_rhs_is_the_zero_field_in_zero_steps(shape):
-    op = dl.assemble(dl.build_half_grid(1, shape, 1 / 8), dl.RhoWeight(dl.WeightFamily(0.5)))
+@pytest.mark.parametrize("n", [1, 2], ids=["half_rectangle", "n2"])
+def test_zero_rhs_is_the_zero_field_in_zero_steps(n):
+    op = dl.assemble(dl.build_half_grid(n, "half_rectangle", 1 / 8),
+                     dl.RhoWeight(dl.WeightFamily(0.5)))
     rep = dl.solve_linear(op, np.zeros(op.grid.ncells))
     assert not rep.field.values.any()
     assert (rep.iterations, rep.info, rep.relative_residual, rep.converged) == (0, 0, 0.0, True)
@@ -197,7 +203,8 @@ def test_zero_rhs_is_the_zero_field_in_zero_steps(shape):
 
 def test_cg_overflow_raises_range_error():
     # ||b|| overflows: scipy's loop runs to the cap on inf and nan, the lab's stops at once
-    op = dl.assemble(dl.build_half_grid(1, "half_disk", 1 / 8), dl.RhoWeight(dl.WeightFamily(0.5)))
+    op = dl.assemble(dl.build_half_grid(1, "half_rectangle", 1 / 8),
+                     dl.RhoWeight(dl.WeightFamily(0.5)))
     with pytest.raises(RangeError, match="CG overflows at step 0"):
         dl.solve_linear(op, np.full(op.grid.ncells, 1e200))
 
@@ -245,8 +252,7 @@ def test_weight_equivalence_constant_mu(model, parity):
     assert (op_c.matrix != factor * op_1.matrix).nnz == 0
 
 
-MU_ONE_GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n1-disk": (1, "half_disk", 1 / 8),
-                "n2-rect": (2, "half_rectangle", 1 / 4)}
+MU_ONE_GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n2-rect": (2, "half_rectangle", 1 / 4)}
 
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
@@ -350,12 +356,13 @@ def test_solve_report_fields():
 
 
 def test_field_export_roundtrip_lattice():
-    g = dl.build_half_grid(1, "half_disk", 1 / 8)
-    fld = exact_field(g, lambda x, y: x + y, parity="none")
+    # every cell of the lattice is a dof, in lattice order
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
+    fld = exact_field(g, lambda x, y: x + 10 * y, parity="none")
     lat = fld.lattice()
-    assert np.isnan(lat[0, -1])          # corner outside the disk
-    vals = lat[np.isfinite(lat)]
-    assert len(vals) == g.ncells
+    assert lat.shape == g.lattice_shape() and np.array_equal(lat.ravel(), fld.values)
+    assert lat[0, -1] == (-1.0 + g.h / 2) + 10 * (1.0 - g.h / 2)     # top left corner
+    assert np.array_equal(g.index.ravel(), np.arange(g.ncells))
 
 
 def test_interpolation_parity_ghosts():
@@ -377,8 +384,6 @@ def test_mu_at_samples_once_per_grid(n):
     """CharacteristicSolution.mu_at makes one call of each factor of
     mu_inverse on all its points, x an array for n = 1 and a tuple of arrays
     for n = 2, and equals 1 / mu_inverse called point by point exactly."""
-    from degenlab.assembly import _axis_faces
-
     calls = []
 
     def m_inv(x):
@@ -393,7 +398,7 @@ def test_mu_at_samples_once_per_grid(n):
     mu_inverse = dl.MuInverse(m_inv, n_inv)
     g = dl.build_half_grid(n, "half_rectangle", 1 / 8)
     sol = dl.CharacteristicSolution(dl.WeightFamily(0.5, 0.1), mu_inverse)
-    pts = np.vstack([g.centers] + [_axis_faces(g, axis)[2] for axis in range(n + 1)])
+    pts = np.vstack([g.centers, g.stencil.mid])      # the cell centres and face midpoints
     pts = pts[np.random.default_rng(7).permutation(len(pts))]
     want = np.array([1.0 / mu_inverse(p[0] if n == 1 else tuple(p[:n]), p[n]) for p in pts])
     calls.clear()
@@ -411,7 +416,7 @@ def test_interpolation_trace_fallback_and_off_grid_refusal():
     trace at their cell centre (one call for all of them), so a field and a
     trace of the same linear function interpolate it exactly; without one
     such a point raises, naming the first of them."""
-    g = dl.build_half_grid(1, "half_disk", 1 / 8)
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     fld = exact_field(g, lambda x, y: 1.0 + 2.0 * x + 3.0 * y, parity="none")
     calls = []
 
@@ -419,7 +424,7 @@ def test_interpolation_trace_fallback_and_off_grid_refusal():
         calls.append(np.shape(y))
         return 1.0 + 2.0 * x + 3.0 * y
 
-    pts = np.array([[0.0, 0.5], [0.95, 0.2], [-0.6, 0.75], [0.2, 1.1], [1.3, 0.05]])
+    pts = np.array([[0.0, 0.5], [0.95, 0.2], [-0.6, 0.98], [0.2, 1.1], [1.3, 0.05]])
     got = fld.interpolate(pts, trace=trace)
     np.testing.assert_allclose(got, 1.0 + 2.0 * pts[:, 0] + 3.0 * pts[:, 1], rtol=1e-13)
     assert len(calls) == 1 and calls[0][0] > 1

@@ -57,13 +57,18 @@ with open(here.parent / "order.log", "a") as log:
 rec = {LINE}
 rec["metrics"]["wall_s"]["value"] *= int(seed)
 print("report")
+{MACHINE}
 print(json.dumps(rec))
 '''
 
 
-def _checkout(root: Path, line: str) -> Path:
+def _checkout(root: Path, line: str, machine: str = "") -> Path:
+    """A checkout whose perfbench prints ``machine`` (a report line, with
+    {seed} for the seed) before the JSON line."""
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(STAND_IN.replace("{LINE}", repr(json.loads(line))))
+    (root / "perfbench" / "run.py").write_text(
+        STAND_IN.replace("{LINE}", repr(json.loads(line)))
+        .replace("{MACHINE}", f"print({machine!r}.replace('{{seed}}', seed))" if machine else ""))
     return root
 
 
@@ -122,3 +127,38 @@ def test_record_holds_every_run_with_side_seed_and_order(tmp_path):
     assert [r["metrics"]["wall_s"]["value"] for r in runs] == pytest.approx(
         [0.35, 0.28, 0.32, 0.40])
     assert [r["metrics"]["peak_rss_mb"]["value"] for r in runs] == [90.0, 91.0, 91.0, 90.0]
+
+
+MACHINE = ("machine speed {speed} of the reference; unscaled medians wall_s={wall} "
+           "cpu_s=0.02 cold_wall_s=0.025 setup_s=0.41")
+
+
+def test_record_reads_the_speed_factor_and_unscaled_medians():
+    out = ("perfbench workload=solve-fine seed=3\n" + MACHINE.format(speed="1.730", wall="0.0201")
+           + "\n  wall_s 0.0348 s\n" + _line(0.0348, 90.0) + "\n")
+    rec = bench_pairs.record(out)
+    assert rec["speed"] == 1.73 and rec["metrics"]["wall_s"]["value"] == 0.0348
+    assert rec["raw"] == {"wall_s": 0.0201, "cpu_s": 0.02, "cold_wall_s": 0.025, "setup_s": 0.41}
+    assert "speed" not in bench_pairs.record(_line(0.05, 90.0))      # a traced run has none
+
+
+def test_summary_gives_each_sides_unscaled_medians_and_speed(tmp_path, capsys):
+    """A calibration that moved shows: the scaled wall_s can rise while the
+    raw one falls.  --record keeps the speed and raw medians of each run."""
+    parent = _checkout(tmp_path / "parent", _line(0.01, 90.0),
+                       MACHINE.format(speed="1.5", wall="0.0{seed}"))
+    change = _checkout(tmp_path / "change", _line(0.02, 90.0),
+                       MACHINE.format(speed="2.5", wall="0.00{seed}"))
+    path = tmp_path / "runs.jsonl"
+    argv = [str(parent), str(change), "--workload", "solve-fine", "--seeds", "2", "3",
+            "--record", str(path)]
+    assert bench_pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index(next(line for line in lines if line.split()[:1] == ["unscaled"]))
+    rows = {line.split()[0]: [float(v) for v in line.split()[1:]] for line in lines[at + 1:]}
+    assert rows["wall_s"] == pytest.approx([0.03, 0.003])    # medians over seeds 2-4
+    assert rows["speed"] == [1.5, 2.5] and rows["setup_s"] == [0.41, 0.41]
+    runs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["side"], r["speed"], r["raw"]["wall_s"]) for r in runs[:2]] == [
+        ("parent", 1.5, 0.02), ("change", 2.5, 0.002)]
+    assert bench_pairs.raw_summary([(bench_pairs.record(_line(0.05, 90.0)),) * 2]) == []

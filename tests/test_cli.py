@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import degenlab
 import degenlab.cli as cli
+from degenlab import holder
 from degenlab.certify import MIN_BUDGET, PHI_A_MIN
 from degenlab.cli import _write, fmt, run
 
@@ -88,7 +89,7 @@ def test_usage_error_exit_code(tmp_path):
     (("eigen", "h=1"), "h", "1"),
     (("certify", "phi_a=-50.4"), "phi_a", "-50.4"),
     (("solve", "a=-300"), "a", "-300"),
-    (("solve", "a=-100", "h_list=1/4 1/8 1/16"), "a", "-100"),
+    (("solve", "a=-120", "h_list=1/4 1/8 1/16"), "a", "-120"),
     (("solve", "a=0.9999999999999998"), "a", "0.9999999999999998"),
     (("sweep", "a=-300", "h=1/16"), "a", "-300"),
     (("sweep", "a=0.9999999999999998", "h=1/16"), "a", "0.9999999999999998"),
@@ -118,9 +119,9 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     refuse an a whose weight, operator or separable fit overflows on their
     grids (``cli.run`` maps ``assembly.RangeError`` for every subcommand):
     y^a with a = -300 at the first cell centre, or the harmonic mean of two
-    x-face weights with eps > 0; the fit's sums of squares with a = -100 at
-    h = 1/16; the y-resistances, which round to 0 with a = 1 - 2^-52; and v
-    below the quotient's guard at eps = 0 with a = -30.  An `r_list` entry
+    x-face weights with eps > 0, and with a = -120 at h = 1/16; the
+    y-resistances, which round to 0 with a = 1 - 2^-52; and v below the
+    quotient's guard at eps = 0 with a = -30.  An `r_list` entry
     whose eps = 1/r has no finite square, a spacing whose grid or polar
     mesh exceeds the size bound, and an eps above 1 whose rho or v leaves
     the range of double precision (where eps = 1 does not) are refused by
@@ -134,6 +135,40 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
 def test_a_huge_eps_is_usable_where_it_is_representable(tmp_path):
     """At a = 0, rho is 1 and v is y whatever eps is, so eps = 1e200 runs."""
     assert _run(tmp_path, "sweep", "h=1/16", "a=0", "eps_list=1e200,0") == 0
+
+
+def test_huge_scales_run_where_v_and_the_operator_are_representable(tmp_path, capsys):
+    """At a = -30, eps = 1e10, chi's factor eps^(1-a) = 1e310 overflows, but
+    chi ~ eps^(-a) y does not (v ~ 3e301 at the top), and the separable fit
+    of transmissibilities of 1e-300 is taken in units of its column sums:
+    the entry runs, and its seminorm reads as eps = 1's.  eps = 3e10 puts v
+    at the top past double precision and is refused by the eps rule, naming
+    eps_list.  With eps = 0 in the list, v = y^31 is below the quotient's
+    guard at the first cell (as for eps_list=1,0): that is a's.  At
+    a = -100, h = 1/16, the fit's column sums reach 1e150, and the solve
+    recovers its manufactured solution."""
+    assert _run(tmp_path, "sweep", "a=-30", "h=1/16", "eps_list=1e10,1") == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[-2:]
+    semi = [float(r.split(",")[1]) for r in rows]
+    assert semi[0] == pytest.approx(semi[1], rel=0.05)
+    for eps, key in (("3e10,1", "eps_list: '3e10'"), ("1e10,0", "a: '-30'")):
+        capsys.readouterr()
+        assert _run(tmp_path, "sweep", "a=-30", "h=1/16", f"eps_list={eps}") == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert _run(tmp_path, "solve", "a=-100", "h_list=1/4 1/8 1/16") == 0
+
+
+def test_the_eps_rule_reads_m_inverse_at_the_grid_columns(capsys, tmp_path):
+    """mu^(-1) = 1/(1 + 1000 x^2) makes v at the outer columns about 1e-3
+    times its mu = 1 value: eps = 1e21 leaves v(h/2) under the guard there
+    and is refused naming eps_list, while eps = 1e18 runs."""
+    argv = ("sweep", "mu=quadratic:1000", "a=0.5", "h=1/16")
+    assert _run(tmp_path, *argv, "eps_list=1e21,0") == 2
+    assert capsys.readouterr().err.startswith("config error: eps_list: '1e21'")
+    assert _run(tmp_path, *argv, "eps_list=1e18,0") in (0, 1)
+    holder._eps_step_rule(0.5, 1e21, 1 / 16, None)
+    with pytest.raises(ValueError, match="range of double precision"):
+        holder._eps_step_rule(0.5, 1e21, 1 / 16, lambda x: 1.0 / (1.0 + 1000.0 * x * x))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -120,13 +120,6 @@ def test_holder_seminorm_equals_all_pairs_n2():
     assert dl.holder_seminorm(f, 0.4, dl.Region()) == pytest.approx(want, rel=1e-13)
 
 
-def test_holder_seminorm_rejects_a_region_that_is_no_box():
-    g = dl.build_half_grid(1, "half_disk", 1 / 16)
-    f = dl.DiscreteField.sample(g, lambda x, y: y, "odd")
-    with pytest.raises(ValueError, match="not a box"):
-        dl.holder_seminorm(f, 0.5, FULL)
-
-
 def test_empty_region_error():
     f = sample(lambda x, y: y)
     with pytest.raises(dl.EmptyRegionError):
@@ -205,20 +198,22 @@ def test_exponent_fit_flags_alpha_above_one_minus_a():
                                        (0.0, 1e200, True), (-0.5, 1e200, False),
                                        (-30.0, 1.0, True), (-30.0, 0.0, False),
                                        (1.0 - 2.0 ** -52, 0.0, False),
-                                       (1.0 - 2.0 ** -52, 1.0, False)])
+                                       (1.0 - 2.0 ** -52, 1.0, False),
+                                       (-30.0, 1e10, True), (-30.0, 3e10, False)])
 def test_eps_step_rule(a, eps, ok):
     """rho finite and positive, and v at least the guard by its lower bound,
     at h = 1/16: v below it (eps = 1e100 and 1e154 at a = 0.5, eps = 0 at
     a = -30, and a next to 1 at eps = 1), rho infinite (1e200 at a = 0.5)
-    or 0 (1e200 at a = -0.5).  The bound is conservative where rho^(-a)
+    or 0 (1e200 at a = -0.5), or v infinite at the top (3e10 at a = -30,
+    where 1e10 gives v ~ 3e301).  The bound is conservative where rho^(-a)
     varies over [0, h/2]: at eps = 0 and a next to 1, v = y^(1-a) is near 1,
     but the bound (1-a) y^(1-a) is 2e-16.  Above eps = 1, the only entries
     the CLI refuses by it, it is within (1 + h^2/4)^(|a|/2) of v."""
     if ok:
-        dl.holder._eps_step_rule(a, eps, 1 / 16)
+        dl.holder._eps_step_rule(a, eps, 1 / 16, None)
     else:
         with pytest.raises(ValueError, match="range of double precision"):
-            dl.holder._eps_step_rule(a, eps, 1 / 16)
+            dl.holder._eps_step_rule(a, eps, 1 / 16, None)
 
 
 def test_sweep_restricted_region_skips_large_eps():
