@@ -20,8 +20,9 @@ half rectangle, by one code path for n = 1 and n = 2.  The grid's
 the faces, each cell's faces and the CSR pattern, all by index arithmetic
 on the lattice.  An assembly computes the weights, transmissibilities and
 diagonal and gathers them into the matrix.  Weight models are evaluated on
-all the grid columns at once (the contract, and mu, is :class:`WeightModel`'s), so the
-y-faces of a grid cost one ``resistance_y`` call.  The faces are kept as
+all the grid columns at once (the contract, and mu, is
+:class:`WeightModel`'s), so the y-faces of a grid cost one ``resistance_y``
+call.  The faces are kept as
 arrays (:class:`Faces`) for right-hand sides.  There is no per-cell Python
 work: every user sampler (mu_inverse, the data f, F and the trace, and
 exact solutions) takes coordinate arrays and is called once on all the
@@ -295,10 +296,11 @@ class Faces:
     """Every face of the grid, as parallel arrays.
 
     Order: the y-faces column by column from the plane up, then the x-faces
-    of each axis, line by line (:class:`Stencil`).  ``lo``/``hi`` are the dofs below/above (left/right) of the
-    face, -1 outside the grid; ``weight`` is the face weight of the flux
-    w F.n; ``mid`` the midpoint (x..., y); ``dirichlet`` marks the outer
-    faces where the trace enters, with transmissibility ``tau``."""
+    of each axis, line by line (:class:`Stencil`).  ``lo``/``hi`` are the
+    dofs below/above (left/right) of the face, -1 outside the grid;
+    ``weight`` is the face weight of the flux w F.n; ``mid`` the midpoint
+    (x..., y); ``dirichlet`` marks the outer faces where the trace enters,
+    with transmissibility ``tau``."""
 
     axis: np.ndarray
     lo: np.ndarray

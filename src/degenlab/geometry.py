@@ -36,8 +36,8 @@ class HalfGrid:
 
     Cells are indexed by integer coordinates (i_1[, i_2], j) with centers
     x_d = -1 + (i_d + 1/2) h and y = (j + 1/2) h.  Every cell of the lattice
-    (nx,)*n + (ny,) is a dof, numbered in lattice (C) order: ``index`` is
-    that numbering, and ``centers`` lists the cells in it.
+    (nx,)*n + (ny,) is a dof, numbered in lattice (C) order: the dof of a
+    cell is its flat index, and ``centers`` lists the cells in that order.
     """
 
     n: int
@@ -53,11 +53,6 @@ class HalfGrid:
     @property
     def num_sigma_faces(self) -> int:
         return self.nx ** self.n
-
-    @property
-    def index(self) -> np.ndarray:
-        """The dof of each lattice cell, shape (nx,)*n + (ny,)."""
-        return np.arange(self.ncells).reshape(self.lattice_shape())
 
     @functools.cached_property
     def stencil(self):

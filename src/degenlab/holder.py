@@ -35,7 +35,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .assembly import DiscreteField, RhoWeight, assemble, solve_linear
-from .geometry import HalfGrid, Region, _cell_counts, build_half_grid
+from .geometry import Region, _cell_counts, build_half_grid
 from .ratio import V_GUARD, _quotient, _v_on_grid
 from .weights import (CharacteristicSolution, MuInverse, WeightFamily, _factor, _sample, chi,
                       rho, v_char)
@@ -102,11 +102,6 @@ def _box_seminorm(lat: np.ndarray, tables: list) -> float:
     return best
 
 
-def _region_cells(grid: HalfGrid, region: Region) -> np.ndarray:
-    """The region's cells as a boolean array over the cell lattice."""
-    return region.mask(grid).reshape(grid.lattice_shape())
-
-
 def holder_seminorm(field: DiscreteField, alpha: float, region: Region,
                     tables: Callable = _distance_tables) -> float:
     """max over all pairs of cell centres in the region of
@@ -115,7 +110,7 @@ def holder_seminorm(field: DiscreteField, alpha: float, region: Region,
     Every Region selects a box of the cell lattice.  The box's distance
     tables are ``tables(shape, h, alpha)``: a caller that measures
     many boxes passes one cache of :func:`_distance_tables`."""
-    sel = _region_cells(field.grid, region)
+    sel = region.mask(field.grid).reshape(field.grid.lattice_shape())
     if not np.any(sel):
         raise EmptyRegionError("region selects no cells")
     lat = field.lattice()[_lattice_box(sel)]
@@ -144,7 +139,7 @@ def c1alpha_seminorm(field: DiscreteField, alpha: float, region: Region,
         gy[:, 0] = (lat[:, 1] + lat[:, 0]) / (2 * h)
     elif field.parity == "even":
         gy[:, 0] = (lat[:, 1] - lat[:, 0]) / (2 * h)
-    ok = _region_cells(g, region) & np.isfinite(gx) & np.isfinite(gy)
+    ok = region.mask(g).reshape(lat.shape) & np.isfinite(gx) & np.isfinite(gy)
     if not np.any(ok):
         raise EmptyRegionError("region too thin for gradient stencils")
     box = _lattice_box(ok)

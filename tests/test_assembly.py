@@ -362,7 +362,6 @@ def test_field_export_roundtrip_lattice():
     lat = fld.lattice()
     assert lat.shape == g.lattice_shape() and np.array_equal(lat.ravel(), fld.values)
     assert lat[0, -1] == (-1.0 + g.h / 2) + 10 * (1.0 - g.h / 2)     # top left corner
-    assert np.array_equal(g.index.ravel(), np.arange(g.ncells))
 
 
 def test_interpolation_parity_ghosts():

@@ -73,7 +73,7 @@ def gradient_cells(field, region):
         if j == -1 and ghost is not None:
             return ghost * u(i, 0)
         if 0 <= i < g.nx and 0 <= j < g.ny:
-            return field.values[g.index[i, j]]
+            return field.values[i * g.ny + j]
         return None
 
     out = []

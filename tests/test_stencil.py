@@ -43,10 +43,11 @@ def _axis_faces(g, axis):
     normal to a lattice axis (axis n is y), as flat arrays ordered by the
     other lattice coordinates first and the face position last: the
     padded lattice with the axis moved last."""
-    m = g.index.shape[axis]
-    pad = [(0, 0)] * g.index.ndim
+    index = np.arange(g.ncells).reshape(g.lattice_shape())
+    m = index.shape[axis]
+    pad = [(0, 0)] * index.ndim
     pad[axis] = (1, 1)
-    cells = np.moveaxis(np.pad(g.index, pad, constant_values=-1), axis, -1)
+    cells = np.moveaxis(np.pad(index, pad, constant_values=-1), axis, -1)
     lo, hi = cells[..., :-1].ravel(), cells[..., 1:].ravel()
     h = g.h
     coords = [-1.0 + (np.arange(g.nx) + 0.5) * h] * g.n + [(np.arange(g.ny) + 0.5) * h]
