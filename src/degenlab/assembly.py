@@ -14,15 +14,15 @@ with mu at the face midpoint.  This keeps the scheme exact for the model odd
 solution in one dimension and uniformly well behaved across the
 degenerate/singular range of exponents.
 
-The operator is built with array operations over the cell lattice of the
-half rectangle, by one code path for n = 1 and n = 2.  The grid's
-:class:`Stencil`, built once per grid, holds what depends on the grid alone:
-the faces, each cell's faces and the CSR pattern, all by index arithmetic
-on the lattice.  An assembly computes the weights, transmissibilities and
-diagonal and gathers them into the matrix.  Weight models are evaluated on
-all the grid columns at once (the contract, and mu, is
-:class:`WeightModel`'s), so the y-faces of a grid cost one ``resistance_y``
-call.  The faces are kept as
+The operator is built with array operations over the cell lattice, by one
+code path for n = 1 and n = 2.  The grid's :class:`Stencil`, built once per
+grid, holds what depends on the grid alone: the faces, each cell's faces
+and the CSR pattern, all by index arithmetic on the lattice, and kept to
+the cells of the half-disk staircase on that grid.  An assembly computes
+the weights, transmissibilities and diagonal and gathers them into the
+matrix.  Weight models are evaluated on all the lattice columns at once
+(the contract, and mu, is :class:`WeightModel`'s), so the y-faces of a grid
+cost one ``resistance_y`` call.  The faces are kept as
 arrays (:class:`Faces`) for right-hand sides.  There is no per-cell Python
 work: every user sampler (mu_inverse, the data f, F and the trace, and
 exact solutions) takes coordinate arrays and is called once on all the
@@ -31,15 +31,15 @@ points it is needed at, through ``weights._sample``.
 Boundary handling:
 * characteristic plane (y = 0): odd parity imposes u = 0 through the exact
   half-cell resistance; even parity imposes zero weighted flux (no term).
-* outer boundary: Dirichlet data enter through half-cell
-  transmissibilities, first order.
+* outer boundary (including the staircase of the half disk): Dirichlet
+  data enter through half-cell transmissibilities, first order.
 
 Linear solves: CG (:func:`_cg`, scipy's ``cg`` recursion), preconditioned
 on the n = 1 half rectangle by the exact solve of the separable fit of the
 face transmissibilities (Lynch, Rice & Thomas, 1964; Concus & Golub, 1973),
 which every operator the CLI assembles matches, so CG stops within two
-steps; n = 2 grids take the diagonal.  Every solve aims at the relative
-residual ``SOLVER_TOL``.
+steps; the half disk and n = 2 grids take the diagonal.  Every solve aims
+at the relative residual ``SOLVER_TOL``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal, lapack
 
-from .geometry import HalfGrid
+from .geometry import HalfGrid, build_half_grid
 from .weights import (
     CharacteristicSolution,
     MuInverse,
@@ -98,7 +98,8 @@ class WeightModel:
       midpoint rule O(1) relatively wrong in the bottom cell);
     * ``resistance_y(x, ys, y0, y1)``: int_{y0}^{y1} ds/(w(s) mu(x, s)) for
       the segments [y0[k], y1[k]] of a column's y-faces (arrays of shape
-      (m,), every column's), each end a cell centre, the plane or the top.
+      (m,), every column's, or S + (m,), one row per column), each end a
+      cell centre, the plane or a face.
 
     Assembly makes one call of each per grid.
     """
@@ -225,8 +226,14 @@ class DiscreteField:
         return cls(grid, _sample(fn, *_xy(grid.centers, grid.n), "field").copy(), parity)
 
     def lattice(self) -> np.ndarray:
-        """The values on the cell lattice (a view)."""
-        return self.values.reshape(self.grid.lattice_shape())
+        """The values on the cell lattice: a view on the half rectangle, NaN
+        at the cells outside the half disk."""
+        g = self.grid
+        if g.shape == "half_rectangle":
+            return self.values.reshape(g.lattice_shape())
+        out = np.full(g.lattice_shape(), np.nan)
+        out[g.index >= 0] = self.values
+        return out
 
     def interpolate(self, points: np.ndarray, trace: Optional[Callable] = None) -> np.ndarray:
         """Bilinear interpolation (n=1 grids) with parity ghosts below y=h/2.
@@ -282,9 +289,9 @@ def _xy(pts: np.ndarray, n: int):
 # ---------------------------------------------------------------------------
 
 def _column_values(g: HalfGrid, fn: Callable) -> np.ndarray:
-    """fn(x, ys) on all the grid columns in one call, at the cells in dof order."""
+    """fn(x, ys) on all the lattice columns in one call, at the cells in dof order."""
     st = g.stencil
-    return np.broadcast_to(fn(st.x, st.ys), (g.nx ** g.n, g.ny)).ravel()
+    return np.broadcast_to(fn(st.x, st.ys), (g.nx ** g.n, g.ny)).ravel()[st.cells]
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +371,19 @@ class Stencil:
     followed by the x-face ones); ``slots``, each cell's lower and upper
     face per axis, y first; and the CSR pattern, ``src`` naming each entry's
     face, or its cell past the faces.  Dofs increase in lattice order, so a
-    row's slots are in column order.
+    row's slots are in column order.  ``cells`` and ``yfaces`` pick the
+    grid's cells and y-faces from values over the lattice's.
 
     The faces normal to a lattice axis d (axis n is y), of length m and dof
     stride s, come in lines: one per cell with i_d = 0, whose dof is
     ``first``, in lattice order; the faces of a line are at positions
-    0..m, between the cells first + (p-1) s and first + p s."""
+    0..m, between the cells first + (p-1) s and first + p s.  A half-disk
+    grid takes the stencil of its lattice and keeps its own cells
+    (:meth:`_keep`)."""
 
-    def __init__(self, g: HalfGrid):
+    def __init__(self, grid: HalfGrid):
+        g = grid if grid.shape == "half_rectangle" else build_half_grid(grid.n, "half_rectangle",
+                                                                         grid.h)
         n, h, ny, ncells = g.n, g.h, g.ny, g.ncells
         shape = g.lattice_shape()
         self.x = _x_of([g.centers[::ny, d] for d in range(n)])
@@ -430,8 +442,46 @@ class Stencil:
         self.indices = (np.arange(ncells, dtype=np.int32)[:, None] + step)[there]
         self.indptr = np.zeros(ncells + 1, dtype=np.int32)
         np.cumsum(count.ravel(), out=self.indptr[1:])
+        self.cells = self.yfaces = slice(None)
+        if grid is not g:
+            self._keep(grid)
         for name in ("axis", "lo", "hi", "mid", "dirichlet", "indices", "indptr"):
             getattr(self, name).setflags(write=False)
+
+    def _keep(self, g: HalfGrid) -> None:
+        """Keep the lattice's stencil to the cells of the staircase grid g.
+
+        A face between a kept cell and a dropped one is a Dirichlet face of
+        the kept one, whose y-segment ends at the face (so ``y0``, ``y1``
+        get a row per column); a face with no kept side goes."""
+        n = g.n
+        dof = np.r_[g.index.ravel(), -1]        # dof[-1] = -1: outside stays outside
+        lo, hi = dof[self.lo], dof[self.hi]
+        keep = (lo >= 0) | (hi >= 0)
+        plane = np.zeros(len(lo), dtype=bool)
+        plane[:len(self.plane)] = self.plane
+        self.cells = np.flatnonzero(dof[:-1] >= 0)
+        self.yfaces = np.flatnonzero(keep[:len(self.plane)])
+        top = np.count_nonzero(g.index >= 0, axis=-1).ravel()      # each column's cells
+        self.y0 = np.broadcast_to(self.y0, (len(top), g.ny + 1))
+        self.y1 = np.tile(self.y1, (len(top), 1))
+        self.y1[np.arange(len(top)), top] = top * g.h
+        self.lo, self.hi, self.axis, self.mid = lo[keep], hi[keep], self.axis[keep], self.mid[keep]
+        lo, hi = self.lo, self.hi
+        self.plane, self.dirichlet = self.plane[self.yfaces], ((lo < 0) | (hi < 0)) & ~plane[keep]
+        off = np.where(self.axis == n, 0, g.ncells)
+        self.side = np.where(lo >= 0, lo, hi) + off
+        self.inner = np.flatnonzero((lo >= 0) & (hi >= 0))
+        self.inner_hi = hi[self.inner] + off[self.inner]
+        self.slots = (np.cumsum(keep) - 1)[self.slots[:, self.cells]]
+        # a row's entries in column order, as above: none across the boundary
+        dofs = np.arange(g.ncells)
+        lower, upper = [*range(2, 2 * n + 2, 2), 0], [1, *range(2 * n + 1, 2, -2)]
+        nb = np.vstack([lo[self.slots[lower]], dofs, hi[self.slots[upper]]]).T
+        there = nb >= 0
+        self.src = np.vstack([self.slots[lower], len(lo) + dofs, self.slots[upper]]).T[there]
+        self.indices = nb[there].astype(np.int32)
+        self.indptr = np.r_[0, np.cumsum(there.sum(axis=1))].astype(np.int32)
 
 
 def assemble(grid: HalfGrid, weight: WeightModel, parity: str = "odd") -> AssembledOperator:
@@ -455,7 +505,7 @@ def assemble(grid: HalfGrid, weight: WeightModel, parity: str = "odd") -> Assemb
     wf[st.inner] = 2.0 * wl * wh / (wl + wh)      # harmonic mean between two cells
 
     R = np.broadcast_to(weight.resistance_y(st.x, st.ys, st.y0, st.y1),
-                        (g.nx ** g.n, g.ny + 1)).ravel()
+                        (g.nx ** g.n, g.ny + 1)).ravel()[st.yfaces]
     # a plane face closes the odd problem (u = 0) through a finite half-cell resistance
     use = ~st.plane if parity == "even" else ~st.plane | (np.isfinite(R) & (R > 0))
     k = len(R)
@@ -556,9 +606,10 @@ def _cg(A: sp.csr_matrix, b: np.ndarray, precondition: Callable[[np.ndarray], np
 
 def solve_linear(op: AssembledOperator, rhs: np.ndarray) -> SolveReport:
     """Solve op u = rhs by :func:`_cg`, preconditioned by the separable solve
-    (:func:`_separable_solve`) on n = 1 grids and by the diagonal on n = 2."""
+    (:func:`_separable_solve`) on the n = 1 half rectangle and by the
+    diagonal on the half disk and on n = 2."""
     A, g = op.matrix, op.grid
-    if g.n == 1:
+    if g.n == 1 and g.shape == "half_rectangle":
         precondition = _separable_solve(op)
     else:
         precondition = functools.partial(np.multiply, 1.0 / A.diagonal())

@@ -2,13 +2,14 @@
 
 Grids are cell-centered on purpose: no unknown ever sits on the
 characteristic hyperplane {y = 0}, so singular weights (a <= -1) stay finite
-at every sampled point; the smallest ordinate is h/2.  The one cell grid is
-the half rectangle, whose cells fill the lattice: the half disk is
-discretised only by the conforming nodal mesh of :mod:`degenlab.spectral`,
-and the growth monitor reads the half ball B_r^+ inside the rectangle.  A
-:class:`Region` is an axis box of cells: the sweeps measure their seminorms
-on one, and the quotient residual keeps the cells of one away from the
-outer boundary.
+at every sampled point; the smallest ordinate is h/2.  The half rectangle's
+cells fill the lattice, and every cell-centred solve of the CLI runs on it;
+the growth monitor reads the half ball B_r^+ inside it.  The half disk is
+the staircase subset of the lattice whose cell centers satisfy |z| <= 1
+(documented first-order boundary error; eigenvalue work uses the conforming
+nodal mesh in :mod:`degenlab.spectral` instead).  A :class:`Region` is an
+axis box of cells: the sweeps measure their seminorms on one, and the
+quotient residual keeps the cells of one away from the outer boundary.
 
 For an embedded plane curve with unit normal pointing into the positive side,
 the parallel-surface volume element is sqrt(det g^y) = |psi'(x)| (1 - y k(x)),
@@ -32,18 +33,23 @@ class ChartError(ValueError):
 
 @dataclass(frozen=True)
 class HalfGrid:
-    """Cell-centered grid on the half rectangle x in [-1,1]^n, y in (0,1].
+    """Cell-centered grid on x in [-1,1]^n, y in (0,1], the half rectangle
+    or its half-disk staircase.
 
     Cells are indexed by integer coordinates (i_1[, i_2], j) with centers
-    x_d = -1 + (i_d + 1/2) h and y = (j + 1/2) h.  Every cell of the lattice
-    (nx,)*n + (ny,) is a dof, numbered in lattice (C) order: the dof of a
-    cell is its flat index, and ``centers`` lists the cells in that order.
+    x_d = -1 + (i_d + 1/2) h and y = (j + 1/2) h.  The dofs are the cells of
+    the shape in lattice (C) order, and ``centers`` lists them in that
+    order; ``index`` maps lattice coords to the dof (-1 for a cell outside
+    the half disk).  On the half rectangle every cell of the lattice
+    (nx,)*n + (ny,) is a dof, and its dof is its flat index.
     """
 
     n: int
+    shape: str                    # 'half_rectangle' | 'half_disk'
     h: float
     nx: int                       # cells per x-axis
     ny: int                       # cells in y
+    index: np.ndarray = field(repr=False)     # lattice -> dof, shape (nx,)*n + (ny,)
     centers: np.ndarray = field(repr=False)   # (ncells, n+1)
 
     @property
@@ -52,7 +58,7 @@ class HalfGrid:
 
     @property
     def num_sigma_faces(self) -> int:
-        return self.nx ** self.n
+        return int(np.count_nonzero(self.index[..., 0] >= 0))
 
     @functools.cached_property
     def stencil(self):
@@ -65,7 +71,7 @@ class HalfGrid:
         return (self.nx,) * self.n + (self.ny,)
 
     def describe(self) -> str:
-        return (f"n={self.n} shape=half_rectangle h={self.h:.12g} "
+        return (f"n={self.n} shape={self.shape} h={self.h:.12g} "
                 f"cells={self.ncells} sigma_faces={self.num_sigma_faces}")
 
 
@@ -100,17 +106,24 @@ def _cell_counts(h: float, n: int) -> Tuple[int, int]:
 
 
 def build_half_grid(n: int, shape: str, h: float) -> HalfGrid:
-    """Construct the half-rectangle grid (``shape`` = 'half_rectangle') of
-    spacing h = 1/m, m >= 4."""
+    """Construct a half-rectangle or half-disk grid of spacing h = 1/m, m >= 4."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    if shape != "half_rectangle":
-        raise ValueError(f"unknown shape {shape!r}: the cell grid is the half rectangle")
+    if shape not in ("half_rectangle", "half_disk"):
+        raise ValueError(f"unknown shape {shape!r}")
+    if shape == "half_disk" and n != 1:
+        raise ValueError("half_disk is implemented for n=1 (plane half disk)")
     nx, ny = _cell_counts(h, n)
     axes = [(-1.0 + (np.arange(nx) + 0.5) * h) for _ in range(n)]
     ys = (np.arange(ny) + 0.5) * h
     grids = np.meshgrid(*axes, ys, indexing="ij")
-    return HalfGrid(n=n, h=h, nx=nx, ny=ny, centers=np.stack([g.ravel() for g in grids], axis=1))
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    index = np.arange(len(pts))
+    if shape == "half_disk":
+        live = (pts ** 2).sum(axis=1) <= 1.0 + 1e-12
+        index, pts = np.where(live, np.cumsum(live) - 1, -1), pts[live]
+    return HalfGrid(n=n, shape=shape, h=h, nx=nx, ny=ny,
+                    index=index.reshape((nx,) * n + (ny,)), centers=pts)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .assembly import DiscreteField, RhoWeight, assemble, solve_linear
-from .geometry import Region, _cell_counts, build_half_grid
+from .geometry import HalfGrid, Region, _cell_counts, build_half_grid
 from .ratio import V_GUARD, _quotient, _v_on_grid
 from .weights import (CharacteristicSolution, MuInverse, WeightFamily, _factor, _sample, chi,
                       rho, v_char)
@@ -61,12 +61,14 @@ class SweepAbort(RuntimeError):
 
 
 def _lattice_box(sel: np.ndarray) -> Tuple[slice, ...]:
-    """The slices of the box of the cell lattice that the True cells of sel
-    fill (an axis box of a Region always selects one)."""
+    """The slices of the box of the cell lattice that the True cells of sel fill."""
     idx = np.nonzero(sel)
     if len(idx[0]) < 2:
         raise EmptyRegionError("region contains fewer than two cells")
-    return tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx)
+    box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx)
+    if not np.all(sel[box]):
+        raise ValueError("region is not a box of the cell lattice")
+    return box
 
 
 def _distance_tables(shape: Tuple[int, ...], h: float, alpha: float) -> list:
@@ -102,15 +104,21 @@ def _box_seminorm(lat: np.ndarray, tables: list) -> float:
     return best
 
 
+def _region_cells(grid: HalfGrid, region: Region) -> np.ndarray:
+    """The region's cells as a boolean array over the cell lattice."""
+    return (grid.index >= 0) & region.mask(grid)[grid.index]
+
+
 def holder_seminorm(field: DiscreteField, alpha: float, region: Region,
                     tables: Callable = _distance_tables) -> float:
     """max over all pairs of cell centres in the region of
     |u(z1) - u(z2)| / |z1 - z2|^alpha.
 
-    Every Region selects a box of the cell lattice.  The box's distance
-    tables are ``tables(shape, h, alpha)``: a caller that measures
+    The region must select a box of the cell lattice, as every Region does
+    on a half-rectangle grid; a ValueError says when it does not.  The box's
+    distance tables are ``tables(shape, h, alpha)``: a caller that measures
     many boxes passes one cache of :func:`_distance_tables`."""
-    sel = region.mask(field.grid).reshape(field.grid.lattice_shape())
+    sel = _region_cells(field.grid, region)
     if not np.any(sel):
         raise EmptyRegionError("region selects no cells")
     lat = field.lattice()[_lattice_box(sel)]
@@ -139,7 +147,7 @@ def c1alpha_seminorm(field: DiscreteField, alpha: float, region: Region,
         gy[:, 0] = (lat[:, 1] + lat[:, 0]) / (2 * h)
     elif field.parity == "even":
         gy[:, 0] = (lat[:, 1] - lat[:, 0]) / (2 * h)
-    ok = region.mask(g).reshape(lat.shape) & np.isfinite(gx) & np.isfinite(gy)
+    ok = _region_cells(g, region) & np.isfinite(gx) & np.isfinite(gy)
     if not np.any(ok):
         raise EmptyRegionError("region too thin for gradient stencils")
     box = _lattice_box(ok)

@@ -170,7 +170,7 @@ def _xcol(p, n: int):
 def _cell_weight_integrals(weight: _SeedWeightModel, g: HalfGrid) -> np.ndarray:
     """Per-cell int_cell w dy (exact/Simpson when available, else midpoint w h)."""
     out = np.empty(g.ncells)
-    lat = np.arange(g.ncells).reshape(g.lattice_shape())
+    lat = g.index
     h = g.h
     ys = (np.arange(g.ny) + 0.5) * h
     for idx in np.ndindex(*((g.nx,) * g.n)):
@@ -199,7 +199,7 @@ def assemble(grid: HalfGrid, weight: _SeedWeightModel, parity: str = "odd") -> "
     g = grid
     n, h = g.n, g.h
     area = h ** n
-    lat = np.arange(g.ncells).reshape(g.lattice_shape())
+    lat = g.index
     ys = (np.arange(g.ny) + 0.5) * h
     rows: list = []
     cols: list = []

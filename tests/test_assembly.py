@@ -43,7 +43,8 @@ def test_poisson_1d_analytic_oracle():
 
 def test_characteristic_solution_is_discretely_exact():
     grids = (dl.build_half_grid(1, "half_rectangle", 1 / 16),
-             dl.build_half_grid(2, "half_rectangle", 1 / 8))
+             dl.build_half_grid(2, "half_rectangle", 1 / 8),
+             dl.build_half_grid(1, "half_disk", 1 / 8))
     for g, a in itertools.product(grids, (0.5, -0.5, -1.5, -2.5)):
         fam = dl.WeightFamily(a, 0.0)
         op = dl.assemble(g, dl.RhoWeight(fam), parity="odd")
@@ -138,7 +139,7 @@ def test_non_separable_operator_takes_more_steps():
 def test_iteration_cap_is_reported_and_aborts_a_sweep(monkeypatch):
     # one CG step cannot converge: the report says so, and a sweep stops on it
     monkeypatch.setattr(dl.assembly, "ITERATION_CAP", 1)
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
+    g = dl.build_half_grid(1, "half_disk", 1 / 8)
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(0.0)), parity="odd")
     rhs, _ = dl.manufactured_problem(lambda x, y: y, op)
     rep = dl.solve_linear(op, rhs)
@@ -153,7 +154,7 @@ def _scipy_cg(op, rhs):
     """The oracle of ``assembly._cg``: scipy's cg with the same preconditioner,
     tolerance and cap.  Returns (u, info, steps)."""
     A, g = op.matrix, op.grid
-    if g.n == 1:
+    if g.n == 1 and g.shape == "half_rectangle":
         M = spla.LinearOperator(A.shape, matvec=assembly._separable_solve(op))
     else:
         M = sp.diags(1.0 / A.diagonal())
@@ -164,10 +165,12 @@ def _scipy_cg(op, rhs):
 
 
 ORACLE_CASES = {
-    **{f"{w}-{parity}": (w, parity, 1, 1 / 64)
+    **{f"{w}-{parity}": (w, parity, 1, "half_rectangle", 1 / 64)
        for w in SEPARABLE for parity in ("odd", "even")},
-    "n2-mu1": ("mu1", "odd", 2, 1 / 8),
-    "n2-eps0.01": ("eps0.01", "even", 2, 1 / 8),
+    "half-disk-mu1": ("mu1", "odd", 1, "half_disk", 1 / 16),
+    "half-disk-quadratic-mu": ("quadratic-mu", "even", 1, "half_disk", 1 / 16),
+    "n2-mu1": ("mu1", "odd", 2, "half_rectangle", 1 / 8),
+    "n2-eps0.01": ("eps0.01", "even", 2, "half_rectangle", 1 / 8),
 }
 
 
@@ -178,23 +181,25 @@ def _first(x):
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_cg_follows_scipy_step_for_step(case):
     """The lab's CG loop takes scipy's steps: the same count (2 with the
-    separable preconditioner on n = 1, dozens with the diagonal one on
-    n = 2) and the same field up to the order of its sums."""
-    weight, parity, n, h = ORACLE_CASES[case]
-    op = dl.assemble(dl.build_half_grid(n, "half_rectangle", h), SEPARABLE[weight](),
-                     parity=parity)
+    separable preconditioner on the n = 1 half rectangle, dozens with the
+    diagonal one on the half disk and on n = 2) and the same field up to the
+    order of its sums."""
+    weight, parity, n, shape, h = ORACLE_CASES[case]
+    op = dl.assemble(dl.build_half_grid(n, shape, h), SEPARABLE[weight](), parity=parity)
     rhs = op.rhs(f=lambda x, y: np.cos(_first(x)) * (1.0 + y),
                  trace=lambda x, y: 1.0 + _first(x) + y * y)
     u, info, steps = _scipy_cg(op, rhs)
     rep = dl.solve_linear(op, rhs)
     assert (rep.iterations, rep.info) == (steps, info) and info == 0 and rep.converged
-    assert steps == 2 if n == 1 else steps > 10
+    assert steps == 2 if (n, shape) == (1, "half_rectangle") else steps > 10
     assert np.max(np.abs(rep.field.values - u)) <= 1e-13 * np.max(np.abs(u))
 
 
-@pytest.mark.parametrize("n", [1, 2], ids=["half_rectangle", "n2"])
-def test_zero_rhs_is_the_zero_field_in_zero_steps(n):
-    op = dl.assemble(dl.build_half_grid(n, "half_rectangle", 1 / 8),
+@pytest.mark.parametrize("n,shape", [(1, "half_rectangle"), (1, "half_disk"),
+                                     (2, "half_rectangle")],
+                         ids=["half_rectangle", "half_disk", "n2"])
+def test_zero_rhs_is_the_zero_field_in_zero_steps(n, shape):
+    op = dl.assemble(dl.build_half_grid(n, shape, 1 / 8),
                      dl.RhoWeight(dl.WeightFamily(0.5)))
     rep = dl.solve_linear(op, np.zeros(op.grid.ncells))
     assert not rep.field.values.any()
@@ -203,8 +208,7 @@ def test_zero_rhs_is_the_zero_field_in_zero_steps(n):
 
 def test_cg_overflow_raises_range_error():
     # ||b|| overflows: scipy's loop runs to the cap on inf and nan, the lab's stops at once
-    op = dl.assemble(dl.build_half_grid(1, "half_rectangle", 1 / 8),
-                     dl.RhoWeight(dl.WeightFamily(0.5)))
+    op = dl.assemble(dl.build_half_grid(1, "half_disk", 1 / 8), dl.RhoWeight(dl.WeightFamily(0.5)))
     with pytest.raises(RangeError, match="CG overflows at step 0"):
         dl.solve_linear(op, np.full(op.grid.ncells, 1e200))
 
@@ -252,7 +256,8 @@ def test_weight_equivalence_constant_mu(model, parity):
     assert (op_c.matrix != factor * op_1.matrix).nnz == 0
 
 
-MU_ONE_GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n2-rect": (2, "half_rectangle", 1 / 4)}
+MU_ONE_GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n1-disk": (1, "half_disk", 1 / 8),
+                "n2-rect": (2, "half_rectangle", 1 / 4)}
 
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
@@ -356,12 +361,16 @@ def test_solve_report_fields():
 
 
 def test_field_export_roundtrip_lattice():
-    # every cell of the lattice is a dof, in lattice order
+    # on the half rectangle every cell of the lattice is a dof, in lattice order
     g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
     fld = exact_field(g, lambda x, y: x + 10 * y, parity="none")
     lat = fld.lattice()
     assert lat.shape == g.lattice_shape() and np.array_equal(lat.ravel(), fld.values)
     assert lat[0, -1] == (-1.0 + g.h / 2) + 10 * (1.0 - g.h / 2)     # top left corner
+    # on the half disk, NaN at the cells outside it
+    g = dl.build_half_grid(1, "half_disk", 1 / 8)
+    lat = exact_field(g, lambda x, y: x + y, parity="none").lattice()
+    assert np.isnan(lat[0, -1]) and np.array_equal(lat[g.index >= 0], g.centers.sum(axis=1))
 
 
 def test_interpolation_parity_ghosts():
@@ -415,7 +424,7 @@ def test_interpolation_trace_fallback_and_off_grid_refusal():
     trace at their cell centre (one call for all of them), so a field and a
     trace of the same linear function interpolate it exactly; without one
     such a point raises, naming the first of them."""
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
+    g = dl.build_half_grid(1, "half_disk", 1 / 8)
     fld = exact_field(g, lambda x, y: 1.0 + 2.0 * x + 3.0 * y, parity="none")
     calls = []
 
@@ -423,7 +432,7 @@ def test_interpolation_trace_fallback_and_off_grid_refusal():
         calls.append(np.shape(y))
         return 1.0 + 2.0 * x + 3.0 * y
 
-    pts = np.array([[0.0, 0.5], [0.95, 0.2], [-0.6, 0.98], [0.2, 1.1], [1.3, 0.05]])
+    pts = np.array([[0.0, 0.5], [0.95, 0.2], [-0.6, 0.75], [0.2, 1.1], [1.3, 0.05]])
     got = fld.interpolate(pts, trace=trace)
     np.testing.assert_allclose(got, 1.0 + 2.0 * pts[:, 0] + 3.0 * pts[:, 1], rtol=1e-13)
     assert len(calls) == 1 and calls[0][0] > 1

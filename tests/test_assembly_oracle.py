@@ -73,10 +73,13 @@ def _trace(x, y):
     return 1.0 + _first(x) + y * y
 
 
-# each dimension also at a second spacing: h = 1/4, the coarsest the grid
-# builder admits, for n = 1, and 1/h = 6, not a power of two, for n = 2
-GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n2-rect": (2, "half_rectangle", 1 / 4),
-         "n1-rect-h4": (1, "half_rectangle", 1 / 4), "n2-rect-h6": (2, "half_rectangle", 1 / 6)}
+# each shape also at a second spacing: h = 1/4, the coarsest the grid builder
+# admits (the disk's coarsest staircase), for n = 1, and 1/h = 6, not a power
+# of two, for n = 2
+GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n1-disk": (1, "half_disk", 1 / 8),
+         "n2-rect": (2, "half_rectangle", 1 / 4),
+         "n1-rect-h4": (1, "half_rectangle", 1 / 4), "n1-disk-h4": (1, "half_disk", 1 / 4),
+         "n2-rect-h6": (2, "half_rectangle", 1 / 6)}
 WEIGHTS = ("const", "rho-eps0", "rho-eps0.1", "rho-quadratic-mu", "aux")
 CASES = list(itertools.product(GRIDS, WEIGHTS, ("odd", "even")))
 IDS = ["-".join(c) for c in CASES]

@@ -24,6 +24,13 @@ def test_half_rectangle_counts():
     assert g.num_sigma_faces == 8
 
 
+def test_half_disk_masking():
+    g = dl.build_half_grid(1, "half_disk", 0.25)
+    assert np.all((g.centers ** 2).sum(axis=1) <= 1.0 + 1e-12)
+    full = dl.build_half_grid(1, "half_rectangle", 0.25)
+    assert g.ncells < full.ncells
+
+
 def test_n2_counts():
     g = dl.build_half_grid(2, "half_rectangle", 0.125)
     assert g.ncells == 16 * 16 * 8
@@ -37,8 +44,10 @@ def test_grid_validation():
     for h in (0.0, -0.25):                                # no positive spacing
         with pytest.raises(ValueError, match="must be in"):
             dl.build_half_grid(1, "half_rectangle", h)
-    with pytest.raises(ValueError, match="unknown shape"):   # the one cell grid
-        dl.build_half_grid(1, "half_disk", 0.125)
+    with pytest.raises(ValueError):
+        dl.build_half_grid(2, "half_disk", 0.125)
+    with pytest.raises(ValueError, match="unknown shape"):
+        dl.build_half_grid(1, "disk", 0.125)
 
 
 # 1/m and its neighbours, spacings that do not divide, and the ends of the range:
@@ -83,7 +92,7 @@ def test_refinement_quadruples_and_nests():
     g2 = dl.build_half_grid(1, "half_rectangle", 0.0625)
     assert g2.ncells == 4 * g1.ncells
     # coarse sigma-face midpoints (the bottom-row centres' x) are fine sigma-skeleton nodes
-    mids = g1.centers[::g1.ny, 0]
+    mids = g1.centers[g1.index[:, 0], 0]
     fine_nodes = -1.0 + np.arange(2 * g2.nx + 1) * (g2.h / 2)
     for m in mids:
         assert np.min(np.abs(fine_nodes - m)) < 1e-12
@@ -92,7 +101,7 @@ def test_refinement_quadruples_and_nests():
 
 
 def test_no_cell_on_sigma():
-    g = dl.build_half_grid(1, "half_rectangle", 0.0625)
+    g = dl.build_half_grid(1, "half_disk", 0.0625)
     assert g.centers[:, 1].min() == pytest.approx(g.h / 2)
 
 

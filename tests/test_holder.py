@@ -73,7 +73,7 @@ def gradient_cells(field, region):
         if j == -1 and ghost is not None:
             return ghost * u(i, 0)
         if 0 <= i < g.nx and 0 <= j < g.ny:
-            return field.values[i * g.ny + j]
+            return field.values[g.index[i, j]]
         return None
 
     out = []
@@ -118,6 +118,13 @@ def test_holder_seminorm_equals_all_pairs_n2():
     sel = dl.Region().mask(g)
     want = brute_force(f.values[sel], g.centers[sel], 0.4)
     assert dl.holder_seminorm(f, 0.4, dl.Region()) == pytest.approx(want, rel=1e-13)
+
+
+def test_holder_seminorm_rejects_a_region_that_is_no_box():
+    g = dl.build_half_grid(1, "half_disk", 1 / 16)
+    f = dl.DiscreteField.sample(g, lambda x, y: y, "odd")
+    with pytest.raises(ValueError, match="not a box"):
+        dl.holder_seminorm(f, 0.5, FULL)
 
 
 def test_empty_region_error():

@@ -7,7 +7,8 @@ lattice; the operator must equal, bit for bit, the one that the array
 assembly built before it had a stencil: every face array from concatenated
 slices of the padded lattice and the matrix from COO triplets
 (``_coo_reference`` below, kept as the reference), on grids up to the
-finest of the benchmark's solve, h = 1/96.  The stencil lives on its grid,
+finest of the benchmark's solve, h = 1/96, and on the half disk, whose
+stencil is its lattice's kept to its cells.  The stencil lives on its grid,
 so one grid builds one, and a sweep's seminorms share their distance
 tables.
 """
@@ -35,7 +36,8 @@ def _reference_columns(g):
 
 def _reference_values(g, fn):
     ys = (np.arange(g.ny) + 0.5) * g.h
-    return np.broadcast_to(fn(_reference_columns(g), ys), (g.nx ** g.n, g.ny)).ravel()
+    vals = np.broadcast_to(fn(_reference_columns(g), ys), (g.nx ** g.n, g.ny)).ravel()
+    return vals[g.index.ravel() >= 0]
 
 
 def _axis_faces(g, axis):
@@ -43,11 +45,10 @@ def _axis_faces(g, axis):
     normal to a lattice axis (axis n is y), as flat arrays ordered by the
     other lattice coordinates first and the face position last: the
     padded lattice with the axis moved last."""
-    index = np.arange(g.ncells).reshape(g.lattice_shape())
-    m = index.shape[axis]
-    pad = [(0, 0)] * index.ndim
+    m = g.index.shape[axis]
+    pad = [(0, 0)] * g.index.ndim
     pad[axis] = (1, 1)
-    cells = np.moveaxis(np.pad(index, pad, constant_values=-1), axis, -1)
+    cells = np.moveaxis(np.pad(g.index, pad, constant_values=-1), axis, -1)
     lo, hi = cells[..., :-1].ravel(), cells[..., 1:].ravel()
     h = g.h
     coords = [-1.0 + (np.arange(g.nx) + 0.5) * h] * g.n + [(np.arange(g.ny) + 0.5) * h]
@@ -67,8 +68,10 @@ def _face_weight(wc, lo, hi):
 
 def _coo_reference(g, weight, parity):
     """(matrix, faces) of the array assembly without a stencil: faces by
-    slicing the padded lattice, the diagonal by axis, lower face before upper, and
-    the matrix from COO triplets."""
+    slicing the padded lattice, the faces with a cell of the grid kept, the
+    diagonal by axis, lower face before upper, and the matrix from COO
+    triplets.  A y-segment ends at a cell centre, or at the face where
+    there is none."""
     n, h = g.n, g.h
     area = h ** n
     ys = (np.arange(g.ny) + 0.5) * h
@@ -80,8 +83,8 @@ def _coo_reference(g, weight, parity):
     plane[:, 0] = hi[:, 0] >= 0
     edge = ((lo >= 0) != (hi >= 0)) & ~plane
     need = inner | edge | plane & (parity == "odd")
-    y0 = np.where(lo >= 0, np.r_[np.nan, ys], mid[..., n])
-    y1 = np.where(hi >= 0, np.r_[ys, np.nan], mid[..., n])
+    y0 = np.where(lo >= 0, np.r_[0.0, ys], mid[..., n])
+    y1 = np.where(hi >= 0, np.r_[ys, g.ny * h], mid[..., n])
     wcell = _reference_values(g, weight.values)
     wxcell = _reference_values(g, weight.x_conductivities)
     R = np.broadcast_to(weight.resistance_y(_reference_columns(g), ys, y0, y1), lo.shape)
@@ -89,10 +92,13 @@ def _coo_reference(g, weight, parity):
     use = need & (~plane | (np.isfinite(R) & (R > 0)))
     tau = np.zeros(lo.shape)
     tau[use] = area / R[use]
-    parts = [(np.full(lo.size, n), lo.ravel(), hi.ravel(), wf.ravel(),
-              mid.reshape(-1, n + 1), tau.ravel(), edge.ravel())]
+    keep = (lo >= 0) | (hi >= 0)
+    parts = [(np.full(np.count_nonzero(keep), n), lo[keep], hi[keep], wf[keep],
+              mid[keep], tau[keep], edge[keep])]
     for axis in range(n):
         lo, hi, mid = _axis_faces(g, axis)
+        keep = (lo >= 0) | (hi >= 0)
+        lo, hi, mid = lo[keep], hi[keep], mid[keep]
         inner = (lo >= 0) & (hi >= 0)
         wf = _face_weight(wxcell, lo, hi)
         tau = area * wf * weight.sol.mu_at(*_xy(mid, n)) / np.where(inner, h, h / 2.0)
@@ -127,8 +133,8 @@ def _weight(name):
                                                         dl.MuInverse(m_inv)))
 
 
-GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n1-rect-h96": (1, "half_rectangle", 1 / 96),
-         "n2-rect": (2, "half_rectangle", 1 / 4), "n2-rect-h6": (2, "half_rectangle", 1 / 6)}
+GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n1-disk": (1, "half_disk", 1 / 8),
+         "n1-rect-h96": (1, "half_rectangle", 1 / 96), "n2-rect": (2, "half_rectangle", 1 / 4), "n2-rect-h6": (2, "half_rectangle", 1 / 6)}
 CASES = list(itertools.product(GRIDS, ("eps0", "eps0.1", "product-mu", "aux"), ("odd", "even")))
 
 
@@ -151,11 +157,16 @@ def test_stencil_operator_is_the_coo_operator_bit_for_bit(grid, weight, parity):
 def test_mu_one_resistances_read_chi_on_the_ladder_bit_for_bit(grid, a, eps):
     """mu == 1 reads chi on the half-spacing ladder at index y / (h/2): the
     values chi(y1) - chi(y0) at the segment ends of a column's y-faces, from
-    the plane to the top, exactly."""
+    the plane to the top face of its cells (the staircase on the half
+    disk), exactly."""
     g = dl.build_half_grid(*GRIDS[grid])
     fam = dl.WeightFamily(a, eps)
     st = g.stencil
-    assert st.y0[0] == 0.0 and st.y1[-1] == g.ny * g.h
+    top = np.count_nonzero(g.index >= 0, axis=-1).ravel()     # each column's cells
+    y1 = np.broadcast_to(st.y1, (len(top), g.ny + 1))
+    assert np.all(st.y0[..., 0] == 0.0) and np.array_equal(y1[np.arange(len(top)), top],
+                                                           top * g.h)
+    assert (len(set(top)) > 1) == (g.shape == "half_disk")
     got = dl.RhoWeight(fam).resistance_y(st.x, st.ys, st.y0, st.y1)
     assert np.array_equal(got, dl.chi(fam, st.y1) - dl.chi(fam, st.y0))
 

@@ -448,8 +448,9 @@ def _tilt(x):
     return x[0] + 0.5 * x[1] if isinstance(x, tuple) else x
 
 
-@pytest.mark.parametrize("grid", [(1, "half_rectangle", 1 / 8), (2, "half_rectangle", 1 / 4)],
-                         ids=["n1-rect", "n2-rect"])
+@pytest.mark.parametrize("grid", [(1, "half_rectangle", 1 / 8), (1, "half_disk", 1 / 8),
+                                  (2, "half_rectangle", 1 / 4)],
+                         ids=["n1-rect", "n1-disk", "n2-rect"])
 @pytest.mark.parametrize("a,eps", [(0.5, 0.0), (-0.5, 0.1), (0.9, 1e-3)])
 def test_whole_grid_pass_matches_quad_per_segment(monkeypatch, grid, a, eps):
     """The y-resistances of a grid are m^(-1)(x) times differences of N on
@@ -459,8 +460,10 @@ def test_whole_grid_pass_matches_quad_per_segment(monkeypatch, grid, a, eps):
     scalar ``quad`` of each segment to 1e-13 relative and land between the
     cells of their own column in the matrix; v on the cell centres of all
     columns equals the profile of each column alone.  eps = 0 with a > 0
-    takes the substitution on the segment from the plane.  Every column
-    shares one list of segments, from the plane to the top face.  At
+    takes the substitution on the segment from the plane.  On the half
+    rectangle every column shares one list of segments, from the plane to
+    the top face; the half disk has columns of different heights, and a
+    row of segments per column, each ending at its face of the staircase.  At
     a = 0.9, eps = 1e-3 some segments fail qags's test and take the scalar
     ``quad`` fallback.  Each factor takes 2 calls on arrays: the
     resistances, then mu on the x-faces of every axis at once."""
@@ -493,17 +496,24 @@ def test_whole_grid_pass_matches_quad_per_segment(monkeypatch, grid, a, eps):
     assert n_calls[0] == (2 * g.ny, 21)
     x, y0, y1, got = seen[0]
     assert isinstance(m_calls[0], tuple) == (n == 2)
-    assert y0.shape == y1.shape == (g.ny + 1,) and got.shape == (g.nx ** n, g.ny + 1)
+    assert got.shape == (g.nx ** n, g.ny + 1)
+    assert y1.shape == ((g.ny + 1,) if shape == "half_rectangle" else got.shape)
+    y0, y1 = (np.broadcast_to(y, got.shape) for y in (y0, y1))
     cols = x if n == 2 else (x,)
     one = dl.CharacteristicSolution(fam, (None, n_inv))
-    want = m_inv(x)[..., None] * [one._quad(s0, s1) for s0, s1 in zip(y0, y1)]
+    quads = [one._quad(s0, s1) for s0, s1 in zip(y0.ravel(), y1.ravel())]
+    want = m_inv(x)[..., None] * np.reshape(quads, got.shape)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     ys = (np.arange(g.ny) + 0.5) * h
+    top = np.count_nonzero(g.index >= 0, axis=-1).ravel()      # each column's cells
+    assert np.array_equal(y1[np.arange(len(top)), top], top * h)
+    assert (len(set(top)) > 1) == (shape == "half_disk")
     dof = {tuple(c): i for i, c in enumerate(g.centers.tolist())}
-    for r, k in itertools.product(range(g.nx ** n), range(1, g.ny)):   # inner faces
-        xr = tuple(c[r] for c in cols)
-        tau = -op.matrix[dof[xr + (y0[k],)], dof[xr + (y1[k],)]]
-        assert tau == pytest.approx(h ** n / got[r, k], rel=1e-13)
+    for r, k in itertools.product(range(g.nx ** n), range(1, g.ny)):
+        if k < top[r]:                                          # an inner face
+            xr = tuple(c[r] for c in cols)
+            tau = -op.matrix[dof[xr + (y0[r, k],)], dof[xr + (y1[r, k],)]]
+            assert tau == pytest.approx(h ** n / got[r, k], rel=1e-13)
     v = v_char_profile(dl.CharacteristicSolution(fam, (m_inv, n_inv)), x, ys)
     for k, xk in enumerate(zip(*cols)):
         alone = v_char_profile(dl.CharacteristicSolution(fam, (m_inv, n_inv)),
