@@ -16,17 +16,16 @@ degenerate/singular range of exponents.
 
 The operator is built with array operations over the cell lattice, by one
 code path for n = 1 and n = 2.  The grid's :class:`Stencil`, built once per
-grid, holds what depends on the grid alone: the faces, each cell's faces
-and the CSR pattern, all by index arithmetic on the lattice, and kept to
-the cells of the half-disk staircase on that grid.  An assembly computes
-the weights, transmissibilities and diagonal and gathers them into the
-matrix.  Weight models are evaluated on all the lattice columns at once
+grid by index arithmetic on the lattice, holds what depends on the grid
+alone: the faces, each cell's faces and the CSR pattern.  An assembly
+computes the weights, transmissibilities and diagonal and gathers them into
+the matrix.  Weight models are evaluated on all the lattice columns at once
 (the contract, and mu, is :class:`WeightModel`'s), so the y-faces of a grid
-cost one ``resistance_y`` call.  The faces are kept as
-arrays (:class:`Faces`) for right-hand sides.  There is no per-cell Python
-work: every user sampler (mu_inverse, the data f, F and the trace, and
-exact solutions) takes coordinate arrays and is called once on all the
-points it is needed at, through ``weights._sample``.
+cost one ``resistance_y`` call.  The faces are kept as arrays
+(:class:`Faces`) for right-hand sides.  There is no per-cell Python work:
+every user sampler (mu_inverse, the data f, F and the trace, and exact
+solutions) takes coordinate arrays and is called once on all the points it
+is needed at, through ``weights._sample``.
 
 Boundary handling:
 * characteristic plane (y = 0): odd parity imposes u = 0 through the exact
@@ -97,9 +96,8 @@ class WeightModel:
       pair of endpoints (near the plane the weight's curvature makes the
       midpoint rule O(1) relatively wrong in the bottom cell);
     * ``resistance_y(x, ys, y0, y1)``: int_{y0}^{y1} ds/(w(s) mu(x, s)) for
-      the segments [y0[k], y1[k]] of a column's y-faces (arrays of shape
-      (m,), every column's, or S + (m,), one row per column), each end a
-      cell centre, the plane or a face.
+      the segments [y0, y1] of the y-faces, arrays of shape (m,) or S + (m,)
+      that broadcast; each end is a cell centre, the plane or a face.
 
     Assembly makes one call of each per grid.
     """
@@ -226,13 +224,8 @@ class DiscreteField:
         return cls(grid, _sample(fn, *_xy(grid.centers, grid.n), "field").copy(), parity)
 
     def lattice(self) -> np.ndarray:
-        """The values on the cell lattice: a view on the half rectangle, NaN
-        at the cells outside the half disk."""
-        g = self.grid
-        if g.shape == "half_rectangle":
-            return self.values.reshape(g.lattice_shape())
-        out = np.full(g.lattice_shape(), np.nan)
-        out[g.index >= 0] = self.values
+        out = np.full(self.grid.lattice_shape(), np.nan)
+        out[self.grid.index >= 0] = self.values       # the dofs are in lattice order
         return out
 
     def interpolate(self, points: np.ndarray, trace: Optional[Callable] = None) -> np.ndarray:
@@ -303,11 +296,10 @@ class Faces:
     """Every face of the grid, as parallel arrays.
 
     Order: the y-faces column by column from the plane up, then the x-faces
-    of each axis, line by line (:class:`Stencil`).  ``lo``/``hi`` are the
-    dofs below/above (left/right) of the face, -1 outside the grid;
-    ``weight`` is the face weight of the flux w F.n; ``mid`` the midpoint
-    (x..., y); ``dirichlet`` marks the outer faces where the trace enters,
-    with transmissibility ``tau``."""
+    of each axis line by line.  ``lo``/``hi`` are the dofs below/above
+    (left/right) of the face, -1 outside the grid; ``weight`` is the face
+    weight of the flux w F.n; ``mid`` the midpoint (x..., y); ``dirichlet``
+    marks the outer faces where the trace enters, with transmissibility ``tau``."""
 
     axis: np.ndarray
     lo: np.ndarray
@@ -361,25 +353,20 @@ def _cell_weight_integrals(weight: WeightModel, g: HalfGrid) -> np.ndarray:
 
 class Stencil:
     """What :func:`assemble` reads from the grid alone, built once per grid
-    (:attr:`HalfGrid.stencil`) and shared by every operator on it, all by
-    index arithmetic on the lattice (nx,)*n + (ny,): the columns' positions
-    ``x`` and cell ordinates ``ys``; the weight-free, read-only
-    :class:`Faces` fields; the y-segment ends ``y0``, ``y1`` of a column's
-    faces (centre to centre, or the plane or the top face to a centre) and
-    the ``plane`` faces among the y-faces; the cell values of each face
-    weight (``side``, ``inner``, ``inner_hi``, into the y-face values
-    followed by the x-face ones); ``slots``, each cell's lower and upper
-    face per axis, y first; and the CSR pattern, ``src`` naming each entry's
-    face, or its cell past the faces.  Dofs increase in lattice order, so a
-    row's slots are in column order.  ``cells`` and ``yfaces`` pick the
-    grid's cells and y-faces from values over the lattice's.
+    (:attr:`HalfGrid.stencil`) and shared by every operator on it: the
+    lattice columns' ``x`` and cell ordinates ``ys``; the read-only
+    :class:`Faces` fields; the y-segment ends ``y0``, ``y1``; the cell
+    values of each face weight (``side``, ``inner``, ``inner_hi``, into the
+    y-face values followed by the x-face ones); ``slots``, each cell's lower
+    and upper face per axis, y first; the CSR pattern, ``src`` naming each
+    entry's face, or its cell past the faces; and ``cells``, ``yfaces``, the
+    grid's cells and y-faces among the lattice's.  Dofs increase in lattice
+    order, so a row's slots are in column order.
 
-    The faces normal to a lattice axis d (axis n is y), of length m and dof
-    stride s, come in lines: one per cell with i_d = 0, whose dof is
-    ``first``, in lattice order; the faces of a line are at positions
-    0..m, between the cells first + (p-1) s and first + p s.  A half-disk
-    grid takes the stencil of its lattice and keeps its own cells
-    (:meth:`_keep`)."""
+    The faces normal to lattice axis d (axis n is y; length m, dof stride s)
+    come in lines, one per cell with i_d = 0 (dof ``first``), with faces at
+    positions p = 0..m between the cells first + (p-1) s and first + p s.  A
+    half-disk grid keeps its lattice's faces to its cells (:meth:`_keep`)."""
 
     def __init__(self, grid: HalfGrid):
         g = grid if grid.shape == "half_rectangle" else build_half_grid(grid.n, "half_rectangle",
@@ -389,107 +376,74 @@ class Stencil:
         self.x = _x_of([g.centers[::ny, d] for d in range(n)])
         self.ys = (np.arange(ny) + 0.5) * h
         self.y0, self.y1 = np.r_[0.0, self.ys], np.r_[self.ys, ny * h]
-        self.plane = np.arange(ncells // ny * (ny + 1)) % (ny + 1) == 0
 
         order = (n, *range(n))                                 # y-faces first
         total = sum(ncells // shape[d] * (shape[d] + 1) for d in order)
-        self.axis, self.lo, self.hi, self.side = np.empty((4, total), dtype=np.int64)
+        self.axis, self.lo, self.hi = np.empty((3, total), dtype=np.int64)
         self.mid, self.dirichlet = np.empty((total, n + 1)), np.zeros(total, dtype=bool)
         self.slots = np.empty((2 * n + 2, ncells), dtype=np.int64)
-        inner, start = [], 0
+        start = 0
         for i, d in enumerate(order):
             m, s = shape[d], math.prod(shape[d + 1:])
             line, pos = np.arange(ncells // m), np.arange(m + 1)
             first = line // s * (m * s) + line % s
             cells = first[:, None] + pos[:-1] * s
-            block, off = slice(start, start + len(line) * (m + 1)), (0 if d == n else ncells)
-            axis, lo, hi, side = (a[block].reshape(-1, m + 1)
-                                  for a in (self.axis, self.lo, self.hi, self.side))
+            block = slice(start, start + len(line) * (m + 1))
+            axis, lo, hi = (a[block].reshape(-1, m + 1) for a in (self.axis, self.lo, self.hi))
             axis[...], lo[:, 0], lo[:, 1:], hi[:, :-1], hi[:, -1] = d, -1, cells, cells, -1
-            side[:, 0], side[:, 1:] = cells[:, 0] + off, cells + off
             mid = self.mid[block].reshape(-1, m + 1, n + 1).transpose(2, 0, 1)
             mid[...] = g.centers[first].T[..., None]
             mid[d] = (-1.0 if d < n else 0.0) + pos * h
             self.dirichlet[block].reshape(-1, m + 1)[:, [0, m] if d < n else [m]] = True
-            inner.append(((start + (m + 1) * line[:, None] + pos[1:-1]).ravel(),
-                          (cells[:, 1:] + off).ravel()))
             # a cell is the upper side of the face at p = i_d and the lower side of p + 1
             np.add(start + (m + 1) * line.reshape(shape[:d] + (1,) + shape[d + 1:]),
                    pos[:-1].reshape((m,) + (1,) * (n - d)), out=self.slots[2 * i].reshape(shape))
             self.slots[2 * i + 1] = self.slots[2 * i] + 1
             start = block.stop
-        self.inner, self.inner_hi = (np.concatenate(a) for a in zip(*inner))
-
-        # a row's entries in column order: the lower neighbour along axis 0, ..., n, the
-        # cell, then the upper neighbour along axis n, ..., 0; none across the boundary
-        sides = [*((d, 0) for d in range(n + 1)), None, *((d, 1) for d in range(n, -1, -1))]
-        face = np.empty((ncells, len(sides)), dtype=np.int64)
-        step = np.zeros(len(sides), dtype=np.int32)
-        there = np.ones(shape + (len(sides),), dtype=bool)
-        count = np.full(shape, len(sides), dtype=np.int32)
-        for k, side in enumerate(sides):
-            if side is None:
-                face[:, k] = total + np.arange(ncells)
-                continue
-            d, up = side
-            face[:, k] = self.slots[2 * order.index(d) + up]
-            step[k] = math.prod(shape[d + 1:]) * (1 if up else -1)
-            edge = (slice(None),) * d + (-up,)
-            there[edge + (Ellipsis, k)] = False
-            count[edge] -= 1
-        there = there.reshape(ncells, len(sides))
-        self.src = face[there]
-        self.indices = (np.arange(ncells, dtype=np.int32)[:, None] + step)[there]
-        self.indptr = np.zeros(ncells + 1, dtype=np.int32)
-        np.cumsum(count.ravel(), out=self.indptr[1:])
         self.cells = self.yfaces = slice(None)
         if grid is not g:
             self._keep(grid)
-        for name in ("axis", "lo", "hi", "mid", "dirichlet", "indices", "indptr"):
-            getattr(self, name).setflags(write=False)
 
-    def _keep(self, g: HalfGrid) -> None:
-        """Keep the lattice's stencil to the cells of the staircase grid g.
-
-        A face between a kept cell and a dropped one is a Dirichlet face of
-        the kept one, whose y-segment ends at the face (so ``y0``, ``y1``
-        get a row per column); a face with no kept side goes."""
-        n = g.n
-        dof = np.r_[g.index.ravel(), -1]        # dof[-1] = -1: outside stays outside
-        lo, hi = dof[self.lo], dof[self.hi]
-        keep = (lo >= 0) | (hi >= 0)
-        plane = np.zeros(len(lo), dtype=bool)
-        plane[:len(self.plane)] = self.plane
-        self.cells = np.flatnonzero(dof[:-1] >= 0)
-        self.yfaces = np.flatnonzero(keep[:len(self.plane)])
-        top = np.count_nonzero(g.index >= 0, axis=-1).ravel()      # each column's cells
-        self.y0 = np.broadcast_to(self.y0, (len(top), g.ny + 1))
-        self.y1 = np.tile(self.y1, (len(top), 1))
-        self.y1[np.arange(len(top)), top] = top * g.h
-        self.lo, self.hi, self.axis, self.mid = lo[keep], hi[keep], self.axis[keep], self.mid[keep]
-        lo, hi = self.lo, self.hi
-        self.plane, self.dirichlet = self.plane[self.yfaces], ((lo < 0) | (hi < 0)) & ~plane[keep]
-        off = np.where(self.axis == n, 0, g.ncells)
+        lo, hi, dofs = self.lo, self.hi, np.arange(grid.ncells)
+        off = np.where(self.axis == n, 0, grid.ncells)
         self.side = np.where(lo >= 0, lo, hi) + off
         self.inner = np.flatnonzero((lo >= 0) & (hi >= 0))
         self.inner_hi = hi[self.inner] + off[self.inner]
-        self.slots = (np.cumsum(keep) - 1)[self.slots[:, self.cells]]
-        # a row's entries in column order, as above: none across the boundary
-        dofs = np.arange(g.ncells)
+        # a row's entries in column order: the lower neighbour along axis 0, ..., n, the
+        # cell, then the upper neighbour along axis n, ..., 0; none across the boundary
         lower, upper = [*range(2, 2 * n + 2, 2), 0], [1, *range(2 * n + 1, 2, -2)]
         nb = np.vstack([lo[self.slots[lower]], dofs, hi[self.slots[upper]]]).T
         there = nb >= 0
         self.src = np.vstack([self.slots[lower], len(lo) + dofs, self.slots[upper]]).T[there]
         self.indices = nb[there].astype(np.int32)
         self.indptr = np.r_[0, np.cumsum(there.sum(axis=1))].astype(np.int32)
+        for name in ("axis", "lo", "hi", "mid", "dirichlet", "indices", "indptr"):
+            getattr(self, name).setflags(write=False)
+
+    def _keep(self, g: HalfGrid) -> None:
+        """Keep the lattice's faces and slots to the cells of the staircase
+        grid g.  A face between a kept cell and a dropped one is a Dirichlet
+        face of the kept one, whose y-segment ends at the face (so ``y1``
+        gets a row per column); a face with no kept side goes."""
+        dof = np.r_[g.index.ravel(), -1]        # dof[-1] = -1: outside stays outside
+        lo, hi = dof[self.lo], dof[self.hi]
+        keep = (lo >= 0) | (hi >= 0)
+        self.cells = np.flatnonzero(dof[:-1] >= 0)
+        self.yfaces = np.flatnonzero(keep & (self.axis == g.n))
+        top = np.count_nonzero(g.index >= 0, axis=-1).reshape(-1, 1)     # each column's cells
+        self.y1 = np.where(np.arange(g.ny + 1) == top, top * g.h, self.y1)
+        # the plane's faces, with no cell below and not Dirichlet on the lattice, stay so
+        dirichlet = ((lo < 0) | (hi < 0)) & (self.dirichlet | (self.lo >= 0))
+        self.lo, self.hi, self.axis, self.mid, self.dirichlet = (
+            a[keep] for a in (lo, hi, self.axis, self.mid, dirichlet))
+        self.slots = (np.cumsum(keep) - 1)[self.slots[:, self.cells]]
 
 
 def assemble(grid: HalfGrid, weight: WeightModel, parity: str = "odd") -> AssembledOperator:
     """Assemble the flux-form operator, symmetric and closed by Dirichlet
     half-cells on the outer boundary; see the module docstring for the
-    scheme.  The grid's :class:`Stencil` gives everything but the values:
-    the y-resistances come from one ``resistance_y`` call on a column's
-    segments, and the plane faces carry the odd problem's u = 0 only."""
+    scheme.  The grid's :class:`Stencil` gives everything but the values;
+    the y-resistances come from one ``resistance_y`` call."""
     if parity not in ("odd", "even"):
         raise ValueError("assembly parity must be 'odd' or 'even'")
     g, st = grid, grid.stencil
@@ -506,9 +460,10 @@ def assemble(grid: HalfGrid, weight: WeightModel, parity: str = "odd") -> Assemb
 
     R = np.broadcast_to(weight.resistance_y(st.x, st.ys, st.y0, st.y1),
                         (g.nx ** g.n, g.ny + 1)).ravel()[st.yfaces]
-    # a plane face closes the odd problem (u = 0) through a finite half-cell resistance
-    use = ~st.plane if parity == "even" else ~st.plane | (np.isfinite(R) & (R > 0))
     k = len(R)
+    plane = (st.lo[:k] < 0) & ~st.dirichlet[:k]
+    # a plane face closes the odd problem (u = 0) through a finite half-cell resistance
+    use = ~plane if parity == "even" else ~plane | (np.isfinite(R) & (R > 0))
     tau = np.zeros(len(wf))
     tau[:k][use] = area / R[use]
     tau[k:] = (area * wf[k:] * weight.sol.mu_at(*_xy(st.mid[k:], g.n))
@@ -605,9 +560,8 @@ def _cg(A: sp.csr_matrix, b: np.ndarray, precondition: Callable[[np.ndarray], np
 
 
 def solve_linear(op: AssembledOperator, rhs: np.ndarray) -> SolveReport:
-    """Solve op u = rhs by :func:`_cg`, preconditioned by the separable solve
-    (:func:`_separable_solve`) on the n = 1 half rectangle and by the
-    diagonal on the half disk and on n = 2."""
+    """Solve op u = rhs by :func:`_cg`, preconditioned by :func:`_separable_solve`
+    on the n = 1 half rectangle and by the diagonal on other grids."""
     A, g = op.matrix, op.grid
     if g.n == 1 and g.shape == "half_rectangle":
         precondition = _separable_solve(op)

@@ -143,9 +143,8 @@ def _floats(cfg: dict, key: str, default: str, valid=None) -> list:
 
 def _eps_list(cfg: dict, default: str, a: float, h: float, m_inv) -> list:
     """At least two distinct eps >= 0 (the trend fit needs two abscissae).  An
-    eps > 1 whose step is not representable at a and the family's m^(-1) on
-    the grid of spacing h, where eps = 1's is, is refused; any other such
-    step is a's (``run``)."""
+    eps > 1 whose step is not representable at a and m^(-1) on the grid of
+    spacing h, where eps = 1's is, is refused; any other such step is a's (``run``)."""
     step = _accepted_by(lambda e: _eps_step_rule(a, e, h, m_inv), "")[0]
     eps_list = _floats(cfg, "eps_list", default, (
         lambda e: e >= 0.0 and (e <= 1.0 or step(e) or not step(1.0)),

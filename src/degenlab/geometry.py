@@ -3,13 +3,12 @@
 Grids are cell-centered on purpose: no unknown ever sits on the
 characteristic hyperplane {y = 0}, so singular weights (a <= -1) stay finite
 at every sampled point; the smallest ordinate is h/2.  The half rectangle's
-cells fill the lattice, and every cell-centred solve of the CLI runs on it;
-the growth monitor reads the half ball B_r^+ inside it.  The half disk is
-the staircase subset of the lattice whose cell centers satisfy |z| <= 1
-(documented first-order boundary error; eigenvalue work uses the conforming
-nodal mesh in :mod:`degenlab.spectral` instead).  A :class:`Region` is an
-axis box of cells: the sweeps measure their seminorms on one, and the
-quotient residual keeps the cells of one away from the outer boundary.
+cells fill the lattice; the half disk is its staircase subset whose cell
+centers satisfy |z| <= 1 (documented first-order boundary error; eigenvalue
+work uses the conforming nodal mesh in :mod:`degenlab.spectral` instead).
+A :class:`Region` is an axis box of cells: the sweeps measure their
+seminorms on one, and the quotient residual keeps the cells of one away
+from the outer boundary.
 
 For an embedded plane curve with unit normal pointing into the positive side,
 the parallel-surface volume element is sqrt(det g^y) = |psi'(x)| (1 - y k(x)),
@@ -37,11 +36,9 @@ class HalfGrid:
     or its half-disk staircase.
 
     Cells are indexed by integer coordinates (i_1[, i_2], j) with centers
-    x_d = -1 + (i_d + 1/2) h and y = (j + 1/2) h.  The dofs are the cells of
-    the shape in lattice (C) order, and ``centers`` lists them in that
-    order; ``index`` maps lattice coords to the dof (-1 for a cell outside
-    the half disk).  On the half rectangle every cell of the lattice
-    (nx,)*n + (ny,) is a dof, and its dof is its flat index.
+    x_d = -1 + (i_d + 1/2) h and y = (j + 1/2) h.  The dofs (and ``centers``)
+    are the shape's cells in lattice order: ``index`` maps lattice coords to
+    the dof, the flat index on the half rectangle, -1 outside the half disk.
     """
 
     n: int
@@ -58,7 +55,8 @@ class HalfGrid:
 
     @property
     def num_sigma_faces(self) -> int:
-        return int(np.count_nonzero(self.index[..., 0] >= 0))
+        bottom = self.index[..., 0]
+        return int(np.count_nonzero(bottom >= 0))
 
     @functools.cached_property
     def stencil(self):

@@ -327,11 +327,10 @@ def admissible_eps(eps_list: Sequence[float], grid_h: float, restricted: str = "
 
 
 def _eps_step_rule(a: float, eps: float, grid_h: float, m_inv: Optional[Callable]) -> None:
-    """Raise ValueError unless, on the n = 1 grid of spacing grid_h, rho is
-    finite and positive at the first and last cell centre, and v = (1-a)
-    m^(-1)(x) chi(y) (mu^(-1) = m^(-1)(x), None for 1) is at least ``V_GUARD``
-    at y = h/2 by its lower bound (1-a) y min(rho^(-a)) over [0, y] and
-    finite at the top, y = 1, in every column x."""
+    """Raise ValueError unless rho is finite and positive at the first and last
+    cell centre of the n = 1 grid of spacing grid_h, and v = (1-a) m^(-1)(x) chi(y)
+    (m_inv None for 1) is at least ``V_GUARD`` at y = h/2, by its lower bound
+    (1-a) y min(rho^(-a)) over [0, y], and finite at y = 1, in every column x."""
     fam, y = WeightFamily(a, eps), grid_h / 2.0
     m = _factor(m_inv, -1.0 + (np.arange(_cell_counts(grid_h, 1)[0]) + 0.5) * grid_h)
     with np.errstate(over="ignore", divide="ignore"):

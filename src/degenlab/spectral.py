@@ -683,10 +683,8 @@ def growth_monitor(field: DiscreteField, a: float, r_list: Sequence[float],
     Trapezoid quadrature on ``GROWTH_ARC_CELLS`` arc cells, from samples
     interpolated from the cell-centered field (see
     :meth:`DiscreteField.interpolate`, which needs ``trace`` where an arc
-    point's stencil leaves the grid, as near (+-1, 0) at r = 1 on the half
-    rectangle, which holds the half ball B_1^+); odd fields vanish at the
-    endpoints, where the integrand is set to its limit 0 (integrable for
-    a > -1)."""
+    point's stencil leaves the grid); odd fields vanish at the endpoints,
+    where the integrand is set to its limit 0 (integrable for a > -1)."""
     if not -1.0 < a < 1.0:
         raise ValueError("growth monitor requires a in (-1, 1)")
     if max(r_list) > 1.0 + 1e-12:

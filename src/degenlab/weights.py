@@ -166,11 +166,11 @@ def chi(family: WeightFamily, y):
         out = eps * eps * y + y ** 3 / 3.0
     else:
         unit = _antiderivative_unit(a, ay / eps)
-        try:
-            out = sgn * eps ** (1.0 - a) * unit
-        except OverflowError:       # eps^(1-a) alone; chi ~ eps^(-a) y at y << eps need not
-            with np.errstate(over="ignore"):
-                out = sgn * np.float64(eps) ** -a * (eps * unit)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.float64(eps) ** (1.0 - a)
+            out = sgn * scale * unit
+            if np.isinf(scale):     # eps^(1-a) alone; chi ~ eps^(-a) y at y << eps need not
+                out = np.where(ay == 0.0, 0.0, sgn * np.float64(eps) ** -a * (eps * unit))
     return out if out.ndim else float(out)
 
 

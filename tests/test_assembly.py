@@ -191,7 +191,8 @@ def test_cg_follows_scipy_step_for_step(case):
     u, info, steps = _scipy_cg(op, rhs)
     rep = dl.solve_linear(op, rhs)
     assert (rep.iterations, rep.info) == (steps, info) and info == 0 and rep.converged
-    assert steps == 2 if (n, shape) == (1, "half_rectangle") else steps > 10
+    assert steps == 2 if (n, shape) == (1, "half_rectangle") else steps > (
+        50 if shape == "half_disk" else 10)
     assert np.max(np.abs(rep.field.values - u)) <= 1e-13 * np.max(np.abs(u))
 
 

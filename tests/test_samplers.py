@@ -15,8 +15,8 @@ import pytest
 import degenlab as dl
 
 
-def _grid():
-    return dl.build_half_grid(1, "half_rectangle", 1 / 8)
+def _grid(shape="half_rectangle"):
+    return dl.build_half_grid(1, shape, 1 / 8)
 
 
 def _op():
@@ -28,8 +28,8 @@ def _sweep(trace_factor):
     dl.epsilon_sweep(fam, [1.0, 0.0], 0.4, "ratio_c0", 1 / 8)
 
 
-def _odd_field():
-    g = _grid()
+def _odd_field(shape="half_rectangle"):
+    g = _grid(shape)
     return dl.DiscreteField(g, g.centers[:, 1] * (1.0 + g.centers[:, 0]), "odd")
 
 
@@ -65,7 +65,7 @@ ROLES = {
     "interpolate-trace": (_interpolate, 1,
                           lambda x, y: np.cos(x) * y, lambda x, y: math.cos(x) * y),
     "growth_monitor-trace": (
-        lambda s: dl.growth_monitor(_odd_field(), 0.5, [1.0], trace=s), 1,
+        lambda s: dl.growth_monitor(_odd_field("half_disk"), 0.5, [1.0], trace=s), 1,
         lambda x, y: np.cos(x) * y, lambda x, y: math.cos(x) * y),
 }
 

@@ -93,7 +93,7 @@ def test_eigen_sweep_rho_converges():
 
 def test_growth_monitor_exact_homogeneous():
     a = 0.5
-    g = dl.build_half_grid(1, "half_rectangle", H_MID)
+    g = dl.build_half_grid(1, "half_disk", H_MID)
 
     def ue(x, y):
         return np.copysign(np.abs(y) ** (1 - a), y)
@@ -105,7 +105,7 @@ def test_growth_monitor_exact_homogeneous():
 
 
 def test_growth_monitor_zero_field():
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 8)
+    g = dl.build_half_grid(1, "half_disk", 1 / 8)
     fld = dl.DiscreteField(g, np.zeros(g.ncells), "odd")
     rows = dl.growth_monitor(fld, 0.0, [0.5, 1.0], trace=lambda x, y: 0.0 * y)
     assert all(H == 0.0 for _, H, _ in rows)
@@ -118,7 +118,7 @@ def test_growth_monitor_perturbed_nondecreasing():
     homogeneous solution of degree 2-a (mode-decomposition oracle), so the
     normalized column is exactly monotone up to discretization."""
     a = 0.5
-    g = dl.build_half_grid(1, "half_rectangle", H_MID)
+    g = dl.build_half_grid(1, "half_disk", H_MID)
 
     def trace(x, y):
         return np.copysign(np.abs(y) ** (1 - a), y) * (1.0 + 0.1 * x)
@@ -134,7 +134,7 @@ def test_perturbation_mode_is_discretely_harmonic():
     # oracle for the mode decomposition: x * y^{1-a} solves the weighted
     # problem exactly in the discrete scheme as well
     a = 0.5
-    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
+    g = dl.build_half_grid(1, "half_disk", 1 / 16)
     op = dl.assemble(g, dl.RhoWeight(dl.WeightFamily(a, 0.0)), parity="odd")
 
     def mode(x, y):

@@ -87,6 +87,16 @@ def test_chi_divergence_signal():
         dl.chi(dl.WeightFamily(1.2, 0.0), 0.5)
 
 
+@pytest.mark.parametrize("eps", [1e10, np.float64(1e10)], ids=["float", "float64"])
+def test_chi_where_its_scale_overflows(eps):
+    """At a = -30, eps = 1e10 the factor eps^(1-a) = 1e310 overflows, for a
+    Python or a numpy eps alike, but chi ~ eps^(-a) y does not; at a = -40
+    chi overflows too, and chi(0) stays 0."""
+    y = np.array([0.0, 0.5, 1.0])
+    np.testing.assert_allclose(dl.chi(dl.WeightFamily(-30.0, eps), y), 1e300 * y, rtol=1e-12)
+    assert np.array_equal(dl.chi(dl.WeightFamily(-40.0, eps), y), [0.0, np.inf, np.inf])
+
+
 def test_chi_eps_to_zero_monotone_pointwise():
     a, y = 0.5, 0.5
     limit = y ** (1 - a) / (1 - a)
