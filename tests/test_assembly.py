@@ -181,9 +181,9 @@ def _first(x):
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_cg_follows_scipy_step_for_step(case):
     """The lab's CG loop takes scipy's steps: the same count (2 with the
-    separable preconditioner on the n = 1 half rectangle, dozens with the
-    diagonal one on the half disk and on n = 2) and the same field up to the
-    order of its sums."""
+    separable preconditioner on the n = 1 half rectangle, about a hundred
+    with the diagonal one on the half disk and on n = 2) and the same field
+    up to the order of its sums."""
     weight, parity, n, shape, h = ORACLE_CASES[case]
     op = dl.assemble(dl.build_half_grid(n, shape, h), SEPARABLE[weight](), parity=parity)
     rhs = op.rhs(f=lambda x, y: np.cos(_first(x)) * (1.0 + y),
@@ -191,8 +191,7 @@ def test_cg_follows_scipy_step_for_step(case):
     u, info, steps = _scipy_cg(op, rhs)
     rep = dl.solve_linear(op, rhs)
     assert (rep.iterations, rep.info) == (steps, info) and info == 0 and rep.converged
-    assert steps == 2 if (n, shape) == (1, "half_rectangle") else steps > (
-        50 if shape == "half_disk" else 10)
+    assert steps == 2 if (n, shape) == (1, "half_rectangle") else steps > 50
     assert np.max(np.abs(rep.field.values - u)) <= 1e-13 * np.max(np.abs(u))
 
 

@@ -134,7 +134,8 @@ def _weight(name):
 
 
 GRIDS = {"n1-rect": (1, "half_rectangle", 1 / 8), "n1-disk": (1, "half_disk", 1 / 8),
-         "n1-rect-h96": (1, "half_rectangle", 1 / 96), "n2-rect": (2, "half_rectangle", 1 / 4), "n2-rect-h6": (2, "half_rectangle", 1 / 6)}
+         "n1-rect-h96": (1, "half_rectangle", 1 / 96), "n2-rect": (2, "half_rectangle", 1 / 4),
+         "n2-rect-h6": (2, "half_rectangle", 1 / 6)}
 CASES = list(itertools.product(GRIDS, ("eps0", "eps0.1", "product-mu", "aux"), ("odd", "even")))
 
 
