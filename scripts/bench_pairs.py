@@ -11,8 +11,9 @@ workload, ``perfbench/run.py --workload W --seed FIRST+k --seconds S --trace 0``
 in both checkouts, the parent first when k is even and the change first when
 k is odd.  For each workload and end-to-end metric of BENCHMARK.json the
 summary gives each side's first quartile, median and third quartile, the
-interquartile distance of the parent's runs, and the pairs the change won
-(ties count for neither side).  The scaled times are perfbench's raw
+interquartile distance of the parent's runs, the pairs the change won
+(ties count for neither side), and its reading (:func:`reading`): gain,
+worse, unresolved or level.  The scaled times are perfbench's raw
 times multiplied by the machine speed that ``worker.calibrate`` measured
 next to them, and a change to the program can move that measurement too,
 so the summary also gives each side's median raw times and speed factor,
@@ -44,6 +45,12 @@ def _benchmark() -> dict:
 def end_to_end_metrics() -> list:
     """(name, better) of each end-to-end metric of BENCHMARK.json."""
     return [(m["name"], m["better"]) for m in _benchmark()["end_to_end"]]
+
+
+def bounds() -> dict:
+    """The bound of each end-to-end metric of BENCHMARK.json, a share of the
+    parent's median."""
+    return {m["name"]: m["bound"] for m in _benchmark()["end_to_end"]}
 
 
 def workloads(names: list) -> list:
@@ -95,6 +102,28 @@ def summary(pairs: list, metrics: list) -> list:
     return rows
 
 
+def reading(pq: tuple, cq: tuple, wins: int, count: int, better: str, bound: float) -> str:
+    """What a summary row shows, from the parent's and the change's quartiles
+    over ``count`` pairs, the change's wins and the metric's bound:
+
+    * gain: the change won at least 9 of 10 pairs, and its median is better
+      than the parent's by more than the parent's interquartile distance;
+    * worse: the change's median is worse than the parent's by more than
+      ``bound`` times the parent's median;
+    * unresolved: the parent's interquartile distance is wider than that,
+      and the change did not win every pair;
+    * level: none of these."""
+    sign = 1.0 if better == "lower" else -1.0
+    iqr, gap = pq[2] - pq[0], sign * (pq[1] - cq[1])
+    if 10 * wins >= 9 * count and gap > iqr:
+        return "gain"
+    if -gap > bound * abs(pq[1]):
+        return "worse"
+    if iqr > bound * abs(pq[1]) and wins < count:
+        return "unresolved"
+    return "level"
+
+
 def raw_summary(pairs: list) -> list:
     """(name, parent median, change median) of each unscaled median and of
     the speed factor, over ``pairs`` whose records all carry them."""
@@ -115,7 +144,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=18.0)
     ap.add_argument("--record", type=Path, help="write every run's JSON line here")
     args = ap.parse_args(argv)
-    metrics = end_to_end_metrics()
+    metrics, bound = end_to_end_metrics(), bounds()
     names = workloads(args.workload)
     first, count = args.seeds
     pairs = {w: [] for w in names}
@@ -145,10 +174,13 @@ def main(argv=None) -> int:
     for w in names:
         print(f"{w}: {len(pairs[w])} pairs, seeds {first}-{first + count - 1}")
         print(f"  {'metric':14s} {'parent q1':>11s} {'median':>11s} {'q3':>11s} "
-              f"{'change q1':>11s} {'median':>11s} {'q3':>11s} {'parent IQR':>11s}  change wins")
-        for name, pq, cq, wins in summary(pairs[w], metrics):
+              f"{'change q1':>11s} {'median':>11s} {'q3':>11s} {'parent IQR':>11s}  "
+              "change wins  reading")
+        for (name, pq, cq, wins), (_, better) in zip(summary(pairs[w], metrics), metrics):
+            count = len(pairs[w])
             print(f"  {name:14s} " + " ".join(f"{v:11.6g}" for v in (*pq, *cq, pq[2] - pq[0]))
-                  + f"  {wins}/{len(pairs[w])}")
+                  + f"  {f'{wins}/{count}':11s}  "
+                  + reading(pq, cq, wins, count, better, bound[name]))
         raw = raw_summary(pairs[w])
         if raw:
             print(f"  {'unscaled':14s} {'parent median':>13s} {'change median':>13s}")

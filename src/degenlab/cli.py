@@ -141,11 +141,12 @@ def _floats(cfg: dict, key: str, default: str, valid=None) -> list:
             for tok in cfg.get(key, default).replace(",", " ").split()]
 
 
-def _eps_list(cfg: dict, default: str, a: float, h: float, m_inv) -> list:
+def _eps_list(cfg: dict, default: str, a: float, h: float, mu_inv) -> list:
     """At least two distinct eps >= 0 (the trend fit needs two abscissae).  An
-    eps > 1 whose step is not representable at a and m^(-1) on the grid of
-    spacing h, where eps = 1's is, is refused; any other such step is a's (``run``)."""
-    step = _accepted_by(lambda e: _eps_step_rule(a, e, h, m_inv), "")[0]
+    eps > 1 whose step is not representable at a and mu^(-1) (a MuInverse, or
+    None for 1) on the grid of spacing h, where eps = 1's is, is refused; any
+    other such step is a's (``run``)."""
+    step = _accepted_by(lambda e: _eps_step_rule(a, e, h, mu_inv), "")[0]
     eps_list = _floats(cfg, "eps_list", default, (
         lambda e: e >= 0.0 and (e <= 1.0 or step(e) or not step(1.0)),
         f"non-negative, with rho and v representable at a={a:g} on h={h:g}"))
@@ -292,8 +293,7 @@ def _family_from_cfg(cfg: dict) -> ProblemFamily:
 def cmd_sweep(cfg: dict) -> int:
     family = _family_from_cfg(cfg)
     h = _float(cfg, "h", "1/64", _GRID_SPACING)
-    eps_list = _eps_list(cfg, "1 0.3 0.1 0.03 0.01 0", family.a, h,
-                         (family.mu_inverse or MuInverse()).m_inv)
+    eps_list = _eps_list(cfg, "1 0.3 0.1 0.03 0.01 0", family.a, h, family.mu_inverse)
     alpha = _float(cfg, "alpha", "0.4", _ALPHA)
     mode = cfg.get("mode", "ratio_c0")
     try:
@@ -382,12 +382,19 @@ def cmd_fermi_demo(cfg: dict) -> int:
     radius = _float(cfg, "radius", "2.0", _CHART_RADIUS)
     h = _float(cfg, "h", "1/32", _GRID_SPACING)
     alpha = _float(cfg, "alpha", "0.4", _ALPHA)
+    curve = EmbeddedCurve.circle(radius, arc=2.0, theta0=-0.5)
+
+    # mu = fermi_mu = speed * (1 - y kappa), a function of y alone on the circle,
+    # whose speed and curvature are constant
+    def n_inv(y):
+        return 1.0 / fermi_mu(curve, 0.0, y)
+
+    family = _sweep_family(a, MuInverse(n_inv=n_inv), f"fermi-circle[R={radius:g},a={a:g}]")
     eps_text = cfg.get("eps_list", "1 0.1 0.01 0")
-    eps_list = _eps_list(cfg, eps_text, a, h, None)
+    eps_list = _eps_list(cfg, eps_text, a, h, family.mu_inverse)
     if len(admissible_eps(eps_list, h, restricted="sqrt_eps")) < 2:
         raise ConfigError(f"eps_list: {eps_text!r} leaves fewer than two eps for the "
                           f"sqrt_eps table at h={fmt(h)}")
-    curve = EmbeddedCurve.circle(radius, arc=2.0, theta0=-0.5)
     # 1) metric factor against the finite-difference Jacobian of the chart map
     step = 1e-5
     rows_mu = []
@@ -406,12 +413,7 @@ def cmd_fermi_demo(cfg: dict) -> int:
             f"circle radius {fmt(radius)}, tolerance 1e-6"],
            ["t", "y", "mu", "jacobian_fd", "abs_diff"], zip(*rows_mu))
 
-    # 2) quotient tables in the straightened chart, mu = fermi_mu = speed * (1 - y kappa),
-    # a function of y alone on the circle, whose speed and curvature are constant
-    def n_inv(y):
-        return 1.0 / fermi_mu(curve, 0.0, y)
-
-    family = _sweep_family(a, MuInverse(n_inv=n_inv), f"fermi-circle[R={radius:g},a={a:g}]")
+    # 2) quotient tables in the straightened chart
     solutions = solve_family(family, eps_list, grid_h=h)     # the three tables share them
     rep_c0 = measure_sweep(family, solutions, alpha, mode="ratio_c0")
     rep_c1r = measure_sweep(family, solutions, alpha, mode="ratio_c1", restricted="sqrt_eps")

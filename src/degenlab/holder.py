@@ -13,11 +13,11 @@ operationalized as a two-sided check on the seminorm table over an eps-sweep:
   genuine blow-up as eps -> 0 shows up as a positive slope.
 
 The seminorms are exact: each is the max over all pairs of cells of the
-region, which is a box of the cell lattice.  The pairs are grouped by their
-horizontal lattice offset k; one offset is one broadcast of every pair of
-ordinates against one table of (h |(k, j1 - j2)|)^(-alpha), so a box of
-nx columns costs nx array steps; :func:`measure_sweep` computes the tables
-once per box shape.
+region, a box of the cell lattice, and the pass runs over a stack of fields
+on one box.  The pairs are grouped by their horizontal lattice offset k; one
+offset is one broadcast of every pair of ordinates of the stack against one
+table of (h |(k, j1 - j2)|)^(-alpha), so a box of nx columns costs nx array
+steps; :func:`measure_sweep` stacks every eps that shares a region.
 
 An eps-sweep solves once per eps on one grid (:func:`solve_family`) and
 measures those fields (:func:`measure_sweep`), so several tables of one
@@ -35,7 +35,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .assembly import DiscreteField, RhoWeight, assemble, solve_linear
-from .geometry import HalfGrid, Region, _cell_counts, build_half_grid
+from .geometry import Region, _cell_counts, build_half_grid
 from .ratio import V_GUARD, _quotient, _v_on_grid
 from .weights import (CharacteristicSolution, MuInverse, WeightFamily, _factor, _sample, chi,
                       rho, v_char)
@@ -45,6 +45,7 @@ SLOPE_TOL = 0.1
 # the dyadic radii of exponent_estimate, and the oscillation below which a field is flat
 EXPONENT_RADII = (0.25, 0.125, 0.0625, 0.03125)
 NOISE_FLOOR = 1e-12
+PAIR_BLOCK = 2 ** 16     # pair quotients per step of the all-pairs pass, 512 KiB
 SWEEP_MODES = ("ratio_c0", "ratio_c1", "odd_direct_c0")
 
 
@@ -60,17 +61,6 @@ class SweepAbort(RuntimeError):
         self.partial = partial
 
 
-def _lattice_box(sel: np.ndarray) -> Tuple[slice, ...]:
-    """The slices of the box of the cell lattice that the True cells of sel fill."""
-    idx = np.nonzero(sel)
-    if len(idx[0]) < 2:
-        raise EmptyRegionError("region contains fewer than two cells")
-    box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx)
-    if not np.all(sel[box]):
-        raise ValueError("region is not a box of the cell lattice")
-    return box
-
-
 def _distance_tables(shape: Tuple[int, ...], h: float, alpha: float) -> list:
     """(hi, lo, weight) for each horizontal offset k of a lattice box of
     ``shape`` (horizontal axes first, y last) over a half space of offsets (a
@@ -79,82 +69,86 @@ def _distance_tables(shape: Tuple[int, ...], h: float, alpha: float) -> list:
     *horiz, ny = shape
     dj2 = np.subtract.outer(np.arange(ny), np.arange(ny)) ** 2
     zero = (0,) * len(horiz)
-    out = []
-    for k in itertools.product(*(range(1 - n, n) for n in horiz)):
-        if k < zero:
-            continue
-        hi = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip(k, horiz))
-        lo = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(k, horiz))
-        dist = h * np.sqrt(sum(d * d for d in k) + dj2)
-        out.append((hi, lo, np.divide(1.0, dist ** alpha, out=np.zeros_like(dist),
-                                      where=dist > 0)))
-    return out
+    ks = [k for k in itertools.product(*(range(1 - n, n) for n in horiz)) if k >= zero]
+    dist = h * np.sqrt(np.array([sum(d * d for d in k) for k in ks])[:, None, None] + dj2)
+    weight = np.divide(1.0, dist ** alpha, out=np.zeros_like(dist), where=dist > 0)
+    return [(tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip(k, horiz)),
+             tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(k, horiz)), w)
+            for k, w in zip(ks, weight)]
 
 
-def _box_seminorm(lat: np.ndarray, tables: list) -> float:
-    """max over all pairs of cells of the lattice box lat of
-    |u(z1) - u(z2)| / |z1 - z2|^alpha, given the :func:`_distance_tables` of
-    its shape: one step per offset, every pair of ordinates broadcast."""
-    best = 0.0
-    for hi, lo, weight in tables:
-        diff = lat[hi][..., :, None] - lat[lo][..., None, :]
-        np.abs(diff, out=diff)
-        diff *= weight
-        best = max(best, float(np.max(diff)))
+def _box_seminorm(stack: np.ndarray, h: float, alpha: float, tables: Callable) -> np.ndarray:
+    """The k maxima over all pairs of cells of the lattice boxes of a
+    (k, *box) stack of |u(z1) - u(z2)| / |z1 - z2|^alpha, given the
+    ``tables(shape, h, alpha)`` (:func:`_distance_tables`) of the box: one
+    step per offset, every pair of ordinates broadcast, for as many members
+    as keep a step within ``PAIR_BLOCK`` quotients (a larger one leaves the
+    cache).  Max is exact: a member's maximum is that of a stack of one."""
+    best = np.zeros(len(stack))
+    step = max(1, PAIR_BLOCK // (stack[0].size * stack.shape[-1]))     # members per step
+    for hi, lo, weight in tables(stack.shape[1:], h, alpha):
+        for s in range(0, len(stack), step):
+            part = stack[s:s + step]
+            diff = part[(slice(None), *hi)][..., :, None] - part[(slice(None), *lo)][..., None, :]
+            np.abs(diff, out=diff)
+            diff *= weight
+            np.fmax(best[s:s + step], diff.reshape(len(part), -1).max(1), out=best[s:s + step])
     return best
 
 
-def _region_cells(grid: HalfGrid, region: Region) -> np.ndarray:
-    """The region's cells as a boolean array over the cell lattice."""
-    return (grid.index >= 0) & region.mask(grid)[grid.index]
+def _box_stack(fields: Sequence[DiscreteField], region: Region, gradient: bool) -> np.ndarray:
+    """The lattices of k fields of one grid and parity on the box of the
+    region's cells, as a (k, *box) stack; with gradient, their centred
+    differences (the vertical one on the bottom layer with the parity ghost
+    below the plane) on the box of the cells where the grid completes the
+    stencil, every gx then every gy, as (2k, *box).  A region that selects
+    no box of the cell lattice (on the half disk) is a ValueError."""
+    g, h = fields[0].grid, fields[0].grid.h
+    # member 0, 0 at the cells and NaN elsewhere, gives the box from the grid alone
+    lat = np.stack([np.where(g.index >= 0, 0.0, np.nan), *(f.lattice() for f in fields)])
+    if gradient:
+        if g.n != 1:
+            raise NotImplementedError("c1alpha_seminorm implemented for n=1 grids")
+        grad = np.full((2, *lat.shape), np.nan)
+        grad[0, :, 1:-1, :] = (lat[:, 2:, :] - lat[:, :-2, :]) / (2 * h)
+        grad[1, :, :, 1:-1] = (lat[:, :, 2:] - lat[:, :, :-2]) / (2 * h)
+        ghost = {"odd": -1.0, "even": 1.0}.get(fields[0].parity)     # u(x, -y) / u(x, y)
+        if ghost is not None:
+            grad[1, :, :, 0] = (lat[:, :, 1] - ghost * lat[:, :, 0]) / (2 * h)
+        lat = np.concatenate([grad[0, :1] + grad[1, :1], grad[0, 1:], grad[1, 1:]])
+    sel = (g.index >= 0) & region.mask(g)[g.index] & np.isfinite(lat[0])
+    idx = np.nonzero(sel)
+    if len(idx[0]) < 2:
+        raise EmptyRegionError("region too thin for gradient stencils" if gradient
+                               else "region selects fewer than two cells")
+    box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx)
+    if not np.all(sel[box]):
+        raise ValueError("region is not a box of the cell lattice")
+    return lat[(slice(1, None), *box)]
 
 
 def holder_seminorm(field: DiscreteField, alpha: float, region: Region,
                     tables: Callable = _distance_tables) -> float:
     """max over all pairs of cell centres in the region of
-    |u(z1) - u(z2)| / |z1 - z2|^alpha.
+    |u(z1) - u(z2)| / |z1 - z2|^alpha: the pass of :func:`measure_sweep`
+    over a stack of one (:func:`_box_stack`, :func:`_box_seminorm`).
 
-    The region must select a box of the cell lattice, as every Region does
-    on a half-rectangle grid; a ValueError says when it does not.  The box's
-    distance tables are ``tables(shape, h, alpha)``: a caller that measures
-    many boxes passes one cache of :func:`_distance_tables`."""
-    sel = _region_cells(field.grid, region)
-    if not np.any(sel):
-        raise EmptyRegionError("region selects no cells")
-    lat = field.lattice()[_lattice_box(sel)]
-    return _box_seminorm(lat, tables(lat.shape, field.grid.h, alpha))
+    The box's distance tables are ``tables(shape, h, alpha)``: a caller that
+    measures many boxes passes one cache of :func:`_distance_tables`."""
+    return float(_box_seminorm(_box_stack([field], region, False), field.grid.h, alpha, tables)[0])
 
 
 def c1alpha_seminorm(field: DiscreteField, alpha: float, region: Region,
                      tables: Callable = _distance_tables) -> Tuple[float, float]:
     """(sup |grad u|, max over components of the gradient's alpha-seminorm).
 
-    Centered differences at cells with both neighbors; the vertical derivative
-    on the bottom layer uses the parity ghost below the plane.  Both
-    components are measured over all pairs of the box of cells in the region
-    that have a gradient, as in :func:`holder_seminorm`, with one set of
-    distance tables."""
-    g = field.grid
-    if g.n != 1:
-        raise NotImplementedError("c1alpha_seminorm implemented for n=1 grids")
-    lat = field.lattice()
-    h = g.h
-    gx = np.full_like(lat, np.nan)
-    gy = np.full_like(lat, np.nan)
-    gx[1:-1, :] = (lat[2:, :] - lat[:-2, :]) / (2 * h)
-    gy[:, 1:-1] = (lat[:, 2:] - lat[:, :-2]) / (2 * h)
-    if field.parity == "odd":
-        gy[:, 0] = (lat[:, 1] + lat[:, 0]) / (2 * h)
-    elif field.parity == "even":
-        gy[:, 0] = (lat[:, 1] - lat[:, 0]) / (2 * h)
-    ok = _region_cells(g, region) & np.isfinite(gx) & np.isfinite(gy)
-    if not np.any(ok):
-        raise EmptyRegionError("region too thin for gradient stencils")
-    box = _lattice_box(ok)
-    sup_grad = float(np.max(np.hypot(gx[box], gy[box])))
-    dist = tables(gx[box].shape, h, alpha)
-    semi = max(_box_seminorm(gx[box], dist), _box_seminorm(gy[box], dist))
-    return sup_grad, semi
+    The gradient's components (:func:`_box_stack`) on the box of the
+    region's cells with a gradient stencil, which follows from the grid, the
+    parity and the region, are measured as one stack of two, as in
+    :func:`holder_seminorm`, with one set of distance tables."""
+    grad = _box_stack([field], region, True)
+    semi = _box_seminorm(grad, field.grid.h, alpha, tables)
+    return float(np.max(np.hypot(*grad))), float(max(semi))
 
 
 @dataclass(frozen=True)
@@ -277,7 +271,9 @@ def solve_family(family: ProblemFamily, eps_list: Sequence[float],
 def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha: float,
                   mode: str = "ratio_c0", restricted: str = "none") -> StabilityReport:
     """Measure each solution per mode on the fixed :class:`Region` and
-    assemble the report.
+    assemble the report.  The solutions (of one grid) that share a region
+    are one stack: one box, one set of distance tables, and one all-pairs
+    pass (:func:`_box_seminorm`) over their fields (gx and gy in ratio_c1).
 
     modes: 'ratio_c0' (alpha-seminorm of w = u/v), 'ratio_c1' (gradient
     seminorm of w), 'odd_direct_c0' (alpha-seminorm of u itself; requires
@@ -285,20 +281,24 @@ def measure_sweep(family: ProblemFamily, solutions: Sequence[EpsSolution], alpha
     y >= sqrt(eps) (the restricted tables of the curved-geometry estimates)
     and skips the eps where that leaves (nearly) no cells."""
     _check_mode(family, mode)
-    per_eps = []
+    groups = {}
+    for i, s in enumerate(solutions):
+        reg = _eps_region(restricted, s.eps, s.u.grid.h)
+        if reg is not None:
+            groups.setdefault(reg, []).append((i, s))
+    rows = {}
     tables = functools.cache(_distance_tables)      # for this call's boxes only
-    for s in solutions:
-        grid = s.u.grid
-        reg = _eps_region(restricted, s.eps, grid.h)
-        if reg is None:
-            continue
-        fld = s.u if mode == "odd_direct_c0" else _quotient(s.u, s.v)
-        if mode == "ratio_c1":
-            semi = c1alpha_seminorm(fld, alpha, reg, tables)[1]
-        else:
-            semi = holder_seminorm(fld, alpha, reg, tables)
-        sup = float(np.max(np.abs(fld.values[reg.mask(grid)])))
-        per_eps.append((s.eps, semi, sup))
+    for reg, group in groups.items():
+        fields = [s.u if mode == "odd_direct_c0" else _quotient(s.u, s.v) for _, s in group]
+        values = _box_stack(fields, reg, False)
+        sups = np.max(np.abs(values), axis=tuple(range(1, values.ndim)))
+        semis = _box_seminorm(_box_stack(fields, reg, True) if mode == "ratio_c1" else values,
+                              fields[0].grid.h, alpha, tables)
+        if mode == "ratio_c1":      # the larger of each field's gx and gy seminorms
+            semis = [max(pair) for pair in semis.reshape(2, -1).T]
+        rows.update((i, (s.eps, float(m), float(p)))
+                    for (i, s), m, p in zip(group, semis, sups))
+    per_eps = [rows[i] for i in sorted(rows)]
     if len(per_eps) < 2:
         raise ValueError("fewer than two admissible eps entries in the sweep")
     semis = np.array([p[1] for p in per_eps])
@@ -326,18 +326,22 @@ def admissible_eps(eps_list: Sequence[float], grid_h: float, restricted: str = "
     return [e for e in eps_list if _eps_region(restricted, e, grid_h) is not None]
 
 
-def _eps_step_rule(a: float, eps: float, grid_h: float, m_inv: Optional[Callable]) -> None:
+def _eps_step_rule(a: float, eps: float, grid_h: float, mu_inv: Optional[MuInverse]) -> None:
     """Raise ValueError unless rho is finite and positive at the first and last
-    cell centre of the n = 1 grid of spacing grid_h, and v = (1-a) m^(-1)(x) chi(y)
-    (m_inv None for 1) is at least ``V_GUARD`` at y = h/2, by its lower bound
-    (1-a) y min(rho^(-a)) over [0, y], and finite at y = 1, in every column x."""
+    cell centre of the n = 1 grid of spacing grid_h, and v = (1-a) m^(-1)(x) N(y)
+    (mu_inv None for mu == 1) is at least ``V_GUARD`` at y = h/2, by its lower
+    bound (1-a) y min(rho^(-a)) min(n^(-1)) over [0, y] (n^(-1) at nine points),
+    and (1-a) m^(-1)(x) chi(1), its value at y = 1 for n^(-1) = 1, is finite,
+    in every column x."""
     fam, y = WeightFamily(a, eps), grid_h / 2.0
+    m_inv, n_inv = mu_inv or MuInverse()
     m = _factor(m_inv, -1.0 + (np.arange(_cell_counts(grid_h, 1)[0]) + 0.5) * grid_h)
+    n = _factor(n_inv, np.linspace(0.0, y, 9))
     with np.errstate(over="ignore", divide="ignore"):
         w = rho(fam, np.array([y, 1.0 - y]))
         low = (1.0 - a) * y * np.min((eps * eps + np.array([0.0, y * y])) ** (-a / 2.0))
         top = (1.0 - a) * chi(fam, 1.0) * np.max(m)
-    if not (np.all(np.isfinite(w) & (w > 0.0)) and low * np.min(m) >= V_GUARD
+    if not (np.all(np.isfinite(w) & (w > 0.0)) and low * np.min(m) * np.min(n) >= V_GUARD
             and math.isfinite(top)):
         raise ValueError(f"rho or v leaves the range of double precision at eps={eps!r}")
 

@@ -141,6 +141,8 @@ def rho(family: WeightFamily, y):
             f"rho with a={a} < 0, eps=0 is singular at y=0")
     if a == 0.0:
         out = np.ones_like(y)
+    elif eps * eps == 0.0 < eps:    # eps^2 underflows, and eps^2 + y^2 with it at y = 0
+        out = np.hypot(eps, y) ** a
     else:
         out = (eps * eps + y * y) ** (a / 2.0)
     return out if out.ndim else float(out)

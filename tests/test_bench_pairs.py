@@ -162,3 +162,51 @@ def test_summary_gives_each_sides_unscaled_medians_and_speed(tmp_path, capsys):
     assert [(r["side"], r["speed"], r["raw"]["wall_s"]) for r in runs[:2]] == [
         ("parent", 1.5, 0.02), ("change", 2.5, 0.002)]
     assert bench_pairs.raw_summary([(bench_pairs.record(_line(0.05, 90.0)),) * 2]) == []
+
+
+def _quartiles(values):
+    return bench_pairs.quartiles(list(values))
+
+
+@pytest.mark.parametrize("parent,change,better,want", [
+    # the change wins 10/10 and 9/10, its median better by more than the parent's IQR
+    ([1.00, 1.01, 1.02, 1.03, 1.04] * 2, [0.90] * 10, "lower", "gain"),
+    ([1.00, 1.01, 1.02, 1.03, 1.04] * 2, [0.90] * 9 + [1.05], "lower", "gain"),
+    ([100.0, 101.0] * 5, [110.0] * 9 + [99.0], "higher", "gain"),
+    # 8/10 wins, or a gap inside the parent's IQR, is no gain
+    ([1.00, 1.01, 1.02, 1.03, 1.04] * 2, [0.90] * 8 + [1.05] * 2, "lower", "level"),
+    ([1.0, 1.1] * 5, [0.95, 1.05] * 5, "lower", "level"),
+    # worse by more than the bound (0.25 of the parent's median), either way round
+    ([1.0] * 10, [1.3] * 10, "lower", "worse"),
+    ([1.0] * 10, [1.2] * 10, "lower", "level"),
+    ([100.0] * 10, [70.0] * 10, "higher", "worse"),
+    # a parent IQR wider than the bound leaves it open unless every pair is won
+    ([0.6, 0.8, 1.0, 1.2, 1.4] * 2, [1.1] * 10, "lower", "unresolved"),
+    ([0.6, 0.8, 1.0, 1.2, 1.4] * 2, [0.5] * 10, "lower", "gain"),
+    ([0.6, 0.8, 1.0, 1.2, 1.4] * 2, [0.59, 0.79, 0.99, 1.19, 1.39] * 2, "lower", "level"),
+])
+def test_reading_of_a_row(parent, change, better, want):
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    got = bench_pairs.reading(_quartiles(parent), _quartiles(change), wins, len(parent),
+                              better, 0.25)
+    assert got == want
+
+
+@pytest.mark.parametrize("change_wall,want", [(0.04, "gain"), (0.07, "worse"), (0.05, "level")])
+def test_each_summary_row_ends_with_its_reading(tmp_path, capsys, change_wall, want):
+    """The reading closes each row, with the bound of BENCHMARK.json: wall_s
+    0.04 against 0.05 wins every pair by more than the parent's IQR, 0.07 is
+    worse by more than its bound 0.25, and equal values are level, as are
+    setup_s and peak_rss_mb, which the stand-ins keep equal."""
+    parent = _checkout(tmp_path / "parent", _line(0.05, 90.0))
+    change = _checkout(tmp_path / "change", _line(change_wall, 90.0))
+    argv = [str(parent), str(change), "--workload", "eigen", "--seeds", "7", "3"]
+    assert bench_pairs.main(argv) == 0
+    assert bench_pairs.bounds() == {"wall_s": 0.25, "cpu_s": 0.25, "cold_wall_s": 0.25,
+                                    "setup_s": 0.25, "peak_rss_mb": 0.1}
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split()[-1] for line in lines
+            if line.split()[:1] and line.split()[0] in bench_pairs.bounds()}
+    assert rows == {"wall_s": want, "cpu_s": want, "cold_wall_s": want,
+                    "setup_s": "level", "peak_rss_mb": "level"}

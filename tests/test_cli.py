@@ -106,6 +106,7 @@ def test_usage_error_exit_code(tmp_path):
     (("sweep", "h=1/16", "eps_list=1e100,0"), "eps_list", "1e100"),
     (("sweep", "h=1/16", "eps_list=1e154,0"), "eps_list", "1e154"),
     (("sweep", "h=1/16", "eps_list=1e200,0"), "eps_list", "1e200"),
+    (("fermi-demo", "a=0.5", "h=1/16", "eps_list=1.08e24,0.01,0"), "eps_list", "1.08e24"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     """A value that does not parse, or that the command cannot run on, is a
@@ -168,7 +169,38 @@ def test_the_eps_rule_reads_m_inverse_at_the_grid_columns(capsys, tmp_path):
     assert _run(tmp_path, *argv, "eps_list=1e18,0") in (0, 1)
     holder._eps_step_rule(0.5, 1e21, 1 / 16, None)
     with pytest.raises(ValueError, match="range of double precision"):
-        holder._eps_step_rule(0.5, 1e21, 1 / 16, lambda x: 1.0 / (1.0 + 1000.0 * x * x))
+        holder._eps_step_rule(0.5, 1e21, 1 / 16,
+                              degenlab.MuInverse(m_inv=lambda x: 1.0 / (1.0 + 1000.0 * x * x)))
+
+
+def test_the_eps_rule_reads_n_inverse_of_the_fermi_chart(capsys, tmp_path):
+    """fermi-demo's chart factor n^(-1) = 1/fermi_mu(0, y) is about 1/2, so v
+    is about half its mu = 1 value: at h = 1/16, eps = 1.08e24 leaves v(h/2)
+    under the guard and is refused naming eps_list (not a), by the rule
+    with the least n^(-1) on [0, h/2], while eps = 6e23 runs."""
+    argv = ("fermi-demo", "a=0.5", "h=1/16")
+    assert _run(tmp_path, *argv, "eps_list=1.08e24,0.01,0") == 2
+    assert capsys.readouterr().err.startswith("config error: eps_list: '1.08e24'")
+    assert _run(tmp_path, *argv, "eps_list=6e23,0.01,0") in (0, 1)
+    curve = degenlab.EmbeddedCurve.circle(2.0, arc=2.0, theta0=-0.5)
+    chart = degenlab.MuInverse(n_inv=lambda y: 1.0 / degenlab.fermi_mu(curve, 0.0, y))
+    holder._eps_step_rule(0.5, 1.08e24, 1 / 16, None)
+    holder._eps_step_rule(0.5, 6e23, 1 / 16, chart)
+    with pytest.raises(ValueError, match="range of double precision"):
+        holder._eps_step_rule(0.5, 1.08e24, 1 / 16, chart)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "a=-3.6463472573565566e-82", "mu=quadratic:568.36", "mode=odd_direct_c0",
+     "h=1/16", "eps_list=4.892085251810417e-241 0.176436734603219"),
+    ("sweep", "a=0.5", "h=1/16", "eps_list=1e-300 0.1"),
+], ids=["a-below-0", "a-0.5"])
+def test_an_eps_whose_square_underflows_runs(tmp_path, argv):
+    """eps^2 underflows to 0 below eps = 1e-162, and eps^2 + y^2 with it at
+    y = 0, where the Simpson rule of the rho weight reads rho: rho there is
+    eps^a (1 at a = -3.6e-82, not 0^(a/2) = inf, which made the CG overflow
+    and blamed a), so the sweep runs."""
+    assert _run(tmp_path, *argv) in (0, 1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -298,37 +298,113 @@ def test_sweep_integrates_each_segment_once(monkeypatch):
     assert quad_calls == []
 
 
+def _quotient_family(name):
+    return dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * np.cos(np.pi * x),
+                            trace_factor=lambda x, y: np.cos(np.pi * x / 2.0),
+                            mu_inverse=(lambda x: 1.0 / (1.0 + 0.1 * x * x), None), name=name)
+
+
+def _region_at(restricted, eps):
+    """The region a sweep measures at eps, written out: Region(), raised to
+    y >= sqrt(eps) under restricted='sqrt_eps'."""
+    return dl.Region(y_min=math.sqrt(eps)) if restricted == "sqrt_eps" else dl.Region()
+
+
 @pytest.mark.parametrize("mode,restricted", [("ratio_c0", "none"), ("ratio_c1", "sqrt_eps")])
-def test_sweep_seminorms_equal_all_pairs(monkeypatch, mode, restricted):
-    """Every seminorm a sweep reports is the max over all pairs of cells."""
-    import degenlab.holder as holder
-
-    seen = []
-    name = "holder_seminorm" if mode == "ratio_c0" else "c1alpha_seminorm"
-    seminorm = getattr(holder, name)
-
-    def recording(field, alpha, region, *tables):
-        out = seminorm(field, alpha, region, *tables)
-        seen.append((field, alpha, region, out))
-        return out
-
-    monkeypatch.setattr(holder, name, recording)
-    fam = dl.ProblemFamily(a=0.5, f=lambda x, y: abs(y) ** 0.5 * np.cos(np.pi * x),
-                           trace_factor=lambda x, y: np.cos(np.pi * x / 2.0),
-                           mu_inverse=(lambda x: 1.0 / (1.0 + 0.1 * x * x), None), name="exact")
-    solutions = dl.solve_family(fam, [1.0, 0.03, 0.01, 0.001, 0.0], grid_h=1 / 16)
+def test_sweep_seminorms_equal_all_pairs(mode, restricted):
+    """Every seminorm a sweep reports is the max over all pairs of cells of
+    its own eps's quotient u / v, and every sup norm that quotient's largest
+    |w| on the region."""
+    fam = _quotient_family("exact")
+    h = 1 / 16
+    solutions = dl.solve_family(fam, [1.0, 0.03, 0.01, 0.001, 0.0], grid_h=h)
     rep = dl.measure_sweep(fam, solutions, 0.4, mode=mode, restricted=restricted)
-    assert len(seen) == len(rep.per_eps)
-    for (field, alpha, region, out), (_, semi, _) in zip(seen, rep.per_eps):
+    admitted = dl.holder.admissible_eps([s.eps for s in solutions], h, restricted)
+    measured = [s for s in solutions if s.eps in admitted]
+    assert [eps for eps, _, _ in rep.per_eps] == [s.eps for s in measured]
+    assert len(measured) == (4 if restricted == "sqrt_eps" else 5)
+    for s, (_, semi, sup) in zip(measured, rep.per_eps):
+        field = dl.DiscreteField(s.u.grid, s.u.values / s.v, "even")
+        region = _region_at(restricted, s.eps)
+        sel = region.mask(field.grid)
         if mode == "ratio_c0":
-            sel = region.mask(field.grid)
-            want = brute_force(field.values[sel], field.grid.centers[sel], alpha)
-            got = out
+            want = brute_force(field.values[sel], field.grid.centers[sel], 0.4)
         else:
             gx, gy, pts = gradient_cells(field, region)
-            want = max(brute_force(gx, pts, alpha), brute_force(gy, pts, alpha))
-            got = out[1]
-        assert got == semi == pytest.approx(want, rel=1e-13)
+            want = max(brute_force(gx, pts, 0.4), brute_force(gy, pts, 0.4))
+        assert semi == pytest.approx(want, rel=1e-13)
+        assert sup == float(np.max(np.abs(field.values[sel])))
+
+
+def _adversarial_fields(g):
+    """Fields whose maximising pairs sit at different offsets of the box of
+    ``dl.Region()``: a one-cell spike, a checkerboard and a step in x
+    (adjacent pairs), ramps in x and in y (the farthest pairs of the box's
+    width and of its height, at alpha < 1), and noise."""
+    x, y = g.centers.T
+    i, j = np.round((x + 1.0) / g.h - 0.5), np.round(y / g.h - 0.5)
+    spike = np.where((np.abs(x - 0.2) < g.h / 2) & (np.abs(y - 0.3) < g.h / 2), 1.0, 0.0)
+    return [spike, (-1.0) ** (i + j), np.where(x > 0.1, 1.0, 0.0), x, 3.0 * y,
+            np.random.default_rng(11).standard_normal(g.ncells)]
+
+
+@pytest.mark.parametrize("mode", ["odd_direct_c0", "ratio_c1"])
+def test_stacked_adversarial_fields_equal_all_pairs(mode):
+    """A sweep measures its fields as one stack; stacks whose members peak
+    at different offsets (ROADMAP item 8's adversarial fields) give each
+    member its own all-pairs maximum, and the same bits as a stack of one.
+    With v = 1 the sweep measures u itself (as w = u / v in ratio_c1)."""
+    g = dl.build_half_grid(1, "half_rectangle", 1 / 16)
+    fam = dl.ProblemFamily(a=0.5, name="adversarial")
+    values = _adversarial_fields(g)
+    eps_list = [2.0 ** -k for k in range(len(values))]
+    parity = "odd" if mode == "odd_direct_c0" else "even"
+    solutions = [dl.holder.EpsSolution(eps, dl.DiscreteField(g, u, parity), np.ones(g.ncells))
+                 for eps, u in zip(eps_list, values)]
+    rep = dl.measure_sweep(fam, solutions, 0.4, mode=mode)
+    sel = dl.Region().mask(g)
+    for u, (_, semi, _) in zip(values, rep.per_eps):
+        field = dl.DiscreteField(g, u, parity)
+        if mode == "odd_direct_c0":
+            want = brute_force(u[sel], g.centers[sel], 0.4)
+            single = dl.holder_seminorm(field, 0.4, dl.Region())
+        else:
+            gx, gy, pts = gradient_cells(field, dl.Region())
+            want = max(brute_force(gx, pts, 0.4), brute_force(gy, pts, 0.4))
+            single = dl.c1alpha_seminorm(field, 0.4, dl.Region())[1]
+        assert semi == pytest.approx(want, rel=1e-13)
+        assert semi == single
+    if mode == "odd_direct_c0":     # the spike and the checkerboard peak at adjacent cells
+        assert rep.per_eps[0][1] == pytest.approx((1 / 16) ** -0.4, rel=1e-13)
+        assert rep.per_eps[1][1] == pytest.approx(2.0 * (1 / 16) ** -0.4, rel=1e-13)
+
+
+@pytest.fixture(scope="module")
+def member_solutions():
+    return dl.solve_family(_quotient_family("members"), [1.0, 0.1, 0.03, 0.01, 0.001, 0.0],
+                           grid_h=1 / 16)
+
+
+@pytest.mark.parametrize("restricted", ["none", "sqrt_eps"])
+@pytest.mark.parametrize("mode", dl.holder.SWEEP_MODES)
+def test_each_stack_member_is_its_single_field_call(member_solutions, mode, restricted):
+    """Each (eps, seminorm, sup) a sweep reports equals, bit for bit, the
+    single-field call on that eps's field and region: holder_seminorm (of u
+    in odd_direct_c0, of u / v in ratio_c0) or c1alpha_seminorm (ratio_c1),
+    and the largest |field| on the region."""
+    rep = dl.measure_sweep(_quotient_family("members"), member_solutions, 0.4, mode=mode,
+                           restricted=restricted)
+    admitted = dl.holder.admissible_eps([s.eps for s in member_solutions], 1 / 16, restricted)
+    want = []
+    for s in (s for s in member_solutions if s.eps in admitted):
+        region = _region_at(restricted, s.eps)
+        field = (s.u if mode == "odd_direct_c0"
+                 else dl.DiscreteField(s.u.grid, s.u.values / s.v, "even"))
+        semi = (dl.c1alpha_seminorm(field, 0.4, region)[1] if mode == "ratio_c1"
+                else dl.holder_seminorm(field, 0.4, region))
+        want.append((s.eps, semi, float(np.max(np.abs(field.values[region.mask(field.grid)])))))
+    assert rep.per_eps == want
+    assert len(want) == (4 if restricted == "sqrt_eps" else 6)
 
 
 def test_sweep_rhs_matches_quad_trace_reference(monkeypatch):

@@ -274,3 +274,28 @@ def test_one_cache_of_tables_serves_many_boxes_exactly():
     # the value box and the gradient box (no bottom row without a parity) of
     # three (h, alpha), and one box for both on the raised region
     assert tables.cache_info().currsize == 7
+
+
+def _tables_per_offset(shape, h, alpha):
+    """The distance tables built one horizontal offset at a time, kept as the
+    reference of the vectorised build."""
+    *horiz, ny = shape
+    dj2 = np.subtract.outer(np.arange(ny), np.arange(ny)) ** 2
+    out = []
+    for k in itertools.product(*(range(1 - n, n) for n in horiz)):
+        if k < (0,) * len(horiz):
+            continue
+        dist = h * np.sqrt(sum(d * d for d in k) + dj2)
+        out.append((tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip(k, horiz)),
+                    tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(k, horiz)),
+                    np.divide(1.0, dist ** alpha, out=np.zeros_like(dist), where=dist > 0)))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(32, 16), (31, 15), (64, 32), (1, 5), (2, 2), (8, 8, 4)])
+@pytest.mark.parametrize("h,alpha", [(1 / 32, 0.4), (1 / 12, 0.123), (1 / 64, 1.0)])
+def test_distance_tables_equal_the_per_offset_loop(shape, h, alpha):
+    got, want = _distance_tables(shape, h, alpha), _tables_per_offset(shape, h, alpha)
+    assert [(hi, lo) for hi, lo, _ in got] == [(hi, lo) for hi, lo, _ in want]
+    for (_, _, w1), (_, _, w2) in zip(got, want):
+        assert w1.dtype == w2.dtype and w1.tobytes() == w2.tobytes()

@@ -53,6 +53,18 @@ def test_rho_singular_point_signal():
     assert dl.rho(dl.WeightFamily(0.5, 0.0), 0.0) == 0.0
 
 
+@pytest.mark.parametrize("a,eps", [(-3.6463472573565566e-82, 4.892085251810417e-241),
+                                   (-0.5, 1e-200), (0.5, 1e-300)])
+def test_rho_where_eps_squared_underflows(a, eps):
+    """Below eps = 1e-162, eps^2 rounds to 0: rho(0) is still eps^a (not
+    0^(a/2), inf or 0), and rho(y) is |y|^a to rounding."""
+    fam = dl.WeightFamily(a, eps)
+    assert dl.rho(fam, 0.0) == pytest.approx(eps ** a, rel=1e-15)
+    assert math.isfinite(dl.rho(fam, 0.0)) and dl.rho(fam, 0.0) > 0.0
+    y = np.array([0.0, 1e-3, 0.5])
+    np.testing.assert_allclose(dl.rho(fam, y)[1:], y[1:] ** a, rtol=1e-15)
+
+
 def test_weight_family_rejects_negative_eps():
     with pytest.raises(ValueError, match="eps must be >= 0"):
         dl.WeightFamily(0.5, -1e-3)
