@@ -42,7 +42,7 @@ from .holder import (SLOPE_TOL, TAU, ProblemFamily, _check_mode, _eps_step_rule,
                      epsilon_sweep, measure_sweep, solve_family)
 from .potentials import v_limit, v_limit_deriv
 from .ratio import DivisionGuardError
-from .spectral import MAX_NODES, HalfDiskMesh, _trace_route, hardy_quotient, trace_eigen
+from .spectral import B_MIN, MAX_NODES, HalfDiskMesh, _trace_route, hardy_quotient, trace_eigen
 from .weights import MuInverse, WeightFamily
 
 
@@ -216,7 +216,9 @@ _BELOW_ONE = (lambda a: a < 1.0, "below 1")
 _ALPHA = (lambda alpha: 0.0 < alpha <= 1.0, "in (0, 1]")      # a Holder exponent
 _PHI_EXPONENT = _accepted_by(_phi_exponent_rule, f"in [{PHI_A_MIN!r}, 1)")
 _MESH_SPACING = _accepted_by(HalfDiskMesh.from_h, f"1/n, n >= 3, at most {MAX_NODES} nodes")
-# the lambda_r rows solve at eps = 1/r > 0
+# the trace rows solve at b = a and b = aux_a - 2, the lambda_r rows at eps = 1/r > 0
+_TRACE_EXPONENT = _accepted_by(lambda a: _trace_route(a, 0.0), f"in [{B_MIN:g}, 1)")
+_AUX_EXPONENT = _accepted_by(lambda a: _trace_route(a - 2.0, 0.0), f"in [{B_MIN:g}, 3)")
 _EPS_TRACE_EXPONENT = _accepted_by(lambda b: _trace_route(b, 1.0), "in (-1, 1)")
 _LAMBDA_R = _accepted_by(lambda r: _trace_route(0.0, 1.0 / r), "positive, with 1/r^2 finite")
 _GRID_SPACING = _accepted_by(lambda h: _cell_counts(h, 1), f"1/n, n >= 4, <= {MAX_CELLS} cells")
@@ -226,10 +228,9 @@ _CHART_RADIUS = _accepted_by(lambda r: fermi_mu(EmbeddedCurve.circle(r), 0.0, 1.
 
 
 def cmd_eigen(cfg: dict) -> int:
-    # trace_eigen takes exponents b < 1: a itself, and aux_a - 2
-    a_list = _floats(cfg, "a", "-0.5 0 0.5", _BELOW_ONE)
+    a_list = _floats(cfg, "a", "-0.5 0 0.5", _TRACE_EXPONENT)
     h = _float(cfg, "h", "1/64", _MESH_SPACING)
-    aux_list = _floats(cfg, "aux_a", "0.5 -1", (lambda a: a - 2.0 < 1.0, "below 3"))
+    aux_list = _floats(cfg, "aux_a", "0.5 -1", _AUX_EXPONENT)
     r_list = _floats(cfg, "r_list", "1 4 16 64", _LAMBDA_R)
     sweep_a = _float(cfg, "sweep_a", "0.5", _EPS_TRACE_EXPONENT)
     rows = []

@@ -13,7 +13,7 @@ Two routes realize the weighted trace quotient:
 * direct: stiffness with the weight w itself; admissible while w is locally
   integrable (exponent > -1).  With eps = 0 the elements touching the plane
   integrate the singular/degenerate factor by Gauss-Jacobi rules matched to
-  the exponent, and the weighted boundary mass drops the two arc nodes
+  the exponent, and the weighted boundary mass drops the arc nodes
   adjacent to the plane.
 * transformed, at eps = 0 only: substitute v = w^(1/2) u, turning the
   quotient into a flat Dirichlet form plus the potentials of
@@ -51,8 +51,16 @@ through the solve onto the mesh, and lam and the residual
 ||K v - lam M v|| / ||K v|| are those of the full pencil; a residual above
 ``EIG_RESIDUAL_TOL`` raises.
 
+Every pencil is built and solved on its mirror half theta <= pi/2, with the
+natural condition on theta = pi/2: the weights depend on y alone, so each
+pencil commutes with x -> -x, and on even vectors P v (P the mirror
+prolongation) it is 2 (K_h, M_h), the forms of the half (Bossavit, *Comput.
+Methods Appl. Mech. Engrg.* 56, 1986).  Lanczos never left that sector: its
+all-ones start is even, and so is each operator it applies.  :func:`_finish`
+mirrors the result onto all nodes.
+
 Every element integrates with the Gauss-Legendre rule of ``ELEMENT_ORDER``
-points per direction; the arc segments and the Gauss-Jacobi edge rows take
+points per direction; the arc segments and the Gauss-Jacobi edge row take
 ``EDGE_ORDER`` points.
 """
 
@@ -79,6 +87,7 @@ EDGE_ORDER = 6          # points per arc segment and per Gauss-Jacobi edge row
 GROWTH_ARC_CELLS = 720  # trapezoid cells on each arc of growth_monitor
 CONTRACT_ROWS = 2048    # rows of one matmul block of _contract
 MAX_NODES = 2 ** 17     # the most nodes of a polar mesh: h = 1/180
+B_MIN = -1e60           # the least trace exponent (see _trace_route)
 
 
 @dataclass(frozen=True)
@@ -154,8 +163,8 @@ class EigenResult:
 
 def _element_rows(mesh: HalfDiskMesh) -> np.ndarray:
     """Nodes (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1) of every element
-    (i, j), radial-major, shape (nel, 4)."""
-    I, J = np.meshgrid(np.arange(mesh.nr), np.arange(mesh.ntheta), indexing="ij")
+    (i, j) of the half, j < ntheta/2, radial-major, shape (nel, 4)."""
+    I, J = np.meshgrid(np.arange(mesh.nr), np.arange(mesh.ntheta // 2), indexing="ij")
     return np.stack([mesh.node_id(I + di, J + dj).ravel()
                      for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1))], axis=1)
 
@@ -211,33 +220,23 @@ def _radial_rule(mesh: HalfDiskMesh):
 
 
 def _theta_rows(mesh: HalfDiskMesh, jac: Optional[float]):
-    """The angular rule per group of element rows, as tuples (rows, local
-    points T in [0, 1], weights, dist^jac at the points or None).
+    """The angular rule per group of element rows j < ntheta/2, as tuples
+    (rows, local points T in [0, 1], weights, dist^jac at the points or None).
 
-    Gauss-Legendre everywhere when ``jac`` is None.  Otherwise the two rows
-    touching the plane take the Gauss-Jacobi rule of ``EDGE_ORDER`` points
-    for the weight dist(theta)^jac, dist being the angular distance to the
+    Gauss-Legendre everywhere when ``jac`` is None.  Otherwise the row
+    touching the plane takes the Gauss-Jacobi rule of ``EDGE_ORDER`` points
+    for the weight dist(theta)^jac, dist = theta the angular distance to the
     plane; integrands are divided by dist^jac there, the rule restores it."""
     tn = mesh.theta_nodes
     ht = tn[1] - tn[0]
+    half = mesh.ntheta // 2
     gx, gw = _gauss_legendre(ELEMENT_ORDER)
     if jac is None:
-        groups = [(np.arange(mesh.ntheta), None)]
-    else:
-        groups = [(np.arange(1, mesh.ntheta - 1), None),
-                  (np.array([0]), "low"), (np.array([mesh.ntheta - 1]), "high")]
-    out = []
-    for rows, edge in groups:
-        if len(rows) == 0:
-            continue
-        if edge is None:
-            out.append((rows, (gx + 1.0) / 2.0, gw * ht / 2.0, None))
-            continue
-        tqx, tqw = _gauss_jacobi(EDGE_ORDER, jac)
-        s = (tqx + 1.0) / 2.0
-        out.append((rows, s if edge == "low" else 1.0 - s,
-                    tqw * (ht / 2.0) ** (1.0 + jac), (s * ht) ** jac))
-    return out
+        return [(np.arange(half), (gx + 1.0) / 2.0, gw * ht / 2.0, None)]
+    tqx, tqw = _gauss_jacobi(EDGE_ORDER, jac)
+    s = (tqx + 1.0) / 2.0
+    return [(np.arange(1, half), (gx + 1.0) / 2.0, gw * ht / 2.0, None),
+            (np.array([0]), s, tqw * (ht / 2.0) ** (1.0 + jac), (s * ht) ** jac)]
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +279,8 @@ def _radial_factors(mesh: HalfDiskMesh, weight: Callable):
 
 def _angular_factors(mesh: HalfDiskMesh, weight: Callable, jac: Optional[float] = None):
     """B = int w psi psi dtheta and D = int w psi' psi' dtheta, w =
-    weight(sin theta), on every angular node, by the rule
-    :func:`_theta_rows` gives for jac."""
+    weight(sin theta), on the angular nodes 0..ntheta/2 of the half, by the
+    rule :func:`_theta_rows` gives for jac."""
     tn = mesh.theta_nodes
     ht = tn[1] - tn[0]
     mass, stiff = [], []
@@ -293,18 +292,19 @@ def _angular_factors(mesh: HalfDiskMesh, weight: Callable, jac: Optional[float] 
         N, dN = _linear(T, ht)
         mass.append((rows, _element_matrices(c, N)))
         stiff.append((rows, _element_matrices(c, dN)))
-    return _tridiagonal(mesh.ntheta + 1, mass), _tridiagonal(mesh.ntheta + 1, stiff)
+    return _tridiagonal(mesh.ntheta // 2 + 1, mass), _tridiagonal(mesh.ntheta // 2 + 1, stiff)
 
 
 def assemble_arc_mass(mesh: HalfDiskMesh, weight: Optional[Callable]):
-    """Boundary mass int weight(y) u^2 dtheta on the arc r = 1 (weight 1 when
-    None), as a tridiagonal over the arc nodes, Gauss-Legendre per segment.
+    """Boundary mass int weight(y) u^2 dtheta on the arc r = 1 of the half
+    (weight 1 when None), as a tridiagonal over the arc nodes 0..ntheta/2,
+    Gauss-Legendre per segment.
 
     ``weight`` must broadcast: it is called once, on the (segments, EDGE_ORDER)
     array of y = sin(theta)."""
     tn = mesh.theta_nodes
     gx, gw = _gauss_legendre(EDGE_ORDER)
-    j = np.arange(mesh.ntheta)
+    j = np.arange(mesh.ntheta // 2)
     t0 = tn[j][:, None]
     ht = (tn[j + 1] - tn[j])[:, None]
     ta = t0 + (gx + 1.0) / 2.0 * ht
@@ -313,7 +313,7 @@ def assemble_arc_mass(mesh: HalfDiskMesh, weight: Optional[Callable]):
     s = (ta - t0) / ht
     N = np.stack([1.0 - s, s], axis=2)
     Me = (c[:, :, None, None] * (N[:, :, :, None] * N[:, :, None, :])).sum(axis=1)
-    return _tridiagonal(mesh.ntheta + 1, [(j, Me)])
+    return _tridiagonal(len(j) + 1, [(j, Me)])
 
 
 def _ones(s):
@@ -329,8 +329,8 @@ def _trace_factors(mesh: HalfDiskMesh, b: float, route: str):
     of the eps = 0 trace pencil K = A (x) B + C (x) D + W M, M = arc mass.
 
     direct: the weight |y|^b = r^b sin^b(theta) splits, with the Gauss-Jacobi
-    edge rows for b != 0, and then the two arc nodes next to the plane are
-    zero-mass rows (the route drops them).  transformed: the flat form, the
+    edge row for b != 0, and then the arc node next to the plane is a
+    zero-mass row (the route drops it).  transformed: the flat form, the
     domain potential c / y^2 = c r^-2 sin^-2(theta) joins D as c G, and the
     arc potential is the constant W; (c, W) are the eps = 0 potentials of
     :func:`degenlab.potentials.potentials` at y = 1."""
@@ -339,8 +339,8 @@ def _trace_factors(mesh: HalfDiskMesh, b: float, route: str):
         jac = b if b != 0.0 else None
         d, o = assemble_arc_mass(mesh, w)
         if jac is not None:
-            d[[1, -2]] = 0.0
-            o[[0, 1, -2, -1]] = 0.0
+            d[1] = 0.0
+            o[[0, 1]] = 0.0
         return (_radial_factors(mesh, w), _angular_factors(mesh, w, jac), (d, o), 0.0)
     B, D = _angular_factors(mesh, _ones)
     G, _ = _angular_factors(mesh, _inverse_square)
@@ -450,14 +450,22 @@ def _lanczos_max(op: Callable, mass) -> Tuple[np.ndarray, int]:
     return np.einsum("k,ki->i", s, Q[:k]), k
 
 
-def _finish(v: np.ndarray, kv: np.ndarray, mv: np.ndarray, steps: int, nnodes: int,
+def _finish(v: np.ndarray, kv: np.ndarray, mv: np.ndarray, steps: int, mesh: HalfDiskMesh,
             dofs: np.ndarray) -> Tuple[float, np.ndarray, float, int]:
-    """(lam, eigenvector, residual, steps) from v and the pencil's K v and M v.
+    """(lam, eigenvector, residual, steps) from v and the half pencil's K v
+    and M v, at the node numbers ``dofs`` (of v's shape) of the half.
 
-    lam is the Rayleigh quotient and the residual ||K v - lam M v|| / ||K v||;
-    a residual above ``EIG_RESIDUAL_TOL`` (or nan) raises RuntimeError.  The
-    eigenvector is v / ||v||_M at the node numbers ``dofs`` (of v's shape),
-    zero elsewhere."""
+    The half forms hold half of each row of the full pencil on the mid
+    column j = ntheta/2, so v, K v and M v are mirrored (j -> ntheta - j)
+    onto all nodes, K v and M v with the mid column doubled.  lam is the
+    Rayleigh quotient and the residual ||K v - lam M v|| / ||K v|| of the
+    full pencil; a residual above ``EIG_RESIDUAL_TOL`` (or nan) raises
+    RuntimeError.  The eigenvector is v / ||v||_M on all nodes."""
+    j = dofs % (mesh.ntheta + 1)
+    mid = np.where(2 * j == mesh.ntheta, 2.0, 1.0)
+    full = np.zeros((3, mesh.nnodes))
+    full[:, dofs + mesh.ntheta - 2 * j] = full[:, dofs] = (v, mid * kv, mid * mv)
+    v, kv, mv = full
     vmv = float(np.sum(v * mv))
     lam = float(np.sum(v * kv)) / vmv
     r = kv - lam * mv
@@ -465,9 +473,7 @@ def _finish(v: np.ndarray, kv: np.ndarray, mv: np.ndarray, steps: int, nnodes: i
     if not res <= EIG_RESIDUAL_TOL:
         raise RuntimeError(f"eigen solve residual {res:.3g} above "
                            f"{EIG_RESIDUAL_TOL:g} after {steps} Lanczos steps")
-    full = np.zeros(nnodes)
-    full[dofs] = v / math.sqrt(vmv)
-    return lam, full, res, steps
+    return lam, v / math.sqrt(vmv), res, steps
 
 
 def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0.0,
@@ -478,20 +484,22 @@ def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0
     run to the arc and ``mass`` is the arc mass; otherwise (Hardy) E = C and
     the arc is fixed.
 
-    The radial modes X (A X = C X diag(mu), X^T C X = I) turn K into the
+    The angular factors and ``mass`` are those of the half (angular nodes
+    0..ntheta/2).  The radial modes X (A X = C X diag(mu), X^T C X = I) turn K into the
     blocks T_m = mu_m B + D, factored at once by one dpttrf of their stacked
     tridiagonals.  For a trace pencil M is e e^T (x) mass, and the arc trace
     g of an eigenvector solves g = lam sum_m z_m^2 T_m^-1 mass g, z = X[-1]
     (the discrete Neumann-to-Dirichlet map); for Hardy the smallest block
     T_0 alone holds the minimum, g = lam T_0^-1 G g.  The largest eigenvalue
     1/lam of that map comes from :func:`_lanczos_max`; the eigenvector is
-    rebuilt on the mesh, and lam and the residual ||K v - lam M v|| / ||K v||
-    are those of the full pencil, in Kronecker form (:func:`_finish`).
+    rebuilt on the half in Kronecker form, and :func:`_finish` mirrors it
+    onto the mesh, where lam and the residual ||K v - lam M v|| / ||K v||
+    are those of the full pencil.
     Returns (lam, M-normalized eigenvector on all nodes, residual, Lanczos
     steps), as :func:`min_rayleigh` does."""
     rs = slice(1, None) if trace else slice(1, -1)
     A, C = ((t[0][rs], t[1][rs]) for t in radial)
-    B, D, Ma = ((t[0][1:-1], t[1][1:-1]) for t in (*angular, mass))
+    B, D, Ma = ((t[0][1:], t[1][1:]) for t in (*angular, mass))
     mu, X = _radial_modes(A, C)
     z = X[-1]
     if not trace:
@@ -515,8 +523,8 @@ def _separable_eigen(mesh: HalfDiskMesh, radial, angular, mass, shift: float = 0
     else:
         MV = _kron_apply(C, Ma, V)
     KV = _kron_apply(A, B, V) + _kron_apply(C, D, V) + shift * MV
-    dofs = np.arange(mesh.nnodes).reshape(mesh.nr + 1, mesh.ntheta + 1)[rs, 1:-1]
-    return _finish(V, KV, MV, steps, mesh.nnodes, dofs)
+    dofs = np.arange(mesh.nnodes).reshape(mesh.nr + 1, mesh.ntheta + 1)[rs, 1:len(B[0]) + 1]
+    return _finish(V, KV, MV, steps, mesh, dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +551,15 @@ def _band_geometry(mesh: HalfDiskMesh) -> _BandGeometry:
     """The geometry of the eps > 0 pencils on ``mesh``, built once: only the
     weight changes between the ``lambda_r`` rows of one mesh.
 
+    It covers the half: elements j < ntheta/2, free nodes j <= ntheta/2.
     The free nodes are numbered radius-fastest (by angular index, then radial
     index), so the bilinear stencil couples numbers at most nr + 1 apart: K
     is a band matrix of half-bandwidth kd = nr + 1, stored as LAPACK's lower
     band ab[d, j] = K[j + d, j].  Every element integrates with the
     Gauss-Legendre rule of ``ELEMENT_ORDER`` points per direction."""
+    half = mesh.ntheta // 2
     free = mesh.free_nodes()
+    free = free[free % (mesh.ntheta + 1) <= half]
     i, j = np.divmod(free, mesh.ntheta + 1)
     perm = free[np.lexsort((i, j))]
     pos = np.full(mesh.nnodes, -1)
@@ -561,7 +572,7 @@ def _band_geometry(mesh: HalfDiskMesh) -> _BandGeometry:
     R = np.repeat(Rloc, len(Tloc))
     T = np.tile(Tloc, len(Rloc))
     ra = (mesh.r_nodes[:-1, None] + R * hr)[:, None, :]
-    ta = tn[:-1, None] + T * ht
+    ta = tn[:half, None] + T * ht
     jacdet = np.repeat(rwt, len(Tloc)) * np.tile(twt, len(Rloc)) * ra
     dNr = np.stack([-(1 - T), -T, (1 - T), T], axis=1) / hr
     dNt = np.stack([-(1 - R), (1 - R), -R, R], axis=1) / ht
@@ -573,13 +584,14 @@ def _band_geometry(mesh: HalfDiskMesh) -> _BandGeometry:
     return _BandGeometry(*_frozen((
         perm, ra * np.sin(ta), jacdet, jacdet / ra ** 2, _products(dNr), _products(dNt),
         np.flatnonzero(lower), col[lower] * (kd + 1) + d,
-        pos[mesh.node_id(mesh.nr, np.arange(1, mesh.ntheta))])), (kd + 1, len(perm)))
+        pos[mesh.node_id(mesh.nr, np.arange(1, half + 1))])), (kd + 1, len(perm)))
 
 
 def assemble_forms(mesh: HalfDiskMesh, weight: Callable) -> np.ndarray:
-    """The stiffness int w |grad u|^2 of the weight w = ``weight`` on the
-    free dofs of ``mesh``, in the lower band storage of
-    :func:`_band_geometry`.
+    """The stiffness int w |grad u|^2 of the weight w = ``weight`` over the
+    half theta <= pi/2, on its free dofs, in the lower band storage of
+    :func:`_band_geometry`: the half form, 1/2 P^T K P of the stiffness K
+    of the whole half disk for the mirror prolongation P.
 
     ``weight`` takes an array of ordinates y and must broadcast: it is called
     once, on the (radial elements, angular elements, quadrature points)
@@ -595,21 +607,23 @@ def assemble_forms(mesh: HalfDiskMesh, weight: Callable) -> np.ndarray:
 def min_rayleigh(mesh: HalfDiskMesh, K: np.ndarray, arc) -> Tuple[float, np.ndarray, float, int]:
     """Smallest eigenvalue of the trace pencil of the band stiffness ``K``
     of :func:`assemble_forms` and the arc mass ``arc`` of
-    :func:`assemble_arc_mass`, on the free dofs of ``mesh``.
+    :func:`assemble_arc_mass`, both of the half theta <= pi/2, on its free
+    dofs: the least eigenvalue of the whole half disk's pencil.
 
     K is factored once by LAPACK band Cholesky (``dpbtrf``, lower; a K that
     is not positive definite raises LinAlgError naming its info).
-    :func:`_lanczos_max` runs on the free arc dofs E, on the discrete
-    Neumann-to-Dirichlet map g -> E^T K^-1 E Ma g (Ma the arc mass), one
-    scatter, ``dpbtrs`` and gather per step.  The Ritz vector g is lifted
-    once, v = K^-1 E Ma g, and K v is the band product ``dsbmv`` of the
-    unfactored K.  Returns (lam, M-normalized eigenvector on all nodes,
-    residual ||K v - lam M v|| / ||K v||, Lanczos steps)."""
+    :func:`_lanczos_max` runs on the ntheta/2 free arc dofs E, on the
+    discrete Neumann-to-Dirichlet map g -> E^T K^-1 E Ma g (Ma the arc
+    mass), one scatter, ``dpbtrs`` and gather per step.  The Ritz vector g
+    is lifted once, v = K^-1 E Ma g, and K v is the band product ``dsbmv``
+    of the unfactored K.  Returns (lam, M-normalized eigenvector on all
+    nodes, residual ||K v - lam M v|| / ||K v||, Lanczos steps), as
+    :func:`_finish` gives them."""
     g = _band_geometry(mesh)
     factor, info = lapack.dpbtrf(K, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"stiffness not positive definite (dpbtrf info={info})")
-    Ma = (arc[0][1:-1], arc[1][1:-1])
+    Ma = (arc[0][1:], arc[1][1:])
 
     def solve(mg):                      # K^-1 E mg on every free dof
         u = np.zeros(len(g.perm))
@@ -621,7 +635,7 @@ def min_rayleigh(mesh: HalfDiskMesh, K: np.ndarray, arc) -> Tuple[float, np.ndar
     mv = np.zeros_like(v)
     mv[g.arc] = _tri_apply(Ma, v[g.arc])
     kv = blas.dsbmv(len(K) - 1, 1.0, K, v, lower=1)
-    return _finish(v, kv, mv, steps, mesh.nnodes, g.perm)
+    return _finish(v, kv, mv, steps, mesh, g.perm)
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +643,15 @@ def min_rayleigh(mesh: HalfDiskMesh, K: np.ndarray, arc) -> Tuple[float, np.ndar
 # ---------------------------------------------------------------------------
 
 def _trace_route(b: float, eps: float) -> str:
-    """The route :func:`trace_eigen` takes for (b, eps): b < 1 and eps >= 0,
-    and eps > 0 takes the direct route, which needs b > -1.  Any other
-    (b, eps) raises ValueError."""
-    if b >= 1.0:
-        raise ValueError("trace exponent must satisfy b < 1")
+    """The route :func:`trace_eigen` takes for (b, eps): ``B_MIN`` <= b < 1
+    and eps >= 0, and eps > 0 takes the direct route, which needs b > -1.
+    Any other (b, eps) raises ValueError.
+
+    lam grows like b^2 (0.027 b^2 at h = 1/3), and Lanczos squares 1/lam,
+    which underflows past lam = 1e150 (b near -1e77 on coarse meshes); at
+    B_MIN = -1e60, lam stays below 1e119 on every mesh."""
+    if not B_MIN <= b < 1.0:
+        raise ValueError(f"trace exponent must satisfy {B_MIN:g} <= b < 1")
     if not (eps >= 0.0 and math.isfinite(eps * eps)):
         raise ValueError(f"eps must be >= 0 with a finite square, got {eps}")
     route = "direct" if b > -1.0 else "transformed"

@@ -21,6 +21,7 @@ import degenlab
 import degenlab.cli as cli
 from degenlab import holder
 from degenlab.certify import MIN_BUDGET, PHI_A_MIN
+from degenlab.spectral import B_MIN
 from degenlab.cli import _write, fmt, run
 
 
@@ -107,6 +108,9 @@ def test_usage_error_exit_code(tmp_path):
     (("sweep", "h=1/16", "eps_list=1e154,0"), "eps_list", "1e154"),
     (("sweep", "h=1/16", "eps_list=1e200,0"), "eps_list", "1e200"),
     (("fermi-demo", "a=0.5", "h=1/16", "eps_list=1.08e24,0.01,0"), "eps_list", "1.08e24"),
+    (("eigen", "h=1/8", "a=-1e100"), "a", "-1e100"),
+    (("eigen", "h=1/8", "a=-1e200"), "a", "-1e200"),
+    (("eigen", "h=1/8", "aux_a=-1e200"), "aux_a", "-1e200"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     """A value that does not parse, or that the command cannot run on, is a
@@ -126,7 +130,9 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, argv, key, token):
     whose eps = 1/r has no finite square, a spacing whose grid or polar
     mesh exceeds the size bound, and an eps above 1 whose rho or v leaves
     the range of double precision (where eps = 1 does not) are refused by
-    the library's own rules, before any array is allocated."""
+    the library's own rules, before any array is allocated; so is a trace
+    exponent (`eigen a`, or `aux_a` - 2) below ``spectral.B_MIN``, whose
+    eigenvalue squared under Lanczos would leave that range."""
     assert _run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: {token!r}")
@@ -265,6 +271,31 @@ def test_certify_never_crashes_on_what_it_admits(phi_a, budget):
     1) or refuses one key (exit 2, the message starts with it), never exit 3."""
     _never_crashes(["certify", "phi_a=" + " ".join(map(repr, phi_a)), f"budget={budget}"],
                    cli.KEYS["certify"])
+
+
+@pytest.mark.parametrize("a", ["-1e20", "-1e60"])
+def test_huge_trace_exponents_run(tmp_path, capsys, a):
+    """A trace exponent down to ``spectral.B_MIN`` = -1e60 runs: lam is
+    about 9e37 at a = -1e20 and h = 1/8, far from 1 - a, so the row misses
+    its tolerance (exit 1), with no traceback."""
+    assert _run(tmp_path, "eigen", "h=1/8", f"a={a}") == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a=st.lists(st.floats(B_MIN, 1.0, exclude_max=True), min_size=1, max_size=3),
+       aux_a=st.lists(st.floats(B_MIN, 3.0, exclude_max=True), min_size=1, max_size=2),
+       r=st.lists(st.floats(1e-154, allow_infinity=False), min_size=1, max_size=3),
+       sweep_a=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+       h=st.sampled_from(["1/4", "1/8"]))
+def test_eigen_never_crashes_on_what_it_admits(a, aux_a, r, sweep_a, h):
+    """One to three a in [B_MIN, 1), one or two aux_a in [B_MIN, 3), one to
+    three r_list entries from 1e-154 (where 1/r^2 is finite) up, and sweep_a
+    in (-1, 1), at h = 1/4 and 1/8: eigen runs (exit 0 or 1) or refuses one
+    key (exit 2, the message starts with it), never exit 3."""
+    _never_crashes(["eigen", "a=" + " ".join(map(repr, a)), "aux_a=" + " ".join(map(repr, aux_a)),
+                    "r_list=" + " ".join(map(repr, r)), f"sweep_a={sweep_a!r}", f"h={h}"],
+                   cli.KEYS["eigen"])
 
 
 def test_eigen_runs_at_the_coarsest_mesh_it_accepts(tmp_path, capsys):

@@ -163,12 +163,31 @@ def _zeroed(M, nodes):
     return (D @ M @ D).tocsr()
 
 
+def _full_theta_rows(mesh, jac):
+    """The angular rule of every element row of the whole half disk, as
+    tuples (rows, local points T, weights, dist^jac or None): Gauss-Legendre,
+    and when ``jac`` is given the Gauss-Jacobi rule of ``EDGE_ORDER`` points
+    on the two rows touching the plane (dist the angular distance to it)."""
+    ht = mesh.theta_nodes[1] - mesh.theta_nodes[0]
+    gx, gw = roots_legendre(spectral.ELEMENT_ORDER)
+    legendre = ((gx + 1.0) / 2.0, gw * ht / 2.0, None)
+    if jac is None:
+        return [(np.arange(mesh.ntheta), *legendre)]
+    jx, jw = roots_jacobi(spectral.EDGE_ORDER, 0.0, jac)
+    s = (jx + 1.0) / 2.0
+    edge = (jw * (ht / 2.0) ** (1.0 + jac), (s * ht) ** jac)
+    return [(np.arange(1, mesh.ntheta - 1), *legendre),
+            (np.array([0]), s, *edge), (np.array([mesh.ntheta - 1]), 1.0 - s, *edge)]
+
+
 def _coo_forms(mesh, stiffness_weight, mass_weight=None, jac=None):
-    """(K, M) on all nodes, sparse: the stiffness int w |grad u|^2 and the
-    domain mass int m u^2 (zero when ``mass_weight`` is None), element rows
-    at once, the two rows touching the plane by the Gauss-Jacobi rule of
-    ``jac`` when given.  The vectorised assembler the separable factors
-    replaced, kept as their oracle."""
+    """(K, M) on all nodes of the whole half disk, sparse: the stiffness
+    int w |grad u|^2 and the domain mass int m u^2 (zero when
+    ``mass_weight`` is None), element rows at once, the two rows touching
+    the plane by the Gauss-Jacobi rule of ``jac`` when given.  The
+    vectorised assembler the separable factors replaced, kept as the oracle
+    of both eigen paths; it numbers its elements and picks its rules itself
+    (:func:`_full_theta_rows`), not by the half's helpers it checks."""
     K = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
     M = sp.coo_matrix((mesh.nnodes, mesh.nnodes))
     rn, tn = mesh.r_nodes, mesh.theta_nodes
@@ -180,8 +199,11 @@ def _coo_forms(mesh, stiffness_weight, mass_weight=None, jac=None):
         c = np.repeat(nodes[:, None, :], 4, axis=1).ravel()
         return sp.coo_matrix((Ke.ravel(), (r, c)), shape=(mesh.nnodes, mesh.nnodes))
 
-    for jrange, Tloc, twt, dist in spectral._theta_rows(mesh, jac):
-        nodes = spectral._element_rows(mesh).reshape(mesh.nr, mesh.ntheta, 4)[:, jrange].reshape(-1, 4)
+    I, J = np.meshgrid(np.arange(mesh.nr), np.arange(mesh.ntheta), indexing="ij")
+    elements = np.stack([mesh.node_id(I + di, J + dj)
+                         for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1))], axis=2)
+    for jrange, Tloc, twt, dist in _full_theta_rows(mesh, jac):
+        nodes = elements[:, jrange].reshape(-1, 4)
         r0 = np.repeat(rn[:-1], len(jrange))
         t0 = np.tile(tn[jrange], mesh.nr)
         dist_pow = None if dist is None else np.tile(dist, len(Rloc))
@@ -210,8 +232,9 @@ def _coo_forms(mesh, stiffness_weight, mass_weight=None, jac=None):
 
 
 def _arc_matrix(mesh, t):
-    """The arc tridiagonal t of ``assemble_arc_mass`` on all nodes, sparse."""
-    arc = mesh.node_id(mesh.nr, np.arange(mesh.ntheta + 1))
+    """The arc tridiagonal t of ``assemble_arc_mass``, over the arc nodes of
+    the half, on all nodes, sparse."""
+    arc = mesh.node_id(mesh.nr, np.arange(len(t[0])))
     T = sp.coo_matrix(_tri(t))
     return sp.csr_matrix((T.data, (arc[T.row], arc[T.col])), shape=(mesh.nnodes,) * 2)
 
@@ -224,35 +247,69 @@ def _unband(ab):
 
 
 def _band_matrix(mesh, ab):
-    """The band stiffness of ``assemble_forms`` on all nodes, sparse."""
+    """The band stiffness of ``assemble_forms`` on all nodes (zero off the
+    half), sparse."""
     perm = spectral._band_geometry(mesh).perm
     P = sp.csr_matrix((np.ones(len(perm)), (perm, np.arange(len(perm)))),
                       shape=(mesh.nnodes, len(perm)))
     return (P @ _unband(ab) @ P.T).tocsr()
 
 
+def _mirror(mesh):
+    """The mirror prolongation P on all nodes, sparse: a node (i, j) of the
+    half, j <= ntheta/2, to itself and to its image (i, ntheta - j)."""
+    n = np.arange(mesh.nnodes)
+    j = n % (mesh.ntheta + 1)
+    half, left = 2 * j <= mesh.ntheta, 2 * j < mesh.ntheta
+    rows = np.concatenate([n[half], (n + mesh.ntheta - 2 * j)[left]])
+    cols = np.concatenate([n[half], n[left]])
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(mesh.nnodes,) * 2)
+
+
+def _folded(mesh, F, free):
+    """(1/2 P^T F P on the free dofs of the half, dense, those dofs): the half
+    form of the form F of the whole half disk, P = ``_mirror(mesh)``."""
+    half = free[2 * (free % (mesh.ntheta + 1)) <= mesh.ntheta]
+    P = _mirror(mesh)
+    return 0.5 * (P.T @ sp.csr_matrix(F) @ P)[half][:, half].toarray(), half
+
+
+def _odd_lambdas(K, M, free, mesh):
+    """The pencil's eigenvalues over the mirror-odd vectors v(i, j) =
+    -v(i, ntheta - j), ascending (see ``_dense_lambdas``)."""
+    j = free % (mesh.ntheta + 1)
+    left = free[2 * j < mesh.ntheta]
+    image = left + mesh.ntheta - 2 * (left % (mesh.ntheta + 1))
+    cols = np.arange(len(left))
+    Q = sp.csr_matrix((np.r_[np.ones(len(left)), -np.ones(len(left))],
+                       (np.r_[left, image], np.r_[cols, cols])), shape=(mesh.nnodes, len(left)))
+    Kq, Mq = ((Q.T @ X @ Q).toarray() for X in (K, M))
+    mu = scipy.linalg.eigh(Mq, Kq, eigvals_only=True)
+    return np.sort(1.0 / mu[mu > 1e-12 * mu.max()])
+
+
 def _pencil(case, mesh):
-    """(K, M, free dofs) on all nodes.  A case is (kind, b, eps); the Hardy
-    case ("hardy", None, 0.0) is the flat Hardy pencil, whose arc is fixed.
-    An eps > 0 case is the band pencil ``min_rayleigh`` solves; the eps = 0
-    cases come from ``_coo_forms``.  The transformed case (eps = 0) is the
-    flat form with the domain potential c / y^2, c = b (b - 2) / 4, and the
-    arc potential W = -b/2 times the unweighted arc mass."""
+    """(K, M, free dofs) of the whole half disk, on all nodes.  A case is
+    (kind, b, eps); the Hardy case ("hardy", None, 0.0) is the flat Hardy
+    pencil, whose arc is fixed.  Every form comes from ``_coo_forms`` and
+    the arc mass from the segment loop ``_arc_mass_loop``, never from the
+    half's assembly that the eigen paths solve.  The transformed case
+    (eps = 0) is the flat form with the domain potential c / y^2,
+    c = b (b - 2) / 4, and the arc potential W = -b/2 times the unweighted
+    arc mass."""
     free = mesh.free_nodes()
     kind, b, eps = case
     if kind == "direct":
         wfn = _rho(b, eps)
-        arc = _arc_matrix(mesh, assemble_arc_mass(mesh, wfn))
-        if eps > 0.0:
-            return _band_matrix(mesh, assemble_forms(mesh, wfn)), arc, free
-        if b == 0.0:
+        arc = sp.csr_matrix(_arc_mass_loop(mesh, wfn))
+        if eps > 0.0 or b == 0.0:
             return _coo_forms(mesh, wfn)[0], arc, free
         K, _ = _coo_forms(mesh, wfn, jac=b)
         return K, _zeroed(arc, _sigma_adjacent_arc_nodes(mesh)), free
     if kind == "transformed":
         c, W = b * (b - 2.0) / 4.0, -b / 2.0
         K, P = _coo_forms(mesh, np.ones_like, mass_weight=lambda y: c / (y * y))
-        arc = _arc_matrix(mesh, assemble_arc_mass(mesh, None))
+        arc = sp.csr_matrix(_arc_mass_loop(mesh))
         return K + P + W * arc, arc, free
     K, M = _coo_forms(mesh, np.ones_like, mass_weight=lambda y: 1.0 / (y * y))
     return K, M, np.setdiff1d(free, mesh.node_id(mesh.nr, np.arange(mesh.ntheta + 1)))
@@ -308,6 +365,26 @@ def test_eigen_solve_gives_smallest_eigenvalue(case, h):
     assert not np.delete(v, free).any()
 
 
+@pytest.mark.parametrize("case", PENCILS, ids=_case_id)
+def test_mirror_odd_modes_lie_above_the_returned_eigenvalue(case):
+    """Both paths solve on the half theta <= pi/2, which holds the
+    mirror-even vectors only; the least eigenvalue of the pencil of the
+    whole half disk over the mirror-odd vectors exceeds the returned lam,
+    so no odd mode is the least one."""
+    mesh = HalfDiskMesh.from_h(1 / 8)
+    res = _eigen_result(case, 1 / 8)
+    assert _odd_lambdas(*_pencil(case, mesh), mesh)[0] > res.lam
+
+
+@pytest.mark.parametrize("case", PENCILS, ids=_case_id)
+def test_the_eigenvector_is_mirror_even(case):
+    """The eigenvector on all nodes is even under theta -> pi - theta:
+    v(i, j) = v(i, ntheta - j) to 1e-14 of its largest entry."""
+    mesh = HalfDiskMesh.from_h(1 / 8)
+    v = _eigen_result(case, 1 / 8).eigenvector.reshape(mesh.nr + 1, mesh.ntheta + 1)
+    assert np.max(np.abs(v - v[:, ::-1])) <= 1e-14 * np.max(np.abs(v))
+
+
 @pytest.mark.parametrize("case", [("direct", 0.5, 0.0), ("direct", 0.5, 0.1)],
                          ids=["separable", "assembled"])
 def test_missed_residual_tolerance_raises(case, monkeypatch):
@@ -361,9 +438,9 @@ def test_band_width_is_free_radial_count_plus_one(case, h):
 
 
 def test_lanczos_runs_on_the_arc_trace(monkeypatch):
-    """min_rayleigh iterates on the free arc dofs, not on every free dof:
-    each vector its Lanczos operator takes or returns, and the Ritz vector,
-    has ntheta - 1 entries."""
+    """min_rayleigh iterates on the free arc dofs of the half, not on every
+    free dof: each vector its Lanczos operator takes or returns, and the
+    Ritz vector, has ntheta/2 entries."""
     lengths = set()
     lanczos = spectral._lanczos_max
 
@@ -379,9 +456,9 @@ def test_lanczos_runs_on_the_arc_trace(monkeypatch):
 
     monkeypatch.setattr(spectral, "_lanczos_max", recording)
     mesh = HalfDiskMesh.from_h(1 / 8)
-    assert len(spectral._band_geometry(mesh).perm) > mesh.ntheta - 1
+    assert len(spectral._band_geometry(mesh).perm) > mesh.ntheta // 2
     dl.trace_eigen(0.5, 0.25, 1 / 8)
-    assert lengths == {mesh.ntheta - 1}
+    assert lengths == {mesh.ntheta // 2}
 
 
 @pytest.mark.parametrize("shape", [(1, 16), (2048, 16), (2049, 16), (64, 256, 16)],
@@ -499,7 +576,9 @@ def _arc_row(mesh):
                          ids=_case_id)
 def test_kronecker_factors_match_assembly(case):
     """K = A (x) B + C (x) D (+ W M on the arc) and M = e e^T (x) arc mass,
-    or C (x) G for Hardy, from the 1-D factors equal the 2-D assembly."""
+    or C (x) G for Hardy, from the 1-D factors of the half equal the half
+    forms 1/2 P^T F P of the 2-D assembly F of the whole half disk, P the
+    mirror prolongation."""
     mesh = HalfDiskMesh.from_h(1 / 8)
     K, M, free = _pencil(case, mesh)
     kind, b, _ = case
@@ -510,9 +589,13 @@ def test_kronecker_factors_match_assembly(case):
         (A, C), (B, D), arc, shift = _trace_factors(mesh, b, kind)
         Ms = sp.kron(_arc_row(mesh), _tri(arc))
     Ks = sp.kron(_tri(A), _tri(B)) + sp.kron(_tri(C), _tri(D)) + shift * Ms
+    # the node numbers of the (radial, angular) grid of the factors, j <= ntheta/2
+    nodes = np.arange(mesh.nnodes).reshape(mesh.nr + 1, -1)[:, :len(B[0])].ravel()
+    E = sp.csr_matrix((np.ones(len(nodes)), (nodes, np.arange(len(nodes)))),
+                      shape=(mesh.nnodes, len(nodes)))
     for got, ref in ((Ks, K), (Ms, M)):
-        ref = ref[free][:, free].toarray()
-        got = got.tocsr()[free][:, free].toarray()
+        ref, half = _folded(mesh, ref, free)
+        got = (E @ got @ E.T).tocsr()[half][:, half].toarray()
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -521,11 +604,13 @@ def test_kronecker_factors_match_assembly(case):
 # ---------------------------------------------------------------------------
 
 def _arc_mass_loop(mesh, weight=None, quad_order=6, skip_sigma_adjacent=False,
-                   exclude_nodes=()):
+                   exclude_nodes=(), half=False):
+    """The arc mass on all nodes, dense, summed segment by segment and point
+    by point; over the segments of the half theta <= pi/2 only when ``half``."""
     tn = mesh.theta_nodes
     gx, gw = roots_legendre(quad_order)
     M = np.zeros((mesh.nnodes, mesh.nnodes))
-    for j in range(mesh.ntheta):
+    for j in range(mesh.ntheta // 2 if half else mesh.ntheta):
         if skip_sigma_adjacent and j in (0, mesh.ntheta - 1):
             continue
         t0, ht = tn[j], tn[j + 1] - tn[j]
@@ -547,10 +632,11 @@ def _arc_mass_loop(mesh, weight=None, quad_order=6, skip_sigma_adjacent=False,
                                              (_rho(-0.5, 0.0), True)],
                          ids=["unweighted", "rho", "skip-and-exclude"])
 def test_arc_mass_matches_loop_reference(weight, skipped):
-    """The arc mass equals the segment-by-segment loop.  With the two arc
-    nodes next to the plane dropped, as the direct eps = 0 route drops them,
-    it equals on the free dofs the loop that also skips the two segments
-    touching the plane: those segments reach no other free dof."""
+    """The arc mass of the half equals the segment-by-segment loop over the
+    segments of the half, theta <= pi/2.  With the arc node next to the
+    plane dropped, as the direct eps = 0 route drops it, it equals on the
+    free dofs the loop that also skips the segment touching the plane: that
+    segment reaches no other free dof."""
     mesh = HalfDiskMesh.from_h(1 / 8)
     got = _arc_matrix(mesh, assemble_arc_mass(mesh, weight))
     if skipped:
@@ -558,10 +644,10 @@ def test_arc_mass_matches_loop_reference(weight, skipped):
         free = mesh.free_nodes()
         got = _zeroed(got, drop)[free][:, free].toarray()
         ref = _arc_mass_loop(mesh, weight, skip_sigma_adjacent=True,
-                             exclude_nodes=drop)[np.ix_(free, free)]
+                             exclude_nodes=drop, half=True)[np.ix_(free, free)]
     else:
         got = got.toarray()
-        ref = _arc_mass_loop(mesh, weight)
+        ref = _arc_mass_loop(mesh, weight, half=True)
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
@@ -622,11 +708,12 @@ def test_element_forms_match_loop_reference(b, eps, jac, mass):
 
 @pytest.mark.parametrize("b", [0.5, -0.5])
 def test_band_stiffness_matches_loop_reference(b):
-    """The band storage of ``assemble_forms``, expanded, equals the
-    point-by-point loop's stiffness entry by entry on the free dofs."""
+    """The band storage of ``assemble_forms``, expanded, equals entry by
+    entry on the free dofs of the half the half form 1/2 P^T K P of the
+    point-by-point loop's stiffness K of the whole half disk, P the mirror
+    prolongation."""
     mesh = HalfDiskMesh.from_h(1 / 4)
     wfn = _rho(b, 0.1)
-    free = mesh.free_nodes()
-    got = _band_matrix(mesh, assemble_forms(mesh, wfn))[free][:, free].toarray()
-    ref = _forms_loop(mesh, wfn, lambda y: 0.0)[0][np.ix_(free, free)]
+    ref, half = _folded(mesh, _forms_loop(mesh, wfn, lambda y: 0.0)[0], mesh.free_nodes())
+    got = _band_matrix(mesh, assemble_forms(mesh, wfn))[half][:, half].toarray()
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
